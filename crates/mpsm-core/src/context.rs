@@ -2,11 +2,10 @@
 //! counters, and the shared worker pool in one object.
 //!
 //! Before this module existed the repository had three ad-hoc ways to
-//! hand a join its workers (`join_with_sink_on`, `join_variant_on_pool`,
-//! `execute_on`) and the NUMA model lived in a simulation-only sidecar
-//! (`mpsm-numa`) consulted only by audit binaries — the *real* join and
-//! executor paths allocated wherever and counted nothing. An
-//! [`ExecContext`] closes that gap: it owns
+//! hand a join its workers, and the NUMA model lived in a
+//! simulation-only sidecar (`mpsm-numa`) consulted only by audit
+//! binaries — the *real* join and executor paths allocated wherever and
+//! counted nothing. An [`ExecContext`] closes that gap: it owns
 //!
 //! * a [`Topology`] (the simulated machine),
 //! * a [`WorkerPlacement`] mapping every pool worker to a core and

@@ -1,59 +1,77 @@
-//! Anytime (interruptible) run-set merging — MPSM's phase 4 as a
-//! *degradable* operator.
+//! The run-set merge driver — MPSM's phase 4 over sorted run sets, as
+//! a *degradable* operator.
+//!
+//! [`merge_sides`] is the one loop that pairs private runs with public
+//! runs: plain cached joins, snapshot joins with a live delta, and
+//! deadline-, budget- or cap-interrupted joins all go through it, and
+//! its `merge_pair` helper is the one place a pair is merged
+//! (interpolation entry, then the galloping or the masked kernel).
 //!
 //! MPSM is naturally anytime: [`build_run_set`](super::runs::build_run_set)
 //! produces runs covering **ascending disjoint key ranges**, so merging
 //! run 0, then run 1, … advances monotonically through the sorted key
-//! domain. A merge interrupted after the first `k` units has joined a
+//! domain. A merge interrupted after the first `k` steps has joined a
 //! *downward-closed prefix* of the key domain — a well-defined partial
 //! answer ("joined through key `x`, covering `c%` of the input"), not an
 //! arbitrary subset.
 //!
-//! [`merge_run_sets_anytime`] exploits this: it processes the private
-//! runs in ascending order, in key-group-aligned blocks of roughly
-//! [`ANYTIME_BLOCK_TUPLES`] tuples, and consults an [`AnytimeToken`]
-//! before dispatching each block to the pool. When the token expires the
-//! merge stops *between* blocks, so every retained match comes from a
-//! fully merged block and the covered key set stays downward-closed.
-//! Blocks never split a key group (a boundary is extended past duplicate
-//! keys), which gives the **prefix contract**: for every covered key the
-//! partial result holds *all* of the full join's matches, and therefore
-//! the partial rows — sorted by `(key, r_payload, s_payload)` — are
-//! exactly a prefix of the sorted full join.
+//! ## Step plans
+//!
+//! The driver picks its plan from what it can observe, never from a
+//! caller flag:
+//!
+//! * **Single step** — the token is [`AnytimeToken::Never`] and no row
+//!   cap can take effect (none given, or the sink does not count rows).
+//!   Nothing can interrupt the merge, so it is one pool dispatch in
+//!   which worker `w` owns private runs `w, w + T, …` against every
+//!   public run. A pool dispatch costs tens of microseconds on a busy
+//!   box; the plain merge must not pay one per block.
+//! * **Key-interval steps** — otherwise. The private base runs are cut,
+//!   in ascending order, into key-group-aligned blocks of roughly
+//!   [`ANYTIME_BLOCK_TUPLES`] tuples; step `k` is block `k` **plus the
+//!   slice of the private delta run falling into the same key
+//!   interval** `(last key of block k−1, last key of block k]` (the
+//!   first interval is open below, the last open above). Each step is
+//!   one pool dispatch parallelized across the *public* runs; the
+//!   driver thread consults the token, and the row cap, once per step.
+//!
+//! Blocks never split a key group and every step carries all private
+//! tuples — base and delta — of its key interval, which gives the
+//! **prefix contract** also over a dirty snapshot: for every covered
+//! key the partial result holds *all* of the full join's matches, and
+//! therefore the partial rows — sorted by `(key, r_payload, s_payload)`
+//! — are exactly a prefix of the sorted full join. Only the driver
+//! thread consults the token, between steps, so budget tokens stay
+//! deterministic.
 //!
 //! Coverage is reported as merged private tuples over total private
 //! tuples. Runs are equi-height (built from the relation's own
 //! histogram), so the tuple fraction is the natural estimator of the
 //! key-domain fraction covered. Alongside the scalar, the outcome
 //! carries a per-key-range histogram ([`KeyRangeCoverage`], one entry
-//! per non-empty private run) that shows *where* in the key domain the
-//! merge stopped.
-//!
-//! [`merge_run_sets_anytime_capped`] adds a row cap for materializing
-//! sinks: once at least `rows_cap` rows exist the merge stops between
-//! blocks, so `LIMIT`-style queries stop paying for rows their caller
-//! will discard.
+//! per non-empty private base run) that shows *where* in the key domain
+//! the merge stopped.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::context::ExecContext;
-use crate::interpolation::interpolation_lower_bound;
-use crate::merge::merge_join_scanned;
+use crate::join::delta::{merge_pair, DeltaSide, Piece};
+use crate::join::runs::RunSet;
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
 
-/// Target tuples per interruption block. The driver checks the token
-/// once per block, so this bounds how far a merge overshoots its
+/// Target base tuples per interruption step. The driver checks the
+/// token once per step, so this bounds how far a merge overshoots its
 /// deadline: one block of private tuples (times the matching public
 /// work). Blocks are extended past duplicate keys, so a block may be
 /// larger when a key group straddles the boundary.
 pub const ANYTIME_BLOCK_TUPLES: usize = 4096;
 
-/// When an anytime merge must stop. Checked by the *driver* thread
-/// between blocks — never inside the hot merge kernel, and never
+/// When a run-set merge must stop. Checked by the *driver* thread
+/// between steps — never inside the hot merge kernel, and never
 /// concurrently — so budget-based tokens are fully deterministic.
 #[derive(Debug, Clone)]
 pub enum AnytimeToken {
@@ -65,7 +83,7 @@ pub enum AnytimeToken {
     /// includes queue wait).
     Deadline(Instant),
     /// Expires after a fixed number of checks: check `n` and later
-    /// report expired. Deterministic — block merge order is fixed and
+    /// report expired. Deterministic — step order is fixed and
     /// only the driver consults the token — which is what makes
     /// coverage-monotonicity properties testable without wall-clock
     /// flakiness.
@@ -104,8 +122,8 @@ impl AnytimeToken {
     }
 }
 
-/// Coverage of one private key range (one non-empty private run) in an
-/// anytime merge: how much of the run's `[lo, hi]` key span was merged
+/// Coverage of one private key range (one non-empty private base run)
+/// in a run-set merge: how much of the run's `[lo, hi]` key span was merged
 /// before the merge stopped. Runs cover ascending disjoint ranges, so
 /// the vector of these reads as a small histogram over the key domain —
 /// fully merged ranges at 1.0, the in-progress range somewhere between,
@@ -120,28 +138,27 @@ pub struct KeyRangeCoverage {
     pub fraction: f64,
 }
 
-/// What an interruptible merge produced: the (possibly partial) sink
-/// result plus exactly how much of the private input it covered.
+/// What [`merge_sides`] produced: the (possibly partial) sink result
+/// plus exactly how much of the private input it covered.
 #[derive(Debug, Clone)]
 pub struct AnytimeOutcome<R> {
-    /// The combined sink result over every fully merged block.
+    /// The combined sink result over every merged step.
     pub result: R,
-    /// Private runs merged to completion (prefix of the run order).
+    /// Private base runs merged to completion (prefix of the run order).
     pub merged_runs: usize,
-    /// Private runs in the set.
+    /// Private base runs in the set.
     pub total_runs: usize,
-    /// Private tuples in fully merged blocks.
+    /// Private tuples (base and delta) in merged steps.
     pub merged_tuples: usize,
-    /// Private tuples in the set.
+    /// Private tuples (base and delta) on the side.
     pub total_tuples: usize,
     /// Whether the merge ran to completion (`coverage() == 1.0`).
     pub complete: bool,
-    /// Per-key-range coverage, one entry per non-empty private run in
-    /// ascending key order (see [`KeyRangeCoverage`]).
+    /// Per-key-range coverage, one entry per non-empty private base run
+    /// in ascending key order (see [`KeyRangeCoverage`]).
     pub ranges: Vec<KeyRangeCoverage>,
     /// Whether the merge stopped early because a `rows_cap` was
-    /// satisfied (see [`merge_run_sets_anytime_capped`]) rather than
-    /// because the token expired.
+    /// satisfied rather than because the token expired.
     pub capped: bool,
 }
 
@@ -176,129 +193,147 @@ fn key_aligned_block_ends(run: &[Tuple], target: usize) -> Vec<usize> {
     ends
 }
 
-/// Phase 4 over two run sets, interruptible between key-aligned blocks.
-///
-/// Identical matching semantics to
-/// [`merge_run_sets_in`](super::runs::merge_run_sets_in) when the token
-/// never expires: every private run merges with every public run from
-/// an interpolation-searched entry point. The difference is the work
-/// order — private runs are processed strictly ascending (run 0 first),
-/// one block at a time, with the pool parallelizing each block across
-/// the *public* runs — and the token check between blocks. Time and
-/// access counters book under [`Phase::Four`], as on the
-/// non-interruptible path.
-pub fn merge_run_sets_anytime<S: JoinSink>(
-    cx: &ExecContext,
-    r_runs: &super::runs::RunSet,
-    s_runs: &super::runs::RunSet,
-    token: &AnytimeToken,
-    stats: &mut JoinStats,
-) -> AnytimeOutcome<S::Result> {
-    merge_run_sets_anytime_capped::<S>(cx, r_runs, s_runs, token, None, stats)
+/// One pool dispatch of the driver: the private pieces merged in it and
+/// how many of their tuples are base tuples (the rest is delta).
+struct Step<'a> {
+    pieces: Vec<Piece<'a>>,
+    base_tuples: usize,
 }
 
-/// [`merge_run_sets_anytime`] with a row cap: the merge additionally
-/// stops — between blocks, preserving the prefix contract — once the
-/// sink has materialized at least `rows_cap` rows, so a capped query
-/// stops paying for rows its caller will discard. The cap is only
-/// consulted for sinks whose [`JoinSink::result_len`] reports a count;
-/// aggregating sinks ignore it. A cap-stopped outcome has
-/// [`AnytimeOutcome::capped`] set and reports the coverage actually
-/// merged, exactly like a token expiry.
-pub fn merge_run_sets_anytime_capped<S: JoinSink>(
+/// The interruptible plan: one step per key-aligned block of the
+/// private base runs, in ascending key order, each joined by the slice
+/// of the private delta run whose keys fall into the block's interval
+/// (everything not yet taken, up to the block's last key; the last
+/// step takes the rest). A side with no base tuples merges its delta in
+/// one step.
+fn key_interval_steps<'a>(r: DeltaSide<'a>) -> Vec<Step<'a>> {
+    let mut blocks = Vec::new();
+    for idx in 0..r.base.parts() {
+        let run = r.piece(idx);
+        let mut start = 0;
+        for end in key_aligned_block_ends(run.tuples, ANYTIME_BLOCK_TUPLES) {
+            blocks.push(Piece { tuples: &run.tuples[start..end], ..run });
+            start = end;
+        }
+    }
+    let delta = r.delta.map(|_| r.piece(r.base.parts()));
+    let last = blocks.len().saturating_sub(1);
+    let mut taken = 0;
+    let mut steps: Vec<Step<'a>> = blocks
+        .into_iter()
+        .enumerate()
+        .map(|(i, block)| {
+            let mut step = Step { base_tuples: block.tuples.len(), pieces: vec![block] };
+            if let Some(delta) = delta {
+                let hi = block.tuples[block.tuples.len() - 1].key;
+                let upto = if i == last {
+                    delta.tuples.len()
+                } else {
+                    delta.tuples.partition_point(|t| t.key <= hi)
+                };
+                step.pieces.push(Piece { tuples: &delta.tuples[taken..upto], ..delta });
+                taken = upto;
+            }
+            step
+        })
+        .collect();
+    if let Some(delta) = delta.filter(|d| steps.is_empty() && !d.tuples.is_empty()) {
+        steps.push(Step { pieces: vec![delta], base_tuples: 0 });
+    }
+    steps
+}
+
+/// Phase 4 over two sides of sorted runs: every private run merges with
+/// every public run through `merge_pair`, in the step plan the module
+/// docs describe. A [`AnytimeToken::Never`] token with no effective
+/// `rows_cap` is the plain merge (one dispatch, always complete); any
+/// other combination merges ascending key intervals and stops
+/// *between* steps when the token expires or — for sinks whose
+/// [`JoinSink::result_len`] reports a count — once at least `rows_cap`
+/// rows exist, so a capped query stops paying for rows its caller will
+/// discard. Time and access counters book under [`Phase::Four`].
+pub fn merge_sides<S: JoinSink>(
     cx: &ExecContext,
-    r_runs: &super::runs::RunSet,
-    s_runs: &super::runs::RunSet,
+    r: DeltaSide<'_>,
+    s: DeltaSide<'_>,
     token: &AnytimeToken,
     rows_cap: Option<usize>,
     stats: &mut JoinStats,
 ) -> AnytimeOutcome<S::Result> {
     let t = cx.threads();
-    let pool = cx.pool();
-    let total_runs = r_runs.parts();
-    let total_tuples = r_runs.total_tuples();
+    let total_tuples = r.base.total_tuples() + r.delta.map_or(0, |d| d.len());
+    let rows_cap = rows_cap.filter(|_| S::result_len(&S::default().finish()).is_some());
+    let single = matches!(token, AnytimeToken::Never) && rows_cap.is_none();
+    let steps = if single {
+        let pieces = (0..r.run_count()).map(|idx| r.piece(idx)).collect();
+        vec![Step { pieces, base_tuples: r.base.total_tuples() }]
+    } else {
+        key_interval_steps(r)
+    };
+    // Work split of one dispatch: the single step hands out private
+    // pieces (a worker's own run against every public run), a key
+    // interval hands out public runs (its one or two pieces against a
+    // worker's share of them).
+    let lanes = |w: usize| if single { (w, t, 0, 1) } else { (0, 1, w, t) };
+
     let mut d4 = vec![Duration::ZERO; t];
-    let mut partials: Vec<S::Result> = Vec::new();
-    let mut merged_runs = 0;
-    let mut merged_tuples = 0;
-    let mut expired = false;
-    let mut capped = false;
-    let mut produced_rows = 0usize;
-    // One histogram slot per non-empty run, ascending; fractions are
-    // filled in as blocks merge and stay 0.0 for unreached ranges.
-    let mut ranges: Vec<KeyRangeCoverage> = r_runs
-        .runs()
-        .iter()
-        .filter(|run| !run.is_empty())
-        .map(|run| KeyRangeCoverage { lo: run[0].key, hi: run[run.len() - 1].key, fraction: 0.0 })
-        .collect();
-    let mut range_idx = 0;
-
-    'runs: for run in r_runs.runs() {
-        if run.is_empty() {
-            // Nothing to merge; an empty run completes for free (no
-            // token charge — it covers no tuples and no key range that
-            // matters for the prefix contract).
-            merged_runs += 1;
-            continue;
+    let mut partials: Vec<S::Result> = Vec::with_capacity(steps.len());
+    let (mut merged_base, mut merged_tuples, mut produced_rows) = (0, 0, 0);
+    let (mut expired, mut capped) = (false, false);
+    for step in &steps {
+        if token.expired() {
+            expired = true;
+            break;
         }
-        let ends = key_aligned_block_ends(run, ANYTIME_BLOCK_TUPLES);
-        let mut start = 0;
-        for &end in &ends {
-            if token.expired() {
-                expired = true;
-                break 'runs;
-            }
-            let block = &run[start..end];
-            let block_home = run.home();
-            let first_key = block[0].key;
-            let (phase, d_block) = pool.run_timed(|w| {
-                let mut scope = cx.scope(w);
-                let mut sink = S::default();
-                for sp in (w..s_runs.parts()).step_by(t.max(1)) {
-                    let s_run = &s_runs.runs()[sp];
-                    let entry = interpolation_lower_bound(s_run, first_key);
-                    if !s_run.is_empty() {
-                        scope.touch(s_run.home(), false, (s_run.len() as u64).ilog2() as u64 + 1);
-                    }
-                    let scan = merge_join_scanned(block, &s_run[entry..], &mut sink);
-                    scope.touch(block_home, true, scan.r_scanned as u64);
-                    scope.touch(s_run.home(), true, scan.s_scanned as u64);
+        let (phase, d_step) = cx.pool().run_timed(|w| {
+            let mut scope = cx.scope(w);
+            let mut sink = S::default();
+            let (r_from, r_stride, s_from, s_stride) = lanes(w);
+            for piece in step.pieces.iter().skip(r_from).step_by(r_stride) {
+                for sp in (s_from..s.run_count()).step_by(s_stride) {
+                    merge_pair(*piece, s.piece(sp), &mut sink, &mut scope);
                 }
-                (sink.finish(), scope.finish())
-            });
-            let (block_partials, c_block): (Vec<_>, Vec<_>) = phase.into_iter().unzip();
-            for (acc, d) in d4.iter_mut().zip(&d_block) {
-                *acc += *d;
             }
-            cx.record(Phase::Four, c_block);
-            let combined = S::combine_all(block_partials);
-            if let Some(n) = S::result_len(&combined) {
-                produced_rows += n;
-            }
-            partials.push(combined);
-            merged_tuples += block.len();
-            ranges[range_idx].fraction = (end as f64) / (run.len() as f64);
-            start = end;
-            if rows_cap.is_some_and(|cap| produced_rows >= cap) {
-                capped = true;
-                if start == run.len() {
-                    merged_runs += 1;
-                }
-                break 'runs;
-            }
+            (sink.finish(), scope.finish())
+        });
+        let (step_partials, c_step): (Vec<_>, Vec<_>) = phase.into_iter().unzip();
+        for (acc, d) in d4.iter_mut().zip(&d_step) {
+            *acc += *d;
         }
-        if start == run.len() {
-            merged_runs += 1;
+        cx.record(Phase::Four, c_step);
+        let combined = S::combine_all(step_partials);
+        produced_rows += S::result_len(&combined).unwrap_or(0);
+        partials.push(combined);
+        merged_base += step.base_tuples;
+        merged_tuples += step.pieces.iter().map(|p| p.tuples.len()).sum::<usize>();
+        if rows_cap.is_some_and(|cap| produced_rows >= cap) {
+            capped = true;
+            break;
         }
-        range_idx += 1;
     }
-
     stats.record_phase(Phase::Four, &d4);
+
+    // Steps consume the base runs front to back, so `merged_base` alone
+    // says how far each run got: fully merged ranges first, at most one
+    // partially merged range, then untouched ones.
+    let mut left = merged_base;
+    let mut merged_runs = 0;
+    let mut prefix_done = true;
+    let mut ranges = Vec::with_capacity(r.base.parts());
+    for run in r.base.runs() {
+        let done = left.min(run.len());
+        left -= done;
+        prefix_done &= done == run.len();
+        merged_runs += usize::from(prefix_done);
+        if let (Some(lo), Some(hi)) = (run.first(), run.last()) {
+            let fraction = done as f64 / run.len() as f64;
+            ranges.push(KeyRangeCoverage { lo: lo.key, hi: hi.key, fraction });
+        }
+    }
     AnytimeOutcome {
         result: S::combine_all(partials),
         merged_runs,
-        total_runs,
+        total_runs: r.base.parts(),
         merged_tuples,
         total_tuples,
         complete: !expired && merged_tuples == total_tuples,
@@ -307,10 +342,29 @@ pub fn merge_run_sets_anytime_capped<S: JoinSink>(
     }
 }
 
+/// [`merge_sides`] over two plain run sets (no delta, no cap).
+pub fn merge_run_sets_anytime<S: JoinSink>(
+    cx: &ExecContext,
+    r_runs: &RunSet,
+    s_runs: &RunSet,
+    token: &AnytimeToken,
+    stats: &mut JoinStats,
+) -> AnytimeOutcome<S::Result> {
+    merge_sides::<S>(
+        cx,
+        DeltaSide::base_only(r_runs),
+        DeltaSide::base_only(s_runs),
+        token,
+        None,
+        stats,
+    )
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::runs::{build_run_set, merge_run_sets_in, RunSet};
+    use super::super::runs::{build_run_set, merge_run_sets_in};
     use super::*;
+    use crate::join::delta::{materialize, DeltaOp, DeltaOverlay};
     use crate::sink::{CollectSink, CountSink, MaxAggSink};
 
     fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -347,12 +401,18 @@ mod tests {
         let mut stats = JoinStats::new(4);
         let full = merge_run_sets_in::<CountSink>(&cx, &r_runs, &s_runs, &mut stats);
         let mut stats = JoinStats::new(4);
+        let served = cx.pool().phases_served();
         let out = merge_run_sets_anytime::<CountSink>(
             &cx,
             &r_runs,
             &s_runs,
             &AnytimeToken::never(),
             &mut stats,
+        );
+        assert_eq!(
+            cx.pool().phases_served() - served,
+            1,
+            "nothing can interrupt a Never merge, so it is one pool dispatch"
         );
         assert_eq!(out.result, full);
         assert!(out.complete);
@@ -573,10 +633,11 @@ mod tests {
         let full_rows = sorted_rows(full.result);
         let cap = 64;
         let mut stats = JoinStats::new(2);
-        let out = merge_run_sets_anytime_capped::<CollectSink>(
+        let (r_side, s_side) = (DeltaSide::base_only(&r_runs), DeltaSide::base_only(&s_runs));
+        let out = merge_sides::<CollectSink>(
             &cx,
-            &r_runs,
-            &s_runs,
+            r_side,
+            s_side,
             &AnytimeToken::never(),
             Some(cap),
             &mut stats,
@@ -593,17 +654,115 @@ mod tests {
         // full join: every merged block is complete, in key order.
         let rows = sorted_rows(out.result);
         assert_eq!(&rows[..cap], &full_rows[..cap]);
-        // Aggregating sinks never cap.
+        // Aggregating sinks never cap — and, with nothing left that
+        // could interrupt them, take the single-dispatch plan.
         let mut stats = JoinStats::new(2);
-        let agg = merge_run_sets_anytime_capped::<CountSink>(
+        let served = cx.pool().phases_served();
+        let agg = merge_sides::<CountSink>(
             &cx,
-            &r_runs,
-            &s_runs,
+            r_side,
+            s_side,
             &AnytimeToken::never(),
             Some(cap),
             &mut stats,
         );
         assert!(agg.complete && !agg.capped, "a counting sink reports no rows to cap on");
+        assert_eq!(cx.pool().phases_served() - served, 1);
+    }
+
+    /// The prefix contract over a dirty private *and* public side: for
+    /// every budget the rows are a key-order prefix of the join over
+    /// the materialized relations, coverage grows with the budget, and
+    /// every step carried its key interval's delta tuples with it.
+    #[test]
+    fn interrupted_merge_over_a_live_delta_is_a_key_order_prefix() {
+        let cx = ExecContext::flat(3);
+        let r_base = random(9000, 600, 43);
+        let s_base = random(5000, 600, 47);
+        let mut next = lcg(53);
+        let mut ops = |n: usize| -> Vec<DeltaOp> {
+            (0..n)
+                .map(|i| match next() % 4 {
+                    0 => DeltaOp::Delete { key: next() % 700 },
+                    1 => DeltaOp::Update { key: next() % 700, payload: 900_000 + i as u64 },
+                    _ => DeltaOp::Append(Tuple::new(next() % 700, 500_000 + i as u64)),
+                })
+                .collect()
+        };
+        let (r_ops, s_ops) = (ops(300), ops(200));
+        let (r_overlay, s_overlay) =
+            (DeltaOverlay::from_ops(&r_ops), DeltaOverlay::from_ops(&s_ops));
+        let (r_runs, s_runs) = sets(&r_base, &s_base, &cx);
+        let mut scope = cx.scope(0);
+        let r_delta = cx.sorted_run(0, &r_overlay.adds, &mut scope);
+        let s_delta = cx.sorted_run(0, &s_overlay.adds, &mut scope);
+        let r_side = DeltaSide { base: &r_runs, delta: Some(&r_delta), mask: &r_overlay.masked };
+        let s_side = DeltaSide { base: &s_runs, delta: Some(&s_delta), mask: &s_overlay.masked };
+
+        let (r_full, s_full) = (materialize(&r_base, &r_ops), materialize(&s_base, &s_ops));
+        let mut expected = Vec::new();
+        for rt in &r_full {
+            for st in s_full.iter().filter(|st| st.key == rt.key) {
+                expected.push((rt.key, rt.payload, st.payload));
+            }
+        }
+        expected.sort_unstable();
+
+        let mut last_coverage = -1.0f64;
+        let mut completed = false;
+        for budget in 0..12u64 {
+            let mut stats = JoinStats::new(3);
+            let out = merge_sides::<CollectSink>(
+                &cx,
+                r_side,
+                s_side,
+                &AnytimeToken::budget(budget),
+                None,
+                &mut stats,
+            );
+            assert!(out.coverage() >= last_coverage, "budget {budget}: coverage shrank");
+            last_coverage = out.coverage();
+            let rows = sorted_rows(out.result);
+            assert_eq!(rows.as_slice(), &expected[..rows.len()], "budget {budget}: not a prefix");
+            if let Some(&(last_key, ..)) = rows.last() {
+                let next_key = expected.get(rows.len()).map(|row| row.0);
+                assert_ne!(next_key, Some(last_key), "budget {budget}: a key group was split");
+            }
+            if out.complete {
+                assert_eq!(rows.len(), expected.len());
+                assert_eq!(out.merged_tuples, r_runs.total_tuples() + r_delta.len());
+                completed = true;
+            }
+        }
+        assert!(completed, "twelve steps cover 9000 base tuples");
+    }
+
+    #[test]
+    fn a_delta_only_private_side_merges_in_one_step() {
+        let cx = ExecContext::flat(2);
+        let s = random(400, 50, 59);
+        let (r_runs, s_runs) = sets(&[], &s, &cx);
+        let adds: Vec<Tuple> = (0..50u64).map(|k| Tuple::new(k, k)).collect();
+        let mut scope = cx.scope(0);
+        let delta = cx.sorted_run(0, &adds, &mut scope);
+        let r_side = DeltaSide { base: &r_runs, delta: Some(&delta), mask: &[] };
+        let run = |budget| {
+            let mut stats = JoinStats::new(2);
+            let token = AnytimeToken::budget(budget);
+            merge_sides::<CountSink>(
+                &cx,
+                r_side,
+                DeltaSide::base_only(&s_runs),
+                &token,
+                None,
+                &mut stats,
+            )
+        };
+        let none = run(0);
+        assert!(!none.complete && none.result == 0 && none.coverage() == 0.0);
+        let all = run(1);
+        assert!(all.complete);
+        assert_eq!(all.result, 400, "every S key in 0..50 meets its one delta tuple");
     }
 
     #[test]

@@ -19,12 +19,12 @@
 
 use crate::context::ExecContext;
 use crate::join::variant::{band_merge_join, emit_variant_rows, merge_join_mark, JoinVariant};
-use crate::join::{JoinAlgorithm, JoinConfig, PooledJoin};
+use crate::join::{JoinAlgorithm, JoinConfig};
 use crate::merge::merge_join_scanned;
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
-use crate::worker::{chunk_ranges, SharedWorkerPool};
+use crate::worker::chunk_ranges;
 
 /// The basic MPSM join.
 #[derive(Debug, Clone)]
@@ -66,18 +66,6 @@ impl BMpsmJoin {
         s: &[Tuple],
     ) -> (S::Result, JoinStats) {
         self.execute::<S>(&ExecContext::flat(self.config.threads), Kernel::Band(delta), r, s)
-    }
-
-    /// [`BMpsmJoin::join_variant_with_sink`] on a caller-provided
-    /// shared pool (the pool's width is the worker count `T`).
-    pub fn join_variant_with_sink_on<S: JoinSink>(
-        &self,
-        pool: &SharedWorkerPool,
-        variant: JoinVariant,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.execute::<S>(&ExecContext::over_pool(pool), Kernel::Variant(variant), r, s)
     }
 
     /// [`BMpsmJoin::join_variant_with_sink`] inside an execution
@@ -135,8 +123,6 @@ impl JoinAlgorithm for BMpsmJoin {
         self.execute::<S>(cx, Kernel::Variant(JoinVariant::Inner), r, s)
     }
 }
-
-impl PooledJoin for BMpsmJoin {}
 
 impl BMpsmJoin {
     fn execute<S: JoinSink>(

@@ -15,19 +15,22 @@
 //!
 //! The fold is defined against a trivially-correct oracle,
 //! [`materialize`], which replays the ops literally; proptests pin
-//! `overlay.apply(base) == materialize(base, ops)` as multisets for
-//! arbitrary op interleavings.
+//! [`DeltaOverlay::apply`] multiset-equal to that replay for arbitrary
+//! op interleavings. Production code folds with the overlay only — the
+//! replay is `O(|base| · |ops|)` and exists for tests to compare
+//! against.
 
 use std::collections::BTreeMap;
 
-use mpsm_numa::NumaBuf;
+use mpsm_numa::{CounterScope, NodeId, NumaBuf};
 
 use crate::context::ExecContext;
 use crate::interpolation::interpolation_lower_bound;
+use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::runs::RunSet;
 use crate::merge::{merge_join_scanned, MergeScan};
 use crate::sink::JoinSink;
-use crate::stats::{JoinStats, Phase};
+use crate::stats::JoinStats;
 use crate::tuple::Tuple;
 
 /// One logical write against a mutable relation. Ops are keyed —
@@ -55,8 +58,8 @@ pub enum DeltaOp {
 }
 
 /// Replay `ops` literally over `base` — the trivially-correct oracle
-/// the [`DeltaOverlay`] fold is verified against (and what a compactor
-/// runs to produce the next base version).
+/// the [`DeltaOverlay`] fold is verified against. One `Vec::retain` per
+/// delete or update makes it quadratic; nothing outside tests calls it.
 pub fn materialize(base: &[Tuple], ops: &[DeltaOp]) -> Vec<Tuple> {
     let mut tuples = base.to_vec();
     for op in ops {
@@ -127,9 +130,8 @@ impl DeltaOverlay {
     }
 
     /// Apply the overlay to `base`: every base tuple whose key is not
-    /// masked, plus the adds. Multiset-equal to
-    /// [`materialize`]`(base, ops)` for the ops this overlay was folded
-    /// from.
+    /// masked, plus the adds. Multiset-equal to the [`materialize`]
+    /// replay of the ops this overlay was folded from.
     pub fn apply(&self, base: &[Tuple]) -> Vec<Tuple> {
         let mut out: Vec<Tuple> =
             base.iter().copied().filter(|t| self.masked.binary_search(&t.key).is_err()).collect();
@@ -144,7 +146,7 @@ impl DeltaOverlay {
 }
 
 /// Merge-join two key-sorted runs, skipping every key present in the
-/// corresponding sorted mask. The masked path of the snapshot merge:
+/// corresponding sorted mask. The masked kernel of `merge_pair`:
 /// deltas are small and masks rare, so this linear two-pointer kernel
 /// (mask cursors advance monotonically alongside the run cursors)
 /// deliberately skips the galloping machinery of
@@ -208,11 +210,10 @@ fn group_end(run: &[Tuple], start: usize) -> usize {
     end
 }
 
-/// One join input of a snapshot merge: the immutable base runs (served
+/// One join input of a run-set merge: the immutable base runs (served
 /// from the run cache or built fresh), the sorted delta run of added
 /// tuples, and the mask of dead base keys. `delta: None, mask: []` is
-/// exactly a plain [`RunSet`] side — the zero-delta case degenerates to
-/// [`crate::join::runs::merge_run_sets_in`] behaviour.
+/// exactly a plain [`RunSet`] side.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaSide<'a> {
     /// The relation's sorted, range-partitioned base runs.
@@ -230,17 +231,19 @@ impl<'a> DeltaSide<'a> {
     }
 
     /// Base runs plus the optional delta run.
-    fn run_count(&self) -> usize {
+    pub(crate) fn run_count(&self) -> usize {
         self.base.parts() + usize::from(self.delta.is_some())
     }
 
-    /// Run `idx` and the mask that applies to it (the shared base mask
-    /// for base runs, nothing for the delta run).
-    fn run(&self, idx: usize) -> (&'a NumaBuf<Tuple>, &'a [u64]) {
-        if idx < self.base.parts() {
-            (&self.base.runs()[idx], self.mask)
-        } else {
-            (self.delta.expect("index beyond base implies a delta run"), &[])
+    /// Run `idx` as a merge input: base runs carry the shared base
+    /// mask, the delta run (the last index) carries none.
+    pub(crate) fn piece(&self, idx: usize) -> Piece<'a> {
+        match self.base.runs().get(idx) {
+            Some(run) => Piece { tuples: run, home: run.home(), mask: self.mask },
+            None => {
+                let run = self.delta.expect("index beyond base implies a delta run");
+                Piece { tuples: run, home: run.home(), mask: &[] }
+            }
         }
     }
 
@@ -267,49 +270,59 @@ impl<'a> DeltaSide<'a> {
     }
 }
 
-/// Phase 4 over two snapshot sides: every private run (base runs, then
-/// the delta run) merges with every public run. Unmasked pairs take the
-/// interpolation-entry galloping path of the read-only merge; any pair
-/// with a live mask goes through [`merge_join_masked`]. Workers pick up
-/// private runs round-robin, exactly like
-/// [`crate::join::runs::merge_run_sets_in`].
+/// One key-sorted stretch of a side — a whole run or a key-aligned
+/// block of one — with its home node and the dead-key mask that
+/// applies to it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Piece<'a> {
+    pub(crate) tuples: &'a [Tuple],
+    pub(crate) home: NodeId,
+    pub(crate) mask: &'a [u64],
+}
+
+/// Merge one private piece with one public run — the one place phase 4
+/// pairs runs. The public run is entered at the interpolation-searched
+/// lower bound of the private piece's first key, and both masks are cut
+/// to the piece's key span (no other key can match); a pair whose masks
+/// are empty there takes the galloping kernel, any other the masked
+/// one. Scan extents and the entry probe are booked on `scope`.
+pub(crate) fn merge_pair<S: JoinSink>(
+    r: Piece<'_>,
+    s: Piece<'_>,
+    sink: &mut S,
+    scope: &mut CounterScope,
+) {
+    let (Some(first), Some(last)) = (r.tuples.first(), r.tuples.last()) else { return };
+    if s.tuples.is_empty() {
+        return;
+    }
+    let entry = interpolation_lower_bound(s.tuples, first.key);
+    scope.touch(s.home, false, (s.tuples.len() as u64).ilog2() as u64 + 1);
+    let span = |mask: &[u64]| {
+        let lo = mask.partition_point(|&k| k < first.key);
+        let hi = mask.partition_point(|&k| k <= last.key);
+        lo..hi
+    };
+    let (r_mask, s_mask) = (&r.mask[span(r.mask)], &s.mask[span(s.mask)]);
+    let entered = &s.tuples[entry..];
+    let scan = if r_mask.is_empty() && s_mask.is_empty() {
+        merge_join_scanned(r.tuples, entered, sink)
+    } else {
+        merge_join_masked(r.tuples, entered, r_mask, s_mask, sink)
+    };
+    scope.touch(r.home, true, scan.r_scanned as u64);
+    scope.touch(s.home, true, scan.s_scanned as u64);
+}
+
+/// Phase 4 over two snapshot sides, run to completion:
+/// [`merge_sides`] under a token that never expires.
 pub fn merge_delta_sides_in<S: JoinSink>(
     cx: &ExecContext,
     r: DeltaSide<'_>,
     s: DeltaSide<'_>,
     stats: &mut JoinStats,
 ) -> S::Result {
-    let t = cx.threads();
-    let r_total = r.run_count();
-    let (phase4, d4) = cx.pool().run_timed(|w| {
-        let mut scope = cx.scope(w);
-        let mut sink = S::default();
-        for rp in (w..r_total).step_by(t.max(1)) {
-            let (run, r_mask) = r.run(rp);
-            let my_home = run.home();
-            let Some(first) = run.first() else { continue };
-            for sp in 0..s.run_count() {
-                let (s_run, s_mask) = s.run(sp);
-                if s_run.is_empty() {
-                    continue;
-                }
-                let scan = if r_mask.is_empty() && s_mask.is_empty() {
-                    let start = interpolation_lower_bound(s_run, first.key);
-                    scope.touch(s_run.home(), false, (s_run.len() as u64).ilog2() as u64 + 1);
-                    merge_join_scanned(run, &s_run[start..], &mut sink)
-                } else {
-                    merge_join_masked(run, s_run, r_mask, s_mask, &mut sink)
-                };
-                scope.touch(my_home, true, scan.r_scanned as u64);
-                scope.touch(s_run.home(), true, scan.s_scanned as u64);
-            }
-        }
-        (sink.finish(), scope.finish())
-    });
-    let (partials, c4): (Vec<_>, Vec<_>) = phase4.into_iter().unzip();
-    stats.record_phase(Phase::Four, &d4);
-    cx.record(Phase::Four, c4);
-    S::combine_all(partials)
+    merge_sides::<S>(cx, r, s, &AnytimeToken::Never, None, stats).result
 }
 
 #[cfg(test)]
@@ -317,6 +330,8 @@ mod tests {
     use super::*;
     use crate::join::runs::build_run_set;
     use crate::sink::{CollectSink, CountSink};
+    use crate::stats::Phase;
+    use mpsm_numa::AccessKind;
 
     fn lcg(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed | 1;
@@ -421,6 +436,55 @@ mod tests {
         let mut sink = CountSink::default();
         merge_join_masked(&r, &s, &[4], &[], &mut sink);
         assert_eq!(sink.finish(), 1);
+    }
+
+    /// A masked pair enters the public run where an unmasked one does:
+    /// same rows as the masked kernel run from offset 0, and no public
+    /// tuple below the entry is read.
+    #[test]
+    fn masked_pair_enters_the_public_run_at_the_interpolated_offset() {
+        let cx = ExecContext::flat(1);
+        let r_run = cx.adopt(0, (600..700u64).map(|k| Tuple::new(k, k)).collect());
+        let s_run = cx.adopt(0, (0..1000u64).map(|k| Tuple::new(k, 10_000 + k)).collect());
+        // Masks reach below, into and above the private key span.
+        let r_mask = [5, 610, 650, 900];
+        let s_mask = [100, 650, 699, 950];
+        let entry = interpolation_lower_bound(&s_run, 600);
+        assert_eq!(entry, 600);
+
+        let mut from_zero = CollectSink::default();
+        let scan = merge_join_masked(&r_run, &s_run, &r_mask, &s_mask, &mut from_zero);
+        assert!(scan.s_scanned >= entry, "the from-zero scan walks the whole prefix");
+
+        let mut entered = CollectSink::default();
+        let mut scope = cx.scope(0);
+        merge_pair(
+            Piece { tuples: &r_run, home: r_run.home(), mask: &r_mask },
+            Piece { tuples: &s_run, home: s_run.home(), mask: &s_mask },
+            &mut entered,
+            &mut scope,
+        );
+        let rows = entered.finish();
+        assert_eq!(rows, from_zero.finish());
+        assert_eq!(rows.len(), 100 - 3, "keys 610, 650 and 699 are masked out");
+        let sequential = scope.finish().accesses(AccessKind::LocalSeq) as usize;
+        assert!(
+            sequential <= r_run.len() + (s_run.len() - entry),
+            "{sequential} sequential reads reach below entry {entry}"
+        );
+
+        // A pair whose masks miss the private key span is not masked at
+        // all: it takes the galloping kernel and agrees with it.
+        let mut galloped = CountSink::default();
+        merge_join_scanned(&r_run, &s_run[entry..], &mut galloped);
+        let mut unmasked = CountSink::default();
+        merge_pair(
+            Piece { tuples: &r_run, home: r_run.home(), mask: &[5, 900] },
+            Piece { tuples: &s_run, home: s_run.home(), mask: &[100, 950] },
+            &mut unmasked,
+            &mut cx.scope(0),
+        );
+        assert_eq!(unmasked.finish(), galloped.finish());
     }
 
     /// The structural invariant of the snapshot merge: joining

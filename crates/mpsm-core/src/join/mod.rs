@@ -127,9 +127,11 @@ pub trait JoinAlgorithm {
     /// its node-local arenas, and the context's per-phase counters
     /// record the local-vs-remote access audit. This is the one entry
     /// shape every execution layer uses; the classic
-    /// [`JoinAlgorithm::join_with_sink`] and the pooled
-    /// [`PooledJoin::join_with_sink_on`] are thin wrappers providing a
-    /// default (flat) context.
+    /// [`JoinAlgorithm::join_with_sink`] is a thin wrapper providing a
+    /// default (flat) context, and a caller holding only a
+    /// [`SharedWorkerPool`](crate::worker::SharedWorkerPool) wraps it
+    /// with [`ExecContext::over_pool`] — the pool's width then decides
+    /// the worker count `T`.
     ///
     /// The default implementation ignores the context's placement and
     /// self-provisions workers — algorithms without NUMA integration
@@ -155,31 +157,6 @@ pub trait JoinAlgorithm {
     /// `SELECT max(R.payload + S.payload) …` (`None` on empty join).
     fn max_payload_sum(&self, r: &[Tuple], s: &[Tuple]) -> Option<u64> {
         self.join_with_sink::<MaxAggSink>(r, s).0
-    }
-}
-
-/// A join algorithm whose parallel phases can run on a caller-provided
-/// [`SharedWorkerPool`](crate::worker::SharedWorkerPool) instead of
-/// workers the join spawns for itself — the hook multi-query schedulers
-/// use to serve many concurrent joins from one set of worker threads.
-///
-/// On this path the **pool's width decides the worker count `T`**; the
-/// algorithm's configured thread count applies only to the self-pooled
-/// [`JoinAlgorithm::join_with_sink`] entry point.
-pub trait PooledJoin: JoinAlgorithm {
-    /// Join `r ⋈ s`, submitting every parallel phase to `pool` (tagged
-    /// with the handle's owner id, interleaving FIFO-fairly with other
-    /// owners' phases). Equivalent to [`JoinAlgorithm::join_in`] with a
-    /// flat single-node context wrapped around `pool`
-    /// ([`ExecContext::over_pool`]) — placement-aware callers should
-    /// build a real context and call `join_in` directly.
-    fn join_with_sink_on<S: JoinSink>(
-        &self,
-        pool: &crate::worker::SharedWorkerPool,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.join_in::<S>(&ExecContext::over_pool(pool), r, s)
     }
 }
 

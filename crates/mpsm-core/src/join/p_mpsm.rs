@@ -31,14 +31,14 @@ use crate::context::ExecContext;
 use crate::histogram::{combine_histograms, compute_histogram, RadixDomain};
 use crate::interpolation::interpolation_lower_bound;
 use crate::join::variant::{emit_variant_rows, merge_join_mark, JoinVariant};
-use crate::join::{JoinAlgorithm, JoinConfig, PooledJoin};
+use crate::join::{JoinAlgorithm, JoinConfig};
 use crate::merge::merge_join_scanned;
 use crate::partition::range_partition_ctx;
 use crate::sink::JoinSink;
 use crate::splitter::{compute_splitters, equi_height_splitters, Splitters};
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::{key_range, Tuple};
-use crate::worker::{chunk_ranges, SharedWorkerPool};
+use crate::worker::chunk_ranges;
 
 /// How phase 4 locates the start of the relevant range in each public
 /// run (the §3.2.2 design decision; `ablation_entry_points` measures
@@ -118,18 +118,6 @@ impl PMpsmJoin {
         self.execute::<S>(&ExecContext::flat(self.config.threads), variant, r, s)
     }
 
-    /// [`PMpsmJoin::join_variant_with_sink`] on a caller-provided
-    /// shared pool (the pool's width is the worker count `T`).
-    pub fn join_variant_with_sink_on<S: JoinSink>(
-        &self,
-        pool: &SharedWorkerPool,
-        variant: JoinVariant,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.execute::<S>(&ExecContext::over_pool(pool), variant, r, s)
-    }
-
     /// [`PMpsmJoin::join_variant_with_sink`] inside an execution
     /// context (placement-aware storage and access audit; the context's
     /// pool width is the worker count `T`).
@@ -162,8 +150,6 @@ impl JoinAlgorithm for PMpsmJoin {
         self.execute::<S>(cx, JoinVariant::Inner, r, s)
     }
 }
-
-impl PooledJoin for PMpsmJoin {}
 
 impl PMpsmJoin {
     fn execute<S: JoinSink>(
@@ -504,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_query_on_known_data() {
+    fn paper_query_over_known_data() {
         // R: keys 0..10 payload = key; S: key k payload 100k.
         let r: Vec<Tuple> = (0..10u64).map(|k| Tuple::new(k, k)).collect();
         let s: Vec<Tuple> = (0..10u64).map(|k| Tuple::new(k, 100 * k)).collect();

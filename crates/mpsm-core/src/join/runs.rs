@@ -11,14 +11,14 @@
 //! the worker count and the radix width — not on the other join input —
 //! which is what makes a [`RunSet`] shareable across queries.
 //!
-//! [`join_runs_in`] is the run-oriented join entry point: either side
-//! arrives as raw tuples (runs are built, and returned for publishing)
-//! or as a pre-built shared [`RunSet`] (phases 1–3 are skipped
-//! entirely). The merge phase joins every private run against every
-//! public run from an interpolation-searched entry point, exactly like
-//! P-MPSM phase 4 — correct for *any* pair of per-side disjoint
-//! partitionings, aligned or not, because a matching pair `(r, s)`
-//! lives in exactly one `(R_i, S_j)` combination.
+//! A run-oriented join builds (or is handed, pre-built and shared) one
+//! [`RunSet`] per side — a pre-built side skips phases 1–3 entirely —
+//! and merges them with
+//! [`merge_sides`], which joins every private run against every public
+//! run from an interpolation-searched entry point, exactly like P-MPSM
+//! phase 4 — correct for *any* pair of per-side disjoint partitionings,
+//! aligned or not, because a matching pair `(r, s)` lives in exactly one
+//! `(R_i, S_j)` combination.
 
 use std::sync::Arc;
 
@@ -26,8 +26,8 @@ use mpsm_numa::NumaBuf;
 
 use crate::context::ExecContext;
 use crate::histogram::{combine_histograms, compute_histogram, RadixDomain};
-use crate::interpolation::interpolation_lower_bound;
-use crate::merge::merge_join_scanned;
+use crate::join::anytime::{merge_sides, AnytimeToken};
+use crate::join::delta::DeltaSide;
 use crate::partition::range_partition_ctx;
 use crate::sink::JoinSink;
 use crate::splitter::equi_height_splitters;
@@ -78,31 +78,6 @@ impl RunSet {
 /// A [`RunSet`] shared between a cache and any number of concurrent
 /// readers.
 pub type SharedRunSet = Arc<RunSet>;
-
-/// One join input on the run-oriented path: raw tuples (runs get
-/// built) or a pre-built shared run set (phases 1–3 are skipped).
-#[derive(Debug, Clone)]
-pub enum RunsInput<'a> {
-    /// Unsorted tuples; [`join_runs_in`] builds (and returns) the runs.
-    Tuples(&'a [Tuple]),
-    /// Pre-sorted runs from an earlier query, used as-is.
-    Runs(SharedRunSet),
-}
-
-/// Everything [`join_runs_in`] produces: the sink result, per-phase
-/// stats, and both inputs' run sets — freshly built or passed through —
-/// ready for the caller to publish into a cache.
-#[derive(Debug)]
-pub struct RunsJoinOutput<R> {
-    /// The combined sink result.
-    pub result: R,
-    /// Per-phase timings (build phases are zero for pre-built sides).
-    pub stats: JoinStats,
-    /// The private side's runs.
-    pub r_runs: SharedRunSet,
-    /// The public side's runs.
-    pub s_runs: SharedRunSet,
-}
 
 /// Build a relation's [`RunSet`]: histogram → equi-height splitters →
 /// NUMA-placed scatter → local sort.
@@ -179,70 +154,18 @@ pub fn build_run_set(
     RunSet::new(runs)
 }
 
-/// Phase 4 over two run sets: every private run merges with every
-/// public run from an interpolation-searched entry point. Workers pick
-/// up private runs round-robin (`w, w + T, …`), so a cached set built
-/// at a different width than the current context still joins
-/// correctly.
+/// Phase 4 over two plain run sets, run to completion: [`merge_sides`]
+/// with no delta under a token that never expires. A cached set built
+/// at a different width than the current context still joins correctly
+/// (workers pick up private runs round-robin).
 pub fn merge_run_sets_in<S: JoinSink>(
     cx: &ExecContext,
     r_runs: &RunSet,
     s_runs: &RunSet,
     stats: &mut JoinStats,
 ) -> S::Result {
-    let t = cx.threads();
-    let (phase4, d4) = cx.pool().run_timed(|w| {
-        let mut scope = cx.scope(w);
-        let mut sink = S::default();
-        for rp in (w..r_runs.parts()).step_by(t.max(1)) {
-            let run = &r_runs.runs()[rp];
-            let my_home = run.home();
-            let Some(first) = run.first() else { continue };
-            for s_run in s_runs.runs() {
-                let start = interpolation_lower_bound(s_run, first.key);
-                if !s_run.is_empty() {
-                    scope.touch(s_run.home(), false, (s_run.len() as u64).ilog2() as u64 + 1);
-                }
-                let scan = merge_join_scanned(run, &s_run[start..], &mut sink);
-                scope.touch(my_home, true, scan.r_scanned as u64);
-                scope.touch(s_run.home(), true, scan.s_scanned as u64);
-            }
-        }
-        (sink.finish(), scope.finish())
-    });
-    let (partials, c4): (Vec<_>, Vec<_>) = phase4.into_iter().unzip();
-    stats.record_phase(Phase::Four, &d4);
-    cx.record(Phase::Four, c4);
-    S::combine_all(partials)
-}
-
-/// The run-oriented join: build runs for whichever sides arrive as
-/// tuples, skip straight to the merge for sides that arrive pre-built,
-/// and hand both sets back for publishing.
-pub fn join_runs_in<S: JoinSink>(
-    cx: &ExecContext,
-    r: RunsInput<'_>,
-    s: RunsInput<'_>,
-    radix_bits: u32,
-) -> RunsJoinOutput<S::Result> {
-    let t = cx.threads();
-    let wall = std::time::Instant::now();
-    let mut stats = JoinStats::new(t);
-    let s_runs: SharedRunSet = match s {
-        RunsInput::Tuples(tuples) => {
-            Arc::new(build_run_set(cx, tuples, radix_bits, Phase::One, Phase::One, &mut stats))
-        }
-        RunsInput::Runs(set) => set,
-    };
-    let r_runs: SharedRunSet = match r {
-        RunsInput::Tuples(tuples) => {
-            Arc::new(build_run_set(cx, tuples, radix_bits, Phase::Two, Phase::Three, &mut stats))
-        }
-        RunsInput::Runs(set) => set,
-    };
-    let result = merge_run_sets_in::<S>(cx, &r_runs, &s_runs, &mut stats);
-    stats.wall = wall.elapsed();
-    RunsJoinOutput { result, stats, r_runs, s_runs }
+    let (r, s) = (DeltaSide::base_only(r_runs), DeltaSide::base_only(s_runs));
+    merge_sides::<S>(cx, r, s, &AnytimeToken::Never, None, stats).result
 }
 
 #[cfg(test)]
@@ -266,6 +189,40 @@ mod tests {
     fn random(n: usize, domain: u64, seed: u64) -> Vec<Tuple> {
         let mut next = lcg(seed);
         (0..n).map(|i| Tuple::new(next() % domain, i as u64)).collect()
+    }
+
+    /// Build one side's runs the way a cache miss does (public side
+    /// under phase 1, private under phases 2/3).
+    fn build(cx: &ExecContext, tuples: &[Tuple], private: bool, stats: &mut JoinStats) -> RunSet {
+        let (partition, sort) =
+            if private { (Phase::Two, Phase::Three) } else { (Phase::One, Phase::One) };
+        build_run_set(cx, tuples, 10, partition, sort, stats)
+    }
+
+    /// The driver over two plain sets, run to completion.
+    fn merge<S: JoinSink>(
+        cx: &ExecContext,
+        r_runs: &RunSet,
+        s_runs: &RunSet,
+        stats: &mut JoinStats,
+    ) -> S::Result {
+        let (r, s) = (DeltaSide::base_only(r_runs), DeltaSide::base_only(s_runs));
+        let out = merge_sides::<S>(cx, r, s, &AnytimeToken::Never, None, stats);
+        assert!(out.complete && !out.capped, "nothing can interrupt a Never merge");
+        out.result
+    }
+
+    /// Both sides built fresh, then merged.
+    fn fresh_join<S: JoinSink>(
+        cx: &ExecContext,
+        r: &[Tuple],
+        s: &[Tuple],
+    ) -> (S::Result, RunSet, RunSet) {
+        let mut stats = JoinStats::new(cx.threads());
+        let s_runs = build(cx, s, false, &mut stats);
+        let r_runs = build(cx, r, true, &mut stats);
+        let result = merge::<S>(cx, &r_runs, &s_runs, &mut stats);
+        (result, r_runs, s_runs)
     }
 
     #[test]
@@ -296,11 +253,10 @@ mod tests {
         let expected = nested_loop_count(&r, &s);
         for threads in [1, 2, 3, 5, 8] {
             let cx = ExecContext::flat(threads);
-            let out =
-                join_runs_in::<CountSink>(&cx, RunsInput::Tuples(&r), RunsInput::Tuples(&s), 10);
-            assert_eq!(out.result, expected, "threads = {threads}");
-            assert_eq!(out.r_runs.total_tuples(), r.len());
-            assert_eq!(out.s_runs.total_tuples(), s.len());
+            let (count, r_runs, s_runs) = fresh_join::<CountSink>(&cx, &r, &s);
+            assert_eq!(count, expected, "threads = {threads}");
+            assert_eq!(r_runs.total_tuples(), r.len());
+            assert_eq!(s_runs.total_tuples(), s.len());
         }
     }
 
@@ -309,41 +265,36 @@ mod tests {
         let r = random(1000, 300, 21);
         let s = random(3000, 300, 23);
         let cx = ExecContext::flat(4);
-        let fresh =
-            join_runs_in::<CountSink>(&cx, RunsInput::Tuples(&r), RunsInput::Tuples(&s), 10);
-        // Every hit/miss combination must agree with the fresh join.
-        for (r_in, s_in) in [
-            (
-                RunsInput::Runs(Arc::clone(&fresh.r_runs)),
-                RunsInput::Runs(Arc::clone(&fresh.s_runs)),
-            ),
-            (RunsInput::Runs(Arc::clone(&fresh.r_runs)), RunsInput::Tuples(&s)),
-            (RunsInput::Tuples(&r), RunsInput::Runs(Arc::clone(&fresh.s_runs))),
-        ] {
-            let again = join_runs_in::<CountSink>(&cx, r_in, s_in, 10);
-            assert_eq!(again.result, fresh.result);
+        let (fresh, r_runs, s_runs) = fresh_join::<CountSink>(&cx, &r, &s);
+        // Every hit/miss combination must agree with the fresh join: a
+        // hit side reuses the shared set, a miss side rebuilds its own.
+        for (r_hit, s_hit) in [(true, true), (true, false), (false, true)] {
+            let mut stats = JoinStats::new(4);
+            let s_rebuilt = (!s_hit).then(|| build(&cx, &s, false, &mut stats));
+            let r_rebuilt = (!r_hit).then(|| build(&cx, &r, true, &mut stats));
+            let again = merge::<CountSink>(
+                &cx,
+                r_rebuilt.as_ref().unwrap_or(&r_runs),
+                s_rebuilt.as_ref().unwrap_or(&s_runs),
+                &mut stats,
+            );
+            assert_eq!(again, fresh, "r hit = {r_hit}, s hit = {s_hit}");
         }
     }
 
     #[test]
     fn cached_runs_join_under_a_different_width() {
-        // Runs built at T=6 must merge correctly in a T=2 context and
-        // vice versa (round-robin run pickup).
+        // Runs built at T=6 must merge correctly in a T=2 context
+        // (round-robin run pickup).
         let r = random(900, 256, 31);
         let s = random(1800, 256, 37);
         let expected = nested_loop_count(&r, &s);
         let wide = ExecContext::flat(6);
-        let built =
-            join_runs_in::<CountSink>(&wide, RunsInput::Tuples(&r), RunsInput::Tuples(&s), 10);
-        assert_eq!(built.result, expected);
+        let (built, r_runs, s_runs) = fresh_join::<CountSink>(&wide, &r, &s);
+        assert_eq!(built, expected);
         let narrow = ExecContext::flat(2);
-        let reused = join_runs_in::<CountSink>(
-            &narrow,
-            RunsInput::Runs(built.r_runs),
-            RunsInput::Runs(built.s_runs),
-            10,
-        );
-        assert_eq!(reused.result, expected);
+        let mut stats = JoinStats::new(2);
+        assert_eq!(merge::<CountSink>(&narrow, &r_runs, &s_runs, &mut stats), expected);
     }
 
     #[test]
@@ -351,17 +302,11 @@ mod tests {
         let cx = ExecContext::flat(4);
         let empty: Vec<Tuple> = Vec::new();
         let some = random(50, 8, 3);
-        let out =
-            join_runs_in::<CountSink>(&cx, RunsInput::Tuples(&empty), RunsInput::Tuples(&some), 10);
-        assert_eq!(out.result, 0);
-        let out =
-            join_runs_in::<CountSink>(&cx, RunsInput::Tuples(&some), RunsInput::Tuples(&empty), 10);
-        assert_eq!(out.result, 0);
+        assert_eq!(fresh_join::<CountSink>(&cx, &empty, &some).0, 0);
+        assert_eq!(fresh_join::<CountSink>(&cx, &some, &empty).0, 0);
         // All keys identical: one partition gets everything.
         let dup: Vec<Tuple> = (0..200).map(|i| Tuple::new(9, i)).collect();
-        let out =
-            join_runs_in::<CountSink>(&cx, RunsInput::Tuples(&dup), RunsInput::Tuples(&dup), 10);
-        assert_eq!(out.result, 200 * 200);
+        assert_eq!(fresh_join::<CountSink>(&cx, &dup, &dup).0, 200 * 200);
     }
 
     #[test]
@@ -369,9 +314,7 @@ mod tests {
         let r: Vec<Tuple> = vec![Tuple::new(4, 0), Tuple::new(2, 1)];
         let s: Vec<Tuple> = vec![Tuple::new(2, 0), Tuple::new(4, 1)];
         let cx = ExecContext::flat(2);
-        let out =
-            join_runs_in::<CollectSink>(&cx, RunsInput::Tuples(&r), RunsInput::Tuples(&s), 10);
-        let mut rows = out.result;
+        let (mut rows, ..) = fresh_join::<CollectSink>(&cx, &r, &s);
         rows.sort_unstable();
         assert_eq!(rows, vec![(2, 1, 0), (4, 0, 1)]);
     }
@@ -381,18 +324,13 @@ mod tests {
         let r = random(4000, 4096, 41);
         let s = random(4000, 4096, 43);
         let cx = ExecContext::flat(4);
-        let fresh =
-            join_runs_in::<CountSink>(&cx, RunsInput::Tuples(&r), RunsInput::Tuples(&s), 10);
+        let (fresh, r_runs, s_runs) = fresh_join::<CountSink>(&cx, &r, &s);
         // A both-sides-cached join spends nothing in phases 1-3.
-        let hit = join_runs_in::<CountSink>(
-            &cx,
-            RunsInput::Runs(fresh.r_runs),
-            RunsInput::Runs(fresh.s_runs),
-            10,
-        );
-        let [p1, p2, p3, p4] = hit.stats.phases_ms();
+        let mut stats = JoinStats::new(4);
+        let hit = merge::<CountSink>(&cx, &r_runs, &s_runs, &mut stats);
+        let [p1, p2, p3, p4] = stats.phases_ms();
         assert_eq!(p1 + p2 + p3, 0.0, "hit path skips build phases");
         assert!(p4 >= 0.0);
-        assert_eq!(hit.result, fresh.result);
+        assert_eq!(hit, fresh);
     }
 }

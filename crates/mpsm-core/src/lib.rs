@@ -68,8 +68,8 @@
 //!
 //! [`worker::SharedWorkerPool`] lets many concurrent owners submit
 //! phases to one pool through a fair FIFO turnstile; wrapping a pool
-//! in [`context::ExecContext::over_pool`] (what [`join::PooledJoin`]
-//! and [`join::d_mpsm::DMpsmJoin::join_variant_on_pool`] do) runs any
+//! in [`context::ExecContext::over_pool`] (what
+//! [`join::d_mpsm::DMpsmJoin::join_variant_on_pool`] does) runs any
 //! join on such a caller-provided pool — the substrate `mpsm-exec`'s
 //! multi-query scheduler builds on, deriving one pinned context per
 //! admitted query for NUMA-affine placement.
@@ -93,6 +93,6 @@ pub mod worker;
 
 pub use context::{AllocPolicy, ExecContext};
 pub use histogram::RadixDomain;
-pub use join::{JoinAlgorithm, JoinConfig, PooledJoin, Role};
+pub use join::{JoinAlgorithm, JoinConfig, Role};
 pub use stats::{JoinStats, Phase};
 pub use tuple::Tuple;

@@ -39,6 +39,19 @@
 //! `Placement [node=…, local=…%, remote=…%]` line reporting where the
 //! join ran and how node-local its audited memory traffic was.
 //!
+//! ## Two routes
+//!
+//! A scheduled query takes one of exactly two execution routes
+//! (`JoinSpec::run_with_token`): the configured algorithm's plain
+//! four-phase `join_in` ([`query::paper_query_in`]) when nothing about
+//! it is cacheable, dirty, deadlined, row-capped or degraded — and the
+//! run-oriented [`query::paper_query_runs`] for everything else. That
+//! one function resolves each side to sorted runs (run cache, snapshot
+//! delta and mask included) and merges them through the one run-set
+//! merge driver, [`mpsm_core::join::anytime::merge_sides`]; the three
+//! sections below describe what it does for cached, mutable and
+//! SLA-bound queries.
+//!
 //! ## Sorted-run caching
 //!
 //! Phases 1–2 of an MPSM join sort each input into public runs that
@@ -65,6 +78,15 @@
 //! folds deltas into new base versions — cache invalidation falls out of
 //! the ordinary version bump. EXPLAIN grows
 //! `Snapshot [R: base=vN, delta=K tuples]` rows.
+//!
+//! ## Deadlines, row caps and degraded admission
+//!
+//! A query with a [`session::QuerySpec::deadline`], a
+//! [`session::QuerySpec::collect_rows`] cap, or a degraded-admission
+//! block budget merges in ascending key intervals and stops between
+//! them: it returns a key-order **prefix** of the full answer — over a
+//! dirty snapshot too, each interval carries its slice of the delta —
+//! with the coverage on the plan's `Anytime` row.
 
 #![warn(missing_docs)]
 
@@ -84,9 +106,7 @@ pub use plan::{
     AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, QueueCounters, RunCacheInfo, RunCacheOutcome,
     SnapshotInfo,
 };
-pub use query::{
-    paper_query, paper_query_anytime, paper_query_in, paper_query_on, PaperQueryResult,
-};
+pub use query::{paper_query, paper_query_in, paper_query_runs, PaperQueryResult};
 pub use run_cache::{
     splitter_fingerprint, BuildPermit, Lookup, RunCache, RunCacheConfig, RunCacheStats, RunKey,
 };

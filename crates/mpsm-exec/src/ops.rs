@@ -8,10 +8,10 @@
 //! referential integrity or indexes could be exploited", §5).
 
 use mpsm_core::context::ExecContext;
-use mpsm_core::join::{JoinAlgorithm, PooledJoin};
+use mpsm_core::join::JoinAlgorithm;
 use mpsm_core::sink::{CountSink, JoinSink, MaxAggSink};
 use mpsm_core::stats::JoinStats;
-use mpsm_core::worker::{chunk_ranges, run_parallel, SharedWorkerPool};
+use mpsm_core::worker::{chunk_ranges, run_parallel};
 use mpsm_core::Tuple;
 
 use crate::scan::Relation;
@@ -43,13 +43,15 @@ impl<'a, P: Fn(&Tuple) -> bool + Sync> Select<'a, P> {
         Self::concat(parts)
     }
 
-    /// Execute on a shared worker pool: the filter scan is submitted as
-    /// one tagged phase, so scheduled queries never spawn threads for
-    /// their selections.
-    pub fn execute_on(&self, pool: &SharedWorkerPool) -> Vec<Tuple> {
+    /// Execute inside an execution context: the scan runs as one tagged
+    /// phase on the context's pool, so scheduled queries never spawn
+    /// threads for their selections. Base relations are unplaced
+    /// (globally interleaved) in the NUMA model, so the selection
+    /// contributes no placement decisions — the join it feeds does.
+    pub fn execute_in(&self, cx: &ExecContext) -> Vec<Tuple> {
         let tuples = self.relation.tuples();
-        let ranges = chunk_ranges(tuples.len(), pool.threads());
-        let parts = pool.run(|w| {
+        let ranges = chunk_ranges(tuples.len(), cx.threads());
+        let parts = cx.pool().run(|w| {
             tuples[ranges[w].clone()]
                 .iter()
                 .filter(|t| (self.predicate)(t))
@@ -57,14 +59,6 @@ impl<'a, P: Fn(&Tuple) -> bool + Sync> Select<'a, P> {
                 .collect::<Vec<_>>()
         });
         Self::concat(parts)
-    }
-
-    /// Execute inside an execution context: the scan runs as one tagged
-    /// phase on the context's pool. Base relations are unplaced
-    /// (globally interleaved) in the NUMA model, so the selection
-    /// contributes no placement decisions — the join it feeds does.
-    pub fn execute_in(&self, cx: &ExecContext) -> Vec<Tuple> {
-        self.execute_on(cx.pool())
     }
 
     fn concat(parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
@@ -107,18 +101,6 @@ impl<'a, J: JoinAlgorithm> JoinOp<'a, J> {
     }
 }
 
-impl<'a, J: PooledJoin> JoinOp<'a, J> {
-    /// Execute the join with its phases submitted to a shared pool.
-    pub fn execute_on<S: JoinSink>(
-        &self,
-        pool: &SharedWorkerPool,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.algorithm.join_with_sink_on::<S>(pool, r, s)
-    }
-}
-
 /// The paper's aggregate: `max(R.payload + S.payload)`.
 pub struct MaxPayloadSum;
 
@@ -130,16 +112,6 @@ impl MaxPayloadSum {
         s: &[Tuple],
     ) -> (Option<u64>, JoinStats) {
         join.execute::<MaxAggSink>(r, s)
-    }
-
-    /// Run over a join operator's output, on a shared pool.
-    pub fn over_on<J: PooledJoin>(
-        pool: &SharedWorkerPool,
-        join: &JoinOp<'_, J>,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (Option<u64>, JoinStats) {
-        join.execute_on::<MaxAggSink>(pool, r, s)
     }
 
     /// Run over a join operator's output, inside an execution context.

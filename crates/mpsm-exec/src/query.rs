@@ -14,24 +14,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpsm_core::context::ExecContext;
-use mpsm_core::join::anytime::{
-    merge_run_sets_anytime, merge_run_sets_anytime_capped, AnytimeOutcome, AnytimeToken,
-};
-use mpsm_core::join::delta::{merge_delta_sides_in, DeltaSide};
-use mpsm_core::join::runs::{build_run_set, join_runs_in, RunsInput, SharedRunSet};
-use mpsm_core::join::{JoinAlgorithm, PooledJoin};
+use mpsm_core::join::anytime::{merge_sides, AnytimeOutcome, AnytimeToken};
+use mpsm_core::join::delta::DeltaSide;
+use mpsm_core::join::runs::{build_run_set, SharedRunSet};
+use mpsm_core::join::JoinAlgorithm;
 use mpsm_core::sink::{CollectSink, MaxAggSink};
 use mpsm_core::stats::{JoinStats, Phase};
-use mpsm_core::worker::SharedWorkerPool;
 use mpsm_core::Tuple;
 use mpsm_numa::NumaBuf;
 
 use crate::ops::{JoinOp, MaxPayloadSum, Select};
 use crate::plan::{AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo, RunCacheOutcome};
-use crate::run_cache::{splitter_fingerprint, BuildPermit, Lookup, RunCache, RunKey};
+use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
 use crate::scan::Relation;
-use crate::session::{Predicate, QuerySpec};
-use crate::snapshot::Snapshot;
+use crate::session::QuerySpec;
 
 /// Result of one paper-query execution.
 #[derive(Debug, Clone)]
@@ -77,31 +73,6 @@ where
     assemble(algorithm.name(), threads, r, s, r_sel.len(), s_sel.len(), max, stats)
 }
 
-/// [`paper_query`] with every parallel section — both selections and
-/// all join phases — submitted to a caller-provided shared pool. The
-/// pool's width is the degree of parallelism; no threads are spawned.
-///
-/// This is the execution path of the [`crate::sched`] scheduler: many
-/// concurrent queries call this against the same pool, and their phases
-/// interleave FIFO-fairly instead of oversubscribing the machine. The
-/// returned plan carries the join's per-phase timings
-/// ([`QueryPlan::phases_ms`]); the scheduler adds the queue wait.
-pub fn paper_query_on<J, PR, PS>(
-    pool: &SharedWorkerPool,
-    r: &Relation,
-    s: &Relation,
-    r_pred: PR,
-    s_pred: PS,
-    algorithm: &J,
-) -> PaperQueryResult
-where
-    J: PooledJoin,
-    PR: Fn(&Tuple) -> bool + Sync,
-    PS: Fn(&Tuple) -> bool + Sync,
-{
-    paper_query_in(&ExecContext::over_pool(pool), r, s, r_pred, s_pred, algorithm)
-}
-
 /// [`paper_query`] inside an [`ExecContext`] — the unified execution
 /// path: selections and join phases run on the context's pool, run and
 /// partition storage comes from its node-local arenas, and the plan's
@@ -128,10 +99,17 @@ where
     let s_sel = Select::new(s, s_pred).execute_in(cx);
     let join = JoinOp::new(algorithm);
     let (max, stats) = MaxPayloadSum::over_in(cx, &join, &r_sel, &s_sel);
-    let mut out =
-        assemble(algorithm.name(), cx.threads(), r, s, r_sel.len(), s_sel.len(), max, stats);
+    executed_in(
+        cx,
+        assemble(algorithm.name(), cx.threads(), r, s, r_sel.len(), s_sel.len(), max, stats),
+    )
+}
+
+/// Stamp the rows every context-run plan carries: per-phase timings and
+/// rates, the sort kernel, and the audited placement.
+fn executed_in(cx: &ExecContext, mut out: PaperQueryResult) -> PaperQueryResult {
     out.plan.phases_ms = Some(out.stats.phases_ms());
-    out.plan.phase_tuples = Some((r_sel.len() + s_sel.len()) as u64);
+    out.plan.phase_tuples = Some((out.r_selected + out.s_selected) as u64);
     out.plan.sort_kernel = Some(cx.sort_tuning().describe());
     out.plan.placement = Some(placement_of(cx));
     out
@@ -150,196 +128,82 @@ fn placement_of(cx: &ExecContext) -> PlacementInfo {
     }
 }
 
-/// [`paper_query_in`] with a sorted-run cache consulted for both
-/// unfiltered, catalog-registered inputs.
+/// The run-oriented paper query — the one execution path of every
+/// query that can use sorted runs or needs an interruptible merge:
+/// cached, dirty (a snapshot with a live delta, or one compaction moved
+/// past the handle), deadlined, row-capped and degraded queries alike.
 ///
-/// Per side, three outcomes (reported on the plan's `RunCache` node):
+/// Each side resolves to a [`DeltaSide`] (see `resolve_side`): base
+/// runs — served from the run cache when the side is clean and
+/// registered — plus the sorted run of the delta's added tuples and the
+/// mask of dead base keys. [`merge_sides`] joins them under `token`:
+/// with [`AnytimeToken::Never`] and no row cap that is the plain
+/// single-dispatch merge; otherwise the merge advances through
+/// ascending key intervals and, when the token expires or the cap is
+/// met, returns best-so-far results plus a coverage estimate instead of
+/// failing. Execution is P-MPSM-shaped regardless of the configured
+/// algorithm.
 ///
-/// * **hit** — the cache holds the relation's public sorted runs for
-///   this `(id, version, splitter fingerprint)` key; partition + sort
-///   are skipped and the merge phase joins the cached runs directly.
-/// * **miss** — no entry; the side is built from base tuples and, if
-///   this query won the single-flight race, the produced runs are
-///   published for later queries. Losing the race still executes
-///   (uncached) — a key is never computed twice into one slot.
-/// * **bypass** — the side is filtered or unregistered, so its runs
-///   are query-specific and never touch the cache.
-pub(crate) fn paper_query_cached(
+/// The plan's `Anytime` row is rendered for deadline, row-cap and
+/// live-token queries only. With
+/// [`QuerySpec::collect_rows`](crate::session::QuerySpec::collect_rows)
+/// set, the joined rows come back sorted by `(key, r_payload,
+/// s_payload)` and truncated to the cap; a partial answer's rows are a
+/// key-order prefix of the full join's — over a dirty snapshot too. The
+/// cap is *streaming*: the merge stops between steps once enough rows
+/// exist, so a capped query never pays for rows its caller discards —
+/// its coverage (and its aggregate, computed over the merged-so-far
+/// rows before truncation) reflects the key prefix actually merged.
+pub fn paper_query_runs(
     cx: &ExecContext,
     spec: &QuerySpec,
-    cache: &Arc<RunCache>,
+    token: &AnytimeToken,
 ) -> PaperQueryResult {
-    let config = spec.join.config();
-    let radix_bits = config.radix_bits;
-    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
-
-    let r_prep = prep_side(cx, &spec.r, &spec.r_pred, spec.r_filtered, cache, fingerprint);
-    let s_prep = prep_side(cx, &spec.s, &spec.s_pred, spec.s_filtered, cache, fingerprint);
-    let r_input = side_input(&r_prep, &spec.r);
-    let s_input = side_input(&s_prep, &spec.s);
-
-    let out = join_runs_in::<MaxAggSink>(cx, r_input, s_input, radix_bits);
-    if let Some(permit) = r_prep.permit {
-        permit.publish(out.r_runs.clone());
-    }
-    if let Some(permit) = s_prep.permit {
-        permit.publish(out.s_runs.clone());
-    }
-
-    let mut result = assemble(
-        spec.join.name(),
-        cx.threads(),
-        &spec.r,
-        &spec.s,
-        r_prep.rows,
-        s_prep.rows,
-        out.result,
-        out.stats,
-    );
-    result.plan.phases_ms = Some(result.stats.phases_ms());
-    result.plan.phase_tuples = Some((r_prep.rows + s_prep.rows) as u64);
-    result.plan.sort_kernel = Some(cx.sort_tuning().describe());
-    result.plan.placement = Some(placement_of(cx));
-    let totals = cache.stats();
-    result.plan.run_cache = Some(RunCacheInfo {
-        r: r_prep.outcome,
-        s: s_prep.outcome,
-        hits: totals.hits,
-        misses: totals.misses,
-        evictions: totals.evictions,
-    });
-    result
-}
-
-/// One join input's cache disposition, resolved before the join runs.
-struct SidePrep {
-    /// Selected tuples, present only when the side is filtered.
-    selected: Option<Vec<Tuple>>,
-    /// Cached runs, present only on a hit.
-    cached: Option<SharedRunSet>,
-    /// Single-flight build permit, present only when this query won a
-    /// miss and must publish the runs it builds.
-    permit: Option<BuildPermit>,
-    /// What the plan's `RunCache` node reports for this side.
-    outcome: RunCacheOutcome,
-    /// Rows entering the join from this side.
-    rows: usize,
-}
-
-fn prep_side(
-    cx: &ExecContext,
-    rel: &Relation,
-    pred: &Predicate,
-    filtered: bool,
-    cache: &Arc<RunCache>,
-    fingerprint: u64,
-) -> SidePrep {
-    if filtered {
-        // Query-specific rows: runs would be useless to other queries.
-        let selected = Select::new(rel, |t| pred(t)).execute_in(cx);
-        let rows = selected.len();
-        return SidePrep {
-            selected: Some(selected),
-            cached: None,
-            permit: None,
-            outcome: RunCacheOutcome::Bypass,
-            rows,
-        };
-    }
-    if rel.version() == 0 {
-        // Unregistered relations have no identity to key on.
-        return SidePrep {
-            selected: None,
-            cached: None,
-            permit: None,
-            outcome: RunCacheOutcome::Bypass,
-            rows: rel.len(),
-        };
-    }
-    let key = RunKey { relation: rel.id(), version: rel.version(), fingerprint };
-    match cache.lookup(key) {
-        Lookup::Hit(runs) => SidePrep {
-            selected: None,
-            cached: Some(runs),
-            permit: None,
-            outcome: RunCacheOutcome::Hit,
-            rows: rel.len(),
-        },
-        Lookup::Miss(permit) => SidePrep {
-            selected: None,
-            cached: None,
-            permit: Some(permit),
-            outcome: RunCacheOutcome::Miss,
-            rows: rel.len(),
-        },
-        // Another query is building this key right now; run uncached
-        // rather than wait (never compute twice into one slot).
-        Lookup::Busy => SidePrep {
-            selected: None,
-            cached: None,
-            permit: None,
-            outcome: RunCacheOutcome::Miss,
-            rows: rel.len(),
-        },
-    }
-}
-
-/// The paper query over consistent snapshots with live deltas — the
-/// HTAP read path. Each side joins as base runs (served from the run
-/// cache keyed on the snapshot's **base** version, so writes never
-/// poison a key) plus an on-the-fly-sorted run of the delta's added
-/// tuples, with deleted/overwritten base keys masked inside the merge.
-/// Taken whenever at least one captured snapshot has a non-zero delta
-/// watermark; clean queries stay on [`paper_query_cached`] /
-/// [`paper_query_in`] unchanged.
-pub(crate) fn paper_query_snapshot(cx: &ExecContext, spec: &QuerySpec) -> PaperQueryResult {
-    let radix_bits = spec.join.config().radix_bits;
-    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
     let wall = Instant::now();
     let mut stats = JoinStats::new(cx.threads());
-
-    let r_prep = prep_snapshot_side(
-        cx,
-        true,
-        &spec.r,
-        spec.r_snapshot.as_ref(),
-        &spec.r_pred,
-        spec.r_filtered,
-        spec.cache.as_ref(),
-        fingerprint,
-        radix_bits,
-        &mut stats,
-    );
-    let s_prep = prep_snapshot_side(
-        cx,
-        false,
-        &spec.s,
-        spec.s_snapshot.as_ref(),
-        &spec.s_pred,
-        spec.s_filtered,
-        spec.cache.as_ref(),
-        fingerprint,
-        radix_bits,
-        &mut stats,
-    );
-
-    let r_side = DeltaSide { base: &r_prep.base, delta: r_prep.delta.as_ref(), mask: &r_prep.mask };
-    let s_side = DeltaSide { base: &s_prep.base, delta: s_prep.delta.as_ref(), mask: &s_prep.mask };
+    let r = resolve_side(cx, spec, true, &mut stats);
+    let s = resolve_side(cx, spec, false, &mut stats);
+    let (r_side, s_side) = (r.side(), s.side());
     let (r_rows, s_rows) = (r_side.logical_tuples(), s_side.logical_tuples());
-    let max = merge_delta_sides_in::<MaxAggSink>(cx, r_side, s_side, &mut stats);
+
+    fn split<R>(out: AnytimeOutcome<R>) -> (AnytimeInfo, R) {
+        let info = AnytimeInfo {
+            coverage: out.coverage(),
+            merged_runs: out.merged_runs,
+            total_runs: out.total_runs,
+            complete: out.complete,
+            capped: out.capped,
+            ranges: out.ranges,
+        };
+        (info, out.result)
+    }
+    let (anytime, rows, max) = match spec.rows_cap {
+        Some(cap) => {
+            let out = merge_sides::<CollectSink>(cx, r_side, s_side, token, Some(cap), &mut stats);
+            let (anytime, mut rows) = split(out);
+            rows.sort_unstable();
+            let max = rows.iter().map(|&(_, rp, sp)| rp.wrapping_add(sp)).max();
+            rows.truncate(cap);
+            (anytime, Some(rows), max)
+        }
+        None => {
+            let out = merge_sides::<MaxAggSink>(cx, r_side, s_side, token, None, &mut stats);
+            let (anytime, max) = split(out);
+            (anytime, None, max)
+        }
+    };
     stats.wall = wall.elapsed();
 
-    let mut result =
+    let assembled =
         assemble(spec.join.name(), cx.threads(), &spec.r, &spec.s, r_rows, s_rows, max, stats);
-    result.plan.phases_ms = Some(result.stats.phases_ms());
-    result.plan.phase_tuples = Some((r_rows + s_rows) as u64);
-    result.plan.sort_kernel = Some(cx.sort_tuning().describe());
-    result.plan.placement = Some(placement_of(cx));
+    let mut result = executed_in(cx, assembled);
+    result.rows = rows;
+    result.plan.anytime = spec.interruptible_by(token).then_some(anytime);
     if let Some(cache) = &spec.cache {
         let totals = cache.stats();
         result.plan.run_cache = Some(RunCacheInfo {
-            r: r_prep.outcome,
-            s: s_prep.outcome,
+            r: r.outcome,
+            s: s.outcome,
             hits: totals.hits,
             misses: totals.misses,
             evictions: totals.evictions,
@@ -348,85 +212,92 @@ pub(crate) fn paper_query_snapshot(cx: &ExecContext, spec: &QuerySpec) -> PaperQ
     result
 }
 
-/// One snapshot side, resolved to merge inputs: base runs, the sorted
-/// delta run, and the base-key mask.
-struct SnapPrep {
+/// One join input resolved to merge inputs: base runs, the sorted delta
+/// run, the base-key mask, and what the plan's `RunCache` row says.
+struct ResolvedSide {
     base: SharedRunSet,
     delta: Option<NumaBuf<Tuple>>,
     mask: Vec<u64>,
     outcome: RunCacheOutcome,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn prep_snapshot_side(
+impl ResolvedSide {
+    fn side(&self) -> DeltaSide<'_> {
+        DeltaSide { base: &self.base, delta: self.delta.as_ref(), mask: &self.mask }
+    }
+}
+
+/// Resolve one side of `spec` (`private` picks R) to sorted runs. The
+/// tuple source is the captured snapshot's base, or the raw handle when
+/// the side lives outside any catalog. Three outcomes, reported on the
+/// plan's `RunCache` row:
+///
+/// * **filtered** — the rows are query-specific: fold the snapshot's
+///   visible delta in with the overlay, select, and build private runs
+///   that never touch the cache (*bypass*).
+/// * **unregistered** (or no cache attached) — no identity to key on:
+///   build from the source's tuples (*bypass*).
+/// * **registered** — look the base up under `(id, base version,
+///   splitter fingerprint)`, so writes never poison a key: a *hit*
+///   skips partition + sort; a *miss* builds and, if this query won the
+///   single-flight race, publishes (a loser builds uncached rather than
+///   wait). The visible delta's adds become one extra sorted run and
+///   its deleted/overwritten keys the mask.
+fn resolve_side(
     cx: &ExecContext,
+    spec: &QuerySpec,
     private: bool,
-    rel: &Relation,
-    snapshot: Option<&Snapshot>,
-    pred: &Predicate,
-    filtered: bool,
-    cache: Option<&Arc<RunCache>>,
-    fingerprint: u64,
-    radix_bits: u32,
     stats: &mut JoinStats,
-) -> SnapPrep {
-    let (partition_phase, sort_phase) =
-        if private { (Phase::Two, Phase::Three) } else { (Phase::One, Phase::One) };
-    let plain = |tuples: &[Tuple], stats: &mut JoinStats| {
+) -> ResolvedSide {
+    let (rel, snapshot, pred, filtered, partition_phase, sort_phase) = if private {
+        (&spec.r, spec.r_snapshot.as_ref(), &spec.r_pred, spec.r_filtered, Phase::Two, Phase::Three)
+    } else {
+        (&spec.s, spec.s_snapshot.as_ref(), &spec.s_pred, spec.s_filtered, Phase::One, Phase::One)
+    };
+    let radix_bits = spec.join.config().radix_bits;
+    let build = |tuples: &[Tuple], stats: &mut JoinStats| {
         Arc::new(build_run_set(cx, tuples, radix_bits, partition_phase, sort_phase, stats))
     };
+    let source: &Relation = snapshot.map_or(rel, |snapshot| snapshot.base());
+    // A clean snapshot never touches (or locks) its delta log.
+    let overlay = snapshot.filter(|s| s.delta_len() > 0).map(|s| s.overlay()).unwrap_or_default();
+
     if filtered {
-        // Query-specific rows: materialize the snapshot's literal
-        // state (base + visible delta), filter, and build private
-        // runs. Never cached — same bypass rule as the clean path.
-        let source = match snapshot {
-            Some(snapshot) => snapshot.materialize(),
-            None => rel.tuples().to_vec(),
+        let selected = if overlay.is_empty() {
+            Select::new(source, |t| pred(t)).execute_in(cx)
+        } else {
+            overlay.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect()
         };
-        let selected: Vec<Tuple> = source.into_iter().filter(|t| pred(t)).collect();
-        return SnapPrep {
-            base: plain(&selected, stats),
+        return ResolvedSide {
+            base: build(&selected, stats),
             delta: None,
             mask: vec![],
             outcome: RunCacheOutcome::Bypass,
         };
     }
-    let Some(snapshot) = snapshot else {
-        // The side lives outside any catalog: no snapshot, no cache
-        // identity — build from its raw tuples.
-        return SnapPrep {
-            base: plain(rel.tuples(), stats),
-            delta: None,
-            mask: vec![],
-            outcome: RunCacheOutcome::Bypass,
-        };
-    };
 
-    let overlay = snapshot.overlay();
-    let base_rel = snapshot.base();
-    let (base, outcome) = match cache {
-        Some(cache) if base_rel.version() > 0 => {
-            let key = RunKey { relation: base_rel.id(), version: base_rel.version(), fingerprint };
+    let (base, outcome) = match &spec.cache {
+        Some(cache) if source.version() > 0 => {
+            let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
+            let key = RunKey { relation: source.id(), version: source.version(), fingerprint };
             match cache.lookup(key) {
                 Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
                 Lookup::Miss(permit) => {
-                    let built = plain(base_rel.tuples(), stats);
+                    let built = build(source.tuples(), stats);
                     permit.publish(built.clone());
                     (built, RunCacheOutcome::Miss)
                 }
                 // Someone else is building this base; don't wait.
-                Lookup::Busy => (plain(base_rel.tuples(), stats), RunCacheOutcome::Miss),
+                Lookup::Busy => (build(source.tuples(), stats), RunCacheOutcome::Miss),
             }
         }
-        _ => (plain(base_rel.tuples(), stats), RunCacheOutcome::Bypass),
+        _ => (build(source.tuples(), stats), RunCacheOutcome::Bypass),
     };
 
     // The delta's adds become one extra sorted run — tiny, so one
     // worker sorts it with the tuned kernels; its cost books under the
     // side's sort phase.
-    let delta = if overlay.adds.is_empty() {
-        None
-    } else {
+    let delta = (!overlay.adds.is_empty()).then(|| {
         let sort_start = Instant::now();
         let mut scope = cx.scope(0);
         let run = cx.sorted_run(0, &overlay.adds, &mut scope);
@@ -434,133 +305,9 @@ fn prep_snapshot_side(
         durations[0] = sort_start.elapsed();
         stats.record_phase(sort_phase, &durations);
         cx.record(sort_phase, [scope.finish()]);
-        Some(run)
-    };
-    SnapPrep { base, delta, mask: overlay.masked, outcome }
-}
-
-/// The paper query with an interruptible merge phase — the SLA-serving
-/// path. Both sides resolve to sorted run sets (cache-served when
-/// clean and registered), then [`merge_run_sets_anytime`] joins them
-/// under `token`: when the token expires mid-merge the query returns
-/// best-so-far results plus a coverage estimate on the plan's
-/// `Anytime` row instead of failing.
-///
-/// With [`QuerySpec::collect_rows`](crate::session::QuerySpec::collect_rows)
-/// set, the joined rows come back sorted by `(key, r_payload,
-/// s_payload)` and truncated to the cap; a partial answer's rows are a
-/// key-order prefix of the full join's (the anytime contract). The cap
-/// is *streaming*: the merge stops between blocks once enough rows
-/// exist, so a capped query never pays for rows its caller discards —
-/// its coverage (and its aggregate, computed over the merged-so-far
-/// rows before truncation) reflects the key prefix actually merged.
-pub fn paper_query_anytime(
-    cx: &ExecContext,
-    spec: &QuerySpec,
-    token: &AnytimeToken,
-) -> PaperQueryResult {
-    let radix_bits = spec.join.config().radix_bits;
-    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
-    let wall = Instant::now();
-    let mut stats = JoinStats::new(cx.threads());
-
-    let r_side = resolve_anytime_side(
-        cx,
-        true,
-        &spec.r,
-        spec.r_snapshot.as_ref(),
-        &spec.r_pred,
-        spec.r_filtered,
-        spec.cache.as_ref(),
-        fingerprint,
-        radix_bits,
-        &mut stats,
-    );
-    let s_side = resolve_anytime_side(
-        cx,
-        false,
-        &spec.s,
-        spec.s_snapshot.as_ref(),
-        &spec.s_pred,
-        spec.s_filtered,
-        spec.cache.as_ref(),
-        fingerprint,
-        radix_bits,
-        &mut stats,
-    );
-
-    fn info<R>(out: &AnytimeOutcome<R>) -> AnytimeInfo {
-        AnytimeInfo {
-            coverage: out.coverage(),
-            merged_runs: out.merged_runs,
-            total_runs: out.total_runs,
-            complete: out.complete,
-            capped: out.capped,
-            ranges: out.ranges.clone(),
-        }
-    }
-    let (anytime, rows, max) = match spec.rows_cap {
-        Some(cap) => {
-            // Streaming cap: the merge itself stops (between key-aligned
-            // blocks) once at least `cap` rows exist, instead of
-            // materializing the whole join and truncating. The coverage
-            // on the Anytime row therefore reports how little of the
-            // input a capped query actually had to merge.
-            let out = merge_run_sets_anytime_capped::<CollectSink>(
-                cx,
-                &r_side.runs,
-                &s_side.runs,
-                token,
-                Some(cap),
-                &mut stats,
-            );
-            let anytime = info(&out);
-            let mut rows = out.result;
-            rows.sort_unstable();
-            let max = rows.iter().map(|&(_, rp, sp)| rp.wrapping_add(sp)).max();
-            rows.truncate(cap);
-            (anytime, Some(rows), max)
-        }
-        None => {
-            let out = merge_run_sets_anytime::<MaxAggSink>(
-                cx,
-                &r_side.runs,
-                &s_side.runs,
-                token,
-                &mut stats,
-            );
-            (info(&out), None, out.result)
-        }
-    };
-    stats.wall = wall.elapsed();
-
-    let mut result = assemble(
-        spec.join.name(),
-        cx.threads(),
-        &spec.r,
-        &spec.s,
-        r_side.rows,
-        s_side.rows,
-        max,
-        stats,
-    );
-    result.rows = rows;
-    result.plan.anytime = Some(anytime);
-    result.plan.phases_ms = Some(result.stats.phases_ms());
-    result.plan.phase_tuples = Some((r_side.rows + s_side.rows) as u64);
-    result.plan.sort_kernel = Some(cx.sort_tuning().describe());
-    result.plan.placement = Some(placement_of(cx));
-    if let Some(cache) = &spec.cache {
-        let totals = cache.stats();
-        result.plan.run_cache = Some(RunCacheInfo {
-            r: r_side.outcome,
-            s: s_side.outcome,
-            hits: totals.hits,
-            misses: totals.misses,
-            evictions: totals.evictions,
-        });
-    }
-    result
+        run
+    });
+    ResolvedSide { base, delta, mask: overlay.masked, outcome }
 }
 
 /// The result of an anytime query whose deadline had already passed
@@ -581,87 +328,6 @@ pub(crate) fn expired_in_queue_result(cx: &ExecContext, spec: &QuerySpec) -> Pap
         ranges: vec![],
     });
     result
-}
-
-/// One anytime join input, resolved to sorted runs.
-struct AnytimeSide {
-    runs: SharedRunSet,
-    outcome: RunCacheOutcome,
-    /// Rows entering the join from this side.
-    rows: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resolve_anytime_side(
-    cx: &ExecContext,
-    private: bool,
-    rel: &Relation,
-    snapshot: Option<&Snapshot>,
-    pred: &Predicate,
-    filtered: bool,
-    cache: Option<&Arc<RunCache>>,
-    fingerprint: u64,
-    radix_bits: u32,
-    stats: &mut JoinStats,
-) -> AnytimeSide {
-    let (partition_phase, sort_phase) =
-        if private { (Phase::Two, Phase::Three) } else { (Phase::One, Phase::One) };
-    let build = |tuples: &[Tuple], stats: &mut JoinStats| {
-        Arc::new(build_run_set(cx, tuples, radix_bits, partition_phase, sort_phase, stats))
-    };
-    let dirty = snapshot.is_some_and(|s| s.delta_len() > 0);
-    if filtered || dirty {
-        // Filtered rows are query-specific and a dirty snapshot's
-        // literal state has no cacheable version: both materialize and
-        // build fresh runs (correctness over reuse — the interruptible
-        // path favours a well-defined prefix contract over the
-        // delta-merge optimization).
-        let selected: Vec<Tuple> = match (snapshot, filtered) {
-            (Some(snapshot), true) => {
-                snapshot.materialize().into_iter().filter(|t| pred(t)).collect()
-            }
-            (Some(snapshot), false) => snapshot.materialize(),
-            (None, _) => Select::new(rel, |t| pred(t)).execute_in(cx),
-        };
-        let rows = selected.len();
-        return AnytimeSide {
-            runs: build(&selected, stats),
-            outcome: RunCacheOutcome::Bypass,
-            rows,
-        };
-    }
-    // Clean side: the snapshot's base (or the raw handle) is the
-    // canonical tuple source, and its version keys the run cache.
-    let base_rel: &Relation = match snapshot {
-        Some(snapshot) => snapshot.base(),
-        None => rel,
-    };
-    let rows = base_rel.len();
-    let (runs, outcome) = match cache {
-        Some(cache) if base_rel.version() > 0 => {
-            let key = RunKey { relation: base_rel.id(), version: base_rel.version(), fingerprint };
-            match cache.lookup(key) {
-                Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
-                Lookup::Miss(permit) => {
-                    let built = build(base_rel.tuples(), stats);
-                    permit.publish(built.clone());
-                    (built, RunCacheOutcome::Miss)
-                }
-                // Someone else is building this base; don't wait.
-                Lookup::Busy => (build(base_rel.tuples(), stats), RunCacheOutcome::Miss),
-            }
-        }
-        _ => (build(base_rel.tuples(), stats), RunCacheOutcome::Bypass),
-    };
-    AnytimeSide { runs, outcome, rows }
-}
-
-fn side_input<'a>(prep: &'a SidePrep, rel: &'a Relation) -> RunsInput<'a> {
-    match (&prep.cached, &prep.selected) {
-        (Some(runs), _) => RunsInput::Runs(runs.clone()),
-        (None, Some(sel)) => RunsInput::Tuples(sel),
-        (None, None) => RunsInput::Tuples(rel.tuples()),
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -763,8 +429,9 @@ mod tests {
         let s = Relation::new("S", (0..1600u64).map(|i| Tuple::new(i % 400, i)).collect());
         let algo = PMpsmJoin::new(JoinConfig::with_threads(4));
         let spawning = paper_query(&r, &s, |t| t.key % 2 == 0, |_| true, &algo, 4);
-        let pool = SharedWorkerPool::new(4);
-        let pooled = paper_query_on(&pool, &r, &s, |t| t.key % 2 == 0, |_| true, &algo);
+        let pool = mpsm_core::worker::SharedWorkerPool::new(4);
+        let cx = ExecContext::over_pool(&pool);
+        let pooled = paper_query_in(&cx, &r, &s, |t| t.key % 2 == 0, |_| true, &algo);
         assert_eq!(pooled.max_payload_sum, spawning.max_payload_sum);
         assert_eq!(pooled.r_selected, spawning.r_selected);
         assert_eq!(pooled.s_selected, spawning.s_selected);

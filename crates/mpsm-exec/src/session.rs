@@ -77,7 +77,7 @@ use std::time::Duration;
 
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::AnytimeToken;
-use mpsm_core::join::delta::{materialize, DeltaOp};
+use mpsm_core::join::delta::{DeltaOp, DeltaOverlay};
 use mpsm_core::join::p_mpsm::PMpsmJoin;
 use mpsm_core::join::runs::build_run_set;
 use mpsm_core::join::{b_mpsm::BMpsmJoin, JoinAlgorithm, JoinConfig};
@@ -85,9 +85,7 @@ use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
 
 use crate::plan::SnapshotInfo;
-use crate::query::{
-    paper_query_anytime, paper_query_cached, paper_query_in, paper_query_snapshot, PaperQueryResult,
-};
+use crate::query::{paper_query_in, paper_query_runs, PaperQueryResult};
 use crate::run_cache::{splitter_fingerprint, Lookup, RunCache, RunCacheConfig, RunKey};
 use crate::scan::Relation;
 use crate::sched::{
@@ -160,59 +158,37 @@ impl JoinSpec {
 
     /// Run the paper query described by `spec` inside `cx` (the
     /// scheduler derives one context per query, carrying its owner tag
-    /// and node pinning).
+    /// and node pinning). Two routes:
     ///
-    /// Routing, most specific first:
-    ///
-    /// 1. A spec carrying a deadline or a row collection cap — or a
-    ///    live `token` (degraded admission hands plain queries a block
-    ///    budget too) — takes the **anytime** path: a run-oriented
-    ///    execution (P-MPSM-style regardless of the configured
-    ///    algorithm) whose merge is interruptible by `token` and
-    ///    reports coverage on the plan's `Anytime` row.
-    /// 2. A side whose captured snapshot has pending delta ops sends
-    ///    the whole query down the snapshot-merge path (base runs —
-    ///    cache-served when possible — plus the sorted delta run, with
-    ///    masked base keys skipped in the merge).
-    /// 3. Otherwise, with a run cache attached and at least one
-    ///    cacheable side — unfiltered and catalog-registered — the
-    ///    run-set path consults and populates the cache.
-    /// 4. Otherwise the plain four-phase path runs.
+    /// 1. [`paper_query_runs`] — the run-oriented path — whenever the
+    ///    query can use sorted runs or needs an interruptible merge: it
+    ///    carries a deadline or a row collection cap, `token` is live
+    ///    (degraded admission hands plain queries a block budget too),
+    ///    a side is dirty (its captured snapshot has pending delta ops,
+    ///    or compaction moved the lineage past the handle — the
+    ///    snapshot's base, not the handle, is then the live relation),
+    ///    or a run cache is attached and a side is cacheable
+    ///    (unfiltered and catalog-registered).
+    /// 2. Otherwise the configured algorithm's plain four-phase
+    ///    `join_in`.
     pub(crate) fn run_with_token(
         &self,
         cx: &ExecContext,
         spec: &QuerySpec,
         token: &AnytimeToken,
     ) -> PaperQueryResult {
-        let live_token = !matches!(token, AnytimeToken::Never);
-        if spec.deadline.is_some() || spec.rows_cap.is_some() || live_token {
-            let mut result = paper_query_anytime(cx, spec, token);
-            Self::append_snapshot_rows(&mut result, spec);
-            return result;
-        }
-        self.run(cx, spec)
-    }
-
-    /// [`JoinSpec::run_with_token`] without the anytime routing (a
-    /// token-free spec never consults one).
-    pub(crate) fn run(&self, cx: &ExecContext, spec: &QuerySpec) -> PaperQueryResult {
-        // A side needs the snapshot path when its snapshot carries
-        // pending delta ops, or when compaction moved the lineage past
-        // the handle (the snapshot's base is a newer version than the
-        // Arc the client holds — its tuples, not the handle's, are the
-        // live relation).
-        let needs_snapshot = |snapshot: &Option<Snapshot>, handle: &Arc<Relation>| {
+        let dirty = |snapshot: &Option<Snapshot>, handle: &Arc<Relation>| {
             snapshot.as_ref().is_some_and(|s| s.delta_len() > 0 || !Arc::ptr_eq(s.base(), handle))
         };
-        let dirty =
-            needs_snapshot(&spec.r_snapshot, &spec.r) || needs_snapshot(&spec.s_snapshot, &spec.s);
         let cacheable = spec.cache.is_some()
             && ((!spec.r_filtered && spec.r.version() > 0)
                 || (!spec.s_filtered && spec.s.version() > 0));
-        let mut result = if dirty {
-            paper_query_snapshot(cx, spec)
-        } else if cacheable {
-            paper_query_cached(cx, spec, spec.cache.as_ref().expect("checked by `cacheable`"))
+        let mut result = if spec.interruptible_by(token)
+            || dirty(&spec.r_snapshot, &spec.r)
+            || dirty(&spec.s_snapshot, &spec.s)
+            || cacheable
+        {
+            paper_query_runs(cx, spec, token)
         } else {
             fn go<J: JoinAlgorithm>(
                 cx: &ExecContext,
@@ -269,12 +245,12 @@ pub struct QuerySpec {
     /// Consistent snapshot of `s`.
     pub(crate) s_snapshot: Option<Snapshot>,
     /// SLA deadline, measured from submit (so queue wait counts
-    /// against it). Routes the query down the anytime path.
+    /// against it). Routes the query down the run-oriented path.
     pub(crate) deadline: Option<Duration>,
     /// Admission class (default [`Priority::Normal`]).
     pub(crate) priority: Priority,
     /// Collect up to this many joined rows (key order) alongside the
-    /// aggregate. Routes the query down the anytime path.
+    /// aggregate. Routes the query down the run-oriented path.
     pub(crate) rows_cap: Option<usize>,
 }
 
@@ -339,6 +315,14 @@ impl QuerySpec {
     pub fn collect_rows(mut self, cap: usize) -> Self {
         self.rows_cap = Some(cap);
         self
+    }
+
+    /// Whether anything could stop this query's merge early under
+    /// `token`: a deadline, a row cap, or a live token (degraded
+    /// admission hands plain queries a block budget too). Such queries
+    /// take the run-oriented route and render the plan's `Anytime` row.
+    pub(crate) fn interruptible_by(&self, token: &AnytimeToken) -> bool {
+        self.deadline.is_some() || self.rows_cap.is_some() || !matches!(token, AnytimeToken::Never)
     }
 }
 
@@ -487,7 +471,8 @@ impl SessionShared {
             (state, watermark)
         };
         let base = state.base();
-        let merged = materialize(base.tuples(), &state.delta().ops_prefix(watermark));
+        let merged =
+            DeltaOverlay::from_ops(&state.delta().ops_prefix(watermark)).apply(base.tuples());
         let (id, new_version) = (base.id(), base.version() + 1);
         let new_base = Arc::new(Relation::new(base.name(), merged).with_identity(id, new_version));
         {
@@ -737,6 +722,19 @@ impl Session {
         self.shared.run_cache.as_ref()
     }
 
+    /// Pin `spec` to the session's state as of now: attach the run
+    /// cache and capture a snapshot — epoch plus delta watermark — of
+    /// each side that resolves in the catalog. [`Session::submit`] does
+    /// this before queueing; callers that execute a spec themselves
+    /// ([`crate::query::paper_query_runs`] under a token of their own)
+    /// pin it first.
+    pub fn pin(&self, mut spec: QuerySpec) -> QuerySpec {
+        spec.cache = self.shared.run_cache.clone();
+        spec.r_snapshot = self.shared.snapshot_for(&spec.r);
+        spec.s_snapshot = self.shared.snapshot_for(&spec.s);
+        spec
+    }
+
     /// Submit a query for asynchronous execution. Fails fast when the
     /// scheduler's admission queue is full.
     ///
@@ -744,11 +742,8 @@ impl Session {
     /// the catalog is pinned to its epoch and delta watermark *here*,
     /// before the query ever waits in the admission queue — writes
     /// racing the queue wait are invisible to it.
-    pub fn submit(&self, mut spec: QuerySpec) -> Result<QueryTicket, SubmitError> {
-        spec.cache = self.shared.run_cache.clone();
-        spec.r_snapshot = self.shared.snapshot_for(&spec.r);
-        spec.s_snapshot = self.shared.snapshot_for(&spec.s);
-        self.scheduler.submit(spec)
+    pub fn submit(&self, spec: QuerySpec) -> Result<QueryTicket, SubmitError> {
+        self.scheduler.submit(self.pin(spec))
     }
 
     /// Submit and block until the result is available. Admission

@@ -170,8 +170,8 @@ impl Snapshot {
     }
 
     /// Replay the visible prefix over the base — the literal state this
-    /// snapshot represents. The oracle for isolation tests, and what
-    /// filtered sides (which bypass the run path) scan.
+    /// snapshot represents. The oracle isolation tests compare against;
+    /// queries fold the prefix with [`Snapshot::overlay`] instead.
     pub fn materialize(&self) -> Vec<Tuple> {
         materialize(self.state.base().tuples(), &self.state.delta.ops_prefix(self.watermark))
     }

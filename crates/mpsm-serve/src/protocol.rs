@@ -139,8 +139,8 @@ pub struct QueryBody {
     pub r: String,
     /// Public-side relation name.
     pub s: String,
-    /// SLA deadline in microseconds; `0` means none. Non-zero routes
-    /// the query down the anytime path.
+    /// SLA deadline in microseconds; `0` means none. Non-zero makes
+    /// the query's merge interruptible at the deadline.
     pub deadline_micros: u64,
     /// Admission class: `0` batch, `1` normal, `2` interactive.
     pub priority: u8,

@@ -517,9 +517,9 @@ fn error_of(err: QueryError) -> Frame {
     Frame::Error { code, message }
 }
 
-/// Shape a finished query for the wire. A query that never entered
-/// the anytime path (no deadline, no row cap) is complete by
-/// construction; a `capped` stop is reported complete too — the
+/// Shape a finished query for the wire. A query nothing could
+/// interrupt (no deadline, no row cap, no degraded budget) carries no
+/// `Anytime` row and is complete by construction; a `capped` stop is reported complete too — the
 /// caller got every row it asked for.
 fn reply_of(result: PaperQueryResult) -> QueryResultBody {
     let (complete, coverage, range_coverage) = match &result.plan.anytime {

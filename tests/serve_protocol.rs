@@ -283,7 +283,7 @@ proptest! {
         let cx = ExecContext::flat(threads);
         let cap = r_keys.len() * s_keys.len();
 
-        let full = mpsm::exec::paper_query_anytime(
+        let full = mpsm::exec::paper_query_runs(
             &cx,
             &spec_for(&r, &s, cap),
             &AnytimeToken::never(),
@@ -293,7 +293,7 @@ proptest! {
 
         let mut last_coverage = -1.0f64;
         for budget in 0..6u64 {
-            let out = mpsm::exec::paper_query_anytime(
+            let out = mpsm::exec::paper_query_runs(
                 &cx,
                 &spec_for(&r, &s, cap),
                 &AnytimeToken::budget(budget),
