@@ -4,8 +4,10 @@
 //! cargo run --release -p mpsm-bench --bin repro_all -- --scale 1048576 --threads 8
 //! ```
 //!
-//! Each experiment binary can also be run individually; see DESIGN.md's
-//! experiment index for the figure ↔ binary mapping.
+//! Each experiment binary can also be run individually; README.md
+//! ("Reproducing the paper's figures") maps figures to binaries. A bin
+//! lives in this crate iff it is listed in `EXPERIMENTS` —
+//! `tests/figures_smoke.rs` holds the two equal.
 
 use std::process::Command;
 

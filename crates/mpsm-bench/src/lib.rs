@@ -1,7 +1,6 @@
-//! Shared infrastructure of the benchmark harness: scale handling,
-//! table rendering, and contender registry. The figure binaries under
-//! `src/bin/` and the criterion micro-benchmarks under `benches/` build
-//! on this.
+//! Shared infrastructure of the paper-figure binaries under `src/bin/`:
+//! scale handling, table rendering, and contender registry. Timing
+//! lives in the standalone harness under `bench/`, not here.
 
 pub mod audit;
 pub mod harness;

@@ -259,7 +259,7 @@ impl PMpsmJoin {
         // (the O(log log) exception C2 tolerates) and the merge itself
         // at its actual scan extents — with T workers each touching
         // ≈ |S|/T² of every public run, the phase stays overwhelmingly
-        // node-local, which `bench_numa` asserts. ----
+        // node-local, which `tests/numa_context.rs` asserts. ----
         let entry = self.entry;
         let find_start = move |s_run: &[Tuple], key: u64| -> usize {
             match entry {

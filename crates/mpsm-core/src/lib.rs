@@ -40,15 +40,15 @@
 //! ## Cache-conscious hot paths
 //!
 //! Four inner loops carry every join and are engineered beyond the
-//! paper's literal recipe (each keeps its seed variant reachable for
-//! the ablation benches): the [`partition`] scatter stages tuples in
+//! paper's literal recipe (each keeps its seed variant reachable as a
+//! reference): the [`partition`] scatter stages tuples in
 //! per-partition 128-byte write-combining buffers; the three-phase
 //! [`sort`] recurses its radix pass until buckets are cache-resident
 //! and finishes each bucket while hot; the [`merge`] kernel gallops
 //! (exponential search) over non-matching stretches; and
 //! [`worker::WorkerPool`] parks persistent worker threads between
-//! phases instead of respawning them. `BENCH_2.json` at the repository
-//! root records the measured baseline.
+//! phases instead of respawning them. The harness under `bench/`
+//! prices each of them (`sort.*`, `partition.*`, `merge.*`, `worker.*`).
 //!
 //! ## One execution context for every layer
 //!

@@ -26,7 +26,7 @@
 //! starts at [`GALLOP_LINEAR`] and every advance the linear scan
 //! resolves by itself *raises* it (up to [`GALLOP_MAX`]), while every
 //! probe that skips past the budget *halves* it. Densely interleaved
-//! runs — where every skip is one element long and the BENCH_2 "0pct"
+//! runs — where every skip is one element long and the PR 2 "0pct"
 //! ablation measured the fixed-threshold kernel at 0.83× of
 //! [`merge_join_linear`] — therefore converge to the pure linear loop
 //! with one budget check per advance (not per element), while
@@ -38,8 +38,8 @@
 //! group-scan machinery.
 //!
 //! The plain linear kernel is retained as [`merge_join_linear`] — the
-//! reference oracle for tests and the ablation benches
-//! (`cargo bench --bench merge_kernel`).
+//! reference oracle for tests and the benchmark harness's
+//! `merge.linear_ns_per_tuple` probe.
 
 use crate::sink::JoinSink;
 use crate::tuple::Tuple;
@@ -206,8 +206,8 @@ pub fn merge_join_scanned<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) -
 }
 
 /// The seed's purely linear kernel — the reference oracle the galloping
-/// kernel is verified against, and the ablation baseline of the
-/// `merge_kernel` bench.
+/// kernel is verified against, and the baseline of the harness's
+/// `merge.linear_ns_per_tuple` probe.
 pub fn merge_join_linear<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) {
     debug_assert!(crate::tuple::is_key_sorted(r), "private run must be sorted");
     debug_assert!(crate::tuple::is_key_sorted(s), "public run must be sorted");
@@ -448,8 +448,8 @@ mod tests {
 
     #[test]
     fn regime_shift_dense_then_sparse_agrees_with_linear() {
-        // First half: perfectly interleaved disjoint keys (the BENCH_2
-        // "0pct" shape, which drives the adaptive budget up towards
+        // First half: perfectly interleaved disjoint keys (the "0pct"
+        // ablation shape, which drives the adaptive budget up towards
         // GALLOP_MAX); second half: sparse r against dense s, where the
         // budget must come back down and gallop again.
         let mut r_keys = Vec::new();

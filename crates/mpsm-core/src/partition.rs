@@ -33,7 +33,7 @@
 //! `scatter_write_combining_matches_naive` proptest pins this).
 //!
 //! The per-tuple-store loop is retained as [`range_partition_naive`]
-//! for the ablation benches (`cargo bench --bench partition_scatter`).
+//! for the benchmark harness's `partition.naive_ns_per_tuple` probe.
 
 use mpsm_numa::NumaBuf;
 
@@ -44,7 +44,7 @@ use crate::histogram::{
 use crate::splitter::Splitters;
 use crate::stats::Phase;
 use crate::tuple::Tuple;
-use crate::worker::{run_parallel, OwnedSlots, SharedWorkerPool, WorkerPool};
+use crate::worker::{run_parallel, OwnedSlots, WorkerPool};
 
 /// Tuples staged per partition before a contiguous flush: 8 × 16 B =
 /// 128 B, one cache-line pair (and exactly two 64-B lines of stores
@@ -153,11 +153,10 @@ fn scatter_per_tuple(
 }
 
 /// How the skeleton's two parallel sections (histogram, scatter) are
-/// executed: fresh threads, an exclusive pool, or a shared pool handle.
+/// executed: fresh threads or an exclusive pool.
 enum Runner<'a> {
     Spawn,
     Exclusive(&'a mut WorkerPool),
-    Shared(&'a SharedWorkerPool),
 }
 
 impl Runner<'_> {
@@ -165,7 +164,6 @@ impl Runner<'_> {
         match self {
             Runner::Spawn => run_parallel(workers, f),
             Runner::Exclusive(pool) => pool.run(f),
-            Runner::Shared(pool) => pool.run(f),
         }
     }
 }
@@ -264,20 +262,6 @@ pub fn range_partition_in(
     partition_skeleton(chunks, domain, splitters, Runner::Exclusive(pool), true)
 }
 
-/// [`range_partition`] on a [`SharedWorkerPool`] handle: the histogram
-/// and scatter sections are submitted as two tagged phases, so
-/// concurrent owners of the pool interleave with the scatter at phase
-/// granularity.
-pub fn range_partition_shared(
-    pool: &SharedWorkerPool,
-    chunks: &[&[Tuple]],
-    domain: &RadixDomain,
-    splitters: &Splitters,
-) -> Vec<Vec<Tuple>> {
-    assert_eq!(pool.threads(), chunks.len().max(1), "one pool worker per chunk");
-    partition_skeleton(chunks, domain, splitters, Runner::Shared(pool), true)
-}
-
 /// [`range_partition`] on an [`ExecContext`]: the NUMA-placed scatter
 /// of P-MPSM phase 2.3.
 ///
@@ -353,7 +337,7 @@ pub fn range_partition_ctx(
 
 /// The seed scatter — one random 16-byte store per tuple into the huge
 /// target windows. Bit-identical output to [`range_partition`];
-/// reachable only from the ablation benches and equivalence tests.
+/// reachable only from the benchmark harness and equivalence tests.
 pub fn range_partition_naive(
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
@@ -535,10 +519,5 @@ mod tests {
         let mut pool = WorkerPool::new(4);
         let pooled = range_partition_in(&mut pool, &chunks, &domain, &sp);
         assert_eq!(pooled, range_partition(&chunks, &domain, &sp));
-
-        let shared = pool.into_shared();
-        let shared_runs = range_partition_shared(&shared, &chunks, &domain, &sp);
-        assert_eq!(shared_runs, range_partition(&chunks, &domain, &sp));
-        assert_eq!(shared.phases_served(), 2, "histogram + scatter phases");
     }
 }

@@ -32,8 +32,8 @@
 //!   bucket, immediately after that bucket lands, while the bucket
 //!   (≤ L1-sized) is still cache-hot — instead of one global pass that
 //!   re-streams the whole (multi-MiB) array from memory. The seed's
-//!   global-pass variant is retained as [`three_phase_sort_naive`] for
-//!   the ablation bench (`cargo bench --bench sort`).
+//!   global-pass variant is retained as [`three_phase_sort_naive`],
+//!   the reference the kernel equivalence tests compare against.
 //! * **Pluggable finishing kernel.** What happens *inside* a
 //!   cache-resident bucket is a [`tuning::SortKernel`] chosen by a
 //!   [`tuning::SortTuning`] (threshold + kernel + provenance): the
@@ -76,7 +76,7 @@ pub const INSERTION_CUTOFF: usize = 16;
 /// kernel: 32 KiB (an L1d) of 16-byte tuples. Each radix level replaces
 /// eight quicksort levels with one O(n) counting pass + in-place
 /// permutation, so recursing until buckets are L1-resident is where the
-/// measured optimum lies (the `sort` bench sweep: 2048 ≈ 1.7× over the
+/// measured optimum lies (the PR 2 sweep: 2048 ≈ 1.7× over the
 /// introsort-from-L2 variant at 1M tuples; 8192+ erases the win).
 pub const CACHE_RESIDENT_TUPLES: usize = (32 * 1024) / std::mem::size_of::<Tuple>();
 
@@ -129,8 +129,8 @@ pub fn three_phase_sort_tuned(
     // Phase 1: MSD radix scatter into 256 key-ordered buckets. One
     // key-range scan here is the only range scan of the whole sort:
     // the recursion below derives every child shift arithmetically
-    // ([`radix::RadixShift::child`]) instead of re-scanning buckets the
-    // way the frozen PR 2 baseline does (twice per recursion level).
+    // ([`radix::RadixShift::child`]) instead of re-scanning buckets
+    // (twice per recursion level) the way the PR 2 descent did.
     let (min, max) = crate::tuple::key_range(tuples).expect("len > cutoff");
     if min == max {
         return; // one key: any order is sorted
@@ -340,8 +340,8 @@ pub fn three_phase_sort_tuned_audited(
 
 /// The seed's literal three-phase sort: one radix pass, coarse
 /// introsort per bucket, then a single **global** insertion pass that
-/// re-streams the whole array. Retained as the ablation baseline of
-/// `cargo bench --bench sort`; all join paths use [`three_phase_sort`].
+/// re-streams the whole array. Retained as the reference oracle of the
+/// kernel equivalence tests; all join paths use [`three_phase_sort`].
 pub fn three_phase_sort_naive(tuples: &mut [Tuple]) {
     if tuples.len() < 2 {
         return;
@@ -360,75 +360,11 @@ pub fn three_phase_sort_naive(tuples: &mut [Tuple]) {
     insertion::insertion_sort(tuples);
 }
 
-/// The PR 2 sort path, frozen for honest before/after benches: radix
-/// recursion that re-scans each oversized bucket's key range (twice per
-/// level) plus the introsort+insertion finisher. `BENCH_7.json`'s
-/// headline compares the tuned kernel against this, so the recorded
-/// speedup covers everything this PR changed (branch-free network
-/// leaves + scan-free shift descent + the prefetch knob), not just the
-/// finisher swap.
-pub fn three_phase_sort_pr2_baseline(tuples: &mut [Tuple]) {
-    if tuples.len() < 2 {
-        return;
-    }
-    if tuples.len() <= INSERTION_CUTOFF {
-        insertion::insertion_sort(tuples);
-        return;
-    }
-    let boundaries = radix::msd_radix_partition_nopf(tuples);
-    for w in boundaries.windows(2) {
-        finish_bucket_pr2(&mut tuples[w[0]..w[1]]);
-    }
-}
-
-/// The PR 2 `finish_bucket`, frozen alongside
-/// [`three_phase_sort_pr2_baseline`].
-fn finish_bucket_pr2(bucket: &mut [Tuple]) {
-    if bucket.len() < 2 {
-        return;
-    }
-    if bucket.len() <= INSERTION_CUTOFF {
-        insertion::insertion_sort(bucket);
-        return;
-    }
-    if bucket.len() > CACHE_RESIDENT_TUPLES {
-        let (min, max) = crate::tuple::key_range(bucket).expect("bucket is non-empty");
-        if min == max {
-            return;
-        }
-        let bounds = radix::msd_radix_partition_nopf(bucket);
-        for w in bounds.windows(2) {
-            finish_bucket_pr2(&mut bucket[w[0]..w[1]]);
-        }
-        return;
-    }
-    intro::introsort_coarse(bucket, INSERTION_CUTOFF);
-    insertion::insertion_sort(bucket);
-}
-
-/// Sort by key using introsort alone (no radix pass); used by the
-/// ablation benchmarks to quantify the radix phase's contribution.
+/// Sort by key using introsort alone (no radix pass); `sort_comparison`
+/// uses it to quantify the radix phase's contribution.
 pub fn introsort_only(tuples: &mut [Tuple]) {
     intro::introsort_coarse(tuples, INSERTION_CUTOFF);
     insertion::insertion_sort(tuples);
-}
-
-/// Three-phase sort finishing small partitions with bitonic networks
-/// instead of the deferred insertion pass — the §6 SIMD-outlook
-/// ablation (see [`bitonic`]). Superseded by the tuned kernel registry
-/// but retained so the historical ablation stays runnable.
-pub fn three_phase_sort_bitonic(tuples: &mut [Tuple]) {
-    if tuples.len() < 2 {
-        return;
-    }
-    if tuples.len() <= bitonic::BITONIC_BLOCK {
-        bitonic::bitonic_sort(tuples);
-        return;
-    }
-    let boundaries = radix::msd_radix_partition(tuples);
-    for w in boundaries.windows(2) {
-        bitonic::introsort_bitonic(&mut tuples[w[0]..w[1]]);
-    }
 }
 
 #[cfg(test)]
@@ -572,18 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn pr2_baseline_matches_the_tuned_introsort_kernel() {
-        // Collision-free keys at this seed: the frozen baseline
-        // (in-place permutation) and the tuned path (ping-pong scatter)
-        // must still agree tuple for tuple.
-        let mut a = pseudo_random(40_000, 13);
-        let mut b = a.clone();
-        three_phase_sort_pr2_baseline(&mut a);
-        sort_with(SortKernel::IntrosortInsertion, INSERTION_CUTOFF, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn recursion_handles_one_giant_bucket() {
         // One outlier stretches the domain so the first pass dumps
         // everything else into bucket 0, which exceeds the
@@ -629,19 +553,6 @@ mod tests {
             a.iter().map(|t| t.key).collect::<Vec<_>>(),
             b.iter().map(|t| t.key).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn bitonic_variant_agrees_with_the_paper_sort() {
-        let mut a = pseudo_random(20_000, 31);
-        let mut b = a.clone();
-        three_phase_sort(&mut a);
-        three_phase_sort_bitonic(&mut b);
-        assert_eq!(
-            a.iter().map(|t| t.key).collect::<Vec<_>>(),
-            b.iter().map(|t| t.key).collect::<Vec<_>>()
-        );
-        assert!(is_key_sorted(&b));
     }
 
     #[test]

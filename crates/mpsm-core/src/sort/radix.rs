@@ -125,19 +125,6 @@ pub fn msd_radix_partition_tuned(
     }
 }
 
-/// [`msd_radix_partition`] without the software-prefetch hints — the
-/// PR 2 pass frozen verbatim so the benchmark baseline
-/// (`three_phase_sort_pr2_baseline`) measures exactly the code it
-/// claims to, including the per-level range re-scan the tuned path
-/// replaces with [`RadixShift::child`].
-pub fn msd_radix_partition_nopf(tuples: &mut [Tuple]) -> Vec<usize> {
-    let Some((min, max)) = key_range(tuples) else {
-        return vec![0; BUCKETS + 1];
-    };
-    let shift = RadixShift::for_range(min, max, RADIX_BITS);
-    partition_impl::<false>(tuples, shift)
-}
-
 /// Like [`msd_radix_partition`], with a caller-provided shift (used when
 /// the global domain is known from a previous scan).
 pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<usize> {
@@ -387,19 +374,6 @@ mod tests {
         let bounds = msd_radix_partition(&mut data);
         assert_eq!(data, before);
         assert_eq!(bounds[1] - bounds[0], 200, "all tuples in bucket 0");
-    }
-
-    #[test]
-    fn prefetched_and_frozen_passes_agree_exactly() {
-        // The prefetch hints must not perturb the permutation: both
-        // variants are the same algorithm instruction-for-instruction
-        // apart from the hints.
-        let mut a = pseudo_random(10_000, 31);
-        let mut b = a.clone();
-        let bounds_a = msd_radix_partition(&mut a);
-        let bounds_b = msd_radix_partition_nopf(&mut b);
-        assert_eq!(bounds_a, bounds_b);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -116,7 +116,8 @@ static INSTALLED: OnceLock<SortTuning> = OnceLock::new();
 impl SortTuning {
     /// The fixed deterministic default: the branch-free scalar network
     /// with a 64-tuple block. Chosen over the PR 2 introsort+insertion
-    /// finisher by the BENCH_7 ablation matrix; kept fixed (rather than
+    /// finisher by the PR 7 ablation matrix
+    /// (`docs/bench-history/BENCH_7.json`); kept fixed (rather than
     /// auto-tuned at startup) so test runs are reproducible.
     pub const DEFAULT: SortTuning = SortTuning {
         kernel: SortKernel::Bitonic,
@@ -195,8 +196,8 @@ impl SortTuning {
     /// repetitions, median per candidate) so machine-wide drift — the
     /// dominant error source on shared/virtualized boxes — hits every
     /// candidate equally instead of biasing whichever ran during a
-    /// quiet window. Exposed so the bench harness can record the full
-    /// matrix.
+    /// quiet window. Public so a caller can read the whole matrix, not
+    /// only the winner [`SortTuning::auto_tune`] installs.
     pub fn sweep(n: usize) -> Vec<(SortTuning, f64)> {
         const REPS: usize = 5;
         let master = sweep_data(n);

@@ -11,7 +11,7 @@
 //! * [`run_parallel`] / [`run_parallel_timed`] — spawn fresh scoped
 //!   threads per call. Simple, but a join that runs four phases pays
 //!   four rounds of thread creation and teardown. Retained as the
-//!   naive path for the ablation benches and for one-shot callers.
+//!   naive path for one-shot callers.
 //! * [`WorkerPool`] — spawns each worker thread **once** and parks it
 //!   between phases on a condvar. All three join variants route their
 //!   parallel sections through a pool, so one join run creates each

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Prints `mpsm_served listening on ADDR` once the socket accepts —
-//! the readiness line scripts (and CI) wait for. Clients register
-//! relations, write deltas, and run queries over the wire; see
-//! `bench_serve` for a closed-loop load generator.
+//! the readiness line scripts block on. Clients register relations,
+//! write deltas, and run queries over the wire: `tests/served_binary.rs`
+//! drives this process end to end, and the harness's `serve_open`
+//! workload (`bench/`) is the load generator.
 
 use std::time::Duration;
 

@@ -1,5 +1,5 @@
 //! A small blocking client for the query service, used by the
-//! `bench_serve` load harness and the protocol tests.
+//! benchmark harness (`bench/`) and the protocol tests.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -16,8 +16,8 @@
 //!   therefore one [`mpsm_exec::Scheduler`] with its shared worker
 //!   pool) serves every connection; queries submit asynchronously and
 //!   answer by ticket, so a slow query never stalls its worker.
-//! * [`client`] — a small blocking client used by the `bench_serve`
-//!   load harness and the protocol tests.
+//! * [`client`] — a small blocking client used by the benchmark
+//!   harness (`bench/`) and the protocol tests.
 //!
 //! Deadline-carrying queries execute on the **anytime** path
 //! ([`mpsm_core::join::anytime`]): a deadline hit returns the joined

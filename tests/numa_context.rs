@@ -16,12 +16,14 @@
 use mpsm::baselines::nested_loop::oracle_count;
 use mpsm::core::context::{AllocPolicy, ExecContext};
 use mpsm::core::join::b_mpsm::BMpsmJoin;
+use mpsm::core::join::d_mpsm::{DMpsmConfig, DMpsmJoin};
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::sink::CountSink;
 use mpsm::core::worker::WorkerPlacement;
 use mpsm::core::{Phase, Tuple};
 use mpsm::numa::{AccessCounters, AccessKind, NodeId, Topology};
+use mpsm::workload::fk_uniform;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -191,4 +193,48 @@ fn misplaced_allocation_policy_is_visible_in_the_audit() {
         "misplaced sort must show remote random accesses"
     );
     assert!(bad_sort.remote_fraction() > 0.5, "3 of 4 workers sort remotely");
+}
+
+/// One variant on a fresh paper-machine context: join cardinality plus
+/// the per-phase access audit of the real execution path.
+fn audited<J: JoinAlgorithm>(join: &J, r: &[Tuple], s: &[Tuple]) -> (u64, Vec<AccessCounters>) {
+    let cx = ExecContext::paper_machine();
+    let (count, _) = join.join_in::<CountSink>(&cx, r, s);
+    (count, Phase::ALL.iter().map(|&p| cx.phase_counters(p)).collect())
+}
+
+#[test]
+fn paper_topology_joins_obey_the_commandments() {
+    // B-, P- and D-MPSM on the 4-node × 8-core paper machine (Figure
+    // 11), 16 Ki ⋈ 16 Ki uniform FK tuples over 32 workers.
+    let w = fk_uniform(1 << 14, 1, 42);
+    let config = JoinConfig::with_threads(ExecContext::paper_machine().threads());
+    let (b_count, b) = audited(&BMpsmJoin::new(config.clone()), &w.r, &w.s);
+    let (p_count, p) = audited(&PMpsmJoin::new(config.clone()), &w.r, &w.s);
+    let d_join = DMpsmJoin::new(DMpsmConfig::with_join(config.clone()));
+    let (d_count, d) = audited(&d_join, &w.r, &w.s);
+    assert_eq!(b_count, oracle_count(&w.r, &w.s));
+    assert_eq!((p_count, d_count), (b_count, b_count), "variants disagree on the cardinality");
+
+    for (name, phases) in [("B-MPSM", &b), ("P-MPSM", &p)] {
+        for (i, c) in phases.iter().enumerate() {
+            assert_eq!(c.syncs(), 0, "{name} phase {}: synchronization inside a phase (C3)", i + 1);
+        }
+        // C1: sort and partition phases never touch remote memory randomly.
+        for (i, c) in phases[..3].iter().enumerate() {
+            assert_eq!(c.accesses(AccessKind::RemoteRand), 0, "{name} phase {} (C1)", i + 1);
+        }
+    }
+    // C2: B-MPSM's merge (its phase 3) scans every remote run, only sequentially.
+    assert!(b[2].accesses(AccessKind::RemoteSeq) > 0, "B-MPSM merge must scan remote runs");
+    assert_eq!(b[2].accesses(AccessKind::RemoteRand), 0, "B-MPSM remote reads sequential (C2)");
+    // Locality: P-MPSM's private sort and merge stay on the worker's node.
+    for (what, c) in [("sort", &p[2]), ("merge", &p[3])] {
+        let local = 1.0 - c.remote_fraction();
+        assert!(local >= 0.95, "P-MPSM {what} only {:.1}% node-local", local * 100.0);
+    }
+    // The audit counts tuple traffic, not timing: a second run reads the same.
+    assert_eq!(audited(&BMpsmJoin::new(config.clone()), &w.r, &w.s).1, b);
+    assert_eq!(audited(&PMpsmJoin::new(config), &w.r, &w.s).1, p);
+    assert_eq!(audited(&d_join, &w.r, &w.s).1, d);
 }
