@@ -57,7 +57,7 @@ use std::sync::Mutex;
 
 use mpsm_numa::{AccessCounters, CounterScope, NodeId, NumaArena, NumaBuf, Topology};
 
-use crate::sort::{SortScratch, SortTuning};
+use crate::sort::SortScratch;
 use crate::stats::Phase;
 use crate::tuple::Tuple;
 use crate::worker::{SharedWorkerPool, WorkerPlacement};
@@ -108,7 +108,6 @@ pub struct ExecContext {
     arena: NumaArena,
     policy: AllocPolicy,
     phase_counters: Mutex<[AccessCounters; 4]>,
-    sort_tuning: SortTuning,
     sort_scratch: Vec<Mutex<SortScratch>>,
 }
 
@@ -165,7 +164,6 @@ impl ExecContext {
             arena,
             policy: AllocPolicy::WorkerLocal,
             phase_counters: Mutex::new(Default::default()),
-            sort_tuning: SortTuning::current(),
             sort_scratch,
         }
     }
@@ -179,21 +177,6 @@ impl ExecContext {
         self
     }
 
-    /// Builder-style override of the sort tuning every run sorted in
-    /// this context uses (new contexts start from the process-wide
-    /// [`SortTuning::current`]). Derived contexts inherit it, so a
-    /// scheduler can auto-tune once and have every query pick it up.
-    pub fn with_sort_tuning(mut self, tuning: SortTuning) -> Self {
-        self.sort_tuning = tuning;
-        self
-    }
-
-    /// The sort tuning in effect for this context (surfaced by
-    /// EXPLAIN's `SortKernel` line).
-    pub fn sort_tuning(&self) -> SortTuning {
-        self.sort_tuning
-    }
-
     /// Derive a context for one owner (e.g. one scheduled query): same
     /// workers and placement, phases tagged with `owner` on the pool,
     /// fresh counters and arena so the audit is attributable to this
@@ -205,7 +188,6 @@ impl ExecContext {
             arena: NumaArena::new(self.topology().clone()),
             policy: self.policy,
             phase_counters: Mutex::new(Default::default()),
-            sort_tuning: self.sort_tuning,
             // Fresh per-worker scratch: queries derived from one base
             // context run concurrently on the shared pool, and sharing
             // scratch would serialize their sort phases on its locks.
@@ -231,7 +213,6 @@ impl ExecContext {
             arena: NumaArena::new(self.topology().clone()),
             policy: self.policy,
             phase_counters: Mutex::new(Default::default()),
-            sort_tuning: self.sort_tuning,
             sort_scratch: (0..self.pool.threads())
                 .map(|_| Mutex::new(SortScratch::new()))
                 .collect(),
@@ -318,11 +299,11 @@ impl ExecContext {
         run
     }
 
-    /// Sort `run` in place with this context's [`SortTuning`] and
-    /// worker `w`'s reusable scratch, recording the traffic against
-    /// `home` — the one sort entry point of every execution path, so
-    /// the kernel choice and the allocation-free leaves apply to all
-    /// MPSM variants and the scheduler alike.
+    /// Sort `run` in place through worker `w`'s reusable scratch,
+    /// recording the traffic against `home`: `len` sequential reads
+    /// plus `len` random writes, which is why commandment C1 wants runs
+    /// sorted in *local* RAM. The one sort entry point of every
+    /// execution path, MPSM variants and the scheduler alike.
     pub fn sort_run(
         &self,
         worker: usize,
@@ -331,13 +312,9 @@ impl ExecContext {
         scope: &mut CounterScope,
     ) {
         let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
-        crate::sort::three_phase_sort_tuned_audited(
-            run,
-            home,
-            scope,
-            &self.sort_tuning,
-            &mut scratch,
-        );
+        scope.touch(home, true, run.len() as u64);
+        scope.touch(home, false, run.len() as u64);
+        crate::sort::three_phase_sort_with(run, &mut scratch);
     }
 
     /// Merge per-worker counters into the context's tally for `phase`.
@@ -461,14 +438,26 @@ mod tests {
     }
 
     #[test]
-    fn sort_tuning_propagates_to_derived_contexts() {
-        use crate::sort::{SortKernel, SortTuning};
-        let base = ExecContext::flat(2);
-        assert_eq!(base.sort_tuning(), SortTuning::current());
-        let tuned = ExecContext::flat(2)
-            .with_sort_tuning(SortTuning::new(SortKernel::IntrosortInsertion, 16));
-        assert_eq!(tuned.for_owner(1).sort_tuning().kernel, SortKernel::IntrosortInsertion);
-        assert_eq!(tuned.pinned_to(NodeId(0)).sort_tuning().kernel, SortKernel::IntrosortInsertion);
+    fn derived_contexts_sort_with_their_own_scratch() {
+        use crate::tuple::is_key_sorted;
+        let base = ExecContext::new(Topology::paper_machine(), 4);
+        let input: Vec<Tuple> = (0..6000u64).rev().map(|k| Tuple::new(k * 7 % 4001, k)).collect();
+        let mut expected: Vec<(u64, u64)> = input.iter().map(|t| (t.key, t.payload)).collect();
+        expected.sort_unstable();
+        // The base context sorts first, so its scratch is grown; the
+        // derived contexts start from empty scratch of their own and
+        // must give the same answer on every worker.
+        for cx in [&base, &base.for_owner(1), &base.pinned_to(NodeId(2))] {
+            for worker in [0, 3] {
+                let mut run = input.clone();
+                let mut scope = cx.scope(worker);
+                cx.sort_run(worker, &mut run, NodeId(0), &mut scope);
+                assert!(is_key_sorted(&run));
+                let mut got: Vec<(u64, u64)> = run.iter().map(|t| (t.key, t.payload)).collect();
+                got.sort_unstable();
+                assert_eq!(got, expected);
+            }
+        }
     }
 
     #[test]

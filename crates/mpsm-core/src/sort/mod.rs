@@ -22,45 +22,35 @@
 //!   [`radix::RadixShift::child`] — no re-scan) instead of going
 //!   straight to introsort: one O(n) counting pass + scatter replaces
 //!   `RADIX_BITS` quicksort levels of branchy comparisons, and the
-//!   pieces handed to the finisher are cache-resident. The tuned path
+//!   pieces handed to the finisher are cache-resident. The descent
 //!   scatters out of place into a per-worker ping-pong buffer
 //!   (sequential reads, independent write streams) rather than the
 //!   American-flag in-place permutation, whose displacement chain
 //!   serializes on one cache miss at a time; even-depth recursions land
 //!   back in place with zero extra copies.
-//! * **Per-bucket finishing.** The finishing kernel runs per radix
+//! * **Per-bucket finishing.** The finisher runs per radix
 //!   bucket, immediately after that bucket lands, while the bucket
 //!   (≤ L1-sized) is still cache-hot — instead of one global pass that
 //!   re-streams the whole (multi-MiB) array from memory. The seed's
 //!   global-pass variant is retained as [`three_phase_sort_naive`],
-//!   the reference the kernel equivalence tests compare against.
-//! * **Pluggable finishing kernel.** What happens *inside* a
-//!   cache-resident bucket is a [`tuning::SortKernel`] chosen by a
-//!   [`tuning::SortTuning`] (threshold + kernel + provenance): the
-//!   paper's introsort+insertion, a branch-free scalar bitonic network
-//!   ([`bitonic`]), or a feature-gated AVX2 network ([`simd`]). The
-//!   network kernels thread a per-worker [`bitonic::SortScratch`]
-//!   through the recursion so leaves never allocate. See
-//!   [`three_phase_sort_tuned`] and the `SortTuning::auto_tune` sweep.
+//!   the reference the equivalence tests compare against.
+//! * **Network leaf.** That finisher is one fixed path,
+//!   [`network::quicksort_to_network`]: quicksort down to partitions of
+//!   at most [`NETWORK_BLOCK`] tuples, each sorted by a branch-free
+//!   odd-even network. The paper's introsort + insertion survives in
+//!   the references [`three_phase_sort_naive`] and [`introsort_only`].
 //!
 //! Keys may occupy any sub-range of the 64-bit domain (the paper's
 //! evaluation draws them from `[0, 2^32)`), so the radix pass first
 //! derives a shift from the observed key range — the "preprocessing of
 //! the join keys using bitwise shift operations" of §3.2.1.
 
-pub mod bitonic;
 pub mod insertion;
 pub mod intro;
+pub mod network;
 pub mod radix;
-pub mod simd;
-pub mod tuning;
 
 use std::cell::RefCell;
-
-use mpsm_numa::{CounterScope, NodeId};
-
-pub use bitonic::SortScratch;
-pub use tuning::{SortKernel, SortTuning, TuningSource};
 
 use crate::tuple::Tuple;
 
@@ -73,25 +63,47 @@ pub const RADIX_BITS: u32 = 8;
 pub const INSERTION_CUTOFF: usize = 16;
 
 /// Buckets larger than this recurse the radix pass before the finishing
-/// kernel: 32 KiB (an L1d) of 16-byte tuples. Each radix level replaces
+/// leaf: 32 KiB (an L1d) of 16-byte tuples. Each radix level replaces
 /// eight quicksort levels with one O(n) counting pass + in-place
 /// permutation, so recursing until buckets are L1-resident is where the
 /// measured optimum lies (the PR 2 sweep: 2048 ≈ 1.7× over the
 /// introsort-from-L2 variant at 1M tuples; 8192+ erases the win).
 pub const CACHE_RESIDENT_TUPLES: usize = (32 * 1024) / std::mem::size_of::<Tuple>();
 
+/// Quicksort partitions of at most this many tuples are sorted by their
+/// exact-size odd-even network ([`network::network_sort_exact`]).
+/// ARCHITECTURE.md, "The sort", has the pricing behind the value.
+pub const NETWORK_BLOCK: usize = 64;
+
+/// The ping-pong buffer of the out-of-place radix descent: grows to the
+/// largest run sorted through it and stays, so a caller that keeps one
+/// scratch alive pays the 16 bytes/tuple once. `ExecContext` keeps one
+/// per worker — but `for_owner` / `pinned_to` contexts are built with
+/// fresh scratch, so every scheduled query that sorts re-allocates and
+/// first-touches its own (ROADMAP item 8).
+#[derive(Debug, Default)]
+pub struct SortScratch {
+    aux: Vec<Tuple>,
+}
+
+impl SortScratch {
+    /// Empty scratch; the buffer grows on first use and is then reused.
+    pub fn new() -> Self {
+        SortScratch::default()
+    }
+}
+
 thread_local! {
     /// Scratch for the classic (non-`ExecContext`) entry points, so
-    /// callers of the plain [`three_phase_sort`] get allocation-free
-    /// network leaves too. Executor paths thread per-worker scratch
+    /// callers of the plain [`three_phase_sort`] reuse one ping-pong
+    /// buffer per thread. Executor paths thread per-worker scratch
     /// explicitly instead.
     static TLS_SCRATCH: RefCell<SortScratch> = RefCell::new(SortScratch::new());
 }
 
 /// Sort `tuples` by key with the paper's three-phase algorithm, using
-/// the process-wide [`SortTuning::current`] kernel and a thread-local
-/// scratch. Recurses the radix pass on non-cache-resident buckets and
-/// finishes each bucket while it is cache-hot.
+/// a thread-local scratch. Recurses the radix pass on non-cache-resident
+/// buckets and finishes each bucket while it is cache-hot.
 ///
 /// ```
 /// use mpsm_core::sort::three_phase_sort;
@@ -107,18 +119,13 @@ thread_local! {
 /// assert_eq!(keys, vec![0, 2, 2, 7, 9]);
 /// ```
 pub fn three_phase_sort(tuples: &mut [Tuple]) {
-    let tuning = SortTuning::current();
-    TLS_SCRATCH.with(|s| three_phase_sort_tuned(tuples, &tuning, &mut s.borrow_mut()));
+    TLS_SCRATCH.with(|s| three_phase_sort_with(tuples, &mut s.borrow_mut()));
 }
 
-/// [`three_phase_sort`] with an explicit kernel choice and caller
-/// scratch — the executor entry point (`ExecContext` threads its own
-/// [`SortTuning`] and per-worker [`SortScratch`] through here).
-pub fn three_phase_sort_tuned(
-    tuples: &mut [Tuple],
-    tuning: &SortTuning,
-    scratch: &mut SortScratch,
-) {
+/// [`three_phase_sort`] with caller scratch — the executor entry point
+/// (`ExecContext::sort_run` threads its per-worker [`SortScratch`]
+/// through here).
+pub fn three_phase_sort_with(tuples: &mut [Tuple], scratch: &mut SortScratch) {
     if tuples.len() < 2 {
         return;
     }
@@ -136,26 +143,23 @@ pub fn three_phase_sort_tuned(
         return; // one key: any order is sorted
     }
     let shift = radix::RadixShift::for_range(min, max, RADIX_BITS);
-    // The ping-pong buffer comes out of the scratch for the duration of
-    // the descent (the leaf kernels borrow the same scratch for their
-    // network staging). It grows to the largest run this worker sorts
-    // and stays — the allocation is paid once per worker, not per call.
-    let mut aux = std::mem::take(&mut scratch.aux);
-    if aux.len() < tuples.len() {
-        aux.resize(tuples.len(), Tuple::new(0, 0));
-    }
+    // The ping-pong buffer grows to the largest run sorted through
+    // this scratch and stays (see [`SortScratch`] for who keeps one).
     let n = tuples.len();
-    let bounds = radix::msd_radix_scatter(tuples, &mut aux[..n], shift, tuning.prefetch);
+    if scratch.aux.len() < n {
+        scratch.aux.resize(n, Tuple::new(0, 0));
+    }
+    let aux = &mut scratch.aux[..n];
+    let bounds = radix::msd_radix_scatter(tuples, aux, shift);
     if shift.shift == 0 {
         // Sub-256 span: the scatter ordered by exact key value.
-        tuples.copy_from_slice(&aux[..n]);
+        tuples.copy_from_slice(aux);
     } else {
         // The top-level shift is tight by construction (`for_range` on
         // the real range), so this partition cannot collapse into one
         // bucket; descend directly.
-        spill_children(&mut aux[..n], tuples, &bounds, shift, tuning, scratch);
+        spill_children(aux, tuples, &bounds, shift);
     }
-    scratch.aux = aux;
 }
 
 /// Recurse into every non-trivial bucket of a scatter whose output
@@ -170,20 +174,12 @@ fn spill_children(
     dst: &mut [Tuple],
     bounds: &[usize],
     shift: radix::RadixShift,
-    tuning: &SortTuning,
-    scratch: &mut SortScratch,
 ) {
     for (b, w) in bounds.windows(2).enumerate() {
         match w[1] - w[0] {
             0 => {}
             1 => dst[w[0]] = src[w[0]],
-            _ => sort_spill(
-                &mut src[w[0]..w[1]],
-                &mut dst[w[0]..w[1]],
-                shift.child(b, RADIX_BITS),
-                tuning,
-                scratch,
-            ),
+            _ => sort_spill(&mut src[w[0]..w[1]], &mut dst[w[0]..w[1]], shift.child(b, RADIX_BITS)),
         }
     }
 }
@@ -197,20 +193,14 @@ fn spill_children(
 /// a time. Even-depth recursions land back in place with zero extra
 /// copies; odd-depth subtrees pay one sequential bucket copy at the
 /// leaf.
-fn sort_spill(
-    src: &mut [Tuple],
-    dst: &mut [Tuple],
-    shift: radix::RadixShift,
-    tuning: &SortTuning,
-    scratch: &mut SortScratch,
-) {
+fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], shift: radix::RadixShift) {
     debug_assert_eq!(src.len(), dst.len());
     if src.len() <= CACHE_RESIDENT_TUPLES {
         dst.copy_from_slice(src);
-        leaf_finish(dst, tuning, scratch);
+        network::quicksort_to_network(dst);
         return;
     }
-    let bounds = radix::msd_radix_scatter(src, dst, shift, tuning.prefetch);
+    let bounds = radix::msd_radix_scatter(src, dst, shift);
     if shift.shift == 0 {
         return; // digits exhausted: dst is ordered by exact key value
     }
@@ -226,39 +216,27 @@ fn sort_spill(
             return; // single-key bucket is already totally ordered
         }
         let tight = radix::RadixShift::for_range(min, max, RADIX_BITS);
-        let bounds = radix::msd_radix_scatter(dst, src, tight, tuning.prefetch);
-        spill_children(src, dst, &bounds, tight, tuning, scratch);
+        let bounds = radix::msd_radix_scatter(dst, src, tight);
+        spill_children(src, dst, &bounds, tight);
         return;
     }
     for (b, w) in bounds.windows(2).enumerate() {
         if w[1] - w[0] < 2 {
             continue; // already in dst; see the overflow note on spill_children
         }
-        sort_resident(
-            &mut dst[w[0]..w[1]],
-            &mut src[w[0]..w[1]],
-            shift.child(b, RADIX_BITS),
-            tuning,
-            scratch,
-        );
+        sort_resident(&mut dst[w[0]..w[1]], &mut src[w[0]..w[1]], shift.child(b, RADIX_BITS));
     }
 }
 
 /// Sort a bucket in place in `data`, using same-sized `aux` as scatter
 /// space. The ping-pong counterpart of [`sort_spill`].
-fn sort_resident(
-    data: &mut [Tuple],
-    aux: &mut [Tuple],
-    shift: radix::RadixShift,
-    tuning: &SortTuning,
-    scratch: &mut SortScratch,
-) {
+fn sort_resident(data: &mut [Tuple], aux: &mut [Tuple], shift: radix::RadixShift) {
     debug_assert_eq!(data.len(), aux.len());
     if data.len() <= CACHE_RESIDENT_TUPLES {
-        leaf_finish(data, tuning, scratch);
+        network::quicksort_to_network(data);
         return;
     }
-    let bounds = radix::msd_radix_scatter(data, aux, shift, tuning.prefetch);
+    let bounds = radix::msd_radix_scatter(data, aux, shift);
     if shift.shift == 0 {
         data.copy_from_slice(aux);
         return;
@@ -271,77 +249,18 @@ fn sort_resident(
             return;
         }
         let tight = radix::RadixShift::for_range(min, max, RADIX_BITS);
-        let bounds = radix::msd_radix_scatter(data, aux, tight, tuning.prefetch);
-        spill_children(aux, data, &bounds, tight, tuning, scratch);
+        let bounds = radix::msd_radix_scatter(data, aux, tight);
+        spill_children(aux, data, &bounds, tight);
         return;
     }
-    spill_children(aux, data, &bounds, shift, tuning, scratch);
-}
-
-/// Apply the tuning's finishing kernel to one cache-resident bucket.
-fn leaf_finish(bucket: &mut [Tuple], tuning: &SortTuning, scratch: &mut SortScratch) {
-    if bucket.len() < 2 {
-        return;
-    }
-    match tuning.kernel {
-        SortKernel::IntrosortInsertion => {
-            if bucket.len() <= INSERTION_CUTOFF {
-                insertion::insertion_sort(bucket);
-            } else {
-                intro::introsort_coarse(bucket, INSERTION_CUTOFF);
-                insertion::insertion_sort(bucket);
-            }
-        }
-        SortKernel::Bitonic => {
-            bitonic::quicksort_to_network(
-                bucket,
-                tuning.block,
-                scratch,
-                &mut bitonic::bitonic_sort_with,
-            );
-        }
-        SortKernel::Simd => {
-            bitonic::quicksort_to_network(
-                bucket,
-                tuning.block,
-                scratch,
-                &mut simd::bitonic_sort_simd,
-            );
-        }
-    }
-}
-
-/// [`three_phase_sort`] with its traffic recorded against the run's
-/// `home` node: `len` sequential reads plus `len` random writes (the
-/// in-place permutation). The random writes are why commandment C1
-/// demands runs be sorted in *local* RAM — on a worker whose node is
-/// not `home` they show up as remote random accesses, the most
-/// expensive kind in the Figure 1 model.
-pub fn three_phase_sort_audited(run: &mut [Tuple], home: NodeId, scope: &mut CounterScope) {
-    scope.touch(home, true, run.len() as u64);
-    scope.touch(home, false, run.len() as u64);
-    three_phase_sort(run);
-}
-
-/// [`three_phase_sort_audited`] with an explicit tuning and caller
-/// scratch — what `ExecContext::sort_run` uses so every MPSM variant
-/// sorts with the context's kernel and per-worker scratch.
-pub fn three_phase_sort_tuned_audited(
-    run: &mut [Tuple],
-    home: NodeId,
-    scope: &mut CounterScope,
-    tuning: &SortTuning,
-    scratch: &mut SortScratch,
-) {
-    scope.touch(home, true, run.len() as u64);
-    scope.touch(home, false, run.len() as u64);
-    three_phase_sort_tuned(run, tuning, scratch);
+    spill_children(aux, data, &bounds, shift);
 }
 
 /// The seed's literal three-phase sort: one radix pass, coarse
 /// introsort per bucket, then a single **global** insertion pass that
 /// re-streams the whole array. Retained as the reference oracle of the
-/// kernel equivalence tests; all join paths use [`three_phase_sort`].
+/// equivalence tests (`tests/sort_kernels.rs`); every join path sorts
+/// through `ExecContext::sort_run`, i.e. [`three_phase_sort_with`].
 pub fn three_phase_sort_naive(tuples: &mut [Tuple]) {
     if tuples.len() < 2 {
         return;
@@ -380,12 +299,6 @@ mod tests {
                 Tuple::new(state >> 32, i as u64)
             })
             .collect()
-    }
-
-    fn sort_with(kernel: SortKernel, block: usize, data: &mut [Tuple]) {
-        let tuning = SortTuning::new(kernel, block);
-        let mut scratch = SortScratch::new();
-        three_phase_sort_tuned(data, &tuning, &mut scratch);
     }
 
     #[test]
@@ -482,28 +395,9 @@ mod tests {
         for seed in [3u64, 17, 91] {
             let mut a = pseudo_random(30_000, seed);
             let mut b = a.clone();
-            sort_with(SortKernel::IntrosortInsertion, INSERTION_CUTOFF, &mut a);
+            three_phase_sort(&mut a);
             three_phase_sort_naive(&mut b);
             assert_eq!(a, b, "seed {seed}: both finishes must produce the same total order");
-        }
-    }
-
-    #[test]
-    fn every_kernel_produces_the_same_sorted_multiset() {
-        for seed in [5u64, 23] {
-            let reference = {
-                let mut r = pseudo_random(30_000, seed);
-                three_phase_sort_naive(&mut r);
-                r.iter().map(|t| (t.key, t.payload)).collect::<std::collections::BTreeSet<_>>()
-            };
-            for kernel in SortKernel::ALL {
-                let mut data = pseudo_random(30_000, seed);
-                sort_with(kernel, 64, &mut data);
-                assert!(is_key_sorted(&data), "{kernel:?}");
-                let got: std::collections::BTreeSet<_> =
-                    data.iter().map(|t| (t.key, t.payload)).collect();
-                assert_eq!(got, reference, "{kernel:?} must preserve the multiset");
-            }
         }
     }
 

@@ -106,35 +106,9 @@ pub fn msd_radix_partition(tuples: &mut [Tuple]) -> Vec<usize> {
     msd_radix_partition_with(tuples, shift)
 }
 
-/// [`msd_radix_partition_with`] with the software-prefetch hints under a
-/// runtime switch — the entry point for the tuned sort path, whose
-/// `SortTuning::prefetch` knob is a per-machine property swept by
-/// `SortTuning::auto_tune`. The permutation's displacement chain is
-/// serially dependent, so the hint leads its use by only one hop: on
-/// some cores that still beats the extra issue slots, on others it is a
-/// measured loss.
-pub fn msd_radix_partition_tuned(
-    tuples: &mut [Tuple],
-    shift: RadixShift,
-    prefetch: bool,
-) -> Vec<usize> {
-    if prefetch {
-        partition_impl::<true>(tuples, shift)
-    } else {
-        partition_impl::<false>(tuples, shift)
-    }
-}
-
 /// Like [`msd_radix_partition`], with a caller-provided shift (used when
 /// the global domain is known from a previous scan).
 pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<usize> {
-    partition_impl::<true>(tuples, shift)
-}
-
-/// The pass itself; `PREFETCH` is a compile-time switch so the hint
-/// instructions vanish entirely from the variants that don't want them
-/// instead of hiding behind a runtime branch in the hot loops.
-fn partition_impl<const PREFETCH: bool>(tuples: &mut [Tuple], shift: RadixShift) -> Vec<usize> {
     // 1. Histogram. A pure sequential scan: the hardware prefetcher
     // tracks it perfectly, so no software hints here (measured: an
     // explicit per-element hint *costs* ~2 ns/tuple at 1M).
@@ -165,9 +139,7 @@ fn partition_impl<const PREFETCH: bool>(tuples: &mut [Tuple], shift: RadixShift)
                 heads[b] += 1;
                 continue;
             }
-            if PREFETCH {
-                prefetch_read(&raw const tuples[heads[target]]);
-            }
+            prefetch_read(&raw const tuples[heads[target]]);
             // Follow the displacement cycle until an element belonging
             // to bucket `b` lands in the cursor slot.
             loop {
@@ -180,9 +152,7 @@ fn partition_impl<const PREFETCH: bool>(tuples: &mut [Tuple], shift: RadixShift)
                     heads[b] += 1;
                     break;
                 }
-                if PREFETCH {
-                    prefetch_read(&raw const tuples[heads[target]]);
-                }
+                prefetch_read(&raw const tuples[heads[target]]);
             }
         }
     }
@@ -193,7 +163,7 @@ fn partition_impl<const PREFETCH: bool>(tuples: &mut [Tuple], shift: RadixShift)
 /// `dst` bucket-ordered. Returns the same boundary offsets as the
 /// in-place pass.
 ///
-/// This is the tuned sort's pass-2: the in-place cycle-leader
+/// This is the sort's descent pass: the in-place cycle-leader
 /// permutation above reads *and* writes at random addresses and each
 /// hop serially depends on the carried tuple, so at scale the core
 /// stalls on one cache miss at a time. The scatter reads sequentially
@@ -205,30 +175,7 @@ fn partition_impl<const PREFETCH: bool>(tuples: &mut [Tuple], shift: RadixShift)
 /// The scatter is **stable** (bucket-internal order preserved), which
 /// the collapse-retighten path in the caller relies on: a partition
 /// that lands in a single bucket leaves `dst` an exact copy of `src`.
-///
-/// `prefetch` hints each tuple's destination slot one iteration ahead
-/// (approximate — the bucket head may advance a few slots in between,
-/// but within the prefetched line for all but pathological skew). Like
-/// the in-place hint this is a per-machine property: the auto-tune
-/// sweep decides whether it pays.
-pub fn msd_radix_scatter(
-    src: &[Tuple],
-    dst: &mut [Tuple],
-    shift: RadixShift,
-    prefetch: bool,
-) -> Vec<usize> {
-    if prefetch {
-        scatter_impl::<true>(src, dst, shift)
-    } else {
-        scatter_impl::<false>(src, dst, shift)
-    }
-}
-
-fn scatter_impl<const PREFETCH: bool>(
-    src: &[Tuple],
-    dst: &mut [Tuple],
-    shift: RadixShift,
-) -> Vec<usize> {
+pub fn msd_radix_scatter(src: &[Tuple], dst: &mut [Tuple], shift: RadixShift) -> Vec<usize> {
     assert_eq!(src.len(), dst.len(), "scatter needs an equal-sized destination");
     let mut counts = [0usize; BUCKETS];
     for t in src.iter() {
@@ -239,14 +186,7 @@ fn scatter_impl<const PREFETCH: bool>(
         bounds[b + 1] = bounds[b] + counts[b];
     }
     let mut heads: Vec<usize> = bounds[..BUCKETS].to_vec();
-    const LOOKAHEAD: usize = 8;
-    for (i, t) in src.iter().enumerate() {
-        if PREFETCH {
-            if let Some(ahead) = src.get(i + LOOKAHEAD) {
-                let b = shift.bucket(ahead.key, RADIX_BITS);
-                prefetch_read(&raw const dst[heads[b]]);
-            }
-        }
+    for t in src.iter() {
         let b = shift.bucket(t.key, RADIX_BITS);
         dst[heads[b]] = *t;
         heads[b] += 1;
@@ -377,20 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn tuned_pass_matches_both_prefetch_settings() {
-        let mut a = pseudo_random(10_000, 37);
-        let mut b = a.clone();
-        let mut c = a.clone();
-        let (min, max) = key_range(&a).unwrap();
-        let shift = RadixShift::for_range(min, max, RADIX_BITS);
-        let bounds = msd_radix_partition_with(&mut a, shift);
-        assert_eq!(bounds, msd_radix_partition_tuned(&mut b, shift, false));
-        assert_eq!(bounds, msd_radix_partition_tuned(&mut c, shift, true));
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-    }
-
-    #[test]
     fn child_shift_covers_every_bucket_without_rescanning() {
         // Partition, then check each non-empty bucket against the shift
         // derived arithmetically: every key must land at or above the
@@ -426,21 +352,19 @@ mod tests {
         let (min, max) = key_range(&src).unwrap();
         let shift = RadixShift::for_range(min, max, RADIX_BITS);
         let bounds_inplace = msd_radix_partition_with(&mut inplace, shift);
-        for prefetch in [false, true] {
-            let mut dst = vec![Tuple::new(0, 0); src.len()];
-            let bounds = msd_radix_scatter(&src, &mut dst, shift, prefetch);
-            assert_eq!(bounds, bounds_inplace, "prefetch={prefetch}");
-            assert_is_radix_partitioned(&dst, &bounds, shift);
-            // Stability: within each bucket the source order (encoded
-            // in the payloads) must be preserved — the collapse-
-            // retighten path in the sort relies on it.
-            for b in 0..BUCKETS {
-                let bucket = &dst[bounds[b]..bounds[b + 1]];
-                assert!(
-                    bucket.windows(2).all(|w| w[0].payload < w[1].payload),
-                    "prefetch={prefetch}: bucket {b} not stable"
-                );
-            }
+        let mut dst = vec![Tuple::new(0, 0); src.len()];
+        let bounds = msd_radix_scatter(&src, &mut dst, shift);
+        assert_eq!(bounds, bounds_inplace);
+        assert_is_radix_partitioned(&dst, &bounds, shift);
+        // Stability: within each bucket the source order (encoded in
+        // the payloads) must be preserved — the collapse-retighten path
+        // in the sort relies on it.
+        for b in 0..BUCKETS {
+            let bucket = &dst[bounds[b]..bounds[b + 1]];
+            assert!(
+                bucket.windows(2).all(|w| w[0].payload < w[1].payload),
+                "bucket {b} not stable"
+            );
         }
     }
 
@@ -451,7 +375,7 @@ mod tests {
         let src: Vec<Tuple> = (0..500).map(|i| Tuple::new(7_000_000 + (i % 3), i)).collect();
         let shift = RadixShift::for_range(0, u64::MAX, RADIX_BITS);
         let mut dst = vec![Tuple::new(0, 0); src.len()];
-        let bounds = msd_radix_scatter(&src, &mut dst, shift, false);
+        let bounds = msd_radix_scatter(&src, &mut dst, shift);
         assert_eq!(dst, src);
         let non_empty = (0..BUCKETS).filter(|&b| bounds[b + 1] > bounds[b]).count();
         assert_eq!(non_empty, 1);

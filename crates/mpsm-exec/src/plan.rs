@@ -274,12 +274,6 @@ pub struct QueryPlan {
     /// normalizer for the per-tuple phase rates row. Only rendered when
     /// `phases_ms` is also present.
     pub phase_tuples: Option<u64>,
-    /// The sort tuning the execution context used
-    /// (`SortTuning::describe()`), rendered as the `SortKernel` node so
-    /// a plan reader can tell which finishing kernel sorted the runs
-    /// and where the choice came from (default / auto-tuned /
-    /// explicit).
-    pub sort_kernel: Option<String>,
     /// NUMA placement and locality of the join, when it executed
     /// inside an [`mpsm_core::context::ExecContext`].
     pub placement: Option<PlacementInfo>,
@@ -357,9 +351,6 @@ impl QueryPlan {
         }
         for snapshot in &self.snapshots {
             join = join.child(Node::new(snapshot.label()));
-        }
-        if let Some(kernel) = &self.sort_kernel {
-            join = join.child(Node::new(format!("SortKernel [{kernel}]")));
         }
         if let Some(cache) = &self.run_cache {
             join = join.child(Node::new(cache.label()));
@@ -440,7 +431,6 @@ mod tests {
             anytime: None,
             phases_ms: None,
             phase_tuples: None,
-            sort_kernel: None,
             placement: None,
             run_cache: None,
             snapshots: vec![],
@@ -522,11 +512,9 @@ Aggregate [max(R.payload + S.payload)]
         let mut p = sample();
         p.phases_ms = Some([0.5, 1.0, 0.25, 2.0]);
         p.phase_tuples = Some(50_000);
-        p.sort_kernel = Some("bitonic, block=64, default".into());
         let expected = "\
 Aggregate [max(R.payload + S.payload)]
 └─ Join [P-MPSM; T = 8; out = 2000 rows]
-   ├─ SortKernel [bitonic, block=64, default]
    ├─ Phases [1: 0.500 ms, 2: 1.000 ms, 3: 0.250 ms, 4: 2.000 ms]
    ├─ Phases [sort=15.0 ns/t, scatter=20.0 ns/t, merge=40.0 ns/t]
    ├─ private (R):

@@ -106,11 +106,10 @@ where
 }
 
 /// Stamp the rows every context-run plan carries: per-phase timings and
-/// rates, the sort kernel, and the audited placement.
+/// rates, and the audited placement.
 fn executed_in(cx: &ExecContext, mut out: PaperQueryResult) -> PaperQueryResult {
     out.plan.phases_ms = Some(out.stats.phases_ms());
     out.plan.phase_tuples = Some((out.r_selected + out.s_selected) as u64);
-    out.plan.sort_kernel = Some(cx.sort_tuning().describe());
     out.plan.placement = Some(placement_of(cx));
     out
 }
@@ -295,8 +294,7 @@ fn resolve_side(
     };
 
     // The delta's adds become one extra sorted run — tiny, so one
-    // worker sorts it with the tuned kernels; its cost books under the
-    // side's sort phase.
+    // worker sorts it; its cost books under the side's sort phase.
     let delta = (!overlay.adds.is_empty()).then(|| {
         let sort_start = Instant::now();
         let mut scope = cx.scope(0);
@@ -359,7 +357,6 @@ fn assemble(
         anytime: None,
         phases_ms: None,
         phase_tuples: None,
-        sort_kernel: None,
         placement: None,
         run_cache: None,
         snapshots: vec![],

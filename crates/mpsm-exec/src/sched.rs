@@ -122,12 +122,6 @@ pub struct SchedulerConfig {
     /// queries use the others. The default (a flat single-node machine)
     /// disables placement.
     pub topology: Topology,
-    /// Run the sort-kernel microbench sweep once at startup and use the
-    /// winning [`mpsm_core::sort::SortTuning`] for every query this
-    /// scheduler executes. Off by default: the sweep costs a few hundred
-    /// milliseconds and makes the chosen kernel machine-dependent, so
-    /// tests and short-lived schedulers stick with the fixed default.
-    pub auto_tune_sort: bool,
     /// Deadlines below this are rejected at submit with
     /// [`SubmitError::DeadlineInfeasible`] — the service's floor on
     /// what it will even attempt (a zero deadline is always
@@ -164,7 +158,6 @@ impl SchedulerConfig {
             max_in_flight: 2,
             queue_capacity: 16,
             topology: Topology::flat(pool_threads as u32),
-            auto_tune_sort: false,
             min_feasible_deadline: Duration::ZERO,
             drain_timeout: Duration::from_secs(60),
             admission_batch: 32,
@@ -189,13 +182,6 @@ impl SchedulerConfig {
     /// NUMA-affine query placement when it has more than one node).
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Builder-style opt-in to per-machine sort-kernel auto-tuning
-    /// (see [`SchedulerConfig::auto_tune_sort`]).
-    pub fn auto_tune_sort(mut self, enabled: bool) -> Self {
-        self.auto_tune_sort = enabled;
         self
     }
 
@@ -686,15 +672,7 @@ impl Scheduler {
     pub fn new(config: SchedulerConfig) -> Self {
         assert!(config.pool_threads > 0, "need at least one pool worker");
         assert!(config.max_in_flight > 0, "need at least one in-flight query");
-        let mut cx = ExecContext::new(config.topology.clone(), config.pool_threads);
-        if config.auto_tune_sort {
-            // Tune on the scheduler's base context (not the global
-            // `SortTuning::install`): derived per-query contexts inherit
-            // it, while other schedulers and direct callers in the same
-            // process keep the deterministic default.
-            cx = cx.with_sort_tuning(mpsm_core::sort::SortTuning::auto_tune());
-        }
-        let cx = Arc::new(cx);
+        let cx = Arc::new(ExecContext::new(config.topology.clone(), config.pool_threads));
         let nodes = if config.topology.nodes > 1 { config.topology.nodes as usize } else { 0 };
         let core = Arc::new(SchedCore {
             queue: Mutex::new(QueueState::default()),
@@ -1333,25 +1311,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_queries_report_their_sort_kernel() {
+    fn scheduled_queries_explain_per_phase_rates() {
         let r = rel("R", 60);
         let s = rel("S", 60);
-        // auto_tune_sort defaults to off, so every query reports the
-        // fixed deterministic tuning.
-        let config = SchedulerConfig::new(2);
-        assert!(!config.auto_tune_sort);
-        let scheduler = Scheduler::new(config);
-        assert_eq!(scheduler.context().sort_tuning(), mpsm_core::sort::SortTuning::DEFAULT);
+        let scheduler = Scheduler::new(SchedulerConfig::new(2));
         let out = scheduler
             .submit(QuerySpec::join(&r, &s))
             .expect("admitted")
             .wait()
             .expect("query failed");
         let explain = out.result.plan.explain();
-        assert!(
-            explain.contains("SortKernel [bitonic, block=64, default]"),
-            "EXPLAIN must surface the kernel the query sorted with:\n{explain}"
-        );
         assert!(explain.contains(" ns/t"), "per-phase rates must render:\n{explain}");
     }
 

@@ -1,6 +1,6 @@
 //! Docs drift gate (std-only). README.md, ARCHITECTURE.md and the verify
-//! skill name files, cargo targets and `module::symbol`s; each must
-//! still exist, so a rename or deletion that strands a reference fails
+//! skill name files, cargo targets, cargo features and
+//! `module::symbol`s; each must still exist, so a rename or deletion that strands a reference fails
 //! here instead of misleading the next reader.
 
 use std::collections::HashSet;
@@ -27,6 +27,18 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
 
 fn is_ident(s: &str) -> bool {
     !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Feature names declared by the `[features]` table of one manifest.
+fn declared_features(manifest: &str) -> impl Iterator<Item = &str> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|line| *line != "[features]")
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split_once('=').map(|(name, _)| name.trim()))
+        .filter(|name| !name.starts_with('#'))
 }
 
 fn idents(text: &str) -> impl Iterator<Item = &str> {
@@ -67,6 +79,9 @@ fn docs_name_only_paths_targets_and_symbols_that_exist() {
     };
     let sources: Vec<String> = files.iter().filter(shipped).map(|f| read(f)).collect();
     let symbols: HashSet<&str> = sources.iter().flat_map(|s| idents(s)).collect();
+    let manifests: Vec<String> =
+        files.iter().filter(|f| f.ends_with("Cargo.toml")).map(|f| read(f)).collect();
+    let features: HashSet<&str> = manifests.iter().flat_map(|m| declared_features(m)).collect();
 
     let mut stale = Vec::new();
     for doc in DOCS {
@@ -77,6 +92,16 @@ fn docs_name_only_paths_targets_and_symbols_that_exist() {
         let words: Vec<&str> =
             text.split(|c: char| c.is_whitespace() || c == '`').filter(|w| !w.is_empty()).collect();
         for pair in words.windows(2) {
+            if pair[0] == "--features" {
+                let is_name = |c: char| c.is_ascii_alphanumeric() || "_-/".contains(c);
+                for name in pair[1].split(',').map(|n| n.trim_matches(|c| !is_name(c))) {
+                    let feature = name.rsplit('/').next().unwrap_or(name);
+                    if !features.contains(feature) {
+                        flag(format!("`--features {name}`: no manifest declares `{feature}`"));
+                    }
+                }
+                continue;
+            }
             let dir = match pair[0] {
                 "--bin" => "src/bin",
                 "--example" => "examples",

@@ -1,4 +1,4 @@
-//! Property tests for the extension features: bitonic networks, join
+//! Property tests for the extension features: the sort's network leaf, join
 //! variants, band joins, parallel merge, sorted-run aggregation,
 //! storage round-trips, and the optimized-vs-naive hot-path pairs
 //! (write-combining scatter, galloping merge kernel).
@@ -12,7 +12,8 @@ use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::merge::{merge_join, merge_join_linear};
 use mpsm::core::partition::{range_partition, range_partition_naive};
 use mpsm::core::sink::{CollectSink, CountSink, JoinSink, SortedRunsSink};
-use mpsm::core::sort::bitonic::bitonic_sort;
+use mpsm::core::sort::network::quicksort_to_network;
+use mpsm::core::sort::CACHE_RESIDENT_TUPLES;
 use mpsm::core::splitter::equi_height_splitters;
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::worker::chunk_ranges;
@@ -29,11 +30,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn bitonic_sorts_any_input(keys in proptest::collection::vec(any::<u64>(), 0..600)) {
+    fn bitonic_sorts_any_input(
+        keys in proptest::collection::vec(any::<u64>(), 0..=CACHE_RESIDENT_TUPLES),
+    ) {
         let mut data = tuples(keys);
         let mut expected: Vec<u64> = data.iter().map(|t| t.key).collect();
         expected.sort_unstable();
-        bitonic_sort(&mut data);
+        quicksort_to_network(&mut data);
         prop_assert!(is_key_sorted(&data));
         prop_assert_eq!(data.iter().map(|t| t.key).collect::<Vec<_>>(), expected);
     }

@@ -1,21 +1,22 @@
-//! Cross-kernel equivalence for the sort-kernel registry.
+//! Equivalence of the production sort with its reference.
 //!
-//! Every [`SortKernel`] — through every block size and both prefetch
-//! settings — must produce exactly what `three_phase_sort_naive`
-//! produces: the same key order and the same multiset of
-//! `(key, payload)` pairs (the kernels are not stable, so payload
-//! *order* within a key group may differ, but no tuple may be dropped,
-//! duplicated, or invented). The inputs deliberately straddle every
-//! dispatch boundary (insertion cutoff 16, bitonic blocks 16–128, the
-//! exact-network limit 128, the cache-resident recursion threshold
-//! 2048) and include the adversarial distributions that broke earlier
-//! drafts: all-equal keys, keys at `u64::MAX` (the bitonic padding
-//! sentinel), presorted, reversed, and heavily skewed domains.
+//! `three_phase_sort_with` — the one sort every join, query and
+//! benchmark workload runs (via `ExecContext::sort_run`) — must produce
+//! exactly what `three_phase_sort_naive` produces: the same key order
+//! and the same multiset of `(key, payload)` pairs (neither sort is
+//! stable, so payload *order* within a key group may differ, but no
+//! tuple may be dropped, duplicated, or invented). The inputs straddle
+//! every dispatch boundary (insertion cutoff 16, network block 64, the
+//! cache-resident recursion threshold 2048, and sizes that drive the
+//! radix descent from one level to its last digit) and include the adversarial
+//! distributions that broke earlier drafts: all-equal keys, keys at
+//! `u64::MAX`, presorted, reversed, heavily skewed domains, and the
+//! duplicate densities at which the leaf's cost moves most.
 
-use mpsm::core::sort::bitonic::bitonic_sort_with;
-use mpsm::core::sort::tuning::BLOCK_CANDIDATES;
+use mpsm::core::sort::network::quicksort_to_network;
 use mpsm::core::sort::{
-    three_phase_sort_naive, three_phase_sort_tuned, SortKernel, SortScratch, SortTuning,
+    three_phase_sort_naive, three_phase_sort_with, SortScratch, CACHE_RESIDENT_TUPLES,
+    INSERTION_CUTOFF, NETWORK_BLOCK,
 };
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::Tuple;
@@ -31,24 +32,22 @@ fn pairs(tuples: &[Tuple]) -> Vec<(u64, u64)> {
     tuples.iter().map(|t| (t.key, t.payload)).collect()
 }
 
-/// Sort `keys` with one tuned kernel and check it against the naive
-/// reference: keys identically ordered, `(key, payload)` multiset
-/// identical.
-fn check_kernel(keys: &[u64], tuning: SortTuning) -> Result<(), String> {
+/// Sort `keys` with the production sort through `scratch` and check the
+/// result against the naive reference: keys identically ordered,
+/// `(key, payload)` multiset identical.
+fn check_with(keys: &[u64], scratch: &mut SortScratch) -> Result<(), String> {
+    let n = keys.len();
     let mut expected = tuples(keys);
     three_phase_sort_naive(&mut expected);
 
     let mut got = tuples(keys);
-    let mut scratch = SortScratch::default();
-    three_phase_sort_tuned(&mut got, &tuning, &mut scratch);
+    three_phase_sort_with(&mut got, scratch);
 
     if !is_key_sorted(&got) {
-        return Err(format!("{}: output not key-sorted (n={})", tuning.describe(), keys.len()));
+        return Err(format!("output not key-sorted (n={n})"));
     }
-    let got_keys: Vec<u64> = got.iter().map(|t| t.key).collect();
-    let expected_keys: Vec<u64> = expected.iter().map(|t| t.key).collect();
-    if got_keys != expected_keys {
-        return Err(format!("{}: key order diverges (n={})", tuning.describe(), keys.len()));
+    if !got.iter().map(|t| t.key).eq(expected.iter().map(|t| t.key)) {
+        return Err(format!("key order diverges (n={n})"));
     }
     let mut got_pairs = pairs(&got);
     let mut expected_pairs = pairs(&expected);
@@ -56,34 +55,42 @@ fn check_kernel(keys: &[u64], tuning: SortTuning) -> Result<(), String> {
     expected_pairs.sort_unstable();
     if got_pairs != expected_pairs {
         return Err(format!(
-            "{}: (key, payload) multiset diverges (n={}) — tuples dropped, duplicated, or \
-             invented",
-            tuning.describe(),
-            keys.len()
+            "(key, payload) multiset diverges (n={n}) — tuples dropped, duplicated, or invented"
         ));
     }
     Ok(())
 }
 
-/// Run every kernel × a spread of block sizes × both prefetch settings
-/// over one input.
-fn check_all_kernels(keys: &[u64]) -> Result<(), String> {
-    for kernel in SortKernel::ALL {
-        for block in [16, 64, 128] {
-            for prefetch in [false, true] {
-                check_kernel(keys, SortTuning::new(kernel, block).with_prefetch(prefetch))?;
-            }
-        }
-    }
-    Ok(())
+fn check(keys: &[u64]) -> Result<(), String> {
+    check_with(keys, &mut SortScratch::new())
 }
 
-/// The sizes where dispatch changes shape: around the insertion cutoff
-/// (16), the block candidates (16/32/64/128), the exact-network limit
-/// (128), powers of two vs. padded non-powers, and the cache-resident
-/// recursion threshold (2048).
-const BOUNDARY_SIZES: [usize; 22] = [
-    0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, 255, 256, 2047, 2048, 2049,
+/// The sizes where dispatch changes shape: around the insertion cutoff,
+/// the network block (and twice it, where quicksort first splits), and
+/// the cache-resident recursion threshold; then one size per depth
+/// regime of the radix descent — uniform keys stay one level deep
+/// throughout, while the skewed distribution (60 distinct keys) is
+/// already several levels deep at 4096 and runs out of digits by 2^18.
+const BOUNDARY_SIZES: [usize; 19] = [
+    0,
+    1,
+    2,
+    3,
+    INSERTION_CUTOFF - 1,
+    INSERTION_CUTOFF,
+    INSERTION_CUTOFF + 1,
+    NETWORK_BLOCK - 1,
+    NETWORK_BLOCK,
+    NETWORK_BLOCK + 1,
+    2 * NETWORK_BLOCK + 1,
+    255,
+    256,
+    CACHE_RESIDENT_TUPLES - 1,
+    CACHE_RESIDENT_TUPLES,
+    CACHE_RESIDENT_TUPLES + 1,
+    2 * CACHE_RESIDENT_TUPLES,
+    1 << 15,
+    1 << 18,
 ];
 
 /// Deterministic key generators indexed by `dist`; `seed` varies the
@@ -99,8 +106,8 @@ fn keys_for(dist: usize, n: usize, seed: u64) -> Vec<u64> {
         0 => (0..n).map(|_| next()).collect(),
         // All keys equal (and huge): every bucket collapses.
         1 => vec![u64::MAX - (seed % 3); n],
-        // Keys at/near u64::MAX — collides with the bitonic padding
-        // sentinel if the kernel ever confuses pads with real tuples.
+        // Keys at/near u64::MAX: the top of the domain, where rebasing
+        // arithmetic is closest to overflow.
         2 => (0..n).map(|i| u64::MAX - (i as u64 % 2)).collect(),
         // Presorted.
         3 => (0..n).map(|i| i as u64 * 37).collect(),
@@ -114,31 +121,46 @@ fn keys_for(dist: usize, n: usize, seed: u64) -> Vec<u64> {
 }
 
 #[test]
-fn every_kernel_matches_naive_at_every_boundary_size() {
+fn matches_naive_at_every_boundary_size() {
     for n in BOUNDARY_SIZES {
         for dist in 0..6 {
             let keys = keys_for(dist, n, 0x5EED_0007 + dist as u64);
-            if let Err(msg) = check_all_kernels(&keys) {
+            if let Err(msg) = check(&keys) {
                 panic!("dist {dist}, n {n}: {msg}");
             }
         }
     }
 }
 
-/// Regression for the padding bug: `bitonic_sort_with` pads non-power-
-/// of-two inputs above the exact-network limit with `(u64::MAX,
-/// u64::MAX)` sentinels. Real tuples whose key *and* payload are
-/// `u64::MAX` are indistinguishable from those pads by value, so the
-/// unpad step must count positions, not match values. This input mixes
-/// genuine `(u64::MAX, u64::MAX)` tuples with distinct-payload
-/// `u64::MAX` keys at a size (200) that forces the padded path.
+/// The regime where the leaf's cost is most sensitive to the data: a
+/// fixed 2^16 tuples over ever fewer distinct keys. 65 536 possible
+/// values leave the leaves lightly duplicated partitions; 1 000 leave
+/// them four keys each (quicksort on heavy duplicates); 16 are ordered
+/// by the first scatter alone; one key — `u64::MAX` — returns before
+/// it.
 #[test]
-fn padded_bitonic_keeps_real_u64_max_tuples() {
-    let n = 200; // > 128 (exact-network limit), not a power of two.
+fn matches_naive_across_duplicate_densities() {
+    const N: usize = 1 << 16;
+    for distinct in [16u64, 1_000, 65_536] {
+        let keys: Vec<u64> =
+            keys_for(0, N, 0xD0_0D + distinct).iter().map(|k| (k >> 11) % distinct).collect();
+        check(&keys).unwrap_or_else(|msg| panic!("{distinct} distinct keys: {msg}"));
+    }
+    check(&vec![u64::MAX; N]).unwrap_or_else(|msg| panic!("all-u64::MAX run: {msg}"));
+}
+
+/// `u64::MAX` is an ordinary key to the leaf — quicksort to network
+/// partitions has no padding sentinel a real tuple could be mistaken
+/// for. This input mixes genuine `(u64::MAX, u64::MAX)` tuples with
+/// distinct-payload `u64::MAX` keys at a size that splits before it
+/// reaches the networks.
+#[test]
+fn leaf_keeps_real_u64_max_tuples() {
+    let n = 200;
     let mut data: Vec<Tuple> = (0..n)
         .map(|i| {
             if i % 3 == 0 {
-                Tuple::new(u64::MAX, u64::MAX) // identical to the pad sentinel
+                Tuple::new(u64::MAX, u64::MAX)
             } else {
                 Tuple::new(u64::MAX - (i as u64 % 2), i as u64)
             }
@@ -147,37 +169,35 @@ fn padded_bitonic_keeps_real_u64_max_tuples() {
     let mut expected = pairs(&data);
     expected.sort_unstable();
 
-    let mut scratch = SortScratch::default();
-    bitonic_sort_with(&mut data, &mut scratch);
+    quicksort_to_network(&mut data);
 
-    assert_eq!(data.len(), n, "padding must not change the tuple count");
     assert!(is_key_sorted(&data));
     let mut got = pairs(&data);
     got.sort_unstable();
-    assert_eq!(got, expected, "sentinel-valued real tuples must survive the pad/unpad cycle");
+    assert_eq!(got, expected, "max-valued tuples must survive the leaf");
 }
 
-/// Same property through the full tuned entry point: a run dominated by
-/// `u64::MAX` keys, sized to recurse through the radix pass and finish
-/// in padded bitonic leaves.
+/// Same property through the full entry point: a run dominated by
+/// `u64::MAX` keys, five values wide at the very top of the domain.
 #[test]
-fn tuned_sort_survives_a_max_key_heavy_run() {
+fn sort_survives_a_max_key_heavy_run() {
     let keys: Vec<u64> =
         (0..3000).map(|i| if i % 7 == 0 { u64::MAX } else { u64::MAX - (i as u64 % 5) }).collect();
-    check_all_kernels(&keys).unwrap();
+    check(&keys).unwrap();
 }
 
-/// Every auto-tune sweep candidate block size stays correct at sizes
-/// just off the block boundary.
+/// One scratch carried across runs of shrinking then growing length —
+/// how a pool worker's scratch lives — gives the answers fresh scratch
+/// gives: a buffer left longer than the run (and full of the previous
+/// run's tuples) must not leak into the next.
 #[test]
-fn all_block_candidates_sort_boundary_straddling_runs() {
-    for &block in BLOCK_CANDIDATES.iter() {
-        for n in [block - 1, block, block + 1, 2 * block + 1] {
-            let keys = keys_for(0, n, block as u64);
-            for kernel in SortKernel::ALL {
-                check_kernel(&keys, SortTuning::new(kernel, block))
-                    .unwrap_or_else(|msg| panic!("block {block}, n {n}: {msg}"));
-            }
+fn reused_scratch_matches_fresh_scratch() {
+    let mut scratch = SortScratch::new();
+    for (round, n) in [40_000usize, 5_000, 65, 17, 3, 0, 2_049, 70_000].into_iter().enumerate() {
+        for dist in [0, 2, 5] {
+            let keys = keys_for(dist, n, 0xA0_0A + round as u64);
+            check_with(&keys, &mut scratch)
+                .unwrap_or_else(|msg| panic!("round {round}, dist {dist}, n {n}: {msg}"));
         }
     }
 }
@@ -186,35 +206,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn kernels_match_naive_on_arbitrary_keys(
+    fn matches_naive_on_arbitrary_keys(
         keys in proptest::collection::vec(any::<u64>(), 0..2600),
-        kernel_idx in 0usize..3,
-        block_idx in 0usize..4,
-        prefetch in any::<bool>(),
     ) {
-        let kernel = SortKernel::ALL[kernel_idx];
-        let block = BLOCK_CANDIDATES[block_idx];
-        let tuning = SortTuning::new(kernel, block).with_prefetch(prefetch);
-        if let Err(msg) = check_kernel(&keys, tuning) {
+        if let Err(msg) = check(&keys) {
             prop_assert!(false, "{}", msg);
         }
     }
 
     #[test]
-    fn kernels_match_naive_on_adversarial_distributions(
+    fn matches_naive_on_adversarial_distributions(
         dist in 0usize..6,
         n in 1usize..2600,
         seed in any::<u64>(),
-        kernel_idx in 0usize..3,
     ) {
-        let keys = keys_for(dist, n, seed);
-        let kernel = SortKernel::ALL[kernel_idx];
-        // Small block (16) maximizes leaf-dispatch traffic; prefetch on
-        // exercises the hinted permutation pass.
-        for tuning in [SortTuning::new(kernel, 16), SortTuning::new(kernel, 64).with_prefetch(true)] {
-            if let Err(msg) = check_kernel(&keys, tuning) {
-                prop_assert!(false, "dist {}, n {}: {}", dist, n, msg);
-            }
+        if let Err(msg) = check(&keys_for(dist, n, seed)) {
+            prop_assert!(false, "dist {}, n {}: {}", dist, n, msg);
         }
     }
 }
