@@ -15,7 +15,7 @@
 //! keeps the classic join behind MPSM — the paper's argument holds
 //! against the strong strawman too.
 
-use mpsm_core::worker::{run_parallel, WorkerPool};
+use mpsm_core::worker::{OwnedSlots, SharedWorkerPool};
 use mpsm_core::Tuple;
 
 /// Per-run split positions for one output rank boundary: positions
@@ -88,27 +88,10 @@ fn merge_segment(runs: &[Vec<Tuple>], from: &[usize], to: &[usize], out: &mut [T
     debug_assert_eq!(w, out.len());
 }
 
-/// Merge sorted runs into one globally sorted vector using `threads`
-/// workers over disjoint rank ranges.
-pub fn parallel_kway_merge(runs: Vec<Vec<Tuple>>, threads: usize) -> Vec<Tuple> {
-    merge_dispatch(runs, threads, None)
-}
-
-/// [`parallel_kway_merge`] on a persistent [`WorkerPool`] (one rank
-/// range per pool worker) so phase-structured callers — the classic
-/// sort-merge join merges both inputs back to back — do not re-spawn
-/// threads per merge.
-pub fn parallel_kway_merge_in(pool: &mut WorkerPool, runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+/// Merge sorted runs into one globally sorted vector on `pool`, one
+/// disjoint rank range per pool worker.
+pub fn parallel_kway_merge(pool: &SharedWorkerPool, runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
     let threads = pool.threads();
-    merge_dispatch(runs, threads, Some(pool))
-}
-
-fn merge_dispatch(
-    runs: Vec<Vec<Tuple>>,
-    threads: usize,
-    pool: Option<&mut WorkerPool>,
-) -> Vec<Tuple> {
-    assert!(threads > 0);
     let total: usize = runs.iter().map(|r| r.len()).sum();
     if total == 0 {
         return Vec::new();
@@ -130,19 +113,8 @@ fn merge_dispatch(
             windows.push(head);
             rest = tail;
         }
-        let slots = mpsm_core::worker::OwnedSlots::new(windows);
-        let merge_one = |t: usize| {
-            let win = slots.take(t);
-            merge_segment(&runs, &bounds[t], &bounds[t + 1], win);
-        };
-        match pool {
-            Some(pool) => {
-                pool.run(merge_one);
-            }
-            None => {
-                run_parallel(threads, merge_one);
-            }
-        }
+        let slots = OwnedSlots::new(windows);
+        pool.run(|t| merge_segment(&runs, &bounds[t], &bounds[t + 1], slots.take(t)));
     }
     out
 }
@@ -156,17 +128,6 @@ pub fn sequential_kway_merge(runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
     let to: Vec<usize> = runs.iter().map(|r| r.len()).collect();
     merge_segment(&runs, &from, &to, &mut out);
     out
-}
-
-/// Parallel merge with an explicit thread count of 1 degenerates to the
-/// sequential merge (used to keep the classic join's single-thread path
-/// allocation-identical).
-pub fn kway_merge(runs: Vec<Vec<Tuple>>, threads: usize) -> Vec<Tuple> {
-    if threads <= 1 {
-        sequential_kway_merge(runs)
-    } else {
-        parallel_kway_merge(runs, threads)
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +164,7 @@ mod tests {
         let runs = random_runs(7, 1000, 3);
         let seq = sequential_kway_merge(runs.clone());
         for threads in [1usize, 2, 3, 8] {
-            let par = parallel_kway_merge(runs.clone(), threads);
+            let par = parallel_kway_merge(&SharedWorkerPool::new(threads), runs.clone());
             assert!(is_key_sorted(&par));
             assert_eq!(
                 par.iter().map(|t| t.key).collect::<Vec<_>>(),
@@ -218,7 +179,7 @@ mod tests {
         let runs = random_runs(4, 500, 7);
         let mut expected: Vec<(u64, u64)> =
             runs.iter().flatten().map(|t| (t.key, t.payload)).collect();
-        let merged = parallel_kway_merge(runs, 4);
+        let merged = parallel_kway_merge(&SharedWorkerPool::new(4), runs);
         let mut got: Vec<(u64, u64)> = merged.iter().map(|t| (t.key, t.payload)).collect();
         expected.sort_unstable();
         got.sort_unstable();
@@ -231,7 +192,7 @@ mod tests {
         // group and must still partition exactly.
         let runs: Vec<Vec<Tuple>> =
             (0..4).map(|r| (0..256).map(|i| Tuple::new(9, r * 256 + i)).collect()).collect();
-        let merged = parallel_kway_merge(runs, 8);
+        let merged = parallel_kway_merge(&SharedWorkerPool::new(8), runs);
         assert_eq!(merged.len(), 1024);
         assert!(merged.iter().all(|t| t.key == 9));
     }
@@ -244,7 +205,7 @@ mod tests {
             sorted_run(&[1]),
             sorted_run(&[2, 3, 4, 7, 8, 9, 10]),
         ];
-        let merged = parallel_kway_merge(runs, 3);
+        let merged = parallel_kway_merge(&SharedWorkerPool::new(3), runs);
         let keys: Vec<u64> = merged.iter().map(|t| t.key).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
     }
@@ -270,7 +231,7 @@ mod tests {
     #[test]
     fn more_threads_than_elements() {
         let runs = vec![sorted_run(&[1, 2])];
-        let merged = parallel_kway_merge(runs, 16);
+        let merged = parallel_kway_merge(&SharedWorkerPool::new(16), runs);
         assert_eq!(merged.len(), 2);
         assert!(is_key_sorted(&merged));
     }
@@ -279,10 +240,10 @@ mod tests {
     fn pooled_merge_matches_standalone() {
         let runs = random_runs(5, 800, 13);
         let seq = sequential_kway_merge(runs.clone());
-        let mut pool = WorkerPool::new(4);
+        let pool = SharedWorkerPool::new(4);
         // Two merges on the same pool — the classic SMJ's usage pattern.
         for _ in 0..2 {
-            let merged = parallel_kway_merge_in(&mut pool, runs.clone());
+            let merged = parallel_kway_merge(&pool, runs.clone());
             assert_eq!(
                 merged.iter().map(|t| (t.key, t.payload)).collect::<Vec<_>>(),
                 seq.iter().map(|t| (t.key, t.payload)).collect::<Vec<_>>()

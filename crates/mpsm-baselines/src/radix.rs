@@ -21,13 +21,14 @@
 //! Phase mapping in [`JoinStats`]: phase 1 = partition R, phase 2 =
 //! partition S, phase 3 = local refinement + join.
 
+use mpsm_core::context::ExecContext;
 use mpsm_core::histogram::RadixDomain;
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
-use mpsm_core::partition::range_partition_in;
+use mpsm_core::partition::range_partition_ctx;
 use mpsm_core::sink::JoinSink;
 use mpsm_core::splitter::Splitters;
 use mpsm_core::stats::{JoinStats, Phase};
-use mpsm_core::worker::{chunk_ranges, WorkerPool};
+use mpsm_core::worker::chunk_ranges;
 use mpsm_core::Tuple;
 
 use crate::hash_table::LocalChainedTable;
@@ -74,13 +75,20 @@ impl JoinAlgorithm for RadixJoin {
         "Radix (VW-style)"
     }
 
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
-        let t = self.config.threads;
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
+
+    fn join_in<S: JoinSink>(
+        &self,
+        cx: &ExecContext,
+        r: &[Tuple],
+        s: &[Tuple],
+    ) -> (S::Result, JoinStats) {
+        let t = cx.threads();
         let (r, s, _swapped) = self.config.assign_roles(r, s);
         let wall = std::time::Instant::now();
         let mut stats = JoinStats::new(t);
-        // One pool for both partition passes and the fragment joins.
-        let mut pool = WorkerPool::new(t);
 
         // The two inputs must agree on the fragment boundaries, so the
         // domain spans both key ranges.
@@ -91,14 +99,14 @@ impl JoinAlgorithm for RadixJoin {
         let p1 = std::time::Instant::now();
         let r_ranges = chunk_ranges(r.len(), t);
         let r_chunks: Vec<&[Tuple]> = r_ranges.iter().map(|rng| &r[rng.clone()]).collect();
-        let r_frags = range_partition_in(&mut pool, &r_chunks, &domain, &splitters);
+        let r_frags = range_partition_ctx(cx, &r_chunks, &domain, &splitters);
         stats.record_phase(Phase::One, &vec![p1.elapsed(); t]);
 
         // ---- Pass 1 over S. ----
         let p2 = std::time::Instant::now();
         let s_ranges = chunk_ranges(s.len(), t);
         let s_chunks: Vec<&[Tuple]> = s_ranges.iter().map(|rng| &s[rng.clone()]).collect();
-        let s_frags = range_partition_in(&mut pool, &s_chunks, &domain, &splitters);
+        let s_frags = range_partition_ctx(cx, &s_chunks, &domain, &splitters);
         stats.record_phase(Phase::Two, &vec![p2.elapsed(); t]);
 
         // ---- Assign fragments to workers by size (largest-first). ----
@@ -114,7 +122,7 @@ impl JoinAlgorithm for RadixJoin {
 
         // ---- Pass 2 + fragment joins, in parallel. ----
         let pass2_bits = self.pass2_bits;
-        let (partials, d3) = pool.run_timed(|w| {
+        let (partials, d3) = cx.pool().run_timed(|w| {
             let mut sink = S::default();
             for &f in &assignment[w] {
                 join_fragment(&r_frags[f], &s_frags[f], pass2_bits, &mut sink);

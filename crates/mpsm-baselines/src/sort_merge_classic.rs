@@ -21,12 +21,13 @@
 //! Phase mapping in [`JoinStats`]: phase 1 = sort runs, phase 2 = global
 //! merges, phase 3 = merge join.
 
+use mpsm_core::context::ExecContext;
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::merge::merge_join;
 use mpsm_core::sink::JoinSink;
 use mpsm_core::sort::three_phase_sort;
 use mpsm_core::stats::{JoinStats, Phase};
-use mpsm_core::worker::{chunk_ranges, WorkerPool};
+use mpsm_core::worker::chunk_ranges;
 use mpsm_core::Tuple;
 
 /// The classic (global-merge) sort-merge join.
@@ -61,15 +62,21 @@ impl JoinAlgorithm for ClassicSortMergeJoin {
         "Classic SMJ"
     }
 
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
-        let t = self.config.threads;
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
+
+    fn join_in<S: JoinSink>(
+        &self,
+        cx: &ExecContext,
+        r: &[Tuple],
+        s: &[Tuple],
+    ) -> (S::Result, JoinStats) {
+        let t = cx.threads();
+        let pool = cx.pool();
         let (r, s, _swapped) = self.config.assign_roles(r, s);
         let wall = std::time::Instant::now();
         let mut stats = JoinStats::new(t);
-
-        // One pool for run generation and (when steel-manning) the
-        // parallel merges; workers park between the phases.
-        let mut pool = WorkerPool::new(t);
 
         // Phase 1: parallel run generation for both inputs.
         let r_ranges = chunk_ranges(r.len(), t);
@@ -93,8 +100,8 @@ impl JoinAlgorithm for ClassicSortMergeJoin {
         let merge_start = std::time::Instant::now();
         let (r_sorted, s_sorted) = if self.parallel_merge && t > 1 {
             (
-                crate::parallel_merge::parallel_kway_merge_in(&mut pool, r_runs),
-                crate::parallel_merge::parallel_kway_merge_in(&mut pool, s_runs),
+                crate::parallel_merge::parallel_kway_merge(pool, r_runs),
+                crate::parallel_merge::parallel_kway_merge(pool, s_runs),
             )
         } else {
             (

@@ -18,10 +18,11 @@
 //!
 //! Phase mapping in [`JoinStats`]: phase 1 = build, phase 2 = probe.
 
+use mpsm_core::context::ExecContext;
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::sink::JoinSink;
 use mpsm_core::stats::{JoinStats, Phase};
-use mpsm_core::worker::{chunk_ranges, run_parallel_timed};
+use mpsm_core::worker::{chunk_ranges, OwnedSlots};
 use mpsm_core::Tuple;
 
 use crate::hash_table::SharedChainedTable;
@@ -42,51 +43,48 @@ impl WisconsinHashJoin {
     pub fn config(&self) -> &JoinConfig {
         &self.config
     }
+}
 
-    /// Join and additionally report the build-side CAS contention.
-    pub fn join_with_contention<S: JoinSink>(
+impl JoinAlgorithm for WisconsinHashJoin {
+    fn name(&self) -> &'static str {
+        "Wisconsin"
+    }
+
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
+
+    fn join_in<S: JoinSink>(
         &self,
+        cx: &ExecContext,
         r: &[Tuple],
         s: &[Tuple],
-    ) -> (S::Result, JoinStats, usize) {
-        let t = self.config.threads;
+    ) -> (S::Result, JoinStats) {
+        let t = cx.threads();
         let (r, s, _swapped) = self.config.assign_roles(r, s);
         let wall = std::time::Instant::now();
         let mut stats = JoinStats::new(t);
 
-        // ---- Build: all workers insert into one shared table. ----
+        // ---- Build: all workers insert into one shared table, each
+        // through its own window of the entry arena (handed over via
+        // take-once slots). ----
         let mut table = SharedChainedTable::new(r.len());
         let r_ranges = chunk_ranges(r.len(), t);
         let sizes: Vec<usize> = r_ranges.iter().map(|rng| rng.len()).collect();
         {
-            let windows = table.carve_windows(&sizes);
-            let mut build_times = vec![std::time::Duration::ZERO; t];
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = windows
-                    .into_iter()
-                    .zip(r_ranges.iter())
-                    .map(|(mut win, range)| {
-                        let chunk = &r[range.clone()];
-                        scope.spawn(move || {
-                            let start = std::time::Instant::now();
-                            for tup in chunk {
-                                win.insert(*tup);
-                            }
-                            start.elapsed()
-                        })
-                    })
-                    .collect();
-                for (w, h) in handles.into_iter().enumerate() {
-                    build_times[w] = h.join().expect("build worker panicked");
+            let windows = OwnedSlots::new(table.carve_windows(&sizes));
+            let (_, build_times) = cx.pool().run_timed(|w| {
+                let mut win = windows.take(w);
+                for tup in &r[r_ranges[w].clone()] {
+                    win.insert(*tup);
                 }
             });
             stats.record_phase(Phase::One, &build_times);
         }
-        let contention = table.contention_events();
 
         // ---- Probe: all workers scan S chunks, probing randomly. ----
         let s_ranges = chunk_ranges(s.len(), t);
-        let (partials, probe_times) = run_parallel_timed(t, |w| {
+        let (partials, probe_times) = cx.pool().run_timed(|w| {
             let mut sink = S::default();
             for st in &s[s_ranges[w].clone()] {
                 table.probe(st.key, |rt| sink.on_match(rt, *st));
@@ -96,18 +94,7 @@ impl WisconsinHashJoin {
         stats.record_phase(Phase::Two, &probe_times);
 
         stats.wall = wall.elapsed();
-        (S::combine_all(partials), stats, contention)
-    }
-}
-
-impl JoinAlgorithm for WisconsinHashJoin {
-    fn name(&self) -> &'static str {
-        "Wisconsin"
-    }
-
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
-        let (result, stats, _contention) = self.join_with_contention::<S>(r, s);
-        (result, stats)
+        (S::combine_all(partials), stats)
     }
 }
 

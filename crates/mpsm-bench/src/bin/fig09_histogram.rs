@@ -12,10 +12,11 @@ use std::time::Instant;
 
 use mpsm_bench::table::fmt_ms;
 use mpsm_bench::{parse_args, TableBuilder};
+use mpsm_core::context::ExecContext;
 use mpsm_core::histogram::{combine_histograms, compute_histogram, prefix_sums, RadixDomain};
-use mpsm_core::partition::range_partition;
+use mpsm_core::partition::range_partition_ctx;
 use mpsm_core::splitter::equi_height_splitters;
-use mpsm_core::worker::{chunk_ranges, run_parallel};
+use mpsm_core::worker::chunk_ranges;
 use mpsm_core::Tuple;
 use mpsm_workload::fk_uniform;
 
@@ -27,6 +28,7 @@ fn main() {
     );
     let w = fk_uniform(args.scale, 1, args.seed);
     let t = args.threads;
+    let cx = ExecContext::flat(t);
     let ranges = chunk_ranges(w.r.len(), t);
     let chunks: Vec<&[Tuple]> = ranges.iter().map(|rng| &w.r[rng.clone()]).collect();
 
@@ -42,7 +44,7 @@ fn main() {
         let domain = RadixDomain::from_range(0, (1 << 32) - 1, bits);
 
         let h0 = Instant::now();
-        let histograms = run_parallel(t, |wk| compute_histogram(chunks[wk], &domain));
+        let histograms = cx.pool().run(|wk| compute_histogram(chunks[wk], &domain));
         let hist_ms = h0.elapsed().as_secs_f64() * 1e3;
 
         let p0 = Instant::now();
@@ -52,7 +54,7 @@ fn main() {
         let prefix_ms = p0.elapsed().as_secs_f64() * 1e3;
 
         let s0 = Instant::now();
-        let parts = range_partition(&chunks, &domain, &splitters);
+        let parts = range_partition_ctx(&cx, &chunks, &domain, &splitters);
         let part_ms = s0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), w.r.len());
 
@@ -69,7 +71,7 @@ fn main() {
     // right-hand bar of Figure 9).
     let bounds: Vec<u64> = (1..=t as u64).map(|i| i * ((1u64 << 32) / t as u64)).collect();
     let c0 = Instant::now();
-    let scattered = run_parallel(t, |wk| {
+    let scattered = cx.pool().run(|wk| {
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); t];
         for tup in chunks[wk] {
             let p = bounds.partition_point(|&b| b <= tup.key).min(t - 1);

@@ -11,8 +11,9 @@ use std::time::Instant;
 
 use mpsm_bench::table::fmt_ms;
 use mpsm_bench::{parse_args, TableBuilder};
+use mpsm_core::context::ExecContext;
 use mpsm_core::sort::{introsort_only, three_phase_sort};
-use mpsm_core::worker::run_parallel;
+use mpsm_core::worker::SharedWorkerPool;
 use mpsm_core::Tuple;
 use mpsm_workload::unique_keys;
 
@@ -29,10 +30,16 @@ fn time_single(mut data: Vec<Tuple>, f: impl Fn(&mut [Tuple])) -> f64 {
     ms
 }
 
-fn time_parallel(workers: usize, n: usize, seed: u64, f: impl Fn(&mut [Tuple]) + Sync) -> f64 {
-    let chunks: Vec<Vec<Tuple>> = (0..workers).map(|w| dataset(n, seed + w as u64)).collect();
+fn time_parallel(
+    pool: &SharedWorkerPool,
+    n: usize,
+    seed: u64,
+    f: impl Fn(&mut [Tuple]) + Sync,
+) -> f64 {
+    let chunks: Vec<Vec<Tuple>> =
+        (0..pool.threads()).map(|w| dataset(n, seed + w as u64)).collect();
     let t0 = Instant::now();
-    run_parallel(workers, |w| {
+    pool.run(|w| {
         let mut chunk = chunks[w].clone();
         f(&mut chunk);
         std::hint::black_box(chunk.len())
@@ -43,12 +50,13 @@ fn time_parallel(workers: usize, n: usize, seed: u64, f: impl Fn(&mut [Tuple]) +
 fn main() {
     let args = parse_args();
     let n = args.scale;
+    let cx = ExecContext::flat(args.threads);
     println!("§2.3 — sort comparison ({} tuples per run, seed {})\n", n, args.seed);
 
     let mut table =
         TableBuilder::new(&["sort", "1 thread ms", "vs std", "all-threads ms", "vs std"]);
     let std_1 = time_single(dataset(n, args.seed), |d| d.sort_unstable_by_key(|t| t.key));
-    let std_t = time_parallel(args.threads, n, args.seed, |d| d.sort_unstable_by_key(|t| t.key));
+    let std_t = time_parallel(cx.pool(), n, args.seed, |d| d.sort_unstable_by_key(|t| t.key));
     type SortFn = Box<dyn Fn(&mut [Tuple]) + Sync>;
     let rows: Vec<(&str, SortFn)> = vec![
         ("std sort_unstable", Box::new(|d: &mut [Tuple]| d.sort_unstable_by_key(|t| t.key))),
@@ -57,7 +65,7 @@ fn main() {
     ];
     for (name, f) in rows {
         let one = time_single(dataset(n, args.seed), &f);
-        let many = time_parallel(args.threads, n, args.seed, &f);
+        let many = time_parallel(cx.pool(), n, args.seed, &f);
         table.row(&[
             name.to_string(),
             fmt_ms(one),

@@ -49,7 +49,7 @@
 //!   touches `O(f·T²)` values, not tuples.
 //!
 //! One context should serve one join (or one scheduled query): derive
-//! fresh contexts with [`ExecContext::for_owner`] /
+//! fresh contexts with [`ExecContext::per_query`] /
 //! [`ExecContext::pinned_to`] instead of reusing one across queries,
 //! so audits and arena statistics stay attributable.
 
@@ -79,7 +79,7 @@ pub enum AllocPolicy {
 
 /// The unified execution context. See the module docs for the model;
 /// construction is cheap (the expensive part, the worker pool, can be
-/// shared between contexts via [`ExecContext::for_owner`]).
+/// shared between contexts via [`ExecContext::per_query`]).
 ///
 /// ```
 /// use mpsm_core::context::ExecContext;
@@ -134,13 +134,6 @@ impl ExecContext {
         Self::new(topology, threads)
     }
 
-    /// Wrap an existing shared pool in a flat (single-node) context of
-    /// the pool's width — the compatibility shim behind the classic
-    /// `*_on` pool entry points.
-    pub fn over_pool(pool: &SharedWorkerPool) -> Self {
-        Self::with_pool(Topology::flat(pool.threads() as u32), pool.clone())
-    }
-
     /// Build over an existing pool with round-robin placement on
     /// `topology`.
     pub fn with_pool(topology: Topology, pool: SharedWorkerPool) -> Self {
@@ -177,14 +170,13 @@ impl ExecContext {
         self
     }
 
-    /// Derive a context for one owner (e.g. one scheduled query): same
-    /// workers and placement, phases tagged with `owner` on the pool,
-    /// fresh counters and arena so the audit is attributable to this
-    /// owner alone.
-    pub fn for_owner(&self, owner: u64) -> ExecContext {
+    /// Derive a context for one query (or one background owner such as
+    /// the compactor): same workers and placement, fresh counters and
+    /// arena so the audit is attributable to this query alone.
+    pub fn per_query(&self) -> ExecContext {
         ExecContext {
             placement: self.placement.clone(),
-            pool: self.pool.with_owner(owner),
+            pool: self.pool.clone(),
             arena: NumaArena::new(self.topology().clone()),
             policy: self.policy,
             phase_counters: Mutex::new(Default::default()),
@@ -416,13 +408,14 @@ mod tests {
     }
 
     #[test]
-    fn for_owner_shares_pool_but_not_counters() {
+    fn per_query_shares_pool_but_not_counters() {
         let base = ExecContext::flat(2);
         let mut c = AccessCounters::new();
         c.record(AccessKind::LocalSeq, 7);
         base.record(Phase::Four, [c]);
-        let derived = base.for_owner(9);
-        assert_eq!(derived.pool().owner(), 9);
+        let derived = base.per_query();
+        derived.pool().run(|w| w);
+        assert_eq!(base.pool().phases_served(), 1, "same underlying workers");
         assert_eq!(derived.counters().total_accesses(), 0);
         assert_eq!(base.counters().total_accesses(), 7);
     }
@@ -447,7 +440,7 @@ mod tests {
         // The base context sorts first, so its scratch is grown; the
         // derived contexts start from empty scratch of their own and
         // must give the same answer on every worker.
-        for cx in [&base, &base.for_owner(1), &base.pinned_to(NodeId(2))] {
+        for cx in [&base, &base.per_query(), &base.pinned_to(NodeId(2))] {
             for worker in [0, 3] {
                 let mut run = input.clone();
                 let mut scope = cx.scope(worker);

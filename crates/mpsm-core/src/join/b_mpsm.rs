@@ -67,30 +67,6 @@ impl BMpsmJoin {
     ) -> (S::Result, JoinStats) {
         self.execute::<S>(&ExecContext::flat(self.config.threads), Kernel::Band(delta), r, s)
     }
-
-    /// [`BMpsmJoin::join_variant_with_sink`] inside an execution
-    /// context (placement-aware storage and access audit; the context's
-    /// pool width is the worker count `T`).
-    pub fn join_variant_in<S: JoinSink>(
-        &self,
-        cx: &ExecContext,
-        variant: JoinVariant,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.execute::<S>(cx, Kernel::Variant(variant), r, s)
-    }
-
-    /// [`BMpsmJoin::band_join_with_sink`] inside an execution context.
-    pub fn band_join_in<S: JoinSink>(
-        &self,
-        cx: &ExecContext,
-        delta: u64,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.execute::<S>(cx, Kernel::Band(delta), r, s)
-    }
 }
 
 /// Which merge kernel phase 3 runs.
@@ -105,13 +81,8 @@ impl JoinAlgorithm for BMpsmJoin {
         "B-MPSM"
     }
 
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
-        self.execute::<S>(
-            &ExecContext::flat(self.config.threads),
-            Kernel::Variant(JoinVariant::Inner),
-            r,
-            s,
-        )
+    fn threads(&self) -> usize {
+        self.config.threads
     }
 
     fn join_in<S: JoinSink>(

@@ -33,7 +33,7 @@ use crate::join::{JoinAlgorithm, JoinConfig};
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
-use crate::worker::{chunk_ranges, SharedWorkerPool};
+use crate::worker::chunk_ranges;
 
 /// Storage-related knobs of D-MPSM.
 #[derive(Debug, Clone)]
@@ -112,7 +112,9 @@ impl DMpsmJoin {
     }
 
     /// Run the join on an explicit backend, returning the storage
-    /// report alongside result and stats.
+    /// report alongside result and stats — [`DMpsmJoin::join_variant_in`]
+    /// for the inner join on a flat context of the configured width,
+    /// built for this one call.
     pub fn join_on<B, S>(
         &self,
         backend: B,
@@ -123,62 +125,27 @@ impl DMpsmJoin {
         B: DiskBackend + 'static,
         S: JoinSink,
     {
-        self.join_variant_on::<B, S>(JoinVariant::Inner, backend, r, s)
+        let cx = ExecContext::flat(self.config.join.threads);
+        self.join_variant_in::<B, S>(&cx, JoinVariant::Inner, backend, r, s)
     }
 
-    /// Run a (possibly non-inner) join variant on an explicit backend.
+    /// Run a (possibly non-inner) join variant on an explicit backend
+    /// inside an execution context — D-MPSM's one body.
     ///
     /// Variants stream naturally through D-MPSM: a private duplicate
     /// group's match status is final the moment its key has been merged
     /// against every public run, so no bitmap is needed — the variant
     /// rows are emitted on the spot, preserving the bounded-RAM window.
-    pub fn join_variant_on<B, S>(
-        &self,
-        variant: JoinVariant,
-        backend: B,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> Result<(S::Result, JoinStats, DMpsmReport)>
-    where
-        B: DiskBackend + 'static,
-        S: JoinSink,
-    {
-        // One context for run generation and the join phase; only the
-        // prefetcher and the optional residency sampler live on their
-        // own (long-running, asynchronous) threads.
-        let cx = ExecContext::flat(self.config.join.threads);
-        self.join_variant_in::<B, S>(&cx, variant, backend, r, s)
-    }
-
-    /// [`DMpsmJoin::join_variant_on`] with run generation and the join
-    /// phase submitted to a caller-provided shared pool (whose width is
-    /// the worker count `T`). Equivalent to [`DMpsmJoin::join_variant_in`]
-    /// with a flat context wrapped around `workers`.
-    pub fn join_variant_on_pool<B, S>(
-        &self,
-        workers: &SharedWorkerPool,
-        variant: JoinVariant,
-        backend: B,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> Result<(S::Result, JoinStats, DMpsmReport)>
-    where
-        B: DiskBackend + 'static,
-        S: JoinSink,
-    {
-        self.join_variant_in::<B, S>(&ExecContext::over_pool(workers), variant, backend, r, s)
-    }
-
-    /// [`DMpsmJoin::join_variant_on`] inside an execution context: run
-    /// generation's sort buffers are drawn from the context's arena and
-    /// audited, and the windowed join phase records its page traffic as
-    /// interleaved sequential reads (spooled runs live behind the
-    /// shared buffer pool, not on any NUMA node — the commandments
-    /// D-MPSM answers to are about the *sort* staying local and the
-    /// window moving sequentially). The prefetcher and the optional
-    /// residency sampler still run on their own asynchronous threads —
-    /// they are continuous background services, not barrier-separated
-    /// phases.
+    ///
+    /// Run generation's sort buffers are drawn from the context's arena
+    /// and audited, and the windowed join phase records its page
+    /// traffic as interleaved sequential reads (spooled runs live
+    /// behind the shared buffer pool, not on any NUMA node — the
+    /// commandments D-MPSM answers to are about the *sort* staying
+    /// local and the window moving sequentially). Only the prefetcher
+    /// and the optional residency sampler run on their own asynchronous
+    /// threads — they are continuous background services, not
+    /// barrier-separated phases.
     pub fn join_variant_in<B, S>(
         &self,
         cx: &ExecContext,
@@ -356,19 +323,14 @@ impl JoinAlgorithm for DMpsmJoin {
         "D-MPSM"
     }
 
-    /// Runs on the default simulated disk array; storage errors cannot
-    /// occur on the in-memory backend, so this unwraps internally. Use
-    /// [`DMpsmJoin::join_on`] for fallible backends.
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
-        let (result, stats, _report) = self
-            .join_on::<MemBackend, S>(MemBackend::disk_array(), r, s)
-            .expect("in-memory backend cannot fail");
-        (result, stats)
+    fn threads(&self) -> usize {
+        self.config.join.threads
     }
 
     /// [`DMpsmJoin::join_variant_in`] over the default simulated disk
-    /// array (the unified context entry; use the backend-typed methods
-    /// for fallible storage or the [`DMpsmReport`]).
+    /// array; storage errors cannot occur on the in-memory backend, so
+    /// this unwraps internally. Use the backend-typed methods for
+    /// fallible storage or the [`DMpsmReport`].
     fn join_in<S: JoinSink>(
         &self,
         cx: &ExecContext,
@@ -604,6 +566,7 @@ mod tests {
         let unmatched = r.len() as u64 - matched;
 
         let join = DMpsmJoin::new(small_cfg(4));
+        let cx = ExecContext::flat(4);
         for (variant, expected) in [
             (JoinVariant::Inner, inner),
             (JoinVariant::LeftOuter, inner + unmatched),
@@ -611,7 +574,8 @@ mod tests {
             (JoinVariant::LeftAnti, unmatched),
         ] {
             let (count, _, _) = join
-                .join_variant_on::<MemBackend, crate::sink::CountSink>(
+                .join_variant_in::<MemBackend, crate::sink::CountSink>(
+                    &cx,
                     variant,
                     MemBackend::disk_array(),
                     &r,

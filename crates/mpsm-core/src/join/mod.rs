@@ -35,7 +35,10 @@ pub enum Role {
 /// Configuration shared by the MPSM variants.
 #[derive(Debug, Clone)]
 pub struct JoinConfig {
-    /// Number of worker threads `T`.
+    /// Number of worker threads `T` the context-free
+    /// [`JoinAlgorithm::join_with_sink`] convenience provisions.
+    /// [`JoinAlgorithm::join_in`] takes `T` from the context it is
+    /// handed and never reads this.
     pub threads: usize,
     /// Histogram granularity `B` for radix-clustering the private input
     /// (`2^B` buckets). The paper requires `log2(T) ≤ B` and uses up to
@@ -82,7 +85,7 @@ impl JoinConfig {
 
     /// Apply the role policy: returns `(private, public, swapped)`.
     /// Used by every join implementation (including the baselines) at
-    /// the top of `join_with_sink`.
+    /// the top of `join_in`.
     pub fn assign_roles<'a>(
         &self,
         r: &'a [Tuple],
@@ -112,40 +115,34 @@ pub trait JoinAlgorithm {
     /// Short display name (used by the benchmark harness).
     fn name(&self) -> &'static str;
 
-    /// Join `r ⋈ s` on `key`, feeding matches through per-worker sinks
-    /// of type `S`; returns the combined result and per-phase stats.
+    /// The worker count [`JoinAlgorithm::join_with_sink`] provisions
+    /// (the configuration's `threads`).
+    fn threads(&self) -> usize;
+
+    /// Join `r ⋈ s` on `key` inside an execution context, feeding
+    /// matches through per-worker sinks of type `S`; returns the
+    /// combined result and per-phase stats. Every parallel phase runs
+    /// on `cx`'s pool — whose width is the worker count `T` — run and
+    /// partition storage comes from its node-local arenas, and the
+    /// context's per-phase counters record the local-vs-remote access
+    /// audit. This is the one entry shape every execution layer uses.
     ///
     /// The sink sees `(private, public)` pairs; with
     /// [`Role::SmallerPrivate`] the private side may be `s` — symmetric
     /// aggregates (count, the paper's `max(R.payload + S.payload)`) are
     /// unaffected, order-sensitive consumers should pin
     /// [`Role::FirstPrivate`].
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats);
-
-    /// Join `r ⋈ s` inside an execution context: every parallel phase
-    /// runs on `cx`'s shared pool, run and partition storage comes from
-    /// its node-local arenas, and the context's per-phase counters
-    /// record the local-vs-remote access audit. This is the one entry
-    /// shape every execution layer uses; the classic
-    /// [`JoinAlgorithm::join_with_sink`] is a thin wrapper providing a
-    /// default (flat) context, and a caller holding only a
-    /// [`SharedWorkerPool`](crate::worker::SharedWorkerPool) wraps it
-    /// with [`ExecContext::over_pool`] — the pool's width then decides
-    /// the worker count `T`.
-    ///
-    /// The default implementation ignores the context's placement and
-    /// self-provisions workers — algorithms without NUMA integration
-    /// (the baseline contenders) stay usable through the unified shape,
-    /// they just contribute nothing to the audit. The MPSM variants
-    /// override it.
     fn join_in<S: JoinSink>(
         &self,
         cx: &ExecContext,
         r: &[Tuple],
         s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        let _ = cx;
-        self.join_with_sink::<S>(r, s)
+    ) -> (S::Result, JoinStats);
+
+    /// [`JoinAlgorithm::join_in`] on a flat (single-node) context of
+    /// [`JoinAlgorithm::threads`] workers built for this one call.
+    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
+        self.join_in::<S>(&ExecContext::flat(self.threads()), r, s)
     }
 
     /// Join and count result tuples.

@@ -117,19 +117,6 @@ impl PMpsmJoin {
     ) -> (S::Result, JoinStats) {
         self.execute::<S>(&ExecContext::flat(self.config.threads), variant, r, s)
     }
-
-    /// [`PMpsmJoin::join_variant_with_sink`] inside an execution
-    /// context (placement-aware storage and access audit; the context's
-    /// pool width is the worker count `T`).
-    pub fn join_variant_in<S: JoinSink>(
-        &self,
-        cx: &ExecContext,
-        variant: JoinVariant,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.execute::<S>(cx, variant, r, s)
-    }
 }
 
 impl JoinAlgorithm for PMpsmJoin {
@@ -137,8 +124,8 @@ impl JoinAlgorithm for PMpsmJoin {
         "P-MPSM"
     }
 
-    fn join_with_sink<S: JoinSink>(&self, r: &[Tuple], s: &[Tuple]) -> (S::Result, JoinStats) {
-        self.execute::<S>(&ExecContext::flat(self.config.threads), JoinVariant::Inner, r, s)
+    fn threads(&self) -> usize {
+        self.config.threads
     }
 
     fn join_in<S: JoinSink>(

@@ -46,7 +46,7 @@
 //! [`sort`] recurses its radix pass until buckets are cache-resident
 //! and finishes each bucket while hot; the [`merge`] kernel gallops
 //! (exponential search) over non-matching stretches; and
-//! [`worker::WorkerPool`] parks persistent worker threads between
+//! [`worker::SharedWorkerPool`] parks persistent worker threads between
 //! phases instead of respawning them. The harness under `bench/`
 //! prices each of them (`sort.*`, `partition.*`, `merge.*`, `worker.*`).
 //!
@@ -61,22 +61,21 @@
 //! above are thereby *measured on the real code path*: sorts record
 //! their traffic against the run's home node, the scatter against each
 //! target partition's home, merges their actual scan extents
-//! ([`merge::MergeScan`]). The classic entry points remain as thin
-//! wrappers over a default flat context.
+//! ([`merge::MergeScan`]). The context-free entry points
+//! ([`join::JoinAlgorithm::join_with_sink`] and friends) build a flat
+//! context for one call and delegate.
 //!
 //! ## Sharing the workers between joins
 //!
 //! [`worker::SharedWorkerPool`] lets many concurrent owners submit
-//! phases to one pool through a fair FIFO turnstile; wrapping a pool
-//! in [`context::ExecContext::over_pool`] (what
-//! [`join::d_mpsm::DMpsmJoin::join_variant_on_pool`] does) runs any
-//! join on such a caller-provided pool — the substrate `mpsm-exec`'s
-//! multi-query scheduler builds on, deriving one pinned context per
-//! admitted query for NUMA-affine placement.
+//! phases to one pool through a fair FIFO turnstile; contexts derived
+//! from one base ([`context::ExecContext::per_query`],
+//! [`context::ExecContext::pinned_to`]) share its pool — the substrate
+//! `mpsm-exec`'s multi-query scheduler builds on, deriving one pinned
+//! context per admitted query for NUMA-affine placement.
 
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod cdf;
 pub mod context;
 pub mod histogram;

@@ -21,8 +21,8 @@
 //! The scatter's store pattern is adversarial: each tuple goes to one
 //! of `P` target windows, so a naive loop issues one random 16-byte
 //! store per tuple and touches up to `P` distant cache lines (plus
-//! their TLB entries) round-robin. [`range_partition`] therefore stages
-//! tuples in per-worker, per-partition buffers of
+//! their TLB entries) round-robin. [`range_partition_ctx`] — the entry
+//! point of every execution path — therefore stages tuples in per-worker, per-partition buffers of
 //! [`WC_BUFFER_TUPLES`] × 16 B = 128 B (a cache-line pair) and flushes
 //! each buffer with a single contiguous `copy_from_slice` when it
 //! fills. The working set of the inner loop shrinks from `P` scattered
@@ -44,7 +44,7 @@ use crate::histogram::{
 use crate::splitter::Splitters;
 use crate::stats::Phase;
 use crate::tuple::Tuple;
-use crate::worker::{run_parallel, OwnedSlots, WorkerPool};
+use crate::worker::OwnedSlots;
 
 /// Tuples staged per partition before a contiguous flush: 8 × 16 B =
 /// 128 B, one cache-line pair (and exactly two 64-B lines of stores
@@ -152,118 +152,15 @@ fn scatter_per_tuple(
     }
 }
 
-/// How the skeleton's two parallel sections (histogram, scatter) are
-/// executed: fresh threads or an exclusive pool.
-enum Runner<'a> {
-    Spawn,
-    Exclusive(&'a mut WorkerPool),
-}
+/// One worker's scatter of its chunk into its row of windows.
+type ScatterKernel = fn(&[Tuple], &mut [&mut [Tuple]], &RadixDomain, &Splitters);
 
-impl Runner<'_> {
-    fn run<R: Send>(&mut self, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        match self {
-            Runner::Spawn => run_parallel(workers, f),
-            Runner::Exclusive(pool) => pool.run(f),
-        }
-    }
-}
-
-/// Shared skeleton: histograms → prefix sums → windows → scatter.
-fn partition_skeleton(
-    chunks: &[&[Tuple]],
-    domain: &RadixDomain,
-    splitters: &Splitters,
-    mut runner: Runner<'_>,
-    write_combining: bool,
-) -> Vec<Vec<Tuple>> {
-    let workers = chunks.len();
-    let parts = splitters.parts();
-    if workers == 0 {
-        return vec![Vec::new(); parts];
-    }
-
-    // Local histograms over *partitions* (bucket histogram folded
-    // through the splitter assignment), in parallel.
-    let histogram_of = |w: usize| {
-        let bucket_hist = compute_histogram(chunks[w], domain);
-        fold_histogram(&bucket_hist, splitters.assignment(), parts)
-    };
-    let histograms: Vec<Vec<usize>> = runner.run(workers, histogram_of);
-
-    let sizes = partition_sizes(&histograms);
-    let ps = prefix_sums(&histograms);
-
-    let mut partitions: Vec<Vec<Tuple>> =
-        sizes.iter().map(|&sz| vec![Tuple::default(); sz]).collect();
-    let windows = carve_windows(
-        partitions.iter_mut().map(|p| p.as_mut_slice()).collect(),
-        &histograms,
-        &sizes,
-        &ps,
-    );
-
-    // Parallel scatter: sequential writes into precomputed windows, no
-    // synchronization (commandments C1 + C3). Window rows are handed to
-    // their worker through take-once slots so the pool's `Fn` closure
-    // can move them.
-    let slots = OwnedSlots::new(windows);
-    let scatter_of = |w: usize| {
-        let mut row = slots.take(w);
-        if write_combining {
-            scatter_write_combined(chunks[w], &mut row, domain, splitters);
-        } else {
-            scatter_per_tuple(chunks[w], &mut row, domain, splitters);
-        }
-    };
-    runner.run(workers, scatter_of);
-
-    partitions
-}
-
-/// Range-partition `chunks` (one per worker) into
-/// `splitters.parts()` target runs with the write-combining scatter.
-/// Returns the unsorted target runs; within each run, worker
-/// sub-partitions appear in worker order, each in original chunk order
-/// (exactly the paper's Figure 6 layout).
-/// ```
-/// use mpsm_core::histogram::RadixDomain;
-/// use mpsm_core::partition::range_partition;
-/// use mpsm_core::splitter::Splitters;
-/// use mpsm_core::Tuple;
-///
-/// // Two workers scatter their chunks into two key ranges (B = 1:
-/// // keys below 32 go to partition 0, the rest to partition 1).
-/// let domain = RadixDomain::from_range(0, 63, 1);
-/// let splitters = Splitters::from_assignment(vec![0, 1], 2);
-/// let c1: Vec<Tuple> = vec![Tuple::new(40, 0), Tuple::new(3, 1)];
-/// let c2: Vec<Tuple> = vec![Tuple::new(9, 2), Tuple::new(60, 3)];
-/// let runs = range_partition(&[&c1, &c2], &domain, &splitters);
-/// let keys: Vec<u64> = runs[0].iter().map(|t| t.key).collect();
-/// assert_eq!(keys, vec![3, 9], "worker 1's small keys, then worker 2's");
-/// ```
-pub fn range_partition(
-    chunks: &[&[Tuple]],
-    domain: &RadixDomain,
-    splitters: &Splitters,
-) -> Vec<Vec<Tuple>> {
-    partition_skeleton(chunks, domain, splitters, Runner::Spawn, true)
-}
-
-/// [`range_partition`] on a persistent [`WorkerPool`] (one worker per
-/// chunk) so phase-structured callers do not re-spawn threads for the
-/// histogram and scatter sections.
-pub fn range_partition_in(
-    pool: &mut WorkerPool,
-    chunks: &[&[Tuple]],
-    domain: &RadixDomain,
-    splitters: &Splitters,
-) -> Vec<Vec<Tuple>> {
-    assert_eq!(pool.threads(), chunks.len().max(1), "one pool worker per chunk");
-    partition_skeleton(chunks, domain, splitters, Runner::Exclusive(pool), true)
-}
-
-/// [`range_partition`] on an [`ExecContext`]: the NUMA-placed scatter
-/// of P-MPSM phase 2.3.
+/// Range-partition `chunks` (one per worker of `cx`) into
+/// `splitters.parts()` target runs with the write-combining scatter —
+/// the NUMA-placed scatter of P-MPSM phase 2.3. Returns the unsorted
+/// target runs; within each run, worker sub-partitions appear in worker
+/// order, each in original chunk order (exactly the paper's Figure 6
+/// layout).
 ///
 /// Storage for partition `p` is drawn from the context's arena homed
 /// per its allocation policy for worker `p` (with the default
@@ -277,11 +174,42 @@ pub fn range_partition_in(
 /// permits, and the per-(worker, partition) write volumes are the
 /// already-computed histogram counts, so the audit adds nothing to the
 /// scatter's inner loop.
+///
+/// ```
+/// use mpsm_core::context::ExecContext;
+/// use mpsm_core::histogram::RadixDomain;
+/// use mpsm_core::partition::range_partition_ctx;
+/// use mpsm_core::splitter::Splitters;
+/// use mpsm_core::Tuple;
+///
+/// // Two workers scatter their chunks into two key ranges (B = 1:
+/// // keys below 32 go to partition 0, the rest to partition 1).
+/// let cx = ExecContext::flat(2);
+/// let domain = RadixDomain::from_range(0, 63, 1);
+/// let splitters = Splitters::from_assignment(vec![0, 1], 2);
+/// let c1: Vec<Tuple> = vec![Tuple::new(40, 0), Tuple::new(3, 1)];
+/// let c2: Vec<Tuple> = vec![Tuple::new(9, 2), Tuple::new(60, 3)];
+/// let runs = range_partition_ctx(&cx, &[&c1, &c2], &domain, &splitters);
+/// let keys: Vec<u64> = runs[0].iter().map(|t| t.key).collect();
+/// assert_eq!(keys, vec![3, 9], "worker 1's small keys, then worker 2's");
+/// ```
 pub fn range_partition_ctx(
     cx: &ExecContext,
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
     splitters: &Splitters,
+) -> Vec<NumaBuf<Tuple>> {
+    partition_with(cx, chunks, domain, splitters, scatter_write_combined)
+}
+
+/// The one skeleton: histograms → prefix sums → windows → scatter, with
+/// the per-worker scatter kernel as its only parameter.
+fn partition_with(
+    cx: &ExecContext,
+    chunks: &[&[Tuple]],
+    domain: &RadixDomain,
+    splitters: &Splitters,
+    scatter: ScatterKernel,
 ) -> Vec<NumaBuf<Tuple>> {
     let workers = chunks.len();
     assert_eq!(cx.threads(), workers.max(1), "one context worker per chunk");
@@ -290,8 +218,9 @@ pub fn range_partition_ctx(
         return (0..parts).map(|_| cx.alloc(0, 0)).collect();
     }
 
-    // Phase: local histograms over partitions (one interleaved read of
-    // every chunk).
+    // Phase: local histograms over *partitions* (bucket histogram folded
+    // through the splitter assignment; one interleaved read of every
+    // chunk).
     let outcomes = cx.pool().run(|w| {
         let mut scope = cx.scope(w);
         scope.touch_interleaved(true, chunks[w].len() as u64);
@@ -308,7 +237,7 @@ pub fn range_partition_ctx(
     // splitter fan exceeds the worker count, surplus partitions wrap
     // round-robin, matching how callers assign them to workers.)
     let mut partitions: Vec<NumaBuf<Tuple>> =
-        sizes.iter().enumerate().map(|(p, &sz)| cx.alloc(p % workers.max(1), sz)).collect();
+        sizes.iter().enumerate().map(|(p, &sz)| cx.alloc(p % workers, sz)).collect();
     let homes: Vec<_> = partitions.iter().map(|b| b.home()).collect();
     let windows = carve_windows(
         partitions.iter_mut().map(|b| &mut b[..]).collect(),
@@ -318,7 +247,9 @@ pub fn range_partition_ctx(
     );
 
     // Phase: synchronization-free scatter (one interleaved re-read of
-    // every chunk, sequential writes into the precomputed windows).
+    // every chunk, sequential writes into the precomputed windows —
+    // commandments C1 + C3). Window rows are handed to their worker
+    // through take-once slots so the pool's `Fn` closure can move them.
     let slots = OwnedSlots::new(windows);
     let counters = cx.pool().run(|w| {
         let mut scope = cx.scope(w);
@@ -327,7 +258,7 @@ pub fn range_partition_ctx(
             scope.touch(home, true, histograms[w][p] as u64);
         }
         let mut row = slots.take(w);
-        scatter_write_combined(chunks[w], &mut row, domain, splitters);
+        scatter(chunks[w], &mut row, domain, splitters);
         scope.finish()
     });
     cx.record(Phase::Two, counters);
@@ -336,14 +267,19 @@ pub fn range_partition_ctx(
 }
 
 /// The seed scatter — one random 16-byte store per tuple into the huge
-/// target windows. Bit-identical output to [`range_partition`];
-/// reachable only from the benchmark harness and equivalence tests.
+/// target windows, on a flat context of its own. Bit-identical output
+/// to [`range_partition_ctx`]; reachable only from the benchmark
+/// harness and the equivalence tests, which use it as their reference.
 pub fn range_partition_naive(
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
     splitters: &Splitters,
 ) -> Vec<Vec<Tuple>> {
-    partition_skeleton(chunks, domain, splitters, Runner::Spawn, false)
+    let cx = ExecContext::flat(chunks.len().max(1));
+    partition_with(&cx, chunks, domain, splitters, scatter_per_tuple)
+        .into_iter()
+        .map(NumaBuf::into_inner)
+        .collect()
 }
 
 #[cfg(test)]
@@ -355,6 +291,12 @@ mod tests {
         keys.iter().map(|&k| Tuple::new(k, k * 100)).collect()
     }
 
+    /// The write-combining scatter on a flat context of its own.
+    fn scatter(chunks: &[&[Tuple]], domain: &RadixDomain, sp: &Splitters) -> Vec<Vec<Tuple>> {
+        let cx = ExecContext::flat(chunks.len().max(1));
+        range_partition_ctx(&cx, chunks, domain, sp).into_iter().map(NumaBuf::into_inner).collect()
+    }
+
     #[test]
     fn paper_figure_6_scatter() {
         // B = 1, keys in [0, 32), two workers.
@@ -362,7 +304,7 @@ mod tests {
         let sp = Splitters::from_assignment(vec![0, 1], 2);
         let c1 = tuples(&[19, 7, 3, 21, 1, 17, 4]);
         let c2 = tuples(&[2, 23, 4, 31, 8, 20, 26]);
-        let runs = range_partition(&[&c1, &c2], &domain, &sp);
+        let runs = scatter(&[&c1, &c2], &domain, &sp);
         let keys = |r: &[Tuple]| r.iter().map(|t| t.key).collect::<Vec<_>>();
         // Figure 6: R1 = W1's small keys in order, then W2's.
         assert_eq!(keys(&runs[0]), vec![7, 3, 1, 4, 2, 4, 8]);
@@ -380,7 +322,7 @@ mod tests {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let sp = equi_height_splitters(&hist, 4);
-        let runs = range_partition(&chunks, &domain, &sp);
+        let runs = scatter(&chunks, &domain, &sp);
         assert_eq!(runs.len(), 4);
         for (p, run) in runs.iter().enumerate() {
             for t in run {
@@ -404,7 +346,7 @@ mod tests {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let sp = equi_height_splitters(&hist, 3);
-        let runs = range_partition(&chunks, &domain, &sp);
+        let runs = scatter(&chunks, &domain, &sp);
 
         let mut before: Vec<(u64, u64)> =
             chunks_data.iter().flat_map(|c| c.iter().map(|t| (t.key, t.payload))).collect();
@@ -420,7 +362,7 @@ mod tests {
         let domain = RadixDomain::from_range(0, 100, 2);
         let sp = Splitters::from_assignment(vec![0, 1, 2, 3], 4);
         let empty: [&[Tuple]; 2] = [&[], &[]];
-        let runs = range_partition(&empty, &domain, &sp);
+        let runs = scatter(&empty, &domain, &sp);
         assert_eq!(runs.len(), 4);
         assert!(runs.iter().all(|r| r.is_empty()));
     }
@@ -430,7 +372,7 @@ mod tests {
         let domain = RadixDomain::from_range(0, 100, 1);
         let sp = Splitters::from_assignment(vec![0, 0], 1);
         let c = tuples(&[5, 99, 1]);
-        let runs = range_partition(&[&c], &domain, &sp);
+        let runs = scatter(&[&c], &domain, &sp);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].len(), 3);
         assert_eq!(runs[0], c, "single window preserves chunk order");
@@ -447,7 +389,7 @@ mod tests {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let sp = equi_height_splitters(&hist, 4);
-        let runs = range_partition(&chunks, &domain, &sp);
+        let runs = scatter(&chunks, &domain, &sp);
         let non_empty = runs.iter().filter(|r| !r.is_empty()).count();
         assert_eq!(non_empty, 1, "equal keys cannot be split across partitions");
         assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), 1024);
@@ -468,7 +410,7 @@ mod tests {
             );
             let sp = equi_height_splitters(&hist, 3);
             assert_eq!(
-                range_partition(&chunks, &domain, &sp),
+                scatter(&chunks, &domain, &sp),
                 range_partition_naive(&chunks, &domain, &sp),
                 "layouts must be tuple-for-tuple identical at n = {n}"
             );
@@ -477,7 +419,6 @@ mod tests {
 
     #[test]
     fn context_scatter_matches_standalone_and_audits_traffic() {
-        use crate::context::ExecContext;
         use mpsm_numa::Topology;
 
         let domain = RadixDomain::from_range(0, 4095, 6);
@@ -492,7 +433,7 @@ mod tests {
 
         let cx = ExecContext::new(Topology::paper_machine(), 4);
         let placed = range_partition_ctx(&cx, &chunks, &domain, &sp);
-        let reference = range_partition(&chunks, &domain, &sp);
+        let reference = range_partition_naive(&chunks, &domain, &sp);
         for (p, (got, want)) in placed.iter().zip(&reference).enumerate() {
             assert_eq!(&got[..], &want[..], "partition {p}");
             assert_eq!(got.home(), cx.worker_node(p), "partition {p} homed on its owner's node");
@@ -503,21 +444,5 @@ mod tests {
         assert_eq!(cx.phase_counters(Phase::Two).total_accesses(), 3 * total);
         // The arena saw every partition.
         assert_eq!(cx.arena().total_bytes(), total * std::mem::size_of::<Tuple>() as u64);
-    }
-
-    #[test]
-    fn pooled_scatter_matches_standalone() {
-        let domain = RadixDomain::from_range(0, 4095, 6);
-        let chunks_data: Vec<Vec<Tuple>> = (0..4)
-            .map(|w| (0..700u64).map(|i| Tuple::new((i * 37 + w * 13) % 4096, i)).collect())
-            .collect();
-        let chunks: Vec<&[Tuple]> = chunks_data.iter().map(|c| c.as_slice()).collect();
-        let hist = crate::histogram::combine_histograms(
-            &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
-        );
-        let sp = equi_height_splitters(&hist, 4);
-        let mut pool = WorkerPool::new(4);
-        let pooled = range_partition_in(&mut pool, &chunks, &domain, &sp);
-        assert_eq!(pooled, range_partition(&chunks, &domain, &sp));
     }
 }

@@ -78,7 +78,7 @@ pub const NETWORK_BLOCK: usize = 64;
 /// The ping-pong buffer of the out-of-place radix descent: grows to the
 /// largest run sorted through it and stays, so a caller that keeps one
 /// scratch alive pays the 16 bytes/tuple once. `ExecContext` keeps one
-/// per worker — but `for_owner` / `pinned_to` contexts are built with
+/// per worker — but `per_query` / `pinned_to` contexts are built with
 /// fresh scratch, so every scheduled query that sorts re-allocates and
 /// first-touches its own (ROADMAP item 8).
 #[derive(Debug, Default)]

@@ -6,25 +6,20 @@
 //! needs only *one* real synchronization point — public runs must exist
 //! before the join phase; we realize phase boundaries structurally).
 //!
-//! Two execution primitives are provided:
-//!
-//! * [`run_parallel`] / [`run_parallel_timed`] — spawn fresh scoped
-//!   threads per call. Simple, but a join that runs four phases pays
-//!   four rounds of thread creation and teardown. Retained as the
-//!   naive path for one-shot callers.
-//! * [`WorkerPool`] — spawns each worker thread **once** and parks it
-//!   between phases on a condvar. All three join variants route their
-//!   parallel sections through a pool, so one join run creates each
-//!   worker exactly once no matter how many phases it executes
-//!   (commandment C3 still holds: workers synchronize only at phase
-//!   boundaries, never inside one).
-//! * [`SharedWorkerPool`] — a cloneable handle that lets **many
-//!   concurrent owners** (e.g. the queries of
-//!   `mpsm_exec`'s scheduler) submit phases to *one* underlying
-//!   [`WorkerPool`]. Submissions are serialized through a fair FIFO
-//!   turnstile, so different owners' phases interleave at phase
-//!   granularity instead of one owner monopolizing the workers; every
-//!   served phase carries a [`PhaseTag`] naming its owner.
+//! There is one execution primitive: [`SharedWorkerPool::run`] — "run
+//! `f(w)` on `T` workers, barrier". Each worker thread is spawned
+//! **once** and parked on a condvar between phases, so a join creates
+//! no thread however many phases it executes, and workers synchronize
+//! only at phase boundaries, never inside one (commandment C3). The
+//! pool is a cloneable handle: many concurrent owners (the queries of
+//! `mpsm_exec`'s scheduler) submit phases to the same workers through
+//! a fair FIFO turnstile, so their phases interleave at phase
+//! granularity instead of one owner monopolizing the machine. The
+//! phase closure reaches the workers as a lifetime-erased pointer; its
+//! safety rests on `run` holding the turnstile from before the pointer
+//! is published until every worker has finished with it, on the return
+//! and the unwind path alike — no second submitter can publish while a
+//! borrow is live, and no borrow ends while a worker can still see it.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,74 +140,21 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `f(worker_id)` on `threads` parallel workers, returning their
-/// results in worker order. A `threads == 1` call runs inline (useful
-/// for debugging and for the single-core baseline of Figure 13).
-///
-/// Spawns fresh OS threads on every call; phase-structured algorithms
-/// should prefer a [`WorkerPool`].
-pub fn run_parallel<R, F>(threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    assert!(threads > 0, "need at least one worker");
-    if threads == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || f(w))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    })
-}
-
-/// Run `f(worker_id)`, additionally timing each worker. Returns
-/// `(results, per-worker durations)`.
-pub fn run_parallel_timed<R, F>(threads: usize, f: F) -> (Vec<R>, Vec<Duration>)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let pairs = run_parallel(threads, |w| {
-        let start = Instant::now();
-        let r = f(w);
-        (r, start.elapsed())
-    });
-    pairs.into_iter().unzip()
-}
-
 // ---------------------------------------------------------------------
-// Persistent worker pool
+// The worker pool
 // ---------------------------------------------------------------------
 
 /// Type-erased pointer to the current phase closure. Only dereferenced
 /// by workers between the epoch bump and the final `remaining`
-/// decrement of that epoch; [`WorkerPool::run`] keeps the closure alive
-/// (and does not return) until every worker has finished, so the
-/// erased lifetime never outlives the borrow.
+/// decrement of that epoch. [`SharedWorkerPool::run`] keeps the closure
+/// alive (and does not return or unwind) until every worker has
+/// finished, and it holds the turnstile for exactly that span — so the
+/// erased lifetime never outlives the borrow, and no second submitter
+/// can publish its own pointer while this one is still in use.
 struct Job(*const (dyn Fn(usize) + Sync));
-// SAFETY: the pointee is `Sync` and the pool's barrier protocol
-// guarantees it outlives every use (see `Job` docs).
+// SAFETY: the pointee is `Sync`, and the turnstile-guarded barrier
+// protocol guarantees it outlives every use (see `Job` docs).
 unsafe impl Send for Job {}
-
-/// Identifies one phase served by a [`SharedWorkerPool`]: which owner
-/// submitted it and its position in the pool's global service order —
-/// the tag that generalizes the pool's single-owner epoch barrier to
-/// multi-owner submission. Owners are handed distinct ids by their
-/// scheduler (see [`SharedWorkerPool::with_owner`]); the default
-/// handle submits as owner `0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTag {
-    /// Caller-chosen owner id (`0` = untagged / exclusive use).
-    pub owner: u64,
-    /// Serial number of the phase on the serving pool (1-based).
-    pub seq: u64,
-}
 
 struct PoolState {
     /// Incremented once per submitted phase; workers wake on a change.
@@ -227,7 +169,10 @@ struct PoolState {
     shutdown: bool,
 }
 
-struct PoolShared {
+/// What the parked worker threads share with the submitters. Kept
+/// apart from [`PoolCore`] so the workers' references do not keep the
+/// join handles (and therefore themselves) alive.
+struct PoolSync {
     state: Mutex<PoolState>,
     /// Workers park here between phases.
     work_cv: Condvar,
@@ -236,150 +181,13 @@ struct PoolShared {
 }
 
 /// Per-worker result slots. Worker `w` writes only slot `w`, and the
-/// caller reads only after the phase barrier, so no per-slot locking
+/// submitter reads only after the phase barrier, so no per-slot locking
 /// is needed.
 struct Slots<R>(Vec<std::cell::UnsafeCell<Option<R>>>);
 // SAFETY: disjoint index access per worker; reads happen only after
-// all writers finished (enforced by the pool's done barrier).
+// all writers finished (the done barrier), and the turnstile admits no
+// other phase — hence no other writer — in between.
 unsafe impl<R: Send> Sync for Slots<R> {}
-
-/// A pool of `threads` worker threads that parks between phases
-/// instead of being re-spawned per parallel section.
-///
-/// [`WorkerPool::run`] has the same contract as [`run_parallel`] —
-/// `f(worker_id)` on every worker, results in worker order, panics
-/// propagated — but amortizes thread creation over the whole join. A
-/// 1-thread pool spawns no OS thread at all and runs phases inline
-/// (the single-core baseline of Figure 13 stays allocation-free).
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
-}
-
-impl WorkerPool {
-    /// Spawn a pool of `threads` parked workers.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker");
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let handles = if threads == 1 {
-            Vec::new()
-        } else {
-            (0..threads)
-                .map(|w| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(w, &shared))
-                })
-                .collect()
-        };
-        WorkerPool { shared, handles, threads }
-    }
-
-    /// Number of workers.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run one phase: `f(worker_id)` on every worker, returning results
-    /// in worker order. Blocks until the whole phase finished (the
-    /// phase boundary barrier). `&mut self` serializes phases at
-    /// compile time — the pool runs one phase at a time by design.
-    ///
-    /// ```
-    /// use mpsm_core::worker::WorkerPool;
-    ///
-    /// let mut pool = WorkerPool::new(4);
-    /// // Phase 1: every worker computes its share.
-    /// let squares = pool.run(|w| (w as u64) * (w as u64));
-    /// assert_eq!(squares, vec![0, 1, 4, 9]);
-    /// // Phase 2 reuses the same parked threads — no respawn.
-    /// let sum: u64 = pool.run(|w| w as u64).iter().sum();
-    /// assert_eq!(sum, 6);
-    /// ```
-    pub fn run<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.threads == 1 {
-            // Inline mode: no workers, no locks — the single-core
-            // baseline of Figure 13 stays synchronization-free.
-            return vec![f(0)];
-        }
-        let slots = Slots((0..self.threads).map(|_| std::cell::UnsafeCell::new(None)).collect());
-        {
-            let slots = &slots;
-            let f = &f;
-            let call = move |w: usize| {
-                let r = f(w);
-                // SAFETY: worker `w` owns slot `w` for this phase.
-                unsafe { *slots.0[w].get() = Some(r) };
-            };
-            let job: &(dyn Fn(usize) + Sync) = &call;
-            // SAFETY: lifetime erasure only — `run` blocks until every
-            // worker finished with the pointer (see `Job` docs).
-            let job: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
-            let mut st = self.shared.state.lock().expect("pool state poisoned");
-            st.job = Some(Job(job));
-            st.remaining = self.threads;
-            st.panicked = false;
-            st.epoch += 1;
-            drop(st);
-            self.shared.work_cv.notify_all();
-
-            let mut st = self.shared.state.lock().expect("pool state poisoned");
-            while st.remaining > 0 {
-                st = self.shared.done_cv.wait(st).expect("pool state poisoned");
-            }
-            st.job = None;
-            if st.panicked {
-                // Mirror run_parallel's message so callers see one
-                // failure mode regardless of the execution primitive.
-                drop(st);
-                panic!("worker thread panicked");
-            }
-        }
-        slots
-            .0
-            .into_iter()
-            .map(|c| c.into_inner().expect("every worker must produce a result"))
-            .collect()
-    }
-
-    /// Like [`WorkerPool::run`], additionally timing each worker.
-    pub fn run_timed<R, F>(&mut self, f: F) -> (Vec<R>, Vec<Duration>)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let pairs = self.run(|w| {
-            let start = Instant::now();
-            let r = f(w);
-            (r, start.elapsed())
-        });
-        pairs.into_iter().unzip()
-    }
-
-    /// Convert this exclusive pool into a [`SharedWorkerPool`] handle
-    /// that many concurrent owners can submit phases to.
-    pub fn into_shared(self) -> SharedWorkerPool {
-        SharedWorkerPool::from_pool(self)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared pool: many owners, one set of workers
-// ---------------------------------------------------------------------
 
 /// FIFO turnstile serializing phase submissions from many owners.
 struct Turnstile {
@@ -389,16 +197,14 @@ struct Turnstile {
 }
 
 impl Turnstile {
-    /// Draw a ticket and block until it is up. Returns the ticket
-    /// number (the global phase sequence number on this pool).
-    fn acquire(&self) -> u64 {
+    /// Draw a ticket and block until it is up.
+    fn acquire(&self) {
         let mut turn = self.turn.lock().expect("turnstile poisoned");
         let my = turn.0;
         turn.0 += 1;
         while turn.1 != my {
             turn = self.cv.wait(turn).expect("turnstile poisoned");
         }
-        my
     }
 
     fn release(&self) {
@@ -419,37 +225,36 @@ impl Drop for TurnstileGuard<'_> {
     }
 }
 
-struct SharedPoolInner {
-    /// The workers. Uncontended by construction: the turnstile admits
-    /// one phase at a time, so this lock never blocks. Poisoning is
-    /// deliberately ignored — a panicking phase already reported its
-    /// failure to its own submitter, and the pool itself survives
-    /// worker panics (see `pool_propagates_worker_panics`).
-    pool: Mutex<WorkerPool>,
+struct PoolCore {
+    sync: Arc<PoolSync>,
+    /// Empty for a 1-thread pool, which runs phases inline.
+    handles: Vec<std::thread::JoinHandle<()>>,
     turnstile: Turnstile,
-    /// Tag trace of served phases, when enabled (test / EXPLAIN aid).
-    trace: Mutex<Option<Vec<PhaseTag>>>,
     threads: usize,
 }
 
-/// A cloneable handle submitting phases from **many concurrent owners**
-/// to one [`WorkerPool`].
+/// The one runner: `threads` worker threads, spawned **once** and
+/// parked between phases, behind a cloneable handle that **many
+/// concurrent owners** submit phases to.
 ///
-/// This is the substrate of multi-query scheduling: every clone of the
-/// handle may call [`SharedWorkerPool::run`] from its own thread, and
-/// the pool serves the submissions one phase at a time in FIFO arrival
-/// order. Because MPSM joins are sequences of short phases, waiting
-/// owners are admitted between a competitor's phases — queries
-/// *interleave* on the shared workers instead of monopolizing them
-/// (and the machine is never oversubscribed, however many queries are
-/// in flight).
+/// [`SharedWorkerPool::run`] is the whole execution model of the
+/// workspace — `f(worker_id)` on every worker, results in worker
+/// order, barrier. Every clone of the handle may call it from its own
+/// thread, and the pool serves the submissions one phase at a time in
+/// FIFO arrival order. Because MPSM joins are sequences of short
+/// phases, waiting owners are admitted between a competitor's phases —
+/// queries *interleave* on the shared workers instead of monopolizing
+/// them (and the machine is never oversubscribed, however many queries
+/// are in flight). A 1-thread pool spawns no OS thread at all and runs
+/// phases inline on the submitter (the single-core baseline of
+/// Figure 13).
 ///
 /// ```
 /// use mpsm_core::worker::SharedWorkerPool;
 ///
 /// let pool = SharedWorkerPool::new(4);
-/// let query_a = pool.with_owner(1);
-/// let query_b = pool.with_owner(2);
+/// let query_a = pool.clone();
+/// let query_b = pool.clone();
 /// // Both handles drive the same 4 workers; phases are serialized
 /// // through a fair FIFO turnstile.
 /// let a: Vec<usize> = query_a.run(|w| w + 1);
@@ -458,84 +263,126 @@ struct SharedPoolInner {
 /// assert_eq!(b, vec![0, 2, 4, 6]);
 /// assert_eq!(pool.phases_served(), 2);
 /// ```
+#[derive(Clone)]
 pub struct SharedWorkerPool {
-    inner: Arc<SharedPoolInner>,
-    owner: u64,
+    core: Arc<PoolCore>,
 }
 
 impl std::fmt::Debug for SharedWorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedWorkerPool")
-            .field("threads", &self.inner.threads)
-            .field("owner", &self.owner)
+            .field("threads", &self.core.threads)
             .finish_non_exhaustive()
     }
 }
 
-impl Clone for SharedWorkerPool {
-    fn clone(&self) -> Self {
-        SharedWorkerPool { inner: Arc::clone(&self.inner), owner: self.owner }
-    }
-}
-
 impl SharedWorkerPool {
-    /// Spawn `threads` workers behind a fresh shared handle (owner 0).
+    /// Spawn `threads` parked workers behind a fresh handle.
     pub fn new(threads: usize) -> Self {
-        Self::from_pool(WorkerPool::new(threads))
-    }
-
-    /// Wrap an existing pool.
-    pub fn from_pool(pool: WorkerPool) -> Self {
-        let threads = pool.threads();
-        SharedWorkerPool {
-            inner: Arc::new(SharedPoolInner {
-                pool: Mutex::new(pool),
-                turnstile: Turnstile { turn: Mutex::new((0, 0)), cv: Condvar::new() },
-                trace: Mutex::new(None),
-                threads,
+        assert!(threads > 0, "need at least one worker");
+        let sync = Arc::new(PoolSync {
+            state: Mutex::new(PoolState {
+                epoch: 0,
+                job: None,
+                remaining: 0,
+                panicked: false,
+                shutdown: false,
             }),
-            owner: 0,
-        }
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+        });
+        let handles = if threads == 1 {
+            Vec::new()
+        } else {
+            (0..threads)
+                .map(|w| {
+                    let sync = Arc::clone(&sync);
+                    std::thread::spawn(move || worker_loop(w, &sync))
+                })
+                .collect()
+        };
+        let turnstile = Turnstile { turn: Mutex::new((0, 0)), cv: Condvar::new() };
+        SharedWorkerPool { core: Arc::new(PoolCore { sync, handles, turnstile, threads }) }
     }
 
     /// Number of workers.
     pub fn threads(&self) -> usize {
-        self.inner.threads
+        self.core.threads
     }
 
-    /// A handle submitting phases under `owner`'s id — same workers,
-    /// same turnstile; only the [`PhaseTag`]s differ. Schedulers hand
-    /// one owner id per query so served phases are attributable.
-    pub fn with_owner(&self, owner: u64) -> SharedWorkerPool {
-        SharedWorkerPool { inner: Arc::clone(&self.inner), owner }
-    }
-
-    /// This handle's owner id.
-    pub fn owner(&self) -> u64 {
-        self.owner
-    }
-
-    /// Run one phase on the shared workers: `f(worker_id)` on every
-    /// worker, results in worker order, panics propagated to *this*
-    /// submitter only. Blocks while competitors' already-queued phases
-    /// are served (FIFO).
+    /// Run one phase: `f(worker_id)` on every worker, results in worker
+    /// order, panics propagated to *this* submitter only. Blocks while
+    /// competitors' already-queued phases are served (FIFO) and then
+    /// until the whole phase finished (the phase boundary barrier).
+    ///
+    /// ```
+    /// use mpsm_core::worker::SharedWorkerPool;
+    ///
+    /// let pool = SharedWorkerPool::new(4);
+    /// // Phase 1: every worker computes its share.
+    /// let squares = pool.run(|w| (w as u64) * (w as u64));
+    /// assert_eq!(squares, vec![0, 1, 4, 9]);
+    /// // Phase 2 reuses the same parked threads — no respawn.
+    /// let sum: u64 = pool.run(|w| w as u64).iter().sum();
+    /// assert_eq!(sum, 6);
+    /// ```
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let seq = self.inner.turnstile.acquire();
-        let _guard = TurnstileGuard(&self.inner.turnstile);
-        if let Some(trace) = self.inner.trace.lock().expect("trace poisoned").as_mut() {
-            trace.push(PhaseTag { owner: self.owner, seq: seq + 1 });
+        let core = &*self.core;
+        core.turnstile.acquire();
+        // Declared before anything a worker can see, so it is released
+        // last — after `remaining == 0` on the return *and* the unwind
+        // path. That ordering is the only thing keeping two owners'
+        // erased `Job` pointers (and result slots) apart.
+        let _turn = TurnstileGuard(&core.turnstile);
+        if core.threads == 1 {
+            // Inline mode: no workers — the single-core baseline of
+            // Figure 13 pays for the turnstile and nothing else.
+            return vec![f(0)];
         }
-        // Uncontended (the turnstile admitted us); ignore poisoning —
-        // the pool survives worker panics by design.
-        let mut pool = match self.inner.pool.lock() {
-            Ok(p) => p,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.run(f)
+        let slots = Slots((0..core.threads).map(|_| std::cell::UnsafeCell::new(None)).collect());
+        {
+            let slots = &slots;
+            let f = &f;
+            let call = move |w: usize| {
+                let r = f(w);
+                // SAFETY: worker `w` owns slot `w` for this phase, and
+                // the turnstile admits no other phase until it ended.
+                unsafe { *slots.0[w].get() = Some(r) };
+            };
+            let job: &(dyn Fn(usize) + Sync) = &call;
+            // SAFETY: lifetime erasure only — `run` holds the turnstile
+            // and blocks until every worker finished with the pointer
+            // (see `Job` docs).
+            let job: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
+            let mut st = core.sync.state.lock().expect("pool state poisoned");
+            st.job = Some(Job(job));
+            st.remaining = core.threads;
+            st.panicked = false;
+            st.epoch += 1;
+            drop(st);
+            core.sync.work_cv.notify_all();
+
+            let mut st = core.sync.state.lock().expect("pool state poisoned");
+            while st.remaining > 0 {
+                st = core.sync.done_cv.wait(st).expect("pool state poisoned");
+            }
+            st.job = None;
+            if st.panicked {
+                // One uniform message, whichever worker failed; the
+                // pool itself survives and serves the next phase.
+                drop(st);
+                panic!("worker thread panicked");
+            }
+        }
+        slots
+            .0
+            .into_iter()
+            .map(|c| c.into_inner().expect("every worker must produce a result"))
+            .collect()
     }
 
     /// Like [`SharedWorkerPool::run`], additionally timing each worker
@@ -555,32 +402,21 @@ impl SharedWorkerPool {
 
     /// Phases fully served so far.
     pub fn phases_served(&self) -> u64 {
-        self.inner.turnstile.turn.lock().expect("turnstile poisoned").1
+        self.core.turnstile.turn.lock().expect("turnstile poisoned").1
     }
 
     /// Phases currently admitted or waiting at the turnstile.
     pub fn pending_phases(&self) -> u64 {
-        let turn = self.inner.turnstile.turn.lock().expect("turnstile poisoned");
+        let turn = self.core.turnstile.turn.lock().expect("turnstile poisoned");
         turn.0 - turn.1
-    }
-
-    /// Start recording a [`PhaseTag`] per served phase (drops any
-    /// previous trace).
-    pub fn enable_phase_trace(&self) {
-        *self.inner.trace.lock().expect("trace poisoned") = Some(Vec::new());
-    }
-
-    /// Stop tracing and return the recorded tags in service order.
-    pub fn take_phase_trace(&self) -> Vec<PhaseTag> {
-        self.inner.trace.lock().expect("trace poisoned").take().unwrap_or_default()
     }
 }
 
 /// Take-once cells handing *owned* per-worker values through a pool
-/// phase: [`WorkerPool::run`] takes a `Fn` closure (every worker shares
-/// it), so moving a distinct owned input into each worker goes through
-/// one of these — worker `w` calls [`OwnedSlots::take`]`(w)` exactly
-/// once.
+/// phase: [`SharedWorkerPool::run`] takes a `Fn` closure (every worker
+/// shares it), so moving a distinct owned input into each worker goes
+/// through one of these — worker `w` calls [`OwnedSlots::take`]`(w)`
+/// exactly once.
 pub struct OwnedSlots<T>(Vec<Mutex<Option<T>>>);
 
 impl<T> OwnedSlots<T> {
@@ -606,29 +442,29 @@ impl<T> OwnedSlots<T> {
     }
 }
 
-impl Drop for WorkerPool {
+impl Drop for PoolCore {
     fn drop(&mut self) {
         {
-            let mut st = match self.shared.state.lock() {
+            let mut st = match self.sync.state.lock() {
                 Ok(st) => st,
                 Err(poisoned) => poisoned.into_inner(),
             };
             st.shutdown = true;
         }
-        self.shared.work_cv.notify_all();
+        self.sync.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(w: usize, shared: &PoolShared) {
+fn worker_loop(w: usize, sync: &PoolSync) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut st = shared.state.lock().expect("pool state poisoned");
+            let mut st = sync.state.lock().expect("pool state poisoned");
             while !st.shutdown && st.epoch == seen_epoch {
-                st = shared.work_cv.wait(st).expect("pool state poisoned");
+                st = sync.work_cv.wait(st).expect("pool state poisoned");
             }
             if st.shutdown {
                 return;
@@ -636,19 +472,20 @@ fn worker_loop(w: usize, shared: &PoolShared) {
             seen_epoch = st.epoch;
             st.job.as_ref().expect("epoch bumped without a job").0
         };
-        // SAFETY: `run` keeps the closure alive until `remaining`
-        // reaches zero, which happens strictly after this call.
+        // SAFETY: the submitter keeps the closure alive, and holds the
+        // turnstile so nobody replaces it, until `remaining` reaches
+        // zero — which happens strictly after this call.
         let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(w) }));
-        let mut st = shared.state.lock().expect("pool state poisoned");
+        let mut st = sync.state.lock().expect("pool state poisoned");
         if outcome.is_err() {
             // The default panic hook already printed the payload on this
-            // worker's stderr; the caller re-panics with the same uniform
-            // message `run_parallel` uses.
+            // worker's stderr; the submitter re-panics with one uniform
+            // message.
             st.panicked = true;
         }
         st.remaining -= 1;
         if st.remaining == 0 {
-            shared.done_cv.notify_all();
+            sync.done_cv.notify_all();
         }
     }
 }
@@ -688,42 +525,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_results_arrive_in_worker_order() {
-        let out = run_parallel(8, |w| w * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let out = run_parallel(1, |w| w + 1);
-        assert_eq!(out, vec![1]);
-    }
-
-    #[test]
-    fn timed_variant_reports_durations() {
-        let (out, times) = run_parallel_timed(4, |w| w);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(times.len(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "zero parts")]
     fn zero_parts_panics() {
         let _ = chunk_ranges(10, 0);
     }
 
-    // ---- pool ----
+    // ---- the pool's contract ----
 
     #[test]
     fn pool_results_arrive_in_worker_order() {
-        let mut pool = WorkerPool::new(8);
+        let pool = SharedWorkerPool::new(8);
         let out = pool.run(|w| w * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
     #[test]
     fn pool_reuses_the_same_threads_across_phases() {
-        let mut pool = WorkerPool::new(4);
+        let pool = SharedWorkerPool::new(4);
         let ids_a = pool.run(|_| std::thread::current().id());
         let ids_b = pool.run(|_| std::thread::current().id());
         let ids_c = pool.run(|_| std::thread::current().id());
@@ -736,7 +554,7 @@ mod tests {
     #[test]
     fn pool_phases_can_borrow_local_state() {
         let data: Vec<u64> = (0..1000).collect();
-        let mut pool = WorkerPool::new(3);
+        let pool = SharedWorkerPool::new(3);
         let ranges = chunk_ranges(data.len(), 3);
         let sums = pool.run(|w| data[ranges[w].clone()].iter().sum::<u64>());
         assert_eq!(sums.iter().sum::<u64>(), 1000 * 999 / 2);
@@ -744,7 +562,7 @@ mod tests {
 
     #[test]
     fn pool_of_one_runs_inline() {
-        let mut pool = WorkerPool::new(1);
+        let pool = SharedWorkerPool::new(1);
         let here = std::thread::current().id();
         let ids = pool.run(|_| std::thread::current().id());
         assert_eq!(ids, vec![here]);
@@ -752,15 +570,16 @@ mod tests {
 
     #[test]
     fn pool_timed_reports_durations() {
-        let mut pool = WorkerPool::new(4);
+        let pool = SharedWorkerPool::new(4);
         let (out, times) = pool.run_timed(|w| w);
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert_eq!(times.len(), 4);
+        assert_eq!(pool.phases_served(), 1, "one admission for the whole timed phase");
     }
 
     #[test]
     fn pool_runs_many_phases_without_respawning() {
-        let mut pool = WorkerPool::new(4);
+        let pool = SharedWorkerPool::new(4);
         let mut total = 0usize;
         for phase in 0..32 {
             total += pool.run(|w| w + phase).iter().sum::<usize>();
@@ -770,8 +589,8 @@ mod tests {
 
     #[test]
     fn pool_propagates_worker_panics() {
-        let mut pool = WorkerPool::new(4);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let pool = SharedWorkerPool::new(4);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.run(|w| {
                 if w == 2 {
                     panic!("boom");
@@ -779,16 +598,18 @@ mod tests {
                 w
             })
         }));
-        assert!(caught.is_err(), "panic must propagate to the caller");
+        // One uniform message, whichever worker failed with whatever
+        // payload (the scheduler reports it to the query's ticket).
+        let payload = caught.expect_err("panic must propagate to the submitter");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker thread panicked"));
         // The pool stays usable after a propagated panic.
-        let out = pool.run(|w| w);
-        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(pool.run(|w| w), vec![0, 1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_thread_pool_panics() {
-        let _ = WorkerPool::new(0);
+        let _ = SharedWorkerPool::new(0);
     }
 
     #[test]
@@ -802,26 +623,13 @@ mod tests {
         }
     }
 
-    // ---- shared pool ----
-
-    #[test]
-    fn shared_pool_serves_one_owner_like_an_exclusive_pool() {
-        let pool = SharedWorkerPool::new(4);
-        let out = pool.run(|w| w * 10);
-        assert_eq!(out, vec![0, 10, 20, 30]);
-        let (out, times) = pool.run_timed(|w| w);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(times.len(), 4);
-        assert_eq!(pool.phases_served(), 2);
-    }
-
     #[test]
     fn shared_pool_runs_submissions_from_many_threads() {
         let pool = SharedWorkerPool::new(3);
         let totals: Vec<u64> = std::thread::scope(|scope| {
             (0..8u64)
                 .map(|owner| {
-                    let handle = pool.with_owner(owner + 1);
+                    let handle = pool.clone();
                     scope.spawn(move || {
                         (0..4)
                             .map(|phase| {
@@ -851,7 +659,7 @@ mod tests {
     fn shared_pool_underlies_all_clones() {
         let pool = SharedWorkerPool::new(4);
         let ids_a = pool.run(|_| std::thread::current().id());
-        let ids_b = pool.with_owner(7).run(|_| std::thread::current().id());
+        let ids_b = pool.clone().run(|_| std::thread::current().id());
         assert_eq!(ids_a, ids_b, "clones must drive the same workers");
     }
 
@@ -859,24 +667,24 @@ mod tests {
     fn shared_pool_turnstile_is_fifo() {
         // Owner 1 runs a phase during which owner 2 queues up; owner 1
         // immediately requests another phase. FIFO admission guarantees
-        // the trace [1, 2, 1].
+        // the service order [1, 2, 1], recorded by the phases themselves.
         let pool = SharedWorkerPool::new(2);
-        pool.enable_phase_trace();
-        let a = pool.with_owner(1);
-        let b = pool.with_owner(2);
+        let order = Mutex::new(Vec::new());
+        let record = |owner: u64, w: usize| {
+            if w == 0 {
+                order.lock().expect("order poisoned").push(owner);
+            }
+        };
         std::thread::scope(|scope| {
-            let b_thread = {
-                let pool = pool.clone();
-                let b = b.clone();
-                scope.spawn(move || {
-                    // Wait until owner 1's first phase is admitted.
-                    while pool.pending_phases() == 0 {
-                        std::thread::yield_now();
-                    }
-                    b.run(|_| ());
-                })
-            };
-            a.run(|w| {
+            let b_thread = scope.spawn(|| {
+                // Wait until owner 1's first phase is admitted.
+                while pool.pending_phases() == 0 {
+                    std::thread::yield_now();
+                }
+                pool.run(|w| record(2, w));
+            });
+            pool.run(|w| {
+                record(1, w);
                 if w == 0 {
                     // Hold the phase until owner 2 is queued behind us.
                     while pool.pending_phases() < 2 {
@@ -884,17 +692,17 @@ mod tests {
                     }
                 }
             });
-            a.run(|_| ());
+            pool.run(|w| record(1, w));
             b_thread.join().expect("owner 2 panicked");
         });
-        let owners: Vec<u64> = pool.take_phase_trace().iter().map(|t| t.owner).collect();
-        assert_eq!(owners, vec![1, 2, 1], "waiting owner must be admitted between phases");
+        let order = order.into_inner().expect("order poisoned");
+        assert_eq!(order, vec![1, 2, 1], "waiting owner must be admitted between phases");
     }
 
     #[test]
     fn shared_pool_isolates_a_panicking_owner() {
         let pool = SharedWorkerPool::new(4);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.run(|w| {
                 if w == 1 {
                     panic!("query gone wrong");
@@ -903,27 +711,49 @@ mod tests {
         }));
         assert!(caught.is_err(), "panic must reach the submitting owner");
         // Other owners continue on the same pool.
-        let out = pool.with_owner(9).run(|w| w);
+        let out = pool.clone().run(|w| w);
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert_eq!(pool.phases_served(), 2, "panicked phase still releases the turnstile");
     }
 
     #[test]
-    fn shared_pool_trace_records_owner_and_sequence() {
-        let pool = SharedWorkerPool::new(1);
-        pool.enable_phase_trace();
-        pool.with_owner(3).run(|_| ());
-        pool.with_owner(5).run(|_| ());
-        let trace = pool.take_phase_trace();
-        assert_eq!(trace, vec![PhaseTag { owner: 3, seq: 1 }, PhaseTag { owner: 5, seq: 2 }]);
-        assert!(pool.take_phase_trace().is_empty(), "trace is take-once");
-    }
-
-    #[test]
-    fn exclusive_pool_converts_into_shared() {
-        let pool = WorkerPool::new(2).into_shared();
-        assert_eq!(pool.threads(), 2);
-        assert_eq!(pool.run(|w| w), vec![0, 1]);
+    fn interleaved_owners_never_see_each_others_borrows() {
+        // The interleaving that would expose a `Job` pointer outliving
+        // its borrow: four owners race 200 phases each, every phase
+        // borrowing a buffer that lives on its submitter's stack for
+        // that phase only, while owner 0 panics out of every 7th phase
+        // (the unwind path must hold the turnstile to the barrier too).
+        const OWNERS: u64 = 4;
+        const PHASES: u64 = 200;
+        let pool = SharedWorkerPool::new(3);
+        std::thread::scope(|scope| {
+            for owner in 0..OWNERS {
+                let pool = pool.clone();
+                scope.spawn(move || {
+                    for phase in 0..PHASES {
+                        let stamp = owner * PHASES + phase;
+                        let buffer = [stamp; 32];
+                        let doomed = owner == 0 && phase % 7 == 6;
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            pool.run(|w| {
+                                if doomed && w == 1 {
+                                    panic!("phase {stamp} gone wrong");
+                                }
+                                std::hint::black_box(&buffer).iter().sum::<u64>()
+                            })
+                        }));
+                        match outcome {
+                            Ok(sums) => {
+                                assert!(!doomed, "phase {stamp} must have panicked");
+                                assert_eq!(sums, vec![32 * stamp; 3], "phase {stamp}");
+                            }
+                            Err(_) => assert!(doomed, "phase {stamp} panicked unprovoked"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.phases_served(), OWNERS * PHASES);
     }
 
     // ---- placement ----

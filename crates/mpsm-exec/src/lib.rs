@@ -9,11 +9,8 @@
 //!
 //! * [`scan::Relation`] — a named, typed base table;
 //! * [`ops::Select`] — a filtered scan (predicate over key/payload);
-//! * [`ops::JoinOp`] — an equi-join node parameterized by any
-//!   [`mpsm_core::join::JoinAlgorithm`];
-//! * [`ops::MaxPayloadSum`] / [`ops::CountRows`] — the aggregates the
-//!   evaluation uses;
-//! * [`query`] — the ready-made paper query;
+//! * [`query`] — the ready-made paper query: the selections feed any
+//!   [`mpsm_core::join::JoinAlgorithm`] whose sink is the aggregate;
 //! * [`groupby`] — sort-based early aggregation exploiting MPSM's
 //!   run-structured output (the §7 extension).
 //!
@@ -32,8 +29,8 @@
 //!
 //! Every execution flows through an
 //! [`mpsm_core::context::ExecContext`] ([`query::paper_query_in`] is
-//! the unified path; the pool- and thread-based entry points wrap a
-//! flat context). A scheduler configured with a multi-node
+//! the unified path; the thread-count entry [`query::paper_query`]
+//! builds a flat context and delegates). A scheduler configured with a multi-node
 //! [`sched::SchedulerConfig::topology`] pins each admitted query to
 //! the least-loaded node, and every plan's EXPLAIN output grows a
 //! `Placement [node=…, local=…%, remote=…%]` line reporting where the
@@ -101,7 +98,7 @@ pub mod session;
 pub mod snapshot;
 
 pub use groupby::{sorted_group_by, CountAgg, KeyAggregate, MaxAgg, SumAgg};
-pub use ops::{CountRows, JoinOp, MaxPayloadSum, Select};
+pub use ops::Select;
 pub use plan::{
     AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, QueueCounters, RunCacheInfo, RunCacheOutcome,
     SnapshotInfo,

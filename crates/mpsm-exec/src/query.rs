@@ -23,7 +23,7 @@ use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
 use mpsm_numa::NumaBuf;
 
-use crate::ops::{JoinOp, MaxPayloadSum, Select};
+use crate::ops::Select;
 use crate::plan::{AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo, RunCacheOutcome};
 use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
 use crate::scan::Relation;
@@ -50,9 +50,11 @@ pub struct PaperQueryResult {
     pub rows: Option<Vec<(u64, u64, u64)>>,
 }
 
-/// Run `scan → select → join → max` with the given join algorithm.
-/// `threads` drives the parallel selections (the join uses its own
-/// configuration).
+/// Run `scan → select → join → max` with the given join algorithm on
+/// a flat context of `threads` workers built for this one call — the
+/// one `T` of the selections, the join and the printed plan (the
+/// algorithm's own configured width is not consulted). See
+/// [`paper_query_in`].
 pub fn paper_query<J, PR, PS>(
     r: &Relation,
     s: &Relation,
@@ -66,14 +68,10 @@ where
     PR: Fn(&Tuple) -> bool + Sync,
     PS: Fn(&Tuple) -> bool + Sync,
 {
-    let r_sel = Select::new(r, r_pred).execute(threads);
-    let s_sel = Select::new(s, s_pred).execute(threads);
-    let join = JoinOp::new(algorithm);
-    let (max, stats) = MaxPayloadSum::over(&join, &r_sel, &s_sel);
-    assemble(algorithm.name(), threads, r, s, r_sel.len(), s_sel.len(), max, stats)
+    paper_query_in(&ExecContext::flat(threads), r, s, r_pred, s_pred, algorithm)
 }
 
-/// [`paper_query`] inside an [`ExecContext`] — the unified execution
+/// The paper query inside an [`ExecContext`] — the unified execution
 /// path: selections and join phases run on the context's pool, run and
 /// partition storage comes from its node-local arenas, and the plan's
 /// `Placement` node reports which node the query was pinned to (if any)
@@ -97,8 +95,7 @@ where
 {
     let r_sel = Select::new(r, r_pred).execute_in(cx);
     let s_sel = Select::new(s, s_pred).execute_in(cx);
-    let join = JoinOp::new(algorithm);
-    let (max, stats) = MaxPayloadSum::over_in(cx, &join, &r_sel, &s_sel);
+    let (max, stats) = algorithm.join_in::<MaxAggSink>(cx, &r_sel, &s_sel);
     executed_in(
         cx,
         assemble(algorithm.name(), cx.threads(), r, s, r_sel.len(), s_sel.len(), max, stats),
@@ -418,22 +415,6 @@ mod tests {
         assert!(text.contains("Scan R [100 rows]"), "{text}");
         assert!(text.contains("Select [out = 10 rows]"), "{text}");
         assert!(text.contains("Scan S [200 rows]"), "{text}");
-    }
-
-    #[test]
-    fn pooled_query_matches_spawning_query() {
-        let r = rel("R", 400);
-        let s = Relation::new("S", (0..1600u64).map(|i| Tuple::new(i % 400, i)).collect());
-        let algo = PMpsmJoin::new(JoinConfig::with_threads(4));
-        let spawning = paper_query(&r, &s, |t| t.key % 2 == 0, |_| true, &algo, 4);
-        let pool = mpsm_core::worker::SharedWorkerPool::new(4);
-        let cx = ExecContext::over_pool(&pool);
-        let pooled = paper_query_in(&cx, &r, &s, |t| t.key % 2 == 0, |_| true, &algo);
-        assert_eq!(pooled.max_payload_sum, spawning.max_payload_sum);
-        assert_eq!(pooled.r_selected, spawning.r_selected);
-        assert_eq!(pooled.s_selected, spawning.s_selected);
-        assert!(pooled.plan.phases_ms.is_some(), "pooled plans record phase timings");
-        assert!(pool.phases_served() > 0, "all sections ran on the shared pool");
     }
 
     #[test]

@@ -411,8 +411,7 @@ pub struct QueryTicket {
 }
 
 impl QueryTicket {
-    /// The query's scheduler-assigned id (also the owner id tagging its
-    /// phases on the shared pool).
+    /// The query's scheduler-assigned id.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -501,7 +500,6 @@ struct AtomicMetrics {
 }
 
 struct QueuedQuery {
-    id: u64,
     spec: QuerySpec,
     cell: Arc<TicketCell>,
     submitted_at: Instant,
@@ -740,8 +738,8 @@ impl Scheduler {
             let core = Arc::clone(&self.core);
             // The compactor gets its own derived context so its
             // build/sort audits never leak into per-query placement
-            // reports (owner id 0 is never assigned to a query).
-            let cx = self.cx.for_owner(0);
+            // reports.
+            let cx = self.cx.per_query();
             std::thread::spawn(move || compactor_loop(&ctl, &core, &cx, &*task, &config))
         };
         self.compactor = Some(CompactorHandle { ctl, thread });
@@ -798,7 +796,6 @@ impl Scheduler {
                 return Err(SubmitError::ShuttingDown);
             }
             pending.queue.push_back(QueuedQuery {
-                id,
                 spec,
                 cell: Arc::clone(&cell),
                 submitted_at: Instant::now(),
@@ -973,8 +970,8 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         let queue_wait = job.submitted_at.elapsed();
         core.metrics.queue_wait_micros.fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
 
-        // Derive this query's context: phases tagged with its id on the
-        // pool, and — when the machine spans nodes — the whole query
+        // Derive this query's context: fresh counters, arena and sort
+        // scratch, and — when the machine spans nodes — the whole query
         // pinned to the least-loaded socket so its runs, partitions,
         // and phases stay node-local (the EXPLAIN `Placement` line
         // reports the node and the audited locality). The node is
@@ -982,7 +979,7 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         // seeing `Running` knows placement happened.
         let node = core.claim_node();
         job.cell.set(TicketState::Running);
-        let owned = cx.for_owner(job.id);
+        let owned = cx.per_query();
         let query_cx = match node {
             Some(node) => owned.pinned_to(node),
             None => owned,

@@ -131,12 +131,14 @@ pub enum JoinSpec {
 }
 
 impl JoinSpec {
-    /// P-MPSM with paper-default knobs.
+    /// P-MPSM with paper-default knobs. (`with_threads(1)` is a
+    /// placeholder: `join_in` takes `T` from the scheduler's context.)
     pub fn p_mpsm() -> Self {
         JoinSpec::PMpsm(JoinConfig::with_threads(1))
     }
 
-    /// B-MPSM with paper-default knobs.
+    /// B-MPSM with paper-default knobs. (`with_threads(1)` is a
+    /// placeholder: `join_in` takes `T` from the scheduler's context.)
     pub fn b_mpsm() -> Self {
         JoinSpec::BMpsm(JoinConfig::with_threads(1))
     }

@@ -125,16 +125,16 @@ fn session_round_trip_with_mixed_algorithms() {
 fn phases_of_concurrent_queries_interleave_on_the_pool() {
     let (r, s) = workload();
     let scheduler = Scheduler::new(SchedulerConfig::new(2).max_in_flight(4).queue_capacity(16));
-    scheduler.pool().enable_phase_trace();
+    let expected =
+        paper_query(&r, &s, |_| true, |_| true, &PMpsmJoin::new(JoinConfig::with_threads(2)), 2);
     let tickets: Vec<_> =
         (0..4).map(|_| scheduler.submit(QuerySpec::join(&r, &s)).expect("admitted")).collect();
     for t in tickets {
-        t.wait().expect("query failed");
+        let out = t.wait().expect("query failed");
+        assert_eq!(out.result.max_payload_sum, expected.max_payload_sum);
     }
-    let trace = scheduler.pool().take_phase_trace();
-    let owners: std::collections::HashSet<u64> = trace.iter().map(|t| t.owner).collect();
-    assert_eq!(owners.len(), 4, "each query's phases are tagged with its own id");
     // Each P-MPSM query submits multiple phases (sorts, CDF, histogram,
     // scatter, join) plus two selections.
-    assert!(trace.len() >= 4 * 6, "expected many phases, saw {}", trace.len());
+    let served = scheduler.pool().phases_served();
+    assert!(served >= 4 * 6, "expected many phases, saw {served}");
 }

@@ -66,3 +66,21 @@ fn stats_flow_through_the_pipeline() {
     assert_eq!(out.stats.per_worker.len(), 2);
     assert!(out.stats.wall_ms() > 0.0);
 }
+
+#[test]
+fn context_width_is_the_one_thread_count() {
+    // The algorithm is configured four-wide but the query is asked to
+    // run three-wide: selections, join and printed plan must all agree
+    // on the context's `T = 3`.
+    let w = fk_uniform(900, 2, 17);
+    let r = Relation::new("R", w.r);
+    let s = Relation::new("S", w.s);
+    let algo = PMpsmJoin::new(JoinConfig::with_threads(4));
+    let out = paper_query(&r, &s, |_| true, |_| true, &algo, 3);
+    let text = out.plan.explain();
+    assert!(text.contains("Join [P-MPSM; T = 3]"), "{text}");
+    assert_eq!(out.stats.per_worker.len(), 3, "the join ran as wide as the plan says");
+    // The context-free call prints the rows every other route prints.
+    assert!(text.contains("Placement ["), "{text}");
+    assert!(out.plan.phases_ms.is_some());
+}

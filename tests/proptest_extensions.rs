@@ -4,19 +4,20 @@
 //! (write-combining scatter, galloping merge kernel).
 
 use mpsm::baselines::parallel_merge::{parallel_kway_merge, sequential_kway_merge};
+use mpsm::core::context::ExecContext;
 use mpsm::core::histogram::{combine_histograms, compute_histogram, RadixDomain};
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::variant::JoinVariant;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::merge::{merge_join, merge_join_linear};
-use mpsm::core::partition::{range_partition, range_partition_naive};
+use mpsm::core::partition::{range_partition_ctx, range_partition_naive};
 use mpsm::core::sink::{CollectSink, CountSink, JoinSink, SortedRunsSink};
 use mpsm::core::sort::network::quicksort_to_network;
 use mpsm::core::sort::CACHE_RESIDENT_TUPLES;
 use mpsm::core::splitter::equi_height_splitters;
 use mpsm::core::tuple::is_key_sorted;
-use mpsm::core::worker::chunk_ranges;
+use mpsm::core::worker::{chunk_ranges, SharedWorkerPool};
 use mpsm::core::Tuple;
 use mpsm::exec::{sorted_group_by, CountAgg};
 use mpsm::storage::{MemBackend, Record, RunStore};
@@ -103,7 +104,7 @@ proptest! {
             })
             .collect();
         let seq = sequential_kway_merge(runs.clone());
-        let par = parallel_kway_merge(runs, threads);
+        let par = parallel_kway_merge(&SharedWorkerPool::new(threads), runs);
         prop_assert!(is_key_sorted(&par));
         prop_assert_eq!(
             par.iter().map(|t| t.key).collect::<Vec<_>>(),
@@ -188,7 +189,11 @@ proptest! {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let splitters = equi_height_splitters(&hist, fan);
-        let optimized = range_partition(&chunks, &domain, &splitters);
+        let cx = ExecContext::flat(workers);
+        let optimized: Vec<Vec<Tuple>> = range_partition_ctx(&cx, &chunks, &domain, &splitters)
+            .into_iter()
+            .map(|buf| buf.into_inner())
+            .collect();
         let naive = range_partition_naive(&chunks, &domain, &splitters);
         // Tuple-for-tuple identical: same partitions, worker
         // sub-partitions in worker order, chunk order within each —

@@ -3,13 +3,14 @@
 
 use mpsm::baselines::nested_loop::oracle_count;
 use mpsm::core::cdf::{equi_height_bounds, Cdf};
+use mpsm::core::context::ExecContext;
 use mpsm::core::histogram::{combine_histograms, compute_histogram, RadixDomain};
 use mpsm::core::interpolation::{interpolation_lower_bound, interpolation_upper_bound};
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::merge::{merge_join, merge_join_count, merge_join_linear};
-use mpsm::core::partition::range_partition;
+use mpsm::core::partition::range_partition_ctx;
 use mpsm::core::sink::{CollectSink, JoinSink};
 use mpsm::core::sort::three_phase_sort;
 use mpsm::core::splitter::{compute_splitters, equi_height_splitters};
@@ -149,7 +150,7 @@ proptest! {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let splitters = equi_height_splitters(&hist, parts);
-        let runs = range_partition(&chunks, &domain, &splitters);
+        let runs = range_partition_ctx(&ExecContext::flat(workers), &chunks, &domain, &splitters);
 
         // Permutation.
         let mut out: Vec<(u64, u64)> =
@@ -158,7 +159,7 @@ proptest! {
         prop_assert_eq!(out, key_multiset(&data));
         // Range-respecting.
         for (p, run) in runs.iter().enumerate() {
-            for t in run {
+            for t in run.iter() {
                 prop_assert_eq!(splitters.partition_of_bucket(domain.bucket_of(t.key)), p);
             }
         }
