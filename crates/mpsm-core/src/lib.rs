@@ -43,9 +43,9 @@
 //! paper's literal recipe (each keeps its seed variant reachable as a
 //! reference): the [`partition`] scatter stages tuples in
 //! per-partition 128-byte write-combining buffers; the three-phase
-//! [`sort`] recurses its radix pass until buckets are cache-resident
-//! and finishes each bucket while hot; the [`merge`] kernel gallops
-//! (exponential search) over non-matching stretches; and
+//! [`sort`] recurses its radix pass until a bucket fits one 64-tuple
+//! sorting network and finishes each bucket while hot; the [`merge`]
+//! kernel gallops (exponential search) over non-matching stretches; and
 //! [`worker::SharedWorkerPool`] parks persistent worker threads between
 //! phases instead of respawning them. The harness under `bench/`
 //! prices each of them (`sort.*`, `partition.*`, `merge.*`, `worker.*`).

@@ -16,13 +16,15 @@
 //!
 //! Cache-conscious refinements over the paper's literal recipe:
 //!
-//! * **Recursive radix pass.** A bucket larger than
-//!   [`CACHE_RESIDENT_TUPLES`] (an L1d worth of tuples) recurses the
-//!   radix pass (with the child shift derived arithmetically by
-//!   [`radix::RadixShift::child`] — no re-scan) instead of going
-//!   straight to introsort: one O(n) counting pass + scatter replaces
-//!   `RADIX_BITS` quicksort levels of branchy comparisons, and the
-//!   pieces handed to the finisher are cache-resident. The descent
+//! * **Recursive radix pass.** A bucket larger than [`NETWORK_BLOCK`]
+//!   recurses the radix pass (with the child shift derived
+//!   arithmetically by [`radix::RadixShift::child`] — no re-scan)
+//!   instead of going to a comparison sort: one O(n) counting pass +
+//!   scatter replaces `RADIX_BITS` quicksort levels of branchy
+//!   comparisons. The descent ends on its own: every level above the
+//!   block at a non-zero shift consumes `RADIX_BITS` key bits, a shift
+//!   of 0 leaves single-key buckets, a pass that collapses into one
+//!   bucket re-tightens its shift, and a single-key bucket returns. It
 //!   scatters out of place into a per-worker ping-pong buffer
 //!   (sequential reads, independent write streams) rather than the
 //!   American-flag in-place permutation, whose displacement chain
@@ -30,15 +32,15 @@
 //!   back in place with zero extra copies.
 //! * **Per-bucket finishing.** The finisher runs per radix
 //!   bucket, immediately after that bucket lands, while the bucket
-//!   (≤ L1-sized) is still cache-hot — instead of one global pass that
+//!   (≤ 1 KiB) is still cache-hot — instead of one global pass that
 //!   re-streams the whole (multi-MiB) array from memory. The seed's
 //!   global-pass variant is retained as [`three_phase_sort_naive`],
 //!   the reference the equivalence tests compare against.
-//! * **Network leaf.** That finisher is one fixed path,
-//!   [`network::quicksort_to_network`]: quicksort down to partitions of
-//!   at most [`NETWORK_BLOCK`] tuples, each sorted by a branch-free
-//!   odd-even network. The paper's introsort + insertion survives in
-//!   the references [`three_phase_sort_naive`] and [`introsort_only`].
+//! * **Network leaf.** That finisher is one exact-size, branch-free
+//!   odd-even network per bucket ([`network::network_sort_exact`]);
+//!   no comparison sort sits between the descent and the network. The
+//!   paper's introsort + insertion survives in the references
+//!   [`three_phase_sort_naive`] and [`introsort_only`].
 //!
 //! Keys may occupy any sub-range of the 64-bit domain (the paper's
 //! evaluation draws them from `[0, 2^32)`), so the radix pass first
@@ -62,16 +64,9 @@ pub const RADIX_BITS: u32 = 8;
 /// insertion pass, as in the paper.
 pub const INSERTION_CUTOFF: usize = 16;
 
-/// Buckets larger than this recurse the radix pass before the finishing
-/// leaf: 32 KiB (an L1d) of 16-byte tuples. Each radix level replaces
-/// eight quicksort levels with one O(n) counting pass + in-place
-/// permutation, so recursing until buckets are L1-resident is where the
-/// measured optimum lies (the PR 2 sweep: 2048 ≈ 1.7× over the
-/// introsort-from-L2 variant at 1M tuples; 8192+ erases the win).
-pub const CACHE_RESIDENT_TUPLES: usize = (32 * 1024) / std::mem::size_of::<Tuple>();
-
-/// Quicksort partitions of at most this many tuples are sorted by their
-/// exact-size odd-even network ([`network::network_sort_exact`]).
+/// The radix descent's leaf size: a bucket of at most this many tuples
+/// is sorted by its exact-size odd-even network
+/// ([`network::network_sort_exact`]); a larger one scatters again.
 /// ARCHITECTURE.md, "The sort", has the pricing behind the value.
 pub const NETWORK_BLOCK: usize = 64;
 
@@ -102,8 +97,8 @@ thread_local! {
 }
 
 /// Sort `tuples` by key with the paper's three-phase algorithm, using
-/// a thread-local scratch. Recurses the radix pass on non-cache-resident
-/// buckets and finishes each bucket while it is cache-hot.
+/// a thread-local scratch. Recurses the radix pass until every bucket
+/// fits one network and finishes each bucket while it is cache-hot.
 ///
 /// ```
 /// use mpsm_core::sort::three_phase_sort;
@@ -195,9 +190,9 @@ fn spill_children(
 /// leaf.
 fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], shift: radix::RadixShift) {
     debug_assert_eq!(src.len(), dst.len());
-    if src.len() <= CACHE_RESIDENT_TUPLES {
+    if src.len() <= NETWORK_BLOCK {
         dst.copy_from_slice(src);
-        network::quicksort_to_network(dst);
+        network::network_sort_exact(dst);
         return;
     }
     let bounds = radix::msd_radix_scatter(src, dst, shift);
@@ -232,8 +227,8 @@ fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], shift: radix::RadixShift) {
 /// space. The ping-pong counterpart of [`sort_spill`].
 fn sort_resident(data: &mut [Tuple], aux: &mut [Tuple], shift: radix::RadixShift) {
     debug_assert_eq!(data.len(), aux.len());
-    if data.len() <= CACHE_RESIDENT_TUPLES {
-        network::quicksort_to_network(data);
+    if data.len() <= NETWORK_BLOCK {
+        network::network_sort_exact(data);
         return;
     }
     let bounds = radix::msd_radix_scatter(data, aux, shift);
@@ -404,11 +399,10 @@ mod tests {
     #[test]
     fn recursion_handles_one_giant_bucket() {
         // One outlier stretches the domain so the first pass dumps
-        // everything else into bucket 0, which exceeds the
-        // cache-resident threshold and must recurse with a re-derived
-        // shift.
+        // everything else into bucket 0, which exceeds the network
+        // block and must recurse with a re-derived shift.
         let mut state = 5u64;
-        let mut data: Vec<Tuple> = (0..(CACHE_RESIDENT_TUPLES as u64 + 5_000))
+        let mut data: Vec<Tuple> = (0..(110 * NETWORK_BLOCK as u64))
             .map(|i| {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 Tuple::new(state >> 40, i) // keys < 2^24
@@ -430,11 +424,26 @@ mod tests {
         // One giant equal-key bucket plus an outlier: the recursion must
         // detect min == max and stop instead of re-partitioning forever.
         let mut data: Vec<Tuple> =
-            (0..(CACHE_RESIDENT_TUPLES as u64 + 2_000)).map(|i| Tuple::new(7, i)).collect();
+            (0..(64 * NETWORK_BLOCK as u64)).map(|i| Tuple::new(7, i)).collect();
         data.push(Tuple::new(u64::MAX, 0));
         three_phase_sort(&mut data);
         assert!(is_key_sorted(&data));
         assert_eq!(data.last().unwrap().key, u64::MAX);
+    }
+
+    #[test]
+    fn descent_sorts_large_input() {
+        // 50 000 keys over 2^32: first-level buckets hold ~195 tuples,
+        // so every bucket scatters a second time before it reaches the
+        // network.
+        let mut data = pseudo_random(50_000, 9);
+        let mut expected: Vec<(u64, u64)> = data.iter().map(|t| (t.key, t.payload)).collect();
+        expected.sort_unstable();
+        three_phase_sort_with(&mut data, &mut SortScratch::new());
+        assert!(is_key_sorted(&data));
+        let mut got: Vec<(u64, u64)> = data.iter().map(|t| (t.key, t.payload)).collect();
+        got.sort_unstable();
+        assert_eq!(got, expected);
     }
 
     #[test]

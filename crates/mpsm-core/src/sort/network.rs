@@ -15,9 +15,9 @@
 //! Every size up to [`NETWORK_BLOCK`] has its own exact schedule (see
 //! `batcher_pairs_into`), so nothing is padded or staged.
 //!
-//! Entry points: [`network_sort_exact`] (one partition of at most
-//! [`NETWORK_BLOCK`] tuples) and [`quicksort_to_network`] (any slice —
-//! what the radix descent calls on every cache-resident bucket).
+//! Entry point: [`network_sort_exact`], one slice of at most
+//! [`NETWORK_BLOCK`] tuples — what the radix descent calls on every
+//! bucket it stops at.
 
 use super::NETWORK_BLOCK;
 use crate::tuple::Tuple;
@@ -84,9 +84,9 @@ fn schedules() -> &'static Schedules {
 
 /// Sort a slice of at most [`NETWORK_BLOCK`] tuples in place with its
 /// exact-size odd-even schedule: branch-free compare-exchanges, no
-/// padding, no staging copy. Quicksort partitions land on every size
-/// up to the block, not just powers of two, which is why each size has
-/// its own schedule.
+/// padding, no staging copy. Radix buckets land on every size up to
+/// the block, not just powers of two, which is why each size has its
+/// own schedule.
 pub fn network_sort_exact(tuples: &mut [Tuple]) {
     let n = tuples.len();
     debug_assert!(n <= NETWORK_BLOCK);
@@ -103,78 +103,6 @@ pub fn network_sort_exact(tuples: &mut [Tuple]) {
         let m = ((x.key > y.key) as u64).wrapping_neg();
         tuples[lo] = Tuple::new((x.key & !m) | (y.key & m), (x.payload & !m) | (y.payload & m));
         tuples[hi] = Tuple::new((y.key & !m) | (x.key & m), (y.payload & !m) | (x.payload & m));
-    }
-}
-
-/// Depth-limited quicksort (the scheme of [`super::intro`]: Hoare
-/// partitioning to `2·log2(n)` levels, then heapsort) that finishes
-/// every partition of at most [`NETWORK_BLOCK`] tuples with
-/// [`network_sort_exact`] on the spot — no deferred insertion pass.
-/// The radix descent calls it on each cache-resident bucket.
-pub fn quicksort_to_network(tuples: &mut [Tuple]) {
-    if tuples.len() < 2 {
-        return;
-    }
-    let depth_limit = 2 * tuples.len().ilog2();
-    sort_rec(tuples, depth_limit);
-}
-
-fn sort_rec(tuples: &mut [Tuple], depth_left: u32) {
-    let mut slice = tuples;
-    let mut depth = depth_left;
-    loop {
-        if slice.len() <= NETWORK_BLOCK {
-            network_sort_exact(slice);
-            return;
-        }
-        if depth == 0 {
-            super::intro::heapsort(slice);
-            return;
-        }
-        let split = hoare_partition(slice);
-        depth -= 1;
-        let (left, right) = slice.split_at_mut(split + 1);
-        if left.len() < right.len() {
-            sort_rec(left, depth);
-            slice = right;
-        } else {
-            sort_rec(right, depth);
-            slice = left;
-        }
-    }
-}
-
-/// Same Hoare partition as `super::intro` (duplicated locally because
-/// the two modules are alternative phase-2 strategies with different
-/// leaf handling; keeping them independent keeps the ablation honest).
-fn hoare_partition(tuples: &mut [Tuple]) -> usize {
-    let len = tuples.len();
-    let mid = len / 2;
-    if tuples[mid].key < tuples[0].key {
-        tuples.swap(mid, 0);
-    }
-    if tuples[len - 1].key < tuples[0].key {
-        tuples.swap(len - 1, 0);
-    }
-    if tuples[len - 1].key < tuples[mid].key {
-        tuples.swap(len - 1, mid);
-    }
-    let pivot = tuples[mid].key;
-    let mut i = 0usize;
-    let mut j = len - 1;
-    loop {
-        while tuples[i].key < pivot {
-            i += 1;
-        }
-        while tuples[j].key > pivot {
-            j -= 1;
-        }
-        if i >= j {
-            return j.min(len - 2);
-        }
-        tuples.swap(i, j);
-        i += 1;
-        j -= 1;
     }
 }
 
@@ -286,24 +214,5 @@ mod tests {
             let got: Vec<u64> = data.iter().map(|t| t.key).collect();
             assert_eq!(got, expected, "size {n}");
         }
-    }
-
-    #[test]
-    fn quicksort_to_network_sorts_large_input() {
-        let mut data = pseudo_random(50_000, 9);
-        let mut expected: Vec<(u64, u64)> = data.iter().map(|t| (t.key, t.payload)).collect();
-        expected.sort_unstable();
-        quicksort_to_network(&mut data);
-        assert!(is_key_sorted(&data));
-        let mut got: Vec<(u64, u64)> = data.iter().map(|t| (t.key, t.payload)).collect();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn quicksort_to_network_adversarial_duplicates() {
-        let mut data: Vec<Tuple> = (0..60_000).map(|i| Tuple::new(i % 2, i)).collect();
-        quicksort_to_network(&mut data);
-        assert!(is_key_sorted(&data));
     }
 }

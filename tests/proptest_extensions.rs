@@ -13,8 +13,8 @@ use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::merge::{merge_join, merge_join_linear};
 use mpsm::core::partition::{range_partition_ctx, range_partition_naive};
 use mpsm::core::sink::{CollectSink, CountSink, JoinSink, SortedRunsSink};
-use mpsm::core::sort::network::quicksort_to_network;
-use mpsm::core::sort::CACHE_RESIDENT_TUPLES;
+use mpsm::core::sort::network::network_sort_exact;
+use mpsm::core::sort::NETWORK_BLOCK;
 use mpsm::core::splitter::equi_height_splitters;
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::worker::{chunk_ranges, SharedWorkerPool};
@@ -32,12 +32,12 @@ proptest! {
 
     #[test]
     fn bitonic_sorts_any_input(
-        keys in proptest::collection::vec(any::<u64>(), 0..=CACHE_RESIDENT_TUPLES),
+        keys in proptest::collection::vec(any::<u64>(), 0..=NETWORK_BLOCK),
     ) {
         let mut data = tuples(keys);
         let mut expected: Vec<u64> = data.iter().map(|t| t.key).collect();
         expected.sort_unstable();
-        quicksort_to_network(&mut data);
+        network_sort_exact(&mut data);
         prop_assert!(is_key_sorted(&data));
         prop_assert_eq!(data.iter().map(|t| t.key).collect::<Vec<_>>(), expected);
     }

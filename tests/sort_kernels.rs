@@ -6,17 +6,15 @@
 //! and the same multiset of `(key, payload)` pairs (neither sort is
 //! stable, so payload *order* within a key group may differ, but no
 //! tuple may be dropped, duplicated, or invented). The inputs straddle
-//! every dispatch boundary (insertion cutoff 16, network block 64, the
-//! cache-resident recursion threshold 2048, and sizes that drive the
-//! radix descent from one level to its last digit) and include the adversarial
-//! distributions that broke earlier drafts: all-equal keys, keys at
-//! `u64::MAX`, presorted, reversed, heavily skewed domains, and the
-//! duplicate densities at which the leaf's cost moves most.
+//! every dispatch boundary (insertion cutoff 16, the network block 64
+//! at which the radix descent stops, and sizes and shapes that drive
+//! the descent from one level to its last digit) and include the
+//! adversarial distributions that broke earlier drafts: all-equal keys,
+//! keys at `u64::MAX`, presorted, reversed, heavily skewed domains, and
+//! the duplicate densities at which the leaf's cost moves most.
 
-use mpsm::core::sort::network::quicksort_to_network;
 use mpsm::core::sort::{
-    three_phase_sort_naive, three_phase_sort_with, SortScratch, CACHE_RESIDENT_TUPLES,
-    INSERTION_CUTOFF, NETWORK_BLOCK,
+    three_phase_sort_naive, three_phase_sort_with, SortScratch, INSERTION_CUTOFF, NETWORK_BLOCK,
 };
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::Tuple;
@@ -65,12 +63,13 @@ fn check(keys: &[u64]) -> Result<(), String> {
     check_with(keys, &mut SortScratch::new())
 }
 
-/// The sizes where dispatch changes shape: around the insertion cutoff,
-/// the network block (and twice it, where quicksort first splits), and
-/// the cache-resident recursion threshold; then one size per depth
-/// regime of the radix descent — uniform keys stay one level deep
-/// throughout, while the skewed distribution (60 distinct keys) is
-/// already several levels deep at 4096 and runs out of digits by 2^18.
+/// The sizes where dispatch changes shape: around the insertion cutoff
+/// and the network block at which the descent stops (and twice it plus
+/// one); then sizes per depth regime of the radix descent — 2047 –
+/// 4096, where uniform keys leave first-level buckets of 8 – 16 tuples
+/// and the skewed distribution (60 distinct keys) is already several
+/// levels deep, and 2^15 / 2^18, where uniform keys need a second level
+/// and the skewed ones run out of digits.
 const BOUNDARY_SIZES: [usize; 19] = [
     0,
     1,
@@ -85,10 +84,10 @@ const BOUNDARY_SIZES: [usize; 19] = [
     2 * NETWORK_BLOCK + 1,
     255,
     256,
-    CACHE_RESIDENT_TUPLES - 1,
-    CACHE_RESIDENT_TUPLES,
-    CACHE_RESIDENT_TUPLES + 1,
-    2 * CACHE_RESIDENT_TUPLES,
+    2047,
+    2048,
+    2049,
+    4096,
     1 << 15,
     1 << 18,
 ];
@@ -134,10 +133,10 @@ fn matches_naive_at_every_boundary_size() {
 
 /// The regime where the leaf's cost is most sensitive to the data: a
 /// fixed 2^16 tuples over ever fewer distinct keys. 65 536 possible
-/// values leave the leaves lightly duplicated partitions; 1 000 leave
-/// them four keys each (quicksort on heavy duplicates); 16 are ordered
-/// by the first scatter alone; one key — `u64::MAX` — returns before
-/// it.
+/// values leave first-level buckets of 256 keys, 1 000 of four keys;
+/// either way a second scatter at shift 0 orders each bucket by exact
+/// value. 16 are ordered by the first scatter alone; one key —
+/// `u64::MAX` — returns before it.
 #[test]
 fn matches_naive_across_duplicate_densities() {
     const N: usize = 1 << 16;
@@ -149,27 +148,28 @@ fn matches_naive_across_duplicate_densities() {
     check(&vec![u64::MAX; N]).unwrap_or_else(|msg| panic!("all-u64::MAX run: {msg}"));
 }
 
-/// `u64::MAX` is an ordinary key to the leaf — quicksort to network
-/// partitions has no padding sentinel a real tuple could be mistaken
-/// for. This input mixes genuine `(u64::MAX, u64::MAX)` tuples with
-/// distinct-payload `u64::MAX` keys at a size that splits before it
-/// reaches the networks.
+/// `u64::MAX` is an ordinary key to the leaf — the network has no
+/// padding sentinel a real tuple could be mistaken for. Key 0 and keys
+/// below 2^63 stretch the first scatter over all 64 bits, so its top
+/// bucket holds exactly the 60 tuples at the very top of the domain —
+/// genuine `(u64::MAX, u64::MAX)` tuples, distinct-payload `u64::MAX`
+/// keys and their near neighbours — and that bucket goes to one
+/// network.
 #[test]
 fn leaf_keeps_real_u64_max_tuples() {
     let n = 200;
     let mut data: Vec<Tuple> = (0..n)
-        .map(|i| {
-            if i % 3 == 0 {
-                Tuple::new(u64::MAX, u64::MAX)
-            } else {
-                Tuple::new(u64::MAX - (i as u64 % 2), i as u64)
-            }
+        .map(|i| match i {
+            0..20 => Tuple::new(u64::MAX, u64::MAX),
+            20..40 => Tuple::new(u64::MAX, i),
+            40..60 => Tuple::new(u64::MAX - 1 - 7 * i, i),
+            _ => Tuple::new((i - 60).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1, i),
         })
         .collect();
     let mut expected = pairs(&data);
     expected.sort_unstable();
 
-    quicksort_to_network(&mut data);
+    three_phase_sort_with(&mut data, &mut SortScratch::new());
 
     assert!(is_key_sorted(&data));
     let mut got = pairs(&data);
@@ -177,13 +177,80 @@ fn leaf_keeps_real_u64_max_tuples() {
     assert_eq!(got, expected, "max-valued tuples must survive the leaf");
 }
 
-/// Same property through the full entry point: a run dominated by
-/// `u64::MAX` keys, five values wide at the very top of the domain.
+/// Same property against the reference: a run dominated by `u64::MAX`
+/// keys, five values wide at the very top of the domain.
 #[test]
 fn sort_survives_a_max_key_heavy_run() {
     let keys: Vec<u64> =
         (0..3000).map(|i| if i % 7 == 0 { u64::MAX } else { u64::MAX - (i as u64 % 5) }).collect();
     check(&keys).unwrap();
+}
+
+/// A staircase `levels` digits deep: `bottom` keys below
+/// `2^(64 − 8·levels)`, which share bucket 0 of every level, plus for
+/// each level `l < levels` the key `u64::MAX >> 8l`, which that level's
+/// scatter peels off into bucket 255 on its own — so every pass splits
+/// (none collapses) and the bucket carried down shrinks by one tuple
+/// per level until only the `bottom` keys are left.
+fn staircase(levels: u32, bottom: usize, seed: u64) -> Vec<u64> {
+    let below = 1u64 << (64 - 8 * levels);
+    let mut keys = keys_for(0, bottom, seed);
+    keys.iter_mut().for_each(|k| *k %= below);
+    keys.extend((0..levels).map(|l| u64::MAX >> (8 * l)));
+    keys
+}
+
+/// Shapes that drive the descent through many levels before a bucket
+/// fits one network:
+/// * 65 tuples carried through all eight digits of a full 64-bit span
+///   (seven peeling scatters, then the eighth at shift 0);
+/// * 80:20 skew with the hot band sized so its level-2 buckets hold
+///   65 – 128 tuples each and scatter a third time — the occupancy
+///   `skewed_80_20` gives the hot band at 2^20 tuples over 2^32, reached
+///   here with 2^16;
+/// * staircases of every depth whose carried bucket ends one below, at
+///   and one above the network block, starting on either side of the
+///   ping-pong buffer.
+#[test]
+fn deep_descent_shapes_match_naive() {
+    check(&staircase(7, 65, 0x8_1E7E1)).unwrap_or_else(|msg| panic!("eight levels: {msg}"));
+
+    const N: usize = 1 << 16;
+    const HOT: u64 = 3 << 30;
+    const HOT_BUCKETS: u64 = 544; // level-2 buckets are 2^16 keys wide
+    let mut state = 0x80_20u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 16
+    };
+    // 0 and 2^32 − 1 pin the first scatter's base and shift (24).
+    let mut keys = vec![0, (1 << 32) - 1];
+    keys.extend((2..N).map(|i| {
+        if i % 5 == 0 {
+            next() % (1 << 32)
+        } else {
+            HOT + next() % (HOT_BUCKETS << 16)
+        }
+    }));
+    let mut per_bucket = vec![0usize; HOT_BUCKETS as usize];
+    for &k in keys.iter().filter(|&&k| (HOT..HOT + (HOT_BUCKETS << 16)).contains(&k)) {
+        per_bucket[((k - HOT) >> 16) as usize] += 1;
+    }
+    let in_shape = per_bucket.iter().filter(|&&c| (65..=128).contains(&c)).count();
+    assert!(in_shape * 20 >= per_bucket.len() * 19, "hot level-2 buckets: {per_bucket:?}");
+    check(&keys).unwrap_or_else(|msg| panic!("80:20 skew: {msg}"));
+
+    for levels in 1..=8 {
+        for bottom in [NETWORK_BLOCK - 1, NETWORK_BLOCK, NETWORK_BLOCK + 1] {
+            let mut keys = staircase(levels, bottom, u64::from(levels));
+            check(&keys).unwrap_or_else(|msg| panic!("staircase {levels} x {bottom}: {msg}"));
+            // Without its top step the descent starts one level lower,
+            // so every bucket lands on the other side of the ping-pong.
+            keys.retain(|&k| k != u64::MAX);
+            check(&keys)
+                .unwrap_or_else(|msg| panic!("staircase {levels} x {bottom} less its top: {msg}"));
+        }
+    }
 }
 
 /// One scratch carried across runs of shrinking then growing length —
