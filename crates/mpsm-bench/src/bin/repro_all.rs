@@ -24,7 +24,6 @@ const EXPERIMENTS: &[&str] = &[
     "sort_comparison",
     "complexity_model",
     "dmpsm_budget",
-    "ablation_entry_points",
     "ablation_cdf_fan",
 ];
 

@@ -7,13 +7,15 @@
 //! its `merge_pair` helper is the one place a pair is merged
 //! (interpolation entry, then the galloping or the masked kernel).
 //!
-//! MPSM is naturally anytime: [`build_run_set`](super::runs::build_run_set)
-//! produces runs covering **ascending disjoint key ranges**, so merging
-//! run 0, then run 1, … advances monotonically through the sorted key
-//! domain. A merge interrupted after the first `k` steps has joined a
-//! *downward-closed prefix* of the key domain — a well-defined partial
-//! answer ("joined through key `x`, covering `c%` of the input"), not an
-//! arbitrary subset.
+//! MPSM is naturally anytime: the private side is range-partitioned
+//! ([`build_run_set`](super::runs::build_run_set)), its runs covering
+//! **ascending disjoint key ranges** — `merge_sides` debug-asserts it —
+//! so merging run 0, then run 1, … advances monotonically through the
+//! sorted key domain. (The public side may be chunked: every private
+//! piece meets every public run anyway.) A merge interrupted after the
+//! first `k` steps has joined a *downward-closed prefix* of the key
+//! domain — a well-defined partial answer ("joined through key `x`,
+//! covering `c%` of the input"), not an arbitrary subset.
 //!
 //! ## Step plans
 //!
@@ -45,12 +47,10 @@
 //! deterministic.
 //!
 //! Coverage is reported as merged private tuples over total private
-//! tuples. Runs are equi-height (built from the relation's own
-//! histogram), so the tuple fraction is the natural estimator of the
-//! key-domain fraction covered. Alongside the scalar, the outcome
-//! carries a per-key-range histogram ([`KeyRangeCoverage`], one entry
-//! per non-empty private base run) that shows *where* in the key domain
-//! the merge stopped.
+//! tuples, whatever splitters cut the runs. Alongside the scalar, the
+//! outcome carries a per-key-range histogram ([`KeyRangeCoverage`], one
+//! entry per non-empty private base run) that shows *where* in the key
+//! domain the merge stopped.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -245,10 +245,11 @@ fn key_interval_steps<'a>(r: DeltaSide<'a>) -> Vec<Step<'a>> {
 
 /// Phase 4 over two sides of sorted runs: every private run merges with
 /// every public run through `merge_pair`, in the step plan the module
-/// docs describe. A [`AnytimeToken::Never`] token with no effective
-/// `rows_cap` is the plain merge (one dispatch, always complete); any
-/// other combination merges ascending key intervals and stops
-/// *between* steps when the token expires or — for sinks whose
+/// docs describe. The private base runs must be range-partitioned; the
+/// public ones may be any sorted runs. A [`AnytimeToken::Never`] token
+/// with no effective `rows_cap` is the plain merge (one dispatch, always
+/// complete); any other combination merges ascending key intervals and
+/// stops *between* steps when the token expires or — for sinks whose
 /// [`JoinSink::result_len`] reports a count — once at least `rows_cap`
 /// rows exist, so a capped query stops paying for rows its caller will
 /// discard. Time and access counters book under [`Phase::Four`].
@@ -260,6 +261,11 @@ pub fn merge_sides<S: JoinSink>(
     rows_cap: Option<usize>,
     stats: &mut JoinStats,
 ) -> AnytimeOutcome<S::Result> {
+    debug_assert!(
+        r.base.is_range_partitioned(),
+        "the private side must be range-partitioned: its base runs cover ascending, disjoint key \
+         ranges"
+    );
     let t = cx.threads();
     let total_tuples = r.base.total_tuples() + r.delta.map_or(0, |d| d.len());
     let rows_cap = rows_cap.filter(|_| S::result_len(&S::default().finish()).is_some());
@@ -362,7 +368,7 @@ pub fn merge_run_sets_anytime<S: JoinSink>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::runs::{build_run_set, merge_run_sets_in};
+    use super::super::runs::{build_run_set, chunked_run_set, merge_run_sets_in};
     use super::*;
     use crate::join::delta::{materialize, DeltaOp, DeltaOverlay};
     use crate::sink::{CollectSink, CountSink, MaxAggSink};
@@ -763,6 +769,19 @@ mod tests {
         let all = run(1);
         assert!(all.complete);
         assert_eq!(all.result, 400, "every S key in 0..50 meets its one delta tuple");
+    }
+
+    /// Chunked runs overlap in key range: as the private side they would
+    /// void the key-order prefix contract and [`KeyRangeCoverage`].
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the private side must be range-partitioned")]
+    fn a_chunked_private_side_is_rejected() {
+        let cx = ExecContext::flat(2);
+        let mut stats = JoinStats::new(2);
+        let r = chunked_run_set(&cx, &random(1000, 500, 61), Phase::Two, &mut stats);
+        let s = build_run_set(&cx, &random(1000, 500, 67), 10, Phase::One, Phase::One, &mut stats);
+        merge_run_sets_in::<CountSink>(&cx, &r, &s, &mut stats);
     }
 
     #[test]

@@ -18,13 +18,13 @@
 //! grows — the motivation for P-MPSM (§2.2).
 
 use crate::context::ExecContext;
+use crate::join::runs::chunked_run_set;
 use crate::join::variant::{band_merge_join, emit_variant_rows, merge_join_mark, JoinVariant};
 use crate::join::{JoinAlgorithm, JoinConfig};
 use crate::merge::merge_join_scanned;
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
-use crate::worker::chunk_ranges;
 
 /// The basic MPSM join.
 #[derive(Debug, Clone)]
@@ -104,35 +104,13 @@ impl BMpsmJoin {
         s: &[Tuple],
     ) -> (S::Result, JoinStats) {
         // The context decides the worker count (see `JoinAlgorithm::join_in`).
-        let t = cx.threads();
-        let pool = cx.pool();
         let (r, s, _swapped) = self.config.assign_roles(r, s);
         let wall = std::time::Instant::now();
-        let mut stats = JoinStats::new(t);
+        let mut stats = JoinStats::new(cx.threads());
 
-        // Phase 1: sorted public runs (copy the interleaved chunk into
-        // node-homed storage, sort there — the copy is the paper's
-        // "redistribute, then work locally").
-        let s_ranges = chunk_ranges(s.len(), t);
-        let (phase1, d1) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let run = cx.sorted_run(w, &s[s_ranges[w].clone()], &mut scope);
-            (run, scope.finish())
-        });
-        let (s_runs, c1): (Vec<_>, Vec<_>) = phase1.into_iter().unzip();
-        stats.record_phase(Phase::One, &d1);
-        cx.record(Phase::One, c1);
-
-        // Phase 2: sorted private runs.
-        let r_ranges = chunk_ranges(r.len(), t);
-        let (phase2, d2) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let run = cx.sorted_run(w, &r[r_ranges[w].clone()], &mut scope);
-            (run, scope.finish())
-        });
-        let (r_runs, c2): (Vec<_>, Vec<_>) = phase2.into_iter().unzip();
-        stats.record_phase(Phase::Two, &d2);
-        cx.record(Phase::Two, c2);
+        // Phases 1 and 2: sorted public runs, then sorted private runs.
+        let public = chunked_run_set(cx, s, Phase::One, &mut stats);
+        let private = chunked_run_set(cx, r, Phase::Two, &mut stats);
 
         // Phase 3: every worker joins its private run with all public
         // runs. The own run is re-scanned per public run (T times),
@@ -140,14 +118,14 @@ impl BMpsmJoin {
         // The audit records each kernel call's actual scan extents:
         // forward-only cursors, so every remote read here is sequential
         // (commandment C2 — pinned by the accounting proptests).
-        let (phase3, d3) = pool.run_timed(|w| {
+        let (phase3, d3) = cx.pool().run_timed(|w| {
             let mut scope = cx.scope(w);
             let mut sink = S::default();
-            let run = &r_runs[w];
+            let run = &private.runs()[w];
             let my_home = run.home();
             match kernel {
                 Kernel::Variant(JoinVariant::Inner) => {
-                    for s_run in &s_runs {
+                    for s_run in public.runs() {
                         let scan = merge_join_scanned(run, s_run, &mut sink);
                         scope.touch(my_home, true, scan.r_scanned as u64);
                         scope.touch(s_run.home(), true, scan.s_scanned as u64);
@@ -155,7 +133,7 @@ impl BMpsmJoin {
                 }
                 Kernel::Variant(variant) => {
                     let mut matched = vec![false; run.len()];
-                    for s_run in &s_runs {
+                    for s_run in public.runs() {
                         let scan = merge_join_mark(
                             run,
                             s_run,
@@ -169,7 +147,7 @@ impl BMpsmJoin {
                     emit_variant_rows(variant, run, &matched, &mut sink);
                 }
                 Kernel::Band(delta) => {
-                    for s_run in &s_runs {
+                    for s_run in public.runs() {
                         band_merge_join(run, s_run, delta, &mut sink);
                         scope.touch(my_home, true, run.len() as u64);
                         scope.touch(s_run.home(), true, s_run.len() as u64);

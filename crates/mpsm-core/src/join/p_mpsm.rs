@@ -1,59 +1,42 @@
 //! P-MPSM: the range-partitioned MPSM join (§3.2, Figures 5/6/10).
 //!
 //! Extends B-MPSM with a prologue that range-partitions the private
-//! input so every worker joins only `1/T`-th of the key domain:
+//! input so every worker joins only `1/T`-th of the key domain. The
+//! join is a composition of the run-set parts in [`crate::join::runs`]
+//! and the one merge driver:
 //!
-//! 1. **Phase 1** — chunk and locally sort the public input `S` into
-//!    runs `S_1 … S_T`;
+//! 1. **Phase 1** — [`chunked_run_set`]: chunk and locally sort the
+//!    public input `S` into runs `S_1 … S_T`;
 //! 2. **Phase 2** — range-partition the private input `R`:
-//!    * *2.1* every worker derives `f·T` equi-height bounds from its
-//!      sorted `S_i` (almost free — the run is sorted) and the bounds
-//!      merge into a global CDF of the S key distribution (§4.1);
-//!    * *2.2* every worker radix-histograms its `R` chunk with `2^B`
-//!      buckets (§4.2);
-//!    * *2.3* global splitters balance
-//!      `|R_i|·log|R_i| + T·|R_i| + CDF-share of S` per worker (§4.3),
-//!      then every worker scatters its chunk through prefix-summed,
-//!      disjoint windows — branch-free, comparison-free,
+//!    * *2.1* [`run_set_cdf`]: every worker derives `f·T` equi-height
+//!      bounds from its sorted `S_i` (almost free — the run is sorted)
+//!      and the bounds merge into a global CDF of the S key
+//!      distribution (§4.1);
+//!    * *2.2–2.3* [`build_run_set_with`]: every worker radix-histograms
+//!      its `R` chunk with `2^B` buckets (§4.2), global splitters
+//!      balance `|R_i|·log|R_i| + T·|R_i| + CDF-share of S` per worker
+//!      (§4.3), then every worker scatters its chunk through
+//!      prefix-summed, disjoint windows — branch-free, comparison-free,
 //!      synchronization-free (Figure 6);
-//! 3. **Phase 3** — every worker sorts its private partition `R_i`;
-//! 4. **Phase 4** — every worker merge-joins `R_i` with all `S_j`,
-//!    entering each `S_j` at an interpolation-searched start point
-//!    (Figure 7) and leaving when `R_i` is exhausted — so it scans only
-//!    `≈ |S|/T²` of each public run.
+//! 3. **Phase 3** — the same build sorts every private partition `R_i`
+//!    on its worker's node;
+//! 4. **Phase 4** — [`merge_sides`]: every worker merge-joins its `R_i`
+//!    with all `S_j`, entering each `S_j` at an interpolation-searched
+//!    start point (Figure 7) and leaving when `R_i` is exhausted — so it
+//!    scans only `≈ |S|/T²` of each public run.
 //!
 //! Skew in `R`, `S`, or both (even negatively correlated, Figure 16) is
 //! absorbed by the CDF + splitter machinery; location skew needs no
 //! handling at all because `R` is redistributed anyway (§5.5).
 
-use crate::cdf::{equi_height_bounds, Cdf};
 use crate::context::ExecContext;
-use crate::histogram::{combine_histograms, compute_histogram, RadixDomain};
-use crate::interpolation::interpolation_lower_bound;
-use crate::join::variant::{emit_variant_rows, merge_join_mark, JoinVariant};
+use crate::join::anytime::{merge_sides, AnytimeToken};
+use crate::join::delta::DeltaSide;
+use crate::join::runs::{build_run_set_with, chunked_run_set, run_set_cdf};
 use crate::join::{JoinAlgorithm, JoinConfig};
-use crate::merge::merge_join_scanned;
-use crate::partition::range_partition_ctx;
 use crate::sink::JoinSink;
-use crate::splitter::{compute_splitters, equi_height_splitters, Splitters};
 use crate::stats::{JoinStats, Phase};
-use crate::tuple::{key_range, Tuple};
-use crate::worker::chunk_ranges;
-
-/// How phase 4 locates the start of the relevant range in each public
-/// run (the §3.2.2 design decision; `ablation_entry_points` measures
-/// the alternatives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EntrySearch {
-    /// Interpolation search (the paper's choice, Figure 7).
-    #[default]
-    Interpolation,
-    /// Plain binary search.
-    Binary,
-    /// No search: scan each public run from the beginning ("sequentially
-    /// searching ... would incur numerous expensive comparisons").
-    FullScan,
-}
+use crate::tuple::Tuple;
 
 /// Splitter policy for phase 2.3 (the Figure 16 experiment contrasts
 /// the two).
@@ -73,18 +56,13 @@ pub enum SplitterPolicy {
 pub struct PMpsmJoin {
     config: JoinConfig,
     policy: SplitterPolicy,
-    entry: EntrySearch,
 }
 
 impl PMpsmJoin {
     /// Create a P-MPSM join with the given configuration and the
     /// paper's cost-balanced splitters.
     pub fn new(config: JoinConfig) -> Self {
-        PMpsmJoin {
-            config,
-            policy: SplitterPolicy::CostBalanced,
-            entry: EntrySearch::Interpolation,
-        }
+        PMpsmJoin { config, policy: SplitterPolicy::CostBalanced }
     }
 
     /// Override the splitter policy (for the Figure 16 experiment).
@@ -93,29 +71,9 @@ impl PMpsmJoin {
         self
     }
 
-    /// Override the phase-4 entry-point search (for the ablation).
-    pub fn with_entry_search(mut self, entry: EntrySearch) -> Self {
-        self.entry = entry;
-        self
-    }
-
     /// Access the configuration.
     pub fn config(&self) -> &JoinConfig {
         &self.config
-    }
-}
-
-impl PMpsmJoin {
-    /// Run a non-inner variant (left-outer / left-semi / left-anti on
-    /// the private side) — the paper's §7 extension. `Inner` delegates
-    /// to the plain path.
-    pub fn join_variant_with_sink<S: JoinSink>(
-        &self,
-        variant: JoinVariant,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
-        self.execute::<S>(&ExecContext::flat(self.config.threads), variant, r, s)
     }
 }
 
@@ -134,174 +92,42 @@ impl JoinAlgorithm for PMpsmJoin {
         r: &[Tuple],
         s: &[Tuple],
     ) -> (S::Result, JoinStats) {
-        self.execute::<S>(cx, JoinVariant::Inner, r, s)
-    }
-}
-
-impl PMpsmJoin {
-    fn execute<S: JoinSink>(
-        &self,
-        cx: &ExecContext,
-        variant: JoinVariant,
-        r: &[Tuple],
-        s: &[Tuple],
-    ) -> (S::Result, JoinStats) {
         // The context decides the worker count: a self-pooled join gets
         // `config.threads` workers, a scheduled join shares whatever
         // width the scheduler provisioned.
-        let t = cx.threads();
-        let pool = cx.pool();
         let (r, s, _swapped) = self.config.assign_roles(r, s);
         let wall = std::time::Instant::now();
-        let mut stats = JoinStats::new(t);
+        let mut stats = JoinStats::new(cx.threads());
 
-        // ---- Phase 1: sort public chunks into node-homed runs
-        // S_1 … S_T. ----
-        let s_ranges = chunk_ranges(s.len(), t);
-        let (phase1, d1) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let run = cx.sorted_run(w, &s[s_ranges[w].clone()], &mut scope);
-            (run, scope.finish())
+        // Phase 1: sorted public runs S_1 … S_T.
+        let public = chunked_run_set(cx, s, Phase::One, &mut stats);
+        // Phase 2.1: the global S distribution — only the cost-balanced
+        // splitters read it.
+        let cdf = (self.policy == SplitterPolicy::CostBalanced).then(|| {
+            run_set_cdf(cx, &public, (self.config.cdf_fan * cx.threads()).max(1), &mut stats)
         });
-        let (s_runs, c1): (Vec<_>, Vec<_>) = phase1.into_iter().unzip();
-        stats.record_phase(Phase::One, &d1);
-        cx.record(Phase::One, c1);
-
-        // ---- Phase 2.1: global S distribution (CDF). Sub-linear
-        // (f·T bounds per worker, read from the already-sorted local
-        // run) — not counted in the access audit. ----
-        let fan = (self.config.cdf_fan * t).max(1);
-        let (locals, d21) =
-            pool.run_timed(|w| (equi_height_bounds(&s_runs[w], fan), s_runs[w].len()));
-        stats.record_phase(Phase::Two, &d21);
-        let cdf = Cdf::from_local_bounds(&locals);
-
-        // ---- Phase 2.2: fine-grained R histograms. ----
-        let r_ranges = chunk_ranges(r.len(), t);
-        let r_chunks: Vec<&[Tuple]> = r_ranges.iter().map(|rng| &r[rng.clone()]).collect();
-        // Key domain of R: cheap parallel min/max scan (the "bitwise
-        // shift preprocessing" of §3.2.1 needs the bounds).
-        let (scan_out, d_scan) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            scope.touch_interleaved(true, r_chunks[w].len() as u64);
-            (key_range(r_chunks[w]), scope.finish())
-        });
-        let (ranges, c_scan): (Vec<_>, Vec<_>) = scan_out.into_iter().unzip();
-        stats.record_phase(Phase::Two, &d_scan);
-        cx.record(Phase::Two, c_scan);
-        let (min, max) = ranges
-            .into_iter()
-            .flatten()
-            .fold((u64::MAX, 0u64), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
-        let domain = if min <= max {
-            RadixDomain::from_range(min, max, self.config.radix_bits)
-        } else {
-            RadixDomain::from_range(0, 0, self.config.radix_bits)
-        };
-        let (hist_out, d22) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            scope.touch_interleaved(true, r_chunks[w].len() as u64);
-            (compute_histogram(r_chunks[w], &domain), scope.finish())
-        });
-        let (histograms, c22): (Vec<_>, Vec<_>) = hist_out.into_iter().unzip();
-        stats.record_phase(Phase::Two, &d22);
-        cx.record(Phase::Two, c22);
-        let global_hist = combine_histograms(&histograms);
-
-        // ---- Phase 2.3: splitters + synchronization-free scatter into
-        // partitions homed on their owning workers' nodes (the audited,
-        // placement-aware path). ----
-        let splitters: Splitters = match self.policy {
-            SplitterPolicy::CostBalanced => compute_splitters(&global_hist, &domain, &cdf, t),
-            SplitterPolicy::EquiHeight => equi_height_splitters(&global_hist, t),
-        };
-        let scatter_start = std::time::Instant::now();
-        let partitions = range_partition_ctx(cx, &r_chunks, &domain, &splitters);
-        let scatter = scatter_start.elapsed();
-        // The scatter is a parallel section; attribute its wall time to
-        // every worker's phase 2 (all workers participate end-to-end).
-        stats.record_phase(Phase::Two, &vec![scatter; t]);
-
-        // ---- Phase 3: sort private partitions R_i. Each worker takes
-        // ownership of its partition — homed on its own node by the
-        // scatter above — and sorts it in place (commandment C1: the
-        // random accesses of the sort all hit local RAM). The take-once
-        // slots hand each partition to its pool worker.
-        let slots = crate::worker::OwnedSlots::new(partitions);
-        let (phase3, d3) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let mut part = slots.take(w);
-            let home = part.home();
-            cx.sort_run(w, &mut part, home, &mut scope);
-            (part, scope.finish())
-        });
-        let (r_runs, c3): (Vec<_>, Vec<_>) = phase3.into_iter().unzip();
-        stats.record_phase(Phase::Three, &d3);
-        cx.record(Phase::Three, c3);
-
-        // ---- Phase 4: merge join R_i with every S_j, starting at an
-        // interpolated offset. Non-inner variants track a worker-local
-        // matched bitmap across the public runs. The audit records the
-        // entry probes as random accesses against the public run's home
-        // (the O(log log) exception C2 tolerates) and the merge itself
-        // at its actual scan extents — with T workers each touching
-        // ≈ |S|/T² of every public run, the phase stays overwhelmingly
-        // node-local, which `tests/numa_context.rs` asserts. ----
-        let entry = self.entry;
-        let find_start = move |s_run: &[Tuple], key: u64| -> usize {
-            match entry {
-                EntrySearch::Interpolation => interpolation_lower_bound(s_run, key),
-                EntrySearch::Binary => s_run.partition_point(|t| t.key < key),
-                EntrySearch::FullScan => 0,
-            }
-        };
-        let probe_cost = move |s_run: &[Tuple]| -> u64 {
-            match entry {
-                EntrySearch::FullScan => 0,
-                _ if s_run.is_empty() => 0,
-                _ => (s_run.len() as u64).ilog2() as u64 + 1,
-            }
-        };
-        let (phase4, d4) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let mut sink = S::default();
-            let run = &r_runs[w];
-            let my_home = run.home();
-            if let Some(first) = run.first() {
-                if variant == JoinVariant::Inner {
-                    for s_run in &s_runs {
-                        let start = find_start(s_run, first.key);
-                        scope.touch(s_run.home(), false, probe_cost(s_run));
-                        let scan = merge_join_scanned(run, &s_run[start..], &mut sink);
-                        scope.touch(my_home, true, scan.r_scanned as u64);
-                        scope.touch(s_run.home(), true, scan.s_scanned as u64);
-                    }
-                } else {
-                    let mut matched = vec![false; run.len()];
-                    for s_run in &s_runs {
-                        let start = find_start(s_run, first.key);
-                        scope.touch(s_run.home(), false, probe_cost(s_run));
-                        let scan = merge_join_mark(
-                            run,
-                            &s_run[start..],
-                            &mut matched,
-                            variant.emits_pairs(),
-                            &mut sink,
-                        );
-                        scope.touch(my_home, true, scan.r_scanned as u64);
-                        scope.touch(s_run.home(), true, scan.s_scanned as u64);
-                    }
-                    emit_variant_rows(variant, run, &matched, &mut sink);
-                }
-            }
-            (sink.finish(), scope.finish())
-        });
-        let (partials, c4): (Vec<_>, Vec<_>) = phase4.into_iter().unzip();
-        stats.record_phase(Phase::Four, &d4);
-        cx.record(Phase::Four, c4);
+        // Phases 2.2–3: histogram, splitters, scatter into partitions
+        // homed on their owning workers' nodes, local sort of each R_i.
+        let private = build_run_set_with(
+            cx,
+            r,
+            self.config.radix_bits,
+            cdf.as_ref(),
+            Phase::Two,
+            Phase::Three,
+            &mut stats,
+        );
+        // Phase 4: every R_i against every S_j from its interpolated
+        // entry. The audit books the entry probes as random accesses
+        // against the public run's home (the O(log log) exception C2
+        // tolerates) and the merge at its actual scan extents — with T
+        // workers each touching ≈ |S|/T² of every public run, the phase
+        // stays overwhelmingly node-local (`tests/numa_context.rs`).
+        let (r_side, s_side) = (DeltaSide::base_only(&private), DeltaSide::base_only(&public));
+        let out = merge_sides::<S>(cx, r_side, s_side, &AnytimeToken::Never, None, &mut stats);
 
         stats.wall = wall.elapsed();
-        (S::combine_all(partials), stats)
+        (out.result, stats)
     }
 }
 
@@ -435,18 +261,6 @@ mod tests {
         let (_, stats) = join.join_with_sink::<CountSink>(&r, &s);
         assert_eq!(stats.per_worker.len(), 4);
         assert!(stats.wall_ms() > 0.0);
-    }
-
-    #[test]
-    fn entry_search_strategies_agree() {
-        let mut next = lcg(77);
-        let r: Vec<Tuple> = (0..600).map(|i| Tuple::new(next() % 400, i)).collect();
-        let s: Vec<Tuple> = (0..1800).map(|i| Tuple::new(next() % 400, i)).collect();
-        let base = PMpsmJoin::new(JoinConfig::with_threads(4)).count(&r, &s);
-        for entry in [EntrySearch::Binary, EntrySearch::FullScan] {
-            let join = PMpsmJoin::new(JoinConfig::with_threads(4)).with_entry_search(entry);
-            assert_eq!(join.count(&r, &s), base, "{entry:?}");
-        }
     }
 
     #[test]

@@ -1,42 +1,51 @@
-//! Reusable sorted-run production and consumption — the machinery
-//! behind the executor's cross-query run cache (§7's observation that
-//! MPSM's sorted runs are a free by-product of the join).
+//! Sorted-run production and consumption — the parts every MPSM join
+//! and the executor's cross-query run cache are composed of (§7's
+//! observation that MPSM's sorted runs are a free by-product of the
+//! join).
 //!
-//! [`build_run_set`] turns a relation into `T` *range-partitioned,
-//! sorted* runs: equi-height splitters derived from the relation's own
-//! radix histogram bound each run to a disjoint slice of the key
-//! domain, the write-combining scatter of P-MPSM phase 2.3 places run
-//! `i` on worker `i`'s node, and each worker three-phase-sorts its
-//! partition locally. The result depends only on the relation's bytes,
-//! the worker count and the radix width — not on the other join input —
-//! which is what makes a [`RunSet`] shareable across queries.
+//! A [`RunSet`] comes in two shapes:
 //!
-//! A run-oriented join builds (or is handed, pre-built and shared) one
-//! [`RunSet`] per side — a pre-built side skips phases 1–3 entirely —
-//! and merges them with
-//! [`merge_sides`], which joins every private run against every public
-//! run from an interpolation-searched entry point, exactly like P-MPSM
-//! phase 4 — correct for *any* pair of per-side disjoint partitionings,
-//! aligned or not, because a matching pair `(r, s)` lives in exactly one
-//! `(R_i, S_j)` combination.
+//! * **Chunked** — [`chunked_run_set`] cuts a relation into `T`
+//!   contiguous chunks and sorts each into a run on its worker's node:
+//!   MPSM's phase 1. The runs' key ranges overlap, so a chunked set can
+//!   only be the *public* side of a merge.
+//! * **Range-partitioned** — [`build_run_set`] (and
+//!   [`build_run_set_with`]) bound each run to a disjoint slice of the
+//!   key domain: splitters from the relation's radix histogram, the
+//!   write-combining scatter of P-MPSM phase 2.3 placing run `i` on
+//!   worker `i`'s node, and a local sort of each partition. With the
+//!   relation's own equi-height splitters the result depends only on the
+//!   relation's bytes, the worker count and the radix width — not on the
+//!   other join input — which is what makes it shareable across queries.
+//!   With the public side's CDF ([`run_set_cdf`], §4.1) the splitters are
+//!   P-MPSM's cost-balanced ones (§4.3).
+//!
+//! [`merge_sides`] joins every private run against every public run
+//! from an interpolation-searched entry point — P-MPSM's phase 4. It is
+//! correct for a range-partitioned private side against *any* public
+//! side, aligned or not, because a matching pair `(r, s)` lives in
+//! exactly one `(R_i, S_j)` combination. So P-MPSM is a chunked public
+//! set, a cost-balanced private set and `merge_sides`, and a query over
+//! cached runs is the same merge over sets built once.
 
 use std::sync::Arc;
 
 use mpsm_numa::NumaBuf;
 
+use crate::cdf::{equi_height_bounds, Cdf};
 use crate::context::ExecContext;
 use crate::histogram::{combine_histograms, compute_histogram, RadixDomain};
 use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::delta::DeltaSide;
 use crate::partition::range_partition_ctx;
 use crate::sink::JoinSink;
-use crate::splitter::equi_height_splitters;
+use crate::splitter::{compute_splitters, equi_height_splitters};
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::{key_range, Tuple};
 use crate::worker::{chunk_ranges, OwnedSlots};
 
-/// A relation's sorted, range-partitioned, node-homed runs — the
-/// output of phases 1–3 and the unit the executor's run cache stores.
+/// A relation's sorted, node-homed runs — the output of phases 1–3 and
+/// the unit the executor's run cache stores.
 ///
 /// Runs keep their [`NumaBuf`] homes, so a cached set re-used by a
 /// query pinned elsewhere is read remotely (sequentially — still C2);
@@ -54,7 +63,9 @@ impl RunSet {
         RunSet { runs, total }
     }
 
-    /// The runs, in partition order (ascending disjoint key ranges).
+    /// The runs, each key-sorted: in partition order (ascending disjoint
+    /// key ranges) for a set from [`build_run_set`], in chunk order
+    /// (overlapping key ranges) for one from [`chunked_run_set`].
     pub fn runs(&self) -> &[NumaBuf<Tuple>] {
         &self.runs
     }
@@ -73,26 +84,95 @@ impl RunSet {
     pub fn bytes(&self) -> usize {
         self.total * std::mem::size_of::<Tuple>()
     }
+
+    /// Whether the non-empty runs cover ascending, disjoint key ranges
+    /// — one comparison per run boundary.
+    pub(crate) fn is_range_partitioned(&self) -> bool {
+        let mut below: Option<u64> = None;
+        self.runs.iter().filter_map(|run| Some((run.first()?.key, run.last()?.key))).all(
+            |(lo, hi)| {
+                let ascends = below.is_none_or(|prev| prev < lo);
+                below = Some(hi);
+                ascends
+            },
+        )
+    }
 }
 
 /// A [`RunSet`] shared between a cache and any number of concurrent
 /// readers.
 pub type SharedRunSet = Arc<RunSet>;
 
-/// Build a relation's [`RunSet`]: histogram → equi-height splitters →
-/// NUMA-placed scatter → local sort.
-///
-/// Phase attribution: scan/histogram/scatter wall time is recorded
-/// under `partition_phase`, the sort under `sort_phase` (the public
-/// side of a join records both under `Phase::One`, the private side
-/// under `Phase::Two`/`Phase::Three`, mirroring P-MPSM's numbering).
-/// [`range_partition_ctx`] books its access counters under
-/// `Phase::Two` regardless — the scatter is phase-2 work in the
-/// paper's audit taxonomy no matter which side triggers it.
+/// Chunk `tuples` into `T` contiguous pieces and sort each into a run
+/// homed on its worker's node (copy the interleaved chunk into
+/// node-homed storage, sort there — the paper's "redistribute, then
+/// work locally"). MPSM's phase 1, and B-MPSM's phase 2; time and
+/// access counters book under `phase`.
+pub fn chunked_run_set(
+    cx: &ExecContext,
+    tuples: &[Tuple],
+    phase: Phase,
+    stats: &mut JoinStats,
+) -> RunSet {
+    let ranges = chunk_ranges(tuples.len(), cx.threads());
+    let (sorted, durations) = cx.pool().run_timed(|w| {
+        let mut scope = cx.scope(w);
+        let run = cx.sorted_run(w, &tuples[ranges[w].clone()], &mut scope);
+        (run, scope.finish())
+    });
+    let (runs, counters): (Vec<_>, Vec<_>) = sorted.into_iter().unzip();
+    stats.record_phase(phase, &durations);
+    cx.record(phase, counters);
+    RunSet::new(runs)
+}
+
+/// The global CDF of a set's key distribution (§4.1, P-MPSM phase 2.1):
+/// `fan` equi-height bounds read from every sorted run (almost free —
+/// the runs are sorted) and merged. Sub-linear, so it books time under
+/// [`Phase::Two`] but nothing in the access audit.
+pub fn run_set_cdf(cx: &ExecContext, set: &RunSet, fan: usize, stats: &mut JoinStats) -> Cdf {
+    let t = cx.threads();
+    let (locals, durations) = cx.pool().run_timed(|w| {
+        let runs = set.runs().iter().skip(w).step_by(t);
+        runs.map(|run| (equi_height_bounds(run, fan), run.len())).collect::<Vec<_>>()
+    });
+    stats.record_phase(Phase::Two, &durations);
+    Cdf::from_local_bounds(&locals.concat())
+}
+
+/// Build a relation's range-partitioned [`RunSet`] with equi-height
+/// splitters from its own histogram: [`build_run_set_with`] and no CDF.
+/// The partitioning is a pure function of (relation, `T`, `B`) — the
+/// property the run cache's key fingerprints.
 pub fn build_run_set(
     cx: &ExecContext,
     tuples: &[Tuple],
     radix_bits: u32,
+    partition_phase: Phase,
+    sort_phase: Phase,
+    stats: &mut JoinStats,
+) -> RunSet {
+    build_run_set_with(cx, tuples, radix_bits, None, partition_phase, sort_phase, stats)
+}
+
+/// Build a relation's range-partitioned [`RunSet`]: key-domain scan →
+/// radix histogram → splitters → NUMA-placed scatter → local sort
+/// (P-MPSM phases 2.2–3). `public_cdf` picks the splitters: `None` cuts
+/// equi-height by the relation's own histogram, `Some` balances the
+/// §4.3 cost against the public side's distribution.
+///
+/// Phase attribution: scan/histogram/scatter wall time is recorded
+/// under `partition_phase`, the sort under `sort_phase` (a cached public
+/// side records both under `Phase::One`, a private side under
+/// `Phase::Two`/`Phase::Three`, mirroring P-MPSM's numbering).
+/// [`range_partition_ctx`] books its access counters under
+/// `Phase::Two` regardless — the scatter is phase-2 work in the
+/// paper's audit taxonomy no matter which side triggers it.
+pub fn build_run_set_with(
+    cx: &ExecContext,
+    tuples: &[Tuple],
+    radix_bits: u32,
+    public_cdf: Option<&Cdf>,
     partition_phase: Phase,
     sort_phase: Phase,
     stats: &mut JoinStats,
@@ -121,9 +201,6 @@ pub fn build_run_set(
         RadixDomain::from_range(0, 0, radix_bits)
     };
 
-    // Equi-height splitters from the relation's own histogram: the
-    // partitioning is a pure function of (relation, T, B) — the
-    // property the cache key fingerprints.
     let (hist_out, d_hist) = pool.run_timed(|w| {
         let mut scope = cx.scope(w);
         scope.touch_interleaved(true, chunks[w].len() as u64);
@@ -132,7 +209,11 @@ pub fn build_run_set(
     let (histograms, c_hist): (Vec<_>, Vec<_>) = hist_out.into_iter().unzip();
     stats.record_phase(partition_phase, &d_hist);
     cx.record(partition_phase, c_hist);
-    let splitters = equi_height_splitters(&combine_histograms(&histograms), t);
+    let histogram = combine_histograms(&histograms);
+    let splitters = match public_cdf {
+        Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
+        None => equi_height_splitters(&histogram, t),
+    };
 
     let scatter_start = std::time::Instant::now();
     let partitions = range_partition_ctx(cx, &chunks, &domain, &splitters);
@@ -317,6 +398,67 @@ mod tests {
         let (mut rows, ..) = fresh_join::<CollectSink>(&cx, &r, &s);
         rows.sort_unstable();
         assert_eq!(rows, vec![(2, 1, 0), (4, 0, 1)]);
+    }
+
+    /// The §4 adversary, shaped like
+    /// `mpsm_workload::skewed_negative_correlation`: 80 % of R in the top
+    /// fifth of the key domain, 80 % of S in the bottom fifth.
+    fn skewed_negative_correlation(r_len: usize, multiplicity: usize) -> (Vec<Tuple>, Vec<Tuple>) {
+        const DOMAIN: u64 = 1 << 20;
+        let fifth = DOMAIN / 5;
+        let mut next = lcg(47);
+        let mut draw = |hot: std::ops::Range<u64>, cold: std::ops::Range<u64>| {
+            let band = if next() % 10 < 8 { hot } else { cold };
+            band.start + next() % (band.end - band.start)
+        };
+        let r = (0..r_len)
+            .map(|i| Tuple::new(draw(DOMAIN - fifth..DOMAIN, 0..DOMAIN - fifth), i as u64))
+            .collect();
+        let s = (0..r_len * multiplicity)
+            .map(|i| Tuple::new(draw(0..fifth, fifth..DOMAIN), i as u64))
+            .collect();
+        (r, s)
+    }
+
+    #[test]
+    fn chunked_sets_are_sorted_complete_and_overlapping() {
+        let tuples = random(3000, 700, 13);
+        let cx = ExecContext::flat(4);
+        let mut stats = JoinStats::new(4);
+        let set = chunked_run_set(&cx, &tuples, Phase::One, &mut stats);
+        assert_eq!(set.parts(), 4);
+        assert_eq!(set.total_tuples(), tuples.len());
+        assert!(set.runs().iter().all(|run| is_key_sorted(run)));
+        assert!(!set.is_range_partitioned(), "chunks of random keys overlap");
+        assert!(stats.phase_ms(Phase::One) > 0.0, "the sort books under the given phase");
+    }
+
+    #[test]
+    fn cost_balanced_runs_follow_the_splitters_the_cdf_implies() {
+        let (r, s) = skewed_negative_correlation(8000, 4);
+        let t = 4;
+        let cx = ExecContext::flat(t);
+        let mut stats = JoinStats::new(t);
+        let public = chunked_run_set(&cx, &s, Phase::One, &mut stats);
+        let cdf = run_set_cdf(&cx, &public, 4 * t, &mut stats);
+        let balanced =
+            build_run_set_with(&cx, &r, 10, Some(&cdf), Phase::Two, Phase::Three, &mut stats);
+        let equi = build_run_set(&cx, &r, 10, Phase::Two, Phase::Three, &mut stats);
+
+        // The partition counts `compute_splitters` implies for R.
+        let (lo, hi) = key_range(&r).expect("non-empty");
+        let domain = RadixDomain::from_range(lo, hi, 10);
+        let histogram = compute_histogram(&r, &domain);
+        let splitters = compute_splitters(&histogram, &domain, &cdf, t);
+        let implied = crate::histogram::fold_histogram(&histogram, splitters.assignment(), t);
+        let sizes = |set: &RunSet| set.runs().iter().map(|run| run.len()).collect::<Vec<_>>();
+        assert_eq!(sizes(&balanced), implied);
+        assert_ne!(sizes(&balanced), sizes(&equi), "S's skew must move the cut");
+        assert!(balanced.is_range_partitioned() && equi.is_range_partitioned());
+        // A range-partitioned private side joins a chunked public one.
+        let head = build_run_set(&cx, &r[..200], 10, Phase::Two, Phase::Three, &mut stats);
+        let expected = nested_loop_count(&r[..200], &s);
+        assert_eq!(merge::<CountSink>(&cx, &head, &public, &mut stats), expected);
     }
 
     #[test]

@@ -28,26 +28,29 @@
 //! ## NUMA-affine placement
 //!
 //! Every execution flows through an
-//! [`mpsm_core::context::ExecContext`] ([`query::paper_query_in`] is
-//! the unified path; the thread-count entry [`query::paper_query`]
-//! builds a flat context and delegates). A scheduler configured with a multi-node
-//! [`sched::SchedulerConfig::topology`] pins each admitted query to
-//! the least-loaded node, and every plan's EXPLAIN output grows a
-//! `Placement [node=…, local=…%, remote=…%]` line reporting where the
-//! join ran and how node-local its audited memory traffic was.
+//! [`mpsm_core::context::ExecContext`]. A scheduler configured with a
+//! multi-node [`sched::SchedulerConfig::topology`] pins each admitted
+//! query to the least-loaded node, and every plan's EXPLAIN output
+//! grows a `Placement [node=…, local=…%, remote=…%]` line reporting
+//! where the join ran and how node-local its audited memory traffic
+//! was.
 //!
-//! ## Two routes
+//! ## One route
 //!
-//! A scheduled query takes one of exactly two execution routes
-//! (`JoinSpec::run_with_token`): the configured algorithm's plain
-//! four-phase `join_in` ([`query::paper_query_in`]) when nothing about
-//! it is cacheable, dirty, deadlined, row-capped or degraded — and the
-//! run-oriented [`query::paper_query_runs`] for everything else. That
-//! one function resolves each side to sorted runs (run cache, snapshot
-//! delta and mask included) and merges them through the one run-set
-//! merge driver, [`mpsm_core::join::anytime::merge_sides`]; the three
-//! sections below describe what it does for cached, mutable and
-//! SLA-bound queries.
+//! Every scheduled query runs [`query::paper_query_runs`]. It resolves
+//! each side to sorted runs — S first, then R — and merges them through
+//! the one run-set merge driver,
+//! [`mpsm_core::join::anytime::merge_sides`]. A side the run cache
+//! cannot serve (filtered, unregistered, or no cache attached) is built
+//! the way P-MPSM builds it: S chunked and sorted, R range-partitioned
+//! by splitters cost-balanced against S's distribution; so an uncached
+//! query is a P-MPSM join. A cacheable side is cut by its own
+//! equi-height splitters and kept. The three sections below describe
+//! what the route does for cached, mutable and SLA-bound queries.
+//! [`query::paper_query_in`] (and its thread-count twin
+//! [`query::paper_query`]) runs the same pipeline over any
+//! [`mpsm_core::join::JoinAlgorithm`] — the entry for contenders,
+//! examples and tests, not a served route.
 //!
 //! ## Sorted-run caching
 //!
@@ -112,5 +115,5 @@ pub use sched::{
     CompactionConfig, CompactionTask, Priority, QueryError, QueryOutput, QueryStatus, QueryTicket,
     Scheduler, SchedulerConfig, SchedulerMetrics, SubmitError,
 };
-pub use session::{JoinSpec, Predicate, QuerySpec, Session, WriteError};
+pub use session::{Predicate, QuerySpec, Session, WriteError};
 pub use snapshot::{DeltaLog, RelationState, Snapshot};

@@ -16,8 +16,10 @@ use std::time::{Duration, Instant};
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::{merge_sides, AnytimeOutcome, AnytimeToken};
 use mpsm_core::join::delta::DeltaSide;
-use mpsm_core::join::runs::{build_run_set, SharedRunSet};
-use mpsm_core::join::JoinAlgorithm;
+use mpsm_core::join::runs::{
+    build_run_set, build_run_set_with, chunked_run_set, run_set_cdf, RunSet, SharedRunSet,
+};
+use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::sink::{CollectSink, MaxAggSink};
 use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
@@ -28,6 +30,10 @@ use crate::plan::{AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo,
 use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
 use crate::scan::Relation;
 use crate::session::QuerySpec;
+
+/// The plan name of the engine every scheduled query runs: P-MPSM's
+/// phases as run-set builds feeding [`merge_sides`].
+const ENGINE: &str = "P-MPSM";
 
 /// Result of one paper-query execution.
 #[derive(Debug, Clone)]
@@ -125,20 +131,20 @@ fn placement_of(cx: &ExecContext) -> PlacementInfo {
 }
 
 /// The run-oriented paper query — the one execution path of every
-/// query that can use sorted runs or needs an interruptible merge:
-/// cached, dirty (a snapshot with a live delta, or one compaction moved
-/// past the handle), deadlined, row-capped and degraded queries alike.
+/// scheduled query: cached, uncached, dirty (a snapshot with a live
+/// delta, or one compaction moved past the handle), deadlined,
+/// row-capped and degraded queries alike.
 ///
 /// Each side resolves to a [`DeltaSide`] (see `resolve_side`): base
 /// runs — served from the run cache when the side is clean and
-/// registered — plus the sorted run of the delta's added tuples and the
-/// mask of dead base keys. [`merge_sides`] joins them under `token`:
-/// with [`AnytimeToken::Never`] and no row cap that is the plain
+/// registered, built as P-MPSM builds them otherwise — plus the sorted
+/// run of the delta's added tuples and the mask of dead base keys.
+/// [`merge_sides`] joins them under `token`: with
+/// [`AnytimeToken::Never`] and no row cap that is the plain
 /// single-dispatch merge; otherwise the merge advances through
 /// ascending key intervals and, when the token expires or the cap is
 /// met, returns best-so-far results plus a coverage estimate instead of
-/// failing. Execution is P-MPSM-shaped regardless of the configured
-/// algorithm.
+/// failing.
 ///
 /// The plan's `Anytime` row is rendered for deadline, row-cap and
 /// live-token queries only. With
@@ -157,8 +163,8 @@ pub fn paper_query_runs(
 ) -> PaperQueryResult {
     let wall = Instant::now();
     let mut stats = JoinStats::new(cx.threads());
-    let r = resolve_side(cx, spec, true, &mut stats);
-    let s = resolve_side(cx, spec, false, &mut stats);
+    let s = resolve_side(cx, spec, None, &mut stats);
+    let r = resolve_side(cx, spec, Some(&s.base), &mut stats);
     let (r_side, s_side) = (r.side(), s.side());
     let (r_rows, s_rows) = (r_side.logical_tuples(), s_side.logical_tuples());
 
@@ -190,8 +196,7 @@ pub fn paper_query_runs(
     };
     stats.wall = wall.elapsed();
 
-    let assembled =
-        assemble(spec.join.name(), cx.threads(), &spec.r, &spec.s, r_rows, s_rows, max, stats);
+    let assembled = assemble(ENGINE, cx.threads(), &spec.r, &spec.s, r_rows, s_rows, max, stats);
     let mut result = executed_in(cx, assembled);
     result.rows = rows;
     result.plan.anytime = spec.interruptible_by(token).then_some(anytime);
@@ -223,14 +228,15 @@ impl ResolvedSide {
     }
 }
 
-/// Resolve one side of `spec` (`private` picks R) to sorted runs. The
-/// tuple source is the captured snapshot's base, or the raw handle when
-/// the side lives outside any catalog. Three outcomes, reported on the
-/// plan's `RunCache` row:
+/// Resolve one side of `spec` to sorted runs: S when `public` is
+/// `None`, R — the private side — when it holds S's base runs, which
+/// is why S resolves first. The tuple source is the captured snapshot's
+/// base, or the raw handle when the side lives outside any catalog.
+/// Three outcomes, reported on the plan's `RunCache` row:
 ///
 /// * **filtered** — the rows are query-specific: fold the snapshot's
-///   visible delta in with the overlay, select, and build private runs
-///   that never touch the cache (*bypass*).
+///   visible delta in with the overlay, select, and build runs that
+///   never touch the cache (*bypass*).
 /// * **unregistered** (or no cache attached) — no identity to key on:
 ///   build from the source's tuples (*bypass*).
 /// * **registered** — look the base up under `(id, base version,
@@ -239,20 +245,35 @@ impl ResolvedSide {
 ///   single-flight race, publishes (a loser builds uncached rather than
 ///   wait). The visible delta's adds become one extra sorted run and
 ///   its deleted/overwritten keys the mask.
+///
+/// A bypass side is built the way P-MPSM builds it: S chunked and
+/// sorted (phase 1), R range-partitioned by splitters cost-balanced
+/// against the CDF of S's base runs (phases 2–3). A cached side is cut
+/// by its own equi-height splitters, the layout the fingerprint names.
 fn resolve_side(
     cx: &ExecContext,
     spec: &QuerySpec,
-    private: bool,
+    public: Option<&RunSet>,
     stats: &mut JoinStats,
 ) -> ResolvedSide {
-    let (rel, snapshot, pred, filtered, partition_phase, sort_phase) = if private {
+    let (rel, snapshot, pred, filtered, partition_phase, sort_phase) = if public.is_some() {
         (&spec.r, spec.r_snapshot.as_ref(), &spec.r_pred, spec.r_filtered, Phase::Two, Phase::Three)
     } else {
         (&spec.s, spec.s_snapshot.as_ref(), &spec.s_pred, spec.s_filtered, Phase::One, Phase::One)
     };
-    let radix_bits = spec.join.config().radix_bits;
-    let build = |tuples: &[Tuple], stats: &mut JoinStats| {
-        Arc::new(build_run_set(cx, tuples, radix_bits, partition_phase, sort_phase, stats))
+    let config = JoinConfig::with_threads(cx.threads());
+    let cached_build = |tuples: &[Tuple], stats: &mut JoinStats| {
+        Arc::new(build_run_set(cx, tuples, config.radix_bits, partition_phase, sort_phase, stats))
+    };
+    let bypass_build = |tuples: &[Tuple], stats: &mut JoinStats| {
+        Arc::new(match public {
+            None => chunked_run_set(cx, tuples, sort_phase, stats),
+            Some(public) => {
+                let cdf = run_set_cdf(cx, public, config.cdf_fan * cx.threads(), stats);
+                let bits = config.radix_bits;
+                build_run_set_with(cx, tuples, bits, Some(&cdf), partition_phase, sort_phase, stats)
+            }
+        })
     };
     let source: &Relation = snapshot.map_or(rel, |snapshot| snapshot.base());
     // A clean snapshot never touches (or locks) its delta log.
@@ -265,7 +286,7 @@ fn resolve_side(
             overlay.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect()
         };
         return ResolvedSide {
-            base: build(&selected, stats),
+            base: bypass_build(&selected, stats),
             delta: None,
             mask: vec![],
             outcome: RunCacheOutcome::Bypass,
@@ -274,20 +295,20 @@ fn resolve_side(
 
     let (base, outcome) = match &spec.cache {
         Some(cache) if source.version() > 0 => {
-            let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
+            let fingerprint = splitter_fingerprint(cx.threads(), config.radix_bits);
             let key = RunKey { relation: source.id(), version: source.version(), fingerprint };
             match cache.lookup(key) {
                 Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
                 Lookup::Miss(permit) => {
-                    let built = build(source.tuples(), stats);
+                    let built = cached_build(source.tuples(), stats);
                     permit.publish(built.clone());
                     (built, RunCacheOutcome::Miss)
                 }
                 // Someone else is building this base; don't wait.
-                Lookup::Busy => (build(source.tuples(), stats), RunCacheOutcome::Miss),
+                Lookup::Busy => (cached_build(source.tuples(), stats), RunCacheOutcome::Miss),
             }
         }
-        _ => (build(source.tuples(), stats), RunCacheOutcome::Bypass),
+        _ => (bypass_build(source.tuples(), stats), RunCacheOutcome::Bypass),
     };
 
     // The delta's adds become one extra sorted run — tiny, so one
@@ -312,7 +333,7 @@ fn resolve_side(
 /// spending merge work it is certain to discard.
 pub(crate) fn expired_in_queue_result(cx: &ExecContext, spec: &QuerySpec) -> PaperQueryResult {
     let stats = JoinStats::new(cx.threads());
-    let mut result = assemble(spec.join.name(), cx.threads(), &spec.r, &spec.s, 0, 0, None, stats);
+    let mut result = assemble(ENGINE, cx.threads(), &spec.r, &spec.s, 0, 0, None, stats);
     result.rows = spec.rows_cap.map(|_| Vec::new());
     result.plan.anytime = Some(AnytimeInfo {
         coverage: 0.0,

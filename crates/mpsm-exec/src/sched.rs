@@ -1003,13 +1003,9 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         // anytime contract turns an SLA miss into a partial result, not
         // a rejection.
         let expired_in_queue = job.deadline_at.is_some_and(|at| Instant::now() >= at);
-        let outcome = if expired_in_queue {
-            Ok(crate::query::expired_in_queue_result(&query_cx, &job.spec))
-        } else {
-            catch_unwind(AssertUnwindSafe(|| {
-                job.spec.join.run_with_token(&query_cx, &job.spec, &token)
-            }))
-        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            job.spec.execute(&query_cx, &token, expired_in_queue)
+        }));
         core.release_node(node);
         let done = match outcome {
             Ok(mut result) => {

@@ -78,14 +78,13 @@ use std::time::Duration;
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::join::delta::{DeltaOp, DeltaOverlay};
-use mpsm_core::join::p_mpsm::PMpsmJoin;
 use mpsm_core::join::runs::build_run_set;
-use mpsm_core::join::{b_mpsm::BMpsmJoin, JoinAlgorithm, JoinConfig};
+use mpsm_core::join::JoinConfig;
 use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
 
 use crate::plan::SnapshotInfo;
-use crate::query::{paper_query_in, paper_query_runs, PaperQueryResult};
+use crate::query::{expired_in_queue_result, paper_query_runs, PaperQueryResult};
 use crate::run_cache::{splitter_fingerprint, Lookup, RunCache, RunCacheConfig, RunKey};
 use crate::scan::Relation;
 use crate::sched::{
@@ -117,114 +116,6 @@ impl std::fmt::Display for WriteError {
 
 impl std::error::Error for WriteError {}
 
-/// Which join algorithm a scheduled query runs, with its configuration.
-///
-/// The configured thread count is ignored on the scheduled path — the
-/// scheduler's shared pool decides the worker count `T`; the remaining
-/// knobs (radix bits, CDF fan, role policy) apply unchanged.
-#[derive(Debug, Clone)]
-pub enum JoinSpec {
-    /// Range-partitioned MPSM (the paper's main-memory variant, §3.2).
-    PMpsm(JoinConfig),
-    /// Basic MPSM (absolutely skew-immune, §2.1).
-    BMpsm(JoinConfig),
-}
-
-impl JoinSpec {
-    /// P-MPSM with paper-default knobs. (`with_threads(1)` is a
-    /// placeholder: `join_in` takes `T` from the scheduler's context.)
-    pub fn p_mpsm() -> Self {
-        JoinSpec::PMpsm(JoinConfig::with_threads(1))
-    }
-
-    /// B-MPSM with paper-default knobs. (`with_threads(1)` is a
-    /// placeholder: `join_in` takes `T` from the scheduler's context.)
-    pub fn b_mpsm() -> Self {
-        JoinSpec::BMpsm(JoinConfig::with_threads(1))
-    }
-
-    /// The configured knobs (shared by both variants).
-    pub(crate) fn config(&self) -> &JoinConfig {
-        match self {
-            JoinSpec::PMpsm(cfg) | JoinSpec::BMpsm(cfg) => cfg,
-        }
-    }
-
-    /// The algorithm's display name, as plans render it.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            JoinSpec::PMpsm(_) => "P-MPSM",
-            JoinSpec::BMpsm(_) => "B-MPSM",
-        }
-    }
-
-    /// Run the paper query described by `spec` inside `cx` (the
-    /// scheduler derives one context per query, carrying its owner tag
-    /// and node pinning). Two routes:
-    ///
-    /// 1. [`paper_query_runs`] — the run-oriented path — whenever the
-    ///    query can use sorted runs or needs an interruptible merge: it
-    ///    carries a deadline or a row collection cap, `token` is live
-    ///    (degraded admission hands plain queries a block budget too),
-    ///    a side is dirty (its captured snapshot has pending delta ops,
-    ///    or compaction moved the lineage past the handle — the
-    ///    snapshot's base, not the handle, is then the live relation),
-    ///    or a run cache is attached and a side is cacheable
-    ///    (unfiltered and catalog-registered).
-    /// 2. Otherwise the configured algorithm's plain four-phase
-    ///    `join_in`.
-    pub(crate) fn run_with_token(
-        &self,
-        cx: &ExecContext,
-        spec: &QuerySpec,
-        token: &AnytimeToken,
-    ) -> PaperQueryResult {
-        let dirty = |snapshot: &Option<Snapshot>, handle: &Arc<Relation>| {
-            snapshot.as_ref().is_some_and(|s| s.delta_len() > 0 || !Arc::ptr_eq(s.base(), handle))
-        };
-        let cacheable = spec.cache.is_some()
-            && ((!spec.r_filtered && spec.r.version() > 0)
-                || (!spec.s_filtered && spec.s.version() > 0));
-        let mut result = if spec.interruptible_by(token)
-            || dirty(&spec.r_snapshot, &spec.r)
-            || dirty(&spec.s_snapshot, &spec.s)
-            || cacheable
-        {
-            paper_query_runs(cx, spec, token)
-        } else {
-            fn go<J: JoinAlgorithm>(
-                cx: &ExecContext,
-                spec: &QuerySpec,
-                algorithm: &J,
-            ) -> PaperQueryResult {
-                let (r_pred, s_pred) = (&spec.r_pred, &spec.s_pred);
-                paper_query_in(cx, &spec.r, &spec.s, |t| r_pred(t), |t| s_pred(t), algorithm)
-            }
-            match self {
-                JoinSpec::PMpsm(cfg) => go(cx, spec, &PMpsmJoin::new(cfg.clone())),
-                JoinSpec::BMpsm(cfg) => go(cx, spec, &BMpsmJoin::new(cfg.clone())),
-            }
-        };
-        Self::append_snapshot_rows(&mut result, spec);
-        result
-    }
-
-    /// Every catalog-resolved side reports the snapshot it was pinned
-    /// to — also when the delta was empty and execution took a clean
-    /// path.
-    fn append_snapshot_rows(result: &mut PaperQueryResult, spec: &QuerySpec) {
-        for (side, snapshot) in [("R", &spec.r_snapshot), ("S", &spec.s_snapshot)] {
-            if let Some(snapshot) = snapshot {
-                result.plan.snapshots.push(SnapshotInfo {
-                    side,
-                    base_version: snapshot.base_version(),
-                    delta: snapshot.delta_len(),
-                });
-            }
-        }
-    }
-}
-
 /// An owned description of one paper query — everything the scheduler
 /// needs to run `scan → select → join → max` later, on another thread.
 #[derive(Clone)]
@@ -233,7 +124,6 @@ pub struct QuerySpec {
     pub(crate) s: Arc<Relation>,
     pub(crate) r_pred: Predicate,
     pub(crate) s_pred: Predicate,
-    pub(crate) join: JoinSpec,
     /// Whether `filter_r` was called — filtered sides bypass the run
     /// cache (their sorted runs are query-specific).
     pub(crate) r_filtered: bool,
@@ -247,24 +137,23 @@ pub struct QuerySpec {
     /// Consistent snapshot of `s`.
     pub(crate) s_snapshot: Option<Snapshot>,
     /// SLA deadline, measured from submit (so queue wait counts
-    /// against it). Routes the query down the run-oriented path.
+    /// against it). Makes the merge interruptible.
     pub(crate) deadline: Option<Duration>,
     /// Admission class (default [`Priority::Normal`]).
     pub(crate) priority: Priority,
     /// Collect up to this many joined rows (key order) alongside the
-    /// aggregate. Routes the query down the run-oriented path.
+    /// aggregate. Makes the merge interruptible.
     pub(crate) rows_cap: Option<usize>,
 }
 
 impl QuerySpec {
-    /// Join `r ⋈ s` with no selections, using P-MPSM defaults.
+    /// Join `r ⋈ s` with no selections.
     pub fn join(r: &Arc<Relation>, s: &Arc<Relation>) -> Self {
         QuerySpec {
             r: Arc::clone(r),
             s: Arc::clone(s),
             r_pred: Arc::new(|_| true),
             s_pred: Arc::new(|_| true),
-            join: JoinSpec::p_mpsm(),
             r_filtered: false,
             s_filtered: false,
             cache: None,
@@ -287,12 +176,6 @@ impl QuerySpec {
     pub fn filter_s(mut self, pred: impl Fn(&Tuple) -> bool + Send + Sync + 'static) -> Self {
         self.s_pred = Arc::new(pred);
         self.s_filtered = true;
-        self
-    }
-
-    /// Choose the join algorithm (default: P-MPSM).
-    pub fn algorithm(mut self, join: JoinSpec) -> Self {
-        self.join = join;
         self
     }
 
@@ -322,9 +205,41 @@ impl QuerySpec {
     /// Whether anything could stop this query's merge early under
     /// `token`: a deadline, a row cap, or a live token (degraded
     /// admission hands plain queries a block budget too). Such queries
-    /// take the run-oriented route and render the plan's `Anytime` row.
+    /// merge in ascending key intervals and render the plan's `Anytime`
+    /// row.
     pub(crate) fn interruptible_by(&self, token: &AnytimeToken) -> bool {
         self.deadline.is_some() || self.rows_cap.is_some() || !matches!(token, AnytimeToken::Never)
+    }
+
+    /// Run this query inside `cx` (the scheduler derives one context
+    /// per query, carrying its owner tag and node pinning) — the one
+    /// function through which the scheduler executes a query. A query
+    /// whose deadline passed while it queued (`expired_in_queue`) skips
+    /// its inputs and answers an empty partial; every other query runs
+    /// [`paper_query_runs`]. Either way, every catalog-resolved side
+    /// reports the snapshot it was pinned to — also when its delta was
+    /// empty.
+    pub(crate) fn execute(
+        &self,
+        cx: &ExecContext,
+        token: &AnytimeToken,
+        expired_in_queue: bool,
+    ) -> PaperQueryResult {
+        let mut result = if expired_in_queue {
+            expired_in_queue_result(cx, self)
+        } else {
+            paper_query_runs(cx, self, token)
+        };
+        for (side, snapshot) in [("R", &self.r_snapshot), ("S", &self.s_snapshot)] {
+            if let Some(snapshot) = snapshot {
+                result.plan.snapshots.push(SnapshotInfo {
+                    side,
+                    base_version: snapshot.base_version(),
+                    delta: snapshot.delta_len(),
+                });
+            }
+        }
+        result
     }
 }
 
@@ -333,7 +248,6 @@ impl std::fmt::Debug for QuerySpec {
         f.debug_struct("QuerySpec")
             .field("r", &self.r.name())
             .field("s", &self.s.name())
-            .field("join", &self.join)
             .finish_non_exhaustive()
     }
 }
@@ -504,7 +418,7 @@ impl SessionShared {
                 // … and optionally pre-builds the new version's runs so
                 // the next analytic query opens on a hit. Single-flight:
                 // if a query is already building this key, skip.
-                let radix_bits = JoinConfig::with_threads(1).radix_bits;
+                let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
                 let key = RunKey {
                     relation: id,
                     version: new_version,
@@ -794,19 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn b_mpsm_spec_agrees_with_p_mpsm_spec() {
-        let session = Session::new(SchedulerConfig::new(2));
-        let r = session.register(rel("R", 300));
-        let s = session
-            .register(Relation::new("S", (0..900u64).map(|i| Tuple::new(i % 300, i)).collect()));
-        let p = session.query(QuerySpec::join(&r, &s)).expect("P-MPSM failed");
-        let b = session
-            .query(QuerySpec::join(&r, &s).algorithm(JoinSpec::b_mpsm()))
-            .expect("B-MPSM failed");
-        assert_eq!(p.result.max_payload_sum, b.result.max_payload_sum);
-    }
-
-    #[test]
     fn register_stamps_identity_and_bumps_versions() {
         let session = Session::new(SchedulerConfig::new(1));
         let v1 = session.register(rel("orders", 10));
@@ -875,7 +776,7 @@ mod tests {
         let r = Arc::new(rel("R", 1));
         let s = Arc::new(rel("S", 1));
         let text = format!("{:?}", QuerySpec::join(&r, &s));
-        assert!(text.contains("\"R\"") && text.contains("PMpsm"), "{text}");
+        assert!(text.contains("\"R\"") && text.contains("\"S\"") && text.contains(".."), "{text}");
     }
 
     #[test]

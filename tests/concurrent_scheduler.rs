@@ -5,11 +5,12 @@
 
 use std::sync::Arc;
 
+use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::JoinConfig;
 use mpsm::core::Tuple;
 use mpsm::exec::{
-    paper_query, JoinSpec, QueryError, QuerySpec, Relation, Scheduler, SchedulerConfig, Session,
+    paper_query, QueryError, QuerySpec, Relation, Scheduler, SchedulerConfig, Session,
 };
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -114,8 +115,10 @@ fn session_round_trip_with_mixed_algorithms() {
     let r = session.register(Arc::try_unwrap(r).expect("sole owner"));
     let s = session.register(Arc::try_unwrap(s).expect("sole owner"));
     let p = session.query(QuerySpec::join(&r, &s)).expect("P-MPSM");
-    let b = session.query(QuerySpec::join(&r, &s).algorithm(JoinSpec::b_mpsm())).expect("B-MPSM");
-    assert_eq!(p.result.max_payload_sum, b.result.max_payload_sum);
+    // The session's one engine agrees with B-MPSM run serially.
+    let b =
+        paper_query(&r, &s, |_| true, |_| true, &BMpsmJoin::new(JoinConfig::with_threads(2)), 2);
+    assert_eq!(p.result.max_payload_sum, b.max_payload_sum);
     assert!(p.result.plan.explain().starts_with("Queue [wait ="), "scheduled EXPLAIN");
     // Catalog lookups resolve the registered handles.
     assert_eq!(session.relation("R").expect("registered").len(), 4000);

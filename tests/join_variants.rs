@@ -39,10 +39,14 @@ fn variants_match_reference_on_both_mpsm_topologies() {
             JoinVariant::LeftAnti,
         ] {
             let expected = reference_variant_count(variant, &w.r, &w.s);
-            let (pc, _) = p.join_variant_with_sink::<CountSink>(variant, &w.r, &w.s);
             let (bc, _) = b.join_variant_with_sink::<CountSink>(variant, &w.r, &w.s);
-            assert_eq!(pc, expected, "P-MPSM {variant:?} with {threads} threads");
             assert_eq!(bc, expected, "B-MPSM {variant:?} with {threads} threads");
+            // P-MPSM runs the inner join only: its workers each see one
+            // key range of R against the slice of every public run that
+            // range meets.
+            if variant == JoinVariant::Inner {
+                assert_eq!(p.count(&w.r, &w.s), expected, "P-MPSM with {threads} threads");
+            }
         }
     }
 }
@@ -51,7 +55,7 @@ fn variants_match_reference_on_both_mpsm_topologies() {
 fn outer_join_pads_with_null_sentinel() {
     let r: Vec<Tuple> = vec![Tuple::new(1, 10), Tuple::new(2, 20)];
     let s: Vec<Tuple> = vec![Tuple::new(1, 100)];
-    let join = PMpsmJoin::new(JoinConfig::with_threads(2));
+    let join = BMpsmJoin::new(JoinConfig::with_threads(2));
     let (mut rows, _) = join.join_variant_with_sink::<CollectSink>(JoinVariant::LeftOuter, &r, &s);
     rows.sort_unstable();
     assert_eq!(rows, vec![(1, 10, 100), (2, 20, NULL_PAYLOAD)]);
@@ -62,7 +66,7 @@ fn semi_join_emits_each_private_tuple_at_most_once() {
     // Key 5 has three partners: semi must still emit r once.
     let r: Vec<Tuple> = vec![Tuple::new(5, 1), Tuple::new(6, 2)];
     let s: Vec<Tuple> = vec![Tuple::new(5, 0), Tuple::new(5, 0), Tuple::new(5, 0)];
-    let join = PMpsmJoin::new(JoinConfig::with_threads(2));
+    let join = BMpsmJoin::new(JoinConfig::with_threads(2));
     let (rows, _) = join.join_variant_with_sink::<CollectSink>(JoinVariant::LeftSemi, &r, &s);
     assert_eq!(rows, vec![(5, 1, NULL_PAYLOAD)]);
 }
@@ -72,7 +76,7 @@ fn anti_join_complements_semi() {
     let w = fk_uniform(500, 1, 9);
     // Drop half of S so half of R is unmatched.
     let s_half: Vec<Tuple> = w.s.iter().copied().filter(|t| t.key % 2 == 0).collect();
-    let join = PMpsmJoin::new(JoinConfig::with_threads(4));
+    let join = BMpsmJoin::new(JoinConfig::with_threads(4));
     let (semi, _) = join.join_variant_with_sink::<CountSink>(JoinVariant::LeftSemi, &w.r, &s_half);
     let (anti, _) = join.join_variant_with_sink::<CountSink>(JoinVariant::LeftAnti, &w.r, &s_half);
     assert_eq!(semi + anti, 500, "semi and anti partition R");

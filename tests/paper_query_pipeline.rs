@@ -5,9 +5,10 @@ use mpsm::baselines::nested_loop::oracle_max_payload_sum;
 use mpsm::baselines::{RadixJoin, WisconsinHashJoin};
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
-use mpsm::core::join::JoinConfig;
-use mpsm::core::Tuple;
-use mpsm::exec::{paper_query, Relation};
+use mpsm::core::join::{JoinAlgorithm, JoinConfig};
+use mpsm::core::sink::{CollectSink, MaxAggSink};
+use mpsm::core::{ExecContext, Tuple};
+use mpsm::exec::{paper_query, QuerySpec, Relation, SchedulerConfig, Session};
 use mpsm::workload::{fk_uniform, skewed_negative_correlation};
 
 #[test]
@@ -54,6 +55,34 @@ fn all_algorithms_agree_on_skewed_query() {
         paper_query(&r, &s, |_| true, |_| true, &WisconsinHashJoin::new(cfg), 4).max_payload_sum,
     ];
     assert!(results.windows(2).all(|w| w[0] == w[1]), "results diverge: {results:?}");
+}
+
+/// With no run cache every side bypasses it, and the session's one
+/// route builds both the way P-MPSM does: the answer — aggregate and
+/// rows — is P-MPSM's, on negatively correlated skew.
+#[test]
+fn uncached_session_answers_what_p_mpsm_answers() {
+    let w = skewed_negative_correlation(3000, 4, 1 << 16, 17);
+    for threads in 1..=4 {
+        let cx = ExecContext::flat(threads);
+        let join = PMpsmJoin::new(JoinConfig::with_threads(threads));
+        let (max, _) = join.join_in::<MaxAggSink>(&cx, &w.r, &w.s);
+        let (mut rows, _) = join.join_in::<CollectSink>(&cx, &w.r, &w.s);
+        rows.sort_unstable();
+        assert!(!rows.is_empty());
+
+        let session = Session::uncached(SchedulerConfig::new(threads));
+        let r = session.register(Relation::new("R", w.r.clone()));
+        let s = session.register(Relation::new("S", w.s.clone()));
+        let out = session.query(QuerySpec::join(&r, &s)).expect("query").result;
+        assert_eq!(out.max_payload_sum, max, "T = {threads}");
+        assert!(out.plan.run_cache.is_none(), "no cache, no RunCache row");
+        let join_row = format!("Join [P-MPSM; T = {threads}]");
+        assert!(out.plan.explain().contains(&join_row), "{}", out.plan.explain());
+        let spec = QuerySpec::join(&r, &s).collect_rows(rows.len());
+        let all = session.query(spec).expect("rows").result;
+        assert_eq!(all.rows.as_deref(), Some(rows.as_slice()), "T = {threads}");
+    }
 }
 
 #[test]

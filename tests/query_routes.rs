@@ -1,10 +1,11 @@
 //! One differential oracle for every query route.
 //!
-//! A query reaches the executor in one of eight input states —
+//! A query reaches the executor in one of nine input states —
 //! unregistered relations, a run-cache miss, a run-cache hit, a
-//! snapshot made dirty by appends / updates / deletes, a filtered side
-//! over a dirty snapshot, and a handle compaction has moved past — and
-//! in one of four modes: no token, a deterministic block budget, a row
+//! snapshot made dirty by appends / updates / deletes, a filtered
+//! private side over a dirty snapshot, a filtered public side against a
+//! dirty private one, and a handle compaction has moved past — and in
+//! one of four modes: no token, a deterministic block budget, a row
 //! cap, a far-future deadline. Every cell of that matrix, at `T` = 1, 2
 //! and 3 workers, answers to the same oracle: a nested-loop join over
 //! the literally replayed (`materialize`d) inputs. Complete answers
@@ -36,10 +37,11 @@ enum State {
     Updated,
     Deleted,
     FilteredDirty,
+    FilteredPublic,
     CompactedPastTheHandle,
 }
 
-const STATES: [State; 8] = [
+const STATES: [State; 9] = [
     State::Unregistered,
     State::CacheMiss,
     State::CacheHit,
@@ -47,6 +49,7 @@ const STATES: [State; 8] = [
     State::Updated,
     State::Deleted,
     State::FilteredDirty,
+    State::FilteredPublic,
     State::CompactedPastTheHandle,
 ];
 
@@ -96,6 +99,10 @@ fn r_keeps(t: &Tuple) -> bool {
     !t.key.is_multiple_of(3)
 }
 
+fn s_keeps(t: &Tuple) -> bool {
+    !t.key.is_multiple_of(5)
+}
+
 /// One cell's inputs: a session in the given state, the spec that
 /// queries it, and the oracle's answer.
 struct Case {
@@ -143,6 +150,12 @@ fn case(state: State, threads: usize) -> Case {
             r_ops = writes(300, 41, true, true, true);
             spec = spec.filter_r(r_keeps);
         }
+        State::FilteredPublic => {
+            // A chunked bypass public side against a cached private
+            // side that carries a delta.
+            r_ops = writes(300, 53, true, true, true);
+            spec = spec.filter_s(s_keeps);
+        }
         State::CompactedPastTheHandle => {
             r_ops = writes(300, 43, true, true, true);
         }
@@ -162,7 +175,10 @@ fn case(state: State, threads: usize) -> Case {
     if state == State::FilteredDirty {
         r_now.retain(r_keeps);
     }
-    let s_now = materialize(&s_base, &s_ops);
+    let mut s_now = materialize(&s_base, &s_ops);
+    if state == State::FilteredPublic {
+        s_now.retain(s_keeps);
+    }
     let mut expected = Vec::new();
     for rt in &r_now {
         for st in s_now.iter().filter(|st| st.key == rt.key) {
@@ -208,22 +224,25 @@ fn plain_queries_equal_the_oracle_on_every_route() {
             let (hit, miss, bypass) =
                 (RunCacheOutcome::Hit, RunCacheOutcome::Miss, RunCacheOutcome::Bypass);
             let expected_cache = match state {
-                State::Unregistered => None,
+                State::Unregistered => Some((bypass, bypass)),
                 State::CacheMiss => Some((miss, miss)),
                 State::CacheHit => Some((hit, hit)),
                 State::Appended | State::Updated | State::Deleted => Some((miss, miss)),
                 State::FilteredDirty => Some((bypass, miss)),
+                State::FilteredPublic => Some((miss, bypass)),
                 // The compactor warmed R's new base version.
                 State::CompactedPastTheHandle => Some((hit, miss)),
             };
             assert_eq!(cache, expected_cache, "{what}: RunCache row");
             // A second look at the same state is served from the cache
-            // wherever a base version exists to key on.
-            if expected_cache.is_some() {
+            // wherever an unfiltered side has a base version to key on.
+            if state != State::Unregistered {
                 let again = case.session.query(case.spec.clone()).expect("query").result;
                 assert_eq!(again.max_payload_sum, out.max_payload_sum, "{what}: second run");
                 let info = again.plan.run_cache.expect("RunCache row");
-                assert_eq!(info.s, hit, "{what}: S is cached now");
+                if state != State::FilteredPublic {
+                    assert_eq!(info.s, hit, "{what}: S is cached now");
+                }
                 if state != State::FilteredDirty {
                     assert_eq!(info.r, hit, "{what}: R is cached now");
                 }
