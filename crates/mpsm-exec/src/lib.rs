@@ -60,7 +60,7 @@
 //! `(relation id, version, splitter fingerprint)`; a
 //! [`session::Session`] owns one by default, so repeated joins over
 //! registered relations skip partition + sort entirely and go straight
-//! to merge-join. EXPLAIN grows a `RunCache [R=hit, S=miss; …]` line,
+//! to merge-join. EXPLAIN grows a `RunCache [R=hit, S=miss]` line,
 //! and re-registering a relation bumps its catalog version, which
 //! invalidates every run set built from older versions.
 //!
@@ -103,8 +103,7 @@ pub mod snapshot;
 pub use groupby::{sorted_group_by, CountAgg, KeyAggregate, MaxAgg, SumAgg};
 pub use ops::Select;
 pub use plan::{
-    AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, QueueCounters, RunCacheInfo, RunCacheOutcome,
-    SnapshotInfo,
+    AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo, RunCacheOutcome, SnapshotInfo,
 };
 pub use query::{paper_query, paper_query_in, paper_query_runs, PaperQueryResult};
 pub use run_cache::{

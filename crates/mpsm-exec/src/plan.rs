@@ -173,23 +173,6 @@ impl AnytimeInfo {
     }
 }
 
-/// Scheduler-lifetime SLA counters sampled when the query finished,
-/// appended to the `Queue` EXPLAIN row. Optional so unscheduled (and
-/// pre-existing) plans render exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueCounters {
-    /// Queued queries evicted by higher-priority arrivals (always 0
-    /// since degrade-don't-reject; kept for label stability).
-    pub shed: u64,
-    /// Queries that finished past their deadline (partial or late).
-    pub deadline_missed: u64,
-    /// Queries that returned a partial (coverage < 100%) answer.
-    pub partial_answers: u64,
-    /// Queries admitted in degraded mode (forced tight anytime budget)
-    /// under overload.
-    pub degraded: u64,
-}
-
 /// What the run cache did for one join input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunCacheOutcome {
@@ -215,32 +198,19 @@ impl RunCacheOutcome {
 }
 
 /// Per-query run-cache report, rendered as the `RunCache` EXPLAIN
-/// node: the outcome for each input plus the owning cache's lifetime
-/// totals at plan-assembly time.
+/// node: what the cache did for each input of this query. The cache's
+/// lifetime totals are [`crate::run_cache::RunCache::stats`]' business.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunCacheInfo {
     /// Outcome for the private input `R`.
     pub r: RunCacheOutcome,
     /// Outcome for the public input `S`.
     pub s: RunCacheOutcome,
-    /// Cache-lifetime hits.
-    pub hits: u64,
-    /// Cache-lifetime misses.
-    pub misses: u64,
-    /// Cache-lifetime budget evictions.
-    pub evictions: u64,
 }
 
 impl RunCacheInfo {
     fn label(&self) -> String {
-        format!(
-            "RunCache [R={}, S={}; hits={}, misses={}, evictions={}]",
-            self.r.as_str(),
-            self.s.as_str(),
-            self.hits,
-            self.misses,
-            self.evictions,
-        )
+        format!("RunCache [R={}, S={}]", self.r.as_str(), self.s.as_str())
     }
 }
 
@@ -262,9 +232,6 @@ pub struct QueryPlan {
     /// Time the query waited in the scheduler's admission queue before
     /// execution started, in ms (`None` for unscheduled executions).
     pub queue_wait_ms: Option<f64>,
-    /// Scheduler SLA counters at completion time, appended to the
-    /// `Queue` row when present (requires `queue_wait_ms`).
-    pub queue_counters: Option<QueueCounters>,
     /// Anytime-merge coverage, when the query ran interruptibly.
     pub anytime: Option<AnytimeInfo>,
     /// Critical-path duration of each join phase, in ms, when the
@@ -382,15 +349,7 @@ impl QueryPlan {
 
         let aggregate = Node::new(format!("Aggregate [{}]", self.aggregate)).child(join);
         let root = match self.queue_wait_ms {
-            Some(wait) => {
-                let counters = self.queue_counters.map_or(String::new(), |c| {
-                    format!(
-                        "; shed={}, deadline_missed={}, partial={}, degraded={}",
-                        c.shed, c.deadline_missed, c.partial_answers, c.degraded
-                    )
-                });
-                Node::new(format!("Queue [wait = {wait:.3} ms{counters}]")).child(aggregate)
-            }
+            Some(wait) => Node::new(format!("Queue [wait = {wait:.3} ms]")).child(aggregate),
             None => aggregate,
         };
 
@@ -427,7 +386,6 @@ mod tests {
             aggregate: "max(R.payload + S.payload)".into(),
             join_rows: Some(2000),
             queue_wait_ms: None,
-            queue_counters: None,
             anytime: None,
             phases_ms: None,
             phase_tuples: None,
@@ -536,26 +494,17 @@ Aggregate [max(R.payload + S.payload)]
     }
 
     #[test]
-    fn queue_counters_render_exactly() {
-        // Satellite: the SLA counters join the Queue row. Without the
-        // optional counters the row keeps its pre-existing shape (the
-        // `scheduled_plans_render_queue_and_phases` test above), so old
-        // exact-output expectations stay valid.
+    fn queue_row_carries_only_the_wait() {
+        // The Queue row reports this query's wait and nothing of the
+        // scheduler's lifetime counters (those are
+        // `Scheduler::metrics`'), and exists only for scheduled
+        // executions.
         let mut p = sample();
         p.queue_wait_ms = Some(0.75);
-        p.queue_counters =
-            Some(QueueCounters { shed: 2, deadline_missed: 1, partial_answers: 3, degraded: 4 });
         let text = p.explain();
-        assert!(
-            text.starts_with(
-                "Queue [wait = 0.750 ms; shed=2, deadline_missed=1, partial=3, degraded=4]\n"
-            ),
-            "{text}"
-        );
-        // Counters without a queue wait never render: the Queue row
-        // exists only for scheduled executions.
+        assert!(text.starts_with("Queue [wait = 0.750 ms]\n└─ Aggregate"), "{text}");
         p.queue_wait_ms = None;
-        assert!(!p.explain().contains("shed="), "{}", p.explain());
+        assert!(!p.explain().contains("Queue ["), "{}", p.explain());
     }
 
     #[test]
@@ -765,17 +714,11 @@ Aggregate [max(R.payload + S.payload)]
     #[test]
     fn run_cache_node_renders_exactly() {
         let mut p = sample();
-        p.run_cache = Some(RunCacheInfo {
-            r: RunCacheOutcome::Hit,
-            s: RunCacheOutcome::Miss,
-            hits: 3,
-            misses: 2,
-            evictions: 1,
-        });
+        p.run_cache = Some(RunCacheInfo { r: RunCacheOutcome::Hit, s: RunCacheOutcome::Miss });
         let expected = "\
 Aggregate [max(R.payload + S.payload)]
 └─ Join [P-MPSM; T = 8; out = 2000 rows]
-   ├─ RunCache [R=hit, S=miss; hits=3, misses=2, evictions=1]
+   ├─ RunCache [R=hit, S=miss]
    ├─ private (R):
    │  └─ Select [out = 500 rows]
    │     └─ Scan orders [1000 rows]
@@ -785,7 +728,7 @@ Aggregate [max(R.payload + S.payload)]
 ";
         assert_eq!(p.explain(), expected);
         p.run_cache.as_mut().expect("set above").s = RunCacheOutcome::Bypass;
-        assert!(p.explain().contains("RunCache [R=hit, S=bypass;"), "{}", p.explain());
+        assert!(p.explain().contains("RunCache [R=hit, S=bypass]"), "{}", p.explain());
     }
 
     #[test]

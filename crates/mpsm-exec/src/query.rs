@@ -200,15 +200,8 @@ pub fn paper_query_runs(
     let mut result = executed_in(cx, assembled);
     result.rows = rows;
     result.plan.anytime = spec.interruptible_by(token).then_some(anytime);
-    if let Some(cache) = &spec.cache {
-        let totals = cache.stats();
-        result.plan.run_cache = Some(RunCacheInfo {
-            r: r.outcome,
-            s: s.outcome,
-            hits: totals.hits,
-            misses: totals.misses,
-            evictions: totals.evictions,
-        });
+    if spec.cache.is_some() {
+        result.plan.run_cache = Some(RunCacheInfo { r: r.outcome, s: s.outcome });
     }
     result
 }
@@ -371,7 +364,6 @@ fn assemble(
         aggregate: "max(R.payload + S.payload)".to_string(),
         join_rows: None,
         queue_wait_ms: None,
-        queue_counters: None,
         anytime: None,
         phases_ms: None,
         phase_tuples: None,

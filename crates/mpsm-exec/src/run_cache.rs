@@ -18,14 +18,12 @@
 //!
 //! ## Invalidation
 //!
-//! Three mechanisms, all cheap:
-//! * **version keying** — re-registering a name bumps the version, so
-//!   stale entries simply stop being addressable;
-//!   [`RunCache::invalidate_relation`] additionally drops them eagerly.
-//! * **TTL** — entries older than [`RunCacheConfig::ttl`] are treated
-//!   as absent on lookup and swept opportunistically on publish (the
-//!   datalevin `:expire-at` idiom: expiry enforced at read time, a
-//!   sweeper reclaims space later).
+//! Two mechanisms, both cheap; no entry ever goes stale, so nothing
+//! expires by age:
+//! * **version keying** — re-registering a name (or compacting it)
+//!   bumps the version, so superseded entries simply stop being
+//!   addressable; [`RunCache::invalidate_relation`] additionally drops
+//!   them eagerly.
 //! * **byte budget** — publishing evicts least-recently-used `Ready`
 //!   entries until the cache fits [`RunCacheConfig::byte_budget`]
 //!   (the storage layer's bounded-frame idiom, upgraded FIFO → LRU).
@@ -42,7 +40,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mpsm_core::join::runs::SharedRunSet;
 
@@ -51,13 +49,11 @@ use mpsm_core::join::runs::SharedRunSet;
 pub struct RunCacheConfig {
     /// Total bytes of run storage the cache may retain.
     pub byte_budget: usize,
-    /// Age at which an entry stops being served.
-    pub ttl: Duration,
 }
 
 impl Default for RunCacheConfig {
     fn default() -> Self {
-        RunCacheConfig { byte_budget: 256 << 20, ttl: Duration::from_secs(600) }
+        RunCacheConfig { byte_budget: 256 << 20 }
     }
 }
 
@@ -96,7 +92,6 @@ pub struct RunKey {
 struct Entry {
     runs: SharedRunSet,
     bytes: usize,
-    inserted_at: Instant,
     last_used: Instant,
 }
 
@@ -122,10 +117,8 @@ pub struct RunCacheStats {
     pub hits: u64,
     /// Lookups that found nothing servable (includes `Busy`).
     pub misses: u64,
-    /// Entries evicted by the byte budget.
+    /// Entries evicted by the byte budget or version invalidation.
     pub evictions: u64,
-    /// Entries dropped because their TTL lapsed.
-    pub expirations: u64,
     /// Run sets successfully published.
     pub inserts: u64,
     /// `Ready` entries currently resident.
@@ -154,7 +147,6 @@ pub struct RunCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    expirations: AtomicU64,
     inserts: AtomicU64,
 }
 
@@ -167,28 +159,18 @@ impl RunCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
         }
     }
 
     /// Look up `key`, claiming the build on a miss (single-flight).
     pub fn lookup(self: &Arc<Self>, key: RunKey) -> Lookup {
-        let now = Instant::now();
         let mut inner = self.inner.lock().expect("run cache poisoned");
         match inner.map.get_mut(&key) {
             Some(Slot::Ready(entry)) => {
-                if now.duration_since(entry.inserted_at) >= self.config.ttl {
-                    let bytes = entry.bytes;
-                    inner.map.remove(&key);
-                    inner.bytes -= bytes;
-                    self.expirations.fetch_add(1, Ordering::Relaxed);
-                    // Fall through to a miss: this query rebuilds.
-                } else {
-                    entry.last_used = now;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Hit(Arc::clone(&entry.runs));
-                }
+                entry.last_used = Instant::now();
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Lookup::Hit(Arc::clone(&entry.runs));
             }
             Some(Slot::Building) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -229,39 +211,20 @@ impl RunCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             entries: inner.map.values().filter(|s| matches!(s, Slot::Ready(_))).count(),
             bytes: inner.bytes,
         }
     }
 
-    /// The configured budget/TTL.
+    /// The configured budget.
     pub fn config(&self) -> &RunCacheConfig {
         &self.config
     }
 
     fn publish_inner(&self, key: RunKey, runs: SharedRunSet) {
-        let now = Instant::now();
         let bytes = runs.bytes();
         let mut inner = self.inner.lock().expect("run cache poisoned");
-        // Opportunistic TTL sweep (the datalevin sweeper, run at write
-        // time instead of on a background thread).
-        let expired: Vec<RunKey> = inner
-            .map
-            .iter()
-            .filter(|(_, slot)| match slot {
-                Slot::Ready(e) => now.duration_since(e.inserted_at) >= self.config.ttl,
-                Slot::Building => false,
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        for k in expired {
-            if let Some(Slot::Ready(e)) = inner.map.remove(&k) {
-                inner.bytes -= e.bytes;
-                self.expirations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         if bytes > self.config.byte_budget {
             // The set alone busts the budget: drop the placeholder and
             // give up rather than evicting the whole cache for it.
@@ -286,7 +249,7 @@ impl RunCache {
             }
         }
         inner.bytes += bytes;
-        inner.map.insert(key, Slot::Ready(Entry { runs, bytes, inserted_at: now, last_used: now }));
+        inner.map.insert(key, Slot::Ready(Entry { runs, bytes, last_used: Instant::now() }));
         self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -386,24 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_ttl_expires_immediately() {
-        let cache = Arc::new(RunCache::new(RunCacheConfig {
-            ttl: Duration::ZERO,
-            ..RunCacheConfig::default()
-        }));
-        let Lookup::Miss(permit) = cache.lookup(key(1, 1)) else { panic!() };
-        permit.publish(run_set(10));
-        assert!(matches!(cache.lookup(key(1, 1)), Lookup::Miss(_)), "expired on read");
-        assert_eq!(cache.stats().expirations, 1);
-    }
-
-    #[test]
     fn byte_budget_evicts_least_recently_used() {
         let tuple = std::mem::size_of::<Tuple>();
-        let cache = Arc::new(RunCache::new(RunCacheConfig {
-            byte_budget: 250 * tuple,
-            ttl: Duration::from_secs(600),
-        }));
+        let cache = Arc::new(RunCache::new(RunCacheConfig { byte_budget: 250 * tuple }));
         for rel in 1..=2u64 {
             let Lookup::Miss(p) = cache.lookup(key(rel, 1)) else { panic!() };
             p.publish(run_set(100));
@@ -421,10 +369,7 @@ mod tests {
     #[test]
     fn oversized_sets_are_not_cached() {
         let tuple = std::mem::size_of::<Tuple>();
-        let cache = Arc::new(RunCache::new(RunCacheConfig {
-            byte_budget: 10 * tuple,
-            ttl: Duration::from_secs(600),
-        }));
+        let cache = Arc::new(RunCache::new(RunCacheConfig { byte_budget: 10 * tuple }));
         let Lookup::Miss(p) = cache.lookup(key(1, 1)) else { panic!() };
         p.publish(run_set(100));
         assert_eq!(cache.stats().inserts, 0);

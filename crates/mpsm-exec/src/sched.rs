@@ -8,19 +8,15 @@
 //! that: it provisions **one** [`SharedWorkerPool`] and admits
 //! queries against it.
 //!
-//! * **Batched admission** — [`Scheduler::submit`] never touches the
-//!   scheduler's main queue lock: it appends to a cheap pending buffer
-//!   and returns. Coordinators drain up to
-//!   [`SchedulerConfig::admission_batch`] pending submissions per main
-//!   lock acquisition, so a thundering herd of submitters amortizes the
-//!   admission scan instead of serializing on it.
-//! * **Degrade, don't reject** — at most `max_in_flight` queries
-//!   execute concurrently and up to `queue_capacity` more wait at full
-//!   service; beyond that, admission *degrades* instead of rejecting: an
-//!   overflow query (or the youngest queued query of a strictly lower
-//!   [`Priority`] class, when the arrival outranks it) is admitted with
-//!   a forced tight anytime budget, so it returns a coverage-stamped
-//!   partial answer instead of an error.
+//! * **Degrade, don't reject** — [`Scheduler::submit`] makes the whole
+//!   admission decision under the one queue lock. At most
+//!   `max_in_flight` queries execute concurrently and up to
+//!   `queue_capacity` more wait at full service; beyond that, admission
+//!   *degrades* instead of rejecting: an overflow query (or the
+//!   youngest queued query of a strictly lower [`Priority`] class, when
+//!   the arrival outranks it) is admitted with a forced tight anytime
+//!   budget, so it returns a coverage-stamped partial answer instead of
+//!   an error.
 //! * **Phase-granular fairness** — an executing query submits its
 //!   selections and join phases to the shared pool one at a time; the
 //!   pool's FIFO turnstile admits competitors between those phases, so
@@ -75,10 +71,17 @@ use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::worker::SharedWorkerPool;
 use mpsm_numa::{NodeId, Topology};
 
-use crate::plan::QueueCounters;
 use crate::query::PaperQueryResult;
 use crate::run_cache::RunCache;
 use crate::session::QuerySpec;
+
+/// Anytime block budget forced onto a query admitted in *degraded*
+/// mode (overflow beyond `max_in_flight + queue_capacity`). Each unit
+/// is one key-aligned merge block
+/// ([`mpsm_core::join::anytime::ANYTIME_BLOCK_TUPLES`] tuples), so the
+/// budget bounds a degraded query's phase-4 work while guaranteeing a
+/// non-empty, coverage-stamped prefix answer.
+const DEGRADED_BUDGET: u64 = 4;
 
 /// Admission priority class of a query. Orders the backlog: a
 /// coordinator always pops the highest class first (FIFO within a
@@ -88,14 +91,14 @@ use crate::session::QuerySpec;
 /// work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
-    /// Bulk/background work: popped last, shed first under overload.
+    /// Bulk/background work: popped last, degraded first under
+    /// overload.
     Batch,
-    /// The default class (every pre-SLA submission behaves exactly as
-    /// before: FIFO, rejected — never shed — on overflow).
+    /// The default class: FIFO behind `Interactive`, ahead of `Batch`.
     #[default]
     Normal,
-    /// Latency-sensitive work: popped first; sheds queued `Normal` and
-    /// `Batch` queries when the backlog is full.
+    /// Latency-sensitive work: popped first; on overflow it degrades a
+    /// queued `Normal` or `Batch` query instead of itself.
     Interactive,
 }
 
@@ -112,8 +115,9 @@ pub struct SchedulerConfig {
     /// competitor's phases but more peak memory for materialized
     /// selections and runs.
     pub max_in_flight: usize,
-    /// Submissions allowed to wait beyond the executing ones before
-    /// [`Scheduler::submit`] starts rejecting.
+    /// Submissions allowed to wait at full service beyond the
+    /// executing ones; [`Scheduler::submit`] admits any further arrival
+    /// degraded.
     pub queue_capacity: usize,
     /// The NUMA topology of the machine the scheduler places queries
     /// on. With a multi-node topology the scheduler is **NUMA-affine**:
@@ -134,18 +138,6 @@ pub struct SchedulerConfig {
     /// queued behind a wedged coordinator never complete their tickets
     /// in that case — bounded shutdown is the contract a server needs.
     pub drain_timeout: Duration,
-    /// Pending submissions a coordinator admits per main-lock
-    /// acquisition. Submitters only touch the cheap pending buffer, so
-    /// this is the batching factor between submission concurrency and
-    /// the admission scan.
-    pub admission_batch: usize,
-    /// Anytime block budget forced onto a query admitted in *degraded*
-    /// mode (overflow beyond `max_in_flight + queue_capacity`). Each
-    /// unit is one key-aligned merge block
-    /// ([`mpsm_core::join::anytime::ANYTIME_BLOCK_TUPLES`] tuples), so
-    /// the budget bounds a degraded query's phase-4 work while
-    /// guaranteeing a non-empty, coverage-stamped prefix answer.
-    pub degraded_budget: u64,
 }
 
 impl SchedulerConfig {
@@ -160,8 +152,6 @@ impl SchedulerConfig {
             topology: Topology::flat(pool_threads as u32),
             min_feasible_deadline: Duration::ZERO,
             drain_timeout: Duration::from_secs(60),
-            admission_batch: 32,
-            degraded_budget: 4,
         }
     }
 
@@ -172,7 +162,8 @@ impl SchedulerConfig {
         self
     }
 
-    /// Builder-style override of the queue bound (0 = execute-or-reject).
+    /// Builder-style override of the queue bound (0 = every arrival that
+    /// finds all slots busy runs degraded).
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n;
         self
@@ -196,20 +187,6 @@ impl SchedulerConfig {
         self.drain_timeout = timeout;
         self
     }
-
-    /// Builder-style override of the per-lock admission batch.
-    pub fn admission_batch(mut self, n: usize) -> Self {
-        assert!(n > 0, "admission must make progress");
-        self.admission_batch = n;
-        self
-    }
-
-    /// Builder-style override of the degraded-mode anytime budget.
-    pub fn degraded_budget(mut self, blocks: u64) -> Self {
-        assert!(blocks > 0, "a degraded query must be allowed at least one block");
-        self.degraded_budget = blocks;
-        self
-    }
 }
 
 impl Default for SchedulerConfig {
@@ -220,8 +197,9 @@ impl Default for SchedulerConfig {
 
 /// Sizing of the background delta compactor a [`Scheduler`] may run
 /// (see [`Scheduler::start_compactor`]). Compaction folds a relation's
-/// delta log into a new sorted base version off the query path; the
-/// knobs bound how eagerly and how much.
+/// delta log into a new sorted base version off the query path, at
+/// most four relations per sweep, and warms the run cache with each
+/// new version's runs; the knobs bound how eagerly.
 #[derive(Debug, Clone)]
 pub struct CompactionConfig {
     /// Delta ops that make a relation *eligible* for a background
@@ -231,24 +209,11 @@ pub struct CompactionConfig {
     /// How long the compactor sleeps between sweeps when nobody nudges
     /// it (writers nudge as soon as a delta crosses the threshold).
     pub interval: Duration,
-    /// Budget per sweep: at most this many relations are folded before
-    /// the compactor goes back to sleep, so a burst of dirty relations
-    /// cannot occupy the pool indefinitely.
-    pub max_per_sweep: usize,
-    /// After publishing a new base version, immediately build and cache
-    /// its sorted runs (single-flighted through the run cache), so the
-    /// next analytic query starts from a warm hit instead of a miss.
-    pub warm_cache: bool,
 }
 
 impl Default for CompactionConfig {
     fn default() -> Self {
-        CompactionConfig {
-            threshold: 4096,
-            interval: Duration::from_millis(50),
-            max_per_sweep: 4,
-            warm_cache: true,
-        }
+        CompactionConfig { threshold: 4096, interval: Duration::from_millis(50) }
     }
 }
 
@@ -270,19 +235,6 @@ impl CompactionConfig {
     /// Builder-style override of the sweep interval.
     pub fn interval(mut self, interval: Duration) -> Self {
         self.interval = interval;
-        self
-    }
-
-    /// Builder-style override of the per-sweep budget.
-    pub fn max_per_sweep(mut self, n: usize) -> Self {
-        assert!(n > 0, "a sweep must be allowed to compact something");
-        self.max_per_sweep = n;
-        self
-    }
-
-    /// Builder-style override of run-cache warming.
-    pub fn warm_cache(mut self, enabled: bool) -> Self {
-        self.warm_cache = enabled;
         self
     }
 }
@@ -337,13 +289,6 @@ pub enum QueryError {
     /// The query panicked while executing (e.g. a predicate or a join
     /// phase); other queries are unaffected.
     Panicked(String),
-    /// The query was evicted from the admission queue by a
-    /// higher-priority arrival while the backlog was full. The
-    /// scheduler no longer produces this — overload *degrades* queries
-    /// (forced tight anytime budget) instead of shedding them — but the
-    /// variant (and its stable wire code) is kept so old clients still
-    /// decode it.
-    Shed,
 }
 
 impl std::fmt::Display for QueryError {
@@ -351,7 +296,6 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::Rejected(e) => write!(f, "query rejected: {e}"),
             QueryError::Panicked(msg) => write!(f, "query panicked: {msg}"),
-            QueryError::Shed => write!(f, "query shed by a higher-priority arrival"),
         }
     }
 }
@@ -470,18 +414,14 @@ pub struct SchedulerMetrics {
     /// Delta compactions performed (background sweeps and explicit
     /// [`crate::session::Session::compact`] calls alike).
     pub compactions: u64,
-    /// Queued queries evicted by higher-priority arrivals under
-    /// overload. Always 0 since degrade-don't-reject (kept for metric
-    /// stability; see [`SchedulerMetrics::degraded`]).
-    pub shed: u64,
     /// Queries that finished past their deadline — returned a partial
     /// answer, or a complete one later than promised.
     pub deadline_missed: u64,
     /// Queries that returned a partial (coverage < 100%) answer.
     pub partial_answers: u64,
     /// Queries admitted in degraded mode under overload: instead of a
-    /// rejection or a shed, the query ran with a forced tight anytime
-    /// budget and returned a coverage-stamped partial.
+    /// rejection, the query ran with a forced tight anytime budget and
+    /// returned a coverage-stamped partial.
     pub degraded: u64,
 }
 
@@ -493,7 +433,6 @@ struct AtomicMetrics {
     panicked: AtomicU64,
     queue_wait_micros: AtomicU64,
     compactions: AtomicU64,
-    shed: AtomicU64,
     deadline_missed: AtomicU64,
     partial_answers: AtomicU64,
     degraded: AtomicU64,
@@ -507,8 +446,8 @@ struct QueuedQuery {
     /// Absolute deadline, fixed at submit time — the SLA covers queue
     /// wait, not just execution.
     deadline_at: Option<Instant>,
-    /// Admitted under overload: the coordinator forces the configured
-    /// tight anytime budget so the query returns a coverage-stamped
+    /// Admitted under overload: the coordinator forces
+    /// [`DEGRADED_BUDGET`] so the query returns a coverage-stamped
     /// partial instead of occupying the pool at full service.
     degraded: bool,
 }
@@ -518,37 +457,50 @@ struct QueueState {
     backlog: VecDeque<QueuedQuery>,
     /// Queries popped by a coordinator and not yet finished.
     running: usize,
+    /// Set on drop: [`Scheduler::submit`] refuses new work, and the
+    /// coordinators exit once the backlog is drained.
     shutdown: bool,
 }
 
-/// Submission staging buffer. [`Scheduler::submit`] only ever touches
-/// this (cheap, short-hold) lock; coordinators drain it into the main
-/// queue in batches. `shutdown` is set here first on drop, so a submit
-/// serialized after it can never strand a ticket in a buffer nobody
-/// will drain.
-#[derive(Default)]
-struct PendingState {
-    queue: VecDeque<QueuedQuery>,
-    shutdown: bool,
+impl QueueState {
+    /// Admit `job` to the backlog — the whole admission decision, made
+    /// by [`Scheduler::submit`] under the queue lock. While
+    /// `backlog + running` is at the `full_service` budget, the arrival
+    /// either *degrades* the youngest queued query of a strictly lower
+    /// class (which keeps its queue position) and is admitted at full
+    /// service, or — when nothing outranks — is admitted degraded
+    /// itself. Returns whether a query was degraded; nothing is ever
+    /// rejected.
+    fn admit(&mut self, mut job: QueuedQuery, full_service: usize) -> bool {
+        let overflow = self.backlog.len() + self.running >= full_service;
+        if overflow {
+            let victim = self
+                .backlog
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, q)| !q.degraded && q.priority < job.priority)
+                .min_by_key(|(i, q)| (q.priority, std::cmp::Reverse(*i)))
+                .map(|(_, q)| q);
+            match victim {
+                Some(victim) => victim.degraded = true,
+                None => job.degraded = true,
+            }
+        }
+        self.backlog.push_back(job);
+        overflow
+    }
 }
 
 struct SchedCore {
     queue: Mutex<QueueState>,
-    /// Submissions staged by [`Scheduler::submit`], waiting for a
-    /// coordinator to admit them in a batch. Lock order where both are
-    /// held: `queue` before `pending` (submit and drop hold only one at
-    /// a time).
-    pending: Mutex<PendingState>,
     work_cv: Condvar,
     metrics: AtomicMetrics,
-    /// Full-service budget: `backlog + running` beyond
-    /// `max_in_flight + queue_capacity` admits in degraded mode.
-    max_in_flight: usize,
-    queue_capacity: usize,
+    /// Full-service budget, `max_in_flight + queue_capacity`: an
+    /// arrival that finds this many queries running or queued is
+    /// admitted degraded.
+    full_service: usize,
     min_feasible_deadline: Duration,
     drain_timeout: Duration,
-    admission_batch: usize,
-    degraded_budget: u64,
     /// Coordinator threads still alive, with a condvar `Drop` waits on
     /// (bounded) for the drain to finish.
     live_coordinators: Mutex<usize>,
@@ -586,48 +538,6 @@ impl SchedCore {
         if let Some(node) = node {
             self.node_load.lock().expect("node load poisoned")[node.0 as usize] -= 1;
         }
-    }
-
-    /// Drain up to `admission_batch` staged submissions into the main
-    /// backlog — one pending-lock acquisition, one pass of admission
-    /// decisions, amortized over the whole batch. Called with the main
-    /// queue lock held (the `queue → pending` side of the lock order).
-    ///
-    /// Overload policy, per drained query: while `backlog + running`
-    /// is at the full-service budget, the arrival either *degrades* the
-    /// youngest queued query of a strictly lower class (keeping its
-    /// queue position) and is admitted at full service, or — when
-    /// nothing outranks — is admitted degraded itself. Nothing is ever
-    /// rejected or shed.
-    fn admit_pending(&self, queue: &mut QueueState) {
-        let batch: Vec<QueuedQuery> = {
-            let mut pending = self.pending.lock().expect("pending buffer poisoned");
-            let k = self.admission_batch.min(pending.queue.len());
-            pending.queue.drain(..k).collect()
-        };
-        let budget = self.max_in_flight + self.queue_capacity;
-        for mut job in batch {
-            if queue.backlog.len() + queue.running >= budget {
-                let victim = queue
-                    .backlog
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(_, q)| !q.degraded && q.priority < job.priority)
-                    .min_by_key(|(i, q)| (q.priority, std::cmp::Reverse(*i)))
-                    .map(|(_, q)| q);
-                match victim {
-                    Some(victim) => victim.degraded = true,
-                    None => job.degraded = true,
-                }
-                self.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-            }
-            queue.backlog.push_back(job);
-        }
-    }
-
-    /// Whether any staged submissions are waiting for admission.
-    fn has_pending(&self) -> bool {
-        !self.pending.lock().expect("pending buffer poisoned").queue.is_empty()
     }
 }
 
@@ -674,15 +584,11 @@ impl Scheduler {
         let nodes = if config.topology.nodes > 1 { config.topology.nodes as usize } else { 0 };
         let core = Arc::new(SchedCore {
             queue: Mutex::new(QueueState::default()),
-            pending: Mutex::new(PendingState::default()),
             work_cv: Condvar::new(),
             metrics: AtomicMetrics::default(),
-            max_in_flight: config.max_in_flight,
-            queue_capacity: config.queue_capacity,
+            full_service: config.max_in_flight + config.queue_capacity,
             min_feasible_deadline: config.min_feasible_deadline,
             drain_timeout: config.drain_timeout,
-            admission_batch: config.admission_batch,
-            degraded_budget: config.degraded_budget,
             live_coordinators: Mutex::new(config.max_in_flight),
             drained_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
@@ -762,19 +668,20 @@ impl Scheduler {
         self.core.metrics.compactions.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Submit a query. Returns a ticket immediately; the submission is
-    /// staged in a cheap pending buffer and admitted by a coordinator
-    /// in a batch (see [`SchedulerConfig::admission_batch`]).
+    /// Submit a query. Returns a ticket immediately; the admission
+    /// decision is made here, under the queue lock, so the backlog a
+    /// coordinator pops from is exactly what admission counted.
     ///
     /// SLA admission: a deadline below the configured feasibility floor
     /// (or zero) is rejected outright with
     /// [`SubmitError::DeadlineInfeasible`] — the only load-independent
-    /// refusal left. Overload never rejects: beyond the full-service
-    /// budget a query is admitted in *degraded* mode (forced tight
-    /// anytime budget, coverage-stamped partial answer), with
-    /// higher-priority arrivals degrading lower-class backlog before
-    /// themselves. The absolute deadline is fixed here, so queue wait
-    /// counts against the SLA.
+    /// refusal left. Overload never rejects: once
+    /// `max_in_flight + queue_capacity` queries are running or queued,
+    /// a query is admitted in *degraded* mode (forced tight anytime
+    /// budget, coverage-stamped partial answer), with higher-priority
+    /// arrivals degrading lower-class backlog before themselves. The
+    /// absolute deadline is fixed here, so queue wait counts against
+    /// the SLA.
     pub fn submit(&self, mut spec: QuerySpec) -> Result<QueryTicket, SubmitError> {
         if spec.cache.is_none() {
             spec.cache = self.run_cache.clone();
@@ -790,25 +697,24 @@ impl Scheduler {
         let id = self.core.next_id.fetch_add(1, Ordering::Relaxed);
         let cell =
             Arc::new(TicketCell { state: Mutex::new(TicketState::Queued), cv: Condvar::new() });
+        let job = QueuedQuery {
+            spec,
+            cell: Arc::clone(&cell),
+            submitted_at: Instant::now(),
+            priority,
+            deadline_at,
+            degraded: false,
+        };
         {
-            let mut pending = self.core.pending.lock().expect("pending buffer poisoned");
-            if pending.shutdown {
+            let mut queue = self.core.queue.lock().expect("scheduler queue poisoned");
+            if queue.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            pending.queue.push_back(QueuedQuery {
-                spec,
-                cell: Arc::clone(&cell),
-                submitted_at: Instant::now(),
-                priority,
-                deadline_at,
-                degraded: false,
-            });
+            self.core.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+            if queue.admit(job, self.core.full_service) {
+                self.core.metrics.degraded.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.core.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        // A brief main-lock acquisition (no admission work) before the
-        // notify: it serializes with a coordinator between its
-        // empty-check and its wait, so the wakeup cannot be lost.
-        drop(self.core.queue.lock().expect("scheduler queue poisoned"));
         self.core.work_cv.notify_one();
         Ok(QueryTicket { id, cell })
     }
@@ -840,18 +746,15 @@ impl Scheduler {
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             compactions: m.compactions.load(Ordering::Relaxed),
-            shed: m.shed.load(Ordering::Relaxed),
             deadline_missed: m.deadline_missed.load(Ordering::Relaxed),
             partial_answers: m.partial_answers.load(Ordering::Relaxed),
             degraded: m.degraded.load(Ordering::Relaxed),
         }
     }
 
-    /// Queries currently waiting for execution (staged for admission or
-    /// already in the admission queue).
+    /// Queries currently waiting in the admission queue.
     pub fn queued(&self) -> usize {
-        let backlog = self.core.queue.lock().expect("scheduler queue poisoned").backlog.len();
-        backlog + self.core.pending.lock().expect("pending buffer poisoned").queue.len()
+        self.core.queue.lock().expect("scheduler queue poisoned").backlog.len()
     }
 
     /// Queries currently executing on the shared pool.
@@ -878,10 +781,9 @@ impl Drop for Scheduler {
             compactor.ctl.cv.notify_all();
             let _ = compactor.thread.join();
         }
-        // Pending buffer first: a submit serialized after this point
-        // fails with ShuttingDown instead of staging a ticket the
-        // draining coordinators might miss.
-        self.core.pending.lock().expect("pending buffer poisoned").shutdown = true;
+        // A submit serialized after this point fails with ShuttingDown;
+        // every earlier one is already in the backlog the coordinators
+        // drain.
         self.core.queue.lock().expect("scheduler queue poisoned").shutdown = true;
         self.core.work_cv.notify_all();
         let deadline = Instant::now() + self.core.drain_timeout;
@@ -940,9 +842,6 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         let job = {
             let mut queue = core.queue.lock().expect("scheduler queue poisoned");
             loop {
-                // Admit a batch of staged submissions first — up to
-                // `admission_batch` per acquisition of this lock.
-                core.admit_pending(&mut queue);
                 // Pop the highest priority class; FIFO within a class
                 // (the earliest index wins a tie).
                 let next = queue
@@ -955,11 +854,6 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
                     let job = queue.backlog.remove(i).expect("index from enumerate");
                     queue.running += 1;
                     break job;
-                }
-                if core.has_pending() {
-                    // More staged than one batch: admit again without
-                    // waiting.
-                    continue;
                 }
                 if queue.shutdown {
                     return;
@@ -986,11 +880,11 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         };
         // Degraded admission forces a deterministic block budget: the
         // query merges at least one key-aligned block (so its answer
-        // carries coverage > 0) and at most `degraded_budget`, however
+        // carries coverage > 0) and at most `DEGRADED_BUDGET`, however
         // late it starts. A client deadline, if any, still governs the
         // expired-in-queue fast path below.
         let token = if job.degraded {
-            AnytimeToken::budget(core.degraded_budget)
+            AnytimeToken::budget(DEGRADED_BUDGET)
         } else {
             match job.deadline_at {
                 Some(at) => AnytimeToken::at(at),
@@ -1021,12 +915,6 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
                     core.metrics.deadline_missed.fetch_add(1, Ordering::Relaxed);
                 }
                 result.plan.queue_wait_ms = Some(queue_wait.as_secs_f64() * 1e3);
-                result.plan.queue_counters = Some(QueueCounters {
-                    shed: core.metrics.shed.load(Ordering::Relaxed),
-                    deadline_missed: core.metrics.deadline_missed.load(Ordering::Relaxed),
-                    partial_answers: core.metrics.partial_answers.load(Ordering::Relaxed),
-                    degraded: core.metrics.degraded.load(Ordering::Relaxed),
-                });
                 core.metrics.completed.fetch_add(1, Ordering::Relaxed);
                 Ok(QueryOutput { result, queue_wait, execution: started.elapsed() })
             }
@@ -1037,7 +925,7 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         };
         // Release the admission slot *before* publishing the result: a
         // client that resubmits the instant `wait()` returns must not
-        // be rejected because its finished query still counts as
+        // be degraded because its finished query still counts as
         // in-flight.
         core.queue.lock().expect("scheduler queue poisoned").running -= 1;
         job.cell.set(TicketState::Done(Box::new(done)));
@@ -1127,21 +1015,19 @@ mod tests {
 
     #[test]
     fn overflow_admits_degraded_instead_of_rejecting() {
-        // Large enough that the join spans several anytime blocks, so
-        // a one-block degraded budget yields a strict partial.
+        // Large enough that the join spans more anytime blocks than
+        // the degraded budget allows (6 at T = 2), so a degraded query
+        // returns a strict partial.
         let r = rel("R", 20_000);
         let s = rel("S", 20_000);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let scheduler = Scheduler::new(
-            SchedulerConfig::new(2).max_in_flight(1).queue_capacity(0).degraded_budget(1),
-        );
+        let scheduler = Scheduler::new(SchedulerConfig::new(2).max_in_flight(1).queue_capacity(1));
         let blocker = scheduler.submit(gated_query(&r, &s, &gate)).expect("admitted");
         while blocker.status() != QueryStatus::Running {
             std::thread::yield_now();
         }
-        // Stage two arrivals while the lone slot is occupied. When the
-        // coordinator drains the pending buffer, the first fills the
-        // only budget slot (max_in_flight=1, capacity=0) and the
+        // Two arrivals while the lone slot is occupied: the first takes
+        // the one queue slot (max_in_flight=1, capacity=1) and the
         // second — with no lower-class victim queued — is admitted in
         // degraded mode instead of being rejected.
         let full =
@@ -1149,7 +1035,7 @@ mod tests {
         let degraded = scheduler
             .submit(QuerySpec::join(&r, &s).collect_rows(50_000))
             .expect("degrade, don't reject");
-        assert_eq!(scheduler.queued(), 2, "both staged, neither rejected");
+        assert_eq!(scheduler.queued(), 2, "both queued, neither rejected");
         open_gate(&gate);
         assert!(blocker.wait().is_ok());
         let full = full.wait().expect("query failed").result;
@@ -1176,9 +1062,9 @@ mod tests {
     fn finished_query_frees_its_admission_slot_immediately() {
         let r = rel("R", 40);
         let s = rel("S", 40);
-        // Execute-or-reject mode: one slot, zero backlog. A closed-loop
-        // client resubmitting right after wait() must never be
-        // rejected — the slot is released before the result publishes.
+        // One slot, zero backlog. A closed-loop client resubmitting
+        // right after wait() must always run at full service — the slot
+        // is released before the result publishes.
         let scheduler = Scheduler::new(SchedulerConfig::new(1).max_in_flight(1).queue_capacity(0));
         for round in 0..20 {
             let ticket = scheduler
@@ -1186,7 +1072,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("round {round}: slot not freed: {e}"));
             ticket.wait().expect("query failed");
         }
-        assert_eq!(scheduler.metrics().rejected, 0);
+        let m = scheduler.metrics();
+        assert_eq!((m.rejected, m.degraded), (0, 0));
     }
 
     #[test]
@@ -1209,7 +1096,7 @@ mod tests {
         let r = rel("R", 10);
         let s = rel("S", 10);
         let scheduler = Scheduler::new(SchedulerConfig::new(1));
-        scheduler.core.pending.lock().expect("pending").shutdown = true;
+        scheduler.core.queue.lock().expect("queue").shutdown = true;
         assert_eq!(
             scheduler.submit(QuerySpec::join(&r, &s)).err(),
             Some(SubmitError::ShuttingDown)
@@ -1389,20 +1276,17 @@ mod tests {
         let r = rel("R", 20_000);
         let s = rel("S", 20_000);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let scheduler = Scheduler::new(
-            SchedulerConfig::new(2).max_in_flight(1).queue_capacity(0).degraded_budget(1),
-        );
+        let scheduler = Scheduler::new(SchedulerConfig::new(2).max_in_flight(1).queue_capacity(1));
         let blocker = scheduler.submit(gated_query(&r, &s, &gate)).expect("admitted");
         while blocker.status() != QueryStatus::Running {
             std::thread::yield_now();
         }
-        // A Batch query fills the only budget slot; the Interactive
-        // arrival overflows. Instead of shedding or rejecting anyone,
-        // admission picks the youngest strictly-lower-class queued
-        // query — the Batch one — and degrades *it*, in place: it
-        // keeps its queue position and still answers, just under a
-        // forced tight budget. The Interactive query runs at full
-        // service.
+        // A Batch query takes the one queue slot; the Interactive
+        // arrival overflows. Instead of rejecting anyone, admission
+        // picks the youngest strictly-lower-class queued query — the
+        // Batch one — and degrades *it*, in place: it keeps its queue
+        // position and still answers, just under a forced tight
+        // budget. The Interactive query runs at full service.
         let batch = scheduler
             .submit(QuerySpec::join(&r, &s).priority(Priority::Batch).collect_rows(50_000))
             .expect("admitted");
@@ -1414,54 +1298,39 @@ mod tests {
         let full = interactive.wait().expect("query failed").result;
         assert!(full.plan.anytime.as_ref().expect("anytime row").complete);
         let full_rows = full.rows.expect("collected rows");
-        let out = batch.wait().expect("degraded, not shed").result;
+        let out = batch.wait().expect("degraded, not rejected").result;
         let anytime = out.plan.anytime.as_ref().expect("anytime row");
         assert!(!anytime.complete, "the victim ran under the degraded budget");
         assert!(anytime.coverage > 0.0);
         let rows = out.rows.expect("collected rows");
         assert_eq!(rows.as_slice(), &full_rows[..rows.len()], "prefix contract holds");
         let m = scheduler.metrics();
-        assert_eq!(m.shed, 0, "nothing is ever shed outright");
         assert_eq!(m.rejected, 0);
         assert_eq!(m.degraded, 1);
-        // The plan carries the SLA counters, including the new one.
-        let explain = out.plan.explain();
-        assert!(explain.contains("degraded=1"), "{explain}");
-        assert!(explain.contains("shed=0"), "{explain}");
     }
 
     #[test]
-    fn admission_drains_in_bounded_batches() {
-        let r = rel("R", 30);
-        let s = rel("S", 30);
+    fn queue_capacity_bounds_full_service_waiters() {
+        // One slot, one full-service queue place, the slot busy, two
+        // arrivals: the first waits at full service, the second is
+        // degraded the moment it is submitted — while the slot is still
+        // busy, not when a coordinator gets around to it.
+        let r = rel("R", 40);
+        let s = rel("S", 40);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let scheduler = Scheduler::new(
-            SchedulerConfig::new(1).max_in_flight(1).queue_capacity(16).admission_batch(2),
-        );
+        let scheduler = Scheduler::new(SchedulerConfig::new(1).max_in_flight(1).queue_capacity(1));
         let blocker = scheduler.submit(gated_query(&r, &s, &gate)).expect("admitted");
         while blocker.status() != QueryStatus::Running {
             std::thread::yield_now();
         }
-        let tickets: Vec<_> =
-            (0..5).map(|_| scheduler.submit(QuerySpec::join(&r, &s)).expect("admitted")).collect();
-        // submit() only stages into the pending buffer; each drain call
-        // moves at most `admission_batch` entries into the queue proper.
-        {
-            let mut queue = scheduler.core.queue.lock().expect("queue");
-            assert_eq!(queue.backlog.len(), 0, "submissions stage in the pending buffer");
-            scheduler.core.admit_pending(&mut queue);
-            assert_eq!(queue.backlog.len(), 2);
-            scheduler.core.admit_pending(&mut queue);
-            assert_eq!(queue.backlog.len(), 4);
-            scheduler.core.admit_pending(&mut queue);
-            assert_eq!(queue.backlog.len(), 5, "the final short batch drains the rest");
-        }
-        assert_eq!(scheduler.metrics().degraded, 0, "capacity was never exceeded");
+        let first = scheduler.submit(QuerySpec::join(&r, &s)).expect("admitted");
+        let second = scheduler.submit(QuerySpec::join(&r, &s)).expect("admitted");
+        assert_eq!(scheduler.metrics().degraded, 1, "admission decided at submit");
         open_gate(&gate);
         assert!(blocker.wait().is_ok());
-        for t in tickets {
-            t.wait().expect("query failed");
-        }
+        // Only the degraded query ran under a (budget) anytime token.
+        assert!(first.wait().expect("query failed").result.plan.anytime.is_none());
+        assert!(second.wait().expect("query failed").result.plan.anytime.is_some());
     }
 
     #[test]
@@ -1514,7 +1383,6 @@ mod tests {
         assert_eq!(m.partial_answers, 1);
         let explain = out.result.plan.explain();
         assert!(explain.contains("Anytime [coverage=0.0%, runs=0/0, partial]"), "{explain}");
-        assert!(explain.contains("deadline_missed=1"), "{explain}");
     }
 
     #[test]

@@ -188,8 +188,9 @@ impl QuerySpec {
     }
 
     /// Set the admission class (default [`Priority::Normal`]). On
-    /// queue overflow an arrival may shed a strictly-lower-priority
-    /// queued query instead of being rejected.
+    /// queue overflow an arrival degrades a strictly-lower-priority
+    /// queued query, when there is one, instead of being degraded
+    /// itself.
     pub fn priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
@@ -341,6 +342,11 @@ impl MutableEntry {
     }
 }
 
+/// Relations one background sweep folds at most before the compactor
+/// goes back to sleep, so a burst of dirty relations cannot occupy the
+/// pool indefinitely.
+const COMPACTIONS_PER_SWEEP: usize = 4;
+
 /// The session state shared with the scheduler's background compactor:
 /// the catalog, the id allocator, the run cache, and the compaction
 /// knobs. Kept apart from [`Session`] (which owns the [`Scheduler`])
@@ -369,10 +375,11 @@ impl SessionShared {
         entry.resolve(handle.id(), handle.version()).map(RelationState::snapshot)
     }
 
-    /// Fold one relation's pending delta into a new base version.
-    /// Returns `false` when there was nothing to fold or a concurrent
-    /// re-register won the race (its version bump supersedes ours).
-    fn compact_relation(&self, cx: &ExecContext, name: &str, warm_cache: bool) -> bool {
+    /// Fold one relation's pending delta into a new base version and
+    /// warm the run cache with its runs. Returns `false` when there was
+    /// nothing to fold or a concurrent re-register won the race (its
+    /// version bump supersedes ours).
+    fn compact_relation(&self, cx: &ExecContext, name: &str) -> bool {
         // Capture the epoch and watermark to fold; the merge itself
         // runs outside the catalog lock (writers keep writing — their
         // ops land past the watermark and survive in the tail).
@@ -414,28 +421,26 @@ impl SessionShared {
         if let Some(cache) = &self.run_cache {
             // The version bump retires every older cached run set …
             cache.invalidate_relation(id, new_version);
-            if warm_cache {
-                // … and optionally pre-builds the new version's runs so
-                // the next analytic query opens on a hit. Single-flight:
-                // if a query is already building this key, skip.
-                let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
-                let key = RunKey {
-                    relation: id,
-                    version: new_version,
-                    fingerprint: splitter_fingerprint(cx.threads(), radix_bits),
-                };
-                if let Lookup::Miss(permit) = cache.lookup(key) {
-                    let mut stats = JoinStats::new(cx.threads());
-                    let runs = build_run_set(
-                        cx,
-                        new_base.tuples(),
-                        radix_bits,
-                        Phase::One,
-                        Phase::One,
-                        &mut stats,
-                    );
-                    permit.publish(Arc::new(runs));
-                }
+            // … and the new version's runs are pre-built so the next
+            // analytic query opens on a hit. Single-flight: if a query
+            // is already building this key, skip.
+            let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
+            let key = RunKey {
+                relation: id,
+                version: new_version,
+                fingerprint: splitter_fingerprint(cx.threads(), radix_bits),
+            };
+            if let Lookup::Miss(permit) = cache.lookup(key) {
+                let mut stats = JoinStats::new(cx.threads());
+                let runs = build_run_set(
+                    cx,
+                    new_base.tuples(),
+                    radix_bits,
+                    Phase::One,
+                    Phase::One,
+                    &mut stats,
+                );
+                permit.publish(Arc::new(runs));
             }
         }
         true
@@ -452,10 +457,10 @@ impl CompactionTask for SessionShared {
                 .map(|(name, _)| name.clone())
                 .collect();
             names.sort();
-            names.truncate(config.max_per_sweep);
+            names.truncate(COMPACTIONS_PER_SWEEP);
             names
         };
-        eligible.iter().filter(|name| self.compact_relation(cx, name, config.warm_cache)).count()
+        eligible.iter().filter(|name| self.compact_relation(cx, name)).count()
     }
 }
 
@@ -622,11 +627,7 @@ impl Session {
     /// background sweep; tests and benchmarks use this). Returns
     /// whether a fold happened.
     pub fn compact(&self, name: &str) -> bool {
-        let folded = self.shared.compact_relation(
-            self.scheduler.context(),
-            name,
-            self.shared.compaction.warm_cache,
-        );
+        let folded = self.shared.compact_relation(self.scheduler.context(), name);
         if folded {
             self.scheduler.note_compactions(1);
         }
@@ -651,8 +652,9 @@ impl Session {
         spec
     }
 
-    /// Submit a query for asynchronous execution. Fails fast when the
-    /// scheduler's admission queue is full.
+    /// Submit a query for asynchronous execution. Fails only when the
+    /// deadline is infeasible or the scheduler is shutting down; a full
+    /// admission queue admits the query degraded instead.
     ///
     /// This is the snapshot capture point: each side that resolves in
     /// the catalog is pinned to its epoch and delta watermark *here*,

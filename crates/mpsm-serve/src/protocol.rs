@@ -14,6 +14,12 @@
 //! while [`Frame::decode`] returns [`DecodeError`] for a malformed
 //! body. A server can therefore answer garbage with an `Error` frame
 //! and keep the connection — the next length prefix is still trustworthy.
+//!
+//! Frames carry no version field. Peers must come from the same build:
+//! a body whose layout changed between builds (the `MetricsReport` body
+//! lost its `shed` counter, 7 → 6 `u64`s) fails cleanly with
+//! [`DecodeError::Truncated`] or [`DecodeError::TrailingBytes`], never
+//! with misread fields.
 
 use std::io::{self, Read, Write};
 
@@ -22,20 +28,19 @@ use std::io::{self, Read, Write};
 /// not as a request for a giant allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Stable error codes carried by [`Frame::Error`].
+/// Stable error codes carried by [`Frame::Error`]. Code 5 is retired
+/// (it once meant "evicted from the queue") and is never reused.
 pub mod code {
     /// The frame body did not parse.
     pub const MALFORMED: u16 = 1;
     /// A query or write named a relation the server does not know.
     pub const UNKNOWN_RELATION: u16 = 2;
-    /// Admission rejected the query: the queue is full and nothing
-    /// lower-priority could be shed.
+    /// Admission rejected the query because the server is shutting
+    /// down. Overload never rejects: it degrades.
     pub const REJECTED: u16 = 3;
     /// Admission rejected the query: its deadline is below the
     /// server's feasibility floor (or zero).
     pub const INFEASIBLE: u16 = 4;
-    /// The query was queued, then evicted by a higher-priority arrival.
-    pub const SHED: u16 = 5;
     /// The query panicked inside the engine.
     pub const PANICKED: u16 = 6;
     /// The frame parsed but the server does not serve it (e.g. a
@@ -183,8 +188,6 @@ pub struct MetricsBody {
     pub completed: u64,
     /// Queries rejected at submit.
     pub rejected: u64,
-    /// Queued queries evicted by higher-priority arrivals.
-    pub shed: u64,
     /// Queries that finished past their deadline.
     pub deadline_missed: u64,
     /// Queries that returned partial (coverage < 100%) answers.
@@ -394,7 +397,6 @@ impl Frame {
                     m.submitted,
                     m.completed,
                     m.rejected,
-                    m.shed,
                     m.deadline_missed,
                     m.partial_answers,
                     m.degraded,
@@ -442,7 +444,6 @@ impl Frame {
                 submitted: d.u64()?,
                 completed: d.u64()?,
                 rejected: d.u64()?,
-                shed: d.u64()?,
                 deadline_missed: d.u64()?,
                 partial_answers: d.u64()?,
                 degraded: d.u64()?,
@@ -571,10 +572,9 @@ mod tests {
             submitted: 1,
             completed: 2,
             rejected: 3,
-            shed: 4,
-            deadline_missed: 5,
-            partial_answers: 6,
-            degraded: 7,
+            deadline_missed: 4,
+            partial_answers: 5,
+            degraded: 6,
         }));
         roundtrip(Frame::Error { code: code::MALFORMED, message: "nope".to_string() });
     }

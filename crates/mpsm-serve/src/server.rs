@@ -466,7 +466,6 @@ fn serve_frame(shared: &ServerShared, frame: Frame) -> PendingReply {
                 submitted: m.submitted,
                 completed: m.completed,
                 rejected: m.rejected,
-                shed: m.shed,
                 deadline_missed: m.deadline_missed,
                 partial_answers: m.partial_answers,
                 degraded: m.degraded,
@@ -511,7 +510,6 @@ fn error_of(err: QueryError) -> Frame {
             (code::INFEASIBLE, err.to_string())
         }
         QueryError::Rejected(_) => (code::REJECTED, err.to_string()),
-        QueryError::Shed => (code::SHED, err.to_string()),
         QueryError::Panicked(_) => (code::PANICKED, err.to_string()),
     };
     Frame::Error { code, message }

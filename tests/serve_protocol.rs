@@ -82,7 +82,7 @@ fn every_frame_type_round_trips_over_a_real_socket() {
     assert!(explain.contains("Join [P-MPSM"), "{explain}");
     assert!(explain.contains("Anytime [coverage="), "{explain}");
     assert!(explain.contains("Queue [wait ="), "{explain}");
-    assert!(explain.contains("shed="), "{explain}");
+    assert!(explain.contains("RunCache [R=hit, S=hit]"), "{explain}");
 
     // Write / Written lands in the delta and the next query sees it.
     let watermark = client.write("R", vec![(0, 5000)]).expect("write");
