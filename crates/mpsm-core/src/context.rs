@@ -283,11 +283,25 @@ impl ExecContext {
         chunk: &[Tuple],
         scope: &mut CounterScope,
     ) -> NumaBuf<Tuple> {
-        scope.touch_interleaved(true, chunk.len() as u64);
-        let mut run = self.adopt(worker, chunk.to_vec());
+        let mut run = self.copied_run(worker, chunk, scope);
         let home = run.home();
-        scope.touch(home, true, chunk.len() as u64);
         self.sort_run(worker, &mut run, home, scope);
+        run
+    }
+
+    /// Copy `chunk` into a run homed per policy for worker `w`,
+    /// recording the interleaved chunk read and the home-side write —
+    /// [`ExecContext::sorted_run`]'s copy, for a chunk that is already
+    /// sorted.
+    pub fn copied_run(
+        &self,
+        worker: usize,
+        chunk: &[Tuple],
+        scope: &mut CounterScope,
+    ) -> NumaBuf<Tuple> {
+        scope.touch_interleaved(true, chunk.len() as u64);
+        let run = self.adopt(worker, chunk.to_vec());
+        scope.touch(run.home(), true, chunk.len() as u64);
         run
     }
 

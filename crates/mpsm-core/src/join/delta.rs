@@ -80,6 +80,12 @@ pub fn materialize(base: &[Tuple], ops: &[DeltaOp]) -> Vec<Tuple> {
 /// by an update). The fold needs no base reads at all — which is what
 /// lets a reader capture a snapshot with one lock-free length read and
 /// fold it later, off the write path.
+///
+/// Folds compose: [`DeltaOverlay::extend`] folds only the ops past a
+/// prefix's overlay, and the result is *equal* (`==`, `Vec` order
+/// included) to folding the whole stream from scratch. That is what
+/// lets the executor's delta log fold each op once and share the newest
+/// overlay between every snapshot that reads it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaOverlay {
     /// Tuples the delta adds (sorted by key; appended and upserted
@@ -129,6 +135,30 @@ impl DeltaOverlay {
         DeltaOverlay { adds, masked }
     }
 
+    /// The overlay of this overlay's ops followed by `ops`, folding only
+    /// `ops`. Per key, a kill (delete or update) in `ops` leaves exactly
+    /// the tail fold's adds; otherwise the old adds come first and the
+    /// tail's follow. So `from_ops(a).extend(b) == from_ops(a ++ b)`,
+    /// in `O(|self| + b log b)` for `b` new ops.
+    pub fn extend(&self, ops: &[DeltaOp]) -> DeltaOverlay {
+        let tail = DeltaOverlay::from_ops(ops);
+        let mut adds = Vec::with_capacity(self.adds.len() + tail.adds.len());
+        let mut killed = tail.masked.iter().copied().peekable();
+        let mut new = tail.adds.iter().copied().peekable();
+        for &old in &self.adds {
+            while killed.next_if(|&k| k < old.key).is_some() {}
+            if killed.peek() == Some(&old.key) {
+                continue;
+            }
+            while let Some(t) = new.next_if(|t| t.key < old.key) {
+                adds.push(t);
+            }
+            adds.push(old);
+        }
+        adds.extend(new);
+        DeltaOverlay { adds, masked: key_union(&self.masked, &tail.masked).collect() }
+    }
+
     /// Apply the overlay to `base`: every base tuple whose key is not
     /// masked, plus the adds. Multiset-equal to the [`materialize`]
     /// replay of the ops this overlay was folded from.
@@ -145,13 +175,27 @@ impl DeltaOverlay {
     }
 }
 
+/// The sorted, deduplicated union of two sorted, deduplicated key lists.
+fn key_union<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+    let (mut a, mut b) = (a.iter().copied().peekable(), b.iter().copied().peekable());
+    std::iter::from_fn(move || match (a.peek().copied(), b.peek().copied()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(x), _) => {
+            b.next_if_eq(&x);
+            a.next()
+        }
+        (None, _) => b.next(),
+    })
+}
+
 /// Merge-join two key-sorted runs, skipping every key present in the
-/// corresponding sorted mask. The masked kernel of `merge_pair`:
-/// deltas are small and masks rare, so this linear two-pointer kernel
-/// (mask cursors advance monotonically alongside the run cursors)
-/// deliberately skips the galloping machinery of
-/// [`merge_join_scanned`] — correctness over peak speed on the cold
-/// path.
+/// corresponding sorted mask. The masked kernel of `merge_pair`: a
+/// masked key on either side produces no pair, so the kernel walks the
+/// union of both masks and runs the galloping [`merge_join_scanned`]
+/// over each mask-free stretch of `r` — `s` continuing where the
+/// previous stretch left it — then skips `r`'s group for the masked
+/// key. `s`'s masked groups need no skip: no `r` key left can match
+/// them.
 pub fn merge_join_masked<S: JoinSink>(
     r: &[Tuple],
     s: &[Tuple],
@@ -162,52 +206,36 @@ pub fn merge_join_masked<S: JoinSink>(
     debug_assert!(crate::tuple::is_key_sorted(r), "private run must be sorted");
     debug_assert!(crate::tuple::is_key_sorted(s), "public run must be sorted");
     let (mut i, mut j) = (0usize, 0usize);
-    let (mut rm, mut sm) = (0usize, 0usize);
-    while i < r.len() && j < s.len() {
-        let rk = r[i].key;
-        while rm < r_masked.len() && r_masked[rm] < rk {
-            rm += 1;
+    for key in key_union(r_masked, s_masked) {
+        let stretch = i + r[i..].partition_point(|t| t.key < key);
+        let scan = merge_join_scanned(&r[i..stretch], &s[j..], sink);
+        j += scan.s_scanned;
+        if j == s.len() {
+            return MergeScan { r_scanned: i + scan.r_scanned, s_scanned: j };
         }
-        if rm < r_masked.len() && r_masked[rm] == rk {
-            i = group_end(r, i);
-            continue;
-        }
-        let sk = s[j].key;
-        while sm < s_masked.len() && s_masked[sm] < sk {
-            sm += 1;
-        }
-        if sm < s_masked.len() && s_masked[sm] == sk {
-            j = group_end(s, j);
-            continue;
-        }
-        if rk < sk {
-            i += 1;
-        } else if rk > sk {
-            j += 1;
-        } else {
-            let i_end = group_end(r, i);
-            let j_end = group_end(s, j);
-            for rt in &r[i..i_end] {
-                for st in &s[j..j_end] {
-                    sink.on_match(*rt, *st);
-                }
-            }
-            i = i_end;
-            j = j_end;
+        i = stretch + r[stretch..].partition_point(|t| t.key <= key);
+        if i == r.len() {
+            return MergeScan { r_scanned: i, s_scanned: j };
         }
     }
-    MergeScan { r_scanned: i.min(r.len()), s_scanned: j.min(s.len()) }
+    let scan = merge_join_scanned(&r[i..], &s[j..], sink);
+    MergeScan { r_scanned: i + scan.r_scanned, s_scanned: j + scan.s_scanned }
 }
 
-/// One-past-the-end of the duplicate group starting at `start`.
-#[inline]
-fn group_end(run: &[Tuple], start: usize) -> usize {
-    let key = run[start].key;
-    let mut end = start + 1;
-    while end < run.len() && run[end].key == key {
-        end += 1;
+/// Tuples of the sorted `run` whose key is in the sorted `mask`: the
+/// mask is cut to the run's key span, and each key is searched from the
+/// previous key's hit.
+fn masked_tuples(run: &[Tuple], mask: &[u64]) -> usize {
+    let (Some(first), Some(last)) = (run.first(), run.last()) else { return 0 };
+    let lo = mask.partition_point(|&k| k < first.key);
+    let hi = mask.partition_point(|&k| k <= last.key);
+    let (mut at, mut dead) = (0usize, 0usize);
+    for &key in &mask[lo..hi] {
+        let start = at + run[at..].partition_point(|t| t.key < key);
+        at = start + run[start..].partition_point(|t| t.key <= key);
+        dead += at - start;
     }
-    end
+    dead
 }
 
 /// One join input of a run-set merge: the immutable base runs (served
@@ -248,24 +276,10 @@ impl<'a> DeltaSide<'a> {
     }
 
     /// Logical tuple count of the side: base minus masked base tuples
-    /// plus the delta run. Counting masked base tuples costs one binary
-    /// search pair per (masked key, run) — masks are small.
+    /// plus the delta run. Each run counts only the masked keys inside
+    /// its own key span.
     pub fn logical_tuples(&self) -> usize {
-        let dead: usize = self
-            .mask
-            .iter()
-            .map(|&key| {
-                self.base
-                    .runs()
-                    .iter()
-                    .map(|run| {
-                        let lo = run.partition_point(|t| t.key < key);
-                        let hi = run.partition_point(|t| t.key <= key);
-                        hi - lo
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
+        let dead: usize = self.base.runs().iter().map(|run| masked_tuples(run, self.mask)).sum();
         self.base.total_tuples() - dead + self.delta.map_or(0, |d| d.len())
     }
 }
@@ -367,10 +381,21 @@ mod tests {
         r.iter().map(|rt| s.iter().filter(|st| st.key == rt.key).count() as u64).sum()
     }
 
-    #[test]
-    fn fold_matches_materialize_on_directed_cases() {
-        let base = vec![Tuple::new(1, 10), Tuple::new(2, 20), Tuple::new(2, 21), Tuple::new(3, 30)];
-        let cases: Vec<Vec<DeltaOp>> = vec![
+    /// The write mix of the `htap_mixed` workload: append / update /
+    /// delete 80 / 10 / 10.
+    fn mixed_ops(n: usize, domain: u64, seed: u64) -> Vec<DeltaOp> {
+        let mut next = lcg(seed);
+        (0..n)
+            .map(|i| match next() % 10 {
+                0 => DeltaOp::Delete { key: next() % domain },
+                1 => DeltaOp::Update { key: next() % domain, payload: 900_000 + i as u64 },
+                _ => DeltaOp::Append(Tuple::new(next() % domain, 500_000 + i as u64)),
+            })
+            .collect()
+    }
+
+    fn directed_cases() -> Vec<Vec<DeltaOp>> {
+        vec![
             vec![],
             vec![DeltaOp::Append(Tuple::new(5, 50))],
             vec![DeltaOp::Delete { key: 2 }],
@@ -385,8 +410,13 @@ mod tests {
             vec![DeltaOp::Update { key: 3, payload: 32 }, DeltaOp::Append(Tuple::new(3, 33))],
             // Delete a key that only exists in the delta.
             vec![DeltaOp::Append(Tuple::new(9, 90)), DeltaOp::Delete { key: 9 }],
-        ];
-        for (i, ops) in cases.iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn fold_matches_materialize_on_directed_cases() {
+        let base = vec![Tuple::new(1, 10), Tuple::new(2, 20), Tuple::new(2, 21), Tuple::new(3, 30)];
+        for (i, ops) in directed_cases().iter().enumerate() {
             let overlay = DeltaOverlay::from_ops(ops);
             assert_eq!(
                 multiset(&overlay.apply(&base)),
@@ -408,6 +438,79 @@ mod tests {
                 multiset(&overlay.apply(&base)),
                 multiset(&materialize(&base, &ops)),
                 "seed {seed}"
+            );
+        }
+    }
+
+    /// Folding a prefix and extending it by the rest is the one-shot
+    /// fold, exactly: same adds in the same order, same mask.
+    #[test]
+    fn extend_equals_the_fold_of_the_concatenation() {
+        let mut streams = directed_cases();
+        streams.extend((0..8u64).map(|seed| mixed_ops(60, 24, seed ^ 0x5EED)));
+        for (i, ops) in streams.iter().enumerate() {
+            for split in 0..=ops.len() {
+                let (head, tail) = ops.split_at(split);
+                assert_eq!(
+                    DeltaOverlay::from_ops(head).extend(tail),
+                    DeltaOverlay::from_ops(ops),
+                    "stream {i} split at {split}"
+                );
+            }
+        }
+        // Chained one op at a time, as a log read after every write is.
+        let ops = mixed_ops(60, 24, 99);
+        let chained = ops.iter().fold(DeltaOverlay::default(), |o, op| o.extend(&[*op]));
+        assert_eq!(chained, DeltaOverlay::from_ops(&ops));
+    }
+
+    /// Brute force: every pair with equal keys, neither key masked.
+    fn masked_oracle(
+        r: &[Tuple],
+        s: &[Tuple],
+        r_mask: &[u64],
+        s_mask: &[u64],
+    ) -> Vec<(u64, u64, u64)> {
+        let mut rows: Vec<_> = r
+            .iter()
+            .filter(|t| !r_mask.contains(&t.key))
+            .flat_map(|rt| {
+                s.iter()
+                    .filter(move |st| st.key == rt.key && !s_mask.contains(&st.key))
+                    .map(move |st| (rt.key, rt.payload, st.payload))
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    fn sorted_mask(n: usize, domain: u64, seed: u64) -> Vec<u64> {
+        let mut next = lcg(seed);
+        let mut mask: Vec<u64> = (0..n).map(|_| next() % domain).collect();
+        mask.sort_unstable();
+        mask.dedup();
+        mask
+    }
+
+    #[test]
+    fn masked_merge_matches_brute_force_on_duplicate_heavy_runs() {
+        for seed in 0..200u64 {
+            let domain = 8 + seed % 40;
+            let mut r = random(1 + (seed as usize * 7) % 90, domain, seed);
+            let mut s = random(1 + (seed as usize * 13) % 120, domain, seed ^ 0xF00D);
+            r.sort_unstable_by_key(|t| t.key);
+            s.sort_unstable_by_key(|t| t.key);
+            let r_mask = sorted_mask((seed % 6) as usize, domain + 4, seed ^ 1);
+            let s_mask = sorted_mask((seed % 5) as usize, domain + 4, seed ^ 2);
+            let mut sink = CollectSink::default();
+            let scan = merge_join_masked(&r, &s, &r_mask, &s_mask, &mut sink);
+            let mut rows = sink.finish();
+            rows.sort_unstable();
+            assert_eq!(rows, masked_oracle(&r, &s, &r_mask, &s_mask), "seed {seed}");
+            assert!(scan.r_scanned <= r.len() && scan.s_scanned <= s.len(), "seed {seed}");
+            assert!(
+                scan.r_scanned == r.len() || scan.s_scanned == s.len(),
+                "seed {seed}: the merge stops only when one side is exhausted"
             );
         }
     }
@@ -521,6 +624,30 @@ mod tests {
                 materialize(&r_base, &r_ops).len(),
                 "seed {seed}: logical cardinality"
             );
+        }
+    }
+
+    /// Masks reach below, between and above every run; the base keys
+    /// leave gaps (every third key) so some masked keys hit no tuple.
+    #[test]
+    fn logical_tuples_equals_a_brute_force_count() {
+        let cx = ExecContext::flat(4);
+        for seed in 0..8u64 {
+            let base: Vec<Tuple> = random(3000, 60, seed)
+                .into_iter()
+                .map(|t| Tuple::new(10 + 3 * t.key, t.payload))
+                .collect();
+            let mut stats = JoinStats::new(4);
+            let runs = build_run_set(&cx, &base, 10, Phase::One, Phase::One, &mut stats);
+            assert!(runs.parts() > 1, "several runs to cut the mask against");
+            let mut mask = sorted_mask(40, 200, seed ^ 0xBEEF);
+            mask.extend([0, 1, 190, 1_000]);
+            mask.sort_unstable();
+            mask.dedup();
+            let delta = cx.adopt(0, random(seed as usize * 5, 60, seed));
+            let side = DeltaSide { base: &runs, delta: Some(&delta), mask: &mask };
+            let alive = base.iter().filter(|t| mask.binary_search(&t.key).is_err()).count();
+            assert_eq!(side.logical_tuples(), alive + delta.len(), "seed {seed}");
         }
     }
 

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::{merge_sides, AnytimeOutcome, AnytimeToken};
-use mpsm_core::join::delta::DeltaSide;
+use mpsm_core::join::delta::{DeltaOverlay, DeltaSide};
 use mpsm_core::join::runs::{
     build_run_set, build_run_set_with, chunked_run_set, run_set_cdf, RunSet, SharedRunSet,
 };
@@ -207,17 +207,19 @@ pub fn paper_query_runs(
 }
 
 /// One join input resolved to merge inputs: base runs, the sorted delta
-/// run, the base-key mask, and what the plan's `RunCache` row says.
+/// run, the shared overlay whose mask the side borrows, and what the
+/// plan's `RunCache` row says.
 struct ResolvedSide {
     base: SharedRunSet,
     delta: Option<NumaBuf<Tuple>>,
-    mask: Vec<u64>,
+    overlay: Option<Arc<DeltaOverlay>>,
     outcome: RunCacheOutcome,
 }
 
 impl ResolvedSide {
     fn side(&self) -> DeltaSide<'_> {
-        DeltaSide { base: &self.base, delta: self.delta.as_ref(), mask: &self.mask }
+        let mask = self.overlay.as_ref().map_or(&[][..], |overlay| &overlay.masked);
+        DeltaSide { base: &self.base, delta: self.delta.as_ref(), mask }
     }
 }
 
@@ -270,18 +272,19 @@ fn resolve_side(
     };
     let source: &Relation = snapshot.map_or(rel, |snapshot| snapshot.base());
     // A clean snapshot never touches (or locks) its delta log.
-    let overlay = snapshot.filter(|s| s.delta_len() > 0).map(|s| s.overlay()).unwrap_or_default();
+    let overlay = snapshot.filter(|s| s.delta_len() > 0).map(|s| s.overlay());
 
     if filtered {
-        let selected = if overlay.is_empty() {
-            Select::new(source, |t| pred(t)).execute_in(cx)
-        } else {
-            overlay.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect()
+        let selected = match overlay {
+            None => Select::new(source, |t| pred(t)).execute_in(cx),
+            Some(overlay) => {
+                overlay.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect()
+            }
         };
         return ResolvedSide {
             base: bypass_build(&selected, stats),
             delta: None,
-            mask: vec![],
+            overlay: None,
             outcome: RunCacheOutcome::Bypass,
         };
     }
@@ -304,19 +307,22 @@ fn resolve_side(
         _ => (bypass_build(source.tuples(), stats), RunCacheOutcome::Bypass),
     };
 
-    // The delta's adds become one extra sorted run — tiny, so one
-    // worker sorts it; its cost books under the side's sort phase.
-    let delta = (!overlay.adds.is_empty()).then(|| {
-        let sort_start = Instant::now();
+    // The delta's adds — already key-sorted by the fold — become one
+    // extra run: one worker copies them into the arena, and the copy
+    // books under the side's sort phase.
+    let adds = overlay.as_ref().map_or(&[][..], |overlay| &overlay.adds);
+    let delta = (!adds.is_empty()).then(|| {
+        debug_assert!(mpsm_core::tuple::is_key_sorted(adds), "the fold emits sorted adds");
+        let copy_start = Instant::now();
         let mut scope = cx.scope(0);
-        let run = cx.sorted_run(0, &overlay.adds, &mut scope);
+        let run = cx.copied_run(0, adds, &mut scope);
         let mut durations = vec![Duration::ZERO; cx.threads()];
-        durations[0] = sort_start.elapsed();
+        durations[0] = copy_start.elapsed();
         stats.record_phase(sort_phase, &durations);
         cx.record(sort_phase, [scope.finish()]);
         run
     });
-    ResolvedSide { base, delta, mask: overlay.masked, outcome }
+    ResolvedSide { base, delta, overlay, outcome }
 }
 
 /// The result of an anytime query whose deadline had already passed

@@ -77,7 +77,7 @@ use std::time::Duration;
 
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::AnytimeToken;
-use mpsm_core::join::delta::{DeltaOp, DeltaOverlay};
+use mpsm_core::join::delta::DeltaOp;
 use mpsm_core::join::runs::build_run_set;
 use mpsm_core::join::JoinConfig;
 use mpsm_core::stats::{JoinStats, Phase};
@@ -393,9 +393,10 @@ impl SessionShared {
             }
             (state, watermark)
         };
+        // The overlay queries share: only ops no query folded yet are
+        // folded here.
         let base = state.base();
-        let merged =
-            DeltaOverlay::from_ops(&state.delta().ops_prefix(watermark)).apply(base.tuples());
+        let merged = Snapshot::at(Arc::clone(&state), watermark).overlay().apply(base.tuples());
         let (id, new_version) = (base.id(), base.version() + 1);
         let new_base = Arc::new(Relation::new(base.name(), merged).with_identity(id, new_version));
         {

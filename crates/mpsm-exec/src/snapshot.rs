@@ -12,6 +12,14 @@
 //! vice versa; the only lock is the catalog map itself, held for the
 //! duration of a push or a pointer clone.
 //!
+//! Reads fold each op once. The log keeps its newest fold as an
+//! `Arc<DeltaOverlay>`; a dirty snapshot extends it by the ops between
+//! that fold and its own watermark (copying only that slice under the
+//! log's mutex) and shares the result with every later snapshot at the
+//! same watermark. An older watermark still resolves exactly — it
+//! folds its own prefix from scratch and leaves the newer fold in
+//! place.
+//!
 //! Compaction folds a delta prefix into a new base (bumping the
 //! catalog version, which invalidates older cached run sets through
 //! the existing `RunKey` machinery) and starts a fresh state whose log
@@ -28,11 +36,16 @@ use crate::scan::Relation;
 
 /// An append-only log of writes against one relation version. The log
 /// is the write side of snapshot isolation: pushes go under a mutex
-/// (writers are rare and cheap), reads clone a prefix bounded by a
-/// previously observed length.
+/// (writers are rare and cheap). Reads fold each op once: the log keeps
+/// its newest fold, and a snapshot's overlay extends it by the ops it
+/// has not seen, copying only that slice under the ops mutex.
 #[derive(Debug, Default)]
 pub struct DeltaLog {
     ops: Mutex<Vec<DeltaOp>>,
+    /// The newest fold: a watermark and the overlay of the ops below
+    /// it. Its lock makes extensions single-flight; writers never take
+    /// it.
+    folded: Mutex<(usize, Arc<DeltaOverlay>)>,
 }
 
 impl DeltaLog {
@@ -42,9 +55,9 @@ impl DeltaLog {
     }
 
     /// A log pre-seeded with `ops` (compaction hands the un-compacted
-    /// tail to the successor state this way).
+    /// tail to the successor state this way). Its fold starts empty.
     pub fn with_ops(ops: Vec<DeltaOp>) -> Self {
-        DeltaLog { ops: Mutex::new(ops) }
+        DeltaLog { ops: Mutex::new(ops), folded: Mutex::default() }
     }
 
     /// Append one op; returns the new length (the watermark a snapshot
@@ -84,6 +97,32 @@ impl DeltaLog {
     pub fn ops_from(&self, watermark: usize) -> Vec<DeltaOp> {
         let ops = self.ops.lock().expect("delta log poisoned");
         ops[watermark.min(ops.len())..].to_vec()
+    }
+
+    /// The overlay of the first `watermark` ops (saturating at the
+    /// current length). Starts from the newest fold when it lies at or
+    /// below `watermark`, from the empty overlay otherwise, extends it
+    /// by the ops in between, and keeps the result if it is newer.
+    pub fn overlay_at(&self, watermark: usize) -> Arc<DeltaOverlay> {
+        let mut folded = self.folded.lock().expect("delta fold poisoned");
+        let (start, from) = if folded.0 <= watermark {
+            (folded.0, Arc::clone(&folded.1))
+        } else {
+            (0, Arc::default())
+        };
+        let (end, tail) = {
+            let ops = self.ops.lock().expect("delta log poisoned");
+            let end = watermark.min(ops.len());
+            (end, ops[start..end].to_vec())
+        };
+        if tail.is_empty() {
+            return from;
+        }
+        let overlay = Arc::new(from.extend(&tail));
+        if end > folded.0 {
+            *folded = (end, Arc::clone(&overlay));
+        }
+        overlay
     }
 }
 
@@ -163,10 +202,11 @@ impl Snapshot {
         self.watermark
     }
 
-    /// Fold the visible delta prefix into an overlay (adds + masked
-    /// base keys).
-    pub fn overlay(&self) -> DeltaOverlay {
-        DeltaOverlay::from_ops(&self.state.delta.ops_prefix(self.watermark))
+    /// The visible delta prefix folded into an overlay (adds + masked
+    /// base keys), shared with every snapshot at the same watermark
+    /// through the log's newest fold ([`DeltaLog::overlay_at`]).
+    pub fn overlay(&self) -> Arc<DeltaOverlay> {
+        self.state.delta.overlay_at(self.watermark)
     }
 
     /// Replay the visible prefix over the base — the literal state this
@@ -213,6 +253,58 @@ mod tests {
         assert_eq!(log.ops_prefix(99).len(), 6, "prefix saturates");
         assert!(log.ops_from(99).is_empty(), "tail saturates");
         assert!(!log.is_empty());
+    }
+
+    fn sorted(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
+        tuples.sort_unstable_by_key(|t| (t.key, t.payload));
+        tuples
+    }
+
+    fn folded_at(log: &DeltaLog) -> usize {
+        log.folded.lock().unwrap().0
+    }
+
+    #[test]
+    fn snapshots_at_one_watermark_share_one_overlay() {
+        let state = Arc::new(RelationState::new(base(10)));
+        state.delta().extend([DeltaOp::Append(Tuple::new(40, 4)), DeltaOp::Delete { key: 3 }]);
+        let (first, second) = (state.snapshot(), state.snapshot());
+        let overlay = first.overlay();
+        assert!(Arc::ptr_eq(&overlay, &second.overlay()), "the second read folds nothing");
+        state.delta().append(DeltaOp::Update { key: 4, payload: 44 });
+        let newer = state.snapshot().overlay();
+        assert!(!Arc::ptr_eq(&overlay, &newer));
+        assert_eq!(*newer, DeltaOverlay::from_ops(&state.delta().ops_prefix(3)));
+        assert_eq!(folded_at(state.delta()), 3);
+    }
+
+    #[test]
+    fn an_older_watermark_resolves_exactly_and_keeps_the_newer_fold() {
+        let state = Arc::new(RelationState::new(base(20)));
+        state.delta().extend([DeltaOp::Append(Tuple::new(30, 3)), DeltaOp::Delete { key: 5 }]);
+        let older = state.snapshot();
+        state
+            .delta()
+            .extend([DeltaOp::Update { key: 7, payload: 70 }, DeltaOp::Delete { key: 30 }]);
+        let newer = state.snapshot();
+        let newest_fold = newer.overlay();
+        assert_eq!(folded_at(state.delta()), 4);
+
+        let old_overlay = older.overlay();
+        assert_eq!(sorted(old_overlay.apply(older.base().tuples())), sorted(older.materialize()));
+        assert_eq!(folded_at(state.delta()), 4, "the older read leaves the newer fold");
+        assert!(Arc::ptr_eq(&newest_fold, &newer.overlay()));
+    }
+
+    #[test]
+    fn a_seeded_log_starts_from_the_empty_fold() {
+        let ops = vec![DeltaOp::Append(Tuple::new(1, 1)), DeltaOp::Delete { key: 2 }];
+        let log = DeltaLog::with_ops(ops.clone());
+        assert_eq!(folded_at(&log), 0);
+        assert!(log.folded.lock().unwrap().1.is_empty());
+        assert_eq!(*log.overlay_at(2), DeltaOverlay::from_ops(&ops));
+        assert_eq!(folded_at(&log), 2);
+        assert_eq!(*log.overlay_at(99), DeltaOverlay::from_ops(&ops), "the watermark saturates");
     }
 
     #[test]

@@ -17,8 +17,13 @@
 //!    write prefix (cardinality and content must agree on *how many*
 //!    writes the snapshot saw).
 
+use mpsm::core::context::ExecContext;
+use mpsm::core::join::anytime::AnytimeToken;
 use mpsm::core::Tuple;
-use mpsm::exec::{CompactionConfig, QuerySpec, Relation, RunCacheConfig, SchedulerConfig, Session};
+use mpsm::exec::{
+    paper_query_runs, CompactionConfig, QuerySpec, Relation, RunCacheConfig, SchedulerConfig,
+    Session,
+};
 use proptest::prelude::*;
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -268,6 +273,32 @@ fn snapshots_pin_their_world_through_writes_compaction_and_reregistration() {
     let via_r3 = session.query(QuerySpec::join(&r3, &s)).expect("v3 handle").result;
     assert_eq!(via_r3.max_payload_sum, Some(1_000_000 + 2 * (n - 1)));
     let _ = clean_max;
+}
+
+/// A pinned spec resolved *after* a newer query advanced the log's
+/// shared fold still joins exactly its own delta prefix: an older
+/// watermark never reads the newer overlay.
+#[test]
+fn a_pinned_prefix_outlives_a_newer_fold() {
+    let n = 300u64;
+    let session = manual_session(2);
+    let r = session.register(Relation::new("R", (0..n).map(|k| Tuple::new(k, k)).collect()));
+    let s = session.register(Relation::new("S", (0..n).map(|k| Tuple::new(k, k)).collect()));
+    session.append("R", [Tuple::new(n - 1, 70_000)]).expect("registered");
+    session.delete("R", 0).expect("registered");
+    session.update("R", 5, 50_000).expect("registered");
+    let pinned = session.pin(QuerySpec::join(&r, &s));
+
+    session.append("R", [Tuple::new(n - 1, 90_000)]).expect("registered");
+    session.delete("R", 1).expect("registered");
+    session.delete("R", 2).expect("registered");
+    let live = session.query(QuerySpec::join(&r, &s)).expect("live").result;
+    assert_eq!(live.max_payload_sum, Some(90_000 + n - 1));
+    assert_eq!(live.r_selected as u64, n + 1 - 1 + 1 - 2, "all six writes");
+
+    let old = paper_query_runs(&ExecContext::flat(2), &pinned, &AnytimeToken::Never);
+    assert_eq!(old.max_payload_sum, Some(70_000 + n - 1), "the pinned prefix only");
+    assert_eq!(old.r_selected as u64, n + 1 - 1, "the first three writes");
 }
 
 /// Concurrent writers + background compactor vs. racing readers. The
