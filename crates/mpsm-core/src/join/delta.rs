@@ -297,9 +297,8 @@ pub(crate) struct Piece<'a> {
 /// Merge one private piece with one public run — the one place phase 4
 /// pairs runs. The public run is entered at the interpolation-searched
 /// lower bound of the private piece's first key, and both masks are cut
-/// to the piece's key span (no other key can match); a pair whose masks
-/// are empty there takes the galloping kernel, any other the masked
-/// one. Scan extents and the entry probe are booked on `scope`.
+/// to the piece's key span (no other key can match) before the masked
+/// kernel runs. Scan extents and the entry probe are booked on `scope`.
 pub(crate) fn merge_pair<S: JoinSink>(
     r: Piece<'_>,
     s: Piece<'_>,
@@ -318,12 +317,7 @@ pub(crate) fn merge_pair<S: JoinSink>(
         lo..hi
     };
     let (r_mask, s_mask) = (&r.mask[span(r.mask)], &s.mask[span(s.mask)]);
-    let entered = &s.tuples[entry..];
-    let scan = if r_mask.is_empty() && s_mask.is_empty() {
-        merge_join_scanned(r.tuples, entered, sink)
-    } else {
-        merge_join_masked(r.tuples, entered, r_mask, s_mask, sink)
-    };
+    let scan = merge_join_masked(r.tuples, &s.tuples[entry..], r_mask, s_mask, sink);
     scope.touch(r.home, true, scan.r_scanned as u64);
     scope.touch(s.home, true, scan.s_scanned as u64);
 }
@@ -576,8 +570,8 @@ mod tests {
             "{sequential} sequential reads reach below entry {entry}"
         );
 
-        // A pair whose masks miss the private key span is not masked at
-        // all: it takes the galloping kernel and agrees with it.
+        // A pair whose masks miss the private key span joins exactly as
+        // the galloping kernel does.
         let mut galloped = CountSink::default();
         merge_join_scanned(&r_run, &s_run[entry..], &mut galloped);
         let mut unmasked = CountSink::default();

@@ -17,8 +17,8 @@
 //! that fold and its own watermark (copying only that slice under the
 //! log's mutex) and shares the result with every later snapshot at the
 //! same watermark. An older watermark still resolves exactly — it
-//! folds its own prefix from scratch and leaves the newer fold in
-//! place.
+//! folds its own prefix from scratch, without holding the fold's lock,
+//! and leaves the newer fold in place.
 //!
 //! Compaction folds a delta prefix into a new base (bumping the
 //! catalog version, which invalidates older cached run sets through
@@ -100,29 +100,26 @@ impl DeltaLog {
     }
 
     /// The overlay of the first `watermark` ops (saturating at the
-    /// current length). Starts from the newest fold when it lies at or
-    /// below `watermark`, from the empty overlay otherwise, extends it
-    /// by the ops in between, and keeps the result if it is newer.
+    /// current length). When the newest fold lies at or below
+    /// `watermark` it is extended by the ops in between under the fold's
+    /// lock (single-flight) and replaced by the result; an older
+    /// watermark folds its own prefix with the lock released, since no
+    /// other reader can reuse that fold.
     pub fn overlay_at(&self, watermark: usize) -> Arc<DeltaOverlay> {
         let mut folded = self.folded.lock().expect("delta fold poisoned");
-        let (start, from) = if folded.0 <= watermark {
-            (folded.0, Arc::clone(&folded.1))
-        } else {
-            (0, Arc::default())
-        };
-        let (end, tail) = {
+        if folded.0 > watermark {
+            drop(folded);
+            return Arc::new(DeltaOverlay::from_ops(&self.ops_prefix(watermark)));
+        }
+        let tail = {
             let ops = self.ops.lock().expect("delta log poisoned");
-            let end = watermark.min(ops.len());
-            (end, ops[start..end].to_vec())
+            ops[folded.0..watermark.min(ops.len())].to_vec()
         };
-        if tail.is_empty() {
-            return from;
+        if !tail.is_empty() {
+            let end = folded.0 + tail.len();
+            *folded = (end, Arc::new(folded.1.extend(&tail)));
         }
-        let overlay = Arc::new(from.extend(&tail));
-        if end > folded.0 {
-            *folded = (end, Arc::clone(&overlay));
-        }
-        overlay
+        Arc::clone(&folded.1)
     }
 }
 
