@@ -31,11 +31,12 @@
 //!
 //! * base relations are **globally interleaved** (unplaced); scanning a
 //!   chunk of length `n` records `n` interleaved sequential reads;
-//! * copying a chunk into a run records `n` sequential writes against
-//!   the run's home node;
-//! * sorting a run of length `n` in place records `n` sequential reads
-//!   plus `n` random writes against its home (the paper's local sort —
-//!   random accesses are the reason C1 demands it be node-local);
+//! * building a run from a chunk records `n` sequential writes against
+//!   the run's home node — the copy, which [`ExecContext::sorted_run`]
+//!   does as the sort's top radix scatter;
+//! * sorting a run of length `n` records `n` sequential reads plus `n`
+//!   random writes against its home (the paper's local sort — random
+//!   accesses are the reason C1 demands it be node-local);
 //! * the scatter of P-MPSM phase 2 records, per worker, `n` interleaved
 //!   sequential re-reads plus one sequential write per tuple against
 //!   the home of the *target* partition (remote, but sequential into a
@@ -51,7 +52,11 @@
 //! One context should serve one join (or one scheduled query): derive
 //! fresh contexts with [`ExecContext::per_query`] /
 //! [`ExecContext::pinned_to`] instead of reusing one across queries,
-//! so audits and arena statistics stay attributable.
+//! so audits and arena statistics stay attributable. A context that
+//! does run join after join — a benchmark loop, a figure binary — keeps
+//! the run buffers each finished join hands back
+//! (`ExecContext::reclaim`) and serves the next join's runs and
+//! partitions from them, so a warm join page-faults no fresh memory.
 
 use std::sync::Mutex;
 
@@ -109,6 +114,9 @@ pub struct ExecContext {
     policy: AllocPolicy,
     phase_counters: Mutex<[AccessCounters; 4]>,
     sort_scratch: Vec<Mutex<SortScratch>>,
+    /// Run buffers finished joins handed back, each on its home node:
+    /// at most one join's worth (`2·T`).
+    spares: Mutex<Vec<NumaBuf<Tuple>>>,
 }
 
 impl ExecContext {
@@ -158,6 +166,7 @@ impl ExecContext {
             policy: AllocPolicy::WorkerLocal,
             phase_counters: Mutex::new(Default::default()),
             sort_scratch,
+            spares: Mutex::default(),
         }
     }
 
@@ -171,8 +180,9 @@ impl ExecContext {
     }
 
     /// Derive a context for one query (or one background owner such as
-    /// the compactor): same workers and placement, fresh counters and
-    /// arena so the audit is attributable to this query alone.
+    /// the compactor): same workers and placement, fresh counters,
+    /// arena and spare buffers so the audit is attributable to this
+    /// query alone.
     pub fn per_query(&self) -> ExecContext {
         ExecContext {
             placement: self.placement.clone(),
@@ -186,6 +196,7 @@ impl ExecContext {
             sort_scratch: (0..self.pool.threads())
                 .map(|_| Mutex::new(SortScratch::new()))
                 .collect(),
+            spares: Mutex::default(),
         }
     }
 
@@ -208,6 +219,7 @@ impl ExecContext {
             sort_scratch: (0..self.pool.threads())
                 .map(|_| Mutex::new(SortScratch::new()))
                 .collect(),
+            spares: Mutex::default(),
         }
     }
 
@@ -260,10 +272,47 @@ impl ExecContext {
         CounterScope::new(self.topology().clone(), self.placement.core_of(worker))
     }
 
-    /// Allocate a zeroed buffer of `len` tuples homed per policy for
-    /// worker `w`.
+    /// A buffer of `len` tuples homed per policy for worker `w`, every
+    /// slot of which the caller overwrites (its contents are
+    /// unspecified). The best-fitting spare on that node
+    /// (`ExecContext::reclaim`) — the smallest whose capacity holds
+    /// `len`, which the arena does not count again — or else a fresh
+    /// buffer from the arena. The one allocation path of runs and
+    /// partitions.
     pub fn alloc(&self, worker: usize, len: usize) -> NumaBuf<Tuple> {
-        self.arena.alloc(self.home_of(worker), len)
+        let home = self.home_of(worker);
+        match self.take_spare(home, len) {
+            Some(mut buf) => {
+                buf.vec_mut().resize(len, Tuple::default());
+                buf
+            }
+            None => self.arena.alloc(home, len),
+        }
+    }
+
+    fn take_spare(&self, home: NodeId, len: usize) -> Option<NumaBuf<Tuple>> {
+        if len == 0 {
+            return None; // an empty buffer owns no memory worth keeping
+        }
+        let mut spares = self.spares.lock().expect("spare buffers poisoned");
+        let best = (0..spares.len())
+            .filter(|&i| spares[i].home() == home && spares[i].capacity() >= len)
+            .min_by_key(|&i| spares[i].capacity())?;
+        Some(spares.swap_remove(best))
+    }
+
+    /// Keep the run buffers of a finished join — both run sets, whose
+    /// tuples are dead — as spares for [`ExecContext::alloc`]. The
+    /// spares hold at most one join's buffers, `2·T`: past that the
+    /// smallest are freed.
+    pub(crate) fn reclaim(&self, buffers: impl IntoIterator<Item = NumaBuf<Tuple>>) {
+        let cap = 2 * self.threads();
+        let mut spares = self.spares.lock().expect("spare buffers poisoned");
+        spares.extend(buffers);
+        if spares.len() > cap {
+            spares.sort_unstable_by_key(|buf| std::cmp::Reverse(buf.capacity()));
+            spares.truncate(cap);
+        }
     }
 
     /// Adopt `data` as worker `w`'s run, homed per policy.
@@ -271,28 +320,35 @@ impl ExecContext {
         self.arena.adopt(self.home_of(worker), data)
     }
 
-    /// The shared run-generation prologue of every MPSM variant: copy
-    /// `chunk` into a run homed per policy for worker `w` (recording
-    /// the interleaved chunk read and the home-side write), then sort
-    /// it in place with the audited three-phase sort. Keeping this in
-    /// one place keeps the access model identical across variants —
-    /// the `4n`-per-sort-phase total the accounting proptests pin.
+    /// The shared run-generation prologue of every MPSM variant: sort
+    /// `chunk` straight into a run homed per policy for worker `w`
+    /// ([`crate::sort::three_phase_sort_into`] through the worker's
+    /// scratch: the top radix scatter is the copy). It books what a
+    /// copy then an in-place sort would: the interleaved chunk read and
+    /// the home-side write, then the sort's reads and random writes.
+    /// Keeping this in one place keeps the access model identical
+    /// across variants — the `4n`-per-sort-phase total the accounting
+    /// proptests pin.
     pub fn sorted_run(
         &self,
         worker: usize,
         chunk: &[Tuple],
         scope: &mut CounterScope,
     ) -> NumaBuf<Tuple> {
-        let mut run = self.copied_run(worker, chunk, scope);
-        let home = run.home();
-        self.sort_run(worker, &mut run, home, scope);
+        let mut run = self.alloc(worker, chunk.len());
+        let (home, n) = (run.home(), chunk.len() as u64);
+        scope.touch_interleaved(true, n);
+        scope.touch(home, true, n);
+        scope.touch(home, true, n);
+        scope.touch(home, false, n);
+        let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
+        crate::sort::three_phase_sort_into(chunk, &mut run, &mut scratch);
         run
     }
 
-    /// Copy `chunk` into a run homed per policy for worker `w`,
-    /// recording the interleaved chunk read and the home-side write —
-    /// [`ExecContext::sorted_run`]'s copy, for a chunk that is already
-    /// sorted.
+    /// Copy `chunk`, already sorted, into a run homed per policy for
+    /// worker `w`, booking the interleaved chunk read and the home-side
+    /// write as [`ExecContext::sorted_run`] does.
     pub fn copied_run(
         &self,
         worker: usize,
@@ -308,8 +364,9 @@ impl ExecContext {
     /// Sort `run` in place through worker `w`'s reusable scratch,
     /// recording the traffic against `home`: `len` sequential reads
     /// plus `len` random writes, which is why commandment C1 wants runs
-    /// sorted in *local* RAM. The one sort entry point of every
-    /// execution path, MPSM variants and the scheduler alike.
+    /// sorted in *local* RAM. The in-place sort of every execution
+    /// path (P-MPSM's private partitions, the run-set builds);
+    /// [`ExecContext::sorted_run`] sorts a chunk into a new run.
     pub fn sort_run(
         &self,
         worker: usize,
@@ -406,6 +463,29 @@ mod tests {
             .alloc_policy(AllocPolicy::Pinned(NodeId(1)));
         assert_eq!(pinned.alloc(3, 16).home(), NodeId(1));
         assert_eq!(pinned.adopt(2, vec![Tuple::new(1, 1)]).home(), NodeId(1));
+    }
+
+    #[test]
+    fn alloc_takes_the_best_fitting_spare_on_its_own_node() {
+        let tuple = std::mem::size_of::<Tuple>() as u64;
+        let cx = ExecContext::new(Topology::paper_machine(), 2); // worker w on node w
+        cx.reclaim([cx.alloc(0, 100), cx.alloc(0, 300), cx.alloc(1, 200)]);
+        let fresh = cx.arena().total_bytes();
+        // Node 1's spare is no candidate for worker 0, and 100 slots do
+        // not hold 200.
+        let a = cx.alloc(0, 200);
+        assert_eq!((a.home(), a.len(), a.capacity()), (NodeId(0), 200, 300));
+        let b = cx.alloc(0, 50);
+        assert_eq!((b.len(), b.capacity()), (50, 100), "the smallest spare that fits");
+        let c = cx.alloc(0, 10);
+        assert_eq!(cx.arena().total_bytes(), fresh + 10 * tuple, "node 0 ran out of spares");
+        let d = cx.alloc(1, 150);
+        assert_eq!((d.home(), d.capacity()), (NodeId(1), 200));
+        assert_eq!(cx.arena().total_bytes(), fresh + 10 * tuple, "reuse is not counted again");
+        // 2·T = 4 spares at most: the 5-slot one is freed, so the
+        // best fit for 5 is now the 10-slot one.
+        cx.reclaim([a, b, c, d, cx.alloc(0, 5)]);
+        assert_eq!(cx.alloc(0, 5).capacity(), 10);
     }
 
     #[test]

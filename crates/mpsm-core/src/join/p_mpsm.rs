@@ -25,6 +25,10 @@
 //!    start point (Figure 7) and leaving when `R_i` is exhausted — so it
 //!    scans only `≈ |S|/T²` of each public run.
 //!
+//! Both run sets then go back to the context
+//! (`ExecContext::reclaim`), whose next join sorts and scatters into
+//! them instead of faulting in fresh memory.
+//!
 //! Skew in `R`, `S`, or both (even negatively correlated, Figure 16) is
 //! absorbed by the CDF + splitter machinery; location skew needs no
 //! handling at all because `R` is redistributed anyway (§5.5).
@@ -125,6 +129,8 @@ impl JoinAlgorithm for PMpsmJoin {
         // stays overwhelmingly node-local (`tests/numa_context.rs`).
         let (r_side, s_side) = (DeltaSide::base_only(&private), DeltaSide::base_only(&public));
         let out = merge_sides::<S>(cx, r_side, s_side, &AnytimeToken::Never, None, &mut stats);
+        // The runs are dead; the next join on this context reuses them.
+        cx.reclaim(public.into_runs().into_iter().chain(private.into_runs()));
 
         stats.wall = wall.elapsed();
         (out.result, stats)
@@ -288,6 +294,48 @@ mod tests {
         // No remote random accesses anywhere in phase 2 or 3.
         assert_eq!(scatter.accesses(AccessKind::RemoteRand), 0);
         assert_eq!(sort.accesses(AccessKind::RemoteRand), 0);
+    }
+
+    #[test]
+    fn a_reused_context_answers_every_join_from_reclaimed_runs() {
+        // Big, then small over a disjoint key range, so a stale tuple
+        // left in a reused buffer shows up as a wrong match, then big
+        // again.
+        let mut next = lcg(57);
+        let big_r: Vec<Tuple> = (0..6000).map(|i| Tuple::new(next() % 4096, i)).collect();
+        let big_s: Vec<Tuple> = (0..18000).map(|i| Tuple::new(next() % 4096, i)).collect();
+        let far = 1 << 20;
+        let small_r: Vec<Tuple> = (0..700).map(|i| Tuple::new(far + next() % 64, i)).collect();
+        let small_s: Vec<Tuple> = (0..900).map(|i| Tuple::new(far + next() % 64, i)).collect();
+        let cx = ExecContext::flat(2);
+        let join = PMpsmJoin::new(JoinConfig::with_threads(2));
+        let mut allocated = Vec::new();
+        for (r, s) in [(&big_r, &big_s), (&small_r, &small_s), (&big_r, &big_s)] {
+            let (rows, _) = join.join_in::<CollectSink>(&cx, r, s);
+            assert_eq!(rows.len() as u64, nested_loop_count(r, s));
+            for &(key, rp, sp) in &rows {
+                assert_eq!((r[rp as usize].key, s[sp as usize].key), (key, key), "stale tuple");
+            }
+            allocated.push(cx.arena().total_bytes());
+        }
+        assert!(allocated[0] > 0);
+        assert_eq!(allocated[2], allocated[0], "the second big join reuses every buffer");
+    }
+
+    #[test]
+    fn reclaimed_runs_stay_on_their_node() {
+        use mpsm_numa::Topology;
+
+        let mut next = lcg(59);
+        let r: Vec<Tuple> = (0..4000).map(|i| Tuple::new(next() % 65536, i)).collect();
+        let s: Vec<Tuple> = (0..4000).map(|i| Tuple::new(next() % 65536, i)).collect();
+        let cx = ExecContext::new(Topology::paper_machine(), 8);
+        let join = PMpsmJoin::new(JoinConfig::with_threads(8));
+        for _ in 0..2 {
+            cx.reset_counters();
+            assert_eq!(join.join_in::<CountSink>(&cx, &r, &s).0, nested_loop_count(&r, &s));
+            assert_eq!(cx.phase_counters(Phase::Three).remote_fraction(), 0.0);
+        }
     }
 
     #[test]

@@ -70,6 +70,12 @@ impl RunSet {
         &self.runs
     }
 
+    /// Unwrap into the runs (for [`ExecContext::reclaim`] once a join
+    /// is done with them).
+    pub(crate) fn into_runs(self) -> Vec<NumaBuf<Tuple>> {
+        self.runs
+    }
+
     /// Number of runs (the worker count the set was built with).
     pub fn parts(&self) -> usize {
         self.runs.len()
@@ -104,10 +110,11 @@ impl RunSet {
 pub type SharedRunSet = Arc<RunSet>;
 
 /// Chunk `tuples` into `T` contiguous pieces and sort each into a run
-/// homed on its worker's node (copy the interleaved chunk into
-/// node-homed storage, sort there — the paper's "redistribute, then
-/// work locally"). MPSM's phase 1, and B-MPSM's phase 2; time and
-/// access counters book under `phase`.
+/// homed on its worker's node ([`ExecContext::sorted_run`]: the sort's
+/// top radix scatter reads the interleaved chunk and writes node-homed
+/// storage, the rest of the sort stays there — the paper's
+/// "redistribute, then work locally"). MPSM's phase 1, and B-MPSM's
+/// phase 2; time and access counters book under `phase`.
 pub fn chunked_run_set(
     cx: &ExecContext,
     tuples: &[Tuple],

@@ -162,8 +162,9 @@ type ScatterKernel = fn(&[Tuple], &mut [&mut [Tuple]], &RadixDomain, &Splitters)
 /// order, each in original chunk order (exactly the paper's Figure 6
 /// layout).
 ///
-/// Storage for partition `p` is drawn from the context's arena homed
-/// per its allocation policy for worker `p` (with the default
+/// Storage for partition `p` comes from [`ExecContext::alloc`] (a
+/// reclaimed spare or the context's arena) homed per its allocation
+/// policy for worker `p` (with the default
 /// [`crate::context::AllocPolicy::WorkerLocal`], partition `p` lives on
 /// the node of the worker that will sort and join it — the paper's
 /// layout). The histogram and scatter sections run as two phases on the

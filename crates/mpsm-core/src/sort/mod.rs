@@ -30,6 +30,10 @@
 //!   American-flag in-place permutation, whose displacement chain
 //!   serializes on one cache miss at a time; even-depth recursions land
 //!   back in place with zero extra copies.
+//! * **Sort from the source.** [`three_phase_sort_into`] takes its top
+//!   level straight from a read-only input into the destination run and
+//!   descends each top bucket in place there, so building a sorted copy
+//!   costs no copy pass and only a top-bucket-sized scratch.
 //! * **Per-bucket finishing.** The finisher runs per radix
 //!   bucket, immediately after that bucket lands, while the bucket
 //!   (≤ 1 KiB) is still cache-hot — instead of one global pass that
@@ -71,11 +75,15 @@ pub const INSERTION_CUTOFF: usize = 16;
 pub const NETWORK_BLOCK: usize = 64;
 
 /// The ping-pong buffer of the out-of-place radix descent: grows to the
-/// largest run sorted through it and stays, so a caller that keeps one
-/// scratch alive pays the 16 bytes/tuple once. `ExecContext` keeps one
-/// per worker — but `per_query` / `pinned_to` contexts are built with
-/// fresh scratch, so every scheduled query that sorts re-allocates and
-/// first-touches its own (ROADMAP item 8).
+/// largest span sorted through it and stays, so a caller that keeps one
+/// scratch alive pays for it once. That span is the whole run for the
+/// in-place [`three_phase_sort_with`] (`ExecContext::sort_run`, the
+/// private side's partitions), but only the largest top-level bucket —
+/// about `n / 256` on uniform keys — for [`three_phase_sort_into`]
+/// (`ExecContext::sorted_run`, every phase-1 run). `ExecContext` keeps
+/// one per worker, but `per_query` / `pinned_to` contexts are built
+/// with fresh scratch, so every scheduled query that sorts re-allocates
+/// and first-touches its own (ROADMAP item 9).
 #[derive(Debug, Default)]
 pub struct SortScratch {
     aux: Vec<Tuple>,
@@ -85,6 +93,15 @@ impl SortScratch {
     /// Empty scratch; the buffer grows on first use and is then reused.
     pub fn new() -> Self {
         SortScratch::default()
+    }
+
+    /// The first `len` slots, growing the buffer to `len` if it is
+    /// shorter.
+    fn head(&mut self, len: usize) -> &mut [Tuple] {
+        if self.aux.len() < len {
+            self.aux.resize(len, Tuple::new(0, 0));
+        }
+        &mut self.aux[..len]
     }
 }
 
@@ -117,44 +134,71 @@ pub fn three_phase_sort(tuples: &mut [Tuple]) {
     TLS_SCRATCH.with(|s| three_phase_sort_with(tuples, &mut s.borrow_mut()));
 }
 
-/// [`three_phase_sort`] with caller scratch — the executor entry point
+/// [`three_phase_sort`] in place with caller scratch, which grows to
+/// the whole run — the executor's in-place entry point
 /// (`ExecContext::sort_run` threads its per-worker [`SortScratch`]
 /// through here).
 pub fn three_phase_sort_with(tuples: &mut [Tuple], scratch: &mut SortScratch) {
-    if tuples.len() < 2 {
-        return;
-    }
     if tuples.len() <= INSERTION_CUTOFF {
         insertion::insertion_sort(tuples);
         return;
     }
-    // Phase 1: MSD radix scatter into 256 key-ordered buckets. One
-    // key-range scan here is the only range scan of the whole sort:
-    // the recursion below derives every child shift arithmetically
-    // ([`radix::RadixShift::child`]) instead of re-scanning buckets
-    // (twice per recursion level) the way the PR 2 descent did.
-    let (min, max) = crate::tuple::key_range(tuples).expect("len > cutoff");
-    if min == max {
+    let aux = scratch.head(tuples.len());
+    let Some((bounds, shift)) = top_scatter(tuples, aux) else {
         return; // one key: any order is sorted
-    }
-    let shift = radix::RadixShift::for_range(min, max, RADIX_BITS);
-    // The ping-pong buffer grows to the largest run sorted through
-    // this scratch and stays (see [`SortScratch`] for who keeps one).
-    let n = tuples.len();
-    if scratch.aux.len() < n {
-        scratch.aux.resize(n, Tuple::new(0, 0));
-    }
-    let aux = &mut scratch.aux[..n];
-    let bounds = radix::msd_radix_scatter(tuples, aux, shift);
+    };
     if shift.shift == 0 {
         // Sub-256 span: the scatter ordered by exact key value.
         tuples.copy_from_slice(aux);
     } else {
-        // The top-level shift is tight by construction (`for_range` on
-        // the real range), so this partition cannot collapse into one
-        // bucket; descend directly.
         spill_children(aux, tuples, &bounds, shift);
     }
+}
+
+/// Sort `src` by key into the equal-length `dst`, leaving `src`
+/// untouched and never reading `dst`'s old contents. The top radix
+/// level scatters straight from `src` into `dst` — the sequential read
+/// of the input commandment C2 allows, with the scatter's random writes
+/// landing in the (local) run as C1 demands — and each top bucket then
+/// descends in place in `dst`. So there is no copy pass, and `scratch`
+/// grows only to the largest top bucket. `ExecContext::sorted_run`
+/// builds every phase-1 run through here.
+///
+/// # Panics
+/// Panics if `src` and `dst` differ in length.
+pub fn three_phase_sort_into(src: &[Tuple], dst: &mut [Tuple], scratch: &mut SortScratch) {
+    assert_eq!(src.len(), dst.len(), "sort needs an equal-sized destination");
+    if src.len() <= INSERTION_CUTOFF {
+        dst.copy_from_slice(src);
+        insertion::insertion_sort(dst);
+        return;
+    }
+    let Some((bounds, shift)) = top_scatter(src, dst) else {
+        dst.copy_from_slice(src); // one key: any order is sorted
+        return;
+    };
+    if shift.shift != 0 {
+        let widest = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        descend_resident(dst, scratch.head(widest), &bounds, shift);
+    }
+}
+
+/// The prologue both entry points share: the sort's one key-range scan
+/// (the descent derives every child shift arithmetically,
+/// [`radix::RadixShift::child`]), the top-level shift, and the top
+/// radix scatter of `src` into the equal-length `dst`. `None`, with
+/// `dst` untouched, when all keys are equal (or there are none).
+/// Otherwise the top buckets' bounds and shift; at shift 0 the scatter
+/// already ordered `dst` by exact key value. The shift is tight by
+/// construction (`for_range` on the real range), so the top level
+/// cannot collapse into one bucket.
+fn top_scatter(src: &[Tuple], dst: &mut [Tuple]) -> Option<(Vec<usize>, radix::RadixShift)> {
+    let (min, max) = crate::tuple::key_range(src)?;
+    if min == max {
+        return None;
+    }
+    let shift = radix::RadixShift::for_range(min, max, RADIX_BITS);
+    Some((radix::msd_radix_scatter(src, dst, shift), shift))
 }
 
 /// Recurse into every non-trivial bucket of a scatter whose output
@@ -215,11 +259,24 @@ fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], shift: radix::RadixShift) {
         spill_children(src, dst, &bounds, tight);
         return;
     }
+    descend_resident(dst, src, &bounds, shift);
+}
+
+/// Sort every bucket of a scatter that landed in `data` in place, each
+/// through the head of `aux`, which must be at least as long as the
+/// widest bucket. A bucket of fewer than two tuples is already in
+/// place; see the overflow note on [`spill_children`].
+fn descend_resident(
+    data: &mut [Tuple],
+    aux: &mut [Tuple],
+    bounds: &[usize],
+    shift: radix::RadixShift,
+) {
     for (b, w) in bounds.windows(2).enumerate() {
-        if w[1] - w[0] < 2 {
-            continue; // already in dst; see the overflow note on spill_children
+        let len = w[1] - w[0];
+        if len >= 2 {
+            sort_resident(&mut data[w[0]..w[1]], &mut aux[..len], shift.child(b, RADIX_BITS));
         }
-        sort_resident(&mut dst[w[0]..w[1]], &mut src[w[0]..w[1]], shift.child(b, RADIX_BITS));
     }
 }
 
@@ -255,7 +312,8 @@ fn sort_resident(data: &mut [Tuple], aux: &mut [Tuple], shift: radix::RadixShift
 /// introsort per bucket, then a single **global** insertion pass that
 /// re-streams the whole array. Retained as the reference oracle of the
 /// equivalence tests (`tests/sort_kernels.rs`); every join path sorts
-/// through `ExecContext::sort_run`, i.e. [`three_phase_sort_with`].
+/// through `ExecContext::sort_run` or `ExecContext::sorted_run`, i.e.
+/// [`three_phase_sort_with`] or [`three_phase_sort_into`].
 pub fn three_phase_sort_naive(tuples: &mut [Tuple]) {
     if tuples.len() < 2 {
         return;

@@ -1,14 +1,18 @@
-//! In-place MSD radix pass — phase 1 of the paper's sorting routine.
+//! The MSD radix pass — phase 1 of the paper's sorting routine — in
+//! its two forms, both over 256 buckets keyed by the 8 most significant
+//! *discriminating* bits (the shift from the observed key range is the
+//! bitwise-shift preprocessing mentioned in §3.2.1):
 //!
-//! Computes a 256-bucket histogram over the 8 most significant
-//! *discriminating* bits of the keys, derives the bucket boundaries, and
-//! swaps every element into its bucket in place (American-flag /
-//! cycle-leader permutation, after Knuth \[18\]). The buckets are in key
-//! order, so a subsequent per-bucket sort yields a totally ordered run.
+//! * [`msd_radix_scatter`], out of place and stable: the pass every
+//!   production sort runs, at the top level straight off the input and
+//!   at every level of the descent (see the `sort` module docs);
+//! * [`msd_radix_partition`], the paper's literal in-place
+//!   American-flag / cycle-leader permutation (after Knuth \[18\]),
+//!   which only the reference [`crate::sort::three_phase_sort_naive`]
+//!   still runs.
 //!
-//! Keys rarely use all 64 bits (the paper draws them from `[0, 2^32)`),
-//! so the pass first derives a shift from the observed key range — the
-//! bitwise-shift preprocessing mentioned in §3.2.1.
+//! Either way the buckets come out in key order, so sorting each bucket
+//! yields a totally ordered run.
 
 use crate::sort::RADIX_BITS;
 use crate::tuple::{key_range, Tuple};

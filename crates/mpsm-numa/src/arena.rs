@@ -37,6 +37,11 @@ impl<T> NumaBuf<T> {
         self.home
     }
 
+    /// Elements the buffer holds room for without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Unwrap into the underlying vector.
     pub fn into_inner(self) -> Vec<T> {
         self.data
@@ -68,21 +73,23 @@ impl<T> DerefMut for NumaBuf<T> {
     }
 }
 
-/// Per-node allocation statistics.
+/// Per-node allocation statistics: lifetime volume, not live memory.
+/// Nothing is subtracted when a buffer drops, and a buffer recycled
+/// without passing through the arena again is not counted again.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeAllocStats {
-    /// Buffers currently allocated from this node.
+    /// Buffers the arena has handed out on this node since it was made.
     pub buffers: u64,
-    /// Bytes currently allocated from this node.
+    /// Bytes the arena has handed out on this node since it was made.
     pub bytes: u64,
 }
 
 /// Allocation bookkeeper handing out node-homed buffers.
 ///
 /// The arena does not own the buffers it vends (they are ordinary `Vec`s
-/// underneath); it tracks per-node allocation volume so experiments can
-/// assert NUMA-affine placement, e.g. "every worker's runs live on its
-/// own node".
+/// underneath); it tracks per-node allocation volume (see
+/// [`NodeAllocStats`]) so experiments can assert NUMA-affine placement,
+/// e.g. "every worker's runs live on its own node".
 #[derive(Debug)]
 pub struct NumaArena {
     topology: Topology,
@@ -130,7 +137,7 @@ impl NumaArena {
         self.stats.lock().clone()
     }
 
-    /// Total bytes allocated across all nodes.
+    /// Total bytes handed out across all nodes (lifetime volume).
     pub fn total_bytes(&self) -> u64 {
         self.stats.lock().iter().map(|s| s.bytes).sum()
     }

@@ -1,11 +1,14 @@
 //! Equivalence of the production sort with its reference.
 //!
-//! `three_phase_sort_with` — the one sort every join, query and
+//! `three_phase_sort_with` — the in-place sort every join, query and
 //! benchmark workload runs (via `ExecContext::sort_run`) — must produce
 //! exactly what `three_phase_sort_naive` produces: the same key order
 //! and the same multiset of `(key, payload)` pairs (neither sort is
 //! stable, so payload *order* within a key group may differ, but no
-//! tuple may be dropped, duplicated, or invented). The inputs straddle
+//! tuple may be dropped, duplicated, or invented). Its out-of-place
+//! twin `three_phase_sort_into` (via `ExecContext::sorted_run`, every
+//! phase-1 run) must in turn produce what `three_phase_sort_with`
+//! produces on a copy. The inputs straddle
 //! every dispatch boundary (insertion cutoff 16, the network block 64
 //! at which the radix descent stops, and sizes and shapes that drive
 //! the descent from one level to its last digit) and include the
@@ -14,7 +17,8 @@
 //! the duplicate densities at which the leaf's cost moves most.
 
 use mpsm::core::sort::{
-    three_phase_sort_naive, three_phase_sort_with, SortScratch, INSERTION_CUTOFF, NETWORK_BLOCK,
+    three_phase_sort_into, three_phase_sort_naive, three_phase_sort_with, SortScratch,
+    INSERTION_CUTOFF, NETWORK_BLOCK,
 };
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::Tuple;
@@ -265,6 +269,63 @@ fn reused_scratch_matches_fresh_scratch() {
             let keys = keys_for(dist, n, 0xA0_0A + round as u64);
             check_with(&keys, &mut scratch)
                 .unwrap_or_else(|msg| panic!("round {round}, dist {dist}, n {n}: {msg}"));
+        }
+    }
+}
+
+/// `three_phase_sort_into` against `three_phase_sort_with` on a copy:
+/// identical key order and `(key, payload)` multiset, `src` untouched.
+/// `dst` starts full of a sentinel no input contains, so a slot the
+/// sort leaves unwritten shows up in the multiset.
+fn check_into(keys: &[u64], scratch: &mut SortScratch) -> Result<(), String> {
+    let n = keys.len();
+    let src = tuples(keys);
+    let mut expected = src.clone();
+    three_phase_sort_with(&mut expected, &mut SortScratch::new());
+
+    let mut dst = vec![Tuple::new(0xDEAD, u64::MAX); n];
+    three_phase_sort_into(&src, &mut dst, scratch);
+
+    if src != tuples(keys) {
+        return Err(format!("source modified (n={n})"));
+    }
+    if !dst.iter().map(|t| t.key).eq(expected.iter().map(|t| t.key)) {
+        return Err(format!("key order diverges from the in-place sort (n={n})"));
+    }
+    let mut got_pairs = pairs(&dst);
+    let mut expected_pairs = pairs(&expected);
+    got_pairs.sort_unstable();
+    expected_pairs.sort_unstable();
+    if got_pairs != expected_pairs {
+        return Err(format!("(key, payload) multiset diverges (n={n}) — a slot left unwritten?"));
+    }
+    Ok(())
+}
+
+/// Every size up to past the insertion cutoff, every boundary size,
+/// every `keys_for` shape and every staircase — largest first through
+/// one scratch, so a scratch left longer than the next sort's top
+/// bucket (and full of the previous sort's tuples) is exercised too.
+#[test]
+fn sort_into_matches_the_in_place_sort() {
+    let mut sizes: Vec<usize> = (0..=INSERTION_CUTOFF + 1).chain(BOUNDARY_SIZES).collect();
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    sizes.dedup();
+    let mut scratch = SortScratch::new();
+    for n in sizes {
+        for dist in 0..6 {
+            let keys = keys_for(dist, n, 0x1_470 + dist as u64);
+            check_into(&keys, &mut scratch).unwrap_or_else(|msg| panic!("dist {dist}: {msg}"));
+        }
+    }
+    for levels in (1..=8).rev() {
+        for bottom in [NETWORK_BLOCK + 1, NETWORK_BLOCK, NETWORK_BLOCK - 1] {
+            let mut keys = staircase(levels, bottom, u64::from(levels));
+            check_into(&keys, &mut scratch)
+                .unwrap_or_else(|msg| panic!("staircase {levels} x {bottom}: {msg}"));
+            keys.retain(|&k| k != u64::MAX);
+            check_into(&keys, &mut scratch)
+                .unwrap_or_else(|msg| panic!("staircase {levels} x {bottom} less its top: {msg}"));
         }
     }
 }
