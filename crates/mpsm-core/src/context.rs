@@ -62,6 +62,7 @@ use std::sync::Mutex;
 
 use mpsm_numa::{AccessCounters, CounterScope, NodeId, NumaArena, NumaBuf, Topology};
 
+use crate::histogram::RadixDomain;
 use crate::sort::SortScratch;
 use crate::stats::Phase;
 use crate::tuple::Tuple;
@@ -361,12 +362,45 @@ impl ExecContext {
         run
     }
 
-    /// Sort `run` in place through worker `w`'s reusable scratch,
-    /// recording the traffic against `home`: `len` sequential reads
-    /// plus `len` random writes, which is why commandment C1 wants runs
-    /// sorted in *local* RAM. The in-place sort of every execution
-    /// path (P-MPSM's private partitions, the run-set builds);
-    /// [`ExecContext::sorted_run`] sorts a chunk into a new run.
+    /// Sort a range-partitioned run in place through worker `w`'s
+    /// reusable scratch. The bucket-major scatter
+    /// ([`crate::partition::range_partition_ctx`]) left fine bucket
+    /// `first + i` of `domain` at `part[bounds[i]..bounds[i + 1]]`, so
+    /// [`crate::sort::sort_bucket_major`] only finishes each bucket
+    /// while it is cache-resident and the scratch grows to the widest
+    /// bucket, not the partition. Books what [`ExecContext::sort_run`]
+    /// does against the partition's home: `len` sequential reads plus
+    /// `len` random writes, which is why commandment C1 wants runs
+    /// sorted in *local* RAM. Phase 3 of every range-partitioned run
+    /// set (P-MPSM's private side, run-cache misses, the compactor's
+    /// re-warm).
+    pub fn sort_partition(
+        &self,
+        worker: usize,
+        part: &mut NumaBuf<Tuple>,
+        bounds: &[usize],
+        first: usize,
+        domain: &RadixDomain,
+        scope: &mut CounterScope,
+    ) {
+        let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
+        scope.touch(part.home(), true, part.len() as u64);
+        scope.touch(part.home(), false, part.len() as u64);
+        crate::sort::sort_bucket_major(part, bounds, first, domain.shift(), &mut scratch);
+    }
+
+    /// Tuples held by worker `w`'s sort scratch.
+    #[cfg(test)]
+    pub(crate) fn scratch_held(&self, worker: usize) -> usize {
+        self.sort_scratch[worker].lock().expect("sort scratch poisoned").held()
+    }
+
+    /// Sort `run` in place through worker `w`'s reusable scratch, which
+    /// grows to the whole run, recording the traffic against `home` as
+    /// [`ExecContext::sort_partition`] does. No execution path calls
+    /// it any more — phase 1 sorts through [`ExecContext::sorted_run`],
+    /// phase 3 through [`ExecContext::sort_partition`] — it stays for
+    /// the benchmark's whole-run sort probe.
     pub fn sort_run(
         &self,
         worker: usize,
@@ -557,6 +591,33 @@ mod tests {
         assert!(is_key_sorted(&run));
         let c = scope.finish();
         assert_eq!(c.total_accesses(), 10_000, "n reads + n writes recorded");
+    }
+
+    #[test]
+    fn a_private_build_grows_scratch_to_the_widest_fine_bucket_only() {
+        use crate::histogram::{compute_histogram, RadixDomain};
+        use crate::join::runs::build_run_set;
+        use crate::stats::JoinStats;
+
+        let mut state = 77u64;
+        let input: Vec<Tuple> = (0..1u64 << 17)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                Tuple::new(state >> 32, i)
+            })
+            .collect();
+        let cx = ExecContext::flat(2);
+        let mut stats = JoinStats::new(2);
+        let set = build_run_set(&cx, &input, 10, Phase::Two, Phase::Three, &mut stats);
+        let (lo, hi) = crate::tuple::key_range(&input).expect("non-empty");
+        let histogram = compute_histogram(&input, &RadixDomain::from_range(lo, hi, 10));
+        let widest = histogram.into_iter().max().expect("1 024 buckets");
+        for w in 0..2 {
+            let held = cx.scratch_held(w);
+            assert!(held > 0, "worker {w} sorted through its scratch");
+            assert!(held <= widest, "worker {w} holds {held} tuples, widest bucket {widest}");
+            assert!(held * 100 < set.runs()[w].len(), "the scratch is no partition-sized buffer");
+        }
     }
 
     #[test]

@@ -63,6 +63,14 @@ impl RadixDomain {
         self.bits
     }
 
+    /// The `(key - base) >> shift` map behind [`RadixDomain::bucket_of`]:
+    /// its [`RadixShift::child`] of bucket `b` is the shift that sorts
+    /// `b`'s keys, with no scan. At shift 0 every bucket holds a single
+    /// key value.
+    pub fn shift(&self) -> RadixShift {
+        self.shift
+    }
+
     /// Bucket index of `key`.
     #[inline]
     pub fn bucket_of(&self, key: u64) -> usize {
@@ -139,11 +147,6 @@ pub fn prefix_sums(histograms: &[Vec<usize>]) -> Vec<Vec<usize>> {
     ps
 }
 
-/// Total size of each target partition: column sums of the histograms.
-pub fn partition_sizes(histograms: &[Vec<usize>]) -> Vec<usize> {
-    combine_histograms(histograms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +169,7 @@ mod tests {
         let ps = prefix_sums(&[h1.clone(), h2.clone()]);
         assert_eq!(ps[0], vec![0, 0], "W1 scatters from position 0");
         assert_eq!(ps[1], vec![4, 3], "W2 starts after W1's counts (paper: ps2)");
-        assert_eq!(partition_sizes(&[h1, h2]), vec![7, 7]);
+        assert_eq!(combine_histograms(&[h1, h2]), vec![7, 7]);
     }
 
     #[test]

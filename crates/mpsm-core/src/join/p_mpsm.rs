@@ -19,7 +19,9 @@
 //!      prefix-summed, disjoint windows — branch-free, comparison-free,
 //!      synchronization-free (Figure 6);
 //! 3. **Phase 3** — the same build sorts every private partition `R_i`
-//!    on its worker's node;
+//!    on its worker's node. The scatter laid `R_i` out by fine
+//!    histogram bucket, so this is each bucket sorted in place while it
+//!    is cache-resident;
 //! 4. **Phase 4** — [`merge_sides`]: every worker merge-joins its `R_i`
 //!    with all `S_j`, entering each `S_j` at an interpolation-searched
 //!    start point (Figure 7) and leaving when `R_i` is exhausted — so it

@@ -12,8 +12,10 @@
 //! * **Range-partitioned** — [`build_run_set`] (and
 //!   [`build_run_set_with`]) bound each run to a disjoint slice of the
 //!   key domain: splitters from the relation's radix histogram, the
-//!   write-combining scatter of P-MPSM phase 2.3 placing run `i` on
-//!   worker `i`'s node, and a local sort of each partition. With the
+//!   scatter of P-MPSM phase 2.3 placing run `i` on worker `i`'s node
+//!   and laying it out bucket-major over the histogram's `2^B` fine
+//!   buckets — the sort's top radix level — and a local sort of each
+//!   fine bucket in place while it is cache-resident. With the
 //!   relation's own equi-height splitters the result depends only on the
 //!   relation's bytes, the worker count and the radix width — not on the
 //!   other join input — which is what makes it shareable across queries.
@@ -34,10 +36,10 @@ use mpsm_numa::NumaBuf;
 
 use crate::cdf::{equi_height_bounds, Cdf};
 use crate::context::ExecContext;
-use crate::histogram::{combine_histograms, compute_histogram, RadixDomain};
+use crate::histogram::{combine_histograms, RadixDomain};
 use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::delta::DeltaSide;
-use crate::partition::range_partition_ctx;
+use crate::partition::{local_histograms, range_partition_histogrammed};
 use crate::sink::JoinSink;
 use crate::splitter::{compute_splitters, equi_height_splitters};
 use crate::stats::{JoinStats, Phase};
@@ -163,16 +165,19 @@ pub fn build_run_set(
 }
 
 /// Build a relation's range-partitioned [`RunSet`]: key-domain scan →
-/// radix histogram → splitters → NUMA-placed scatter → local sort
-/// (P-MPSM phases 2.2–3). `public_cdf` picks the splitters: `None` cuts
-/// equi-height by the relation's own histogram, `Some` balances the
-/// §4.3 cost against the public side's distribution.
+/// radix histogram → splitters → NUMA-placed, bucket-major scatter
+/// (which reuses the histogram) → per-bucket local sort
+/// ([`ExecContext::sort_partition`]; P-MPSM phases 2.2–3). The sort is
+/// skipped when every fine bucket holds one key value. `public_cdf`
+/// picks the splitters: `None` cuts equi-height by the relation's own
+/// histogram, `Some` balances the §4.3 cost against the public side's
+/// distribution.
 ///
 /// Phase attribution: scan/histogram/scatter wall time is recorded
 /// under `partition_phase`, the sort under `sort_phase` (a cached public
 /// side records both under `Phase::One`, a private side under
-/// `Phase::Two`/`Phase::Three`, mirroring P-MPSM's numbering).
-/// [`range_partition_ctx`] books its access counters under
+/// `Phase::Two`/`Phase::Three`, mirroring P-MPSM's numbering). The
+/// scatter books its access counters under
 /// `Phase::Two` regardless — the scatter is phase-2 work in the
 /// paper's audit taxonomy no matter which side triggers it.
 pub fn build_run_set_with(
@@ -208,14 +213,8 @@ pub fn build_run_set_with(
         RadixDomain::from_range(0, 0, radix_bits)
     };
 
-    let (hist_out, d_hist) = pool.run_timed(|w| {
-        let mut scope = cx.scope(w);
-        scope.touch_interleaved(true, chunks[w].len() as u64);
-        (compute_histogram(chunks[w], &domain), scope.finish())
-    });
-    let (histograms, c_hist): (Vec<_>, Vec<_>) = hist_out.into_iter().unzip();
+    let (histograms, d_hist) = local_histograms(cx, &chunks, &domain, partition_phase);
     stats.record_phase(partition_phase, &d_hist);
-    cx.record(partition_phase, c_hist);
     let histogram = combine_histograms(&histograms);
     let splitters = match public_cdf {
         Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
@@ -223,16 +222,29 @@ pub fn build_run_set_with(
     };
 
     let scatter_start = std::time::Instant::now();
-    let partitions = range_partition_ctx(cx, &chunks, &domain, &splitters);
+    let partitions = range_partition_histogrammed(cx, &chunks, &domain, &splitters, &histograms);
     stats.record_phase(partition_phase, &vec![scatter_start.elapsed(); t]);
 
-    // Local sort of each partition on its home node.
+    // The scatter wrote every partition's top radix level. When each
+    // fine bucket holds a single key value (domain shift 0, or one key
+    // overall) the partitions are already sorted.
+    if min >= max || domain.shift().shift == 0 {
+        return RunSet::new(partitions);
+    }
+    // Local sort of each partition on its home node, one fine bucket
+    // at a time.
     let slots = OwnedSlots::new(partitions);
     let (sorted, d_sort) = pool.run_timed(|w| {
         let mut scope = cx.scope(w);
         let mut part = slots.take(w);
-        let home = part.home();
-        cx.sort_run(w, &mut part, home, &mut scope);
+        let buckets = splitters.bucket_range(w);
+        let bounds: Vec<usize> = std::iter::once(0)
+            .chain(histogram[buckets.clone()].iter().scan(0, |end, &n| {
+                *end += n;
+                Some(*end)
+            }))
+            .collect();
+        cx.sort_partition(w, &mut part, &bounds, buckets.start, &domain, &mut scope);
         (part, scope.finish())
     });
     let (runs, c_sort): (Vec<_>, Vec<_>) = sorted.into_iter().unzip();
@@ -259,6 +271,7 @@ pub fn merge_run_sets_in<S: JoinSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::compute_histogram;
     use crate::sink::{CollectSink, CountSink};
     use crate::tuple::is_key_sorted;
 
@@ -466,6 +479,80 @@ mod tests {
         let head = build_run_set(&cx, &r[..200], 10, Phase::Two, Phase::Three, &mut stats);
         let expected = nested_loop_count(&r[..200], &s);
         assert_eq!(merge::<CountSink>(&cx, &head, &public, &mut stats), expected);
+    }
+
+    /// Every run of `set` must be what `three_phase_sort` makes of the
+    /// same partition: the tuples whose fine bucket of `tuples`' own
+    /// 10-bit domain the splitters from `cdf` (or, without one, the
+    /// equi-height ones) assign to it.
+    fn assert_runs_match_the_reference_sort(set: &RunSet, tuples: &[Tuple], cdf: Option<&Cdf>) {
+        let t = set.parts();
+        let (lo, hi) = key_range(tuples).expect("non-empty");
+        let domain = RadixDomain::from_range(lo, hi, 10);
+        let histogram = compute_histogram(tuples, &domain);
+        let splitters = match cdf {
+            Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
+            None => equi_height_splitters(&histogram, t),
+        };
+        let pairs = |run: &[Tuple]| {
+            let mut pairs: Vec<(u64, u64)> = run.iter().map(|t| (t.key, t.payload)).collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        for (p, run) in set.runs().iter().enumerate() {
+            let mut reference: Vec<Tuple> = tuples
+                .iter()
+                .filter(|tu| splitters.partition_of_bucket(domain.bucket_of(tu.key)) == p)
+                .copied()
+                .collect();
+            crate::sort::three_phase_sort(&mut reference);
+            let keys = |run: &[Tuple]| run.iter().map(|t| t.key).collect::<Vec<_>>();
+            assert_eq!(keys(run), keys(&reference), "T = {t}: run {p} key order");
+            assert_eq!(pairs(run), pairs(&reference), "T = {t}: run {p} tuples");
+        }
+    }
+
+    #[test]
+    fn runs_match_the_reference_sort_on_edge_domains() {
+        let mut next = lcg(59);
+        let n = 20_000;
+        let below_fine_width: Vec<Tuple> =
+            (0..n).map(|i| Tuple::new(1_000 + next() % 700, i as u64)).collect();
+        let single_key: Vec<Tuple> = (0..n).map(|i| Tuple::new(42, i as u64)).collect();
+        let near_max: Vec<Tuple> =
+            (0..n).map(|i| Tuple::new(u64::MAX - next() % 5_000, i as u64)).collect();
+        // Half the tuples on three keys of one fine bucket, the rest
+        // uniform over 2^32.
+        let one_heavy_bucket: Vec<Tuple> = (0..n)
+            .map(|i| {
+                let key = if i % 2 == 0 { 0x1234_5678 + (i as u64 % 3) } else { next() };
+                Tuple::new(key, i as u64)
+            })
+            .collect();
+        // About 98 tuples per fine bucket: every bucket scatters once
+        // more before its networks.
+        let wide = random(100_000, 1 << 32, 61);
+        let (skewed_r, skewed_s) = skewed_negative_correlation(n, 2);
+        for threads in [1, 2, 3, 5] {
+            let cx = ExecContext::flat(threads);
+            let mut stats = JoinStats::new(threads);
+            for tuples in [&below_fine_width, &single_key, &near_max, &one_heavy_bucket, &wide] {
+                let set = build_run_set(&cx, tuples, 10, Phase::Two, Phase::Three, &mut stats);
+                assert_runs_match_the_reference_sort(&set, tuples, None);
+            }
+            let public = chunked_run_set(&cx, &skewed_s, Phase::One, &mut stats);
+            let cdf = run_set_cdf(&cx, &public, 4 * threads, &mut stats);
+            let set = build_run_set_with(
+                &cx,
+                &skewed_r,
+                10,
+                Some(&cdf),
+                Phase::Two,
+                Phase::Three,
+                &mut stats,
+            );
+            assert_runs_match_the_reference_sort(&set, &skewed_r, Some(&cdf));
+        }
     }
 
     #[test]

@@ -34,6 +34,11 @@
 //!   level straight from a read-only input into the destination run and
 //!   descends each top bucket in place there, so building a sorted copy
 //!   costs no copy pass and only a top-bucket-sized scratch.
+//! * **Sort from the scatter.** The private side's range-partition
+//!   scatter already lays each partition out bucket-major over its fine
+//!   histogram buckets, so [`sort_bucket_major`] skips the scan, the
+//!   histogram and the top scatter and only descends each fine bucket
+//!   in place, through a scratch as wide as the widest bucket.
 //! * **Per-bucket finishing.** The finisher runs per radix
 //!   bucket, immediately after that bucket lands, while the bucket
 //!   (≤ 1 KiB) is still cache-hot — instead of one global pass that
@@ -76,14 +81,14 @@ pub const NETWORK_BLOCK: usize = 64;
 
 /// The ping-pong buffer of the out-of-place radix descent: grows to the
 /// largest span sorted through it and stays, so a caller that keeps one
-/// scratch alive pays for it once. That span is the whole run for the
-/// in-place [`three_phase_sort_with`] (`ExecContext::sort_run`, the
-/// private side's partitions), but only the largest top-level bucket —
-/// about `n / 256` on uniform keys — for [`three_phase_sort_into`]
-/// (`ExecContext::sorted_run`, every phase-1 run). `ExecContext` keeps
-/// one per worker, but `per_query` / `pinned_to` contexts are built
-/// with fresh scratch, so every scheduled query that sorts re-allocates
-/// and first-touches its own (ROADMAP item 9).
+/// scratch alive pays for it once. That span is the largest top-level
+/// bucket — about `n / 256` on uniform keys — for
+/// [`three_phase_sort_into`] (`ExecContext::sorted_run`, every phase-1
+/// run), and the widest fine bucket for [`sort_bucket_major`]
+/// (`ExecContext::sort_partition`, every range-partitioned run). Only
+/// the in-place [`three_phase_sort_with`] grows it to the whole run.
+/// `ExecContext` keeps one per worker; `per_query` / `pinned_to`
+/// contexts are built with fresh scratch of their own.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     aux: Vec<Tuple>,
@@ -93,6 +98,12 @@ impl SortScratch {
     /// Empty scratch; the buffer grows on first use and is then reused.
     pub fn new() -> Self {
         SortScratch::default()
+    }
+
+    /// Tuples the buffer holds.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.aux.len()
     }
 
     /// The first `len` slots, growing the buffer to `len` if it is
@@ -135,9 +146,9 @@ pub fn three_phase_sort(tuples: &mut [Tuple]) {
 }
 
 /// [`three_phase_sort`] in place with caller scratch, which grows to
-/// the whole run — the executor's in-place entry point
-/// (`ExecContext::sort_run` threads its per-worker [`SortScratch`]
-/// through here).
+/// the whole run (`ExecContext::sort_run`, which only the benchmark's
+/// sort probe calls, threads its per-worker [`SortScratch`] through
+/// here).
 pub fn three_phase_sort_with(tuples: &mut [Tuple], scratch: &mut SortScratch) {
     if tuples.len() <= INSERTION_CUTOFF {
         insertion::insertion_sort(tuples);
@@ -177,13 +188,39 @@ pub fn three_phase_sort_into(src: &[Tuple], dst: &mut [Tuple], scratch: &mut Sor
         dst.copy_from_slice(src); // one key: any order is sorted
         return;
     };
-    if shift.shift != 0 {
-        let widest = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        descend_resident(dst, scratch.head(widest), &bounds, shift);
-    }
+    sort_bucket_major(dst, &bounds, 0, shift, scratch);
 }
 
-/// The prologue both entry points share: the sort's one key-range scan
+/// Finish a span that a radix scatter on `shift` already laid out
+/// bucket-major: bucket `first + i` occupies
+/// `data[bounds[i]..bounds[i + 1]]`, and each bucket is sorted in place
+/// while it is cache-resident, its child shift derived arithmetically
+/// from its global index ([`radix::RadixShift::child`]) — no key-range
+/// scan, no histogram, no top-level scatter. `scratch` grows only to the widest
+/// bucket. At shift 0 every bucket holds one key value and there is
+/// nothing to do. The private side's partitions come out of the
+/// bucket-major scatter ([`crate::partition`]) in exactly this shape,
+/// with `shift` the [`crate::histogram::RadixDomain::shift`] of the
+/// partitioning domain; [`three_phase_sort_into`] finishes its own top
+/// scatter here.
+///
+/// # Panics
+/// Panics if `bounds` does not end inside `data`.
+pub fn sort_bucket_major(
+    data: &mut [Tuple],
+    bounds: &[usize],
+    first: usize,
+    shift: radix::RadixShift,
+    scratch: &mut SortScratch,
+) {
+    if shift.shift == 0 {
+        return;
+    }
+    let widest = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    descend_resident(data, scratch.head(widest), bounds, first, shift);
+}
+
+/// The prologue both whole-run entry points share: the sort's one key-range scan
 /// (the descent derives every child shift arithmetically,
 /// [`radix::RadixShift::child`]), the top-level shift, and the top
 /// radix scatter of `src` into the equal-length `dst`. `None`, with
@@ -259,23 +296,26 @@ fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], shift: radix::RadixShift) {
         spill_children(src, dst, &bounds, tight);
         return;
     }
-    descend_resident(dst, src, &bounds, shift);
+    descend_resident(dst, src, &bounds, 0, shift);
 }
 
 /// Sort every bucket of a scatter that landed in `data` in place, each
 /// through the head of `aux`, which must be at least as long as the
-/// widest bucket. A bucket of fewer than two tuples is already in
-/// place; see the overflow note on [`spill_children`].
+/// widest bucket; `bounds[i]` starts bucket `first + i` of `shift`. A
+/// bucket of fewer than two tuples is already in place; see the
+/// overflow note on [`spill_children`].
 fn descend_resident(
     data: &mut [Tuple],
     aux: &mut [Tuple],
     bounds: &[usize],
+    first: usize,
     shift: radix::RadixShift,
 ) {
-    for (b, w) in bounds.windows(2).enumerate() {
+    for (i, w) in bounds.windows(2).enumerate() {
         let len = w[1] - w[0];
         if len >= 2 {
-            sort_resident(&mut data[w[0]..w[1]], &mut aux[..len], shift.child(b, RADIX_BITS));
+            let child = shift.child(first + i, RADIX_BITS);
+            sort_resident(&mut data[w[0]..w[1]], &mut aux[..len], child);
         }
     }
 }
@@ -312,8 +352,8 @@ fn sort_resident(data: &mut [Tuple], aux: &mut [Tuple], shift: radix::RadixShift
 /// introsort per bucket, then a single **global** insertion pass that
 /// re-streams the whole array. Retained as the reference oracle of the
 /// equivalence tests (`tests/sort_kernels.rs`); every join path sorts
-/// through `ExecContext::sort_run` or `ExecContext::sorted_run`, i.e.
-/// [`three_phase_sort_with`] or [`three_phase_sort_into`].
+/// through `ExecContext::sorted_run` or `ExecContext::sort_partition`,
+/// i.e. [`three_phase_sort_into`] or [`sort_bucket_major`].
 pub fn three_phase_sort_naive(tuples: &mut [Tuple]) {
     if tuples.len() < 2 {
         return;

@@ -190,9 +190,9 @@ proptest! {
             .map(|buf| buf.into_inner())
             .collect();
         let naive = range_partition_naive(&chunks, &domain, &splitters);
-        // Tuple-for-tuple identical: same partitions, worker
-        // sub-partitions in worker order, chunk order within each —
-        // the Figure 6 layout guarantee.
+        // Tuple-for-tuple identical: same partitions, fine buckets in
+        // bucket order, each in worker order and chunk order within a
+        // worker — the bucket-major layout guarantee.
         prop_assert_eq!(optimized, naive);
     }
 
