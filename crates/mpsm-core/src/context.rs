@@ -49,16 +49,25 @@
 //!   sums) is not counted — the paper calls it "almost free" and it
 //!   touches `O(f·T²)` values, not tuples.
 //!
-//! One context should serve one join (or one scheduled query): derive
-//! fresh contexts with [`ExecContext::per_query`] /
-//! [`ExecContext::pinned_to`] instead of reusing one across queries,
-//! so audits and arena statistics stay attributable. A context that
-//! does run join after join — a benchmark loop, a figure binary — keeps
-//! the run buffers each finished join hands back
-//! (`ExecContext::reclaim`) and serves the next join's runs and
-//! partitions from them, so a warm join page-faults no fresh memory.
+//! ## Machine and query state
+//!
+//! A context is two halves. The **machine** half — the worker pool,
+//! each worker's [`SortScratch`] and the spare run buffers — sits
+//! behind one `Arc` that every context derived with
+//! [`ExecContext::per_query`] / [`ExecContext::pinned_to`] shares. The
+//! **query** half — placement, allocation policy, arena and phase
+//! counters — is fresh per derived context, so audits and arena
+//! statistics stay attributable to one join (or one scheduled query).
+//!
+//! A [`RunSet`](crate::join::runs::RunSet) a context builds hands its
+//! buffers back to the machine's spares when its last reference drops —
+//! a finished join, an evicted or invalidated cache entry, an uncached
+//! side — and [`ExecContext::alloc`] serves later runs and partitions
+//! from them, so a warm build page-faults no fresh memory. The sort
+//! scratch is uncontended: the pool's turnstile gives one phase the
+//! whole pool, and worker `w` alone locks scratch `w`.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mpsm_numa::{AccessCounters, CounterScope, NodeId, NumaArena, NumaBuf, Topology};
 
@@ -84,7 +93,7 @@ pub enum AllocPolicy {
 }
 
 /// The unified execution context. See the module docs for the model;
-/// construction is cheap (the expensive part, the worker pool, can be
+/// construction is cheap (the expensive part, the machine state, is
 /// shared between contexts via [`ExecContext::per_query`]).
 ///
 /// ```
@@ -109,15 +118,76 @@ pub enum AllocPolicy {
 /// ```
 #[derive(Debug)]
 pub struct ExecContext {
+    machine: Arc<Machine>,
     placement: WorkerPlacement,
-    pool: SharedWorkerPool,
     arena: NumaArena,
     policy: AllocPolicy,
     phase_counters: Mutex<[AccessCounters; 4]>,
+}
+
+/// The state every context derived from one base shares.
+#[derive(Debug)]
+struct Machine {
+    pool: SharedWorkerPool,
     sort_scratch: Vec<Mutex<SortScratch>>,
-    /// Run buffers finished joins handed back, each on its home node:
-    /// at most one join's worth (`2·T`).
-    spares: Mutex<Vec<NumaBuf<Tuple>>>,
+    spares: Arc<SpareRuns>,
+}
+
+/// Run buffers dead run sets handed back, each on its home node: at
+/// most one join's worth (`2·T`).
+#[derive(Debug)]
+pub(crate) struct SpareRuns {
+    cap: usize,
+    buffers: Mutex<Vec<NumaBuf<Tuple>>>,
+}
+
+impl SpareRuns {
+    /// The list, recovered if a panicking holder poisoned it: every
+    /// update leaves a valid list of buffers, and [`RunSet`]'s `Drop`
+    /// must not panic.
+    ///
+    /// [`RunSet`]: crate::join::runs::RunSet
+    fn lock(&self) -> MutexGuard<'_, Vec<NumaBuf<Tuple>>> {
+        self.buffers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The best-fitting spare on `home` — the smallest whose capacity
+    /// holds `len`. When none does, the node's spares are all smaller
+    /// than what it now asks for (a relation that grows on every fold
+    /// asks for more each time) and are freed rather than kept dead.
+    fn take(&self, home: NodeId, len: usize) -> Option<NumaBuf<Tuple>> {
+        if len == 0 {
+            return None; // an empty buffer owns no memory worth keeping
+        }
+        let mut spares = self.lock();
+        let best = (0..spares.len())
+            .filter(|&i| spares[i].home() == home && spares[i].capacity() >= len)
+            .min_by_key(|&i| spares[i].capacity());
+        if let Some(best) = best {
+            return Some(spares.swap_remove(best));
+        }
+        let (freed, kept): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut *spares).into_iter().partition(|buf| buf.home() == home);
+        *spares = kept;
+        drop(spares);
+        drop(freed); // outside the lock
+        None
+    }
+
+    /// Keep `buffers`, whose tuples are dead, as spares; past the cap
+    /// the smallest are freed.
+    pub(crate) fn put(&self, buffers: Vec<NumaBuf<Tuple>>) {
+        let _freed = {
+            let mut spares = self.lock();
+            spares.extend(buffers.into_iter().filter(|buf| buf.capacity() > 0));
+            if spares.len() > self.cap {
+                spares.sort_unstable_by_key(|buf| std::cmp::Reverse(buf.capacity()));
+                spares.split_off(self.cap)
+            } else {
+                Vec::new()
+            }
+        };
+    }
 }
 
 impl ExecContext {
@@ -158,16 +228,22 @@ impl ExecContext {
     /// count.
     pub fn with_placement(placement: WorkerPlacement, pool: SharedWorkerPool) -> Self {
         assert_eq!(placement.threads(), pool.threads(), "one placed core per pool worker");
-        let arena = NumaArena::new(placement.topology().clone());
-        let sort_scratch = (0..pool.threads()).map(|_| Mutex::new(SortScratch::new())).collect();
-        ExecContext {
-            placement,
+        let threads = pool.threads();
+        let machine = Machine {
             pool,
-            arena,
-            policy: AllocPolicy::WorkerLocal,
+            sort_scratch: (0..threads).map(|_| Mutex::new(SortScratch::new())).collect(),
+            spares: Arc::new(SpareRuns { cap: 2 * threads, buffers: Mutex::default() }),
+        };
+        Self::on_machine(Arc::new(machine), placement, AllocPolicy::WorkerLocal)
+    }
+
+    fn on_machine(machine: Arc<Machine>, placement: WorkerPlacement, policy: AllocPolicy) -> Self {
+        ExecContext {
+            arena: NumaArena::new(placement.topology().clone()),
+            machine,
+            placement,
+            policy,
             phase_counters: Mutex::new(Default::default()),
-            sort_scratch,
-            spares: Mutex::default(),
         }
     }
 
@@ -181,52 +257,31 @@ impl ExecContext {
     }
 
     /// Derive a context for one query (or one background owner such as
-    /// the compactor): same workers and placement, fresh counters,
-    /// arena and spare buffers so the audit is attributable to this
-    /// query alone.
+    /// the compactor): the same machine — workers, sort scratch and
+    /// spare run buffers — and placement, with fresh counters and a
+    /// fresh arena, so the audit and the fresh-allocation volume are
+    /// attributable to this query alone.
     pub fn per_query(&self) -> ExecContext {
-        ExecContext {
-            placement: self.placement.clone(),
-            pool: self.pool.clone(),
-            arena: NumaArena::new(self.topology().clone()),
-            policy: self.policy,
-            phase_counters: Mutex::new(Default::default()),
-            // Fresh per-worker scratch: queries derived from one base
-            // context run concurrently on the shared pool, and sharing
-            // scratch would serialize their sort phases on its locks.
-            sort_scratch: (0..self.pool.threads())
-                .map(|_| Mutex::new(SortScratch::new()))
-                .collect(),
-            spares: Mutex::default(),
-        }
+        Self::on_machine(Arc::clone(&self.machine), self.placement.clone(), self.policy)
     }
 
     /// Derive a context whose workers (and allocations) all sit on one
     /// `node` — the NUMA-affine query placement of the scheduler: a
     /// query pinned to one socket keeps its runs, partitions, and
     /// phases node-local while other queries use the other sockets.
+    /// Like [`ExecContext::per_query`] it shares the machine and starts
+    /// fresh counters and arena; it takes only spares homed on `node`.
     ///
     /// # Panics
     /// Panics if `node` is outside the topology.
     pub fn pinned_to(&self, node: NodeId) -> ExecContext {
-        let placement =
-            WorkerPlacement::on_node(self.topology().clone(), node, self.pool.threads());
-        ExecContext {
-            placement,
-            pool: self.pool.clone(),
-            arena: NumaArena::new(self.topology().clone()),
-            policy: self.policy,
-            phase_counters: Mutex::new(Default::default()),
-            sort_scratch: (0..self.pool.threads())
-                .map(|_| Mutex::new(SortScratch::new()))
-                .collect(),
-            spares: Mutex::default(),
-        }
+        let placement = WorkerPlacement::on_node(self.topology().clone(), node, self.threads());
+        Self::on_machine(Arc::clone(&self.machine), placement, self.policy)
     }
 
     /// Number of pool workers (the `T` of a join run in this context).
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.machine.pool.threads()
     }
 
     /// The simulated machine.
@@ -241,11 +296,13 @@ impl ExecContext {
 
     /// The shared pool executing every parallel section.
     pub fn pool(&self) -> &SharedWorkerPool {
-        &self.pool
+        &self.machine.pool
     }
 
-    /// The arena all run/partition storage is drawn from (per-node
-    /// allocation statistics).
+    /// The arena this context's fresh run/partition storage is drawn
+    /// from: per-node volume handed out since the context was made.
+    /// Buffers [`ExecContext::alloc`] reuses from the machine's spares
+    /// are not counted.
     pub fn arena(&self) -> &NumaArena {
         &self.arena
     }
@@ -275,14 +332,14 @@ impl ExecContext {
 
     /// A buffer of `len` tuples homed per policy for worker `w`, every
     /// slot of which the caller overwrites (its contents are
-    /// unspecified). The best-fitting spare on that node
-    /// (`ExecContext::reclaim`) — the smallest whose capacity holds
-    /// `len`, which the arena does not count again — or else a fresh
-    /// buffer from the arena. The one allocation path of runs and
-    /// partitions.
+    /// unspecified). The best-fitting spare of the machine on that node
+    /// — the smallest whose capacity holds `len`, which the arena does
+    /// not count again — or else a fresh buffer from the arena, after
+    /// freeing that node's spares (none of which fits). The one
+    /// allocation path of runs and partitions.
     pub fn alloc(&self, worker: usize, len: usize) -> NumaBuf<Tuple> {
         let home = self.home_of(worker);
-        match self.take_spare(home, len) {
+        match self.machine.spares.take(home, len) {
             Some(mut buf) => {
                 buf.vec_mut().resize(len, Tuple::default());
                 buf
@@ -291,29 +348,18 @@ impl ExecContext {
         }
     }
 
-    fn take_spare(&self, home: NodeId, len: usize) -> Option<NumaBuf<Tuple>> {
-        if len == 0 {
-            return None; // an empty buffer owns no memory worth keeping
-        }
-        let mut spares = self.spares.lock().expect("spare buffers poisoned");
-        let best = (0..spares.len())
-            .filter(|&i| spares[i].home() == home && spares[i].capacity() >= len)
-            .min_by_key(|&i| spares[i].capacity())?;
-        Some(spares.swap_remove(best))
+    /// The machine's spare list, where the run sets this context builds
+    /// hand their buffers back on drop.
+    pub(crate) fn spares(&self) -> &Arc<SpareRuns> {
+        &self.machine.spares
     }
 
-    /// Keep the run buffers of a finished join — both run sets, whose
-    /// tuples are dead — as spares for [`ExecContext::alloc`]. The
-    /// spares hold at most one join's buffers, `2·T`: past that the
-    /// smallest are freed.
-    pub(crate) fn reclaim(&self, buffers: impl IntoIterator<Item = NumaBuf<Tuple>>) {
-        let cap = 2 * self.threads();
-        let mut spares = self.spares.lock().expect("spare buffers poisoned");
-        spares.extend(buffers);
-        if spares.len() > cap {
-            spares.sort_unstable_by_key(|buf| std::cmp::Reverse(buf.capacity()));
-            spares.truncate(cap);
-        }
+    /// The spare run buffers the machine holds, as `(home, capacity)`
+    /// pairs: at most `2·T`, reused by the next [`ExecContext::alloc`]
+    /// on their node.
+    pub fn spare_buffers(&self) -> Vec<(NodeId, usize)> {
+        let spares = self.machine.spares.lock();
+        spares.iter().map(|buf| (buf.home(), buf.capacity())).collect()
     }
 
     /// Adopt `data` as worker `w`'s run, homed per policy.
@@ -342,7 +388,7 @@ impl ExecContext {
         scope.touch(home, true, n);
         scope.touch(home, true, n);
         scope.touch(home, false, n);
-        let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
+        let mut scratch = self.machine.sort_scratch[worker].lock().expect("sort scratch poisoned");
         crate::sort::three_phase_sort_into(chunk, &mut run, &mut scratch);
         run
     }
@@ -383,7 +429,7 @@ impl ExecContext {
         domain: &RadixDomain,
         scope: &mut CounterScope,
     ) {
-        let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
+        let mut scratch = self.machine.sort_scratch[worker].lock().expect("sort scratch poisoned");
         scope.touch(part.home(), true, part.len() as u64);
         scope.touch(part.home(), false, part.len() as u64);
         crate::sort::sort_bucket_major(part, bounds, first, domain.shift(), &mut scratch);
@@ -392,7 +438,7 @@ impl ExecContext {
     /// Tuples held by worker `w`'s sort scratch.
     #[cfg(test)]
     pub(crate) fn scratch_held(&self, worker: usize) -> usize {
-        self.sort_scratch[worker].lock().expect("sort scratch poisoned").held()
+        self.machine.sort_scratch[worker].lock().expect("sort scratch poisoned").held()
     }
 
     /// Sort `run` in place through worker `w`'s reusable scratch, which
@@ -408,7 +454,7 @@ impl ExecContext {
         home: NodeId,
         scope: &mut CounterScope,
     ) {
-        let mut scratch = self.sort_scratch[worker].lock().expect("sort scratch poisoned");
+        let mut scratch = self.machine.sort_scratch[worker].lock().expect("sort scratch poisoned");
         scope.touch(home, true, run.len() as u64);
         scope.touch(home, false, run.len() as u64);
         crate::sort::three_phase_sort_with(run, &mut scratch);
@@ -449,6 +495,7 @@ impl ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::runs::RunSet;
     use mpsm_numa::AccessKind;
 
     #[test]
@@ -499,11 +546,17 @@ mod tests {
         assert_eq!(pinned.adopt(2, vec![Tuple::new(1, 1)]).home(), NodeId(1));
     }
 
+    /// Hand `buffers` back to `cx`'s machine the way a dropped run set
+    /// does.
+    fn give_back(cx: &ExecContext, buffers: Vec<NumaBuf<Tuple>>) {
+        drop(RunSet::built_in(cx, buffers));
+    }
+
     #[test]
     fn alloc_takes_the_best_fitting_spare_on_its_own_node() {
         let tuple = std::mem::size_of::<Tuple>() as u64;
         let cx = ExecContext::new(Topology::paper_machine(), 2); // worker w on node w
-        cx.reclaim([cx.alloc(0, 100), cx.alloc(0, 300), cx.alloc(1, 200)]);
+        give_back(&cx, vec![cx.alloc(0, 100), cx.alloc(0, 300), cx.alloc(1, 200)]);
         let fresh = cx.arena().total_bytes();
         // Node 1's spare is no candidate for worker 0, and 100 slots do
         // not hold 200.
@@ -518,8 +571,24 @@ mod tests {
         assert_eq!(cx.arena().total_bytes(), fresh + 10 * tuple, "reuse is not counted again");
         // 2·T = 4 spares at most: the 5-slot one is freed, so the
         // best fit for 5 is now the 10-slot one.
-        cx.reclaim([a, b, c, d, cx.alloc(0, 5)]);
+        give_back(&cx, vec![a, b, c, d, cx.alloc(0, 5)]);
+        assert_eq!(cx.spare_buffers().len(), 4);
         assert_eq!(cx.alloc(0, 5).capacity(), 10);
+    }
+
+    #[test]
+    fn an_alloc_no_spare_fits_frees_its_nodes_smaller_spares() {
+        let cx = ExecContext::new(Topology::paper_machine(), 2); // worker w on node w
+        give_back(&cx, vec![cx.alloc(0, 100), cx.alloc(0, 300), cx.alloc(1, 200)]);
+        let fresh = cx.arena().total_bytes();
+        let big = cx.alloc(0, 400);
+        assert_eq!(cx.arena().total_bytes(), fresh + 400 * std::mem::size_of::<Tuple>() as u64);
+        assert_eq!(cx.spare_buffers(), vec![(NodeId(1), 200)], "node 1's spare is kept");
+        // Zero-length requests neither take nor free a spare, and an
+        // empty buffer is never kept.
+        give_back(&cx, vec![big, cx.alloc(0, 0)]);
+        assert_eq!(cx.alloc(0, 0).capacity(), 0);
+        assert_eq!(cx.spare_buffers(), vec![(NodeId(1), 200), (NodeId(0), 400)]);
     }
 
     #[test]
@@ -559,16 +628,17 @@ mod tests {
     }
 
     #[test]
-    fn derived_contexts_sort_with_their_own_scratch() {
+    fn derived_contexts_share_the_machines_scratch_and_spares() {
         use crate::tuple::is_key_sorted;
         let base = ExecContext::new(Topology::paper_machine(), 4);
         let input: Vec<Tuple> = (0..6000u64).rev().map(|k| Tuple::new(k * 7 % 4001, k)).collect();
         let mut expected: Vec<(u64, u64)> = input.iter().map(|t| (t.key, t.payload)).collect();
         expected.sort_unstable();
-        // The base context sorts first, so its scratch is grown; the
-        // derived contexts start from empty scratch of their own and
-        // must give the same answer on every worker.
-        for cx in [&base, &base.per_query(), &base.pinned_to(NodeId(2))] {
+        let (per_query, pinned) = (base.per_query(), base.pinned_to(NodeId(2)));
+        // The base context sorts first and grows workers 0 and 3's
+        // scratch; the derived contexts sort through that same scratch
+        // and must give the same answer on every worker.
+        for cx in [&base, &per_query, &pinned] {
             for worker in [0, 3] {
                 let mut run = input.clone();
                 let mut scope = cx.scope(worker);
@@ -577,8 +647,20 @@ mod tests {
                 let mut got: Vec<(u64, u64)> = run.iter().map(|t| (t.key, t.payload)).collect();
                 got.sort_unstable();
                 assert_eq!(got, expected);
+                for other in [&base, &per_query, &pinned] {
+                    assert_eq!(other.scratch_held(worker), cx.scratch_held(worker));
+                }
             }
         }
+        assert!(base.scratch_held(0) > 0 && base.scratch_held(1) == 0);
+        // A buffer one derived context hands back is the next one's
+        // spare: the pinned context reuses it without a fresh byte.
+        give_back(&per_query, vec![per_query.alloc(2, 500)]); // worker 2 sits on node 2
+        assert_eq!(base.spare_buffers(), vec![(NodeId(2), 500)]);
+        let reused = pinned.alloc(0, 500);
+        assert_eq!((reused.home(), reused.capacity()), (NodeId(2), 500));
+        assert_eq!(pinned.arena().total_bytes(), 0, "fresh bytes stay per context");
+        assert!(base.spare_buffers().is_empty());
     }
 
     #[test]

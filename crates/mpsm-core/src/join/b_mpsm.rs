@@ -159,7 +159,6 @@ impl BMpsmJoin {
         let (partials, c3): (Vec<_>, Vec<_>) = phase3.into_iter().unzip();
         stats.record_phase(Phase::Three, &d3);
         cx.record(Phase::Three, c3);
-        cx.reclaim(public.into_runs().into_iter().chain(private.into_runs()));
 
         stats.wall = wall.elapsed();
         (S::combine_all(partials), stats)

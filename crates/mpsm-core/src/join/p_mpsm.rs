@@ -27,9 +27,9 @@
 //!    start point (Figure 7) and leaving when `R_i` is exhausted — so it
 //!    scans only `≈ |S|/T²` of each public run.
 //!
-//! Both run sets then go back to the context
-//! (`ExecContext::reclaim`), whose next join sorts and scatters into
-//! them instead of faulting in fresh memory.
+//! Both run sets then drop, handing their buffers back to the context's
+//! machine, whose next join sorts and scatters into them instead of
+//! faulting in fresh memory.
 //!
 //! Skew in `R`, `S`, or both (even negatively correlated, Figure 16) is
 //! absorbed by the CDF + splitter machinery; location skew needs no
@@ -38,7 +38,7 @@
 use crate::context::ExecContext;
 use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::delta::DeltaSide;
-use crate::join::runs::{build_run_set_with, chunked_run_set, run_set_cdf};
+use crate::join::runs::{build_run_set_with, chunked_run_set, run_set_cdf, BuildHints};
 use crate::join::{JoinAlgorithm, JoinConfig};
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
@@ -114,11 +114,12 @@ impl JoinAlgorithm for PMpsmJoin {
         });
         // Phases 2.2–3: histogram, splitters, scatter into partitions
         // homed on their owning workers' nodes, local sort of each R_i.
+        let hints = BuildHints { public_cdf: cdf.as_ref(), key_range: None };
         let private = build_run_set_with(
             cx,
             r,
             self.config.radix_bits,
-            cdf.as_ref(),
+            hints,
             Phase::Two,
             Phase::Three,
             &mut stats,
@@ -131,8 +132,6 @@ impl JoinAlgorithm for PMpsmJoin {
         // stays overwhelmingly node-local (`tests/numa_context.rs`).
         let (r_side, s_side) = (DeltaSide::base_only(&private), DeltaSide::base_only(&public));
         let out = merge_sides::<S>(cx, r_side, s_side, &AnytimeToken::Never, None, &mut stats);
-        // The runs are dead; the next join on this context reuses them.
-        cx.reclaim(public.into_runs().into_iter().chain(private.into_runs()));
 
         stats.wall = wall.elapsed();
         (out.result, stats)

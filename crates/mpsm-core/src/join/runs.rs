@@ -35,7 +35,7 @@ use std::sync::Arc;
 use mpsm_numa::NumaBuf;
 
 use crate::cdf::{equi_height_bounds, Cdf};
-use crate::context::ExecContext;
+use crate::context::{ExecContext, SpareRuns};
 use crate::histogram::{combine_histograms, RadixDomain};
 use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::delta::DeltaSide;
@@ -51,18 +51,29 @@ use crate::worker::{chunk_ranges, OwnedSlots};
 ///
 /// Runs keep their [`NumaBuf`] homes, so a cached set re-used by a
 /// query pinned elsewhere is read remotely (sequentially — still C2);
-/// nothing is copied out of the arena on either publish or reuse.
-#[derive(Debug, Clone)]
+/// nothing is copied out of the arena on either publish or reuse. A set
+/// built by a context hands its buffers back to that context's machine
+/// when it drops (see [`crate::context`]), so the next build on the
+/// machine reuses them.
+#[derive(Debug)]
 pub struct RunSet {
     runs: Vec<NumaBuf<Tuple>>,
     total: usize,
+    spares: Option<Arc<SpareRuns>>,
 }
 
 impl RunSet {
-    /// Wrap already-sorted runs.
+    /// Wrap already-sorted runs; their buffers are freed on drop.
     pub fn new(runs: Vec<NumaBuf<Tuple>>) -> Self {
         let total = runs.iter().map(|r| r.len()).sum();
-        RunSet { runs, total }
+        RunSet { runs, total, spares: None }
+    }
+
+    /// Wrap runs `cx` built, to go back to its machine's spares on
+    /// drop.
+    pub(crate) fn built_in(cx: &ExecContext, runs: Vec<NumaBuf<Tuple>>) -> Self {
+        let total = runs.iter().map(|r| r.len()).sum();
+        RunSet { runs, total, spares: Some(Arc::clone(cx.spares())) }
     }
 
     /// The runs, each key-sorted: in partition order (ascending disjoint
@@ -70,12 +81,6 @@ impl RunSet {
     /// (overlapping key ranges) for one from [`chunked_run_set`].
     pub fn runs(&self) -> &[NumaBuf<Tuple>] {
         &self.runs
-    }
-
-    /// Unwrap into the runs (for [`ExecContext::reclaim`] once a join
-    /// is done with them).
-    pub(crate) fn into_runs(self) -> Vec<NumaBuf<Tuple>> {
-        self.runs
     }
 
     /// Number of runs (the worker count the set was built with).
@@ -107,6 +112,14 @@ impl RunSet {
     }
 }
 
+impl Drop for RunSet {
+    fn drop(&mut self) {
+        if let Some(spares) = self.spares.take() {
+            spares.put(std::mem::take(&mut self.runs));
+        }
+    }
+}
+
 /// A [`RunSet`] shared between a cache and any number of concurrent
 /// readers.
 pub type SharedRunSet = Arc<RunSet>;
@@ -132,7 +145,7 @@ pub fn chunked_run_set(
     let (runs, counters): (Vec<_>, Vec<_>) = sorted.into_iter().unzip();
     stats.record_phase(phase, &durations);
     cx.record(phase, counters);
-    RunSet::new(runs)
+    RunSet::built_in(cx, runs)
 }
 
 /// The global CDF of a set's key distribution (§4.1, P-MPSM phase 2.1):
@@ -150,9 +163,10 @@ pub fn run_set_cdf(cx: &ExecContext, set: &RunSet, fan: usize, stats: &mut JoinS
 }
 
 /// Build a relation's range-partitioned [`RunSet`] with equi-height
-/// splitters from its own histogram: [`build_run_set_with`] and no CDF.
-/// The partitioning is a pure function of (relation, `T`, `B`) — the
-/// property the run cache's key fingerprints.
+/// splitters from its own histogram: [`build_run_set_with`] with no
+/// hints, so it scans the key range itself. The partitioning is a pure
+/// function of (relation, `T`, `B`) — the property the run cache's key
+/// fingerprints.
 pub fn build_run_set(
     cx: &ExecContext,
     tuples: &[Tuple],
@@ -161,17 +175,31 @@ pub fn build_run_set(
     sort_phase: Phase,
     stats: &mut JoinStats,
 ) -> RunSet {
-    build_run_set_with(cx, tuples, radix_bits, None, partition_phase, sort_phase, stats)
+    let hints = BuildHints::default();
+    build_run_set_with(cx, tuples, radix_bits, hints, partition_phase, sort_phase, stats)
 }
 
-/// Build a relation's range-partitioned [`RunSet`]: key-domain scan →
-/// radix histogram → splitters → NUMA-placed, bucket-major scatter
-/// (which reuses the histogram) → per-bucket local sort
-/// ([`ExecContext::sort_partition`]; P-MPSM phases 2.2–3). The sort is
-/// skipped when every fine bucket holds one key value. `public_cdf`
-/// picks the splitters: `None` cuts equi-height by the relation's own
-/// histogram, `Some` balances the §4.3 cost against the public side's
-/// distribution.
+/// What the caller of [`build_run_set_with`] brings to the cut of the
+/// key domain.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BuildHints<'a> {
+    /// Picks the splitters: `None` cuts equi-height by the relation's
+    /// own histogram, `Some` balances the §4.3 cost against the public
+    /// side's distribution.
+    pub public_cdf: Option<&'a Cdf>,
+    /// The relation's `(min, max)` key, when the caller already knows it
+    /// (a registered relation version keeps it): the build then skips
+    /// its scan pass. `None` scans. The result is the same either way.
+    pub key_range: Option<(u64, u64)>,
+}
+
+/// Build a relation's range-partitioned [`RunSet`]: key-domain scan
+/// (unless `hints` carries the range) → radix histogram → splitters →
+/// NUMA-placed, bucket-major scatter (which reuses the histogram) →
+/// per-bucket local sort ([`ExecContext::sort_partition`]; P-MPSM
+/// phases 2.2–3). The sort is skipped when every fine bucket holds one
+/// key value. `hints.public_cdf` picks the splitters (see
+/// [`BuildHints`]).
 ///
 /// Phase attribution: scan/histogram/scatter wall time is recorded
 /// under `partition_phase`, the sort under `sort_phase` (a cached public
@@ -184,7 +212,7 @@ pub fn build_run_set_with(
     cx: &ExecContext,
     tuples: &[Tuple],
     radix_bits: u32,
-    public_cdf: Option<&Cdf>,
+    hints: BuildHints<'_>,
     partition_phase: Phase,
     sort_phase: Phase,
     stats: &mut JoinStats,
@@ -194,19 +222,25 @@ pub fn build_run_set_with(
     let ranges = chunk_ranges(tuples.len(), t);
     let chunks: Vec<&[Tuple]> = ranges.iter().map(|rng| &tuples[rng.clone()]).collect();
 
-    // Key domain: parallel min/max scan.
-    let (scan_out, d_scan) = pool.run_timed(|w| {
-        let mut scope = cx.scope(w);
-        scope.touch_interleaved(true, chunks[w].len() as u64);
-        (key_range(chunks[w]), scope.finish())
+    debug_assert!(
+        hints.key_range.is_none_or(|range| key_range(tuples) == Some(range)),
+        "a key-range hint must be the relation's own"
+    );
+    let (min, max) = hints.key_range.unwrap_or_else(|| {
+        // Key domain: parallel min/max scan.
+        let (scan_out, d_scan) = pool.run_timed(|w| {
+            let mut scope = cx.scope(w);
+            scope.touch_interleaved(true, chunks[w].len() as u64);
+            (key_range(chunks[w]), scope.finish())
+        });
+        let (key_ranges, c_scan): (Vec<_>, Vec<_>) = scan_out.into_iter().unzip();
+        stats.record_phase(partition_phase, &d_scan);
+        cx.record(partition_phase, c_scan);
+        key_ranges
+            .into_iter()
+            .flatten()
+            .fold((u64::MAX, 0u64), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
     });
-    let (key_ranges, c_scan): (Vec<_>, Vec<_>) = scan_out.into_iter().unzip();
-    stats.record_phase(partition_phase, &d_scan);
-    cx.record(partition_phase, c_scan);
-    let (min, max) = key_ranges
-        .into_iter()
-        .flatten()
-        .fold((u64::MAX, 0u64), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
     let domain = if min <= max {
         RadixDomain::from_range(min, max, radix_bits)
     } else {
@@ -216,7 +250,7 @@ pub fn build_run_set_with(
     let (histograms, d_hist) = local_histograms(cx, &chunks, &domain, partition_phase);
     stats.record_phase(partition_phase, &d_hist);
     let histogram = combine_histograms(&histograms);
-    let splitters = match public_cdf {
+    let splitters = match hints.public_cdf {
         Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
         None => equi_height_splitters(&histogram, t),
     };
@@ -229,7 +263,7 @@ pub fn build_run_set_with(
     // fine bucket holds a single key value (domain shift 0, or one key
     // overall) the partitions are already sorted.
     if min >= max || domain.shift().shift == 0 {
-        return RunSet::new(partitions);
+        return RunSet::built_in(cx, partitions);
     }
     // Local sort of each partition on its home node, one fine bucket
     // at a time.
@@ -251,7 +285,7 @@ pub fn build_run_set_with(
     stats.record_phase(sort_phase, &d_sort);
     cx.record(sort_phase, c_sort);
 
-    RunSet::new(runs)
+    RunSet::built_in(cx, runs)
 }
 
 /// Phase 4 over two plain run sets, run to completion: [`merge_sides`]
@@ -290,6 +324,10 @@ mod tests {
     fn random(n: usize, domain: u64, seed: u64) -> Vec<Tuple> {
         let mut next = lcg(seed);
         (0..n).map(|i| Tuple::new(next() % domain, i as u64)).collect()
+    }
+
+    fn hinted(cdf: &Cdf) -> BuildHints<'_> {
+        BuildHints { public_cdf: Some(cdf), key_range: None }
     }
 
     /// Build one side's runs the way a cache miss does (public side
@@ -462,7 +500,7 @@ mod tests {
         let public = chunked_run_set(&cx, &s, Phase::One, &mut stats);
         let cdf = run_set_cdf(&cx, &public, 4 * t, &mut stats);
         let balanced =
-            build_run_set_with(&cx, &r, 10, Some(&cdf), Phase::Two, Phase::Three, &mut stats);
+            build_run_set_with(&cx, &r, 10, hinted(&cdf), Phase::Two, Phase::Three, &mut stats);
         let equi = build_run_set(&cx, &r, 10, Phase::Two, Phase::Three, &mut stats);
 
         // The partition counts `compute_splitters` implies for R.
@@ -546,7 +584,7 @@ mod tests {
                 &cx,
                 &skewed_r,
                 10,
-                Some(&cdf),
+                hinted(&cdf),
                 Phase::Two,
                 Phase::Three,
                 &mut stats,

@@ -172,7 +172,7 @@ type ScatterKernel = fn(&[Tuple], &mut [&mut [Tuple]], &RadixDomain);
 /// paper's Figure 6 layout.
 ///
 /// Storage for partition `p` comes from [`ExecContext::alloc`] (a
-/// reclaimed spare or the context's arena) homed per its allocation
+/// spare of the context's machine or its arena) homed per its allocation
 /// policy for worker `p` (with the default
 /// [`crate::context::AllocPolicy::WorkerLocal`], partition `p` lives on
 /// the node of the worker that will sort and join it — the paper's

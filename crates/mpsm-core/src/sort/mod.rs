@@ -87,8 +87,8 @@ pub const NETWORK_BLOCK: usize = 64;
 /// run), and the widest fine bucket for [`sort_bucket_major`]
 /// (`ExecContext::sort_partition`, every range-partitioned run). Only
 /// the in-place [`three_phase_sort_with`] grows it to the whole run.
-/// `ExecContext` keeps one per worker; `per_query` / `pinned_to`
-/// contexts are built with fresh scratch of their own.
+/// An `ExecContext`'s machine keeps one per pool worker, shared by the
+/// contexts `per_query` / `pinned_to` derive from it.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     aux: Vec<Tuple>,

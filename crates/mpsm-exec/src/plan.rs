@@ -60,11 +60,12 @@ pub struct PlacementInfo {
     /// flat-scheduler tests need no `unwrap` chains to distinguish
     /// "no placement info" from "nothing to place".
     pub flat: bool,
-    /// Bytes resident in the context's NUMA arena per node at
-    /// plan-assembly time (index = node id) — how much run/partition
-    /// storage the query's world holds on each socket. Empty when the
-    /// execution path did not sample the arena (the pre-PR-8 shape);
-    /// the label then renders exactly as before.
+    /// Fresh run/partition bytes the query's context drew from its NUMA
+    /// arena per node (index = node id), sampled at plan-assembly time:
+    /// lifetime volume, not live memory, and buffers reused from the
+    /// machine's spares are not counted — a warm cache miss reports 0.
+    /// Empty when the execution path did not sample the arena; the
+    /// label then omits the `arena=` field.
     pub arena_bytes: Vec<u64>,
 }
 

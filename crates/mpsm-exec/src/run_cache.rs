@@ -186,22 +186,26 @@ impl RunCache {
     /// Eagerly drop every entry of `relation` older than
     /// `keep_version` (called by `register` on a version bump;
     /// `Building` placeholders are left for their permits to resolve).
+    /// The dropped sets are released after the cache lock: freeing one
+    /// hands its buffers to the spares of the machine that built it.
     pub fn invalidate_relation(&self, relation: u64, keep_version: u64) {
-        let mut inner = self.inner.lock().expect("run cache poisoned");
-        let stale: Vec<RunKey> = inner
-            .map
-            .iter()
-            .filter(|(k, slot)| {
-                k.relation == relation && k.version < keep_version && matches!(slot, Slot::Ready(_))
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        for key in stale {
-            if let Some(Slot::Ready(entry)) = inner.map.remove(&key) {
-                inner.bytes -= entry.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let _victims = {
+            let mut inner = self.inner.lock().expect("run cache poisoned");
+            let stale: Vec<RunKey> = inner
+                .map
+                .iter()
+                .filter(|(k, slot)| {
+                    k.relation == relation
+                        && k.version < keep_version
+                        && matches!(slot, Slot::Ready(_))
+                })
+                .map(|(k, _)| *k)
+                .collect();
+            stale
+                .into_iter()
+                .filter_map(|key| self.remove_ready(&mut inner, key))
+                .collect::<Vec<_>>()
+        };
     }
 
     /// Counter + occupancy snapshot.
@@ -222,13 +226,27 @@ impl RunCache {
         &self.config
     }
 
+    /// Remove `key`'s `Ready` entry, counting an eviction; the caller
+    /// drops the returned runs once the lock is released.
+    fn remove_ready(&self, inner: &mut Inner, key: RunKey) -> Option<SharedRunSet> {
+        let Some(Slot::Ready(entry)) = inner.map.remove(&key) else { return None };
+        inner.bytes -= entry.bytes;
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        Some(entry.runs)
+    }
+
+    /// Publish `runs` under `key`, evicting least-recently-used entries
+    /// until they fit; the victims (or `runs` itself, when it alone
+    /// busts the budget) drop after the lock is released.
     fn publish_inner(&self, key: RunKey, runs: SharedRunSet) {
         let bytes = runs.bytes();
+        let mut victims = Vec::new();
         let mut inner = self.inner.lock().expect("run cache poisoned");
         if bytes > self.config.byte_budget {
             // The set alone busts the budget: drop the placeholder and
             // give up rather than evicting the whole cache for it.
             inner.map.remove(&key);
+            drop(inner);
             return;
         }
         // LRU eviction until the new set fits.
@@ -243,14 +261,13 @@ impl RunCache {
                 .min_by_key(|&(_, used)| used)
                 .map(|(k, _)| k);
             let Some(victim) = victim else { break };
-            if let Some(Slot::Ready(e)) = inner.map.remove(&victim) {
-                inner.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            victims.extend(self.remove_ready(&mut inner, victim));
         }
         inner.bytes += bytes;
         inner.map.insert(key, Slot::Ready(Entry { runs, bytes, last_used: Instant::now() }));
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        drop(inner);
+        drop(victims);
     }
 
     fn abandon(&self, key: RunKey) {

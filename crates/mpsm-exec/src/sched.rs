@@ -644,7 +644,7 @@ impl Scheduler {
             let core = Arc::clone(&self.core);
             // The compactor gets its own derived context so its
             // build/sort audits never leak into per-query placement
-            // reports.
+            // reports; it shares the machine's scratch and spares.
             let cx = self.cx.per_query();
             std::thread::spawn(move || compactor_loop(&ctl, &core, &cx, &*task, &config))
         };
@@ -726,7 +726,8 @@ impl Scheduler {
 
     /// The scheduler's base execution context (topology, placement,
     /// arena). Each admitted query derives its own context from this
-    /// one, so per-query audits do not accumulate here.
+    /// one, so per-query audits do not accumulate here; all of them
+    /// share its machine — pool, sort scratch and spare run buffers.
     pub fn context(&self) -> &ExecContext {
         &self.cx
     }
@@ -864,8 +865,9 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         let queue_wait = job.submitted_at.elapsed();
         core.metrics.queue_wait_micros.fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
 
-        // Derive this query's context: fresh counters, arena and sort
-        // scratch, and — when the machine spans nodes — the whole query
+        // Derive this query's context: fresh counters and arena over
+        // the shared machine (pool, sort scratch, spare run buffers),
+        // and — when the machine spans nodes — the whole query
         // pinned to the least-loaded socket so its runs, partitions,
         // and phases stay node-local (the EXPLAIN `Placement` line
         // reports the node and the audited locality). The node is

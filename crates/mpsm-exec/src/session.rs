@@ -758,6 +758,86 @@ mod tests {
         assert_eq!((uncached_metrics.cache_hits, uncached_metrics.cache_misses), (0, 0));
     }
 
+    /// `n` tuples over scattered keys, so building their runs sorts.
+    fn scattered(name: &str, n: u64, salt: u64) -> Relation {
+        let key = |i: u64| i.wrapping_add(salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        Relation::new(name, (0..n).map(|i| Tuple::new(key(i), i)).collect())
+    }
+
+    #[test]
+    fn a_warm_scheduled_miss_allocates_no_fresh_bytes() {
+        let n = 4096u64;
+        let budget = n as usize * std::mem::size_of::<Tuple>(); // one relation's runs
+        let session = Session::with_compaction(
+            SchedulerConfig::new(2),
+            RunCacheConfig { byte_budget: budget },
+            CompactionConfig::manual(),
+        );
+        let a = session.register(scattered("A", n, 1));
+        let b = session.register(scattered("B", n, 2));
+        let mut fresh = Vec::new();
+        for rel in [&a, &b, &a] {
+            let out = session.query(QuerySpec::join(rel, rel)).expect("query").result;
+            let info = out.plan.run_cache.expect("cached session");
+            use crate::plan::RunCacheOutcome;
+            assert_eq!((info.s, info.r), (RunCacheOutcome::Miss, RunCacheOutcome::Hit));
+            let placement = out.plan.placement.expect("scheduled plans report placement");
+            fresh.push(placement.arena_bytes.iter().sum::<u64>());
+        }
+        assert_eq!(session.run_cache().expect("cached").stats().evictions, 2);
+        // A and B each built fresh, B's publish evicted A into the
+        // machine's spares, and A's rebuild took every buffer from them.
+        assert_eq!(fresh[..2], [budget as u64; 2]);
+        assert_eq!(fresh[2], 0, "the warm miss reuses the evicted runs' buffers");
+        assert_eq!(session.scheduler().context().arena().total_bytes(), 0, "per-query arenas");
+    }
+
+    #[test]
+    fn growing_versions_leave_no_dead_spares() {
+        let threads = 2;
+        let session = Session::with_compaction(
+            SchedulerConfig::new(threads),
+            RunCacheConfig::default(),
+            CompactionConfig::manual(),
+        );
+        let cx = session.scheduler().context();
+        let cache = session.run_cache().expect("cached");
+        let mut previous: Vec<usize> = Vec::new();
+        let mut n = 1000u64;
+        for round in 0..6 {
+            let rel = session.register(scattered("grows", n, round));
+            // The version bump dropped the previous version's runs: they
+            // wait in the spares for the next build.
+            let mut spares: Vec<usize> = cx.spare_buffers().iter().map(|&(_, cap)| cap).collect();
+            spares.sort_unstable();
+            assert_eq!(spares, previous, "round {round}: the old version's buffers are spares");
+
+            let out = session.query(QuerySpec::join(&rel, &rel)).expect("query").result;
+            assert_eq!(out.max_payload_sum, Some(2 * (n - 1)), "round {round}");
+            let key = RunKey {
+                relation: rel.id(),
+                version: rel.version(),
+                fingerprint: splitter_fingerprint(
+                    threads,
+                    JoinConfig::with_threads(threads).radix_bits,
+                ),
+            };
+            let Lookup::Hit(runs) = cache.lookup(key) else { panic!("round {round}: published") };
+            // Each partition was allocated on node 0 in order, so the
+            // node's last request was the last run.
+            let last_request = runs.runs().last().expect("T runs").len();
+            let spares = cx.spare_buffers();
+            assert!(spares.len() <= 2 * threads, "round {round}: {spares:?}");
+            assert!(
+                spares.iter().all(|&(_, cap)| cap >= last_request),
+                "round {round}: {spares:?} holds a buffer smaller than {last_request}"
+            );
+            previous = runs.runs().iter().map(|run| run.capacity()).collect();
+            previous.sort_unstable();
+            n = n * 3 / 2;
+        }
+    }
+
     #[test]
     fn filtered_sides_bypass_the_cache() {
         let session = Session::new(SchedulerConfig::new(2));
