@@ -64,9 +64,9 @@ impl RadixDomain {
     }
 
     /// The `(key - base) >> shift` map behind [`RadixDomain::bucket_of`]:
-    /// its [`RadixShift::child`] of bucket `b` is the shift that sorts
-    /// `b`'s keys, with no scan. At shift 0 every bucket holds a single
-    /// key value.
+    /// its [`Span::of_bucket`](crate::sort::radix::Span::of_bucket) of
+    /// bucket `b` holds `b`'s keys, so the sort needs no scan. At shift
+    /// 0 every bucket holds a single key value.
     pub fn shift(&self) -> RadixShift {
         self.shift
     }

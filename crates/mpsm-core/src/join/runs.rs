@@ -521,12 +521,17 @@ mod tests {
 
     /// Every run of `set` must be what `three_phase_sort` makes of the
     /// same partition: the tuples whose fine bucket of `tuples`' own
-    /// 10-bit domain the splitters from `cdf` (or, without one, the
+    /// `bits`-bit domain the splitters from `cdf` (or, without one, the
     /// equi-height ones) assign to it.
-    fn assert_runs_match_the_reference_sort(set: &RunSet, tuples: &[Tuple], cdf: Option<&Cdf>) {
+    fn assert_runs_match_the_reference_sort(
+        set: &RunSet,
+        tuples: &[Tuple],
+        bits: u32,
+        cdf: Option<&Cdf>,
+    ) {
         let t = set.parts();
         let (lo, hi) = key_range(tuples).expect("non-empty");
-        let domain = RadixDomain::from_range(lo, hi, 10);
+        let domain = RadixDomain::from_range(lo, hi, bits);
         let histogram = compute_histogram(tuples, &domain);
         let splitters = match cdf {
             Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
@@ -568,7 +573,9 @@ mod tests {
             })
             .collect();
         // About 98 tuples per fine bucket: every bucket scatters once
-        // more before its networks.
+        // more before its networks. At 4 radix bits the same tuples
+        // leave fine buckets of about 6 250, which split on the
+        // descent's widest (11-bit) digit.
         let wide = random(100_000, 1 << 32, 61);
         let (skewed_r, skewed_s) = skewed_negative_correlation(n, 2);
         for threads in [1, 2, 3, 5] {
@@ -576,8 +583,10 @@ mod tests {
             let mut stats = JoinStats::new(threads);
             for tuples in [&below_fine_width, &single_key, &near_max, &one_heavy_bucket, &wide] {
                 let set = build_run_set(&cx, tuples, 10, Phase::Two, Phase::Three, &mut stats);
-                assert_runs_match_the_reference_sort(&set, tuples, None);
+                assert_runs_match_the_reference_sort(&set, tuples, 10, None);
             }
+            let set = build_run_set(&cx, &wide, 4, Phase::Two, Phase::Three, &mut stats);
+            assert_runs_match_the_reference_sort(&set, &wide, 4, None);
             let public = chunked_run_set(&cx, &skewed_s, Phase::One, &mut stats);
             let cdf = run_set_cdf(&cx, &public, 4 * threads, &mut stats);
             let set = build_run_set_with(
@@ -589,7 +598,7 @@ mod tests {
                 Phase::Three,
                 &mut stats,
             );
-            assert_runs_match_the_reference_sort(&set, &skewed_r, Some(&cdf));
+            assert_runs_match_the_reference_sort(&set, &skewed_r, 10, Some(&cdf));
         }
     }
 

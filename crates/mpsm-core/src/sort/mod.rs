@@ -17,19 +17,26 @@
 //! Cache-conscious refinements over the paper's literal recipe:
 //!
 //! * **Recursive radix pass.** A bucket larger than [`NETWORK_BLOCK`]
-//!   recurses the radix pass (with the child shift derived
-//!   arithmetically by [`radix::RadixShift::child`] — no re-scan)
-//!   instead of going to a comparison sort: one O(n) counting pass +
-//!   scatter replaces `RADIX_BITS` quicksort levels of branchy
-//!   comparisons. The descent ends on its own: every level above the
-//!   block at a non-zero shift consumes `RADIX_BITS` key bits, a shift
-//!   of 0 leaves single-key buckets, a pass that collapses into one
-//!   bucket re-tightens its shift, and a single-key bucket returns. It
-//!   scatters out of place into a per-worker ping-pong buffer
-//!   (sequential reads, independent write streams) rather than the
-//!   American-flag in-place permutation, whose displacement chain
-//!   serializes on one cache miss at a time; even-depth recursions land
-//!   back in place with zero extra copies.
+//!   recurses the radix pass instead of going to a comparison sort: one
+//!   O(n) counting pass + scatter replaces a digit's worth of quicksort
+//!   levels of branchy comparisons. Every level runs the same stable
+//!   out-of-place kernel, [`radix::radix_scatter`]. The top level takes
+//!   the paper's 8 bits, so the scatter from memory writes 256 streams;
+//!   below it a bucket is cache-resident and [`radix::Span::digit`]
+//!   sizes its digit from its length — `clamp(ceil_log2(len) − 2, 8,
+//!   11)` bits ([`MAX_DIGIT_BITS`] is the 11), capped at the bits its
+//!   key span has left — so one pass splits it into leaves of about
+//!   four tuples (a bucket of at most 1 024 tuples takes 8 bits). A
+//!   child's key span, `(base, bits)`, is derived arithmetically from
+//!   its parent's digit ([`radix::Span::of_bucket`]) — no re-scan. The
+//!   descent ends on its own: every level consumes real key bits, a
+//!   digit at shift 0 leaves single-key buckets, a pass that collapses
+//!   into one bucket re-tightens its span with one range scan, and a
+//!   single-key bucket returns. It scatters out of place into a
+//!   per-worker ping-pong buffer (sequential reads, independent write
+//!   streams) rather than the American-flag in-place permutation, whose
+//!   displacement chain serializes on one cache miss at a time;
+//!   even-depth recursions land back in place with zero extra copies.
 //! * **Sort from the source.** [`three_phase_sort_into`] takes its top
 //!   level straight from a read-only input into the destination run and
 //!   descends each top bucket in place there, so building a sorted copy
@@ -46,9 +53,10 @@
 //!   global-pass variant is retained as [`three_phase_sort_naive`],
 //!   the reference the equivalence tests compare against.
 //! * **Network leaf.** That finisher is one exact-size, branch-free
-//!   odd-even network per bucket ([`network::network_sort_exact`]);
-//!   no comparison sort sits between the descent and the network. The
-//!   paper's introsort + insertion survives in the references
+//!   odd-even network per bucket ([`network::network_sort_exact`]),
+//!   mostly of a handful of tuples under sized digits; no comparison
+//!   sort sits between the descent and the network. The paper's
+//!   introsort + insertion survives in the references
 //!   [`three_phase_sort_naive`] and [`introsort_only`].
 //!
 //! Keys may occupy any sub-range of the 64-bit domain (the paper's
@@ -66,8 +74,14 @@ use std::cell::RefCell;
 use crate::tuple::Tuple;
 
 /// Number of leading bits (and thus `2^RADIX_BITS` buckets) used by the
-/// first phase, as in the paper.
+/// first phase, as in the paper: the top level's digit, and the
+/// narrowest digit of the descent.
 pub const RADIX_BITS: u32 = 8;
+
+/// The widest digit of the descent: a cache-resident bucket of 2^13
+/// tuples or more splits 2^11 ways in one pass
+/// ([`radix::Span::digit`]).
+pub const MAX_DIGIT_BITS: u32 = 11;
 
 /// Quicksort partitions smaller than this are left to the final
 /// insertion pass, as in the paper.
@@ -155,14 +169,14 @@ pub fn three_phase_sort_with(tuples: &mut [Tuple], scratch: &mut SortScratch) {
         return;
     }
     let aux = scratch.head(tuples.len());
-    let Some((bounds, shift)) = top_scatter(tuples, aux) else {
+    let Some((buckets, shift)) = top_scatter(tuples, aux) else {
         return; // one key: any order is sorted
     };
     if shift.shift == 0 {
         // Sub-256 span: the scatter ordered by exact key value.
         tuples.copy_from_slice(aux);
     } else {
-        spill_children(aux, tuples, &bounds, shift);
+        spill_children(aux, tuples, &buckets, shift);
     }
 }
 
@@ -184,18 +198,22 @@ pub fn three_phase_sort_into(src: &[Tuple], dst: &mut [Tuple], scratch: &mut Sor
         insertion::insertion_sort(dst);
         return;
     }
-    let Some((bounds, shift)) = top_scatter(src, dst) else {
+    let Some((buckets, shift)) = top_scatter(src, dst) else {
         dst.copy_from_slice(src); // one key: any order is sorted
         return;
     };
-    sort_bucket_major(dst, &bounds, 0, shift, scratch);
+    if shift.shift == 0 {
+        return; // the top scatter ordered dst by exact key value
+    }
+    let widest = buckets.ranges().map(|(_, slots)| slots.len()).max().unwrap_or(0);
+    descend_resident(dst, scratch.head(widest), buckets.ranges(), shift);
 }
 
 /// Finish a span that a radix scatter on `shift` already laid out
 /// bucket-major: bucket `first + i` occupies
 /// `data[bounds[i]..bounds[i + 1]]`, and each bucket is sorted in place
-/// while it is cache-resident, its child shift derived arithmetically
-/// from its global index ([`radix::RadixShift::child`]) — no key-range
+/// while it is cache-resident, its key span derived arithmetically
+/// from its global index ([`radix::Span::of_bucket`]) — no key-range
 /// scan, no histogram, no top-level scatter. `scratch` grows only to the widest
 /// bucket. At shift 0 every bucket holds one key value and there is
 /// nothing to do. The private side's partitions come out of the
@@ -217,135 +235,134 @@ pub fn sort_bucket_major(
         return;
     }
     let widest = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-    descend_resident(data, scratch.head(widest), bounds, first, shift);
+    let buckets = bounds.windows(2).enumerate().map(|(i, w)| (first + i, w[0]..w[1]));
+    descend_resident(data, scratch.head(widest), buckets, shift);
 }
 
-/// The prologue both whole-run entry points share: the sort's one key-range scan
-/// (the descent derives every child shift arithmetically,
-/// [`radix::RadixShift::child`]), the top-level shift, and the top
-/// radix scatter of `src` into the equal-length `dst`. `None`, with
-/// `dst` untouched, when all keys are equal (or there are none).
-/// Otherwise the top buckets' bounds and shift; at shift 0 the scatter
-/// already ordered `dst` by exact key value. The shift is tight by
-/// construction (`for_range` on the real range), so the top level
-/// cannot collapse into one bucket.
-fn top_scatter(src: &[Tuple], dst: &mut [Tuple]) -> Option<(Vec<usize>, radix::RadixShift)> {
+/// The prologue both whole-run entry points share: the sort's one
+/// key-range scan (the descent derives every child span arithmetically,
+/// [`radix::Span::of_bucket`]), the top-level shift, and the top
+/// radix scatter of `src` into the equal-length `dst`, on the paper's
+/// 8 bits. `None`, with `dst` untouched, when all keys are equal (or
+/// there are none). Otherwise the top buckets and their shift; at shift
+/// 0 the scatter already ordered `dst` by exact key value. The shift is
+/// tight by construction (`for_range` on the real range), so the top
+/// level cannot collapse into one bucket.
+fn top_scatter(src: &[Tuple], dst: &mut [Tuple]) -> Option<(radix::Buckets, radix::RadixShift)> {
     let (min, max) = crate::tuple::key_range(src)?;
     if min == max {
         return None;
     }
     let shift = radix::RadixShift::for_range(min, max, RADIX_BITS);
-    Some((radix::msd_radix_scatter(src, dst, shift), shift))
+    Some((radix::radix_scatter(src, dst, shift, RADIX_BITS), shift))
 }
 
-/// Recurse into every non-trivial bucket of a scatter whose output
-/// landed in `src`, delivering each bucket sorted into `dst`.
-/// Singleton buckets are copied; empty buckets are skipped *before*
-/// deriving the child shift — `child`'s base arithmetic is only
-/// overflow-safe for buckets that contain a key (the sum is bounded by
-/// that key), and near-`u64::MAX` domains do overflow it for empty high
-/// buckets.
+/// Recurse into every non-empty bucket of a scatter on `shift` whose
+/// output landed in `src`, delivering each bucket sorted into `dst`.
+/// Singleton buckets are copied. Only non-empty buckets derive their
+/// span — see the overflow note on [`radix::Span::of_bucket`].
 fn spill_children(
     src: &mut [Tuple],
     dst: &mut [Tuple],
-    bounds: &[usize],
+    buckets: &radix::Buckets,
     shift: radix::RadixShift,
 ) {
-    for (b, w) in bounds.windows(2).enumerate() {
-        match w[1] - w[0] {
-            0 => {}
-            1 => dst[w[0]] = src[w[0]],
-            _ => sort_spill(&mut src[w[0]..w[1]], &mut dst[w[0]..w[1]], shift.child(b, RADIX_BITS)),
+    for (b, slots) in buckets.ranges() {
+        if slots.len() == 1 {
+            dst[slots.start] = src[slots.start];
+        } else {
+            let span = radix::Span::of_bucket(shift, b);
+            sort_spill(&mut src[slots.clone()], &mut dst[slots], span);
         }
     }
 }
 
-/// Sort a bucket whose tuples currently sit in `src`, delivering the
-/// sorted result into `dst` (`src` is scatter space afterwards). With
-/// [`sort_resident`] this forms the ping-pong descent: each radix level
-/// is one out-of-place [`radix::msd_radix_scatter`] — sequential reads,
-/// 256 independent write streams — instead of the in-place cycle-leader
-/// permutation whose displacement chain serializes on one cache miss at
-/// a time. Even-depth recursions land back in place with zero extra
-/// copies; odd-depth subtrees pay one sequential bucket copy at the
-/// leaf.
-fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], shift: radix::RadixShift) {
+/// Sort a bucket whose tuples currently sit in `src` and whose keys lie
+/// in `span`, delivering the sorted result into `dst` (`src` is scatter
+/// space afterwards). With [`sort_resident`] this forms the ping-pong
+/// descent: each radix level is one out-of-place
+/// [`radix::radix_scatter`] on the digit [`radix::Span::digit`] sizes
+/// from the bucket — sequential reads, up to 2 048 independent write
+/// streams — instead of the in-place cycle-leader permutation whose
+/// displacement chain serializes on one cache miss at a time.
+/// Even-depth recursions land back in place with zero extra copies;
+/// odd-depth subtrees pay one sequential bucket copy at the leaf.
+fn sort_spill(src: &mut [Tuple], dst: &mut [Tuple], span: radix::Span) {
     debug_assert_eq!(src.len(), dst.len());
     if src.len() <= NETWORK_BLOCK {
         dst.copy_from_slice(src);
         network::network_sort_exact(dst);
         return;
     }
-    let bounds = radix::msd_radix_scatter(src, dst, shift);
+    let (shift, bits) = span.digit(src.len());
+    let buckets = radix::radix_scatter(src, dst, shift, bits);
     if shift.shift == 0 {
         return; // digits exhausted: dst is ordered by exact key value
     }
-    // A skewed bucket can collapse into a single child (all keys share
-    // the next digit). The descent still terminates — each level
-    // consumes RADIX_BITS real key bits until the shift hits 0 — but
-    // one range scan re-tightens the shift to the occupied sub-domain
-    // and skips the dead levels. The scatter is stable, so a collapsed
-    // pass left `dst` an exact copy of `src` and both stay usable.
-    if bounds.windows(2).any(|w| w[1] - w[0] == dst.len()) {
-        let (min, max) = crate::tuple::key_range(dst).expect("bucket is non-empty");
-        if min == max {
-            return; // single-key bucket is already totally ordered
+    if buckets.collapsed() {
+        // A skewed bucket can collapse into a single child (all keys
+        // share the next digit). The descent would still terminate —
+        // each level consumes real key bits until the shift hits 0 —
+        // but one range scan re-tightens the span to the occupied
+        // keys and skips the dead levels. The scatter is stable, so
+        // `dst` is an exact copy of `src`: sort it in place.
+        if let Some(tight) = tightened(dst) {
+            sort_resident(dst, src, tight);
         }
-        let tight = radix::RadixShift::for_range(min, max, RADIX_BITS);
-        let bounds = radix::msd_radix_scatter(dst, src, tight);
-        spill_children(src, dst, &bounds, tight);
         return;
     }
-    descend_resident(dst, src, &bounds, 0, shift);
+    descend_resident(dst, src, buckets.ranges(), shift);
 }
 
-/// Sort every bucket of a scatter that landed in `data` in place, each
-/// through the head of `aux`, which must be at least as long as the
-/// widest bucket; `bounds[i]` starts bucket `first + i` of `shift`. A
-/// bucket of fewer than two tuples is already in place; see the
-/// overflow note on [`spill_children`].
+/// The span of a collapsed bucket's actual keys; `None` for a
+/// single-key bucket, which is already totally ordered.
+fn tightened(bucket: &[Tuple]) -> Option<radix::Span> {
+    let (min, max) = crate::tuple::key_range(bucket).expect("bucket is non-empty");
+    (min < max).then(|| radix::Span::of_range(min, max))
+}
+
+/// Sort every bucket of a scatter on `shift` that landed in `data` in
+/// place, each through the head of `aux`, which must be at least as
+/// long as the widest bucket; `buckets` yields each bucket's global
+/// index and slots. A bucket of fewer than two tuples is already in
+/// place; see the overflow note on [`radix::Span::of_bucket`].
 fn descend_resident(
     data: &mut [Tuple],
     aux: &mut [Tuple],
-    bounds: &[usize],
-    first: usize,
+    buckets: impl Iterator<Item = (usize, std::ops::Range<usize>)>,
     shift: radix::RadixShift,
 ) {
-    for (i, w) in bounds.windows(2).enumerate() {
-        let len = w[1] - w[0];
-        if len >= 2 {
-            let child = shift.child(first + i, RADIX_BITS);
-            sort_resident(&mut data[w[0]..w[1]], &mut aux[..len], child);
+    for (b, slots) in buckets {
+        if slots.len() >= 2 {
+            let aux = &mut aux[..slots.len()];
+            sort_resident(&mut data[slots], aux, radix::Span::of_bucket(shift, b));
         }
     }
 }
 
-/// Sort a bucket in place in `data`, using same-sized `aux` as scatter
-/// space. The ping-pong counterpart of [`sort_spill`].
-fn sort_resident(data: &mut [Tuple], aux: &mut [Tuple], shift: radix::RadixShift) {
+/// Sort a bucket in place in `data`, whose keys lie in `span`, using
+/// same-sized `aux` as scatter space. The ping-pong counterpart of
+/// [`sort_spill`].
+fn sort_resident(data: &mut [Tuple], aux: &mut [Tuple], span: radix::Span) {
     debug_assert_eq!(data.len(), aux.len());
     if data.len() <= NETWORK_BLOCK {
         network::network_sort_exact(data);
         return;
     }
-    let bounds = radix::msd_radix_scatter(data, aux, shift);
+    let (shift, bits) = span.digit(data.len());
+    let buckets = radix::radix_scatter(data, aux, shift, bits);
     if shift.shift == 0 {
         data.copy_from_slice(aux);
         return;
     }
-    if bounds.windows(2).any(|w| w[1] - w[0] == data.len()) {
-        // Collapsed (see sort_spill): `aux == data`, re-tighten from
-        // `data` and scatter again.
-        let (min, max) = crate::tuple::key_range(data).expect("bucket is non-empty");
-        if min == max {
-            return;
+    if buckets.collapsed() {
+        // Collapsed (see sort_spill): `aux == data`, re-tighten.
+        if let Some(tight) = tightened(data) {
+            sort_resident(data, aux, tight);
         }
-        let tight = radix::RadixShift::for_range(min, max, RADIX_BITS);
-        let bounds = radix::msd_radix_scatter(data, aux, tight);
-        spill_children(aux, data, &bounds, tight);
         return;
     }
-    spill_children(aux, data, &bounds, shift);
+    spill_children(aux, data, &buckets, shift);
 }
 
 /// The seed's literal three-phase sort: one radix pass, coarse

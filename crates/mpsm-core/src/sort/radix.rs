@@ -1,24 +1,31 @@
 //! The MSD radix pass — phase 1 of the paper's sorting routine — in
-//! its two forms, both over 256 buckets keyed by the 8 most significant
-//! *discriminating* bits (the shift from the observed key range is the
+//! its two forms (the shift from the observed key range is the
 //! bitwise-shift preprocessing mentioned in §3.2.1):
 //!
-//! * [`msd_radix_scatter`], out of place and stable: the pass every
-//!   production sort runs, at the top level straight off the input and
-//!   at every level of the descent (see the `sort` module docs);
+//! * [`radix_scatter`], out of place and stable, over one digit of up
+//!   to [`MAX_DIGIT_BITS`] bits: the one scatter kernel every
+//!   production sort runs, at the top level straight off the input (8
+//!   bits, as in the paper) and at every level of the descent, whose
+//!   digits [`Span::digit`] sizes from the bucket they split (see the
+//!   `sort` module docs);
 //! * [`msd_radix_partition`], the paper's literal in-place
-//!   American-flag / cycle-leader permutation (after Knuth \[18\]),
-//!   which only the reference [`crate::sort::three_phase_sort_naive`]
-//!   still runs.
+//!   American-flag / cycle-leader permutation (after Knuth \[18\]) over
+//!   256 buckets, which only the reference
+//!   [`crate::sort::three_phase_sort_naive`] still runs.
 //!
 //! Either way the buckets come out in key order, so sorting each bucket
 //! yields a totally ordered run.
 
-use crate::sort::RADIX_BITS;
+use std::ops::Range;
+
+use crate::sort::{MAX_DIGIT_BITS, RADIX_BITS};
 use crate::tuple::{key_range, Tuple};
 
-/// Number of radix buckets (256, as in the paper).
+/// Number of radix buckets of the in-place pass (256, as in the paper).
 pub const BUCKETS: usize = 1 << RADIX_BITS;
+
+/// Buckets of the widest digit [`radix_scatter`] takes.
+const MAX_BUCKETS: usize = 1 << MAX_DIGIT_BITS;
 
 /// How to map a key to its radix bucket: `(key - base) >> shift`.
 ///
@@ -58,30 +65,54 @@ impl RadixShift {
         debug_assert!(key >= self.base);
         (((key - self.base) >> self.shift) as usize).min((1usize << bits) - 1)
     }
+}
 
-    /// The shift for recursing into non-empty `bucket` of a partition
-    /// made with `self`: the next `bits` lower key bits.
+/// The keys `[base, base + 2^bits)` a bucket can hold: all the descent
+/// knows about a bucket, and all it needs to split it, without a scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// The smallest key the span admits.
+    pub base: u64,
+    /// Key bits left to discriminate (at most 64).
+    pub bits: u32,
+}
+
+impl Span {
+    /// The narrowest span holding every key of `[min, max]`.
+    pub fn of_range(min: u64, max: u64) -> Span {
+        debug_assert!(min <= max);
+        Span { base: min, bits: 64 - (max - min).leading_zeros() }
+    }
+
+    /// The span of bucket `b` of a scatter or partition on `shift`:
+    /// base `base + (b << shift)`, `shift` bits wide. A partition on
+    /// `shift` confines bucket `b`'s keys there — for the top bucket of
+    /// a [`RadixShift::for_range`] domain too, which guarantees the
+    /// whole domain fits its buckets — so the descent never re-scans.
     ///
-    /// Needs **no scan of the bucket**: a partition on `self` confines
-    /// bucket `b`'s keys to the span of width `2^shift` starting at
-    /// `base + (b << shift)` — for the clamped top bucket too, because
-    /// [`RadixShift::for_range`] guarantees the whole span is below
-    /// `2^(shift + bits)`. So the child rebases to the bucket's floor
-    /// and consumes the next digit. Once `self.shift` is 0 every bucket
-    /// holds a single key value and recursion must stop — callers check
-    /// that before deriving a child.
-    ///
-    /// Only call this for buckets that **contain a key**: the rebased
-    /// floor is then bounded by that key, so the addition cannot
-    /// overflow. For empty high buckets of a near-`u64::MAX` domain the
-    /// floor itself can exceed `u64::MAX` (callers skip trivial buckets
-    /// before deriving children).
+    /// Only call this for a bucket that **contains a key**: the base is
+    /// then bounded by that key, so the sum cannot overflow. For empty
+    /// high buckets of a near-`u64::MAX` domain it can, so the callers
+    /// skip trivial buckets before deriving their spans.
     #[inline]
-    pub fn child(&self, bucket: usize, bits: u32) -> RadixShift {
-        RadixShift {
-            base: self.base + ((bucket as u64) << self.shift),
-            shift: self.shift.saturating_sub(bits),
-        }
+    pub fn of_bucket(shift: RadixShift, b: usize) -> Span {
+        Span { base: shift.base + ((b as u64) << shift.shift), bits: shift.shift }
+    }
+
+    /// The digit that splits a bucket of `len` tuples over this span:
+    /// `clamp(ceil_log2(len) − 2, 8, MAX_DIGIT_BITS)` bits, capped at
+    /// the span's. The children then hold two to four tuples each on
+    /// uniform keys (more above 2^13 tuples, where the digit stops
+    /// widening), and a bucket of at most 1 024 tuples takes the
+    /// paper's 8 bits. Returns the shift and the width for
+    /// [`radix_scatter`]; at shift 0 the scatter orders the bucket by
+    /// exact key value.
+    #[inline]
+    pub fn digit(self, len: usize) -> (RadixShift, u32) {
+        debug_assert!(self.bits > 0, "a zero-bit span holds one key and needs no digit");
+        let ceil_log2 = usize::BITS - len.saturating_sub(1).leading_zeros();
+        let bits = ceil_log2.saturating_sub(2).clamp(RADIX_BITS, MAX_DIGIT_BITS).min(self.bits);
+        (RadixShift { base: self.base, shift: self.bits - bits }, bits)
     }
 }
 
@@ -163,39 +194,80 @@ pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<
     bounds
 }
 
-/// Out-of-place MSD radix scatter: histogram `src`, then stream it into
-/// `dst` bucket-ordered. Returns the same boundary offsets as the
-/// in-place pass.
+/// Where one [`radix_scatter`] put each of its `2^bits` buckets.
+pub struct Buckets {
+    /// `ends[b]` is one past the last slot of bucket `b`.
+    ends: [u32; MAX_BUCKETS],
+    buckets: usize,
+}
+
+impl Buckets {
+    /// The non-empty buckets in key order: `(bucket, slots)`.
+    pub fn ranges(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let mut start = 0;
+        self.ends[..self.buckets].iter().enumerate().filter_map(move |(b, &end)| {
+            let slots = start..end as usize;
+            start = slots.end;
+            (!slots.is_empty()).then_some((b, slots))
+        })
+    }
+
+    /// Whether one bucket holds every tuple (the pass split nothing).
+    pub fn collapsed(&self) -> bool {
+        let total = self.ends[self.buckets - 1] as usize;
+        self.ranges().next().is_some_and(|(_, slots)| slots.len() == total)
+    }
+}
+
+/// Out-of-place, stable MSD radix scatter of `src` into the
+/// equal-length `dst` on the digit `((key - base) >> shift) & mask`, for
+/// a `bits`-bit digit (at most [`MAX_DIGIT_BITS`]): count into `u32`
+/// counters, turn them into bucket starts, then stream `src` into
+/// `dst` bucket-ordered.
 ///
-/// This is the sort's descent pass: the in-place cycle-leader
-/// permutation above reads *and* writes at random addresses and each
-/// hop serially depends on the carried tuple, so at scale the core
-/// stalls on one cache miss at a time. The scatter reads sequentially
-/// (hardware-prefetched) and writes to 256 independent streams the
-/// store buffer can overlap — at the price of an equal-sized aux
-/// buffer, which the callers ping-pong so even-depth recursions land
-/// back in place with zero extra copies.
+/// This is the sort's one scatter kernel, top level and descent alike:
+/// the in-place cycle-leader permutation above reads *and* writes at
+/// random addresses and each hop serially depends on the carried tuple,
+/// so at scale the core stalls on one cache miss at a time. The scatter
+/// reads sequentially (hardware-prefetched) and writes to `2^bits`
+/// independent streams the store buffer can overlap — at the price of
+/// an equal-sized aux buffer, which the callers ping-pong so even-depth
+/// recursions land back in place with zero extra copies.
 ///
-/// The scatter is **stable** (bucket-internal order preserved), which
-/// the collapse-retighten path in the caller relies on: a partition
-/// that lands in a single bucket leaves `dst` an exact copy of `src`.
-pub fn msd_radix_scatter(src: &[Tuple], dst: &mut [Tuple], shift: RadixShift) -> Vec<usize> {
+/// Every key must lie in the `2^(shift + bits)` keys above `base`, as
+/// [`RadixShift::for_range`] and [`Span::digit`] guarantee; the mask
+/// only keeps the counter index in bounds. The scatter is **stable**
+/// (bucket-internal order preserved), which the collapse-retighten path
+/// in the caller relies on: a pass that lands in a single bucket leaves
+/// `dst` an exact copy of `src`.
+///
+/// # Panics
+/// Panics if `src` and `dst` differ in length, `src` holds more than
+/// `u32::MAX` tuples, or `bits` exceeds [`MAX_DIGIT_BITS`].
+pub fn radix_scatter(src: &[Tuple], dst: &mut [Tuple], shift: RadixShift, bits: u32) -> Buckets {
     assert_eq!(src.len(), dst.len(), "scatter needs an equal-sized destination");
-    let mut counts = [0usize; BUCKETS];
-    for t in src.iter() {
-        counts[shift.bucket(t.key, RADIX_BITS)] += 1;
+    assert!(u32::try_from(src.len()).is_ok(), "scatter counters are 32-bit");
+    assert!(bits <= MAX_DIGIT_BITS, "digit of {bits} bits is wider than the scatter");
+    let mut out = Buckets { ends: [0; MAX_BUCKETS], buckets: 1 << bits };
+    let mask = out.buckets - 1;
+    let digit = |key: u64| {
+        debug_assert!((key - shift.base) >> shift.shift >> bits == 0, "key outside the digit");
+        (((key - shift.base) >> shift.shift) as usize) & mask
+    };
+    let heads = &mut out.ends[..out.buckets];
+    for t in src {
+        heads[digit(t.key)] += 1;
     }
-    let mut bounds = vec![0usize; BUCKETS + 1];
-    for b in 0..BUCKETS {
-        bounds[b + 1] = bounds[b] + counts[b];
+    let mut start = 0;
+    for head in heads.iter_mut() {
+        (*head, start) = (start, start + *head);
     }
-    let mut heads: Vec<usize> = bounds[..BUCKETS].to_vec();
-    for t in src.iter() {
-        let b = shift.bucket(t.key, RADIX_BITS);
-        dst[heads[b]] = *t;
-        heads[b] += 1;
+    for t in src {
+        let head = &mut heads[digit(t.key)];
+        dst[*head as usize] = *t;
+        *head += 1;
     }
-    bounds
+    out
 }
 
 #[cfg(test)]
@@ -320,33 +392,65 @@ mod tests {
         assert_eq!(bounds[1] - bounds[0], 200, "all tuples in bucket 0");
     }
 
+    /// Bucket starts of a scatter in the in-place pass's layout.
+    fn starts(buckets: &Buckets, n: usize) -> Vec<usize> {
+        let mut bounds = vec![0; buckets.buckets + 1];
+        for (b, slots) in buckets.ranges() {
+            bounds[b] = slots.start;
+            bounds[b + 1] = slots.end;
+        }
+        for b in 1..bounds.len() {
+            bounds[b] = bounds[b].max(bounds[b - 1]);
+        }
+        bounds[buckets.buckets] = n;
+        bounds
+    }
+
     #[test]
-    fn child_shift_covers_every_bucket_without_rescanning() {
-        // Partition, then check each non-empty bucket against the shift
-        // derived arithmetically: every key must land at or above the
-        // child base and inside the child's 2^(shift + RADIX_BITS) span,
-        // which is exactly what lets the recursion skip the re-scan.
-        let mut data = pseudo_random(20_000, 41);
-        let (min, max) = key_range(&data).unwrap();
-        let shift = RadixShift::for_range(min, max, RADIX_BITS);
-        let bounds = msd_radix_partition_with(&mut data, shift);
-        for b in 0..BUCKETS {
-            let bucket = &data[bounds[b]..bounds[b + 1]];
-            if bucket.is_empty() {
-                continue;
-            }
-            let child = shift.child(b, RADIX_BITS);
-            assert_eq!(child.shift, shift.shift.saturating_sub(RADIX_BITS));
-            for t in bucket {
-                assert!(t.key >= child.base, "bucket {b}: key below child base");
-                let span = t.key - child.base;
-                assert!(
-                    (span >> child.shift) >> RADIX_BITS == 0,
-                    "bucket {b}: key {:#x} outside the derived child domain",
-                    t.key
-                );
+    fn sized_digit_children_cover_every_bucket_without_rescanning() {
+        // Scatter buckets of every digit width, then check each
+        // non-empty bucket against the span derived arithmetically:
+        // every key must land at or above the child base and inside
+        // the child's 2^bits span, which is exactly what lets the
+        // descent skip the re-scan.
+        for (n, bits) in [(1_024, 8), (1_025, 9), (2_049, 10), (4_097, 11), (1 << 16, 11)] {
+            let src = pseudo_random(n, 41 + n as u64);
+            let (min, max) = key_range(&src).unwrap();
+            let (shift, digit_bits) = Span::of_range(min, max).digit(n);
+            assert_eq!(digit_bits, bits, "{n} tuples");
+            let mut dst = vec![Tuple::new(0, 0); n];
+            let buckets = radix_scatter(&src, &mut dst, shift, digit_bits);
+            for (b, slots) in buckets.ranges() {
+                let child = Span::of_bucket(shift, b);
+                assert_eq!(child.bits, shift.shift);
+                for t in &dst[slots] {
+                    assert!(t.key >= child.base, "bucket {b}: key below child base");
+                    assert!(
+                        (t.key - child.base) >> child.bits == 0,
+                        "bucket {b}: key {:#x} outside the derived child span",
+                        t.key
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn digit_width_follows_the_bucket_and_the_span() {
+        let wide = Span { base: 0, bits: 32 };
+        for (len, bits) in [(65, 8), (1_024, 8), (1_025, 9), (2_048, 9), (2_049, 10), (8_192, 11)] {
+            assert_eq!(wide.digit(len), (RadixShift { base: 0, shift: 32 - bits }, bits), "{len}");
+        }
+        assert_eq!(wide.digit(1 << 20).1, MAX_DIGIT_BITS);
+        // A narrow span caps the digit and ends the descent at shift 0.
+        let narrow = Span { base: 7, bits: 5 };
+        assert_eq!(narrow.digit(1 << 20), (RadixShift { base: 7, shift: 0 }, 5));
+        assert_eq!(Span::of_range(9, 9), Span { base: 9, bits: 0 });
+        assert_eq!(Span::of_range(0, u64::MAX), Span { base: 0, bits: 64 });
+        // The highest bucket of an 11-bit digit over the top of the key
+        // domain rebases to within one bucket of u64::MAX.
+        let top = RadixShift { base: u64::MAX - ((1 << 20) - 1), shift: 9 };
+        assert_eq!(Span::of_bucket(top, 2_047), Span { base: u64::MAX - 511, bits: 9 });
     }
 
     #[test]
@@ -357,16 +461,16 @@ mod tests {
         let shift = RadixShift::for_range(min, max, RADIX_BITS);
         let bounds_inplace = msd_radix_partition_with(&mut inplace, shift);
         let mut dst = vec![Tuple::new(0, 0); src.len()];
-        let bounds = msd_radix_scatter(&src, &mut dst, shift);
+        let buckets = radix_scatter(&src, &mut dst, shift, RADIX_BITS);
+        let bounds = starts(&buckets, src.len());
         assert_eq!(bounds, bounds_inplace);
         assert_is_radix_partitioned(&dst, &bounds, shift);
         // Stability: within each bucket the source order (encoded in
         // the payloads) must be preserved — the collapse-retighten path
         // in the sort relies on it.
-        for b in 0..BUCKETS {
-            let bucket = &dst[bounds[b]..bounds[b + 1]];
+        for (b, slots) in buckets.ranges() {
             assert!(
-                bucket.windows(2).all(|w| w[0].payload < w[1].payload),
+                dst[slots].windows(2).all(|w| w[0].payload < w[1].payload),
                 "bucket {b} not stable"
             );
         }
@@ -377,12 +481,14 @@ mod tests {
         // All keys in one bucket: stability means dst == src verbatim,
         // which is what lets the sort re-tighten without a copy-back.
         let src: Vec<Tuple> = (0..500).map(|i| Tuple::new(7_000_000 + (i % 3), i)).collect();
-        let shift = RadixShift::for_range(0, u64::MAX, RADIX_BITS);
-        let mut dst = vec![Tuple::new(0, 0); src.len()];
-        let bounds = msd_radix_scatter(&src, &mut dst, shift);
-        assert_eq!(dst, src);
-        let non_empty = (0..BUCKETS).filter(|&b| bounds[b + 1] > bounds[b]).count();
-        assert_eq!(non_empty, 1);
+        for bits in [RADIX_BITS, MAX_DIGIT_BITS] {
+            let shift = RadixShift { base: 0, shift: 64 - bits };
+            let mut dst = vec![Tuple::new(0, 0); src.len()];
+            let buckets = radix_scatter(&src, &mut dst, shift, bits);
+            assert_eq!(dst, src);
+            assert!(buckets.collapsed());
+            assert_eq!(buckets.ranges().count(), 1);
+        }
     }
 
     #[test]

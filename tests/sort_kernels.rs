@@ -1,24 +1,28 @@
-//! Equivalence of the production sort with its reference.
+//! Equivalence of the production sorts with their reference.
 //!
-//! `three_phase_sort_with` — the in-place sort every join, query and
-//! benchmark workload runs (via `ExecContext::sort_run`) — must produce
-//! exactly what `three_phase_sort_naive` produces: the same key order
-//! and the same multiset of `(key, payload)` pairs (neither sort is
-//! stable, so payload *order* within a key group may differ, but no
-//! tuple may be dropped, duplicated, or invented). Its out-of-place
-//! twin `three_phase_sort_into` (via `ExecContext::sorted_run`, every
-//! phase-1 run) must in turn produce what `three_phase_sort_with`
-//! produces on a copy. The inputs straddle
-//! every dispatch boundary (insertion cutoff 16, the network block 64
-//! at which the radix descent stops, and sizes and shapes that drive
-//! the descent from one level to its last digit) and include the
-//! adversarial distributions that broke earlier drafts: all-equal keys,
-//! keys at `u64::MAX`, presorted, reversed, heavily skewed domains, and
-//! the duplicate densities at which the leaf's cost moves most.
+//! The three production entry points — `three_phase_sort_with` (in
+//! place over a whole run; `ExecContext::sort_run`, which only the
+//! benchmark's sort probe calls), `three_phase_sort_into` (from a
+//! read-only source into a new run; `ExecContext::sorted_run`, every
+//! phase-1 run) and `sort_bucket_major` (finishing a bucket-major
+//! scatter; `ExecContext::sort_partition`, every range-partitioned run)
+//! — must produce exactly what `three_phase_sort_naive` produces: the
+//! same key order and the same multiset of `(key, payload)` pairs
+//! (neither sort is stable, so payload *order* within a key group may
+//! differ, but no tuple may be dropped, duplicated, or invented). The
+//! inputs straddle every dispatch boundary (insertion cutoff 16, the
+//! network block 64 at which the radix descent stops, the bucket sizes
+//! at which the descent's digit widens from 8 to 9, 10 and 11 bits, and
+//! shapes that drive the descent from one level to its last digit) and
+//! include the adversarial distributions that broke earlier drafts:
+//! all-equal keys, keys at `u64::MAX`, presorted, reversed, heavily
+//! skewed domains, and the duplicate densities at which the leaf's cost
+//! moves most.
 
+use mpsm::core::sort::radix::{msd_radix_partition_with, RadixShift, Span};
 use mpsm::core::sort::{
-    three_phase_sort_into, three_phase_sort_naive, three_phase_sort_with, SortScratch,
-    INSERTION_CUTOFF, NETWORK_BLOCK,
+    sort_bucket_major, three_phase_sort_into, three_phase_sort_naive, three_phase_sort_with,
+    SortScratch, INSERTION_CUTOFF, MAX_DIGIT_BITS, NETWORK_BLOCK, RADIX_BITS,
 };
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::Tuple;
@@ -38,21 +42,26 @@ fn pairs(tuples: &[Tuple]) -> Vec<(u64, u64)> {
 /// result against the naive reference: keys identically ordered,
 /// `(key, payload)` multiset identical.
 fn check_with(keys: &[u64], scratch: &mut SortScratch) -> Result<(), String> {
-    let n = keys.len();
     let mut expected = tuples(keys);
     three_phase_sort_naive(&mut expected);
 
     let mut got = tuples(keys);
     three_phase_sort_with(&mut got, scratch);
+    matches_reference(&got, &expected)
+}
 
-    if !is_key_sorted(&got) {
+/// `got` against the naive reference's `expected`: keys identically
+/// ordered, `(key, payload)` multiset identical.
+fn matches_reference(got: &[Tuple], expected: &[Tuple]) -> Result<(), String> {
+    let n = got.len();
+    if !is_key_sorted(got) {
         return Err(format!("output not key-sorted (n={n})"));
     }
     if !got.iter().map(|t| t.key).eq(expected.iter().map(|t| t.key)) {
         return Err(format!("key order diverges (n={n})"));
     }
-    let mut got_pairs = pairs(&got);
-    let mut expected_pairs = pairs(&expected);
+    let mut got_pairs = pairs(got);
+    let mut expected_pairs = pairs(expected);
     got_pairs.sort_unstable();
     expected_pairs.sort_unstable();
     if got_pairs != expected_pairs {
@@ -208,10 +217,10 @@ fn staircase(levels: u32, bottom: usize, seed: u64) -> Vec<u64> {
 /// fits one network:
 /// * 65 tuples carried through all eight digits of a full 64-bit span
 ///   (seven peeling scatters, then the eighth at shift 0);
-/// * 80:20 skew with the hot band sized so its level-2 buckets hold
-///   65 – 128 tuples each and scatter a third time — the occupancy
-///   `skewed_80_20` gives the hot band at 2^20 tuples over 2^32, reached
-///   here with 2^16;
+/// * 80:20 skew with the hot band packed into one top bucket, whose
+///   ~52 000 tuples take the widest digit, so that the level-2 buckets
+///   it leaves hold 65 – 128 tuples each and scatter a third time (the
+///   shape is re-derived from the digit-sizing rule and asserted);
 /// * staircases of every depth whose carried bucket ends one below, at
 ///   and one above the network block, starting on either side of the
 ///   ping-pong buffer.
@@ -220,27 +229,33 @@ fn deep_descent_shapes_match_naive() {
     check(&staircase(7, 65, 0x8_1E7E1)).unwrap_or_else(|msg| panic!("eight levels: {msg}"));
 
     const N: usize = 1 << 16;
+    // 0 and 2^32 − 1 pin the first scatter's base and shift (24), so
+    // HOT is the floor of top bucket 192.
     const HOT: u64 = 3 << 30;
-    const HOT_BUCKETS: u64 = 544; // level-2 buckets are 2^16 keys wide
+    const LEVEL2_BITS: u32 = 13; // 24 bits less the hot bucket's 11-bit digit
+    const HOT_BUCKETS: u64 = 544;
     let mut state = 0x80_20u64;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         state >> 16
     };
-    // 0 and 2^32 − 1 pin the first scatter's base and shift (24).
     let mut keys = vec![0, (1 << 32) - 1];
     keys.extend((2..N).map(|i| {
         if i % 5 == 0 {
             next() % (1 << 32)
         } else {
-            HOT + next() % (HOT_BUCKETS << 16)
+            HOT + next() % (HOT_BUCKETS << LEVEL2_BITS)
         }
     }));
+    let hot_top = keys.iter().filter(|&&k| k >> 24 == HOT >> 24).count();
+    let (shift, bits) = Span { base: HOT, bits: 24 }.digit(hot_top);
+    assert_eq!((bits, shift.shift), (MAX_DIGIT_BITS, LEVEL2_BITS), "{hot_top} hot tuples");
     let mut per_bucket = vec![0usize; HOT_BUCKETS as usize];
-    for &k in keys.iter().filter(|&&k| (HOT..HOT + (HOT_BUCKETS << 16)).contains(&k)) {
-        per_bucket[((k - HOT) >> 16) as usize] += 1;
+    for &k in keys.iter().filter(|&&k| (HOT..HOT + (HOT_BUCKETS << LEVEL2_BITS)).contains(&k)) {
+        per_bucket[((k - HOT) >> LEVEL2_BITS) as usize] += 1;
     }
-    let in_shape = per_bucket.iter().filter(|&&c| (65..=128).contains(&c)).count();
+    let third_level = NETWORK_BLOCK + 1..=2 * NETWORK_BLOCK;
+    let in_shape = per_bucket.iter().filter(|&c| third_level.contains(c)).count();
     assert!(in_shape * 20 >= per_bucket.len() * 19, "hot level-2 buckets: {per_bucket:?}");
     check(&keys).unwrap_or_else(|msg| panic!("80:20 skew: {msg}"));
 
@@ -253,6 +268,90 @@ fn deep_descent_shapes_match_naive() {
             keys.retain(|&k| k != u64::MAX);
             check(&keys)
                 .unwrap_or_else(|msg| panic!("staircase {levels} x {bottom} less its top: {msg}"));
+        }
+    }
+}
+
+/// Lay `keys` out bucket-major on their 8-bit top digit — the
+/// reference's in-place pass standing in for the private side's
+/// scatter — then finish them with `sort_bucket_major` in two calls, the
+/// upper half addressed by its global bucket indices, and check the
+/// result against the naive reference.
+fn check_bucket_major(keys: &[u64], scratch: &mut SortScratch) -> Result<(), String> {
+    let mut expected = tuples(keys);
+    three_phase_sort_naive(&mut expected);
+
+    let mut got = tuples(keys);
+    let (min, max) = (keys.iter().min().unwrap(), keys.iter().max().unwrap());
+    let shift = RadixShift::for_range(*min, *max, RADIX_BITS);
+    let bounds = msd_radix_partition_with(&mut got, shift);
+    let half = bounds.len() / 2;
+    let (lower, upper) = got.split_at_mut(bounds[half]);
+    sort_bucket_major(lower, &bounds[..=half], 0, shift, scratch);
+    let upper_bounds: Vec<usize> = bounds[half..].iter().map(|b| b - bounds[half]).collect();
+    sort_bucket_major(upper, &upper_bounds, half, shift, scratch);
+    matches_reference(&got, &expected)
+}
+
+/// Keys whose top scatter leaves wide buckets of `len` tuples each. 0
+/// and `u64::MAX` pin the top digit to the key's top 8 bits, so top
+/// bucket `b` holds the keys `b << 56 ..`; a few hundred background keys
+/// spread over buckets 4 – 254, and the input comes shuffled. `shape`:
+/// * 0 — bucket 255, at the top of the key domain, with `u64::MAX`
+///   and a clump of 100 keys below it in the last bucket of the
+///   descent's digit, which scatters once more from the base
+///   `base + (b << shift)` closest to overflow;
+/// * 1 — bucket 1, whose keys share every 8- to 11-bit digit below
+///   the top one, so its first descent pass collapses into one wide
+///   child and re-tightens;
+/// * 2 — bucket 2 all one key and bucket 3 over three keys: wide
+///   all-duplicate buckets.
+fn wide_buckets(shape: usize, len: usize, seed: u64) -> Vec<u64> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state
+    };
+    let mut keys = vec![0, u64::MAX];
+    keys.extend((0..300).map(|_| (4 << 56) + next() % (251 << 56)));
+    match shape {
+        0 => {
+            keys.extend((1..len - 100).map(|_| (0xFF << 56) | (next() >> 8)));
+            keys.extend((0..100).map(|_| u64::MAX - next() % (1 << 40)));
+        }
+        1 => keys.extend((0..len).map(|_| (1 << 56) + (5 << 45) + next() % (1 << 30))),
+        2 => {
+            keys.extend(std::iter::repeat_n(2 << 56, len));
+            keys.extend((0..len as u64).map(|i| (3 << 56) + 7 + i % 3));
+        }
+        _ => unreachable!(),
+    }
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, (next() >> 33) as usize % (i + 1));
+    }
+    keys
+}
+
+/// The descent's wider digits: top buckets just above 1 024, 2 048 and
+/// 4 096 tuples take 9-, 10- and 11-bit digits (asserted), and each
+/// `wide_buckets` shape goes through all three production entry points
+/// against the naive reference.
+#[test]
+fn every_digit_width_matches_naive() {
+    let mut scratch = SortScratch::new();
+    for (len, bits) in [(1_025, 9), (2_049, 10), (4_097, MAX_DIGIT_BITS)] {
+        for shape in 0..3 {
+            let keys = wide_buckets(shape, len, 0xD161_7000 + len as u64 + shape as u64);
+            let wide = [255u64, 1, 2][shape];
+            assert_eq!(keys.iter().filter(|&&k| k >> 56 == wide).count(), len, "shape {shape}");
+            let (_, digit) = Span { base: wide << 56, bits: 56 }.digit(len);
+            assert_eq!(digit, bits, "shape {shape}, {len} tuples");
+            let context = format!("shape {shape}, {bits}-bit digit");
+            check(&keys).unwrap_or_else(|msg| panic!("{context}, in place: {msg}"));
+            check_into(&keys, &mut scratch)
+                .unwrap_or_else(|msg| panic!("{context}, from the source: {msg}"));
+            check_bucket_major(&keys, &mut scratch)
+                .unwrap_or_else(|msg| panic!("{context}, bucket-major: {msg}"));
         }
     }
 }
