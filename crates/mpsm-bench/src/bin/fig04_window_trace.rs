@@ -1,13 +1,12 @@
 //! Experiment — Figure 4 as a time series: the D-MPSM page window.
 //!
-//! Samples the buffer pool's resident-page count while the join phase
-//! runs and renders it as an ASCII trace: the paper's Figure 4 claims
-//! that at any moment only the active window (white) is in RAM while
-//! passed pages are released (green) and upcoming pages are prefetched
-//! (yellow). A flat, budget-bounded trace over a data volume many times
-//! the budget is that claim, observed.
-
-use std::time::Duration;
+//! D-MPSM's join phase steps through ascending key intervals and records
+//! the buffer pool's resident-page count at the end of every step. This
+//! renders that trace as ASCII bars, one row per step: the paper's
+//! Figure 4 claims that at any moment only the active window (white) is
+//! in RAM while passed pages are released (green) and upcoming pages are
+//! prefetched (yellow). A flat, budget-bounded trace over a data volume
+//! many times the budget is that claim, observed.
 
 use mpsm_bench::parse_args;
 use mpsm_core::join::d_mpsm::{DMpsmConfig, DMpsmJoin};
@@ -26,7 +25,6 @@ fn main() {
     let mut cfg = DMpsmConfig::with_join(JoinConfig::with_threads(args.threads));
     cfg.page_records = page_records;
     cfg.budget_pages = budget;
-    cfg.sample_residency = Some(Duration::from_micros(500));
     let join = DMpsmJoin::new(cfg);
 
     println!(
@@ -43,18 +41,17 @@ fn main() {
         total_pages
     );
 
-    // Downsample the trace to ~40 rows and render bars.
+    // Downsample the per-step trace to at most 40 rows and render bars.
     let trace = &report.residency_trace;
-    if trace.is_empty() {
-        println!("(trace empty — join finished before the first sample)");
-        return;
-    }
     let rows = 40.min(trace.len());
-    let peak = trace.iter().map(|&(_, p)| p).max().unwrap().max(1);
-    println!("{:>9}  {:>9}  window (peak = {peak} pages; '.' = budget mark)", "ms", "pages");
+    let peak = trace.iter().map(|&(_, p)| p).max().unwrap_or(0).max(1);
+    println!(
+        "{:>6}  {:>9}  {:>9}  window (peak = {peak} pages; '.' = budget mark)",
+        "step", "ms", "pages"
+    );
     for row in 0..rows {
-        let idx = row * (trace.len() - 1) / rows.max(1);
-        let (ms, pages) = trace[idx];
+        let step = row * trace.len() / rows;
+        let (ms, pages) = trace[step];
         let width = 50usize;
         let bar_len = pages * width / peak;
         let budget_mark = (budget.min(peak) * width / peak).min(width.saturating_sub(1));
@@ -65,10 +62,10 @@ fn main() {
         if bar[budget_mark] == ' ' {
             bar[budget_mark] = '.';
         }
-        println!("{ms:>9.1}  {pages:>9}  |{}|", bar.iter().collect::<String>());
+        println!("{step:>6}  {ms:>9.1}  {pages:>9}  |{}|", bar.iter().collect::<String>());
     }
     println!(
-        "\n(the window hugs the budget for the whole join — residency is bounded by the\n \
-         window, not by the {total_pages}-page data volume; paper Figure 4)"
+        "\n(the window stays under the budget for the whole join — residency is bounded by\n \
+         two key intervals, not by the {total_pages}-page data volume; paper Figure 4)"
     );
 }

@@ -368,7 +368,7 @@ pub fn merge_run_sets_anytime<S: JoinSink>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::runs::{build_run_set, chunked_run_set, merge_run_sets_in};
+    use super::super::runs::{build_run_set, merge_run_sets_in};
     use super::*;
     use crate::join::delta::{materialize, DeltaOp, DeltaOverlay};
     use crate::sink::{CollectSink, CountSink, MaxAggSink};
@@ -777,6 +777,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "the private side must be range-partitioned")]
     fn a_chunked_private_side_is_rejected() {
+        use super::super::runs::chunked_run_set;
         let cx = ExecContext::flat(2);
         let mut stats = JoinStats::new(2);
         let r = chunked_run_set(&cx, &random(1000, 500, 61), Phase::Two, &mut stats);

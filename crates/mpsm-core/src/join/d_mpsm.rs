@@ -7,29 +7,36 @@
 //! key domain** so only a sliding window of pages needs RAM:
 //!
 //! * run generation writes each sorted run page-wise through
-//!   `mpsm-storage`, recording the first key of every page;
-//! * the read-only page index `⟨v_ij, S_i⟩`, ordered by key, tells the
-//!   prefetcher (and the workers) in which order pages become active;
-//! * an asynchronous prefetcher loads pages ahead of the slowest worker
-//!   (yellow in Figure 4) and releases pages behind it (green);
-//! * every worker streams its own `R_i` run in key order and merge-joins
-//!   it against **all** `S` runs simultaneously, advancing a cursor per
-//!   run — the workers' published progress keys drive the window.
+//!   `mpsm-storage`, recording the first and last key of every page;
+//! * the read-only page index `⟨v_ij, S_i⟩` over both sides' pages,
+//!   ordered by key, is cut into ascending key intervals of about a
+//!   quarter of the page budget each (bounds are every W-th `v_ij`);
+//! * the join phase is one pool dispatch per interval: worker `w` pins
+//!   the pages of its own run `R_w` and of every public run that meet
+//!   the interval (white in Figure 4), cuts each page to the interval
+//!   and merges each private slice against each overlapping public
+//!   slice with B-MPSM's kernels;
+//! * while interval `k` merges, one prefetch thread loads interval
+//!   `k + 1`'s pages (yellow); after step `k` the join releases every
+//!   page that lies wholly below the interval's upper bound (green).
 //!
-//! The page index is shared without synchronization (read-only); worker
-//! progress is published through padded atomics, not locks.
+//! A key never crosses an interval bound, so a private tuple's match
+//! status is final when its interval's step ends: the non-inner variants
+//! stream out step by step, with a match bitmap over one page slice.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
 
+use mpsm_numa::CounterScope;
 use mpsm_storage::{
-    BufferPool, BufferStats, DiskBackend, MemBackend, PageIndex, Prefetcher, Progress, Result,
+    BufferPool, BufferStats, DiskBackend, IndexEntry, MemBackend, PageIndex, Result, RunId,
     RunMeta, RunStore,
 };
 
 use crate::context::ExecContext;
-use crate::join::variant::JoinVariant;
+use crate::join::variant::{emit_variant_rows, merge_join_mark, JoinVariant};
 use crate::join::{JoinAlgorithm, JoinConfig};
+use crate::merge::merge_join_scanned;
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
@@ -43,31 +50,17 @@ pub struct DMpsmConfig {
     /// Tuples per disk page.
     pub page_records: u32,
     /// Buffer pool budget in pages — the RAM footprint of the join
-    /// phase (Figure 4: only active pages are resident).
+    /// phase (Figure 4: only active pages are resident). It also sets
+    /// the key intervals: each spans about `budget_pages / 4` pages, so
+    /// the merging interval and the prefetched next one take about half
+    /// the budget.
     pub budget_pages: usize,
-    /// Prefetch lookahead as a fraction of the key domain (e.g. 0.05 =
-    /// pages whose first key is within the next 5% of the domain are
-    /// loaded ahead).
-    pub lookahead_fraction: f64,
-    /// Poll interval of the prefetcher thread.
-    pub prefetch_poll: Duration,
-    /// Sample the buffer pool's resident-page count during the join
-    /// phase (for the Figure 4 window trace); interval, or `None` to
-    /// disable.
-    pub sample_residency: Option<Duration>,
 }
 
 impl DMpsmConfig {
-    /// Defaults: 4096-tuple pages, 256-page budget, 5% lookahead.
+    /// Defaults: 4096-tuple pages, 256-page budget.
     pub fn with_join(join: JoinConfig) -> Self {
-        DMpsmConfig {
-            join,
-            page_records: 4096,
-            budget_pages: 256,
-            lookahead_fraction: 0.05,
-            prefetch_poll: Duration::from_micros(200),
-            sample_residency: None,
-        }
+        DMpsmConfig { join, page_records: 4096, budget_pages: 256 }
     }
 }
 
@@ -83,9 +76,9 @@ pub struct DMpsmReport {
     /// Simulated I/O time charged by the backend, in ms (0 for real
     /// file backends).
     pub simulated_io_ms: f64,
-    /// `(ms since join-phase start, resident pages)` samples, when
-    /// [`DMpsmConfig::sample_residency`] is set — the raw material of
-    /// the Figure 4 window trace.
+    /// One `(ms since join-phase start, resident pages)` sample per key
+    /// interval, taken when the interval's merge ends and before its
+    /// passed pages are released — the Figure 4 window trace.
     pub residency_trace: Vec<(f64, usize)>,
 }
 
@@ -122,7 +115,7 @@ impl DMpsmJoin {
         s: &[Tuple],
     ) -> Result<(S::Result, JoinStats, DMpsmReport)>
     where
-        B: DiskBackend + 'static,
+        B: DiskBackend,
         S: JoinSink,
     {
         let cx = ExecContext::flat(self.config.join.threads);
@@ -132,20 +125,13 @@ impl DMpsmJoin {
     /// Run a (possibly non-inner) join variant on an explicit backend
     /// inside an execution context — D-MPSM's one body.
     ///
-    /// Variants stream naturally through D-MPSM: a private duplicate
-    /// group's match status is final the moment its key has been merged
-    /// against every public run, so no bitmap is needed — the variant
-    /// rows are emitted on the spot, preserving the bounded-RAM window.
-    ///
     /// Run generation's sort buffers are drawn from the context's arena
-    /// and audited, and the windowed join phase records its page
-    /// traffic as interleaved sequential reads (spooled runs live
+    /// and audited, and the windowed join phase records the tuples its
+    /// kernels scan as interleaved sequential reads (spooled runs live
     /// behind the shared buffer pool, not on any NUMA node — the
     /// commandments D-MPSM answers to are about the *sort* staying
-    /// local and the window moving sequentially). Only the prefetcher
-    /// and the optional residency sampler run on their own asynchronous
-    /// threads — they are continuous background services, not
-    /// barrier-separated phases.
+    /// local and the window moving sequentially). Only the prefetch
+    /// thread runs outside the pool; it lives for this call.
     pub fn join_variant_in<B, S>(
         &self,
         cx: &ExecContext,
@@ -155,13 +141,13 @@ impl DMpsmJoin {
         s: &[Tuple],
     ) -> Result<(S::Result, JoinStats, DMpsmReport)>
     where
-        B: DiskBackend + 'static,
+        B: DiskBackend,
         S: JoinSink,
     {
         let workers = cx.pool();
         let t = workers.threads();
         let (r, s, _swapped) = self.config.join.assign_roles(r, s);
-        let wall = std::time::Instant::now();
+        let wall = Instant::now();
         let mut stats = JoinStats::new(t);
 
         let store = Arc::new(RunStore::new(backend, self.config.page_records));
@@ -192,114 +178,71 @@ impl DMpsmJoin {
         cx.record(Phase::Two, c2);
         let r_metas: Vec<RunMeta> = r_metas.into_iter().collect::<Result<_>>()?;
 
-        // ---- Join phase: page index over S, prefetcher, windowed
-        // multiway merge. ----
-        let index = Arc::new(PageIndex::build(&s_metas));
-        let pool: Arc<BufferPool<B, Tuple>> =
-            Arc::new(BufferPool::new(Arc::clone(&store), self.config.budget_pages));
-        let progress = Arc::new(Progress::new(t));
-        let lookahead = self.lookahead_keys(s);
-        let prefetcher = Prefetcher::spawn(
-            Arc::clone(&pool),
-            Arc::clone(&index),
-            Arc::clone(&progress),
-            lookahead,
-            self.config.prefetch_poll,
-        );
-
-        // Optional residency sampler (Figure 4 window trace).
-        let sampler_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let sampler = self.config.sample_residency.map(|interval| {
-            let pool = Arc::clone(&pool);
-            let stop = Arc::clone(&sampler_stop);
-            std::thread::spawn(move || {
-                let start = std::time::Instant::now();
-                let mut trace = Vec::new();
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    trace.push((start.elapsed().as_secs_f64() * 1e3, pool.resident_pages()));
-                    std::thread::sleep(interval);
-                }
-                trace
-            })
-        });
-
-        let (phase4, d4) = workers.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let mut sink = S::default();
-            let mut r_reader = PooledReader::new(&pool, r_metas[w].clone());
-            let mut s_readers: Vec<PooledReader<'_, B>> =
-                s_metas.iter().map(|m| PooledReader::new(&pool, m.clone())).collect();
-            let mut r_group: Vec<Tuple> = Vec::new();
-
-            // The streaming loop, with `?` confined so the consumed-page
-            // accounting below runs on the success *and* error paths.
-            let body = || -> Result<S::Result> {
-                while let Some(head) = r_reader.peek()? {
-                    let key = head.key;
-                    progress.update(w, key);
-                    // Collect the duplicate group of `key` from R_w.
-                    r_group.clear();
-                    while let Some(t) = r_reader.peek()? {
-                        if t.key != key {
-                            break;
-                        }
-                        r_group.push(t);
-                        r_reader.advance()?;
+        // ---- Join phase: the stepped merge over both sides' pages. ----
+        let index = PageIndex::build(&store.all_metas());
+        let steps = Step::plan(&index, (self.config.budget_pages / 4).max(1));
+        let public: Vec<RunId> = s_metas.iter().map(|m| m.id).collect();
+        let pool = BufferPool::<B, Tuple>::new(Arc::clone(&store), self.config.budget_pages);
+        let start = Instant::now();
+        let mut residency_trace = Vec::with_capacity(steps.len());
+        let partials = std::thread::scope(|threads| -> Result<Vec<S::Result>> {
+            // The prefetch thread loads each batch it is sent and
+            // acknowledges it; it exits once the step loop drops `to_load`.
+            // A failed prefetch leaves the page to the demand read that
+            // needs it, which surfaces the error if it persists.
+            let (to_load, batches) = mpsc::channel::<&[IndexEntry]>();
+            let (ack, loaded) = mpsc::channel::<()>();
+            let pool = &pool;
+            threads.spawn(move || {
+                for batch in batches {
+                    for e in batch {
+                        let _ = pool.prefetch(e.run, e.page);
                     }
-                    // Join the group against every S run; the group's
-                    // match status is final after this loop.
-                    let mut group_matched = false;
-                    for sr in s_readers.iter_mut() {
-                        sr.skip_below(key)?;
-                        while let Some(st) = sr.peek()? {
-                            if st.key != key {
-                                break;
-                            }
-                            group_matched = true;
-                            if variant.emits_pairs() {
-                                for rt in &r_group {
-                                    sink.on_match(*rt, st);
-                                }
-                            }
-                            sr.advance()?;
-                        }
-                    }
-                    match variant {
-                        JoinVariant::Inner => {}
-                        JoinVariant::LeftOuter | JoinVariant::LeftAnti if !group_matched => {
-                            for rt in &r_group {
-                                sink.on_private(*rt);
-                            }
-                        }
-                        JoinVariant::LeftSemi if group_matched => {
-                            for rt in &r_group {
-                                sink.on_private(*rt);
-                            }
-                        }
-                        _ => {}
+                    if ack.send(()).is_err() {
+                        break;
                     }
                 }
-                progress.finish(w);
-                Ok(sink.finish())
-            };
-            let result = body();
-            // Audit: spooled pages reach the worker through the shared
-            // buffer pool, so the window's tuple traffic is interleaved
-            // and — because cursors only move forward — sequential.
-            let consumed =
-                r_reader.consumed() + s_readers.iter().map(|r| r.consumed()).sum::<u64>();
-            scope.touch_interleaved(true, consumed);
-            (result, scope.finish())
-        });
-        let (partials, c4): (Vec<_>, Vec<_>) = phase4.into_iter().unzip();
-        stats.record_phase(Phase::Four, &d4);
-        cx.record(Phase::Four, c4);
-        prefetcher.stop();
-        sampler_stop.store(true, std::sync::atomic::Ordering::Release);
-        let residency_trace =
-            sampler.map(|h| h.join().expect("sampler panicked")).unwrap_or_default();
+            });
 
-        let partials: Vec<S::Result> = partials.into_iter().collect::<Result<_>>()?;
+            let mut window: Vec<IndexEntry> = Vec::new();
+            let mut partials = Vec::with_capacity(steps.len());
+            if let Some(first) = steps.first() {
+                let _ = to_load.send(first.pages);
+            }
+            for (k, step) in steps.iter().enumerate() {
+                if let Some(next) = steps.get(k + 1) {
+                    let _ = to_load.send(next.pages);
+                }
+                // Wait for this step's batch, so its pages are resident
+                // when it starts and no prefetch lands after a release.
+                let _ = loaded.recv();
+                window.extend_from_slice(step.pages);
+                let (phase4, d4) = workers.run_timed(|w| {
+                    let mut scope = cx.scope(w);
+                    let result = step.merge::<B, S>(
+                        pool,
+                        &window,
+                        r_metas[w].id,
+                        &public,
+                        variant,
+                        &mut scope,
+                    );
+                    (result, scope.finish())
+                });
+                let (results, c4): (Vec<_>, Vec<_>) = phase4.into_iter().unzip();
+                stats.record_phase(Phase::Four, &d4);
+                cx.record(Phase::Four, c4);
+                residency_trace.push((start.elapsed().as_secs_f64() * 1e3, pool.resident_pages()));
+                // Figure 4's green pages: no later interval reads them.
+                let (passed, carry): (Vec<_>, Vec<_>) =
+                    window.drain(..).partition(|e| step.hi.is_none_or(|hi| e.max_key < hi));
+                pool.release(&passed);
+                window = carry;
+                partials.push(S::combine_all(results.into_iter().collect::<Result<Vec<_>>>()?));
+            }
+            Ok(partials)
+        })?;
+
         stats.wall = wall.elapsed();
         let backend = store.backend();
         let report = DMpsmReport {
@@ -310,11 +253,6 @@ impl DMpsmJoin {
             residency_trace,
         };
         Ok((S::combine_all(partials), stats, report))
-    }
-
-    fn lookahead_keys(&self, s: &[Tuple]) -> u64 {
-        let span = crate::tuple::key_range(s).map(|(lo, hi)| hi - lo).unwrap_or(0);
-        ((span as f64 * self.config.lookahead_fraction) as u64).max(1)
     }
 }
 
@@ -350,86 +288,89 @@ impl JoinAlgorithm for DMpsmJoin {
     }
 }
 
-/// Sequential reader over a stored run, fetching pages through the
-/// shared buffer pool (so the Figure 4 window accounting sees every
-/// access).
-struct PooledReader<'a, B: DiskBackend> {
-    pool: &'a BufferPool<B, Tuple>,
-    meta: RunMeta,
-    page: u32,
-    offset: usize,
-    current: Option<Arc<Vec<Tuple>>>,
-    /// Tuples consumed through this reader (page-level hops in
-    /// `skip_below` touch nothing and are not counted) — feeds the
-    /// join-phase access audit.
-    consumed: u64,
+/// One step of the join phase: the keys `[lo, hi)` (`hi = None` runs to
+/// the top of the key domain) and the index entries whose `min_key`
+/// falls among them — the pages no earlier step needed.
+struct Step<'a> {
+    lo: u64,
+    hi: Option<u64>,
+    pages: &'a [IndexEntry],
 }
 
-impl<'a, B: DiskBackend> PooledReader<'a, B> {
-    fn new(pool: &'a BufferPool<B, Tuple>, meta: RunMeta) -> Self {
-        PooledReader { pool, meta, page: 0, offset: 0, current: None, consumed: 0 }
+impl<'a> Step<'a> {
+    /// Cut `index` into ascending key intervals whose bounds are every
+    /// `width`-th `min_key`, deduplicated.
+    fn plan(index: &'a PageIndex, width: usize) -> Vec<Step<'a>> {
+        let entries = index.entries();
+        let mut bounds: Vec<u64> = entries.iter().step_by(width).map(|e| e.min_key).collect();
+        bounds.dedup();
+        let mut starts: Vec<usize> =
+            bounds.iter().map(|&b| entries.partition_point(|e| e.min_key < b)).collect();
+        starts.push(entries.len());
+        bounds
+            .iter()
+            .enumerate()
+            .map(|(k, &lo)| Step {
+                lo,
+                hi: bounds.get(k + 1).copied(),
+                pages: &entries[starts[k]..starts[k + 1]],
+            })
+            .collect()
     }
 
-    fn consumed(&self) -> u64 {
-        self.consumed
+    /// The part of a sorted page whose keys fall in this interval.
+    fn cut<'p>(&self, page: &'p [Tuple]) -> &'p [Tuple] {
+        let from = page.partition_point(|t| t.key < self.lo);
+        let to = self.hi.map_or(page.len(), |hi| page.partition_point(|t| t.key < hi));
+        &page[from..to]
     }
 
-    fn peek(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(page) = &self.current {
-                if self.offset < page.len() {
-                    return Ok(Some(page[self.offset]));
+    /// Worker's share of the step: the pages of its `private` run in
+    /// `window` against every `public` page there, both cut to the
+    /// interval, through B-MPSM's phase-3 kernels.
+    fn merge<B: DiskBackend, S: JoinSink>(
+        &self,
+        pool: &BufferPool<B, Tuple>,
+        window: &[IndexEntry],
+        private: RunId,
+        public: &[RunId],
+        variant: JoinVariant,
+        scope: &mut CounterScope,
+    ) -> Result<S::Result> {
+        let pin = |e: &IndexEntry| pool.get(e.run, e.page);
+        let mine: Vec<_> =
+            window.iter().filter(|e| e.run == private).map(pin).collect::<Result<_>>()?;
+        let theirs: Vec<_> =
+            window.iter().filter(|e| public.contains(&e.run)).map(pin).collect::<Result<_>>()?;
+        let theirs: Vec<&[Tuple]> =
+            theirs.iter().map(|page| self.cut(page)).filter(|s| !s.is_empty()).collect();
+
+        let mut sink = S::default();
+        let mut matched = Vec::new();
+        let mut scanned = 0;
+        for page in &mine {
+            let r = self.cut(page);
+            let (Some(first), Some(last)) = (r.first(), r.last()) else { continue };
+            let overlapping =
+                theirs.iter().filter(|s| s[0].key <= last.key && first.key <= s[s.len() - 1].key);
+            if variant == JoinVariant::Inner {
+                for s in overlapping {
+                    let scan = merge_join_scanned(r, s, &mut sink);
+                    scanned += scan.r_scanned + scan.s_scanned;
                 }
-            }
-            if self.page >= self.meta.pages() {
-                return Ok(None);
-            }
-            // Release our pin on the previous page before fetching the
-            // next: the pool may then evict or release it.
-            self.current = Some(self.pool.get(self.meta.id, self.page)?);
-            self.page += 1;
-            self.offset = 0;
-        }
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        self.offset += 1;
-        self.consumed += 1;
-        Ok(())
-    }
-
-    /// Skip tuples with key `< key`, using the per-page max keys to hop
-    /// over whole pages without touching their contents.
-    fn skip_below(&mut self, key: u64) -> Result<()> {
-        // Page-level skip: while the *current* page ends below `key`,
-        // drop it and move on (its data cannot match).
-        while self.page < self.meta.pages()
-            && self.current.is_none()
-            && self.meta.max_keys[self.page as usize] < key
-        {
-            self.page += 1;
-        }
-        loop {
-            match self.peek()? {
-                Some(t) if t.key < key => {
-                    // Within-page skip; if the whole rest of the page is
-                    // below, peek will fetch the next page, where the
-                    // page-level test applies again via max_keys.
-                    if self.meta.max_keys[(self.page - 1) as usize] < key {
-                        // Entire current page below key: jump past it.
-                        self.current = None;
-                        while self.page < self.meta.pages()
-                            && self.meta.max_keys[self.page as usize] < key
-                        {
-                            self.page += 1;
-                        }
-                    } else {
-                        self.advance()?;
-                    }
+            } else {
+                matched.clear();
+                matched.resize(r.len(), false);
+                for s in overlapping {
+                    let scan =
+                        merge_join_mark(r, s, &mut matched, variant.emits_pairs(), &mut sink);
+                    scanned += scan.r_scanned + scan.s_scanned;
                 }
-                _ => return Ok(()),
+                emit_variant_rows(variant, r, &matched, &mut sink);
             }
         }
+        scope.touch_interleaved(true, scanned as u64);
+        Ok(sink.finish())
     }
 }
 
@@ -451,6 +392,25 @@ mod tests {
         cfg.page_records = 16;
         cfg.budget_pages = 8;
         cfg
+    }
+
+    /// The lower bounds of the steps `join_on` should plan for `r ⋈ s`:
+    /// every `budget_pages / 4`-th first key over both sides' pages,
+    /// deduplicated.
+    fn plan_bounds(cfg: &DMpsmConfig, r: &[Tuple], s: &[Tuple]) -> Vec<u64> {
+        let mut firsts = Vec::new();
+        for side in [s, r] {
+            for range in chunk_ranges(side.len(), cfg.join.threads) {
+                let mut run = side[range].to_vec();
+                run.sort_unstable_by_key(|t| t.key);
+                firsts.extend(run.chunks(cfg.page_records as usize).map(|page| page[0].key));
+            }
+        }
+        firsts.sort_unstable();
+        let mut bounds: Vec<u64> =
+            firsts.into_iter().step_by((cfg.budget_pages / 4).max(1)).collect();
+        bounds.dedup();
+        bounds
     }
 
     fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -537,21 +497,111 @@ mod tests {
     }
 
     #[test]
-    fn residency_trace_is_collected_when_enabled() {
+    fn residency_trace_has_one_sample_per_step() {
         let mut next = lcg(71);
         let r: Vec<Tuple> = (0..3000).map(|i| Tuple::new(next() % 8000, i)).collect();
         let s: Vec<Tuple> = (0..9000).map(|i| Tuple::new(next() % 8000, i)).collect();
-        let mut cfg = small_cfg(4);
-        cfg.sample_residency = Some(std::time::Duration::from_micros(200));
+        let cfg = small_cfg(4);
+        let steps = plan_bounds(&cfg, &r, &s).len();
         let join = DMpsmJoin::new(cfg);
         let (_, _, report) = join
             .join_on::<MemBackend, crate::sink::CountSink>(MemBackend::disk_array(), &r, &s)
             .unwrap();
-        assert!(!report.residency_trace.is_empty(), "sampler must collect");
-        let max = report.residency_trace.iter().map(|&(_, p)| p).max().unwrap();
-        assert_eq!(max as u64, report.buffer.high_water_pages.max(max as u64).min(max as u64));
-        // Timestamps are monotone.
-        assert!(report.residency_trace.windows(2).all(|w| w[0].0 <= w[1].0));
+        let trace = &report.residency_trace;
+        assert_eq!(trace.len(), steps, "one sample per key interval");
+        assert!(trace.len() >= 2, "the input spans several intervals");
+        let hwm = report.buffer.high_water_pages;
+        assert!(trace.iter().all(|&(_, pages)| pages as u64 <= hwm), "a sample above the peak");
+        assert!(trace.windows(2).all(|w| w[0].0 <= w[1].0), "timestamps never decrease");
+    }
+
+    #[test]
+    fn window_of_two_intervals_keeps_to_the_budget() {
+        let mut next = lcg(61);
+        let r: Vec<Tuple> = (0..640).map(|i| Tuple::new(next() % 4000, i)).collect();
+        let s: Vec<Tuple> = (0..1920).map(|i| Tuple::new(next() % 4000, i)).collect();
+        // Intervals of 8 pages: the merging one, the prefetched next one
+        // and the pages straddling into them fit in 32.
+        let mut cfg = small_cfg(2);
+        cfg.budget_pages = 32;
+        let join = DMpsmJoin::new(cfg);
+        let (count, _, report) = join
+            .join_on::<MemBackend, crate::sink::CountSink>(MemBackend::disk_array(), &r, &s)
+            .unwrap();
+        assert_eq!(count, nested_loop_count(&r, &s));
+        let pool = report.buffer;
+        assert!(pool.high_water_pages <= 32, "high-water {} pages", pool.high_water_pages);
+        assert_eq!(pool.evictions, 0, "the window never pressed the budget");
+        assert!(pool.prefetches > 0);
+        // Both sides split into 16-tuple pages exactly: 160 pages.
+        assert_eq!(pool.releases, (640 + 1920) / 16, "every page is released");
+    }
+
+    #[test]
+    fn a_failed_prefetch_falls_back_to_the_demand_read() {
+        use mpsm_storage::FaultyBackend;
+        let mut next = lcg(67);
+        let r: Vec<Tuple> = (0..500).map(|i| Tuple::new(next() % 400, i)).collect();
+        let s: Vec<Tuple> = (0..1500).map(|i| Tuple::new(next() % 400, i)).collect();
+        // Workers wait for the first batch, so read #0 is a prefetch.
+        let backend = FaultyBackend::new(MemBackend::disk_array(), vec![0]);
+        let join = DMpsmJoin::new(small_cfg(2));
+        let (count, _, report) =
+            join.join_on::<_, crate::sink::CountSink>(backend, &r, &s).unwrap();
+        assert_eq!(count, nested_loop_count(&r, &s));
+        assert!(report.buffer.misses >= 1, "the faulted page is read on demand");
+    }
+
+    #[test]
+    fn a_key_group_across_pages_and_an_interval_bound_is_exact_for_every_variant() {
+        use crate::sink::{CollectSink, NULL_PAYLOAD};
+        // Each of the two private runs sorts to keys 0..10, 38 copies of
+        // 100 and 200..210. In 16-tuple pages, page 0 ends with six 100s
+        // and pages 1 and 2 hold the other 32.
+        let run: Vec<u64> = (0..10).chain(std::iter::repeat_n(100, 38)).chain(200..210).collect();
+        let r = keyed(&[run.clone(), run].concat());
+        let s = keyed(&[5, 100, 150, 100, 205, 100, 300, 9, 9]);
+        let mut cfg = small_cfg(2);
+        // One page per interval: every distinct first key is a bound, so
+        // page 0 straddles the bound at 100.
+        cfg.budget_pages = 4;
+        assert!(plan_bounds(&cfg, &r, &s).contains(&100));
+        let join = DMpsmJoin::new(cfg);
+        let cx = ExecContext::flat(2);
+        for variant in [
+            JoinVariant::Inner,
+            JoinVariant::LeftOuter,
+            JoinVariant::LeftSemi,
+            JoinVariant::LeftAnti,
+        ] {
+            let mut expected = Vec::new();
+            for rt in &r {
+                let partners: Vec<&Tuple> = s.iter().filter(|st| st.key == rt.key).collect();
+                if variant.emits_pairs() {
+                    expected.extend(partners.iter().map(|st| (rt.key, rt.payload, st.payload)));
+                }
+                let single = match variant {
+                    JoinVariant::Inner => false,
+                    JoinVariant::LeftOuter | JoinVariant::LeftAnti => partners.is_empty(),
+                    JoinVariant::LeftSemi => !partners.is_empty(),
+                };
+                if single {
+                    expected.push((rt.key, rt.payload, NULL_PAYLOAD));
+                }
+            }
+            expected.sort_unstable();
+            let (mut rows, _, _) = join
+                .join_variant_in::<MemBackend, CollectSink>(
+                    &cx,
+                    variant,
+                    MemBackend::disk_array(),
+                    &r,
+                    &s,
+                )
+                .unwrap();
+            rows.sort_unstable();
+            assert_eq!(rows, expected, "{variant:?}");
+        }
     }
 
     #[test]

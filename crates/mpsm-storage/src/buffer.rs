@@ -1,9 +1,10 @@
 //! Budgeted buffer pool realizing the Figure 4 page lifecycle.
 //!
-//! Pages enter the pool either on demand (a worker needs them *now* —
-//! ideally rare, because the prefetcher should be ahead) or via
-//! [`BufferPool::prefetch`]. Pages leave when the prefetcher releases
-//! everything below the slowest worker's key, or when the budget forces
+//! Pages enter the pool either via [`BufferPool::prefetch`], a step ahead
+//! of the join, or on demand through [`BufferPool::get`] (a worker needs
+//! them *now* — rare, because the next interval is prefetched while the
+//! current one merges). Pages leave when the join releases every page
+//! wholly below the interval it has finished, or when the budget forces
 //! eviction of idle pages. The pool tracks a resident-page high-water
 //! mark so experiments can verify that D-MPSM really runs within its RAM
 //! budget (experiment E10).
@@ -28,7 +29,7 @@ pub struct BufferStats {
     pub misses: u64,
     /// Pages loaded ahead of demand.
     pub prefetches: u64,
-    /// Pages dropped because the slowest worker passed them.
+    /// Pages dropped because the join passed them.
     pub releases: u64,
     /// Pages dropped by budget pressure.
     pub evictions: u64,
@@ -124,8 +125,8 @@ impl<B: DiskBackend, R: Record> BufferPool<B, R> {
         Ok(())
     }
 
-    /// Drop the given pages (already passed by every worker — Figure 4,
-    /// green). Pages still referenced by a reader stay alive through
+    /// Drop the given pages (no later key interval reads them — Figure
+    /// 4, green). Pages still referenced by a reader stay alive through
     /// their `Arc` but leave the pool immediately.
     pub fn release<'a>(&self, entries: impl IntoIterator<Item = &'a IndexEntry>) {
         let mut inner = self.inner.lock();

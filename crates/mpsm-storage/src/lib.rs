@@ -2,18 +2,22 @@
 //!
 //! D-MPSM processes sorted runs that are too large for RAM: runs are
 //! spooled to disk during run generation, and during the join phase the
-//! workers move *synchronously through the key domain* so that
+//! workers move *synchronously through the key domain*, one key interval
+//! per step, so that
 //!
-//! * already-processed pages can be **released** from RAM (Figure 4,
-//!   green),
-//! * soon-to-be-processed pages are **prefetched** asynchronously
-//!   (Figure 4, yellow),
-//! * only the currently active window is resident (Figure 4, white).
+//! * pages wholly below a finished interval are **released** from RAM
+//!   (Figure 4, green),
+//! * the next interval's pages are **prefetched** while the current one
+//!   merges (Figure 4, yellow),
+//! * only the pages of those two intervals are resident (Figure 4,
+//!   white).
 //!
 //! The ordering information comes from a [`page_index::PageIndex`]: pairs
 //! `⟨v_ij, S_i⟩` where `v_ij` is the first (minimal) join key on the
 //! `j`-th page of run `S_i`, sorted by key — read-only, hence shared
-//! without synchronization, exactly as in the paper.
+//! without synchronization, exactly as in the paper. The
+//! [`buffer::BufferPool`] holds the resident pages under a page budget;
+//! the stepping itself lives in `mpsm-core`'s D-MPSM join.
 //!
 //! ## Substitution note
 //!
@@ -30,14 +34,12 @@
 pub mod backend;
 pub mod buffer;
 pub mod page_index;
-pub mod prefetch;
 pub mod record;
 pub mod run_store;
 
 pub use backend::{DiskBackend, FaultyBackend, FileBackend, MemBackend};
 pub use buffer::{BufferPool, BufferStats};
 pub use page_index::{IndexEntry, PageIndex};
-pub use prefetch::{Prefetcher, Progress};
 pub use record::Record;
 pub use run_store::{RunId, RunMeta, RunReader, RunStore, RunWriter};
 

@@ -2,11 +2,12 @@
 //!
 //! The index contains one entry per stored page: `⟨v_ij, S_i, j⟩` where
 //! `v_ij` is the first (minimal) join key on the `j`-th page of run
-//! `S_i`, sorted ascending by `v_ij`. Prefetcher and workers process the
-//! input in this order, moving synchronously through the key domain.
-//! The structure is built once after run generation and then accessed
-//! read-only — "the common page index structure does not require any
-//! synchronization" (paper §3.1).
+//! `S_i`, sorted ascending by `v_ij`. D-MPSM's join phase cuts this
+//! order into ascending key intervals and moves its workers through them
+//! in step, prefetching the next interval's pages. The structure is
+//! built once after run generation and then accessed read-only — "the
+//! common page index structure does not require any synchronization"
+//! (paper §3.1).
 
 use crate::run_store::{RunId, RunMeta};
 
@@ -15,7 +16,7 @@ use crate::run_store::{RunId, RunMeta};
 pub struct IndexEntry {
     /// First (minimal) key on the page — `v_ij`.
     pub min_key: u64,
-    /// Last (maximal) key on the page; the page is dead once every worker
+    /// Last (maximal) key on the page; the page is dead once the join
     /// has passed this key.
     pub max_key: u64,
     /// The run the page belongs to.
@@ -65,14 +66,14 @@ impl PageIndex {
         self.entries.is_empty()
     }
 
-    /// Position of the first entry whose `min_key` is `> key` — the
-    /// prefetch frontier for a worker currently processing `key`.
+    /// Position of the first entry whose `min_key` is `> key`: the
+    /// entries before it are the pages a merge at `key` may need.
     pub fn frontier(&self, key: u64) -> usize {
         self.entries.partition_point(|e| e.min_key <= key)
     }
 
     /// Entries whose pages are entirely below `key`, i.e. releasable once
-    /// the *slowest* worker has reached `key` (Figure 4, green).
+    /// every worker has reached `key` (Figure 4, green).
     pub fn releasable(&self, key: u64) -> impl Iterator<Item = &IndexEntry> {
         self.entries.iter().filter(move |e| e.max_key < key)
     }
