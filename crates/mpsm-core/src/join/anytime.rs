@@ -24,18 +24,22 @@
 //!
 //! * **Single step** — the token is [`AnytimeToken::Never`] and no row
 //!   cap can take effect (none given, or the sink does not count rows).
-//!   Nothing can interrupt the merge, so it is one pool dispatch in
-//!   which worker `w` owns private runs `w, w + T, …` against every
-//!   public run. A pool dispatch costs tens of microseconds on a busy
-//!   box; the plain merge must not pay one per block.
+//!   Nothing can interrupt the merge, so it is one pool dispatch whose
+//!   pieces are the private runs plus the delta run. A pool dispatch
+//!   costs tens of microseconds on a busy box; the plain merge must not
+//!   pay one per block.
 //! * **Key-interval steps** — otherwise. The private base runs are cut,
 //!   in ascending order, into key-group-aligned blocks of roughly
 //!   [`ANYTIME_BLOCK_TUPLES`] tuples; step `k` is block `k` **plus the
 //!   slice of the private delta run falling into the same key
 //!   interval** `(last key of block k−1, last key of block k]` (the
-//!   first interval is open below, the last open above). Each step is
-//!   one pool dispatch parallelized across the *public* runs; the
-//!   driver thread consults the token, and the row cap, once per step.
+//!   first interval is open below, the last open above). The block is
+//!   cut into at most `T` contiguous pieces, and the delta slice is one
+//!   more; key alignment only matters between steps. The driver thread
+//!   consults the token, and the row cap, once per step.
+//!
+//! Both plans split a step's work the same way: worker `w` merges
+//! pieces `w, w + T, …` of the step, each against every public run.
 //!
 //! Blocks never split a key group and every step carries all private
 //! tuples — base and delta — of its key interval, which gives the
@@ -201,12 +205,12 @@ struct Step<'a> {
 }
 
 /// The interruptible plan: one step per key-aligned block of the
-/// private base runs, in ascending key order, each joined by the slice
-/// of the private delta run whose keys fall into the block's interval
-/// (everything not yet taken, up to the block's last key; the last
-/// step takes the rest). A side with no base tuples merges its delta in
-/// one step.
-fn key_interval_steps<'a>(r: DeltaSide<'a>) -> Vec<Step<'a>> {
+/// private base runs, in ascending key order, cut into at most `t`
+/// contiguous pieces and joined by the slice of the private delta run
+/// whose keys fall into the block's interval (everything not yet taken,
+/// up to the block's last key; the last step takes the rest). A side
+/// with no base tuples merges its delta in one step.
+fn key_interval_steps<'a>(r: DeltaSide<'a>, t: usize) -> Vec<Step<'a>> {
     let mut blocks = Vec::new();
     for idx in 0..r.base.parts() {
         let run = r.piece(idx);
@@ -223,7 +227,12 @@ fn key_interval_steps<'a>(r: DeltaSide<'a>) -> Vec<Step<'a>> {
         .into_iter()
         .enumerate()
         .map(|(i, block)| {
-            let mut step = Step { base_tuples: block.tuples.len(), pieces: vec![block] };
+            let base_tuples = block.tuples.len();
+            let pieces = block.tuples.chunks(base_tuples.div_ceil(t));
+            let mut step = Step {
+                pieces: pieces.map(|tuples| Piece { tuples, ..block }).collect(),
+                base_tuples,
+            };
             if let Some(delta) = delta {
                 let hi = block.tuples[block.tuples.len() - 1].key;
                 let upto = if i == last {
@@ -274,13 +283,8 @@ pub fn merge_sides<S: JoinSink>(
         let pieces = (0..r.run_count()).map(|idx| r.piece(idx)).collect();
         vec![Step { pieces, base_tuples: r.base.total_tuples() }]
     } else {
-        key_interval_steps(r)
+        key_interval_steps(r, t)
     };
-    // Work split of one dispatch: the single step hands out private
-    // pieces (a worker's own run against every public run), a key
-    // interval hands out public runs (its one or two pieces against a
-    // worker's share of them).
-    let lanes = |w: usize| if single { (w, t, 0, 1) } else { (0, 1, w, t) };
 
     let mut d4 = vec![Duration::ZERO; t];
     let mut partials: Vec<S::Result> = Vec::with_capacity(steps.len());
@@ -294,9 +298,8 @@ pub fn merge_sides<S: JoinSink>(
         let (phase, d_step) = cx.pool().run_timed(|w| {
             let mut scope = cx.scope(w);
             let mut sink = S::default();
-            let (r_from, r_stride, s_from, s_stride) = lanes(w);
-            for piece in step.pieces.iter().skip(r_from).step_by(r_stride) {
-                for sp in (s_from..s.run_count()).step_by(s_stride) {
+            for piece in step.pieces.iter().skip(w).step_by(t) {
+                for sp in 0..s.run_count() {
                     merge_pair(*piece, s.piece(sp), &mut sink, &mut scope);
                 }
             }
@@ -368,6 +371,9 @@ pub fn merge_run_sets_anytime<S: JoinSink>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
     use super::super::runs::{build_run_set, merge_run_sets_in};
     use super::*;
     use crate::join::delta::{materialize, DeltaOp, DeltaOverlay};
@@ -783,6 +789,50 @@ mod tests {
         let r = chunked_run_set(&cx, &random(1000, 500, 61), Phase::Two, &mut stats);
         let s = build_run_set(&cx, &random(1000, 500, 67), 10, Phase::One, Phase::One, &mut stats);
         merge_run_sets_in::<CountSink>(&cx, &r, &s, &mut stats);
+    }
+
+    /// Records which pool threads saw at least one match.
+    #[derive(Default)]
+    struct ThreadsSink {
+        seen: HashSet<ThreadId>,
+    }
+
+    impl JoinSink for ThreadsSink {
+        type Result = HashSet<ThreadId>;
+
+        fn on_match(&mut self, _private: Tuple, _public: Tuple) {
+            if self.seen.is_empty() {
+                self.seen.insert(std::thread::current().id());
+            }
+        }
+
+        fn finish(self) -> Self::Result {
+            self.seen
+        }
+
+        fn combine(mut a: Self::Result, b: Self::Result) -> Self::Result {
+            a.extend(b);
+            a
+        }
+    }
+
+    /// Over range-partitioned sides a block meets a single public run, so
+    /// a step runs `T`-wide only if its private block is what is split
+    /// across the workers.
+    #[test]
+    fn an_interrupted_step_merges_on_every_worker() {
+        let cx = ExecContext::flat(2);
+        let (r_runs, s_runs) = sets(&random(40_000, 40_000, 71), &random(40_000, 40_000, 73), &cx);
+        let mut stats = JoinStats::new(2);
+        let out = merge_run_sets_anytime::<ThreadsSink>(
+            &cx,
+            &r_runs,
+            &s_runs,
+            &AnytimeToken::budget(1),
+            &mut stats,
+        );
+        assert!(!out.complete, "one step of many");
+        assert_eq!(out.result.len(), 2, "both workers merged part of the step");
     }
 
     #[test]

@@ -19,9 +19,8 @@
 
 use crate::context::ExecContext;
 use crate::join::runs::chunked_run_set;
-use crate::join::variant::{band_merge_join, emit_variant_rows, merge_join_mark, JoinVariant};
+use crate::join::variant::{band_merge_join, join_variant, JoinVariant};
 use crate::join::{JoinAlgorithm, JoinConfig};
-use crate::merge::merge_join_scanned;
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
@@ -124,27 +123,11 @@ impl BMpsmJoin {
             let run = &private.runs()[w];
             let my_home = run.home();
             match kernel {
-                Kernel::Variant(JoinVariant::Inner) => {
-                    for s_run in public.runs() {
-                        let scan = merge_join_scanned(run, s_run, &mut sink);
-                        scope.touch(my_home, true, scan.r_scanned as u64);
-                        scope.touch(s_run.home(), true, scan.s_scanned as u64);
-                    }
-                }
                 Kernel::Variant(variant) => {
-                    let mut matched = vec![false; run.len()];
-                    for s_run in public.runs() {
-                        let scan = merge_join_mark(
-                            run,
-                            s_run,
-                            &mut matched,
-                            variant.emits_pairs(),
-                            &mut sink,
-                        );
+                    join_variant(variant, run, public.runs(), &mut sink, |s_run, scan| {
                         scope.touch(my_home, true, scan.r_scanned as u64);
                         scope.touch(s_run.home(), true, scan.s_scanned as u64);
-                    }
-                    emit_variant_rows(variant, run, &matched, &mut sink);
+                    });
                 }
                 Kernel::Band(delta) => {
                     for s_run in public.runs() {

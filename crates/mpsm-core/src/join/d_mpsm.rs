@@ -34,9 +34,8 @@ use mpsm_storage::{
 };
 
 use crate::context::ExecContext;
-use crate::join::variant::{emit_variant_rows, merge_join_mark, JoinVariant};
+use crate::join::variant::{join_variant, JoinVariant};
 use crate::join::{JoinAlgorithm, JoinConfig};
-use crate::merge::merge_join_scanned;
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
@@ -346,28 +345,15 @@ impl<'a> Step<'a> {
             theirs.iter().map(|page| self.cut(page)).filter(|s| !s.is_empty()).collect();
 
         let mut sink = S::default();
-        let mut matched = Vec::new();
         let mut scanned = 0;
         for page in &mine {
             let r = self.cut(page);
             let (Some(first), Some(last)) = (r.first(), r.last()) else { continue };
             let overlapping =
                 theirs.iter().filter(|s| s[0].key <= last.key && first.key <= s[s.len() - 1].key);
-            if variant == JoinVariant::Inner {
-                for s in overlapping {
-                    let scan = merge_join_scanned(r, s, &mut sink);
-                    scanned += scan.r_scanned + scan.s_scanned;
-                }
-            } else {
-                matched.clear();
-                matched.resize(r.len(), false);
-                for s in overlapping {
-                    let scan =
-                        merge_join_mark(r, s, &mut matched, variant.emits_pairs(), &mut sink);
-                    scanned += scan.r_scanned + scan.s_scanned;
-                }
-                emit_variant_rows(variant, r, &matched, &mut sink);
-            }
+            join_variant(variant, r, overlapping, &mut sink, |_, scan| {
+                scanned += scan.r_scanned + scan.s_scanned;
+            });
         }
         scope.touch_interleaved(true, scanned as u64);
         Ok(sink.finish())

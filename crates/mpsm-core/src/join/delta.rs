@@ -191,12 +191,12 @@ fn key_union<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
 /// Merge-join two key-sorted runs, skipping every key present in the
 /// corresponding sorted mask. The masked kernel of `merge_pair`: a
 /// masked key on either side produces no pair, so the kernel walks the
-/// union of both masks and runs the galloping [`merge_join_scanned`]
-/// over each mask-free stretch of `r` — `s` continuing where the
-/// previous stretch left it — then skips `r`'s group for the masked
-/// key. `s`'s masked groups need no skip: no `r` key left can match
-/// them.
-pub fn merge_join_masked<S: JoinSink>(
+/// union of both masks and runs the galloping kernel
+/// ([`merge_join`](crate::merge::merge_join)) over each mask-free
+/// stretch of `r` — `s` continuing where the previous stretch left it —
+/// then skips `r`'s group for the masked key. `s`'s masked groups need
+/// no skip: no `r` key left can match them.
+pub(crate) fn merge_join_masked<S: JoinSink>(
     r: &[Tuple],
     s: &[Tuple],
     r_masked: &[u64],

@@ -17,7 +17,9 @@
 //! the B-MPSM topology, where every worker sees all of `S` so no
 //! partition-boundary replication is needed ([`band_merge_join`]).
 
-use crate::merge::MergeScan;
+use std::ops::Deref;
+
+use crate::merge::{merge_join_scanned, Matches, MergeScan};
 use crate::sink::JoinSink;
 use crate::tuple::Tuple;
 
@@ -42,51 +44,67 @@ impl JoinVariant {
     }
 }
 
-/// Merge-join `r` against one public run `s`, marking matched private
-/// tuples in `matched` (same length as `r`) and emitting pairs into
-/// `sink` if `emit_pairs`. Called once per public run; the bitmap
-/// accumulates across calls. Returns the scan extents for the access
-/// audit (see [`crate::merge::MergeScan`]).
-pub fn merge_join_mark<S: JoinSink>(
-    r: &[Tuple],
-    s: &[Tuple],
-    matched: &mut [bool],
-    emit_pairs: bool,
-    sink: &mut S,
-) -> MergeScan {
-    debug_assert_eq!(r.len(), matched.len());
-    debug_assert!(crate::tuple::is_key_sorted(r));
-    debug_assert!(crate::tuple::is_key_sorted(s));
-    let mut i = 0;
-    let mut j = 0;
-    while i < r.len() && j < s.len() {
-        let rk = r[i].key;
-        let sk = s[j].key;
-        if rk < sk {
-            i += 1;
-        } else if rk > sk {
-            j += 1;
-        } else {
-            let i_end = group_end(r, i);
-            let j_end = group_end(s, j);
-            for (rt, m) in r[i..i_end].iter().zip(matched[i..i_end].iter_mut()) {
-                *m = true;
-                if emit_pairs {
-                    for st in &s[j..j_end] {
-                        sink.on_match(*rt, *st);
-                    }
-                }
-            }
-            i = i_end;
-            j = j_end;
+/// The marking consumer of the merge kernel: every matched private
+/// index is set in `matched`, and pairs reach `sink` only when the
+/// variant emits them — semi and anti joins never walk a group's cross
+/// product.
+struct Marker<'a, S> {
+    matched: &'a mut [bool],
+    sink: &'a mut S,
+    pairs: bool,
+}
+
+impl<S: JoinSink> Matches for Marker<'_, S> {
+    #[inline]
+    fn pair(&mut self, i: usize, r: Tuple, s: Tuple) {
+        self.matched[i] = true;
+        if self.pairs {
+            self.sink.on_match(r, s);
         }
     }
-    MergeScan { r_scanned: i, s_scanned: j }
+
+    fn groups(&mut self, i: usize, r: &[Tuple], s: &[Tuple]) {
+        self.matched[i..i + r.len()].fill(true);
+        if self.pairs {
+            self.sink.groups(i, r, s);
+        }
+    }
+}
+
+/// Join the private run `r` against every run of `public` under
+/// `variant` — the one join routine of B-MPSM's phase 3 and D-MPSM's
+/// steps. Each public run goes through the galloping kernel, and its
+/// scan extents are reported to `scanned` for the access audit. The
+/// inner join emits pairs straight into `sink`; the other variants mark
+/// matched private tuples across all public runs and then emit their
+/// single-sided rows.
+pub(crate) fn join_variant<'p, P, S>(
+    variant: JoinVariant,
+    r: &[Tuple],
+    public: impl IntoIterator<Item = &'p P>,
+    sink: &mut S,
+    mut scanned: impl FnMut(&P, MergeScan),
+) where
+    P: Deref<Target = [Tuple]> + 'p,
+    S: JoinSink,
+{
+    if variant == JoinVariant::Inner {
+        for s in public {
+            scanned(s, merge_join_scanned(r, s, sink));
+        }
+        return;
+    }
+    let mut matched = vec![false; r.len()];
+    let mut marker = Marker { matched: &mut matched, sink, pairs: variant.emits_pairs() };
+    for s in public {
+        scanned(s, merge_join_scanned(r, s, &mut marker));
+    }
+    emit_variant_rows(variant, r, &matched, sink);
 }
 
 /// Finish a variant after all public runs were merged: emit the
 /// single-sided rows the variant calls for.
-pub fn emit_variant_rows<S: JoinSink>(
+fn emit_variant_rows<S: JoinSink>(
     variant: JoinVariant,
     r: &[Tuple],
     matched: &[bool],
@@ -132,16 +150,6 @@ pub fn band_merge_join<S: JoinSink>(r: &[Tuple], s: &[Tuple], delta: u64, sink: 
     }
 }
 
-#[inline]
-fn group_end(run: &[Tuple], start: usize) -> usize {
-    let key = run[start].key;
-    let mut end = start + 1;
-    while end < run.len() && run[end].key == key {
-        end += 1;
-    }
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,58 +161,69 @@ mod tests {
         v
     }
 
+    /// The sorted rows of `variant` over `r` against the `public` runs.
+    fn rows(variant: JoinVariant, r: &[Tuple], public: &[Vec<Tuple>]) -> Vec<(u64, u64, u64)> {
+        let mut sink = CollectSink::default();
+        join_variant(variant, r, public, &mut sink, |_, _| {});
+        let mut rows = sink.finish();
+        rows.sort_unstable();
+        rows
+    }
+
     #[test]
     fn marking_accumulates_across_runs() {
         let r = sorted(&[(1, 0), (2, 0), (3, 0)]);
-        let s1 = sorted(&[(1, 10)]);
-        let s2 = sorted(&[(3, 30)]);
-        let mut matched = vec![false; r.len()];
-        let mut sink = CountSink::default();
-        merge_join_mark(&r, &s1, &mut matched, true, &mut sink);
-        merge_join_mark(&r, &s2, &mut matched, true, &mut sink);
-        assert_eq!(matched, vec![true, false, true]);
-        assert_eq!(sink.finish(), 2);
+        let public = [sorted(&[(1, 10)]), sorted(&[(3, 30)])];
+        let mut calls = 0;
+        let mut sink = CollectSink::default();
+        join_variant(JoinVariant::LeftOuter, &r, &public, &mut sink, |_, _| calls += 1);
+        assert_eq!(calls, 2, "one scan report per public run");
+        let mut rows = sink.finish();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![(1, 0, 10), (2, 0, NULL_PAYLOAD), (3, 0, 30)]);
     }
 
     #[test]
     fn outer_rows_pad_unmatched() {
         let r = sorted(&[(1, 11), (2, 22)]);
         let s = sorted(&[(1, 100)]);
-        let mut matched = vec![false; r.len()];
-        let mut sink = CollectSink::default();
-        merge_join_mark(&r, &s, &mut matched, true, &mut sink);
-        emit_variant_rows(JoinVariant::LeftOuter, &r, &matched, &mut sink);
-        let mut rows = sink.finish();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![(1, 11, 100), (2, 22, NULL_PAYLOAD)]);
+        assert_eq!(
+            rows(JoinVariant::LeftOuter, &r, &[s]),
+            vec![(1, 11, 100), (2, 22, NULL_PAYLOAD)]
+        );
     }
 
     #[test]
     fn semi_and_anti_partition_the_private_input() {
         let r = sorted(&[(1, 0), (2, 0), (3, 0), (3, 1)]);
-        let s = sorted(&[(3, 0), (3, 9), (5, 0)]);
-        let mut matched = vec![false; r.len()];
-        let mut probe = CountSink::default();
-        merge_join_mark(&r, &s, &mut matched, false, &mut probe);
-        assert_eq!(probe.finish(), 0, "semi/anti must not emit pairs");
-
-        let mut semi = CountSink::default();
-        emit_variant_rows(JoinVariant::LeftSemi, &r, &matched, &mut semi);
-        let mut anti = CountSink::default();
-        emit_variant_rows(JoinVariant::LeftAnti, &r, &matched, &mut anti);
-        assert_eq!(semi.finish(), 2, "both key-3 tuples matched");
-        assert_eq!(anti.finish(), 2, "keys 1 and 2 unmatched");
+        let public = [sorted(&[(3, 0), (3, 9), (5, 0)])];
+        let semi = rows(JoinVariant::LeftSemi, &r, &public);
+        let anti = rows(JoinVariant::LeftAnti, &r, &public);
+        assert!(
+            semi.iter().chain(&anti).all(|&(.., s)| s == NULL_PAYLOAD),
+            "semi/anti must not emit pairs"
+        );
+        assert_eq!(
+            semi,
+            vec![(3, 0, NULL_PAYLOAD), (3, 1, NULL_PAYLOAD)],
+            "both key-3 tuples matched"
+        );
+        assert_eq!(
+            anti,
+            vec![(1, 0, NULL_PAYLOAD), (2, 0, NULL_PAYLOAD)],
+            "keys 1 and 2 unmatched"
+        );
     }
 
     #[test]
     fn duplicate_groups_mark_every_member_and_emit_cross_products() {
         let r = sorted(&[(7, 0), (7, 1)]);
-        let s = sorted(&[(7, 10), (7, 11), (7, 12)]);
-        let mut matched = vec![false; 2];
-        let mut sink = CountSink::default();
-        merge_join_mark(&r, &s, &mut matched, true, &mut sink);
-        assert_eq!(sink.finish(), 6);
-        assert_eq!(matched, vec![true, true]);
+        let public = [sorted(&[(7, 10), (7, 11), (7, 12)])];
+        let outer = rows(JoinVariant::LeftOuter, &r, &public);
+        assert_eq!(outer.len(), 6, "2 × 3 pairs and no padded row");
+        assert!(outer.iter().all(|&(.., s)| s != NULL_PAYLOAD));
+        assert!(rows(JoinVariant::LeftAnti, &r, &public).is_empty(), "every member is marked");
+        assert_eq!(rows(JoinVariant::LeftSemi, &r, &public).len(), 2);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! Joins two key-sorted runs with full duplicate semantics: for every
 //! group of equal keys the cross product of the two groups is emitted
 //! (an equi-join must produce `|G_r| × |G_s|` pairs). The kernel is the
-//! inner loop of all three MPSM variants — phase 3 of B-MPSM and phase 4
-//! of P-MPSM call it once per `(private run, public run)` pair, D-MPSM
-//! streams it over paged runs.
+//! inner loop of every MPSM variant: B-MPSM's phase 3, P-MPSM's phase 4
+//! (through the masked kernel of the run-set merge) and D-MPSM's stepped
+//! merge over paged runs all call it once per `(private run, public
+//! run)` pair, and so do the outer, semi and anti joins of
+//! [`crate::join::variant`], which hand it a consumer that marks matched
+//! private tuples instead of a plain [`JoinSink`].
 //!
 //! Both runs are only ever scanned forward, which is what makes the
 //! remote reads of the join phase sequential (commandment C2).
@@ -129,6 +132,34 @@ pub struct MergeScan {
     pub s_scanned: usize,
 }
 
+/// What the kernel hands each match to. Every [`JoinSink`] is one (it
+/// emits the pairs); the non-inner variants implement it to mark the
+/// matched private tuples by index.
+pub(crate) trait Matches {
+    /// Private tuple `r` at index `i` and public tuple `s` share a key
+    /// that no other tuple of either run has.
+    fn pair(&mut self, i: usize, r: Tuple, s: Tuple);
+
+    /// Two groups of equal keys; the private group starts at index `i`.
+    fn groups(&mut self, i: usize, r: &[Tuple], s: &[Tuple]);
+}
+
+impl<S: JoinSink> Matches for S {
+    #[inline]
+    fn pair(&mut self, _i: usize, r: Tuple, s: Tuple) {
+        self.on_match(r, s);
+    }
+
+    #[inline]
+    fn groups(&mut self, _i: usize, r: &[Tuple], s: &[Tuple]) {
+        for rt in r {
+            for st in s {
+                self.on_match(*rt, *st);
+            }
+        }
+    }
+}
+
 /// Merge-join two key-sorted runs into `sink`, galloping over
 /// non-matching stretches. `r` is the private input (first argument of
 /// `on_match`).
@@ -151,9 +182,9 @@ pub fn merge_join<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) {
     let _ = merge_join_scanned(r, s, sink);
 }
 
-/// [`merge_join`], additionally returning how far each cursor advanced
-/// — the audited entry point of the join phases.
-pub fn merge_join_scanned<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) -> MergeScan {
+/// [`merge_join`] into any [`Matches`], additionally returning how far
+/// each cursor advanced — the audited entry point of the join phases.
+pub(crate) fn merge_join_scanned<M: Matches>(r: &[Tuple], s: &[Tuple], sink: &mut M) -> MergeScan {
     debug_assert!(crate::tuple::is_key_sorted(r), "private run must be sorted");
     debug_assert!(crate::tuple::is_key_sorted(s), "public run must be sorted");
     let mut i = 0;
@@ -186,17 +217,13 @@ pub fn merge_join_scanned<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) -
             let r_single = i1 == r.len() || r[i1].key != rk;
             let s_single = j1 == s.len() || s[j1].key != rk;
             if r_single & s_single {
-                sink.on_match(r[i], s[j]);
+                sink.pair(i, r[i], s[j]);
                 i = i1;
                 j = j1;
             } else {
                 let i_end = group_end(r, i);
                 let j_end = group_end(s, j);
-                for rt in &r[i..i_end] {
-                    for st in &s[j..j_end] {
-                        sink.on_match(*rt, *st);
-                    }
-                }
+                sink.groups(i, &r[i..i_end], &s[j..j_end]);
                 i = i_end;
                 j = j_end;
             }
@@ -253,14 +280,6 @@ fn group_end(run: &[Tuple], start: usize) -> usize {
     end
 }
 
-/// Merge-join counting matches only (convenience used by tests and the
-/// complexity experiments).
-pub fn merge_join_count(r: &[Tuple], s: &[Tuple]) -> u64 {
-    let mut sink = crate::sink::CountSink::default();
-    merge_join(r, s, &mut sink);
-    sink.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +289,12 @@ mod tests {
         let mut v: Vec<Tuple> = keys.iter().map(|&(k, p)| Tuple::new(k, p)).collect();
         v.sort_unstable();
         v
+    }
+
+    fn count(r: &[Tuple], s: &[Tuple]) -> u64 {
+        let mut sink = CountSink::default();
+        merge_join(r, s, &mut sink);
+        sink.finish()
     }
 
     fn nested_loop_count(r: &[Tuple], s: &[Tuple]) -> u64 {
@@ -283,7 +308,7 @@ mod tests {
         let mut linear = CollectSink::default();
         merge_join_linear(r, s, &mut linear);
         assert_eq!(gallop.finish(), linear.finish(), "{label}");
-        assert_eq!(merge_join_count(r, s), nested_loop_count(r, s), "{label} vs oracle");
+        assert_eq!(count(r, s), nested_loop_count(r, s), "{label} vs oracle");
     }
 
     #[test]
@@ -299,7 +324,7 @@ mod tests {
     fn duplicate_groups_emit_cross_products() {
         let r = sorted(&[(4, 1), (4, 2), (4, 3)]);
         let s = sorted(&[(4, 10), (4, 20)]);
-        assert_eq!(merge_join_count(&r, &s), 6, "3 × 2 pairs");
+        assert_eq!(count(&r, &s), 6, "3 × 2 pairs");
         let mut sink = CollectSink::default();
         merge_join(&r, &s, &mut sink);
         let rows = sink.finish();
@@ -311,15 +336,15 @@ mod tests {
     fn disjoint_runs_join_empty() {
         let r = sorted(&[(1, 0), (2, 0)]);
         let s = sorted(&[(10, 0), (20, 0)]);
-        assert_eq!(merge_join_count(&r, &s), 0);
+        assert_eq!(count(&r, &s), 0);
     }
 
     #[test]
     fn empty_inputs() {
         let r = sorted(&[(1, 0)]);
-        assert_eq!(merge_join_count(&r, &[]), 0);
-        assert_eq!(merge_join_count(&[], &r), 0);
-        assert_eq!(merge_join_count(&[], &[]), 0);
+        assert_eq!(count(&r, &[]), 0);
+        assert_eq!(count(&[], &r), 0);
+        assert_eq!(count(&[], &[]), 0);
     }
 
     #[test]
@@ -347,7 +372,7 @@ mod tests {
     fn all_equal_keys_is_full_cross_product() {
         let r = sorted(&(0..50u64).map(|i| (9, i)).collect::<Vec<_>>());
         let s = sorted(&(0..40u64).map(|i| (9, i)).collect::<Vec<_>>());
-        assert_eq!(merge_join_count(&r, &s), 50 * 40);
+        assert_eq!(count(&r, &s), 50 * 40);
     }
 
     #[test]

@@ -251,7 +251,7 @@ mod tests {
         }
         let index = PageIndex::build(&store.all_metas());
         // Slowest worker at key 8 → pages with max_key < 8 (pages 0..2) die.
-        pool.release(index.releasable(8));
+        pool.release(index.entries().iter().filter(|e| e.max_key < 8));
         assert!(!pool.is_resident(RunId(0), 0));
         assert!(!pool.is_resident(RunId(0), 1));
         assert!(pool.is_resident(RunId(0), 2));
@@ -266,7 +266,7 @@ mod tests {
         }
         assert_eq!(pool.stats().high_water_pages, 4);
         let index = PageIndex::build(&pool.store().all_metas());
-        pool.release(index.releasable(u64::MAX));
+        pool.release(index.entries());
         assert_eq!(pool.resident_pages(), 0);
         assert_eq!(pool.stats().high_water_pages, 4, "hwm is a peak, not current");
     }
@@ -314,7 +314,7 @@ mod tests {
     fn release_of_nonresident_pages_is_noop() {
         let (store, pool) = setup(4, 8);
         let index = PageIndex::build(&store.all_metas());
-        pool.release(index.releasable(u64::MAX)); // nothing resident yet
+        pool.release(index.entries()); // nothing resident yet
         assert_eq!(pool.stats().releases, 0);
         assert_eq!(pool.resident_pages(), 0);
     }

@@ -41,7 +41,7 @@ pub use backend::{DiskBackend, FaultyBackend, FileBackend, MemBackend};
 pub use buffer::{BufferPool, BufferStats};
 pub use page_index::{IndexEntry, PageIndex};
 pub use record::Record;
-pub use run_store::{RunId, RunMeta, RunReader, RunStore, RunWriter};
+pub use run_store::{RunId, RunMeta, RunStore, RunWriter};
 
 /// Errors surfaced by the storage layer.
 #[derive(Debug)]

@@ -65,18 +65,6 @@ impl PageIndex {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Position of the first entry whose `min_key` is `> key`: the
-    /// entries before it are the pages a merge at `key` may need.
-    pub fn frontier(&self, key: u64) -> usize {
-        self.entries.partition_point(|e| e.min_key <= key)
-    }
-
-    /// Entries whose pages are entirely below `key`, i.e. releasable once
-    /// every worker has reached `key` (Figure 4, green).
-    pub fn releasable(&self, key: u64) -> impl Iterator<Item = &IndexEntry> {
-        self.entries.iter().filter(move |e| e.max_key < key)
-    }
 }
 
 #[cfg(test)]
@@ -112,28 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn frontier_partitions_by_min_key() {
-        let metas = vec![meta(0, vec![10, 20, 30], vec![19, 29, 39])];
-        let idx = PageIndex::build(&metas);
-        assert_eq!(idx.frontier(5), 0);
-        assert_eq!(idx.frontier(10), 1);
-        assert_eq!(idx.frontier(25), 2);
-        assert_eq!(idx.frontier(1000), 3);
-    }
-
-    #[test]
-    fn releasable_requires_max_key_passed() {
-        let metas = vec![meta(0, vec![10, 20], vec![19, 29])];
-        let idx = PageIndex::build(&metas);
-        assert_eq!(idx.releasable(15).count(), 0); // page 0 still active
-        assert_eq!(idx.releasable(20).count(), 1); // page 0 done
-        assert_eq!(idx.releasable(30).count(), 2);
-    }
-
-    #[test]
     fn empty_index() {
         let idx = PageIndex::build(&[]);
         assert!(idx.is_empty());
-        assert_eq!(idx.frontier(0), 0);
+        assert!(idx.entries().is_empty());
     }
 }

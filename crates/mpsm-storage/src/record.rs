@@ -24,9 +24,9 @@ pub trait Record: Copy + Send + Sync + 'static {
     fn key(&self) -> u64;
 }
 
-/// The paper's 16-byte `[joinkey: 64-bit, payload: 64-bit]` record,
-/// usable directly by storage tests and by callers that do not bring
-/// their own tuple type.
+/// The paper's 16-byte `[joinkey: 64-bit, payload: 64-bit]` record, the
+/// storage tests' own record type.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvRecord {
     /// 64-bit join key.
@@ -35,6 +35,7 @@ pub struct KvRecord {
     pub payload: u64,
 }
 
+#[cfg(test)]
 impl KvRecord {
     /// Construct from key and payload.
     pub fn new(key: u64, payload: u64) -> Self {
@@ -42,6 +43,7 @@ impl KvRecord {
     }
 }
 
+#[cfg(test)]
 impl Record for KvRecord {
     const SIZE: usize = 16;
 

@@ -1,4 +1,4 @@
-//! Sorted-run storage: writers, metadata, and streaming readers.
+//! Sorted-run storage: writers, metadata, and page reads.
 //!
 //! During D-MPSM run generation each worker sorts its chunk and spools it
 //! through a [`RunWriter`], which cuts the stream into fixed-size pages,
@@ -129,12 +129,6 @@ impl<B: DiskBackend> RunStore<B> {
         Ok(decode_page(&self.backend.read_page(run, page)?))
     }
 
-    /// A sequential reader over run `id` that fetches pages on demand.
-    pub fn reader<R: Record>(&self, id: RunId) -> Result<RunReader<'_, B, R>> {
-        let meta = self.meta(id)?;
-        Ok(RunReader { store: self, meta, page: 0, offset: 0, current: Vec::new() })
-    }
-
     fn flush_page<R: Record>(&self, id: RunId, page: u32, records: &[R]) -> Result<()> {
         self.backend.write_page(id, page, &encode_page(records))?;
         let mut metas = self.metas.lock();
@@ -185,55 +179,6 @@ impl<'a, B: DiskBackend, R: Record> RunWriter<'a, B, R> {
     }
 }
 
-/// Streaming reader over one run: yields records in order, fetching one
-/// page at a time (the minimal-RAM access pattern of Figure 4).
-pub struct RunReader<'a, B: DiskBackend, R: Record> {
-    store: &'a RunStore<B>,
-    meta: RunMeta,
-    page: u32,
-    offset: usize,
-    current: Vec<R>,
-}
-
-impl<'a, B: DiskBackend, R: Record> RunReader<'a, B, R> {
-    /// Metadata of the run being read.
-    pub fn meta(&self) -> &RunMeta {
-        &self.meta
-    }
-
-    /// Next record, or `None` at end of run.
-    ///
-    /// Deliberately named like `Iterator::next` (same reading-cursor
-    /// semantics) but fallible — hence not an `Iterator` impl.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<R>> {
-        if self.offset >= self.current.len() {
-            if self.page >= self.meta.pages() {
-                return Ok(None);
-            }
-            self.current = self.store.read_page(self.meta.id, self.page)?;
-            self.page += 1;
-            self.offset = 0;
-        }
-        let r = self.current[self.offset];
-        self.offset += 1;
-        Ok(Some(r))
-    }
-
-    /// Peek at the next record without consuming it.
-    pub fn peek(&mut self) -> Result<Option<R>> {
-        if self.offset >= self.current.len() {
-            if self.page >= self.meta.pages() {
-                return Ok(None);
-            }
-            self.current = self.store.read_page(self.meta.id, self.page)?;
-            self.page += 1;
-            self.offset = 0;
-        }
-        Ok(Some(self.current[self.offset]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,9 +203,8 @@ mod tests {
         assert_eq!(meta.records_on_page(0), 8);
         assert_eq!(meta.records_on_page(2), 4);
         let mut out = Vec::new();
-        let mut rd = s.reader::<KvRecord>(meta.id).unwrap();
-        while let Some(r) = rd.next().unwrap() {
-            out.push(r);
+        for page in 0..meta.pages() {
+            out.extend(s.read_page::<KvRecord>(meta.id, page).unwrap());
         }
         assert_eq!(out, recs);
     }
@@ -288,8 +232,10 @@ mod tests {
         let meta = s.store_run::<KvRecord>(&[]).unwrap();
         assert_eq!(meta.pages(), 0);
         assert_eq!(meta.len, 0);
-        let mut rd = s.reader::<KvRecord>(meta.id).unwrap();
-        assert!(rd.next().unwrap().is_none());
+        assert!(matches!(
+            s.read_page::<KvRecord>(meta.id, 0),
+            Err(StorageError::PageOutOfBounds { page: 0, pages: 0, .. })
+        ));
     }
 
     #[test]
@@ -306,17 +252,6 @@ mod tests {
     fn unknown_run_is_reported() {
         let s = store();
         assert!(matches!(s.meta(RunId(3)), Err(StorageError::UnknownRun(RunId(3)))));
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let s = store();
-        let meta = s.store_run(&sorted_records(3)).unwrap();
-        let mut rd = s.reader::<KvRecord>(meta.id).unwrap();
-        assert_eq!(rd.peek().unwrap().unwrap().key, 0);
-        assert_eq!(rd.peek().unwrap().unwrap().key, 0);
-        assert_eq!(rd.next().unwrap().unwrap().key, 0);
-        assert_eq!(rd.next().unwrap().unwrap().key, 3);
     }
 
     #[test]

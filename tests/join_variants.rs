@@ -4,12 +4,14 @@
 use std::collections::{HashMap, HashSet};
 
 use mpsm::core::join::b_mpsm::BMpsmJoin;
+use mpsm::core::join::d_mpsm::{DMpsmConfig, DMpsmJoin};
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::variant::JoinVariant;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::sink::{CollectSink, CountSink, SortedRunsSink, NULL_PAYLOAD};
-use mpsm::core::Tuple;
+use mpsm::core::{ExecContext, Tuple};
 use mpsm::exec::{sorted_group_by, CountAgg, SumAgg};
+use mpsm::storage::MemBackend;
 use mpsm::workload::{fk_uniform, uniform_independent};
 
 fn reference_variant_count(variant: JoinVariant, r: &[Tuple], s: &[Tuple]) -> u64 {
@@ -25,28 +27,72 @@ fn reference_variant_count(variant: JoinVariant, r: &[Tuple], s: &[Tuple]) -> u6
     }
 }
 
+/// One-sided skew: 16 private keys 10 000 apart against 50 000 dense
+/// public keys, where the kernel gallops over the public side.
+fn one_sided_skew() -> (Vec<Tuple>, Vec<Tuple>) {
+    let sparse = (0..16u64).map(|i| Tuple::new(i * 10_000, i)).collect();
+    let dense = (0..50_000u64).map(|i| Tuple::new(i * 3, i)).collect();
+    (sparse, dense)
+}
+
+/// The uniform input, the one-sided skew and its mirror.
+fn variant_inputs() -> Vec<(&'static str, Vec<Tuple>, Vec<Tuple>)> {
+    let w = uniform_independent(700, 1400, 400, 3);
+    let (sparse, dense) = one_sided_skew();
+    vec![
+        ("uniform", w.r, w.s),
+        ("one-sided skew", sparse.clone(), dense.clone()),
+        ("one-sided skew mirrored", dense, sparse),
+    ]
+}
+
+const VARIANTS: [JoinVariant; 4] =
+    [JoinVariant::Inner, JoinVariant::LeftOuter, JoinVariant::LeftSemi, JoinVariant::LeftAnti];
+
 #[test]
 fn variants_match_reference_on_both_mpsm_topologies() {
-    let w = uniform_independent(700, 1400, 400, 3);
-    for threads in [1usize, 4, 8] {
-        let cfg = JoinConfig::with_threads(threads);
-        let p = PMpsmJoin::new(cfg.clone());
-        let b = BMpsmJoin::new(cfg);
-        for variant in [
-            JoinVariant::Inner,
-            JoinVariant::LeftOuter,
-            JoinVariant::LeftSemi,
-            JoinVariant::LeftAnti,
-        ] {
-            let expected = reference_variant_count(variant, &w.r, &w.s);
-            let (bc, _) = b.join_variant_with_sink::<CountSink>(variant, &w.r, &w.s);
-            assert_eq!(bc, expected, "B-MPSM {variant:?} with {threads} threads");
-            // P-MPSM runs the inner join only: its workers each see one
-            // key range of R against the slice of every public run that
-            // range meets.
-            if variant == JoinVariant::Inner {
-                assert_eq!(p.count(&w.r, &w.s), expected, "P-MPSM with {threads} threads");
+    for (input, r, s) in variant_inputs() {
+        for threads in [1usize, 4, 8] {
+            let cfg = JoinConfig::with_threads(threads);
+            let p = PMpsmJoin::new(cfg.clone());
+            let b = BMpsmJoin::new(cfg);
+            for variant in VARIANTS {
+                let expected = reference_variant_count(variant, &r, &s);
+                let (bc, _) = b.join_variant_with_sink::<CountSink>(variant, &r, &s);
+                assert_eq!(bc, expected, "B-MPSM {variant:?} with {threads} threads on {input}");
+                // P-MPSM runs the inner join only: its workers each see one
+                // key range of R against the slice of every public run that
+                // range meets.
+                if variant == JoinVariant::Inner {
+                    assert_eq!(
+                        p.count(&r, &s),
+                        expected,
+                        "P-MPSM with {threads} threads on {input}"
+                    );
+                }
             }
+        }
+    }
+}
+
+#[test]
+fn d_mpsm_variants_match_reference_on_one_sided_skew() {
+    let (sparse, dense) = one_sided_skew();
+    let mut cfg = DMpsmConfig::with_join(JoinConfig::with_threads(4));
+    cfg.page_records = 1024;
+    cfg.budget_pages = 8;
+    let join = DMpsmJoin::new(cfg);
+    let cx = ExecContext::flat(4);
+    for (input, r, s) in [("skew", &sparse, &dense), ("skew mirrored", &dense, &sparse)] {
+        for variant in VARIANTS {
+            let (count, _, _) = join
+                .join_variant_in::<_, CountSink>(&cx, variant, MemBackend::disk_array(), r, s)
+                .expect("in-memory backend cannot fail");
+            assert_eq!(
+                count,
+                reference_variant_count(variant, r, s),
+                "D-MPSM {variant:?} on {input}"
+            );
         }
     }
 }

@@ -136,10 +136,9 @@ proptest! {
         let store = RunStore::new(MemBackend::disk_array(), page);
         let meta = store.store_run(&run).unwrap();
         prop_assert_eq!(meta.len as usize, run.len());
-        let mut reader = store.reader::<Tuple>(meta.id).unwrap();
         let mut out = Vec::new();
-        while let Some(t) = reader.next().unwrap() {
-            out.push(t);
+        for p in 0..meta.pages() {
+            out.extend(store.read_page::<Tuple>(meta.id, p).unwrap());
         }
         prop_assert_eq!(out, run);
         // Page min/max keys bracket their pages.
@@ -228,6 +227,8 @@ proptest! {
             .iter()
             .map(|rt| s.iter().filter(|st| st.key == rt.key).count() as u64)
             .sum();
-        prop_assert_eq!(mpsm::core::merge::merge_join_count(&r, &s), expected);
+        let mut count = CountSink::default();
+        merge_join(&r, &s, &mut count);
+        prop_assert_eq!(count.finish(), expected);
     }
 }

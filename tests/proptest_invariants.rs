@@ -9,9 +9,9 @@ use mpsm::core::interpolation::{interpolation_lower_bound, interpolation_upper_b
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
-use mpsm::core::merge::{merge_join, merge_join_count, merge_join_linear};
+use mpsm::core::merge::{merge_join, merge_join_linear};
 use mpsm::core::partition::range_partition_ctx;
-use mpsm::core::sink::{CollectSink, JoinSink};
+use mpsm::core::sink::{CollectSink, CountSink, JoinSink};
 use mpsm::core::sort::three_phase_sort;
 use mpsm::core::splitter::{compute_splitters, equi_height_splitters};
 use mpsm::core::tuple::is_key_sorted;
@@ -78,7 +78,9 @@ proptest! {
         let expected = oracle_count(&r, &s);
         r.sort_unstable_by_key(|t| t.key);
         s.sort_unstable_by_key(|t| t.key);
-        prop_assert_eq!(merge_join_count(&r, &s), expected);
+        let mut sink = CountSink::default();
+        merge_join(&r, &s, &mut sink);
+        prop_assert_eq!(sink.finish(), expected);
     }
 
     #[test]
