@@ -60,7 +60,6 @@
 //! assert_eq!(scheduler.metrics().completed, 5);
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -71,36 +70,20 @@ use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::worker::SharedWorkerPool;
 use mpsm_numa::{NodeId, Topology};
 
-use crate::query::PaperQueryResult;
 use crate::run_cache::RunCache;
 use crate::session::QuerySpec;
 
-/// Anytime block budget forced onto a query admitted in *degraded*
-/// mode (overflow beyond `max_in_flight + queue_capacity`). Each unit
-/// is one key-aligned merge block
-/// ([`mpsm_core::join::anytime::ANYTIME_BLOCK_TUPLES`] tuples), so the
-/// budget bounds a degraded query's phase-4 work while guaranteeing a
-/// non-empty, coverage-stamped prefix answer.
-const DEGRADED_BUDGET: u64 = 4;
+mod admission;
+mod compactor;
+mod ticket;
 
-/// Admission priority class of a query. Orders the backlog: a
-/// coordinator always pops the highest class first (FIFO within a
-/// class), and when the queue overflows an arriving query may *degrade*
-/// the youngest queued query of a strictly lower class instead of
-/// being degraded itself — load degrades batch work before interactive
-/// work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    /// Bulk/background work: popped last, degraded first under
-    /// overload.
-    Batch,
-    /// The default class: FIFO behind `Interactive`, ahead of `Batch`.
-    #[default]
-    Normal,
-    /// Latency-sensitive work: popped first; on overflow it degrades a
-    /// queued `Normal` or `Batch` query instead of itself.
-    Interactive,
-}
+use admission::{QueueState, QueuedQuery, DEGRADED_BUDGET};
+use compactor::CompactorHandle;
+use ticket::{TicketCell, TicketState};
+
+pub use admission::{Priority, SubmitError};
+pub use compactor::{CompactionConfig, CompactionTask};
+pub use ticket::{QueryError, QueryOutput, QueryStatus, QueryTicket};
 
 /// Sizing of a [`Scheduler`]: pool width, concurrency budget, queue
 /// bound, and the (simulated) machine topology queries are placed on.
@@ -195,201 +178,6 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Sizing of the background delta compactor a [`Scheduler`] may run
-/// (see [`Scheduler::start_compactor`]). Compaction folds a relation's
-/// delta log into a new sorted base version off the query path, at
-/// most four relations per sweep, and warms the run cache with each
-/// new version's runs; the knobs bound how eagerly.
-#[derive(Debug, Clone)]
-pub struct CompactionConfig {
-    /// Delta ops that make a relation *eligible* for a background
-    /// sweep. Writers below the threshold only pay the (tiny) merge at
-    /// read time; the periodic sweep ignores them.
-    pub threshold: usize,
-    /// How long the compactor sleeps between sweeps when nobody nudges
-    /// it (writers nudge as soon as a delta crosses the threshold).
-    pub interval: Duration,
-}
-
-impl Default for CompactionConfig {
-    fn default() -> Self {
-        CompactionConfig { threshold: 4096, interval: Duration::from_millis(50) }
-    }
-}
-
-impl CompactionConfig {
-    /// A config whose background sweep never triggers on its own:
-    /// compaction happens only through explicit calls (e.g.
-    /// `Session::compact`). Deterministic tests and delta-fraction
-    /// benchmarks use this to hold the delta where they put it.
-    pub fn manual() -> Self {
-        CompactionConfig::default().threshold(usize::MAX).interval(Duration::from_secs(3600))
-    }
-
-    /// Builder-style override of the eligibility threshold.
-    pub fn threshold(mut self, ops: usize) -> Self {
-        self.threshold = ops;
-        self
-    }
-
-    /// Builder-style override of the sweep interval.
-    pub fn interval(mut self, interval: Duration) -> Self {
-        self.interval = interval;
-        self
-    }
-}
-
-/// What the background compactor runs each sweep. Implemented by the
-/// session's shared catalog; kept as a trait so the scheduler owns the
-/// *thread* without owning (or even knowing about) the catalog — no
-/// reference cycle between `Session` and `Scheduler`.
-pub trait CompactionTask: Send + Sync {
-    /// Fold eligible deltas per `config`; returns how many relations
-    /// were compacted (folded into the scheduler's `compactions`
-    /// metric).
-    fn compact_pending(&self, cx: &ExecContext, config: &CompactionConfig) -> usize;
-}
-
-/// Why a submission was not admitted. Overload is *not* a reason:
-/// since degrade-don't-reject, a full queue admits the query in
-/// degraded mode (forced tight anytime budget) instead of rejecting it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The scheduler is shutting down and accepts no new work.
-    ShuttingDown,
-    /// The submitted deadline is below the scheduler's
-    /// [`SchedulerConfig::min_feasible_deadline`] floor (or zero):
-    /// admission refuses SLAs it cannot possibly honor instead of
-    /// queueing work guaranteed to return an empty partial.
-    DeadlineInfeasible {
-        /// The deadline the submission asked for.
-        deadline: Duration,
-    },
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::ShuttingDown => write!(f, "scheduler is shutting down"),
-            SubmitError::DeadlineInfeasible { deadline } => {
-                write!(f, "deadline of {deadline:?} is below the feasibility floor")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// Why a submitted query produced no result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryError {
-    /// The submission was never admitted (blocking convenience paths
-    /// fold [`SubmitError`] into this).
-    Rejected(SubmitError),
-    /// The query panicked while executing (e.g. a predicate or a join
-    /// phase); other queries are unaffected.
-    Panicked(String),
-}
-
-impl std::fmt::Display for QueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryError::Rejected(e) => write!(f, "query rejected: {e}"),
-            QueryError::Panicked(msg) => write!(f, "query panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
-/// A completed scheduled query: the paper-query result plus the
-/// scheduling times (also folded into the result's EXPLAIN plan).
-#[derive(Debug, Clone)]
-pub struct QueryOutput {
-    /// The query result, with [`crate::plan::QueryPlan::queue_wait_ms`]
-    /// and [`crate::plan::QueryPlan::phases_ms`] populated.
-    pub result: PaperQueryResult,
-    /// Time spent waiting in the admission queue.
-    pub queue_wait: Duration,
-    /// Execution wall time (first selection through aggregate).
-    pub execution: Duration,
-}
-
-/// Where a submitted query currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryStatus {
-    /// Waiting in the admission queue.
-    Queued,
-    /// Executing on the shared pool.
-    Running,
-    /// Finished (result or error available).
-    Done,
-}
-
-enum TicketState {
-    Queued,
-    Running,
-    // Boxed: a QueryOutput (plan + stats) is ~300 bytes, the other
-    // variants are empty.
-    Done(Box<Result<QueryOutput, QueryError>>),
-}
-
-struct TicketCell {
-    state: Mutex<TicketState>,
-    cv: Condvar,
-}
-
-impl TicketCell {
-    fn set(&self, state: TicketState) {
-        *self.state.lock().expect("ticket poisoned") = state;
-        self.cv.notify_all();
-    }
-}
-
-/// A futures-style handle to one submitted query: poll with
-/// [`QueryTicket::status`] / [`QueryTicket::try_result`], or block on
-/// [`QueryTicket::wait`].
-pub struct QueryTicket {
-    id: u64,
-    cell: Arc<TicketCell>,
-}
-
-impl QueryTicket {
-    /// The query's scheduler-assigned id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Non-blocking status probe.
-    pub fn status(&self) -> QueryStatus {
-        match *self.cell.state.lock().expect("ticket poisoned") {
-            TicketState::Queued => QueryStatus::Queued,
-            TicketState::Running => QueryStatus::Running,
-            TicketState::Done(_) => QueryStatus::Done,
-        }
-    }
-
-    /// The result, if the query already finished (clones; the ticket
-    /// stays usable).
-    pub fn try_result(&self) -> Option<Result<QueryOutput, QueryError>> {
-        match &*self.cell.state.lock().expect("ticket poisoned") {
-            TicketState::Done(result) => Some(result.as_ref().clone()),
-            _ => None,
-        }
-    }
-
-    /// Block until the query finishes and take the result.
-    pub fn wait(self) -> Result<QueryOutput, QueryError> {
-        let mut state = self.cell.state.lock().expect("ticket poisoned");
-        loop {
-            match &*state {
-                TicketState::Done(result) => return result.as_ref().clone(),
-                _ => state = self.cell.cv.wait(state).expect("ticket poisoned"),
-            }
-        }
-    }
-}
-
 /// Lifetime counters of a scheduler (monotonic; read at any time).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerMetrics {
@@ -436,59 +224,6 @@ struct AtomicMetrics {
     deadline_missed: AtomicU64,
     partial_answers: AtomicU64,
     degraded: AtomicU64,
-}
-
-struct QueuedQuery {
-    spec: QuerySpec,
-    cell: Arc<TicketCell>,
-    submitted_at: Instant,
-    priority: Priority,
-    /// Absolute deadline, fixed at submit time — the SLA covers queue
-    /// wait, not just execution.
-    deadline_at: Option<Instant>,
-    /// Admitted under overload: the coordinator forces
-    /// [`DEGRADED_BUDGET`] so the query returns a coverage-stamped
-    /// partial instead of occupying the pool at full service.
-    degraded: bool,
-}
-
-#[derive(Default)]
-struct QueueState {
-    backlog: VecDeque<QueuedQuery>,
-    /// Queries popped by a coordinator and not yet finished.
-    running: usize,
-    /// Set on drop: [`Scheduler::submit`] refuses new work, and the
-    /// coordinators exit once the backlog is drained.
-    shutdown: bool,
-}
-
-impl QueueState {
-    /// Admit `job` to the backlog — the whole admission decision, made
-    /// by [`Scheduler::submit`] under the queue lock. While
-    /// `backlog + running` is at the `full_service` budget, the arrival
-    /// either *degrades* the youngest queued query of a strictly lower
-    /// class (which keeps its queue position) and is admitted at full
-    /// service, or — when nothing outranks — is admitted degraded
-    /// itself. Returns whether a query was degraded; nothing is ever
-    /// rejected.
-    fn admit(&mut self, mut job: QueuedQuery, full_service: usize) -> bool {
-        let overflow = self.backlog.len() + self.running >= full_service;
-        if overflow {
-            let victim = self
-                .backlog
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, q)| !q.degraded && q.priority < job.priority)
-                .min_by_key(|(i, q)| (q.priority, std::cmp::Reverse(*i)))
-                .map(|(_, q)| q);
-            match victim {
-                Some(victim) => victim.degraded = true,
-                None => job.degraded = true,
-            }
-        }
-        self.backlog.push_back(job);
-        overflow
-    }
 }
 
 struct SchedCore {
@@ -556,24 +291,6 @@ pub struct Scheduler {
     compactor: Option<CompactorHandle>,
 }
 
-struct CompactorCtl {
-    state: Mutex<CompactorState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct CompactorState {
-    shutdown: bool,
-    /// Set by writers whose delta crossed the threshold; a sweep runs
-    /// as soon as the compactor wakes instead of after a full interval.
-    nudged: bool,
-}
-
-struct CompactorHandle {
-    ctl: Arc<CompactorCtl>,
-    thread: std::thread::JoinHandle<()>,
-}
-
 impl Scheduler {
     /// Provision the shared pool and its execution context, and start
     /// the coordinator threads.
@@ -625,47 +342,6 @@ impl Scheduler {
     pub fn with_run_cache(mut self, cache: Arc<RunCache>) -> Self {
         self.run_cache = Some(cache);
         self
-    }
-
-    /// Start the background delta compactor. `task` (the session's
-    /// catalog) is swept every [`CompactionConfig::interval`] — or
-    /// immediately after [`Scheduler::nudge_compactor`] — and each
-    /// relation it folds bumps the `compactions` metric. At most one
-    /// compactor per scheduler; it drains on drop before the
-    /// coordinators do.
-    pub fn start_compactor(&mut self, task: Arc<dyn CompactionTask>, config: CompactionConfig) {
-        assert!(self.compactor.is_none(), "compactor already started");
-        let ctl = Arc::new(CompactorCtl {
-            state: Mutex::new(CompactorState::default()),
-            cv: Condvar::new(),
-        });
-        let thread = {
-            let ctl = Arc::clone(&ctl);
-            let core = Arc::clone(&self.core);
-            // The compactor gets its own derived context so its
-            // build/sort audits never leak into per-query placement
-            // reports; it shares the machine's scratch and spares.
-            let cx = self.cx.per_query();
-            std::thread::spawn(move || compactor_loop(&ctl, &core, &cx, &*task, &config))
-        };
-        self.compactor = Some(CompactorHandle { ctl, thread });
-    }
-
-    /// Wake the compactor before its next interval tick (writers call
-    /// this through the session once a delta crosses the threshold).
-    /// A no-op when no compactor is attached.
-    pub fn nudge_compactor(&self) {
-        if let Some(compactor) = &self.compactor {
-            compactor.ctl.state.lock().expect("compactor ctl poisoned").nudged = true;
-            compactor.ctl.cv.notify_one();
-        }
-    }
-
-    /// Fold `n` explicit compactions into the `compactions` metric
-    /// (the session's manual [`crate::session::Session::compact`] path
-    /// reports through this).
-    pub(crate) fn note_compactions(&self, n: u64) {
-        self.core.metrics.compactions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Submit a query. Returns a ticket immediately; the admission
@@ -807,33 +483,6 @@ impl Drop for Scheduler {
             // Wedged coordinator: abandon the handles. Joining would
             // block forever; a bounded shutdown is the server contract.
             self.coordinators.clear();
-        }
-    }
-}
-
-fn compactor_loop(
-    ctl: &CompactorCtl,
-    core: &SchedCore,
-    cx: &ExecContext,
-    task: &dyn CompactionTask,
-    config: &CompactionConfig,
-) {
-    loop {
-        {
-            let mut state = ctl.state.lock().expect("compactor ctl poisoned");
-            if !state.nudged && !state.shutdown {
-                let (next, _) =
-                    ctl.cv.wait_timeout(state, config.interval).expect("compactor ctl poisoned");
-                state = next;
-            }
-            if state.shutdown {
-                return;
-            }
-            state.nudged = false;
-        }
-        let folded = task.compact_pending(cx, config);
-        if folded > 0 {
-            core.metrics.compactions.fetch_add(folded as u64, Ordering::Relaxed);
         }
     }
 }
