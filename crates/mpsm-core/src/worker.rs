@@ -163,8 +163,6 @@ struct PoolState {
     job: Option<Job>,
     /// Workers that have not yet finished the current epoch.
     remaining: usize,
-    /// Set when any worker's closure panicked during this epoch.
-    panicked: bool,
     /// Tells parked workers to exit.
     shutdown: bool,
 }
@@ -179,15 +177,6 @@ struct PoolSync {
     /// `run` parks here until `remaining` drops to zero.
     done_cv: Condvar,
 }
-
-/// Per-worker result slots. Worker `w` writes only slot `w`, and the
-/// submitter reads only after the phase barrier, so no per-slot locking
-/// is needed.
-struct Slots<R>(Vec<std::cell::UnsafeCell<Option<R>>>);
-// SAFETY: disjoint index access per worker; reads happen only after
-// all writers finished (the done barrier), and the turnstile admits no
-// other phase — hence no other writer — in between.
-unsafe impl<R: Send> Sync for Slots<R> {}
 
 /// FIFO turnstile serializing phase submissions from many owners.
 struct Turnstile {
@@ -281,13 +270,7 @@ impl SharedWorkerPool {
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker");
         let sync = Arc::new(PoolSync {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panicked: false,
-                shutdown: false,
-            }),
+            state: Mutex::new(PoolState { epoch: 0, job: None, remaining: 0, shutdown: false }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
@@ -336,23 +319,18 @@ impl SharedWorkerPool {
         // Declared before anything a worker can see, so it is released
         // last — after `remaining == 0` on the return *and* the unwind
         // path. That ordering is the only thing keeping two owners'
-        // erased `Job` pointers (and result slots) apart.
+        // erased `Job` pointers apart.
         let _turn = TurnstileGuard(&core.turnstile);
         if core.threads == 1 {
             // Inline mode: no workers — the single-core baseline of
             // Figure 13 pays for the turnstile and nothing else.
             return vec![f(0)];
         }
-        let slots = Slots((0..core.threads).map(|_| std::cell::UnsafeCell::new(None)).collect());
+        let results = OwnedSlots::empty(core.threads);
         {
-            let slots = &slots;
+            let results = &results;
             let f = &f;
-            let call = move |w: usize| {
-                let r = f(w);
-                // SAFETY: worker `w` owns slot `w` for this phase, and
-                // the turnstile admits no other phase until it ended.
-                unsafe { *slots.0[w].get() = Some(r) };
-            };
+            let call = move |w: usize| results.put(w, f(w));
             let job: &(dyn Fn(usize) + Sync) = &call;
             // SAFETY: lifetime erasure only — `run` holds the turnstile
             // and blocks until every worker finished with the pointer
@@ -361,7 +339,6 @@ impl SharedWorkerPool {
             let mut st = core.sync.state.lock().expect("pool state poisoned");
             st.job = Some(Job(job));
             st.remaining = core.threads;
-            st.panicked = false;
             st.epoch += 1;
             drop(st);
             core.sync.work_cv.notify_all();
@@ -371,18 +348,11 @@ impl SharedWorkerPool {
                 st = core.sync.done_cv.wait(st).expect("pool state poisoned");
             }
             st.job = None;
-            if st.panicked {
-                // One uniform message, whichever worker failed; the
-                // pool itself survives and serves the next phase.
-                drop(st);
-                panic!("worker thread panicked");
-            }
         }
-        slots
-            .0
-            .into_iter()
-            .map(|c| c.into_inner().expect("every worker must produce a result"))
-            .collect()
+        // A worker whose closure panicked left its slot empty. One
+        // uniform message, whichever worker failed; the pool itself
+        // survives and serves the next phase.
+        results.into_values().unwrap_or_else(|| panic!("worker thread panicked"))
     }
 
     /// Like [`SharedWorkerPool::run`], additionally timing each worker
@@ -412,17 +382,23 @@ impl SharedWorkerPool {
     }
 }
 
-/// Take-once cells handing *owned* per-worker values through a pool
-/// phase: [`SharedWorkerPool::run`] takes a `Fn` closure (every worker
-/// shares it), so moving a distinct owned input into each worker goes
-/// through one of these — worker `w` calls [`OwnedSlots::take`]`(w)`
-/// exactly once.
+/// One cell per worker handing *owned* values through a pool phase, in
+/// both directions: [`SharedWorkerPool::run`] takes a `Fn` closure
+/// (every worker shares it), so moving a distinct owned input into each
+/// worker goes through one of these — worker `w` calls
+/// [`OwnedSlots::take`]`(w)` exactly once — and `run` itself collects
+/// each worker's result through one, worker `w` filling slot `w`.
 pub struct OwnedSlots<T>(Vec<Mutex<Option<T>>>);
 
 impl<T> OwnedSlots<T> {
     /// Wrap one slot per item, in order.
     pub fn new(items: impl IntoIterator<Item = T>) -> Self {
         OwnedSlots(items.into_iter().map(|v| Mutex::new(Some(v))).collect())
+    }
+
+    /// `n` unfilled slots, for workers to [`OwnedSlots::put`] into.
+    pub(crate) fn empty(n: usize) -> Self {
+        OwnedSlots((0..n).map(|_| Mutex::new(None)).collect())
     }
 
     /// Number of slots.
@@ -439,6 +415,16 @@ impl<T> OwnedSlots<T> {
     /// slot belongs to exactly one worker for exactly one phase.
     pub fn take(&self, w: usize) -> T {
         self.0[w].lock().expect("slot poisoned").take().expect("slot taken twice")
+    }
+
+    /// Fill slot `w` (worker `w`'s result for this phase).
+    pub(crate) fn put(&self, w: usize, value: T) {
+        *self.0[w].lock().expect("slot poisoned") = Some(value);
+    }
+
+    /// Every slot's value in slot order, or `None` if any is empty.
+    pub(crate) fn into_values(self) -> Option<Vec<T>> {
+        self.0.into_iter().map(|slot| slot.into_inner().expect("slot poisoned")).collect()
     }
 }
 
@@ -472,17 +458,14 @@ fn worker_loop(w: usize, sync: &PoolSync) {
             seen_epoch = st.epoch;
             st.job.as_ref().expect("epoch bumped without a job").0
         };
+        // A panic leaves this worker's result slot empty, which is how
+        // the submitter learns of it; the default panic hook already
+        // printed the payload on this worker's stderr.
         // SAFETY: the submitter keeps the closure alive, and holds the
         // turnstile so nobody replaces it, until `remaining` reaches
         // zero — which happens strictly after this call.
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(w) }));
+        let _ = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(w) }));
         let mut st = sync.state.lock().expect("pool state poisoned");
-        if outcome.is_err() {
-            // The default panic hook already printed the payload on this
-            // worker's stderr; the submitter re-panics with one uniform
-            // message.
-            st.panicked = true;
-        }
         st.remaining -= 1;
         if st.remaining == 0 {
             sync.done_cv.notify_all();

@@ -23,7 +23,8 @@
 //! futures-style [`sched::QueryTicket`]s, phase-granular fair
 //! interleaving, and queue/phase timings in EXPLAIN — and [`session`]
 //! layers a client-facing relation catalog on top. Start at
-//! [`session::Session`] or [`sched::Scheduler`].
+//! [`session::Session`] or [`sched::Scheduler`]. The scheduler keeps
+//! one file per concern, each on a std one-shot cell or channel.
 //!
 //! ## NUMA-affine placement
 //!

@@ -1,8 +1,10 @@
 //! The background delta compactor: its sizing, the task it sweeps,
 //! and the thread that runs it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mpsm_core::context::ExecContext;
@@ -64,21 +66,12 @@ pub trait CompactionTask: Send + Sync {
     fn compact_pending(&self, cx: &ExecContext, config: &CompactionConfig) -> usize;
 }
 
-pub(super) struct CompactorCtl {
-    pub(super) state: Mutex<CompactorState>,
-    pub(super) cv: Condvar,
-}
-
-#[derive(Default)]
-pub(super) struct CompactorState {
-    pub(super) shutdown: bool,
-    /// Set by writers whose delta crossed the threshold; a sweep runs
-    /// as soon as the compactor wakes instead of after a full interval.
-    nudged: bool,
-}
-
+/// The running compactor: its thread and the wake channel's sender.
+/// The channel holds one message, so a full channel is a pending
+/// nudge and any number of nudges before the next wake coalesce into
+/// one sweep; dropping the sender is the shutdown signal.
 pub(super) struct CompactorHandle {
-    pub(super) ctl: Arc<CompactorCtl>,
+    pub(super) wake: SyncSender<()>,
     pub(super) thread: std::thread::JoinHandle<()>,
 }
 
@@ -91,20 +84,16 @@ impl Scheduler {
     /// coordinators do.
     pub fn start_compactor(&mut self, task: Arc<dyn CompactionTask>, config: CompactionConfig) {
         assert!(self.compactor.is_none(), "compactor already started");
-        let ctl = Arc::new(CompactorCtl {
-            state: Mutex::new(CompactorState::default()),
-            cv: Condvar::new(),
-        });
+        let (wake, woken) = mpsc::sync_channel(1);
         let thread = {
-            let ctl = Arc::clone(&ctl);
             let core = Arc::clone(&self.core);
             // The compactor gets its own derived context so its
             // build/sort audits never leak into per-query placement
             // reports; it shares the machine's scratch and spares.
             let cx = self.cx.per_query();
-            std::thread::spawn(move || compactor_loop(&ctl, &core, &cx, &*task, &config))
+            std::thread::spawn(move || compactor_loop(&woken, &core, &cx, &*task, &config))
         };
-        self.compactor = Some(CompactorHandle { ctl, thread });
+        self.compactor = Some(CompactorHandle { wake, thread });
     }
 
     /// Wake the compactor before its next interval tick (writers call
@@ -112,8 +101,7 @@ impl Scheduler {
     /// A no-op when no compactor is attached.
     pub fn nudge_compactor(&self) {
         if let Some(compactor) = &self.compactor {
-            compactor.ctl.state.lock().expect("compactor ctl poisoned").nudged = true;
-            compactor.ctl.cv.notify_one();
+            let _ = compactor.wake.try_send(());
         }
     }
 
@@ -126,26 +114,25 @@ impl Scheduler {
 }
 
 fn compactor_loop(
-    ctl: &CompactorCtl,
+    woken: &Receiver<()>,
     core: &SchedCore,
     cx: &ExecContext,
     task: &dyn CompactionTask,
     config: &CompactionConfig,
 ) {
     loop {
+        // Woken by a nudge or the interval tick. A disconnected channel
+        // means shutdown, also when a nudge was still pending: check it
+        // after every wake so a shutdown never starts a sweep.
+        if woken.recv_timeout(config.interval) == Err(RecvTimeoutError::Disconnected)
+            || woken.try_recv() == Err(TryRecvError::Disconnected)
         {
-            let mut state = ctl.state.lock().expect("compactor ctl poisoned");
-            if !state.nudged && !state.shutdown {
-                let (next, _) =
-                    ctl.cv.wait_timeout(state, config.interval).expect("compactor ctl poisoned");
-                state = next;
-            }
-            if state.shutdown {
-                return;
-            }
-            state.nudged = false;
+            return;
         }
-        let folded = task.compact_pending(cx, config);
+        // A panicking sweep (e.g. a pool phase re-panicking inside a
+        // fold) fails only itself: the next nudge or tick sweeps again.
+        let folded =
+            catch_unwind(AssertUnwindSafe(|| task.compact_pending(cx, config))).unwrap_or(0);
         if folded > 0 {
             core.metrics.compactions.fetch_add(folded as u64, Ordering::Relaxed);
         }

@@ -33,6 +33,11 @@
 //!   [`Scheduler::metrics`] aggregates submission/completion counters
 //!   and queue latency across the scheduler's lifetime.
 //!
+//! One file per concern: `admission.rs` (the backlog and the degrade
+//! decision), `ticket.rs` (a `OnceLock` per query), `compactor.rs`
+//! (woken through a one-slot channel), and this one (the coordinators,
+//! and a drop-time drain that waits for their channel to disconnect).
+//!
 //! ```
 //! use mpsm_exec::sched::{Scheduler, SchedulerConfig};
 //! use mpsm_exec::session::QuerySpec;
@@ -62,7 +67,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpsm_core::context::ExecContext;
@@ -79,7 +85,7 @@ mod ticket;
 
 use admission::{QueueState, QueuedQuery, DEGRADED_BUDGET};
 use compactor::CompactorHandle;
-use ticket::{TicketCell, TicketState};
+use ticket::TicketCell;
 
 pub use admission::{Priority, SubmitError};
 pub use compactor::{CompactionConfig, CompactionTask};
@@ -117,9 +123,11 @@ pub struct SchedulerConfig {
     pub min_feasible_deadline: Duration,
     /// Bound on the drop-time drain: [`Scheduler`]'s `Drop` waits this
     /// long for admitted queries to finish, then abandons the (wedged)
-    /// coordinator threads instead of hanging shutdown. Queries still
-    /// queued behind a wedged coordinator never complete their tickets
-    /// in that case — bounded shutdown is the contract a server needs.
+    /// coordinator threads instead of hanging shutdown, and fails every
+    /// query still queued behind them with
+    /// [`SubmitError::ShuttingDown`] (inside [`QueryError::Rejected`]),
+    /// so no ticket waits forever — bounded shutdown is the contract a
+    /// server needs.
     pub drain_timeout: Duration,
 }
 
@@ -236,10 +244,6 @@ struct SchedCore {
     full_service: usize,
     min_feasible_deadline: Duration,
     drain_timeout: Duration,
-    /// Coordinator threads still alive, with a condvar `Drop` waits on
-    /// (bounded) for the drain to finish.
-    live_coordinators: Mutex<usize>,
-    drained_cv: Condvar,
     next_id: AtomicU64,
     /// Queries currently pinned to each node (NUMA-affine placement
     /// picks the least-loaded one; empty when the topology is flat).
@@ -251,6 +255,10 @@ struct SchedCore {
 }
 
 impl SchedCore {
+    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
+        self.queue.lock().expect("scheduler queue poisoned")
+    }
+
     /// Claim the least-loaded node for one query (`None` on a flat
     /// topology). Ties break toward the lower node id, so a freshly
     /// started scheduler fills sockets 0, 1, 2, … in order.
@@ -283,6 +291,9 @@ pub struct Scheduler {
     core: Arc<SchedCore>,
     cx: Arc<ExecContext>,
     coordinators: Vec<std::thread::JoinHandle<()>>,
+    /// Disconnects once every coordinator has exited: each holds a sender
+    /// it never sends on. The mutex only makes the scheduler `Sync`.
+    drained: Mutex<Receiver<()>>,
     /// Sorted-run cache attached to every submitted spec (and read by
     /// [`Scheduler::metrics`]); `None` = every query runs uncached.
     run_cache: Option<Arc<RunCache>>,
@@ -306,34 +317,23 @@ impl Scheduler {
             full_service: config.max_in_flight + config.queue_capacity,
             min_feasible_deadline: config.min_feasible_deadline,
             drain_timeout: config.drain_timeout,
-            live_coordinators: Mutex::new(config.max_in_flight),
-            drained_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
             node_load: Mutex::new(vec![0; nodes]),
         });
+        let (alive, drained) = mpsc::channel::<()>();
         let coordinators = (0..config.max_in_flight)
             .map(|_| {
                 let core = Arc::clone(&core);
                 let cx = Arc::clone(&cx);
+                let alive = alive.clone();
                 std::thread::spawn(move || {
-                    // The guard decrements the live count on any exit —
-                    // orderly shutdown or a (should-be-impossible) panic
-                    // — so the drop-time drain never waits on a corpse.
-                    struct LiveGuard(Arc<SchedCore>);
-                    impl Drop for LiveGuard {
-                        fn drop(&mut self) {
-                            let mut live =
-                                self.0.live_coordinators.lock().expect("live count poisoned");
-                            *live -= 1;
-                            self.0.drained_cv.notify_all();
-                        }
-                    }
-                    let _guard = LiveGuard(Arc::clone(&core));
+                    let _alive = alive;
                     coordinator_loop(&core, &cx);
                 })
             })
             .collect();
-        Scheduler { core, cx, coordinators, run_cache: None, compactor: None }
+        let drained = Mutex::new(drained);
+        Scheduler { core, cx, coordinators, drained, run_cache: None, compactor: None }
     }
 
     /// Attach a sorted-run cache: every subsequently submitted query
@@ -371,8 +371,7 @@ impl Scheduler {
         let priority = spec.priority;
         let deadline_at = spec.deadline.map(|d| Instant::now() + d);
         let id = self.core.next_id.fetch_add(1, Ordering::Relaxed);
-        let cell =
-            Arc::new(TicketCell { state: Mutex::new(TicketState::Queued), cv: Condvar::new() });
+        let cell = Arc::new(TicketCell::default());
         let job = QueuedQuery {
             spec,
             cell: Arc::clone(&cell),
@@ -382,7 +381,7 @@ impl Scheduler {
             degraded: false,
         };
         {
-            let mut queue = self.core.queue.lock().expect("scheduler queue poisoned");
+            let mut queue = self.core.lock_queue();
             if queue.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -431,12 +430,12 @@ impl Scheduler {
 
     /// Queries currently waiting in the admission queue.
     pub fn queued(&self) -> usize {
-        self.core.queue.lock().expect("scheduler queue poisoned").backlog.len()
+        self.core.lock_queue().backlog.len()
     }
 
     /// Queries currently executing on the shared pool.
     pub fn in_flight(&self) -> usize {
-        self.core.queue.lock().expect("scheduler queue poisoned").running
+        self.core.lock_queue().running
     }
 }
 
@@ -450,39 +449,37 @@ impl Drop for Scheduler {
     /// a coordinator wedged inside a query (a parked predicate, a
     /// livelocked phase) cannot hang shutdown. On timeout the wedged
     /// threads are abandoned — they hold `Arc`s of everything they
-    /// touch, so this is leak-bounded, not unsound — and any queries
-    /// still queued behind them never complete their tickets.
+    /// touch, so this is leak-bounded, not unsound — and every query
+    /// still queued behind them fails its ticket with
+    /// [`SubmitError::ShuttingDown`]. A query a wedged coordinator is
+    /// running keeps its ticket live.
     fn drop(&mut self) {
-        if let Some(compactor) = self.compactor.take() {
-            compactor.ctl.state.lock().expect("compactor ctl poisoned").shutdown = true;
-            compactor.ctl.cv.notify_all();
-            let _ = compactor.thread.join();
+        if let Some(CompactorHandle { wake, thread }) = self.compactor.take() {
+            drop(wake);
+            let _ = thread.join();
         }
         // A submit serialized after this point fails with ShuttingDown;
         // every earlier one is already in the backlog the coordinators
         // drain.
-        self.core.queue.lock().expect("scheduler queue poisoned").shutdown = true;
+        self.core.lock_queue().shutdown = true;
         self.core.work_cv.notify_all();
-        let deadline = Instant::now() + self.core.drain_timeout;
-        let mut live = self.core.live_coordinators.lock().expect("live count poisoned");
-        while *live > 0 {
-            let Some(left) =
-                deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            live = self.core.drained_cv.wait_timeout(live, left).expect("live count poisoned").0;
-        }
-        let drained = *live == 0;
-        drop(live);
-        if drained {
-            for handle in self.coordinators.drain(..) {
-                let _ = handle.join();
+        let drained = self.drained.get_mut().unwrap_or_else(PoisonError::into_inner);
+        match drained.recv_timeout(self.core.drain_timeout) {
+            Err(RecvTimeoutError::Disconnected) => {
+                for handle in self.coordinators.drain(..) {
+                    let _ = handle.join();
+                }
             }
-        } else {
-            // Wedged coordinator: abandon the handles. Joining would
-            // block forever; a bounded shutdown is the server contract.
-            self.coordinators.clear();
+            _ => {
+                // Wedged coordinator: abandon the handles. Joining would
+                // block forever; a bounded shutdown is the server
+                // contract. Nothing will pop the backlog, so fail it.
+                self.coordinators.clear();
+                let orphans = std::mem::take(&mut self.core.lock_queue().backlog);
+                for job in orphans {
+                    let _ = job.cell.done.set(Err(QueryError::Rejected(SubmitError::ShuttingDown)));
+                }
+            }
         }
     }
 }
@@ -490,7 +487,7 @@ impl Drop for Scheduler {
 fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
     loop {
         let job = {
-            let mut queue = core.queue.lock().expect("scheduler queue poisoned");
+            let mut queue = core.lock_queue();
             loop {
                 // Pop the highest priority class; FIFO within a class
                 // (the earliest index wins a tie).
@@ -523,7 +520,7 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         // claimed before the ticket turns `Running`, so an observer
         // seeing `Running` knows placement happened.
         let node = core.claim_node();
-        job.cell.set(TicketState::Running);
+        job.cell.running.store(true, Ordering::Release);
         let owned = cx.per_query();
         let query_cx = match node {
             Some(node) => owned.pinned_to(node),
@@ -578,8 +575,8 @@ fn coordinator_loop(core: &SchedCore, cx: &ExecContext) {
         // client that resubmits the instant `wait()` returns must not
         // be degraded because its finished query still counts as
         // in-flight.
-        core.queue.lock().expect("scheduler queue poisoned").running -= 1;
-        job.cell.set(TicketState::Done(Box::new(done)));
+        core.lock_queue().running -= 1;
+        let _ = job.cell.done.set(done);
     }
 }
 
@@ -602,6 +599,7 @@ mod tests {
     use mpsm_core::join::p_mpsm::PMpsmJoin;
     use mpsm_core::join::JoinConfig;
     use mpsm_core::Tuple;
+    use std::sync::atomic::AtomicUsize;
 
     fn rel(name: &str, n: u64) -> Arc<Relation> {
         Arc::new(Relation::new(name, (0..n).map(|k| Tuple::new(k, k)).collect()))
@@ -1129,5 +1127,108 @@ mod tests {
         assert_eq!(m.submitted, 4);
         assert_eq!(m.completed, 4);
         assert_eq!(m.panicked, 0);
+    }
+
+    #[test]
+    fn abandoned_drain_fails_the_queued_backlog() {
+        let r = rel("R", 40);
+        let s = rel("S", 40);
+        // The lone coordinator wedges on a gate that stays shut until
+        // after the drop; a second query waits behind it.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let scheduler = Scheduler::new(
+            SchedulerConfig::new(1).max_in_flight(1).drain_timeout(Duration::from_millis(100)),
+        );
+        let parked = scheduler.submit(gated_query(&r, &s, &gate)).expect("admitted");
+        while parked.status() != QueryStatus::Running {
+            std::thread::yield_now();
+        }
+        let queued = scheduler.submit(QuerySpec::join(&r, &s)).expect("admitted");
+        drop(scheduler);
+        // Nothing will ever pop the backlog, so the drain failed it…
+        assert_eq!(queued.status(), QueryStatus::Done);
+        assert!(
+            matches!(queued.wait(), Err(QueryError::Rejected(SubmitError::ShuttingDown))),
+            "an abandoned drain fails queued tickets with ShuttingDown"
+        );
+        // …while the wedged query's ticket stays live.
+        assert_ne!(parked.status(), QueryStatus::Done);
+        open_gate(&gate);
+    }
+
+    /// Spin (bounded) until `done` holds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A compaction task whose first sweep panics; every later sweep
+    /// folds one relation.
+    #[derive(Default)]
+    struct PanicsOnce {
+        sweeps: AtomicUsize,
+    }
+
+    impl CompactionTask for PanicsOnce {
+        fn compact_pending(&self, _: &ExecContext, _: &CompactionConfig) -> usize {
+            if self.sweeps.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("first sweep gone wrong");
+            }
+            1
+        }
+    }
+
+    #[test]
+    fn compactor_survives_a_panicking_sweep() {
+        let task = Arc::new(PanicsOnce::default());
+        let mut scheduler = Scheduler::new(SchedulerConfig::new(1));
+        // An hour-long interval: only nudges wake the compactor.
+        let config = CompactionConfig::default().interval(Duration::from_secs(3600));
+        scheduler.start_compactor(Arc::clone(&task) as Arc<dyn CompactionTask>, config);
+        scheduler.nudge_compactor();
+        wait_until("the first sweep", || task.sweeps.load(Ordering::SeqCst) >= 1);
+        scheduler.nudge_compactor();
+        wait_until("a sweep after the panic", || scheduler.metrics().compactions == 1);
+    }
+
+    /// A compaction task whose first sweep blocks until `release`
+    /// delivers a message; it counts every sweep.
+    struct BlocksFirstSweep {
+        sweeps: AtomicUsize,
+        release: Mutex<Receiver<()>>,
+    }
+
+    impl CompactionTask for BlocksFirstSweep {
+        fn compact_pending(&self, _: &ExecContext, _: &CompactionConfig) -> usize {
+            if self.sweeps.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = self.release.lock().expect("release poisoned").recv();
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn nudges_coalesce_into_one_sweep() {
+        let (release, released) = mpsc::channel();
+        let task = Arc::new(BlocksFirstSweep {
+            sweeps: AtomicUsize::new(0),
+            release: Mutex::new(released),
+        });
+        let mut scheduler = Scheduler::new(SchedulerConfig::new(1));
+        let config = CompactionConfig::default().interval(Duration::from_secs(3600));
+        scheduler.start_compactor(Arc::clone(&task) as Arc<dyn CompactionTask>, config);
+        scheduler.nudge_compactor();
+        wait_until("the first sweep", || task.sweeps.load(Ordering::SeqCst) == 1);
+        // 100 nudges while that sweep is blocked owe exactly one more.
+        for _ in 0..100 {
+            scheduler.nudge_compactor();
+        }
+        release.send(()).expect("compactor alive");
+        wait_until("the owed sweep", || task.sweeps.load(Ordering::SeqCst) >= 2);
+        drop(scheduler);
+        assert_eq!(task.sweeps.load(Ordering::SeqCst), 2, "nudges coalesce into one sweep");
     }
 }

@@ -1,7 +1,8 @@
 //! Query tickets: the futures-style handle a submission returns, and
 //! the result it resolves to.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use super::SubmitError;
@@ -53,24 +54,17 @@ pub enum QueryStatus {
     Done,
 }
 
-pub(super) enum TicketState {
-    Queued,
-    Running,
-    // Boxed: a QueryOutput (plan + stats) is ~300 bytes, the other
-    // variants are empty.
-    Done(Box<Result<QueryOutput, QueryError>>),
-}
-
+/// One query's completion state, shared by its ticket and its backlog
+/// entry.
+#[derive(Default)]
 pub(super) struct TicketCell {
-    pub(super) state: Mutex<TicketState>,
-    pub(super) cv: Condvar,
-}
-
-impl TicketCell {
-    pub(super) fn set(&self, state: TicketState) {
-        *self.state.lock().expect("ticket poisoned") = state;
-        self.cv.notify_all();
-    }
+    /// Stored with `Release` once the coordinator has claimed the
+    /// query's node; [`QueryTicket::status`] loads it with `Acquire`, so
+    /// `Running` implies placed.
+    pub(super) running: AtomicBool,
+    /// Set once: by the coordinator that ran the query, or by a drain
+    /// that gave up on the backlog.
+    pub(super) done: OnceLock<Result<QueryOutput, QueryError>>,
 }
 
 /// A futures-style handle to one submitted query: poll with
@@ -89,30 +83,23 @@ impl QueryTicket {
 
     /// Non-blocking status probe.
     pub fn status(&self) -> QueryStatus {
-        match *self.cell.state.lock().expect("ticket poisoned") {
-            TicketState::Queued => QueryStatus::Queued,
-            TicketState::Running => QueryStatus::Running,
-            TicketState::Done(_) => QueryStatus::Done,
+        if self.cell.done.get().is_some() {
+            QueryStatus::Done
+        } else if self.cell.running.load(Ordering::Acquire) {
+            QueryStatus::Running
+        } else {
+            QueryStatus::Queued
         }
     }
 
     /// The result, if the query already finished (clones; the ticket
     /// stays usable).
     pub fn try_result(&self) -> Option<Result<QueryOutput, QueryError>> {
-        match &*self.cell.state.lock().expect("ticket poisoned") {
-            TicketState::Done(result) => Some(result.as_ref().clone()),
-            _ => None,
-        }
+        self.cell.done.get().cloned()
     }
 
     /// Block until the query finishes and take the result.
     pub fn wait(self) -> Result<QueryOutput, QueryError> {
-        let mut state = self.cell.state.lock().expect("ticket poisoned");
-        loop {
-            match &*state {
-                TicketState::Done(result) => return result.as_ref().clone(),
-                _ => state = self.cell.cv.wait(state).expect("ticket poisoned"),
-            }
-        }
+        self.cell.done.wait().clone()
     }
 }
