@@ -123,6 +123,9 @@ pub struct ExecContext {
     arena: NumaArena,
     policy: AllocPolicy,
     phase_counters: Mutex<[AccessCounters; 4]>,
+    /// Whether [`ExecContext::alloc`] and the run sets this context
+    /// builds go through the machine's spare list.
+    reuses_spares: bool,
 }
 
 /// The state every context derived from one base shares.
@@ -244,6 +247,7 @@ impl ExecContext {
             placement,
             policy,
             phase_counters: Mutex::new(Default::default()),
+            reuses_spares: true,
         }
     }
 
@@ -263,6 +267,16 @@ impl ExecContext {
     /// attributable to this query alone.
     pub fn per_query(&self) -> ExecContext {
         Self::on_machine(Arc::clone(&self.machine), self.placement.clone(), self.policy)
+    }
+
+    /// Derive a context like [`ExecContext::per_query`] whose buffers
+    /// bypass the machine's spare list: [`ExecContext::alloc`] draws
+    /// every one fresh from the arena, and the run sets it builds free
+    /// theirs on drop. One-off work (sorting a relation as it is
+    /// registered) uses it, so it neither takes the spares a query's
+    /// build would reuse nor leaves buffers no query asked for.
+    pub(crate) fn without_spares(&self) -> ExecContext {
+        ExecContext { reuses_spares: false, ..self.per_query() }
     }
 
     /// Derive a context whose workers (and allocations) all sit on one
@@ -335,11 +349,13 @@ impl ExecContext {
     /// unspecified). The best-fitting spare of the machine on that node
     /// — the smallest whose capacity holds `len`, which the arena does
     /// not count again — or else a fresh buffer from the arena, after
-    /// freeing that node's spares (none of which fits). The one
-    /// allocation path of runs and partitions.
+    /// freeing that node's spares (none of which fits). The context
+    /// [`crate::join::runs::sort_in_place`] sorts in bypasses the
+    /// spares and always takes a fresh one. The one allocation path of
+    /// runs and partitions.
     pub fn alloc(&self, worker: usize, len: usize) -> NumaBuf<Tuple> {
         let home = self.home_of(worker);
-        match self.machine.spares.take(home, len) {
+        match self.spares().and_then(|spares| spares.take(home, len)) {
             Some(mut buf) => {
                 buf.vec_mut().resize(len, Tuple::default());
                 buf
@@ -349,9 +365,10 @@ impl ExecContext {
     }
 
     /// The machine's spare list, where the run sets this context builds
-    /// hand their buffers back on drop.
-    pub(crate) fn spares(&self) -> &Arc<SpareRuns> {
-        &self.machine.spares
+    /// hand their buffers back on drop (`None` for a context made by
+    /// [`ExecContext::without_spares`]).
+    pub(crate) fn spares(&self) -> Option<&Arc<SpareRuns>> {
+        self.reuses_spares.then_some(&self.machine.spares)
     }
 
     /// The spare run buffers the machine holds, as `(home, capacity)`
@@ -418,8 +435,8 @@ impl ExecContext {
     /// does against the partition's home: `len` sequential reads plus
     /// `len` random writes, which is why commandment C1 wants runs
     /// sorted in *local* RAM. Phase 3 of every range-partitioned run
-    /// set (P-MPSM's private side, run-cache misses, the compactor's
-    /// re-warm).
+    /// set that is built rather than cut (P-MPSM's private side, a
+    /// bypass private side, the sort of a relation as it registers).
     pub fn sort_partition(
         &self,
         worker: usize,

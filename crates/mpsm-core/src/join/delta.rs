@@ -160,12 +160,33 @@ impl DeltaOverlay {
     }
 
     /// Apply the overlay to `base`: every base tuple whose key is not
-    /// masked, plus the adds. Multiset-equal to the [`materialize`]
-    /// replay of the ops this overlay was folded from.
+    /// masked, merged with the sorted adds. Multiset-equal to the
+    /// [`materialize`] replay of the ops this overlay was folded from,
+    /// and key-sorted when `base` is — how compaction folds a delta into
+    /// a sorted base version without sorting, in `O(|base| + |adds| +
+    /// |masked|)`. An unsorted base still gets the right multiset: the
+    /// mask cursor re-seeks by binary search whenever a key descends.
     pub fn apply(&self, base: &[Tuple]) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> =
-            base.iter().copied().filter(|t| self.masked.binary_search(&t.key).is_err()).collect();
-        out.extend_from_slice(&self.adds);
+        let mut out = Vec::with_capacity(base.len() + self.adds.len());
+        let mut adds = self.adds.iter().copied().peekable();
+        let (mut mask, mut previous) = (0, 0);
+        for &t in base {
+            if t.key < previous {
+                mask = self.masked.partition_point(|&k| k < t.key);
+            }
+            previous = t.key;
+            while self.masked.get(mask).is_some_and(|&k| k < t.key) {
+                mask += 1;
+            }
+            if self.masked.get(mask) == Some(&t.key) {
+                continue;
+            }
+            while let Some(add) = adds.next_if(|add| add.key < t.key) {
+                out.push(add);
+            }
+            out.push(t);
+        }
+        out.extend(adds);
         out
     }
 

@@ -38,7 +38,7 @@
 use crate::context::ExecContext;
 use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::delta::DeltaSide;
-use crate::join::runs::{build_run_set_with, chunked_run_set, run_set_cdf, BuildHints};
+use crate::join::runs::{build_run_set_with, chunked_run_set, run_set_cdf};
 use crate::join::{JoinAlgorithm, JoinConfig};
 use crate::sink::JoinSink;
 use crate::stats::{JoinStats, Phase};
@@ -114,12 +114,11 @@ impl JoinAlgorithm for PMpsmJoin {
         });
         // Phases 2.2–3: histogram, splitters, scatter into partitions
         // homed on their owning workers' nodes, local sort of each R_i.
-        let hints = BuildHints { public_cdf: cdf.as_ref(), key_range: None };
         let private = build_run_set_with(
             cx,
             r,
             self.config.radix_bits,
-            hints,
+            cdf.as_ref(),
             Phase::Two,
             Phase::Three,
             &mut stats,

@@ -9,18 +9,21 @@
 //!   contiguous chunks and sorts each into a run on its worker's node:
 //!   MPSM's phase 1. The runs' key ranges overlap, so a chunked set can
 //!   only be the *public* side of a merge.
-//! * **Range-partitioned** — [`build_run_set`] (and
-//!   [`build_run_set_with`]) bound each run to a disjoint slice of the
-//!   key domain: splitters from the relation's radix histogram, the
-//!   scatter of P-MPSM phase 2.3 placing run `i` on worker `i`'s node
-//!   and laying it out bucket-major over the histogram's `2^B` fine
-//!   buckets — the sort's top radix level — and a local sort of each
-//!   fine bucket in place while it is cache-resident. With the
-//!   relation's own equi-height splitters the result depends only on the
-//!   relation's bytes, the worker count and the radix width — not on the
-//!   other join input — which is what makes it shareable across queries.
-//!   With the public side's CDF ([`run_set_cdf`], §4.1) the splitters are
-//!   P-MPSM's cost-balanced ones (§4.3).
+//! * **Range-partitioned** — each run holds a disjoint slice of the key
+//!   domain. [`build_run_set`] (and [`build_run_set_with`]) sort
+//!   unsorted input into one: splitters from the relation's radix
+//!   histogram, the scatter of P-MPSM phase 2.3 placing run `i` on
+//!   worker `i`'s node and laying it out bucket-major over the
+//!   histogram's `2^B` fine buckets — the sort's top radix level — and
+//!   a local sort of each fine bucket in place while it is
+//!   cache-resident. With the public side's CDF ([`run_set_cdf`], §4.1)
+//!   the splitters are P-MPSM's cost-balanced ones (§4.3).
+//!   [`cut_run_set`] makes one from input that is already key-sorted —
+//!   a registered relation version, which the executor's catalog stores
+//!   sorted ([`sort_in_place`]) — by copying `T` equal-count slices of
+//!   it: nothing is scanned, histogrammed, scattered or sorted. Its
+//!   layout depends only on the relation's bytes and the worker count,
+//!   which is what makes it shareable across queries.
 //!
 //! [`merge_sides`] joins every private run against every public run
 //! from an interpolation-searched entry point — P-MPSM's phase 4. It is
@@ -73,7 +76,7 @@ impl RunSet {
     /// drop.
     pub(crate) fn built_in(cx: &ExecContext, runs: Vec<NumaBuf<Tuple>>) -> Self {
         let total = runs.iter().map(|r| r.len()).sum();
-        RunSet { runs, total, spares: Some(Arc::clone(cx.spares())) }
+        RunSet { runs, total, spares: cx.spares().cloned() }
     }
 
     /// The runs, each key-sorted: in partition order (ascending disjoint
@@ -148,6 +151,62 @@ pub fn chunked_run_set(
     RunSet::built_in(cx, runs)
 }
 
+/// Cut `sorted`, which must be key-sorted, into `T` range-partitioned
+/// runs without sorting it: `T` equal-count cuts, each moved forward
+/// past the end of the duplicate-key group it falls in (a binary
+/// search), so the runs cover ascending, disjoint key ranges. Worker
+/// `w` copies slice `w` into a buffer from [`ExecContext::alloc`] — a
+/// spare when one fits — homed on its node, booking the interleaved
+/// read and the home-side write as [`ExecContext::copied_run`] does.
+/// Time and counters book under `phase`: the side's partition phase,
+/// since the cut is all the partitioning a sorted relation needs.
+pub fn cut_run_set(
+    cx: &ExecContext,
+    sorted: &[Tuple],
+    phase: Phase,
+    stats: &mut JoinStats,
+) -> RunSet {
+    debug_assert!(crate::tuple::is_key_sorted(sorted), "only a key-sorted slice can be cut");
+    let t = cx.threads();
+    let cuts: Vec<usize> = (0..=t)
+        .map(|i| match i * sorted.len() / t {
+            0 => 0,
+            at => sorted.partition_point(|tuple| tuple.key <= sorted[at - 1].key),
+        })
+        .collect();
+    let (copied, durations) = cx.pool().run_timed(|w| {
+        let slice = &sorted[cuts[w]..cuts[w + 1]];
+        let mut scope = cx.scope(w);
+        let mut run = cx.alloc(w, slice.len());
+        run.copy_from_slice(slice);
+        scope.touch_interleaved(true, slice.len() as u64);
+        scope.touch(run.home(), true, slice.len() as u64);
+        (run, scope.finish())
+    });
+    let (runs, counters): (Vec<_>, Vec<_>) = copied.into_iter().unzip();
+    stats.record_phase(phase, &durations);
+    cx.record(phase, counters);
+    RunSet::built_in(cx, runs)
+}
+
+/// Key-sort `tuples` in place on `cx`'s pool: the equi-height
+/// range-partitioned build of [`build_run_set`], its runs laid end to
+/// end back over `tuples`. The build runs in a context of its own
+/// whose buffers bypass the machine's spare list and are freed on
+/// return, so a one-off sort neither takes the spares a query's build
+/// would reuse nor leaves buffers behind. How the executor's catalog
+/// stores each registered relation version sorted.
+pub fn sort_in_place(cx: &ExecContext, tuples: &mut [Tuple], radix_bits: u32) {
+    let own = cx.without_spares();
+    let mut stats = JoinStats::new(own.threads());
+    let set = build_run_set(&own, tuples, radix_bits, Phase::Two, Phase::Three, &mut stats);
+    let mut at = 0;
+    for run in set.runs() {
+        tuples[at..at + run.len()].copy_from_slice(run);
+        at += run.len();
+    }
+}
+
 /// The global CDF of a set's key distribution (§4.1, P-MPSM phase 2.1):
 /// `fan` equi-height bounds read from every sorted run (almost free —
 /// the runs are sorted) and merged. Sub-linear, so it books time under
@@ -164,9 +223,8 @@ pub fn run_set_cdf(cx: &ExecContext, set: &RunSet, fan: usize, stats: &mut JoinS
 
 /// Build a relation's range-partitioned [`RunSet`] with equi-height
 /// splitters from its own histogram: [`build_run_set_with`] with no
-/// hints, so it scans the key range itself. The partitioning is a pure
-/// function of (relation, `T`, `B`) — the property the run cache's key
-/// fingerprints.
+/// public CDF. The partitioning is a pure function of (relation, `T`,
+/// `B`).
 pub fn build_run_set(
     cx: &ExecContext,
     tuples: &[Tuple],
@@ -175,31 +233,17 @@ pub fn build_run_set(
     sort_phase: Phase,
     stats: &mut JoinStats,
 ) -> RunSet {
-    let hints = BuildHints::default();
-    build_run_set_with(cx, tuples, radix_bits, hints, partition_phase, sort_phase, stats)
+    build_run_set_with(cx, tuples, radix_bits, None, partition_phase, sort_phase, stats)
 }
 
-/// What the caller of [`build_run_set_with`] brings to the cut of the
-/// key domain.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildHints<'a> {
-    /// Picks the splitters: `None` cuts equi-height by the relation's
-    /// own histogram, `Some` balances the §4.3 cost against the public
-    /// side's distribution.
-    pub public_cdf: Option<&'a Cdf>,
-    /// The relation's `(min, max)` key, when the caller already knows it
-    /// (a registered relation version keeps it): the build then skips
-    /// its scan pass. `None` scans. The result is the same either way.
-    pub key_range: Option<(u64, u64)>,
-}
-
-/// Build a relation's range-partitioned [`RunSet`]: key-domain scan
-/// (unless `hints` carries the range) → radix histogram → splitters →
-/// NUMA-placed, bucket-major scatter (which reuses the histogram) →
-/// per-bucket local sort ([`ExecContext::sort_partition`]; P-MPSM
-/// phases 2.2–3). The sort is skipped when every fine bucket holds one
-/// key value. `hints.public_cdf` picks the splitters (see
-/// [`BuildHints`]).
+/// Build a relation's range-partitioned [`RunSet`]: key-domain scan →
+/// radix histogram → splitters → NUMA-placed, bucket-major scatter
+/// (which reuses the histogram) → per-bucket local sort
+/// ([`ExecContext::sort_partition`]; P-MPSM phases 2.2–3). The sort is
+/// skipped when every fine bucket holds one key value. `public_cdf`
+/// picks the splitters: `None` cuts equi-height by the relation's own
+/// histogram, `Some` balances the §4.3 cost against the public side's
+/// distribution.
 ///
 /// Phase attribution: scan/histogram/scatter wall time is recorded
 /// under `partition_phase`, the sort under `sort_phase` (a cached public
@@ -212,7 +256,7 @@ pub fn build_run_set_with(
     cx: &ExecContext,
     tuples: &[Tuple],
     radix_bits: u32,
-    hints: BuildHints<'_>,
+    public_cdf: Option<&Cdf>,
     partition_phase: Phase,
     sort_phase: Phase,
     stats: &mut JoinStats,
@@ -222,25 +266,19 @@ pub fn build_run_set_with(
     let ranges = chunk_ranges(tuples.len(), t);
     let chunks: Vec<&[Tuple]> = ranges.iter().map(|rng| &tuples[rng.clone()]).collect();
 
-    debug_assert!(
-        hints.key_range.is_none_or(|range| key_range(tuples) == Some(range)),
-        "a key-range hint must be the relation's own"
-    );
-    let (min, max) = hints.key_range.unwrap_or_else(|| {
-        // Key domain: parallel min/max scan.
-        let (scan_out, d_scan) = pool.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            scope.touch_interleaved(true, chunks[w].len() as u64);
-            (key_range(chunks[w]), scope.finish())
-        });
-        let (key_ranges, c_scan): (Vec<_>, Vec<_>) = scan_out.into_iter().unzip();
-        stats.record_phase(partition_phase, &d_scan);
-        cx.record(partition_phase, c_scan);
-        key_ranges
-            .into_iter()
-            .flatten()
-            .fold((u64::MAX, 0u64), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
+    // Key domain: parallel min/max scan.
+    let (scan_out, d_scan) = pool.run_timed(|w| {
+        let mut scope = cx.scope(w);
+        scope.touch_interleaved(true, chunks[w].len() as u64);
+        (key_range(chunks[w]), scope.finish())
     });
+    let (key_ranges, c_scan): (Vec<_>, Vec<_>) = scan_out.into_iter().unzip();
+    stats.record_phase(partition_phase, &d_scan);
+    cx.record(partition_phase, c_scan);
+    let (min, max) = key_ranges
+        .into_iter()
+        .flatten()
+        .fold((u64::MAX, 0u64), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
     let domain = if min <= max {
         RadixDomain::from_range(min, max, radix_bits)
     } else {
@@ -250,7 +288,7 @@ pub fn build_run_set_with(
     let (histograms, d_hist) = local_histograms(cx, &chunks, &domain, partition_phase);
     stats.record_phase(partition_phase, &d_hist);
     let histogram = combine_histograms(&histograms);
-    let splitters = match hints.public_cdf {
+    let splitters = match public_cdf {
         Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
         None => equi_height_splitters(&histogram, t),
     };
@@ -326,12 +364,8 @@ mod tests {
         (0..n).map(|i| Tuple::new(next() % domain, i as u64)).collect()
     }
 
-    fn hinted(cdf: &Cdf) -> BuildHints<'_> {
-        BuildHints { public_cdf: Some(cdf), key_range: None }
-    }
-
-    /// Build one side's runs the way a cache miss does (public side
-    /// under phase 1, private under phases 2/3).
+    /// Build one side's runs equi-height (public side under phase 1,
+    /// private under phases 2/3).
     fn build(cx: &ExecContext, tuples: &[Tuple], private: bool, stats: &mut JoinStats) -> RunSet {
         let (partition, sort) =
             if private { (Phase::Two, Phase::Three) } else { (Phase::One, Phase::One) };
@@ -381,6 +415,25 @@ mod tests {
             }
             if let Some(t) = run.last() {
                 last_max = Some(t.key);
+            }
+        }
+    }
+
+    #[test]
+    fn cuts_never_split_a_duplicate_key_group() {
+        let mut heavy = random(3000, 40, 17);
+        heavy.sort_unstable_by_key(|t| t.key);
+        let one_key: Vec<Tuple> = (0..500).map(|i| Tuple::new(7, i)).collect();
+        for threads in [1, 2, 3, 5, 8] {
+            let cx = ExecContext::flat(threads);
+            for sorted in [&heavy, &one_key, &Vec::new()] {
+                let mut stats = JoinStats::new(threads);
+                let set = cut_run_set(&cx, sorted, Phase::Two, &mut stats);
+                assert_eq!(set.parts(), threads);
+                assert!(set.is_range_partitioned(), "T = {threads}");
+                let laid: Vec<Tuple> = set.runs().iter().flat_map(|run| run.to_vec()).collect();
+                assert_eq!(&laid, sorted, "the runs laid end to end are the input");
+                assert_eq!(stats.phase_ms(Phase::Three), 0.0, "a cut sorts nothing");
             }
         }
     }
@@ -500,7 +553,7 @@ mod tests {
         let public = chunked_run_set(&cx, &s, Phase::One, &mut stats);
         let cdf = run_set_cdf(&cx, &public, 4 * t, &mut stats);
         let balanced =
-            build_run_set_with(&cx, &r, 10, hinted(&cdf), Phase::Two, Phase::Three, &mut stats);
+            build_run_set_with(&cx, &r, 10, Some(&cdf), Phase::Two, Phase::Three, &mut stats);
         let equi = build_run_set(&cx, &r, 10, Phase::Two, Phase::Three, &mut stats);
 
         // The partition counts `compute_splitters` implies for R.
@@ -593,7 +646,7 @@ mod tests {
                 &cx,
                 &skewed_r,
                 10,
-                hinted(&cdf),
+                Some(&cdf),
                 Phase::Two,
                 Phase::Three,
                 &mut stats,

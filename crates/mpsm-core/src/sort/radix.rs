@@ -116,20 +116,6 @@ impl Span {
     }
 }
 
-/// Prefetch the cache line holding `*p` into all levels (T0 hint).
-/// A pure hint: any address is architecturally safe, and the function
-/// is a no-op off x86_64.
-#[inline(always)]
-fn prefetch_read(p: *const Tuple) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch never faults; SSE is in the x86_64 baseline.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// Partition `tuples` in place into up to 256 key-ordered buckets.
 /// Returns the `BUCKETS + 1` boundary offsets (bucket `b` occupies
 /// `tuples[bounds[b]..bounds[b+1]]`).
@@ -144,9 +130,7 @@ pub fn msd_radix_partition(tuples: &mut [Tuple]) -> Vec<usize> {
 /// Like [`msd_radix_partition`], with a caller-provided shift (used when
 /// the global domain is known from a previous scan).
 pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<usize> {
-    // 1. Histogram. A pure sequential scan: the hardware prefetcher
-    // tracks it perfectly, so no software hints here (measured: an
-    // explicit per-element hint *costs* ~2 ns/tuple at 1M).
+    // 1. Histogram.
     let mut counts = [0usize; BUCKETS];
     for t in tuples.iter() {
         counts[shift.bucket(t.key, RADIX_BITS)] += 1;
@@ -160,9 +144,7 @@ pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<
     // `heads[b]` is the next write position of bucket `b`. A displaced
     // element is carried in a register and follows its cycle — one read
     // and one write per element instead of a full `swap` (two of each),
-    // which matters because every hop is a cache miss at scale. Each
-    // hop's destination line is prefetched as soon as the carried key
-    // names it, overlapping the fill with the loop's bookkeeping.
+    // which matters because every hop is a cache miss at scale.
     let mut heads: Vec<usize> = bounds[..BUCKETS].to_vec();
     for b in 0..BUCKETS {
         let end = bounds[b + 1];
@@ -174,7 +156,6 @@ pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<
                 heads[b] += 1;
                 continue;
             }
-            prefetch_read(&raw const tuples[heads[target]]);
             // Follow the displacement cycle until an element belonging
             // to bucket `b` lands in the cursor slot.
             loop {
@@ -187,7 +168,6 @@ pub fn msd_radix_partition_with(tuples: &mut [Tuple], shift: RadixShift) -> Vec<
                     heads[b] += 1;
                     break;
                 }
-                prefetch_read(&raw const tuples[heads[target]]);
             }
         }
     }

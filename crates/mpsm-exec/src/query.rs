@@ -17,7 +17,7 @@ use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::{merge_sides, AnytimeOutcome, AnytimeToken};
 use mpsm_core::join::delta::{DeltaOverlay, DeltaSide};
 use mpsm_core::join::runs::{
-    build_run_set_with, chunked_run_set, run_set_cdf, BuildHints, RunSet, SharedRunSet,
+    build_run_set_with, chunked_run_set, cut_run_set, run_set_cdf, RunSet, SharedRunSet,
 };
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::sink::{CollectSink, MaxAggSink};
@@ -136,9 +136,10 @@ fn placement_of(cx: &ExecContext) -> PlacementInfo {
 /// row-capped and degraded queries alike.
 ///
 /// Each side resolves to a [`DeltaSide`] (see `resolve_side`): base
-/// runs — served from the run cache when the side is clean and
-/// registered, built as P-MPSM builds them otherwise — plus the sorted
-/// run of the delta's added tuples and the mask of dead base keys.
+/// runs — cut from the stored order and served through the run cache
+/// when the side is clean and registered, built as P-MPSM builds them
+/// otherwise — plus the sorted run of the delta's added tuples and the
+/// mask of dead base keys.
 /// [`merge_sides`] joins them under `token`: with
 /// [`AnytimeToken::Never`] and no row cap that is the plain
 /// single-dispatch merge; otherwise the merge advances through
@@ -236,15 +237,16 @@ impl ResolvedSide {
 ///   build from the source's tuples (*bypass*).
 /// * **registered** — look the base up under `(id, base version,
 ///   splitter fingerprint)`, so writes never poison a key: a *hit*
-///   skips partition + sort; a *miss* builds and, if this query won the
-///   single-flight race, publishes (a loser builds uncached rather than
+///   reuses the runs; a *miss* cuts the key-sorted base into `T` runs
+///   ([`cut_run_set`]: a copy, booked under the side's partition
+///   phase, with nothing sorted) and, if this query won the
+///   single-flight race, publishes (a loser cuts uncached rather than
 ///   wait). The visible delta's adds become one extra sorted run and
 ///   its deleted/overwritten keys the mask.
 ///
 /// A bypass side is built the way P-MPSM builds it: S chunked and
 /// sorted (phase 1), R range-partitioned by splitters cost-balanced
-/// against the CDF of S's base runs (phases 2–3). A cached side is cut
-/// by its own equi-height splitters, the layout the fingerprint names.
+/// against the CDF of S's base runs (phases 2–3).
 fn resolve_side(
     cx: &ExecContext,
     spec: &QuerySpec,
@@ -257,21 +259,17 @@ fn resolve_side(
         (&spec.s, spec.s_snapshot.as_ref(), &spec.s_pred, spec.s_filtered, Phase::One, Phase::One)
     };
     let config = JoinConfig::with_threads(cx.threads());
-    // A relation version keeps its key range, so a rebuild after an
-    // eviction skips the scan pass.
+    // A registered version is stored key-sorted: its runs are a cut.
     let cached_build = |source: &Relation, stats: &mut JoinStats| {
-        let hints = BuildHints { public_cdf: None, key_range: source.key_range() };
-        let (tuples, bits) = (source.tuples(), config.radix_bits);
-        Arc::new(build_run_set_with(cx, tuples, bits, hints, partition_phase, sort_phase, stats))
+        Arc::new(cut_run_set(cx, source.tuples(), partition_phase, stats))
     };
     let bypass_build = |tuples: &[Tuple], stats: &mut JoinStats| {
         Arc::new(match public {
             None => chunked_run_set(cx, tuples, sort_phase, stats),
             Some(public) => {
                 let cdf = run_set_cdf(cx, public, config.cdf_fan * cx.threads(), stats);
-                let hints = BuildHints { public_cdf: Some(&cdf), key_range: None };
                 let bits = config.radix_bits;
-                build_run_set_with(cx, tuples, bits, hints, partition_phase, sort_phase, stats)
+                build_run_set_with(cx, tuples, bits, Some(&cdf), partition_phase, sort_phase, stats)
             }
         })
     };
@@ -479,46 +477,5 @@ mod tests {
         let out_p = paper_query(&r, &s, |_| true, |_| true, &p, 4);
         let out_b = paper_query(&r, &s, |_| true, |_| true, &b, 4);
         assert_eq!(out_p.max_payload_sum, out_b.max_payload_sum);
-    }
-
-    #[test]
-    fn a_build_over_the_kept_key_range_is_bit_identical_to_a_scanning_one() {
-        use mpsm_core::join::runs::build_run_set;
-        use mpsm_core::tuple::key_range;
-        // Dense keys in a scrambled order, none at all, and one key.
-        let dense = Relation::new(
-            "dense",
-            (0..20_000u64).map(|i| Tuple::new(i * 7_919 % 20_000, i)).collect(),
-        );
-        let empty = Relation::new("empty", vec![]);
-        let single = Relation::new("single", (0..5_000u64).map(|i| Tuple::new(42, i)).collect());
-        for relation in [&dense, &empty, &single] {
-            assert_eq!(relation.key_range(), key_range(relation.tuples()), "{}", relation.name());
-            for threads in [1, 2, 3] {
-                let cx = ExecContext::flat(threads);
-                let build = |hints: BuildHints<'_>| {
-                    let mut stats = JoinStats::new(threads);
-                    let tuples = relation.tuples();
-                    let set = build_run_set_with(
-                        &cx,
-                        tuples,
-                        10,
-                        hints,
-                        Phase::One,
-                        Phase::One,
-                        &mut stats,
-                    );
-                    set.runs().iter().map(|run| (run.home(), run.to_vec())).collect::<Vec<_>>()
-                };
-                let kept = build(BuildHints { public_cdf: None, key_range: relation.key_range() });
-                let mut stats = JoinStats::new(threads);
-                let scanned =
-                    build_run_set(&cx, relation.tuples(), 10, Phase::One, Phase::One, &mut stats);
-                let scanned: Vec<_> =
-                    scanned.runs().iter().map(|run| (run.home(), run.to_vec())).collect();
-                assert_eq!(kept, scanned, "{} at T = {threads}", relation.name());
-                assert_eq!(kept.len(), threads);
-            }
-        }
     }
 }

@@ -1,11 +1,14 @@
-//! The sorted-run cache: cross-query reuse of MPSM's phase 1–3 output.
+//! The run cache: cross-query reuse of a registered relation's runs.
 //!
 //! The paper's §7 observes that the sorted runs an MPSM join produces
-//! are a free by-product; this module keeps them. A [`RunCache`] maps
+//! are a free by-product. The session's catalog keeps them as the table
+//! itself — every registered version is stored key-sorted — so a
+//! version's runs are a cut of the stored order
+//! ([`mpsm_core::join::runs::cut_run_set`]): a copy into `T` node-homed
+//! buffers, with nothing partitioned or sorted. A [`RunCache`] maps
 //! `(relation id, version, splitter fingerprint)` to the shared
-//! [`SharedRunSet`] a previous query built, so a repeat query over an
-//! unchanged relation skips partition + sort entirely and goes straight
-//! to the merge phase.
+//! [`SharedRunSet`] a previous query cut, so a hit skips that copy and
+//! goes straight to the merge phase.
 //!
 //! ## Key derivation
 //!
@@ -57,9 +60,10 @@ impl Default for RunCacheConfig {
     }
 }
 
-/// Bump when the run layout produced by
-/// [`mpsm_core::join::runs::build_run_set`] changes incompatibly.
-const RUN_LAYOUT_VERSION: u64 = 1;
+/// Bump when the run layout of a cached relation version changes
+/// incompatibly. Version 2 is the equal-count cut of the key-sorted
+/// version ([`mpsm_core::join::runs::cut_run_set`]).
+const RUN_LAYOUT_VERSION: u64 = 2;
 
 /// FNV-1a over the inputs that determine a relation's run layout.
 /// Runs built with a different worker count or radix width partition

@@ -1,7 +1,9 @@
 //! Base relations.
 
-use std::sync::OnceLock;
-
+use mpsm_core::context::ExecContext;
+use mpsm_core::join::runs::sort_in_place;
+use mpsm_core::join::JoinConfig;
+use mpsm_core::tuple::is_key_sorted;
 use mpsm_core::Tuple;
 
 /// A named, in-memory base table of join tuples.
@@ -13,21 +15,20 @@ use mpsm_core::Tuple;
 /// relation reports `(0, 0)` and is never cached.
 ///
 /// A relation's tuples never change after construction — a write
-/// makes a new version — so facts derived from them, such as the key
-/// range, are computed once and kept.
+/// makes a new version — and every version a session's catalog holds
+/// is key-sorted, so a query cuts its runs out of the stored order.
 #[derive(Debug, Clone)]
 pub struct Relation {
     name: String,
     tuples: Vec<Tuple>,
     id: u64,
     version: u64,
-    key_range: OnceLock<Option<(u64, u64)>>,
 }
 
 impl Relation {
     /// Create a relation from tuples (unregistered: no identity yet).
     pub fn new(name: impl Into<String>, tuples: Vec<Tuple>) -> Self {
-        Relation { name: name.into(), tuples, id: 0, version: 0, key_range: OnceLock::new() }
+        Relation { name: name.into(), tuples, id: 0, version: 0 }
     }
 
     /// The relation's name (for plan display).
@@ -54,16 +55,22 @@ impl Relation {
         self
     }
 
-    /// The stored tuples.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// This relation with its tuples in key order, sorted on `cx`'s pool
+    /// ([`sort_in_place`]) unless they already are — what
+    /// [`crate::session::Session::register`] stores.
+    pub(crate) fn key_sorted(mut self, cx: &ExecContext) -> Self {
+        if !is_key_sorted(&self.tuples) {
+            let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
+            sort_in_place(cx, &mut self.tuples, radix_bits);
+        }
+        self
     }
 
-    /// The smallest and largest key (`None` when empty), scanned on the
-    /// first call and kept: a cache-miss build of this version skips
-    /// its own scan pass.
-    pub fn key_range(&self) -> Option<(u64, u64)> {
-        *self.key_range.get_or_init(|| mpsm_core::tuple::key_range(&self.tuples))
+    /// The stored tuples: in key order once registered (registration
+    /// sorts them and compaction keeps the order), as constructed
+    /// otherwise.
+    pub fn tuples(&self) -> &[Tuple] {
+        &self.tuples
     }
 
     /// Cardinality.
@@ -95,16 +102,6 @@ mod tests {
         let r = Relation::new("empty", vec![]);
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-    }
-
-    #[test]
-    fn key_range_is_scanned_once_and_kept() {
-        let r = Relation::new("keys", vec![Tuple::new(9, 0), Tuple::new(2, 1), Tuple::new(5, 2)]);
-        assert_eq!(r.key_range.get(), None, "nothing scanned before the first call");
-        assert_eq!(r.key_range(), Some((2, 9)));
-        assert_eq!(r.key_range.get(), Some(&Some((2, 9))));
-        assert_eq!(r.clone().with_identity(1, 1).key_range.get(), Some(&Some((2, 9))));
-        assert_eq!(Relation::new("empty", vec![]).key_range(), None);
     }
 
     #[test]

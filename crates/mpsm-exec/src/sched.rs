@@ -203,13 +203,18 @@ pub struct SchedulerMetrics {
     /// Sorted-run cache hits (query sides served from cached runs);
     /// 0 when the scheduler has no attached cache.
     pub cache_hits: u64,
-    /// Sorted-run cache misses (sides that had to partition + sort).
+    /// Sorted-run cache misses (sides whose runs had to be cut from
+    /// the stored order).
     pub cache_misses: u64,
     /// Cached run sets dropped by invalidation or the byte budget.
     pub cache_evictions: u64,
     /// Delta compactions performed (background sweeps and explicit
     /// [`crate::session::Session::compact`] calls alike).
     pub compactions: u64,
+    /// Background compactor sweeps that panicked. Each one is survived
+    /// (the next nudge or tick sweeps again) and counted here, so a
+    /// failing compactor can be told from an idle one.
+    pub compactions_failed: u64,
     /// Queries that finished past their deadline — returned a partial
     /// answer, or a complete one later than promised.
     pub deadline_missed: u64,
@@ -229,6 +234,7 @@ struct AtomicMetrics {
     panicked: AtomicU64,
     queue_wait_micros: AtomicU64,
     compactions: AtomicU64,
+    compactions_failed: AtomicU64,
     deadline_missed: AtomicU64,
     partial_answers: AtomicU64,
     degraded: AtomicU64,
@@ -422,6 +428,7 @@ impl Scheduler {
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             compactions: m.compactions.load(Ordering::Relaxed),
+            compactions_failed: m.compactions_failed.load(Ordering::Relaxed),
             deadline_missed: m.deadline_missed.load(Ordering::Relaxed),
             partial_answers: m.partial_answers.load(Ordering::Relaxed),
             degraded: m.degraded.load(Ordering::Relaxed),
@@ -1192,6 +1199,7 @@ mod tests {
         wait_until("the first sweep", || task.sweeps.load(Ordering::SeqCst) >= 1);
         scheduler.nudge_compactor();
         wait_until("a sweep after the panic", || scheduler.metrics().compactions == 1);
+        assert_eq!(scheduler.metrics().compactions_failed, 1, "the panicking sweep is counted");
     }
 
     /// A compaction task whose first sweep blocks until `release`

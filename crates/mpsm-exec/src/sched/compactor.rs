@@ -130,11 +130,15 @@ fn compactor_loop(
             return;
         }
         // A panicking sweep (e.g. a pool phase re-panicking inside a
-        // fold) fails only itself: the next nudge or tick sweeps again.
-        let folded =
-            catch_unwind(AssertUnwindSafe(|| task.compact_pending(cx, config))).unwrap_or(0);
-        if folded > 0 {
-            core.metrics.compactions.fetch_add(folded as u64, Ordering::Relaxed);
+        // fold) fails only itself and is counted: the next nudge or
+        // tick sweeps again.
+        match catch_unwind(AssertUnwindSafe(|| task.compact_pending(cx, config))) {
+            Ok(folded) => {
+                core.metrics.compactions.fetch_add(folded as u64, Ordering::Relaxed);
+            }
+            Err(_) => {
+                core.metrics.compactions_failed.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }

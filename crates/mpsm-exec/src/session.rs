@@ -39,13 +39,17 @@
 //!
 //! Registered relations are **mutable**: [`Session::append`],
 //! [`Session::update`], and [`Session::delete`] land in the relation's
-//! delta log without touching its immutable sorted base. Every query
-//! captures a consistent [`Snapshot`] of each side at submit time —
-//! the delta prefix visible then is merged into the join on the fly;
-//! later writes are invisible. A background compactor (or an explicit
-//! [`Session::compact`]) folds the delta into a new base version,
-//! which re-keys the run cache through the ordinary version-bump
-//! machinery.
+//! delta log without touching its immutable sorted base. The order is
+//! established once, when [`Session::register`] sorts the tuples on the
+//! session's pool, and kept from then on: compaction merges the
+//! delta's sorted adds into the base rather than appending them. So a
+//! query's clean registered side is a cut of the stored order, never a
+//! sort. Every query captures a consistent [`Snapshot`] of each side
+//! at submit time — the delta prefix visible then is merged into the
+//! join on the fly; later writes are invisible. A background compactor
+//! (or an explicit [`Session::compact`]) folds the delta into a new
+//! base version, which re-keys the run cache through the ordinary
+//! version-bump machinery.
 //!
 //! ```
 //! use mpsm_exec::session::{QuerySpec, Session};
@@ -78,7 +82,7 @@ use std::time::Duration;
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::join::delta::DeltaOp;
-use mpsm_core::join::runs::build_run_set;
+use mpsm_core::join::runs::cut_run_set;
 use mpsm_core::join::JoinConfig;
 use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
@@ -375,10 +379,12 @@ impl SessionShared {
         entry.resolve(handle.id(), handle.version()).map(RelationState::snapshot)
     }
 
-    /// Fold one relation's pending delta into a new base version and
-    /// warm the run cache with its runs. Returns `false` when there was
-    /// nothing to fold or a concurrent re-register won the race (its
-    /// version bump supersedes ours).
+    /// Fold one relation's pending delta into a new base version — the
+    /// sorted base merged with the delta's sorted adds, so the new
+    /// version is key-sorted too — and warm the run cache with its
+    /// runs. Returns `false` when there was nothing to fold or a
+    /// concurrent re-register won the race (its version bump supersedes
+    /// ours).
     fn compact_relation(&self, cx: &ExecContext, name: &str) -> bool {
         // Capture the epoch and watermark to fold; the merge itself
         // runs outside the catalog lock (writers keep writing — their
@@ -433,14 +439,7 @@ impl SessionShared {
             };
             if let Lookup::Miss(permit) = cache.lookup(key) {
                 let mut stats = JoinStats::new(cx.threads());
-                let runs = build_run_set(
-                    cx,
-                    new_base.tuples(),
-                    radix_bits,
-                    Phase::One,
-                    Phase::One,
-                    &mut stats,
-                );
+                let runs = cut_run_set(cx, new_base.tuples(), Phase::One, &mut stats);
                 permit.publish(Arc::new(runs));
             }
         }
@@ -529,6 +528,11 @@ impl Session {
     /// Register a relation under its own name, returning the shared,
     /// identity-stamped handle query specs are built from.
     ///
+    /// The catalog stores every version key-sorted: unless the tuples
+    /// already are, they are sorted here, on the session's pool, before
+    /// the catalog lock is taken (the handle's
+    /// [`Relation::tuples`] come back in key order).
+    ///
     /// First registration of a name allocates a fresh stable id and
     /// stamps version 1. Re-registering the name keeps the id and
     /// bumps the version — which invalidates every cached run set
@@ -536,6 +540,7 @@ impl Session {
     /// Already-submitted queries keep the `Arc` (and therefore the
     /// exact version and snapshot) they captured.
     pub fn register(&self, relation: Relation) -> Arc<Relation> {
+        let relation = relation.key_sorted(self.scheduler.context());
         let mut catalog = self.shared.catalog.lock().expect("catalog poisoned");
         let (id, version) = match catalog.get(relation.name()) {
             Some(entry) => {
@@ -758,7 +763,7 @@ mod tests {
         assert_eq!((uncached_metrics.cache_hits, uncached_metrics.cache_misses), (0, 0));
     }
 
-    /// `n` tuples over scattered keys, so building their runs sorts.
+    /// `n` tuples over scattered keys, so registering them sorts.
     fn scattered(name: &str, n: u64, salt: u64) -> Relation {
         let key = |i: u64| i.wrapping_add(salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
         Relation::new(name, (0..n).map(|i| Tuple::new(key(i), i)).collect())
@@ -836,6 +841,76 @@ mod tests {
             previous.sort_unstable();
             n = n * 3 / 2;
         }
+    }
+
+    #[test]
+    fn a_miss_on_an_evicted_version_sorts_nothing() {
+        use crate::plan::RunCacheOutcome;
+        let n = 4096u64;
+        let budget = n as usize * std::mem::size_of::<Tuple>(); // one relation's runs
+        let session = Session::with_compaction(
+            SchedulerConfig::new(2),
+            RunCacheConfig { byte_budget: budget },
+            CompactionConfig::manual(),
+        );
+        let a = session.register(scattered("A", n, 1));
+        let b = session.register(scattered("B", n, 2));
+        // A's runs are cached, then evicted into the spares by B's.
+        for rel in [&a, &b] {
+            session.query(QuerySpec::join(rel, rel)).expect("query");
+        }
+        // B is public and hits; A is private and misses on its
+        // evicted version.
+        let out = session.query(QuerySpec::join(&a, &b)).expect("query").result;
+        let info = out.plan.run_cache.expect("cached session");
+        assert_eq!((info.r, info.s), (RunCacheOutcome::Miss, RunCacheOutcome::Hit));
+        let oracle = Session::uncached(SchedulerConfig::new(2));
+        let (ua, ub) =
+            (oracle.register(scattered("A", n, 1)), oracle.register(scattered("B", n, 2)));
+        let expected = oracle.query(QuerySpec::join(&ua, &ub)).expect("uncached").result;
+        assert_eq!(out.max_payload_sum, expected.max_payload_sum);
+        assert_eq!(out.stats.phase_ms(Phase::Three), 0.0, "the private miss sorts nothing");
+        let placement = out.plan.placement.expect("scheduled plans report placement");
+        assert_eq!(placement.arena_bytes.iter().sum::<u64>(), 0, "the cut reuses the spares");
+    }
+
+    #[test]
+    fn registered_and_compacted_versions_are_key_sorted() {
+        use mpsm_core::tuple::is_key_sorted;
+        let session = Session::with_compaction(
+            SchedulerConfig::new(2),
+            RunCacheConfig::default(),
+            CompactionConfig::default().threshold(64).interval(Duration::from_millis(5)),
+        );
+        let registered = session.register(scattered("R", 5000, 3));
+        assert!(is_key_sorted(registered.tuples()), "register sorts");
+        let mut expected: Vec<_> = scattered("R", 5000, 3).tuples().to_vec();
+        let mut stored = registered.tuples().to_vec();
+        expected.sort_unstable_by_key(|t| (t.key, t.payload));
+        stored.sort_unstable_by_key(|t| (t.key, t.payload));
+        assert_eq!(stored, expected, "register keeps every tuple");
+
+        // A manual fold below the threshold: appends on both sides of
+        // the key range, a delete and an upsert.
+        let (lo, hi) = (registered.tuples()[0].key, registered.tuples()[4999].key);
+        session.append("R", [Tuple::new(hi + 1, 1), Tuple::new(lo, 2)]).expect("registered");
+        session.delete("R", registered.tuples()[10].key).expect("registered");
+        session.update("R", registered.tuples()[20].key, 7).expect("registered");
+        assert!(session.compact("R"));
+        let compacted = session.relation("R").expect("registered");
+        assert!(is_key_sorted(compacted.tuples()), "compact keeps the order");
+        assert_eq!(compacted.version(), 2);
+
+        // A background fold past the threshold.
+        session.append("R", scattered("W", 64, 9).tuples().iter().copied()).expect("write");
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while session.relation("R").expect("registered").version() < 3 {
+            assert!(std::time::Instant::now() < deadline, "no background fold");
+            std::thread::yield_now();
+        }
+        let folded = session.relation("R").expect("registered");
+        assert!(is_key_sorted(folded.tuples()), "a background fold keeps the order");
+        assert_eq!(folded.len(), compacted.len() + 64);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use mpsm::core::context::ExecContext;
 use mpsm::core::histogram::{combine_histograms, compute_histogram, RadixDomain};
 use mpsm::core::interpolation::{interpolation_lower_bound, interpolation_upper_bound};
 use mpsm::core::join::b_mpsm::BMpsmJoin;
+use mpsm::core::join::delta::DeltaOp;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::merge::{merge_join, merge_join_linear};
@@ -17,7 +18,9 @@ use mpsm::core::splitter::{compute_splitters, equi_height_splitters};
 use mpsm::core::tuple::is_key_sorted;
 use mpsm::core::worker::chunk_ranges;
 use mpsm::core::Tuple;
+use mpsm::exec::{Relation, RelationState};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn tuples(keys: Vec<u64>) -> Vec<Tuple> {
     keys.into_iter().enumerate().map(|(i, k)| Tuple::new(k, i as u64)).collect()
@@ -66,6 +69,30 @@ proptest! {
             interpolation_upper_bound(&run, probe),
             run.partition_point(|t| t.key <= probe)
         );
+    }
+
+    #[test]
+    fn delta_fold_over_a_sorted_base_stays_sorted_and_matches_the_replay(
+        mut base_keys in proptest::collection::vec(0u64..200, 0..600),
+        op_codes in proptest::collection::vec(0u64..2000, 0..150),
+    ) {
+        base_keys.sort_unstable();
+        let base = Arc::new(Relation::new("R", tuples(base_keys)));
+        let state = Arc::new(RelationState::new(Arc::clone(&base)));
+        // Append / update / delete 80 / 10 / 10 over the base's keys
+        // and some past them.
+        state.delta().extend(op_codes.iter().enumerate().map(|(i, &code)| {
+            let (key, payload) = (code / 10 % 250, 1_000_000 + i as u64);
+            match code % 10 {
+                0 => DeltaOp::Delete { key },
+                1 => DeltaOp::Update { key, payload },
+                _ => DeltaOp::Append(Tuple::new(key, payload)),
+            }
+        }));
+        let snapshot = state.snapshot();
+        let applied = snapshot.overlay().apply(base.tuples());
+        prop_assert!(is_key_sorted(&applied));
+        prop_assert_eq!(key_multiset(&applied), key_multiset(&snapshot.materialize()));
     }
 
     #[test]
