@@ -41,13 +41,14 @@
 //! Every scheduled query runs [`query::paper_query_runs`]. It resolves
 //! each side to sorted runs — S first, then R — and merges them through
 //! the one run-set merge driver,
-//! [`mpsm_core::join::anytime::merge_sides`]. A side the run cache
-//! cannot serve (filtered, unregistered, or no cache attached) is built
-//! the way P-MPSM builds it: S chunked and sorted, R range-partitioned
-//! by splitters cost-balanced against S's distribution; so an uncached
-//! query is a P-MPSM join. A cacheable side is cut by its own
-//! equi-height splitters and kept. The three sections below describe
-//! what the route does for cached, mutable and SLA-bound queries.
+//! [`mpsm_core::join::anytime::merge_sides`]. Every registered version
+//! is stored key-sorted, so a registered side — cached or not, clean,
+//! dirty or filtered — is a cut of that order
+//! ([`mpsm_core::join::runs::cut_run_set`]), never a sort. Only a raw,
+//! unregistered handle is sorted, by one equi-height
+//! [`mpsm_core::join::runs::build_run_set`]. The three sections below
+//! describe what the route does for cached, mutable and SLA-bound
+//! queries.
 //! [`query::paper_query_in`] (and its thread-count twin
 //! [`query::paper_query`]) runs the same pipeline over any
 //! [`mpsm_core::join::JoinAlgorithm`] — the entry for contenders,
@@ -55,12 +56,11 @@
 //!
 //! ## Sorted-run caching
 //!
-//! Phases 1–2 of an MPSM join sort each input into public runs that
-//! depend only on the relation and the splitter layout — not on the
-//! query. The [`run_cache`] module caches those runs keyed by
-//! `(relation id, version, splitter fingerprint)`; a
-//! [`session::Session`] owns one by default, so repeated joins over
-//! registered relations skip partition + sort entirely and go straight
+//! A registered relation's runs depend only on the relation version
+//! and the run layout — not on the query. The [`run_cache`] module
+//! caches those runs keyed by `(relation id, version, splitter
+//! fingerprint)`; a [`session::Session`] always owns one, so repeated
+//! joins over registered relations skip even the cut and go straight
 //! to merge-join. EXPLAIN grows a `RunCache [R=hit, S=miss]` line,
 //! and re-registering a relation bumps its catalog version, which
 //! invalidates every run set built from older versions.

@@ -177,14 +177,13 @@ impl AnytimeInfo {
 /// What the run cache did for one join input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunCacheOutcome {
-    /// Sorted runs were served from the cache; the side skipped
-    /// partition + sort.
+    /// Sorted runs were served from the cache; the side skipped the
+    /// cut.
     Hit,
-    /// Runs were built by this query (and published when it held the
-    /// build permit).
+    /// Runs were cut by this query and published.
     Miss,
-    /// The side was not cacheable (filtered, unregistered, or the
-    /// session runs uncached).
+    /// The side was not cacheable (filtered, unregistered, or no cache
+    /// attached to the spec).
     Bypass,
 }
 

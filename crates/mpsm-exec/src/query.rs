@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::{merge_sides, AnytimeOutcome, AnytimeToken};
 use mpsm_core::join::delta::{DeltaOverlay, DeltaSide};
-use mpsm_core::join::runs::{
-    build_run_set_with, chunked_run_set, cut_run_set, run_set_cdf, RunSet, SharedRunSet,
-};
+use mpsm_core::join::runs::{build_run_set, cut_run_set, SharedRunSet};
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::sink::{CollectSink, MaxAggSink};
 use mpsm_core::stats::{JoinStats, Phase};
@@ -27,7 +25,7 @@ use mpsm_numa::NumaBuf;
 
 use crate::ops::Select;
 use crate::plan::{AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo, RunCacheOutcome};
-use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
+use crate::run_cache::cached_runs;
 use crate::scan::Relation;
 use crate::session::QuerySpec;
 
@@ -131,15 +129,15 @@ fn placement_of(cx: &ExecContext) -> PlacementInfo {
 }
 
 /// The run-oriented paper query — the one execution path of every
-/// scheduled query: cached, uncached, dirty (a snapshot with a live
-/// delta, or one compaction moved past the handle), deadlined,
-/// row-capped and degraded queries alike.
+/// scheduled query: cached, filtered, unregistered, dirty (a snapshot
+/// with a live delta, or one compaction moved past the handle),
+/// deadlined, row-capped and degraded queries alike.
 ///
 /// Each side resolves to a [`DeltaSide`] (see `resolve_side`): base
-/// runs — cut from the stored order and served through the run cache
-/// when the side is clean and registered, built as P-MPSM builds them
-/// otherwise — plus the sorted run of the delta's added tuples and the
-/// mask of dead base keys.
+/// runs — cut from the stored key order, through the run cache when
+/// the side is unfiltered; sorted from scratch only for a raw,
+/// unregistered handle — plus the sorted run of the delta's added
+/// tuples and the mask of dead base keys.
 /// [`merge_sides`] joins them under `token`: with
 /// [`AnytimeToken::Never`] and no row cap that is the plain
 /// single-dispatch merge; otherwise the merge advances through
@@ -164,8 +162,8 @@ pub fn paper_query_runs(
 ) -> PaperQueryResult {
     let wall = Instant::now();
     let mut stats = JoinStats::new(cx.threads());
-    let s = resolve_side(cx, spec, None, &mut stats);
-    let r = resolve_side(cx, spec, Some(&s.base), &mut stats);
+    let s = resolve_side(cx, spec, false, &mut stats);
+    let r = resolve_side(cx, spec, true, &mut stats);
     let (r_side, s_side) = (r.side(), s.side());
     let (r_rows, s_rows) = (r_side.logical_tuples(), s_side.logical_tuples());
 
@@ -224,91 +222,61 @@ impl ResolvedSide {
     }
 }
 
-/// Resolve one side of `spec` to sorted runs: S when `public` is
-/// `None`, R — the private side — when it holds S's base runs, which
-/// is why S resolves first. The tuple source is the captured snapshot's
-/// base, or the raw handle when the side lives outside any catalog.
-/// Three outcomes, reported on the plan's `RunCache` row:
+/// Resolve one side of `spec` to sorted runs: R — the private side —
+/// when `private`, S otherwise. The tuple source is the captured
+/// snapshot's base, or the handle itself when no snapshot was captured.
+/// Three routes, reported on the plan's `RunCache` row:
 ///
-/// * **filtered** — the rows are query-specific: fold the snapshot's
-///   visible delta in with the overlay, select, and build runs that
-///   never touch the cache (*bypass*).
-/// * **unregistered** (or no cache attached) — no identity to key on:
-///   build from the source's tuples (*bypass*).
-/// * **registered** — look the base up under `(id, base version,
+/// * **unregistered** — a raw handle (`version() == 0`) carries no
+///   order and no identity: its tuples, selected when the side is
+///   filtered, get one equi-height [`build_run_set`] (*bypass*).
+/// * **filtered** — the rows are query-specific: select from the base,
+///   or from the base with the snapshot's visible delta folded in by the
+///   overlay, and cut the selection — a selection over key-sorted
+///   tuples is key-sorted — into runs that never touch the cache
+///   (*bypass*).
+/// * **registered** — [`cached_runs`] under `(id, base version,
 ///   splitter fingerprint)`, so writes never poison a key: a *hit*
 ///   reuses the runs; a *miss* cuts the key-sorted base into `T` runs
 ///   ([`cut_run_set`]: a copy, booked under the side's partition
-///   phase, with nothing sorted) and, if this query won the
-///   single-flight race, publishes (a loser cuts uncached rather than
-///   wait). The visible delta's adds become one extra sorted run and
-///   its deleted/overwritten keys the mask.
-///
-/// A bypass side is built the way P-MPSM builds it: S chunked and
-/// sorted (phase 1), R range-partitioned by splitters cost-balanced
-/// against the CDF of S's base runs (phases 2–3).
+///   phase, with nothing sorted) and publishes them. The visible
+///   delta's adds become one extra sorted run and its
+///   deleted/overwritten keys the mask.
 fn resolve_side(
     cx: &ExecContext,
     spec: &QuerySpec,
-    public: Option<&RunSet>,
+    private: bool,
     stats: &mut JoinStats,
 ) -> ResolvedSide {
-    let (rel, snapshot, pred, filtered, partition_phase, sort_phase) = if public.is_some() {
+    let (rel, snapshot, pred, filtered, partition_phase, sort_phase) = if private {
         (&spec.r, spec.r_snapshot.as_ref(), &spec.r_pred, spec.r_filtered, Phase::Two, Phase::Three)
     } else {
         (&spec.s, spec.s_snapshot.as_ref(), &spec.s_pred, spec.s_filtered, Phase::One, Phase::One)
     };
-    let config = JoinConfig::with_threads(cx.threads());
-    // A registered version is stored key-sorted: its runs are a cut.
-    let cached_build = |source: &Relation, stats: &mut JoinStats| {
-        Arc::new(cut_run_set(cx, source.tuples(), partition_phase, stats))
-    };
-    let bypass_build = |tuples: &[Tuple], stats: &mut JoinStats| {
-        Arc::new(match public {
-            None => chunked_run_set(cx, tuples, sort_phase, stats),
-            Some(public) => {
-                let cdf = run_set_cdf(cx, public, config.cdf_fan * cx.threads(), stats);
-                let bits = config.radix_bits;
-                build_run_set_with(cx, tuples, bits, Some(&cdf), partition_phase, sort_phase, stats)
-            }
-        })
-    };
     let source: &Relation = snapshot.map_or(rel, |snapshot| snapshot.base());
     // A clean snapshot never touches (or locks) its delta log.
     let overlay = snapshot.filter(|s| s.delta_len() > 0).map(|s| s.overlay());
+    let registered = source.version() > 0;
 
-    if filtered {
-        let selected = match overlay {
+    if filtered || !registered {
+        let selected = filtered.then(|| match overlay {
             None => Select::new(source, |t| pred(t)).execute_in(cx),
             Some(overlay) => {
                 overlay.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect()
             }
+        });
+        let tuples = selected.as_deref().unwrap_or(source.tuples());
+        let base = if registered {
+            cut_run_set(cx, tuples, partition_phase, stats)
+        } else {
+            let bits = JoinConfig::with_threads(cx.threads()).radix_bits;
+            build_run_set(cx, tuples, bits, partition_phase, sort_phase, stats)
         };
-        return ResolvedSide {
-            base: bypass_build(&selected, stats),
-            delta: None,
-            overlay: None,
-            outcome: RunCacheOutcome::Bypass,
-        };
+        let outcome = RunCacheOutcome::Bypass;
+        return ResolvedSide { base: Arc::new(base), delta: None, overlay: None, outcome };
     }
 
-    let (base, outcome) = match &spec.cache {
-        Some(cache) if source.version() > 0 => {
-            let fingerprint = splitter_fingerprint(cx.threads(), config.radix_bits);
-            let key = RunKey { relation: source.id(), version: source.version(), fingerprint };
-            match cache.lookup(key) {
-                Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
-                Lookup::Miss(permit) => {
-                    let built = cached_build(source, stats);
-                    permit.publish(built.clone());
-                    (built, RunCacheOutcome::Miss)
-                }
-                // Someone else is building this base; don't wait.
-                Lookup::Busy => (cached_build(source, stats), RunCacheOutcome::Miss),
-            }
-        }
-        _ => (bypass_build(source.tuples(), stats), RunCacheOutcome::Bypass),
-    };
+    let (base, outcome) = cached_runs(cx, spec.cache.as_ref(), source, partition_phase, stats);
 
     // The delta's adds — already key-sorted by the fold — become one
     // extra run: one worker copies them into the arena, and the copy

@@ -27,25 +27,30 @@
 //!   bumps the version, so superseded entries simply stop being
 //!   addressable; [`RunCache::invalidate_relation`] additionally drops
 //!   them eagerly.
-//! * **byte budget** — publishing evicts least-recently-used `Ready`
-//!   entries until the cache fits [`RunCacheConfig::byte_budget`]
-//!   (the storage layer's bounded-frame idiom, upgraded FIFO → LRU).
+//! * **byte budget** — publishing evicts least-recently-used entries
+//!   until the cache fits [`RunCacheConfig::byte_budget`] (the storage
+//!   layer's bounded-frame idiom, upgraded FIFO → LRU).
 //!
-//! ## Single-flight
+//! ## No coordination
 //!
-//! The first miss installs a `Building` placeholder and receives a
-//! [`BuildPermit`]; concurrent misses on the same key see the
-//! placeholder and get [`Lookup::Busy`] — they run uncached rather
-//! than duplicating the build into the same slot or blocking on a
-//! possibly-slow builder. Dropping an unused permit (builder panicked
-//! or bailed) removes the placeholder so the key can be built again.
+//! A miss costs one copy, so concurrent misses on the same key each cut
+//! their own runs rather than wait for one builder: every miss gets a
+//! [`BuildPermit`], and a publish to a key that is already resident
+//! keeps the resident set (the late copy drops after the cache lock)
+//! and counts no insert.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mpsm_core::join::runs::SharedRunSet;
+use mpsm_core::context::ExecContext;
+use mpsm_core::join::runs::{cut_run_set, SharedRunSet};
+use mpsm_core::join::JoinConfig;
+use mpsm_core::stats::{JoinStats, Phase};
+
+use crate::plan::RunCacheOutcome;
+use crate::scan::Relation;
 
 /// Tuning for a [`RunCache`].
 #[derive(Debug, Clone)]
@@ -99,33 +104,25 @@ struct Entry {
     last_used: Instant,
 }
 
-#[derive(Debug)]
-enum Slot {
-    /// A permit holder is building this key right now.
-    Building,
-    /// Published runs.
-    Ready(Entry),
-}
-
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<RunKey, Slot>,
-    /// Bytes held by `Ready` entries.
+    map: HashMap<RunKey, Entry>,
+    /// Bytes held by the entries.
     bytes: usize,
 }
 
 /// Counter snapshot (see [`RunCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCacheStats {
-    /// Lookups served from a `Ready` entry.
+    /// Lookups served from a resident entry.
     pub hits: u64,
-    /// Lookups that found nothing servable (includes `Busy`).
+    /// Lookups that found nothing resident.
     pub misses: u64,
     /// Entries evicted by the byte budget or version invalidation.
     pub evictions: u64,
-    /// Run sets successfully published.
+    /// Run sets published under a key that was not resident.
     pub inserts: u64,
-    /// `Ready` entries currently resident.
+    /// Entries currently resident.
     pub entries: usize,
     /// Bytes currently resident.
     pub bytes: usize,
@@ -138,9 +135,6 @@ pub enum Lookup {
     /// Nothing cached — the caller should build and publish through
     /// the permit.
     Miss(BuildPermit),
-    /// Another query is building this key; run uncached, do not
-    /// publish.
-    Busy,
 }
 
 /// Cross-query cache of sorted run sets. See the module docs.
@@ -167,29 +161,20 @@ impl RunCache {
         }
     }
 
-    /// Look up `key`, claiming the build on a miss (single-flight).
+    /// Look up `key`, handing out a permit to publish on a miss.
     pub fn lookup(self: &Arc<Self>, key: RunKey) -> Lookup {
         let mut inner = self.inner.lock().expect("run cache poisoned");
-        match inner.map.get_mut(&key) {
-            Some(Slot::Ready(entry)) => {
-                entry.last_used = Instant::now();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Hit(Arc::clone(&entry.runs));
-            }
-            Some(Slot::Building) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Busy;
-            }
-            None => {}
+        if let Some(entry) = inner.map.get_mut(&key) {
+            entry.last_used = Instant::now();
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Lookup::Hit(Arc::clone(&entry.runs));
         }
-        inner.map.insert(key, Slot::Building);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        Lookup::Miss(BuildPermit { cache: Arc::clone(self), key, armed: true })
+        Lookup::Miss(BuildPermit { cache: Arc::clone(self), key })
     }
 
     /// Eagerly drop every entry of `relation` older than
-    /// `keep_version` (called by `register` on a version bump;
-    /// `Building` placeholders are left for their permits to resolve).
+    /// `keep_version` (called by `register` on a version bump).
     /// The dropped sets are released after the cache lock: freeing one
     /// hands its buffers to the spares of the machine that built it.
     pub fn invalidate_relation(&self, relation: u64, keep_version: u64) {
@@ -197,18 +182,11 @@ impl RunCache {
             let mut inner = self.inner.lock().expect("run cache poisoned");
             let stale: Vec<RunKey> = inner
                 .map
-                .iter()
-                .filter(|(k, slot)| {
-                    k.relation == relation
-                        && k.version < keep_version
-                        && matches!(slot, Slot::Ready(_))
-                })
-                .map(|(k, _)| *k)
+                .keys()
+                .filter(|k| k.relation == relation && k.version < keep_version)
+                .copied()
                 .collect();
-            stale
-                .into_iter()
-                .filter_map(|key| self.remove_ready(&mut inner, key))
-                .collect::<Vec<_>>()
+            stale.into_iter().filter_map(|key| self.remove(&mut inner, key)).collect::<Vec<_>>()
         };
     }
 
@@ -220,7 +198,7 @@ impl RunCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            entries: inner.map.values().filter(|s| matches!(s, Slot::Ready(_))).count(),
+            entries: inner.map.len(),
             bytes: inner.bytes,
         }
     }
@@ -230,72 +208,54 @@ impl RunCache {
         &self.config
     }
 
-    /// Remove `key`'s `Ready` entry, counting an eviction; the caller
-    /// drops the returned runs once the lock is released.
-    fn remove_ready(&self, inner: &mut Inner, key: RunKey) -> Option<SharedRunSet> {
-        let Some(Slot::Ready(entry)) = inner.map.remove(&key) else { return None };
+    /// Remove `key`'s entry, counting an eviction; the caller drops the
+    /// returned runs once the lock is released.
+    fn remove(&self, inner: &mut Inner, key: RunKey) -> Option<SharedRunSet> {
+        let entry = inner.map.remove(&key)?;
         inner.bytes -= entry.bytes;
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Some(entry.runs)
     }
 
     /// Publish `runs` under `key`, evicting least-recently-used entries
-    /// until they fit; the victims (or `runs` itself, when it alone
-    /// busts the budget) drop after the lock is released.
+    /// until they fit. `runs` is dropped instead — after the lock is
+    /// released, like the victims — when `key` is already resident (a
+    /// concurrent miss published first) or when it alone busts the
+    /// budget.
     fn publish_inner(&self, key: RunKey, runs: SharedRunSet) {
         let bytes = runs.bytes();
         let mut victims = Vec::new();
         let mut inner = self.inner.lock().expect("run cache poisoned");
-        if bytes > self.config.byte_budget {
-            // The set alone busts the budget: drop the placeholder and
-            // give up rather than evicting the whole cache for it.
-            inner.map.remove(&key);
+        if inner.map.contains_key(&key) || bytes > self.config.byte_budget {
             drop(inner);
             return;
         }
         // LRU eviction until the new set fits.
         while inner.bytes + bytes > self.config.byte_budget {
-            let victim = inner
-                .map
-                .iter()
-                .filter_map(|(k, slot)| match slot {
-                    Slot::Ready(e) => Some((*k, e.last_used)),
-                    Slot::Building => None,
-                })
-                .min_by_key(|&(_, used)| used)
-                .map(|(k, _)| k);
+            let victim = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
             let Some(victim) = victim else { break };
-            victims.extend(self.remove_ready(&mut inner, victim));
+            victims.extend(self.remove(&mut inner, victim));
         }
         inner.bytes += bytes;
-        inner.map.insert(key, Slot::Ready(Entry { runs, bytes, last_used: Instant::now() }));
+        inner.map.insert(key, Entry { runs, bytes, last_used: Instant::now() });
         self.inserts.fetch_add(1, Ordering::Relaxed);
         drop(inner);
         drop(victims);
     }
-
-    fn abandon(&self, key: RunKey) {
-        let mut inner = self.inner.lock().expect("run cache poisoned");
-        if let Some(Slot::Building) = inner.map.get(&key) {
-            inner.map.remove(&key);
-        }
-    }
 }
 
-/// The exclusive right to populate one cache slot, handed out by
+/// The right to publish one key's runs, handed out by
 /// [`RunCache::lookup`] on a miss. [`BuildPermit::publish`] fills the
-/// slot; dropping the permit unfilled (panic, error path) releases it
-/// so a later query can claim the build.
+/// key unless another permit filled it first; dropping the permit
+/// unused changes nothing.
 pub struct BuildPermit {
     cache: Arc<RunCache>,
     key: RunKey,
-    armed: bool,
 }
 
 impl BuildPermit {
     /// Publish freshly built runs under the permit's key.
-    pub fn publish(mut self, runs: SharedRunSet) {
-        self.armed = false;
+    pub fn publish(self, runs: SharedRunSet) {
         self.cache.publish_inner(self.key, runs);
     }
 
@@ -305,10 +265,29 @@ impl BuildPermit {
     }
 }
 
-impl Drop for BuildPermit {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon(self.key);
+/// A registered relation version's runs, through `cache` when one is
+/// attached: a hit shares the resident set; a miss (or no cache) cuts
+/// the version's key-sorted tuples ([`cut_run_set`], booked under
+/// `phase`) and publishes the copy. Query sides and the compactor's
+/// re-warm both fill the cache here.
+pub(crate) fn cached_runs(
+    cx: &ExecContext,
+    cache: Option<&Arc<RunCache>>,
+    relation: &Relation,
+    phase: Phase,
+    stats: &mut JoinStats,
+) -> (SharedRunSet, RunCacheOutcome) {
+    let cut = |stats: &mut JoinStats| Arc::new(cut_run_set(cx, relation.tuples(), phase, stats));
+    let Some(cache) = cache else { return (cut(stats), RunCacheOutcome::Bypass) };
+    let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
+    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
+    let key = RunKey { relation: relation.id(), version: relation.version(), fingerprint };
+    match cache.lookup(key) {
+        Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
+        Lookup::Miss(permit) => {
+            let runs = cut(stats);
+            permit.publish(Arc::clone(&runs));
+            (runs, RunCacheOutcome::Miss)
         }
     }
 }
@@ -353,20 +332,20 @@ mod tests {
     }
 
     #[test]
-    fn building_slot_reports_busy_until_resolved() {
+    fn a_racing_publish_keeps_the_resident_set() {
         let cache = Arc::new(RunCache::new(RunCacheConfig::default()));
-        let Lookup::Miss(permit) = cache.lookup(key(1, 1)) else { panic!() };
-        assert!(matches!(cache.lookup(key(1, 1)), Lookup::Busy), "single-flight");
-        permit.publish(run_set(10));
-        assert!(matches!(cache.lookup(key(1, 1)), Lookup::Hit(_)));
-    }
-
-    #[test]
-    fn dropping_a_permit_releases_the_slot() {
-        let cache = Arc::new(RunCache::new(RunCacheConfig::default()));
-        let Lookup::Miss(permit) = cache.lookup(key(1, 1)) else { panic!() };
-        drop(permit);
-        assert!(matches!(cache.lookup(key(1, 1)), Lookup::Miss(_)), "slot released");
+        let (Lookup::Miss(first), Lookup::Miss(second)) =
+            (cache.lookup(key(1, 1)), cache.lookup(key(1, 1)))
+        else {
+            panic!("both racing lookups miss");
+        };
+        first.publish(run_set(10));
+        second.publish(run_set(20));
+        let Lookup::Hit(runs) = cache.lookup(key(1, 1)) else { panic!("published key must hit") };
+        assert_eq!(runs.total_tuples(), 10, "the first publish stays resident");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.inserts, stats.entries), (2, 1, 1));
+        assert_eq!(stats.bytes, 10 * std::mem::size_of::<Tuple>());
     }
 
     #[test]

@@ -300,8 +300,8 @@ pub struct Scheduler {
     /// Disconnects once every coordinator has exited: each holds a sender
     /// it never sends on. The mutex only makes the scheduler `Sync`.
     drained: Mutex<Receiver<()>>,
-    /// Sorted-run cache attached to every submitted spec (and read by
-    /// [`Scheduler::metrics`]); `None` = every query runs uncached.
+    /// Sorted-run cache whose counters [`Scheduler::metrics`] reports;
+    /// `None` reports zeros.
     run_cache: Option<Arc<RunCache>>,
     /// Background compactor thread plus its wake/shutdown control,
     /// when [`Scheduler::start_compactor`] attached one.
@@ -342,9 +342,10 @@ impl Scheduler {
         Scheduler { core, cx, coordinators, drained, run_cache: None, compactor: None }
     }
 
-    /// Attach a sorted-run cache: every subsequently submitted query
-    /// consults it for unfiltered, catalog-registered inputs, and
-    /// [`Scheduler::metrics`] reports its hit/miss/eviction counters.
+    /// Report `cache`'s hit/miss/eviction counters in
+    /// [`Scheduler::metrics`]. The queries consult the cache their spec
+    /// carries ([`crate::session::Session::pin`] attaches the session's),
+    /// not this one.
     pub fn with_run_cache(mut self, cache: Arc<RunCache>) -> Self {
         self.run_cache = Some(cache);
         self
@@ -364,10 +365,7 @@ impl Scheduler {
     /// arrivals degrading lower-class backlog before themselves. The
     /// absolute deadline is fixed here, so queue wait counts against
     /// the SLA.
-    pub fn submit(&self, mut spec: QuerySpec) -> Result<QueryTicket, SubmitError> {
-        if spec.cache.is_none() {
-            spec.cache = self.run_cache.clone();
-        }
+    pub fn submit(&self, spec: QuerySpec) -> Result<QueryTicket, SubmitError> {
         if let Some(deadline) = spec.deadline {
             if deadline.is_zero() || deadline < self.core.min_feasible_deadline {
                 self.core.metrics.rejected.fetch_add(1, Ordering::Relaxed);

@@ -43,13 +43,13 @@
 //! established once, when [`Session::register`] sorts the tuples on the
 //! session's pool, and kept from then on: compaction merges the
 //! delta's sorted adds into the base rather than appending them. So a
-//! query's clean registered side is a cut of the stored order, never a
-//! sort. Every query captures a consistent [`Snapshot`] of each side
-//! at submit time — the delta prefix visible then is merged into the
-//! join on the fly; later writes are invisible. A background compactor
-//! (or an explicit [`Session::compact`]) folds the delta into a new
-//! base version, which re-keys the run cache through the ordinary
-//! version-bump machinery.
+//! query's registered side — clean, dirty or filtered — is a cut of the
+//! stored order, never a sort. Every query captures a consistent
+//! [`Snapshot`] of each side at submit time — the delta prefix visible
+//! then is merged into the join on the fly; later writes are invisible.
+//! A background compactor (or an explicit [`Session::compact`]) folds
+//! the delta into a new base version, which re-keys the run cache
+//! through the ordinary version-bump machinery.
 //!
 //! ```
 //! use mpsm_exec::session::{QuerySpec, Session};
@@ -82,14 +82,12 @@ use std::time::Duration;
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::join::delta::DeltaOp;
-use mpsm_core::join::runs::cut_run_set;
-use mpsm_core::join::JoinConfig;
 use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
 
 use crate::plan::SnapshotInfo;
 use crate::query::{expired_in_queue_result, paper_query_runs, PaperQueryResult};
-use crate::run_cache::{splitter_fingerprint, Lookup, RunCache, RunCacheConfig, RunKey};
+use crate::run_cache::{cached_runs, RunCache, RunCacheConfig};
 use crate::scan::Relation;
 use crate::sched::{
     CompactionConfig, CompactionTask, Priority, QueryError, QueryOutput, QueryTicket, Scheduler,
@@ -133,7 +131,7 @@ pub struct QuerySpec {
     pub(crate) r_filtered: bool,
     /// Whether `filter_s` was called.
     pub(crate) s_filtered: bool,
-    /// The session's run cache, attached at submit time.
+    /// The session's run cache, attached by [`Session::pin`].
     pub(crate) cache: Option<Arc<RunCache>>,
     /// Consistent snapshot of `r`, captured at submit time when the
     /// handle resolves in the session catalog.
@@ -361,7 +359,7 @@ struct SessionShared {
     /// Monotonic catalog-id allocator (ids start at 1; 0 means
     /// "unregistered" on a [`Relation`]).
     next_id: AtomicU64,
-    run_cache: Option<Arc<RunCache>>,
+    run_cache: Arc<RunCache>,
     compaction: CompactionConfig,
 }
 
@@ -425,24 +423,12 @@ impl SessionShared {
             drop(state);
             entry.gc();
         }
-        if let Some(cache) = &self.run_cache {
-            // The version bump retires every older cached run set …
-            cache.invalidate_relation(id, new_version);
-            // … and the new version's runs are pre-built so the next
-            // analytic query opens on a hit. Single-flight: if a query
-            // is already building this key, skip.
-            let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
-            let key = RunKey {
-                relation: id,
-                version: new_version,
-                fingerprint: splitter_fingerprint(cx.threads(), radix_bits),
-            };
-            if let Lookup::Miss(permit) = cache.lookup(key) {
-                let mut stats = JoinStats::new(cx.threads());
-                let runs = cut_run_set(cx, new_base.tuples(), Phase::One, &mut stats);
-                permit.publish(Arc::new(runs));
-            }
-        }
+        // The version bump retires every older cached run set …
+        self.run_cache.invalidate_relation(id, new_version);
+        // … and the new version's runs are cut now, so the next analytic
+        // query opens on a hit.
+        let mut stats = JoinStats::new(cx.threads());
+        cached_runs(cx, Some(&self.run_cache), &new_base, Phase::One, &mut stats);
         true
     }
 }
@@ -465,9 +451,9 @@ impl CompactionTask for SessionShared {
 }
 
 /// A client session: one scheduler (one shared pool), a versioned
-/// catalog of **mutable** relations, and (by default) a sorted-run
-/// cache shared by every query on the session. See the module docs for
-/// a walkthrough of both the read and the write path.
+/// catalog of **mutable** relations, and a sorted-run cache shared by
+/// every query on the session. See the module docs for a walkthrough of
+/// both the read and the write path.
 pub struct Session {
     scheduler: Scheduler,
     shared: Arc<SessionShared>,
@@ -475,7 +461,9 @@ pub struct Session {
 
 impl Session {
     /// Open a session with its own scheduler, a default-configured run
-    /// cache, and a default background compactor.
+    /// cache, and a default background compactor. Every registered
+    /// version is stored key-sorted, so an unfiltered side's runs are a
+    /// cut of that order, cached per version.
     pub fn new(config: SchedulerConfig) -> Self {
         Session::with_run_cache(config, RunCacheConfig::default())
     }
@@ -493,29 +481,12 @@ impl Session {
         cache: RunCacheConfig,
         compaction: CompactionConfig,
     ) -> Self {
-        Session::build(config, Some(Arc::new(RunCache::new(cache))), compaction)
-    }
-
-    /// Open a session with no run cache: every query partitions and
-    /// sorts from scratch (the pre-cache behaviour; useful as a
-    /// benchmark baseline).
-    pub fn uncached(config: SchedulerConfig) -> Self {
-        Session::build(config, None, CompactionConfig::default())
-    }
-
-    fn build(
-        config: SchedulerConfig,
-        cache: Option<Arc<RunCache>>,
-        compaction: CompactionConfig,
-    ) -> Self {
-        let mut scheduler = Scheduler::new(config);
-        if let Some(cache) = &cache {
-            scheduler = scheduler.with_run_cache(Arc::clone(cache));
-        }
+        let run_cache = Arc::new(RunCache::new(cache));
+        let mut scheduler = Scheduler::new(config).with_run_cache(Arc::clone(&run_cache));
         let shared = Arc::new(SessionShared {
             catalog: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            run_cache: cache,
+            run_cache,
             compaction,
         });
         scheduler.start_compactor(
@@ -554,9 +525,7 @@ impl Session {
         entry.lineages.push(Lineage::root(Arc::new(RelationState::new(Arc::clone(&handle)))));
         entry.gc();
         drop(catalog);
-        if let Some(cache) = &self.shared.run_cache {
-            cache.invalidate_relation(id, version);
-        }
+        self.shared.run_cache.invalidate_relation(id, version);
         handle
     }
 
@@ -630,19 +599,22 @@ impl Session {
 
     /// Fold a relation's pending delta into a new base version right
     /// now, on the caller's thread (deterministic alternative to the
-    /// background sweep; tests and benchmarks use this). Returns
-    /// whether a fold happened.
+    /// background sweep; tests and benchmarks use this). Like the
+    /// background compactor, the fold runs in a context of its own, so
+    /// its audit and arena never accumulate in the scheduler's base
+    /// context. Returns whether a fold happened.
     pub fn compact(&self, name: &str) -> bool {
-        let folded = self.shared.compact_relation(self.scheduler.context(), name);
+        let folded = self.shared.compact_relation(&self.scheduler.context().per_query(), name);
         if folded {
             self.scheduler.note_compactions(1);
         }
         folded
     }
 
-    /// The session's sorted-run cache, if caching is enabled.
+    /// The session's sorted-run cache (always present; the `Option`
+    /// keeps the signature callers match on).
     pub fn run_cache(&self) -> Option<&Arc<RunCache>> {
-        self.shared.run_cache.as_ref()
+        Some(&self.shared.run_cache)
     }
 
     /// Pin `spec` to the session's state as of now: attach the run
@@ -652,7 +624,7 @@ impl Session {
     /// ([`crate::query::paper_query_runs`] under a token of their own)
     /// pin it first.
     pub fn pin(&self, mut spec: QuerySpec) -> QuerySpec {
-        spec.cache = self.shared.run_cache.clone();
+        spec.cache = Some(Arc::clone(&self.shared.run_cache));
         spec.r_snapshot = self.shared.snapshot_for(&spec.r);
         spec.s_snapshot = self.shared.snapshot_for(&spec.s);
         spec
@@ -688,6 +660,8 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
+    use mpsm_core::join::JoinConfig;
 
     fn rel(name: &str, n: u64) -> Relation {
         Relation::new(name, (0..n).map(|k| Tuple::new(k, k)).collect())
@@ -730,23 +704,30 @@ mod tests {
         assert_eq!(session.relation("orders").expect("resolves").len(), 20);
     }
 
+    /// `max(R.payload + S.payload)` by P-MPSM over the raw, unsorted
+    /// tuples: a full MPSM build, independent of the catalog's order and
+    /// of the cut.
+    fn p_mpsm_max(r: &[Tuple], s: &[Tuple]) -> Option<u64> {
+        use mpsm_core::join::p_mpsm::PMpsmJoin;
+        use mpsm_core::join::JoinAlgorithm;
+        use mpsm_core::sink::MaxAggSink;
+        let join = PMpsmJoin::new(JoinConfig::with_threads(2));
+        join.join_in::<MaxAggSink>(&ExecContext::flat(2), r, s).0
+    }
+
     #[test]
     fn repeated_queries_hit_the_cache_and_agree_with_uncached() {
         let cached = Session::new(SchedulerConfig::new(2));
-        let uncached = Session::uncached(SchedulerConfig::new(2));
         let (r_data, s_data): (Vec<_>, Vec<_>) = (
             (0..400u64).map(|k| Tuple::new(k, k)).collect(),
             (0..1600u64).map(|i| Tuple::new(i % 400, i)).collect(),
         );
-        let r = cached.register(Relation::new("R", r_data.clone()));
-        let s = cached.register(Relation::new("S", s_data.clone()));
-        let ur = uncached.register(Relation::new("R", r_data));
-        let us = uncached.register(Relation::new("S", s_data));
-        let expect = uncached.query(QuerySpec::join(&ur, &us)).expect("uncached").result;
-        assert!(uncached.run_cache().is_none());
+        let expect = p_mpsm_max(&r_data, &s_data);
+        let r = cached.register(Relation::new("R", r_data));
+        let s = cached.register(Relation::new("S", s_data));
         for round in 0..3 {
             let out = cached.query(QuerySpec::join(&r, &s)).expect("cached").result;
-            assert_eq!(out.max_payload_sum, expect.max_payload_sum, "round {round}");
+            assert_eq!(out.max_payload_sum, expect, "round {round}");
             let info = out.plan.run_cache.expect("cached sessions report RunCache");
             if round > 0 {
                 use crate::plan::RunCacheOutcome;
@@ -759,8 +740,6 @@ mod tests {
         assert_eq!(stats.hits, 4, "two later rounds hit both sides");
         let metrics = cached.scheduler().metrics();
         assert_eq!((metrics.cache_hits, metrics.cache_misses), (4, 2));
-        let uncached_metrics = uncached.scheduler().metrics();
-        assert_eq!((uncached_metrics.cache_hits, uncached_metrics.cache_misses), (0, 0));
     }
 
     /// `n` tuples over scattered keys, so registering them sorts.
@@ -864,11 +843,8 @@ mod tests {
         let out = session.query(QuerySpec::join(&a, &b)).expect("query").result;
         let info = out.plan.run_cache.expect("cached session");
         assert_eq!((info.r, info.s), (RunCacheOutcome::Miss, RunCacheOutcome::Hit));
-        let oracle = Session::uncached(SchedulerConfig::new(2));
-        let (ua, ub) =
-            (oracle.register(scattered("A", n, 1)), oracle.register(scattered("B", n, 2)));
-        let expected = oracle.query(QuerySpec::join(&ua, &ub)).expect("uncached").result;
-        assert_eq!(out.max_payload_sum, expected.max_payload_sum);
+        let expected = p_mpsm_max(scattered("A", n, 1).tuples(), scattered("B", n, 2).tuples());
+        assert_eq!(out.max_payload_sum, expected);
         assert_eq!(out.stats.phase_ms(Phase::Three), 0.0, "the private miss sorts nothing");
         let placement = out.plan.placement.expect("scheduled plans report placement");
         assert_eq!(placement.arena_bytes.iter().sum::<u64>(), 0, "the cut reuses the spares");
@@ -915,7 +891,12 @@ mod tests {
 
     #[test]
     fn filtered_sides_bypass_the_cache() {
-        let session = Session::new(SchedulerConfig::new(2));
+        use crate::plan::RunCacheOutcome;
+        let session = Session::with_compaction(
+            SchedulerConfig::new(2),
+            RunCacheConfig::default(),
+            CompactionConfig::manual(),
+        );
         let r = session.register(rel("R", 200));
         let s = session.register(rel("S", 200));
         let out = session
@@ -924,9 +905,58 @@ mod tests {
             .result;
         assert_eq!(out.max_payload_sum, Some(49 + 49));
         let info = out.plan.run_cache.expect("RunCache node present");
-        use crate::plan::RunCacheOutcome;
         assert_eq!(info.r, RunCacheOutcome::Bypass, "filtered side never cached");
         assert_eq!(info.s, RunCacheOutcome::Miss, "unfiltered side populates");
+
+        // Scattered, duplicate-heavy keys: a filtered private side of a
+        // registered relation is cut from the stored order, so it sorts
+        // nothing — clean, and dirty with the delta folded in first.
+        let keep = |t: &Tuple| !t.key.is_multiple_of(3);
+        let overlapping = |name, salt| -> Vec<Tuple> {
+            let rel = scattered(name, 4096, salt);
+            rel.tuples().iter().map(|t| Tuple::new(t.key % 8192, t.payload)).collect()
+        };
+        let (mut r_raw, s_raw) = (overlapping("A", 1), overlapping("B", 2));
+        let a = session.register(Relation::new("A", r_raw.clone()));
+        let b = session.register(Relation::new("B", s_raw.clone()));
+        for dirty in [false, true] {
+            if dirty {
+                let dead = r_raw[0].key;
+                session.delete("A", dead).expect("registered");
+                r_raw.retain(|t| t.key != dead);
+                // One append joins and dominates the aggregate.
+                let joins = s_raw.iter().find(|t| keep(t)).expect("some S key passes").key;
+                let appended = [Tuple::new(joins, 1 << 40), Tuple::new(8191, 1 << 41)];
+                session.append("A", appended).expect("registered");
+                r_raw.extend(appended);
+            }
+            let spec = QuerySpec::join(&a, &b).filter_r(keep);
+            let out = session.query(spec).expect("filtered").result;
+            let selected: Vec<Tuple> = r_raw.iter().copied().filter(keep).collect();
+            assert_eq!(out.max_payload_sum, p_mpsm_max(&selected, &s_raw), "dirty = {dirty}");
+            assert_eq!(out.r_selected, selected.len(), "dirty = {dirty}");
+            assert_eq!(out.plan.run_cache.expect("RunCache row").r, RunCacheOutcome::Bypass);
+            assert_eq!(out.stats.phase_ms(Phase::Three), 0.0, "dirty = {dirty}: R sorts nothing");
+        }
+    }
+
+    #[test]
+    fn manual_compaction_leaves_the_base_context_untouched() {
+        let session = Session::with_compaction(
+            SchedulerConfig::new(2),
+            RunCacheConfig::default(),
+            CompactionConfig::manual(),
+        );
+        let r = session.register(scattered("R", 4096, 1));
+        let s = session.register(scattered("S", 4096, 2));
+        session.query(QuerySpec::join(&r, &s)).expect("cached query");
+        for round in 0..3u64 {
+            session.append("R", [Tuple::new(round, round)]).expect("registered");
+            assert!(session.compact("R"), "round {round} folds");
+        }
+        let cx = session.scheduler().context();
+        assert_eq!(cx.arena().total_bytes(), 0, "folds allocate in their own arena");
+        assert_eq!(cx.counters().total_accesses(), 0, "folds audit in their own counters");
     }
 
     #[test]

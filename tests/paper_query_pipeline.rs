@@ -57,11 +57,11 @@ fn all_algorithms_agree_on_skewed_query() {
     assert!(results.windows(2).all(|w| w[0] == w[1]), "results diverge: {results:?}");
 }
 
-/// With no run cache every side bypasses it, and the session's one
-/// route builds both the way P-MPSM does: the answer — aggregate and
-/// rows — is P-MPSM's, on negatively correlated skew.
+/// The session's one route cuts both registered sides from the stored
+/// key order; the answer — aggregate and rows — is what P-MPSM answers
+/// over the raw, unsorted tuples, on negatively correlated skew.
 #[test]
-fn uncached_session_answers_what_p_mpsm_answers() {
+fn session_answers_what_p_mpsm_answers() {
     let w = skewed_negative_correlation(3000, 4, 1 << 16, 17);
     for threads in 1..=4 {
         let cx = ExecContext::flat(threads);
@@ -71,12 +71,11 @@ fn uncached_session_answers_what_p_mpsm_answers() {
         rows.sort_unstable();
         assert!(!rows.is_empty());
 
-        let session = Session::uncached(SchedulerConfig::new(threads));
+        let session = Session::new(SchedulerConfig::new(threads));
         let r = session.register(Relation::new("R", w.r.clone()));
         let s = session.register(Relation::new("S", w.s.clone()));
         let out = session.query(QuerySpec::join(&r, &s)).expect("query").result;
         assert_eq!(out.max_payload_sum, max, "T = {threads}");
-        assert!(out.plan.run_cache.is_none(), "no cache, no RunCache row");
         let join_row = format!("Join [P-MPSM; T = {threads}]");
         assert!(out.plan.explain().contains(&join_row), "{}", out.plan.explain());
         let spec = QuerySpec::join(&r, &s).collect_rows(rows.len());

@@ -1,12 +1,16 @@
 //! Concurrency and invalidation suite for the sorted-run cache:
-//! clients racing on one key must agree with uncached execution while
-//! the cache populates each side exactly once (single-flight), and
+//! clients racing on one key must agree with P-MPSM over the raw tuples
+//! while the cache keeps exactly one run set per side (a racing publish
+//! keeps the resident set), and
 //! re-registering a relation mid-stream must never serve stale runs —
 //! every handle joins exactly the version it captured.
 
 use std::sync::Arc;
 
-use mpsm::core::Tuple;
+use mpsm::core::join::p_mpsm::PMpsmJoin;
+use mpsm::core::join::{JoinAlgorithm, JoinConfig};
+use mpsm::core::sink::MaxAggSink;
+use mpsm::core::{ExecContext, Tuple};
 use mpsm::exec::{CompactionConfig, QuerySpec, Relation, RunCacheConfig, SchedulerConfig, Session};
 use proptest::prelude::*;
 
@@ -39,18 +43,17 @@ fn racing_clients_on_one_key_agree_with_uncached_execution() {
     let r_data: Vec<Tuple> = (0..3000).map(|i| Tuple::new(next() % 700, i)).collect();
     let s_data: Vec<Tuple> = (0..9000).map(|i| Tuple::new(next() % 700, i)).collect();
 
-    let uncached = Session::uncached(SchedulerConfig::new(2));
-    let ur = uncached.register(Relation::new("R", r_data.clone()));
-    let us = uncached.register(Relation::new("S", s_data.clone()));
-    let expect = uncached.query(QuerySpec::join(&ur, &us)).expect("uncached query").result;
+    // P-MPSM over the raw, unsorted tuples: a full MPSM build.
+    let join = PMpsmJoin::new(JoinConfig::with_threads(2));
+    let (expect, _) = join.join_in::<MaxAggSink>(&ExecContext::flat(2), &r_data, &s_data);
 
     let cached = Session::new(SchedulerConfig::new(2).max_in_flight(4).queue_capacity(64));
     let r = cached.register(Relation::new("R", r_data));
     let s = cached.register(Relation::new("S", s_data));
 
     // 8 client threads × 4 queries, all on the same cache key. The
-    // first misses race: one query per side wins the build permit, the
-    // losers run uncached (never blocking, never double-publishing).
+    // first misses race: each cuts its own runs without waiting, and
+    // only the first publish per side becomes resident.
     std::thread::scope(|scope| {
         for client in 0..8 {
             let (cached, r, s) = (&cached, &r, &s);
@@ -61,7 +64,7 @@ fn racing_clients_on_one_key_agree_with_uncached_execution() {
                         .query(QuerySpec::join(r, s))
                         .unwrap_or_else(|e| panic!("client {client} round {round}: {e}"));
                     assert_eq!(
-                        out.result.max_payload_sum, expect.max_payload_sum,
+                        out.result.max_payload_sum, *expect,
                         "client {client} round {round}"
                     );
                 }
@@ -70,7 +73,7 @@ fn racing_clients_on_one_key_agree_with_uncached_execution() {
     });
 
     let stats = cached.run_cache().expect("cached session").stats();
-    assert_eq!(stats.inserts, 2, "single-flight: each side is built into the cache exactly once");
+    assert_eq!(stats.inserts, 2, "a racing publish keeps the resident set");
     assert_eq!(stats.entries, 2, "both run sets resident");
     assert_eq!(stats.hits + stats.misses, 64, "32 queries × 2 sides all consulted the cache");
     assert!(stats.hits >= 2, "later rounds must hit; got {stats:?}");
@@ -104,8 +107,8 @@ fn old_handles_recompute_after_invalidation() {
 }
 
 /// Compaction folds the delta, bumps the version, and — with cache
-/// warming on — publishes **exactly one** cache entry per new version
-/// (single-flighted), which the very next query hits on both sides.
+/// warming on — publishes **exactly one** cache entry per new version,
+/// which the very next query hits on both sides.
 #[test]
 fn compaction_warms_exactly_one_cache_entry_per_version() {
     let n = 256;
