@@ -39,16 +39,18 @@
 //!
 //! ## Cache-conscious hot paths
 //!
-//! Four inner loops carry every join and are engineered beyond the
-//! paper's literal recipe (each keeps its seed variant reachable as a
-//! reference): the [`partition`] scatter stages tuples in
-//! per-partition 128-byte write-combining buffers; the three-phase
-//! [`sort`] recurses its radix pass until a bucket fits one 64-tuple
-//! sorting network and finishes each bucket while hot; the [`merge`]
-//! kernel gallops (exponential search) over non-matching stretches; and
-//! [`worker::SharedWorkerPool`] parks persistent worker threads between
-//! phases instead of respawning them. The harness under `bench/`
-//! prices each of them (`sort.*`, `partition.*`, `merge.*`, `worker.*`).
+//! Four inner loops carry every join. Three are engineered beyond the
+//! paper's literal recipe: the three-phase [`sort`] recurses its radix
+//! pass until a bucket fits one 64-tuple sorting network and finishes
+//! each bucket while hot; the [`merge`] kernel gallops (exponential
+//! search) over non-matching stretches; and [`worker::SharedWorkerPool`]
+//! parks persistent worker threads between phases instead of respawning
+//! them. The sort and the merge keep their seed variant reachable as a
+//! reference. The [`partition`] scatter stays the paper's: one checked
+//! store per tuple into its window, because software write-combining
+//! measured slower on a single socket (module docs). The harness under
+//! `bench/` prices each of them (`sort.*`, `partition.*`, `merge.*`,
+//! `worker.*`).
 //!
 //! ## One execution context for every layer
 //!

@@ -30,20 +30,19 @@
 //! one bucket per partition — the identity splitters of the radix
 //! contender — this is exactly the paper's Figure 6 layout.
 //!
-//! ## Software write-combining
+//! ## Per-tuple stores
 //!
-//! The scatter's store pattern is adversarial: each tuple goes to one
-//! of `2^B` target windows, so a naive loop issues one random 16-byte
-//! store per tuple and touches up to `2^B` distant cache lines (plus
-//! their TLB entries) round-robin. [`range_partition_ctx`] — the entry
-//! point of every execution path — therefore stages tuples in
-//! per-worker, per-bucket buffers of [`WC_BUFFER_TUPLES`] × 16 B =
-//! 128 B (a cache-line pair; 128 KiB per worker at `B` = 10) and
-//! flushes each buffer with a single contiguous `copy_from_slice` when
-//! it fills. Staging is FIFO per bucket, so the emitted layout is
-//! bit-identical to the per-tuple scatter, which is retained as
-//! [`range_partition_naive`] for the equivalence tests and the
-//! benchmark harness's `partition.naive_ns_per_tuple` probe.
+//! Each worker writes every tuple straight into its window for the
+//! tuple's bucket: one checked 16-byte store and one cursor bump. A
+//! window write past the histogram's count panics instead of
+//! corrupting a neighbour's window. Software write-combining (staging
+//! tuples per bucket and flushing 128 B at a time) was measured against
+//! it on the `join_uniform` shape (2^20 tuples, `B` = 10, two workers)
+//! in three runs of 30 interleaved pairs: staging read 24.7, 20.9 and
+//! 21.5 ns/tuple against 22.1, 19.3 and 19.3 for per-tuple stores. The
+//! last-level cache absorbs the scattered stores on a single socket, so
+//! the staging copy cannot pay for itself. Commandment C1 leaves
+//! sequential remote writes to the hardware's write-combining too.
 
 use std::time::Duration;
 
@@ -55,10 +54,6 @@ use crate::splitter::Splitters;
 use crate::stats::Phase;
 use crate::tuple::Tuple;
 use crate::worker::OwnedSlots;
-
-/// Tuples staged per bucket before a contiguous flush: 8 × 16 B =
-/// 128 B, one cache-line pair.
-pub const WC_BUFFER_TUPLES: usize = 8;
 
 /// Every worker's `2^B`-bucket histogram of its chunk (one interleaved
 /// read of every chunk), with the per-worker times. Access counters
@@ -107,50 +102,9 @@ fn carve_windows<'a>(
     windows
 }
 
-/// One worker's scatter with software write-combining: tuples are
-/// staged per bucket and flushed contiguously, 128 B at a time.
-///
-/// The staging slot doubles as the low bits of the per-bucket tuple
-/// count (`seen`), so the hot loop maintains a single counter per
-/// bucket — no separate fill array. Only the staging side is unchecked;
-/// each flush into the window is a checked slice copy, so a histogram
-/// that undercounts the chunk panics instead of writing out of bounds.
-fn scatter_write_combined(chunk: &[Tuple], row: &mut [&mut [Tuple]], domain: &RadixDomain) {
-    const WC: usize = WC_BUFFER_TUPLES;
-    let buckets = domain.buckets();
-    assert_eq!(row.len(), buckets, "one window per bucket");
-    // The u32 counters cap a single worker's chunk at 2^32 − 1 tuples
-    // (64 GiB); enforce it so no counter wraps.
-    assert!(u32::try_from(chunk.len()).is_ok(), "worker chunk exceeds u32 tuple count");
-    let mut staging: Vec<Tuple> = vec![Tuple::default(); buckets * WC];
-    let mut seen = vec![0u32; buckets];
-    for t in chunk {
-        let b = domain.bucket_of(t.key);
-        // SAFETY: `bucket_of` clamps to the last bucket, so `b <
-        // buckets = seen.len()`, and `slot < WC` puts `b * WC + slot`
-        // below `staging.len() = buckets * WC`.
-        let (c, slot) = unsafe {
-            let c = *seen.get_unchecked(b) as usize;
-            let slot = c & (WC - 1);
-            *staging.get_unchecked_mut(b * WC + slot) = *t;
-            *seen.get_unchecked_mut(b) = (c + 1) as u32;
-            (c, slot)
-        };
-        if slot == WC - 1 {
-            // 128 contiguous bytes into the target window.
-            row[b][c + 1 - WC..=c].copy_from_slice(&staging[b * WC..(b + 1) * WC]);
-        }
-    }
-    // Drain partially filled staging buffers (still contiguous writes).
-    for (b, window) in row.iter_mut().enumerate() {
-        let c = seen[b] as usize;
-        let pending = c & (WC - 1);
-        window[c - pending..c].copy_from_slice(&staging[b * WC..b * WC + pending]);
-    }
-}
-
-/// One worker's scatter with one store per tuple — the seed kernel,
-/// kept as the reference of [`range_partition_naive`].
+/// One worker's scatter: each tuple is stored at its bucket window's
+/// cursor. The window index is checked, so a histogram that undercounts
+/// the chunk panics instead of writing past the window.
 fn scatter_per_tuple(chunk: &[Tuple], row: &mut [&mut [Tuple]], domain: &RadixDomain) {
     let mut cursors = vec![0usize; row.len()];
     for t in chunk {
@@ -159,9 +113,6 @@ fn scatter_per_tuple(chunk: &[Tuple], row: &mut [&mut [Tuple]], domain: &RadixDo
         cursors[b] += 1;
     }
 }
-
-/// One worker's scatter of its chunk into its row of bucket windows.
-type ScatterKernel = fn(&[Tuple], &mut [&mut [Tuple]], &RadixDomain);
 
 /// Range-partition `chunks` (one per worker of `cx`) into
 /// `splitters.parts()` target runs — the NUMA-placed scatter of P-MPSM
@@ -215,27 +166,14 @@ pub fn range_partition_ctx(
 
 /// [`range_partition_ctx`] over the per-worker bucket histograms the
 /// caller already computed ([`local_histograms`] of the same chunks
-/// and domain), so the chunks are read once by the scatter alone.
+/// and domain), so the chunks are read once by the scatter alone. The
+/// one skeleton: prefix sums over (bucket, worker) → windows → scatter.
 pub(crate) fn range_partition_histogrammed(
     cx: &ExecContext,
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
     splitters: &Splitters,
     histograms: &[Vec<usize>],
-) -> Vec<NumaBuf<Tuple>> {
-    partition_with(cx, chunks, domain, splitters, histograms, scatter_write_combined)
-}
-
-/// The one skeleton: bucket histograms → prefix sums over (bucket,
-/// worker) → windows → scatter, with the per-worker scatter kernel as
-/// its only parameter.
-fn partition_with(
-    cx: &ExecContext,
-    chunks: &[&[Tuple]],
-    domain: &RadixDomain,
-    splitters: &Splitters,
-    histograms: &[Vec<usize>],
-    scatter: ScatterKernel,
 ) -> Vec<NumaBuf<Tuple>> {
     let workers = chunks.len();
     assert_eq!(cx.threads(), workers.max(1), "one context worker per chunk");
@@ -272,7 +210,7 @@ fn partition_with(
             scope.touch(home, true, volumes[w][p] as u64);
         }
         let mut row = slots.take(w);
-        scatter(chunks[w], &mut row, domain);
+        scatter_per_tuple(chunks[w], &mut row, domain);
         scope.finish()
     });
     cx.record(Phase::Two, counters);
@@ -280,18 +218,17 @@ fn partition_with(
     partitions
 }
 
-/// The per-tuple-store scatter on a flat context of its own.
-/// Bit-identical output to [`range_partition_ctx`]; reachable only from
-/// the benchmark harness and the equivalence tests, which use it as
-/// their reference.
+/// [`range_partition_ctx`] on a flat context of its own, unwrapped to
+/// plain vectors: the same kernel and the same layout, with no context
+/// to set up. The tests and the benchmark harness use it as their
+/// context-free reference.
 pub fn range_partition_naive(
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
     splitters: &Splitters,
 ) -> Vec<Vec<Tuple>> {
     let cx = ExecContext::flat(chunks.len().max(1));
-    let (histograms, _) = local_histograms(&cx, chunks, domain, Phase::Two);
-    partition_with(&cx, chunks, domain, splitters, &histograms, scatter_per_tuple)
+    range_partition_ctx(&cx, chunks, domain, splitters)
         .into_iter()
         .map(NumaBuf::into_inner)
         .collect()
@@ -306,12 +243,6 @@ mod tests {
         keys.iter().map(|&k| Tuple::new(k, k * 100)).collect()
     }
 
-    /// The write-combining scatter on a flat context of its own.
-    fn scatter(chunks: &[&[Tuple]], domain: &RadixDomain, sp: &Splitters) -> Vec<Vec<Tuple>> {
-        let cx = ExecContext::flat(chunks.len().max(1));
-        range_partition_ctx(&cx, chunks, domain, sp).into_iter().map(NumaBuf::into_inner).collect()
-    }
-
     #[test]
     fn paper_figure_6_scatter() {
         // B = 1, keys in [0, 32), two workers.
@@ -319,7 +250,7 @@ mod tests {
         let sp = Splitters::from_assignment(vec![0, 1], 2);
         let c1 = tuples(&[19, 7, 3, 21, 1, 17, 4]);
         let c2 = tuples(&[2, 23, 4, 31, 8, 20, 26]);
-        let runs = scatter(&[&c1, &c2], &domain, &sp);
+        let runs = range_partition_naive(&[&c1, &c2], &domain, &sp);
         let keys = |r: &[Tuple]| r.iter().map(|t| t.key).collect::<Vec<_>>();
         // Figure 6: R1 = W1's small keys in order, then W2's.
         assert_eq!(keys(&runs[0]), vec![7, 3, 1, 4, 2, 4, 8]);
@@ -337,7 +268,7 @@ mod tests {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let sp = equi_height_splitters(&hist, 4);
-        let runs = scatter(&chunks, &domain, &sp);
+        let runs = range_partition_naive(&chunks, &domain, &sp);
         assert_eq!(runs.len(), 4);
         for (p, run) in runs.iter().enumerate() {
             for t in run {
@@ -361,7 +292,7 @@ mod tests {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let sp = equi_height_splitters(&hist, 3);
-        let runs = scatter(&chunks, &domain, &sp);
+        let runs = range_partition_naive(&chunks, &domain, &sp);
 
         let mut before: Vec<(u64, u64)> =
             chunks_data.iter().flat_map(|c| c.iter().map(|t| (t.key, t.payload))).collect();
@@ -377,7 +308,7 @@ mod tests {
         let domain = RadixDomain::from_range(0, 100, 2);
         let sp = Splitters::from_assignment(vec![0, 1, 2, 3], 4);
         let empty: [&[Tuple]; 2] = [&[], &[]];
-        let runs = scatter(&empty, &domain, &sp);
+        let runs = range_partition_naive(&empty, &domain, &sp);
         assert_eq!(runs.len(), 4);
         assert!(runs.iter().all(|r| r.is_empty()));
     }
@@ -387,7 +318,7 @@ mod tests {
         let domain = RadixDomain::from_range(0, 100, 1);
         let sp = Splitters::from_assignment(vec![0, 0], 1);
         let c = tuples(&[5, 99, 1]);
-        let runs = scatter(&[&c], &domain, &sp);
+        let runs = range_partition_naive(&[&c], &domain, &sp);
         assert_eq!(runs.len(), 1);
         // Keys below 64 fill bucket 0, in chunk order, before bucket 1.
         assert_eq!(runs[0], tuples(&[5, 1, 99]), "bucket-major, chunk order within a bucket");
@@ -404,32 +335,25 @@ mod tests {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let sp = equi_height_splitters(&hist, 4);
-        let runs = scatter(&chunks, &domain, &sp);
+        let runs = range_partition_naive(&chunks, &domain, &sp);
         let non_empty = runs.iter().filter(|r| !r.is_empty()).count();
         assert_eq!(non_empty, 1, "equal keys cannot be split across partitions");
         assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), 1024);
     }
 
     #[test]
-    fn write_combining_matches_naive_across_fill_patterns() {
-        // Chunk sizes straddling multiples of the staging buffer so both
-        // full flushes and the final drain are exercised.
-        for &n in &[0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
-            let chunks_data: Vec<Vec<Tuple>> = (0..3u64)
-                .map(|w| (0..n as u64).map(|i| Tuple::new((i * 131 + w * 17) % 512, i)).collect())
-                .collect();
-            let chunks: Vec<&[Tuple]> = chunks_data.iter().map(|c| c.as_slice()).collect();
-            let domain = RadixDomain::from_range(0, 511, 5);
-            let hist = crate::histogram::combine_histograms(
-                &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
-            );
-            let sp = equi_height_splitters(&hist, 3);
-            assert_eq!(
-                scatter(&chunks, &domain, &sp),
-                range_partition_naive(&chunks, &domain, &sp),
-                "layouts must be tuple-for-tuple identical at n = {n}"
-            );
-        }
+    #[should_panic(expected = "index out of bounds")]
+    fn an_undercounting_histogram_panics_instead_of_overrunning_a_window() {
+        // One worker (inline on the caller, so the kernel's own panic
+        // surfaces); its histogram claims one tuple fewer in bucket 0
+        // than the chunk holds.
+        let cx = ExecContext::flat(1);
+        let domain = RadixDomain::from_range(0, 63, 1);
+        let sp = Splitters::from_assignment(vec![0, 1], 2);
+        let c = tuples(&[1, 2, 3, 40]);
+        let mut hist = compute_histogram(&c, &domain);
+        hist[0] -= 1;
+        range_partition_histogrammed(&cx, &[&c], &domain, &sp, &[hist]);
     }
 
     #[test]

@@ -34,9 +34,9 @@ impl Splitters {
     /// starting at 0, with no gaps).
     pub fn from_assignment(assignment: Vec<u32>, parts: usize) -> Self {
         debug_assert!(assignment.windows(2).all(|w| w[0] <= w[1]), "assignment must be monotone");
-        // Hard invariant (not just a debug check): the write-combining
-        // scatter elides bounds checks on the strength of every
-        // assignment value being a valid partition index.
+        // Checked in release too: the assignment is caller input, and an
+        // out-of-range partition would otherwise surface only later, as
+        // an index panic where phase 2 sizes its partitions.
         assert!(
             assignment.iter().all(|&p| (p as usize) < parts),
             "assignment values must be < parts"

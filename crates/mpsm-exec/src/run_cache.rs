@@ -265,11 +265,17 @@ impl BuildPermit {
     }
 }
 
+/// The cache key of `relation`'s runs as `cx`'s workers cut them.
+fn run_key(cx: &ExecContext, relation: &Relation) -> RunKey {
+    let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
+    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
+    RunKey { relation: relation.id(), version: relation.version(), fingerprint }
+}
+
 /// A registered relation version's runs, through `cache` when one is
 /// attached: a hit shares the resident set; a miss (or no cache) cuts
 /// the version's key-sorted tuples ([`cut_run_set`], booked under
-/// `phase`) and publishes the copy. Query sides and the compactor's
-/// re-warm both fill the cache here.
+/// `phase`) and publishes the copy.
 pub(crate) fn cached_runs(
     cx: &ExecContext,
     cache: Option<&Arc<RunCache>>,
@@ -279,10 +285,7 @@ pub(crate) fn cached_runs(
 ) -> (SharedRunSet, RunCacheOutcome) {
     let cut = |stats: &mut JoinStats| Arc::new(cut_run_set(cx, relation.tuples(), phase, stats));
     let Some(cache) = cache else { return (cut(stats), RunCacheOutcome::Bypass) };
-    let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
-    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
-    let key = RunKey { relation: relation.id(), version: relation.version(), fingerprint };
-    match cache.lookup(key) {
+    match cache.lookup(run_key(cx, relation)) {
         Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
         Lookup::Miss(permit) => {
             let runs = cut(stats);
@@ -290,6 +293,16 @@ pub(crate) fn cached_runs(
             (runs, RunCacheOutcome::Miss)
         }
     }
+}
+
+/// Cut a just-bumped version's runs and publish them with no lookup —
+/// the compactor's re-warm. Nothing can be resident under a version
+/// that was stamped a moment ago, so a lookup would only count a miss
+/// that no query took.
+pub(crate) fn warm_runs(cx: &ExecContext, cache: &RunCache, relation: &Relation) {
+    let mut stats = JoinStats::new(cx.threads());
+    let runs = Arc::new(cut_run_set(cx, relation.tuples(), Phase::One, &mut stats));
+    cache.publish_inner(run_key(cx, relation), runs);
 }
 
 impl std::fmt::Debug for BuildPermit {

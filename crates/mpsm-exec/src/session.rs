@@ -82,12 +82,11 @@ use std::time::Duration;
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::join::delta::DeltaOp;
-use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
 
 use crate::plan::SnapshotInfo;
 use crate::query::{expired_in_queue_result, paper_query_runs, PaperQueryResult};
-use crate::run_cache::{cached_runs, RunCache, RunCacheConfig};
+use crate::run_cache::{warm_runs, RunCache, RunCacheConfig};
 use crate::scan::Relation;
 use crate::sched::{
     CompactionConfig, CompactionTask, Priority, QueryError, QueryOutput, QueryTicket, Scheduler,
@@ -427,8 +426,7 @@ impl SessionShared {
         self.run_cache.invalidate_relation(id, new_version);
         // … and the new version's runs are cut now, so the next analytic
         // query opens on a hit.
-        let mut stats = JoinStats::new(cx.threads());
-        cached_runs(cx, Some(&self.run_cache), &new_base, Phase::One, &mut stats);
+        warm_runs(cx, &self.run_cache, &new_base);
         true
     }
 }
@@ -662,6 +660,7 @@ mod tests {
     use super::*;
     use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
     use mpsm_core::join::JoinConfig;
+    use mpsm_core::stats::Phase;
 
     fn rel(name: &str, n: u64) -> Relation {
         Relation::new(name, (0..n).map(|k| Tuple::new(k, k)).collect())

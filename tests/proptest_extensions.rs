@@ -1,7 +1,7 @@
 //! Property tests for the extension features: the sort's network leaf, join
 //! variants, band joins, parallel merge, sorted-run aggregation,
-//! storage round-trips, and the optimized-vs-naive hot-path pairs
-//! (write-combining scatter, galloping merge kernel).
+//! storage round-trips, the scatter's bucket-major layout, and the
+//! optimized-vs-naive galloping merge kernel.
 
 use mpsm::baselines::parallel_merge::{parallel_kway_merge, sequential_kway_merge};
 use mpsm::core::context::ExecContext;
@@ -156,7 +156,7 @@ proptest! {
     }
 
     #[test]
-    fn scatter_write_combining_matches_naive(
+    fn scatter_matches_the_bucket_major_layout(
         keys in proptest::collection::vec(any::<u64>(), 0..1200),
         workers in 1usize..6,
         fan in 1usize..9,
@@ -183,16 +183,23 @@ proptest! {
             &chunks.iter().map(|c| compute_histogram(c, &domain)).collect::<Vec<_>>(),
         );
         let splitters = equi_height_splitters(&hist, fan);
+        // The bucket-major layout guarantee, spelled out: partition p
+        // holds its fine buckets in bucket order, each bucket's tuples
+        // in worker order and chunk order within a worker.
+        let mut layout: Vec<Vec<Tuple>> = vec![Vec::new(); splitters.parts()];
+        for b in 0..domain.buckets() {
+            for chunk in &chunks {
+                layout[splitters.partition_of_bucket(b)]
+                    .extend(chunk.iter().filter(|t| domain.bucket_of(t.key) == b));
+            }
+        }
         let cx = ExecContext::flat(workers);
-        let optimized: Vec<Vec<Tuple>> = range_partition_ctx(&cx, &chunks, &domain, &splitters)
+        let placed: Vec<Vec<Tuple>> = range_partition_ctx(&cx, &chunks, &domain, &splitters)
             .into_iter()
             .map(|buf| buf.into_inner())
             .collect();
-        let naive = range_partition_naive(&chunks, &domain, &splitters);
-        // Tuple-for-tuple identical: same partitions, fine buckets in
-        // bucket order, each in worker order and chunk order within a
-        // worker — the bucket-major layout guarantee.
-        prop_assert_eq!(optimized, naive);
+        prop_assert_eq!(&placed, &layout);
+        prop_assert_eq!(range_partition_naive(&chunks, &domain, &splitters), layout);
     }
 
     #[test]

@@ -130,8 +130,10 @@ fn compaction_warms_exactly_one_cache_entry_per_version() {
         // One dominating append on key 0 (plain S has payload 0 there),
         // so every round's answer proves which writes the join saw.
         session.append("R", [Tuple::new(0, 9_000_000 + round)]).expect("registered");
+        let misses = session.run_cache().expect("cached").stats().misses;
         assert!(session.compact("R"), "round {round}: delta folds");
         let stats = session.run_cache().expect("cached").stats();
+        assert_eq!(stats.misses, misses, "round {round}: the re-warm is not a query-side miss");
         assert_eq!(
             stats.inserts,
             base_inserts + round,
