@@ -63,15 +63,6 @@ pub fn interpolation_lower_bound(run: &[Tuple], key: u64) -> usize {
     lo + run[lo..hi].partition_point(|t| t.key < key)
 }
 
-/// First index in `run` whose key is strictly `> key` — the end of the
-/// group of `key` duplicates.
-pub fn interpolation_upper_bound(run: &[Tuple], key: u64) -> usize {
-    if key == u64::MAX {
-        return run.len();
-    }
-    interpolation_lower_bound(run, key + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +105,6 @@ mod tests {
         assert_eq!(interpolation_lower_bound(&run, 4), 0);
         assert_eq!(interpolation_lower_bound(&run, 5), 0);
         assert_eq!(interpolation_lower_bound(&run, 6), 1000);
-        assert_eq!(interpolation_upper_bound(&run, 5), 1000);
     }
 
     #[test]
@@ -156,14 +146,6 @@ mod tests {
         assert_eq!(interpolation_lower_bound(&run, 11), 1);
         assert_eq!(interpolation_lower_bound(&run, 30), 2);
         assert_eq!(interpolation_lower_bound(&run, 31), 3);
-        assert_eq!(interpolation_upper_bound(&run, u64::MAX), 3);
-    }
-
-    #[test]
-    fn upper_bound_ends_duplicate_group() {
-        let run = run_of(&[1, 2, 2, 2, 3]);
-        assert_eq!(interpolation_upper_bound(&run, 2), 4);
-        assert_eq!(interpolation_lower_bound(&run, 2), 1);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! runs: plain cached joins, snapshot joins with a live delta, and
 //! deadline-, budget- or cap-interrupted joins all go through it, and
 //! its `merge_pair` helper is the one place a pair is merged
-//! (interpolation entry, then the galloping or the masked kernel).
+//! (interpolation entry, then the masked kernel: one key-span cut and a
+//! linear merge over each mask-free stretch).
 //!
 //! MPSM is naturally anytime: the private side is range-partitioned
 //! ([`build_run_set`](super::runs::build_run_set)), its runs covering

@@ -28,7 +28,7 @@ use crate::context::ExecContext;
 use crate::interpolation::interpolation_lower_bound;
 use crate::join::anytime::{merge_sides, AnytimeToken};
 use crate::join::runs::RunSet;
-use crate::merge::{merge_join_scanned, MergeScan};
+use crate::merge::{merge_loop, KeySpan, MergeScan};
 use crate::sink::JoinSink;
 use crate::stats::JoinStats;
 use crate::tuple::Tuple;
@@ -211,11 +211,11 @@ fn key_union<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
 
 /// Merge-join two key-sorted runs, skipping every key present in the
 /// corresponding sorted mask. The masked kernel of `merge_pair`: a
-/// masked key on either side produces no pair, so the kernel walks the
-/// union of both masks and runs the galloping kernel
-/// ([`merge_join`](crate::merge::merge_join)) over each mask-free
+/// masked key on either side produces no pair. The pair is cut to its
+/// shared key span once ([`KeySpan`]); the kernel then walks the union
+/// of both masks and runs the uncut linear loop over each mask-free
 /// stretch of `r` — `s` continuing where the previous stretch left it —
-/// then skips `r`'s group for the masked key. `s`'s masked groups need
+/// and skips `r`'s group for the masked key. `s`'s masked groups need
 /// no skip: no `r` key left can match them.
 pub(crate) fn merge_join_masked<S: JoinSink>(
     r: &[Tuple],
@@ -226,21 +226,21 @@ pub(crate) fn merge_join_masked<S: JoinSink>(
 ) -> MergeScan {
     debug_assert!(crate::tuple::is_key_sorted(r), "private run must be sorted");
     debug_assert!(crate::tuple::is_key_sorted(s), "public run must be sorted");
-    let (mut i, mut j) = (0usize, 0usize);
-    for key in key_union(r_masked, s_masked) {
-        let stretch = i + r[i..].partition_point(|t| t.key < key);
-        let scan = merge_join_scanned(&r[i..stretch], &s[j..], sink);
-        j += scan.s_scanned;
-        if j == s.len() {
-            return MergeScan { r_scanned: i + scan.r_scanned, s_scanned: j };
-        }
+    let Some(span) = KeySpan::cut(r, s) else { return MergeScan::default() };
+    let r = &r[..span.r_end];
+    let (mut i, mut j) = (span.r_start, span.s_start);
+    let mut masked = key_union(r_masked, s_masked);
+    loop {
+        let key = masked.next();
+        let stretch = key.map_or(r.len(), |key| i + r[i..].partition_point(|t| t.key < key));
+        (i, j) = merge_loop(&r[..stretch], s, i, j, sink);
+        // Stop after the last stretch, or once `s` is exhausted.
+        let Some(key) = key.filter(|_| j < s.len()) else { return span.scan(i, j) };
         i = stretch + r[stretch..].partition_point(|t| t.key <= key);
         if i == r.len() {
-            return MergeScan { r_scanned: i, s_scanned: j };
+            return span.scan(i, j);
         }
     }
-    let scan = merge_join_scanned(&r[i..], &s[j..], sink);
-    MergeScan { r_scanned: i + scan.r_scanned, s_scanned: j + scan.s_scanned }
 }
 
 /// Tuples of the sorted `run` whose key is in the sorted `mask`: the
@@ -592,9 +592,9 @@ mod tests {
         );
 
         // A pair whose masks miss the private key span joins exactly as
-        // the galloping kernel does.
-        let mut galloped = CountSink::default();
-        merge_join_scanned(&r_run, &s_run[entry..], &mut galloped);
+        // the unmasked kernel does.
+        let mut plain = CountSink::default();
+        crate::merge::merge_join(&r_run, &s_run[entry..], &mut plain);
         let mut unmasked = CountSink::default();
         merge_pair(
             Piece { tuples: &r_run, home: r_run.home(), mask: &[5, 900] },
@@ -602,7 +602,7 @@ mod tests {
             &mut unmasked,
             &mut cx.scope(0),
         );
-        assert_eq!(unmasked.finish(), galloped.finish());
+        assert_eq!(unmasked.finish(), plain.finish());
     }
 
     /// The structural invariant of the snapshot merge: joining

@@ -73,11 +73,12 @@ impl<S: JoinSink> Matches for Marker<'_, S> {
 
 /// Join the private run `r` against every run of `public` under
 /// `variant` — the one join routine of B-MPSM's phase 3 and D-MPSM's
-/// steps. Each public run goes through the galloping kernel, and its
-/// scan extents are reported to `scanned` for the access audit. The
-/// inner join emits pairs straight into `sink`; the other variants mark
-/// matched private tuples across all public runs and then emit their
-/// single-sided rows.
+/// steps. Each public run goes through the merge kernel, cut to the key
+/// span it shares with `r` (the matched indices stay those of the whole
+/// `r`), and its scan extents are reported to `scanned` for the access
+/// audit. The inner join emits pairs straight into `sink`; the other
+/// variants mark matched private tuples across all public runs and then
+/// emit their single-sided rows.
 pub(crate) fn join_variant<'p, P, S>(
     variant: JoinVariant,
     r: &[Tuple],

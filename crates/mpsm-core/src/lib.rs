@@ -42,10 +42,10 @@
 //! Four inner loops carry every join. Three are engineered beyond the
 //! paper's literal recipe: the three-phase [`sort`] recurses its radix
 //! pass until a bucket fits one 64-tuple sorting network and finishes
-//! each bucket while hot; the [`merge`] kernel gallops (exponential
-//! search) over non-matching stretches; and [`worker::SharedWorkerPool`]
-//! parks persistent worker threads between phases instead of respawning
-//! them. The sort and the merge keep their seed variant reachable as a
+//! each bucket while hot; the [`merge`] kernel cuts each run pair by
+//! binary search to the key span it shares before its linear loop; and
+//! [`worker::SharedWorkerPool`] parks persistent worker threads between
+//! phases instead of respawning them. The sort and the merge keep their seed variant reachable as a
 //! reference. The [`partition`] scatter stays the paper's: one checked
 //! store per tuple into its window, because software write-combining
 //! measured slower on a single socket (module docs). The harness under

@@ -13,123 +13,85 @@
 //! Both runs are only ever scanned forward, which is what makes the
 //! remote reads of the join phase sequential (commandment C2).
 //!
-//! ## Galloping
+//! ## One cut, then one linear loop
 //!
-//! [`merge_join`] skips non-matching stretches with *galloping*
-//! (exponential search): after a run of plain comparisons fails to
-//! reach the other run's key, the cursor probes at exponentially
-//! growing offsets and finishes with a binary search in the final
-//! bracket — `O(log d)` comparisons for a skip of length `d` instead
-//! of `d`. On runs whose key ranges barely overlap (exactly what
-//! P-MPSM's phase 4 sees: a worker's `R_i` covers `1/T`-th of the
-//! domain of every public run it scans past its entry point) this
-//! collapses long dead stretches to a handful of probes.
+//! Before its loop the kernel cuts both runs by binary search to the
+//! key span they share ([`KeySpan`]): `r` to `[s.first, s.last]`, and
+//! `s` from the cut `r`'s first key on. No tuple outside that span can
+//! match, so a private run that lies wholly below or above a public run
+//! costs a few binary searches instead of a walk. Inside the span the
+//! loop is the paper's plain forward merge: one inline step per
+//! advance, with the rest of a longer skip in a cold out-of-line helper
+//! so the loop itself stays small. Equal singleton keys (the dominant
+//! case on FK joins) take a branch-reduced fast path that emits the
+//! pair without the general group scan. The cut never re-bases an
+//! index: the private indices a [`Matches`] consumer sees and the
+//! [`MergeScan`] positions are those of the uncut runs.
 //!
-//! The linear budget is **adaptive**, per cursor, TimSort-style: it
-//! starts at [`GALLOP_LINEAR`] and every advance the linear scan
-//! resolves by itself *raises* it (up to [`GALLOP_MAX`]), while every
-//! probe that skips past the budget *halves* it. Densely interleaved
-//! runs — where every skip is one element long and the PR 2 "0pct"
-//! ablation measured the fixed-threshold kernel at 0.83× of
-//! [`merge_join_linear`] — therefore converge to the pure linear loop
-//! with one budget check per advance (not per element), while
-//! sparse-vs-dense runs drop the budget to 1 and gallop almost
-//! immediately. The cold probe path is kept out of line so the hot
-//! loop stays as small as the linear kernel's.
-//! Equal singleton keys (the dominant case on FK joins) take a
-//! branch-reduced fast path that emits the pair without the general
-//! group-scan machinery.
-//!
-//! The plain linear kernel is retained as [`merge_join_linear`] — the
+//! The seed's kernel is retained as [`merge_join_linear`] — the
 //! reference oracle for tests and the benchmark harness's
 //! `merge.linear_ns_per_tuple` probe.
 
 use crate::sink::JoinSink;
 use crate::tuple::Tuple;
 
-/// Initial linear budget: failed plain comparisons before the cursor
-/// switches to exponential probing. Keeps densely interleaved runs on
-/// the branch-predictable linear path; 8 × 16 B is also exactly one
-/// cache line of lookahead. The per-cursor budget adapts from here —
-/// up to [`GALLOP_MAX`] while linear scans keep winning, down to 1
-/// while probes keep skipping.
-pub const GALLOP_LINEAR: usize = 8;
-
-/// Ceiling of the adaptive linear budget. Once a cursor's budget grows
-/// this far the kernel is effectively [`merge_join_linear`] with one
-/// bounds computation per advance; capping it keeps a late regime
-/// change (dense → sparse) from paying more than `GALLOP_MAX` wasted
-/// comparisons before the first probe.
-pub const GALLOP_MAX: usize = 64;
-
-/// Advance `idx` to the first position `>= idx` whose key is `>= key`,
-/// scanning linearly for up to `*budget` elements and falling back to
-/// galloping. Adapts the budget: a linear hit raises it (dense runs
-/// converge to the pure linear kernel), a probe that skips a full
-/// budget halves it (sparse runs gallop almost immediately).
+/// Advance `idx` to the first position `>= idx` whose key is `>= key`.
 ///
 /// Out of line and cold: the merge loop resolves single-position
 /// advances (the dominant case on densely interleaved runs) with one
 /// inline step and only calls here when that step was not enough, so
-/// the hot-loop codegen matches the linear kernel's.
+/// the loop's own code stays small.
 #[cold]
 #[inline(never)]
-fn advance(run: &[Tuple], mut idx: usize, key: u64, budget: &mut usize) -> usize {
-    let cap = idx.saturating_add(*budget).min(run.len());
-    while idx < cap && run[idx].key < key {
+fn advance(run: &[Tuple], mut idx: usize, key: u64) -> usize {
+    while idx < run.len() && run[idx].key < key {
         idx += 1;
     }
-    if idx < cap || idx >= run.len() || run[idx].key >= key {
-        // The linear scan reached `key` (or the end of the run) within
-        // budget: a probe would not have paid. Drift toward linear.
-        if *budget < GALLOP_MAX {
-            *budget += 1;
-        }
-        return idx;
-    }
-    gallop_beyond(run, idx, key, budget)
-}
-
-/// The gallop half of [`advance`]: the linear budget is exhausted and
-/// `run[idx].key < key` still holds — probe exponentially, then binary
-/// search the final bracket.
-fn gallop_beyond(run: &[Tuple], idx: usize, key: u64, budget: &mut usize) -> usize {
-    let mut lo = idx;
-    let mut step = 1usize;
-    let hi = loop {
-        let probe = match lo.checked_add(step) {
-            Some(p) if p < run.len() => p,
-            _ => break run.len(),
-        };
-        if run[probe].key >= key {
-            break probe;
-        }
-        lo = probe;
-        step <<= 1;
-    };
-    // Invariant: run[lo].key < key, run[hi].key >= key (or hi == len).
-    let found = lo + 1 + run[lo + 1..hi].partition_point(|t| t.key < key);
-    if found - idx >= *budget {
-        // The probe skipped at least a full linear budget: galloping
-        // pays here, engage it sooner next time.
-        *budget = (*budget / 2).max(1);
-    } else if *budget < GALLOP_MAX {
-        *budget += 1;
-    }
-    found
+    idx
 }
 
 /// Extent of one merge-join call: the cursor positions at exit, i.e.
-/// how many tuples of each run the kernel actually consumed. The join
-/// phases feed these into the [`crate::context::ExecContext`] access
-/// audit — the quantities are byproducts of the merge itself, so the
-/// accounting costs nothing inside the kernel (commandment C3).
+/// how far the kernel got through each run. Tuples the [`KeySpan`] cut
+/// skipped count as passed, so a private run cut short at its upper
+/// end reports `r.len()`. The join phases feed these into the
+/// [`crate::context::ExecContext`] access audit — the quantities are
+/// byproducts of the merge itself, so the accounting costs nothing
+/// inside the kernel (commandment C3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergeScan {
     /// Tuples consumed from the private run `r`.
     pub r_scanned: usize,
     /// Tuples consumed from the public run `s`.
     pub s_scanned: usize,
+}
+
+/// The key span two runs share, as positions in the uncut runs: the
+/// private tuples with keys in `[s.first, s.last]` are
+/// `r[r_start..r_end]`, and the public run is read from `s_start`, the
+/// lower bound of `r[r_start]`'s key.
+pub(crate) struct KeySpan {
+    pub(crate) r_start: usize,
+    pub(crate) r_end: usize,
+    pub(crate) s_start: usize,
+    r_len: usize,
+}
+
+impl KeySpan {
+    /// Cut `r` and `s` to their shared key span; `None` when `s` is
+    /// empty.
+    pub(crate) fn cut(r: &[Tuple], s: &[Tuple]) -> Option<KeySpan> {
+        let (first, last) = (s.first()?.key, s.last()?.key);
+        let r_start = r.partition_point(|t| t.key < first);
+        let r_end = r_start + r[r_start..].partition_point(|t| t.key <= last);
+        let s_start = r.get(r_start).map_or(0, |lo| s.partition_point(|t| t.key < lo.key));
+        Some(KeySpan { r_start, r_end, s_start, r_len: r.len() })
+    }
+
+    /// The extents of a merge inside this span that stopped at `(i, j)`:
+    /// a private cursor at the span's end has passed all of `r`.
+    pub(crate) fn scan(&self, i: usize, j: usize) -> MergeScan {
+        MergeScan { r_scanned: if i == self.r_end { self.r_len } else { i }, s_scanned: j }
+    }
 }
 
 /// What the kernel hands each match to. Every [`JoinSink`] is one (it
@@ -160,9 +122,8 @@ impl<S: JoinSink> Matches for S {
     }
 }
 
-/// Merge-join two key-sorted runs into `sink`, galloping over
-/// non-matching stretches. `r` is the private input (first argument of
-/// `on_match`).
+/// Merge-join two key-sorted runs into `sink`, cut to their shared key
+/// span. `r` is the private input (first argument of `on_match`).
 ///
 /// ```
 /// use mpsm_core::merge::merge_join;
@@ -187,12 +148,22 @@ pub fn merge_join<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) {
 pub(crate) fn merge_join_scanned<M: Matches>(r: &[Tuple], s: &[Tuple], sink: &mut M) -> MergeScan {
     debug_assert!(crate::tuple::is_key_sorted(r), "private run must be sorted");
     debug_assert!(crate::tuple::is_key_sorted(s), "public run must be sorted");
-    let mut i = 0;
-    let mut j = 0;
-    // One adaptive linear budget per cursor: the two runs can sit in
-    // different regimes (sparse r against dense s and vice versa).
-    let mut i_budget = GALLOP_LINEAR;
-    let mut j_budget = GALLOP_LINEAR;
+    let Some(span) = KeySpan::cut(r, s) else { return MergeScan::default() };
+    let (i, j) = merge_loop(&r[..span.r_end], s, span.r_start, span.s_start, sink);
+    span.scan(i, j)
+}
+
+/// The uncut linear loop: merge `r[i..]` with `s[j..]` until either run
+/// is exhausted and return both cursors. Indices are those of `r` and
+/// `s` as passed, so a caller that cuts by slicing `r[..end]` and by
+/// starting positions keeps every index absolute.
+pub(crate) fn merge_loop<M: Matches>(
+    r: &[Tuple],
+    s: &[Tuple],
+    mut i: usize,
+    mut j: usize,
+    sink: &mut M,
+) -> (usize, usize) {
     while i < r.len() && j < s.len() {
         let rk = r[i].key;
         let sk = s[j].key;
@@ -202,12 +173,12 @@ pub(crate) fn merge_join_scanned<M: Matches>(r: &[Tuple], s: &[Tuple], sink: &mu
             // own comparison then re-dispatches without a call.
             i += 1;
             if i < r.len() && r[i].key < sk {
-                i = advance(r, i + 1, sk, &mut i_budget);
+                i = advance(r, i + 1, sk);
             }
         } else if rk > sk {
             j += 1;
             if j < s.len() && s[j].key < rk {
-                j = advance(s, j + 1, rk, &mut j_budget);
+                j = advance(s, j + 1, rk);
             }
         } else {
             // Equal keys. Fast path: both groups are singletons (the
@@ -229,12 +200,12 @@ pub(crate) fn merge_join_scanned<M: Matches>(r: &[Tuple], s: &[Tuple], sink: &mu
             }
         }
     }
-    MergeScan { r_scanned: i.min(r.len()), s_scanned: j.min(s.len()) }
+    (i, j)
 }
 
-/// The seed's purely linear kernel — the reference oracle the galloping
-/// kernel is verified against, and the baseline of the harness's
-/// `merge.linear_ns_per_tuple` probe.
+/// The seed's purely linear kernel, uncut and with inline skips — the
+/// reference oracle [`merge_join`] is verified against, and the
+/// baseline of the harness's `merge.linear_ns_per_tuple` probe.
 pub fn merge_join_linear<S: JoinSink>(r: &[Tuple], s: &[Tuple], sink: &mut S) {
     debug_assert!(crate::tuple::is_key_sorted(r), "private run must be sorted");
     debug_assert!(crate::tuple::is_key_sorted(s), "public run must be sorted");
@@ -303,11 +274,11 @@ mod tests {
 
     /// Both kernels must emit the same rows in the same order.
     fn assert_kernels_agree(r: &[Tuple], s: &[Tuple], label: &str) {
-        let mut gallop = CollectSink::default();
-        merge_join(r, s, &mut gallop);
+        let mut cut = CollectSink::default();
+        merge_join(r, s, &mut cut);
         let mut linear = CollectSink::default();
         merge_join_linear(r, s, &mut linear);
-        assert_eq!(gallop.finish(), linear.finish(), "{label}");
+        assert_eq!(cut.finish(), linear.finish(), "{label}");
         assert_eq!(count(r, s), nested_loop_count(r, s), "{label} vs oracle");
     }
 
@@ -399,30 +370,38 @@ mod tests {
     }
 
     #[test]
-    fn advance_finds_lower_bound_at_any_budget() {
-        let run = sorted(&(0..1000u64).map(|k| (k * 2, 0)).collect::<Vec<_>>());
-        for &key in &[0u64, 1, 2, 3, 500, 999, 1000, 1001, 1997, 1998, 1999, 2000, 5000] {
-            let expect = run.partition_point(|t| t.key < key);
-            for from in [0usize, 1, 5, 250, expect.min(run.len())] {
-                for start_budget in [1usize, GALLOP_LINEAR, GALLOP_MAX] {
-                    if from <= expect {
-                        let mut budget = start_budget;
-                        assert_eq!(
-                            advance(&run, from, key, &mut budget),
-                            expect,
-                            "key {key} from {from} budget {start_budget}"
-                        );
-                        assert!((1..=GALLOP_MAX).contains(&budget), "budget stays in range");
-                    }
-                }
+    fn key_span_cut_keeps_indices_and_extents_absolute() {
+        // Private keys start below and end above every public key.
+        let r = sorted(&(0..40u64).map(|k| (k * 5, k)).collect::<Vec<_>>());
+        let s = sorted(&(60..120u64).map(|k| (k, k)).collect::<Vec<_>>());
+        let span = KeySpan::cut(&r, &s).expect("both runs are non-empty");
+        assert_eq!((span.r_start, span.r_end, span.s_start), (12, 24, 0));
+        // The indices handed to a consumer are those of the uncut run.
+        struct Indices(Vec<usize>);
+        impl Matches for Indices {
+            fn pair(&mut self, i: usize, _: Tuple, _: Tuple) {
+                self.0.push(i);
+            }
+            fn groups(&mut self, i: usize, r: &[Tuple], _: &[Tuple]) {
+                self.0.extend(i..i + r.len());
             }
         }
+        let mut seen = Indices(Vec::new());
+        let scan = merge_join_scanned(&r, &s, &mut seen);
+        assert_eq!(seen.0, (12..24).collect::<Vec<_>>());
+        assert!(seen.0.iter().all(|&i| (60..120).contains(&r[i].key)));
+        // The private run is passed whole; the public one up to the
+        // last private key inside the span.
+        assert_eq!(scan, MergeScan { r_scanned: 40, s_scanned: 56 });
+        // Runs that miss each other are passed without a match.
+        assert_eq!(count(&r[..12], &s), 0);
+        assert_eq!(count(&r[24..], &s), 0);
     }
 
     #[test]
     fn one_sided_skew_agrees_with_linear() {
-        // r holds a handful of far-apart keys; s is dense — the gallop
-        // path does all the work on s.
+        // r holds a handful of far-apart keys; s is dense — the
+        // out-of-line skip does all the work on s.
         let r = sorted(&(0..16u64).map(|i| (i * 10_000, i)).collect::<Vec<_>>());
         let s = sorted(&(0..50_000u64).map(|i| (i * 3, i)).collect::<Vec<_>>());
         assert_kernels_agree(&r, &s, "one-sided skew");
@@ -447,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn alternating_blocks_force_repeated_gallops() {
+    fn alternating_blocks_agree_with_linear() {
         // Blocks of 100 matching keys alternating with dead stretches of
         // 3000 keys present on only one side.
         let mut r_keys = Vec::new();
@@ -474,9 +453,8 @@ mod tests {
     #[test]
     fn regime_shift_dense_then_sparse_agrees_with_linear() {
         // First half: perfectly interleaved disjoint keys (the "0pct"
-        // ablation shape, which drives the adaptive budget up towards
-        // GALLOP_MAX); second half: sparse r against dense s, where the
-        // budget must come back down and gallop again.
+        // ablation shape, all one-step advances); second half: sparse r
+        // against dense s, where every advance takes the long skip.
         let mut r_keys = Vec::new();
         let mut s_keys = Vec::new();
         for i in 0..4_000u64 {

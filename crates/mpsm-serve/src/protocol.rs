@@ -479,27 +479,38 @@ fn decode_query(d: &mut Dec<'_>) -> Result<QueryBody, DecodeError> {
     })
 }
 
+/// Encode one frame body; a body longer than [`MAX_FRAME`] is refused
+/// with [`io::ErrorKind::InvalidInput`], since no peer would read it.
+pub fn encode_body(frame: &Frame) -> io::Result<Vec<u8>> {
+    let body = frame.encode();
+    if body.len() > MAX_FRAME as usize {
+        let message = format!("frame body of {} bytes exceeds MAX_FRAME {MAX_FRAME}", body.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+    }
+    Ok(body)
+}
+
 /// Write one frame: length prefix, then the encoded body.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let body = frame.encode();
-    assert!(body.len() <= MAX_FRAME as usize, "frame exceeds MAX_FRAME");
+    let body = encode_body(frame)?;
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(&body)?;
     w.flush()
 }
 
 /// Read one raw frame body. `Ok(None)` means the peer closed the
-/// stream cleanly at a frame boundary. A length prefix beyond
-/// [`MAX_FRAME`] is reported as [`io::ErrorKind::InvalidData`] — the
-/// stream cannot be resynced past it.
+/// stream cleanly at a frame boundary; a close inside a frame is
+/// [`io::ErrorKind::UnexpectedEof`]. A length prefix beyond
+/// [`MAX_FRAME`] is [`io::ErrorKind::InvalidData`] — the stream cannot
+/// be resynced past it.
 pub fn read_raw(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len);
+    let mut len = Vec::with_capacity(4);
+    r.by_ref().take(4).read_to_end(&mut len)?;
+    let len = match <[u8; 4]>::try_from(len) {
+        Ok(len) => u32::from_le_bytes(len),
+        Err(len) if len.is_empty() => return Ok(None),
+        Err(_) => return Err(io::ErrorKind::UnexpectedEof.into()),
+    };
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -615,6 +626,12 @@ mod tests {
         assert_eq!(read_frame(&mut r).expect("io"), Some(Ok(Frame::Ping)));
         assert_eq!(read_frame(&mut r).expect("io"), Some(Ok(Frame::Metrics)));
         assert_eq!(read_frame(&mut r).expect("io"), None, "clean close at a boundary");
+    }
+
+    #[test]
+    fn a_stream_ending_inside_the_length_prefix_is_not_a_clean_close() {
+        let err = read_raw(&mut &[0x01u8, 0x00][..]).expect_err("truncated prefix");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -388,8 +388,10 @@ fn poll_conn(shared: &ServerShared, conn: &mut Conn) -> Poll {
                 None => break,
             },
         };
-        let body = frame.encode();
-        debug_assert!(body.len() <= MAX_FRAME as usize, "reply exceeds MAX_FRAME");
+        // A reply no client could read is answered with an error instead.
+        let body = crate::protocol::encode_body(&frame).unwrap_or_else(|err| {
+            Frame::Error { code: code::UNSUPPORTED, message: err.to_string() }.encode()
+        });
         conn.write_buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         conn.write_buf.extend_from_slice(&body);
         progress = true;

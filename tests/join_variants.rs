@@ -1,7 +1,7 @@
 //! The §7 extensions: outer / semi / anti variants, band joins, and the
 //! sort-based early aggregation over MPSM's run-structured output.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::d_mpsm::{DMpsmConfig, DMpsmJoin};
@@ -14,21 +14,8 @@ use mpsm::exec::{sorted_group_by, CountAgg, SumAgg};
 use mpsm::storage::MemBackend;
 use mpsm::workload::{fk_uniform, uniform_independent};
 
-fn reference_variant_count(variant: JoinVariant, r: &[Tuple], s: &[Tuple]) -> u64 {
-    let s_keys: HashSet<u64> = s.iter().map(|t| t.key).collect();
-    let inner: u64 = r.iter().map(|rt| s.iter().filter(|st| st.key == rt.key).count() as u64).sum();
-    let matched = r.iter().filter(|rt| s_keys.contains(&rt.key)).count() as u64;
-    let unmatched = r.len() as u64 - matched;
-    match variant {
-        JoinVariant::Inner => inner,
-        JoinVariant::LeftOuter => inner + unmatched,
-        JoinVariant::LeftSemi => matched,
-        JoinVariant::LeftAnti => unmatched,
-    }
-}
-
 /// One-sided skew: 16 private keys 10 000 apart against 50 000 dense
-/// public keys, where the kernel gallops over the public side.
+/// public keys, where the kernel skips long stretches of the public side.
 fn one_sided_skew() -> (Vec<Tuple>, Vec<Tuple>) {
     let sparse = (0..16u64).map(|i| Tuple::new(i * 10_000, i)).collect();
     let dense = (0..50_000u64).map(|i| Tuple::new(i * 3, i)).collect();
@@ -46,6 +33,43 @@ fn variant_inputs() -> Vec<(&'static str, Vec<Tuple>, Vec<Tuple>)> {
     ]
 }
 
+/// Every row a variant emits, from a nested loop: pairs for the inner
+/// and outer joins, one padded row per unmatched private tuple for the
+/// outer and anti joins, one per matched private tuple for the semi join.
+fn reference_variant_rows(variant: JoinVariant, r: &[Tuple], s: &[Tuple]) -> Vec<(u64, u64, u64)> {
+    let mut rows = Vec::new();
+    for rt in r {
+        let partners: Vec<&Tuple> = s.iter().filter(|st| st.key == rt.key).collect();
+        if variant.emits_pairs() {
+            rows.extend(partners.iter().map(|st| (rt.key, rt.payload, st.payload)));
+        }
+        let padded = match variant {
+            JoinVariant::Inner => false,
+            JoinVariant::LeftOuter | JoinVariant::LeftAnti => partners.is_empty(),
+            JoinVariant::LeftSemi => !partners.is_empty(),
+        };
+        if padded {
+            rows.push((rt.key, rt.payload, NULL_PAYLOAD));
+        }
+    }
+    rows.sort_unstable();
+    rows
+}
+
+/// Private keys that start below and end above every public key, with
+/// duplicate groups on both sides and public gaps inside the span: each
+/// B-MPSM run pair's key-span cut drops a head and a tail of the private
+/// run, so a row reaches the right private tuple only if the cut kept
+/// its indices absolute.
+fn overhanging() -> (Vec<Tuple>, Vec<Tuple>) {
+    let r = (0..4000u64).map(|i| Tuple::new((i * 7919) % 2000, i)).collect();
+    let s = (0..1500u64)
+        .map(|i| Tuple::new(500 + (i * 613) % 1000, 10_000 + i))
+        .filter(|t| t.key % 3 != 0)
+        .collect();
+    (r, s)
+}
+
 const VARIANTS: [JoinVariant; 4] =
     [JoinVariant::Inner, JoinVariant::LeftOuter, JoinVariant::LeftSemi, JoinVariant::LeftAnti];
 
@@ -57,7 +81,7 @@ fn variants_match_reference_on_both_mpsm_topologies() {
             let p = PMpsmJoin::new(cfg.clone());
             let b = BMpsmJoin::new(cfg);
             for variant in VARIANTS {
-                let expected = reference_variant_count(variant, &r, &s);
+                let expected = reference_variant_rows(variant, &r, &s).len() as u64;
                 let (bc, _) = b.join_variant_with_sink::<CountSink>(variant, &r, &s);
                 assert_eq!(bc, expected, "B-MPSM {variant:?} with {threads} threads on {input}");
                 // P-MPSM runs the inner join only: its workers each see one
@@ -90,10 +114,35 @@ fn d_mpsm_variants_match_reference_on_one_sided_skew() {
                 .expect("in-memory backend cannot fail");
             assert_eq!(
                 count,
-                reference_variant_count(variant, r, s),
+                reference_variant_rows(variant, r, s).len() as u64,
                 "D-MPSM {variant:?} on {input}"
             );
         }
+    }
+}
+
+#[test]
+fn variant_rows_match_nested_loop_when_private_keys_overhang_the_public_span() {
+    let (r, s) = overhanging();
+    let mut cfg = DMpsmConfig::with_join(JoinConfig::with_threads(4));
+    cfg.page_records = 256;
+    cfg.budget_pages = 8;
+    let d = DMpsmJoin::new(cfg);
+    let cx = ExecContext::flat(4);
+    for variant in VARIANTS {
+        let expected = reference_variant_rows(variant, &r, &s);
+        assert!(!expected.is_empty(), "{variant:?} emits rows on this input");
+        for threads in [1usize, 4] {
+            let b = BMpsmJoin::new(JoinConfig::with_threads(threads));
+            let (mut rows, _) = b.join_variant_with_sink::<CollectSink>(variant, &r, &s);
+            rows.sort_unstable();
+            assert_eq!(rows, expected, "B-MPSM {variant:?} with {threads} threads");
+        }
+        let (mut rows, _, _) = d
+            .join_variant_in::<_, CollectSink>(&cx, variant, MemBackend::disk_array(), &r, &s)
+            .expect("in-memory backend cannot fail");
+        rows.sort_unstable();
+        assert_eq!(rows, expected, "D-MPSM {variant:?}");
     }
 }
 

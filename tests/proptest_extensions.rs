@@ -1,7 +1,7 @@
 //! Property tests for the extension features: the sort's network leaf, join
 //! variants, band joins, parallel merge, sorted-run aggregation,
 //! storage round-trips, the scatter's bucket-major layout, and the
-//! optimized-vs-naive galloping merge kernel.
+//! key-span-cut merge kernel against the plain linear one.
 
 use mpsm::baselines::parallel_merge::{parallel_kway_merge, sequential_kway_merge};
 use mpsm::core::context::ExecContext;
@@ -203,7 +203,7 @@ proptest! {
     }
 
     #[test]
-    fn galloping_merge_agrees_with_linear_and_oracle(
+    fn cut_merge_agrees_with_linear_and_oracle(
         r_keys in proptest::collection::vec(any::<u64>(), 0..400),
         s_keys in proptest::collection::vec(any::<u64>(), 0..400),
         shape in 0u8..4,
@@ -225,11 +225,11 @@ proptest! {
         let mut s = tuples(reshape(s_keys, 1));
         r.sort_unstable();
         s.sort_unstable();
-        let mut gallop = CollectSink::default();
-        merge_join(&r, &s, &mut gallop);
+        let mut cut = CollectSink::default();
+        merge_join(&r, &s, &mut cut);
         let mut linear = CollectSink::default();
         merge_join_linear(&r, &s, &mut linear);
-        prop_assert_eq!(gallop.finish(), linear.finish());
+        prop_assert_eq!(cut.finish(), linear.finish());
         let expected: u64 = r
             .iter()
             .map(|rt| s.iter().filter(|st| st.key == rt.key).count() as u64)

@@ -5,7 +5,7 @@ use mpsm::baselines::nested_loop::oracle_count;
 use mpsm::core::cdf::{equi_height_bounds, Cdf};
 use mpsm::core::context::ExecContext;
 use mpsm::core::histogram::{combine_histograms, compute_histogram, RadixDomain};
-use mpsm::core::interpolation::{interpolation_lower_bound, interpolation_upper_bound};
+use mpsm::core::interpolation::interpolation_lower_bound;
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::delta::DeltaOp;
 use mpsm::core::join::p_mpsm::PMpsmJoin;
@@ -65,10 +65,6 @@ proptest! {
             interpolation_lower_bound(&run, probe),
             run.partition_point(|t| t.key < probe)
         );
-        prop_assert_eq!(
-            interpolation_upper_bound(&run, probe),
-            run.partition_point(|t| t.key <= probe)
-        );
     }
 
     #[test]
@@ -111,14 +107,15 @@ proptest! {
     }
 
     #[test]
-    fn gallop_merge_emits_exactly_the_linear_merge_rows(
+    fn cut_merge_emits_exactly_the_linear_merge_rows(
         seg_words in proptest::collection::vec(any::<u64>(), 1..8),
     ) {
-        // The adaptive galloping kernel must emit the exact row set of
-        // the plain linear merge across regime shifts — densely
-        // interleaved stretches (where galloping historically lost),
-        // one-sided sparse stretches (where it wins), and duplicate
-        // blocks (group cross products). Each word encodes one segment.
+        // The key-span-cut kernel must emit the exact row set of the
+        // plain linear merge across regime shifts — densely interleaved
+        // stretches (one-step advances), one-sided sparse stretches
+        // (long skips, and private keys outside the public span), and
+        // duplicate blocks (group cross products). Each word encodes
+        // one segment.
         let mut r_keys = Vec::new();
         let mut s_keys = Vec::new();
         let mut base = 0u64;
@@ -157,11 +154,11 @@ proptest! {
         }
         let r = tuples(r_keys);
         let s = tuples(s_keys);
-        let mut gallop = CollectSink::default();
-        merge_join(&r, &s, &mut gallop);
+        let mut cut = CollectSink::default();
+        merge_join(&r, &s, &mut cut);
         let mut linear = CollectSink::default();
         merge_join_linear(&r, &s, &mut linear);
-        prop_assert_eq!(gallop.finish(), linear.finish());
+        prop_assert_eq!(cut.finish(), linear.finish());
     }
 
     #[test]

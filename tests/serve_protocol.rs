@@ -5,7 +5,7 @@
 //! partial rows a key-order prefix of the full join — holds both
 //! deterministically (budget tokens, proptest) and over the wire.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +14,7 @@ use mpsm::core::context::ExecContext;
 use mpsm::core::join::anytime::AnytimeToken;
 use mpsm::core::Tuple;
 use mpsm::exec::{Priority, QuerySpec, Relation, RunCacheConfig, SchedulerConfig, Session};
-use mpsm_serve::protocol::{code, read_frame, write_frame, Frame, QueryBody};
+use mpsm_serve::protocol::{code, read_frame, write_frame, Frame, QueryBody, MAX_FRAME};
 use mpsm_serve::{Client, QueryRequest, Server, ServerHandle, ServiceError};
 use proptest::prelude::*;
 
@@ -158,6 +158,36 @@ fn malformed_frames_draw_errors_without_killing_the_connection() {
     assert!(closed, "an unsyncable stream must be dropped");
 
     server.shutdown();
+}
+
+#[test]
+fn a_reply_past_max_frame_draws_an_error_and_keeps_the_connection() {
+    let server = serve(SchedulerConfig::new(2));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // One shared key: 1 800 × 1 600 = 2.88 M rows, about 69 MB encoded.
+    client.register("R", (0..1800).map(|p| (7, p)).collect()).expect("register R");
+    client.register("S", (0..1600).map(|p| (7, p)).collect()).expect("register S");
+    let mut request = QueryRequest::new("R", "S");
+    request.rows_cap = 3_000_000;
+    match client.query(&request) {
+        Err(ServiceError::Server { code, message }) => {
+            assert_eq!(code, code::UNSUPPORTED, "{message}");
+            assert!(message.contains("MAX_FRAME"), "{message}");
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    client.ping().expect("the connection survives an oversized reply");
+    server.shutdown();
+}
+
+#[test]
+fn write_frame_refuses_a_body_past_max_frame() {
+    let tuples = vec![(0u64, 0u64); MAX_FRAME as usize / 16 + 1];
+    let mut stream = Vec::new();
+    let err = write_frame(&mut stream, &Frame::Register { name: "R".to_string(), tuples })
+        .expect_err("oversized body");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    assert!(stream.is_empty(), "nothing reaches the stream");
 }
 
 #[test]
