@@ -122,14 +122,13 @@ impl JoinAlgorithm for RadixJoin {
 
         // ---- Pass 2 + fragment joins, in parallel. ----
         let pass2_bits = self.pass2_bits;
-        let (partials, d3) = cx.pool().run_timed(|w| {
+        let partials = cx.run_phase(Phase::Three, &mut stats, |w, _| {
             let mut sink = S::default();
             for &f in &assignment[w] {
                 join_fragment(&r_frags[f], &s_frags[f], pass2_bits, &mut sink);
             }
             sink.finish()
         });
-        stats.record_phase(Phase::Three, &d3);
 
         stats.wall = wall.elapsed();
         (S::combine_all(partials), stats)

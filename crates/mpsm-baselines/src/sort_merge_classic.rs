@@ -80,19 +80,17 @@ impl JoinAlgorithm for ClassicSortMergeJoin {
 
         // Phase 1: parallel run generation for both inputs.
         let r_ranges = chunk_ranges(r.len(), t);
-        let (r_runs, d1r) = pool.run_timed(|w| {
+        let r_runs = cx.run_phase(Phase::One, &mut stats, |w, _| {
             let mut run = r[r_ranges[w].clone()].to_vec();
             three_phase_sort(&mut run);
             run
         });
-        stats.record_phase(Phase::One, &d1r);
         let s_ranges = chunk_ranges(s.len(), t);
-        let (s_runs, d1s) = pool.run_timed(|w| {
+        let s_runs = cx.run_phase(Phase::One, &mut stats, |w, _| {
             let mut run = s[s_ranges[w].clone()].to_vec();
             three_phase_sort(&mut run);
             run
         });
-        stats.record_phase(Phase::One, &d1s);
 
         // Phase 2: the global merges — the bottleneck. Sequential by
         // default (the traditional algorithm); rank-partitioned parallel

@@ -73,25 +73,23 @@ impl JoinAlgorithm for WisconsinHashJoin {
         let sizes: Vec<usize> = r_ranges.iter().map(|rng| rng.len()).collect();
         {
             let windows = OwnedSlots::new(table.carve_windows(&sizes));
-            let (_, build_times) = cx.pool().run_timed(|w| {
+            cx.run_phase(Phase::One, &mut stats, |w, _| {
                 let mut win = windows.take(w);
                 for tup in &r[r_ranges[w].clone()] {
                     win.insert(*tup);
                 }
             });
-            stats.record_phase(Phase::One, &build_times);
         }
 
         // ---- Probe: all workers scan S chunks, probing randomly. ----
         let s_ranges = chunk_ranges(s.len(), t);
-        let (partials, probe_times) = cx.pool().run_timed(|w| {
+        let partials = cx.run_phase(Phase::Two, &mut stats, |w, _| {
             let mut sink = S::default();
             for st in &s[s_ranges[w].clone()] {
                 table.probe(st.key, |rt| sink.on_match(rt, *st));
             }
             sink.finish()
         });
-        stats.record_phase(Phase::Two, &probe_times);
 
         stats.wall = wall.elapsed();
         (S::combine_all(partials), stats)

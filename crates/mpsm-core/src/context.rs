@@ -49,6 +49,15 @@
 //!   sums) is not counted — the paper calls it "almost free" and it
 //!   touches `O(f·T²)` values, not tuples.
 //!
+//! One parallel section is one [`ExecContext::run_phase`] call: it
+//! runs the section on every pool worker, hands each worker a
+//! [`CounterScope`] to touch, and books that worker's time (into the
+//! caller's [`JoinStats`]) and its counters (into this context) under
+//! the one phase the caller names. No section books its own time or
+//! merges its own scopes, so the per-worker times behind
+//! [`JoinStats::imbalance`] and the per-phase audit always describe the
+//! same section.
+//!
 //! ## Machine and query state
 //!
 //! A context is two halves. The **machine** half — the worker pool,
@@ -68,12 +77,13 @@
 //! whole pool, and worker `w` alone locks scratch `w`.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use mpsm_numa::{AccessCounters, CounterScope, NodeId, NumaArena, NumaBuf, Topology};
 
 use crate::histogram::RadixDomain;
 use crate::sort::SortScratch;
-use crate::stats::Phase;
+use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
 use crate::worker::{SharedWorkerPool, WorkerPlacement};
 
@@ -338,8 +348,8 @@ impl ExecContext {
 
     /// A per-worker recording scope classifying accesses against this
     /// context's placement. Scopes are worker-private (commandment C3:
-    /// no shared counters in hot paths); finish them and merge via
-    /// [`ExecContext::record`].
+    /// no shared counters in hot paths); [`ExecContext::run_phase`]
+    /// opens one per worker and merges them via [`ExecContext::record`].
     pub fn scope(&self, worker: usize) -> CounterScope {
         CounterScope::new(self.topology().clone(), self.placement.core_of(worker))
     }
@@ -477,6 +487,37 @@ impl ExecContext {
         crate::sort::three_phase_sort_with(run, &mut scratch);
     }
 
+    /// Run one parallel section: `f(w, scope)` on every pool worker, in
+    /// one pool admission, results in worker order. Each worker's call
+    /// is timed and gets a fresh [`CounterScope`] of its own; both book
+    /// under `phase` — the times into `stats`, the finished scopes into
+    /// this context's counters ([`ExecContext::record`]). Every timed
+    /// section of the joins and the baselines goes through here, so a
+    /// phase's per-worker time and its access audit cannot drift apart.
+    pub fn run_phase<R, F>(&self, phase: Phase, stats: &mut JoinStats, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut CounterScope) -> R + Sync,
+    {
+        let outcomes = self.pool().run(|w| {
+            let start = Instant::now();
+            let mut scope = self.scope(w);
+            let result = f(w, &mut scope);
+            (result, scope.finish(), start.elapsed())
+        });
+        let mut results = Vec::with_capacity(outcomes.len());
+        let mut counters = Vec::with_capacity(outcomes.len());
+        let mut times = Vec::with_capacity(outcomes.len());
+        for (result, counted, time) in outcomes {
+            results.push(result);
+            counters.push(counted);
+            times.push(time);
+        }
+        stats.record_phase(phase, &times);
+        self.record(phase, counters);
+        results
+    }
+
     /// Merge per-worker counters into the context's tally for `phase`.
     pub fn record(&self, phase: Phase, parts: impl IntoIterator<Item = AccessCounters>) {
         let mut log = self.phase_counters.lock().expect("phase counters poisoned");
@@ -511,6 +552,8 @@ impl ExecContext {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::join::runs::RunSet;
     use mpsm_numa::AccessKind;
@@ -550,6 +593,42 @@ mod tests {
         assert_eq!(cx.counters().total_accesses(), 15);
         cx.reset_counters();
         assert_eq!(cx.counters().total_accesses(), 0);
+    }
+
+    #[test]
+    fn run_phase_books_one_section_under_one_phase() {
+        let cx = ExecContext::new(Topology::paper_machine(), 4); // worker w on node w
+        let mut stats = JoinStats::new(4);
+        let served = cx.pool().phases_served();
+        let start = Instant::now();
+        let out = cx.run_phase(Phase::Three, &mut stats, |w, scope| {
+            scope.touch(NodeId(0), true, 10 * (w as u64 + 1));
+            w * 10
+        });
+        let wall = start.elapsed();
+        assert_eq!(out, vec![0, 10, 20, 30], "results in worker order");
+        assert_eq!(cx.pool().phases_served(), served + 1, "one pool admission");
+
+        // Worker 0 reads its own node, workers 1–3 read node 0 remotely.
+        let booked = cx.phase_counters(Phase::Three);
+        assert_eq!(booked.accesses(AccessKind::LocalSeq), 10);
+        assert_eq!(booked.accesses(AccessKind::RemoteSeq), 20 + 30 + 40);
+        assert_eq!(booked.total_accesses(), 100);
+        for phase in [Phase::One, Phase::Two, Phase::Four] {
+            assert_eq!(cx.phase_counters(phase).total_accesses(), 0, "{phase:?} untouched");
+        }
+
+        for (w, times) in stats.per_worker.iter().enumerate() {
+            for phase in Phase::ALL {
+                let time = times[phase as usize];
+                if phase == Phase::Three {
+                    assert!(time > Duration::ZERO, "worker {w} was timed");
+                    assert!(time <= wall, "worker {w}'s time lies inside the call");
+                } else {
+                    assert_eq!(time, Duration::ZERO, "worker {w} booked nothing under {phase:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -696,8 +775,6 @@ mod tests {
     fn a_private_build_grows_scratch_to_the_widest_fine_bucket_only() {
         use crate::histogram::{compute_histogram, RadixDomain};
         use crate::join::runs::build_run_set;
-        use crate::stats::JoinStats;
-
         let mut state = 77u64;
         let input: Vec<Tuple> = (0..1u64 << 17)
             .map(|i| {

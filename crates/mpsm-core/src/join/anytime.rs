@@ -59,7 +59,7 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::context::ExecContext;
 use crate::join::delta::{merge_pair, DeltaSide, Piece};
@@ -104,11 +104,6 @@ impl AnytimeToken {
     /// A token expiring at the absolute instant.
     pub fn at(deadline: Instant) -> Self {
         AnytimeToken::Deadline(deadline)
-    }
-
-    /// A token expiring `timeout` from now.
-    pub fn deadline_in(timeout: Duration) -> Self {
-        AnytimeToken::Deadline(Instant::now() + timeout)
     }
 
     /// A deterministic token allowing exactly `checks` successful
@@ -287,7 +282,6 @@ pub fn merge_sides<S: JoinSink>(
         key_interval_steps(r, t)
     };
 
-    let mut d4 = vec![Duration::ZERO; t];
     let mut partials: Vec<S::Result> = Vec::with_capacity(steps.len());
     let (mut merged_base, mut merged_tuples, mut produced_rows) = (0, 0, 0);
     let (mut expired, mut capped) = (false, false);
@@ -296,21 +290,15 @@ pub fn merge_sides<S: JoinSink>(
             expired = true;
             break;
         }
-        let (phase, d_step) = cx.pool().run_timed(|w| {
-            let mut scope = cx.scope(w);
+        let step_partials = cx.run_phase(Phase::Four, stats, |w, scope| {
             let mut sink = S::default();
             for piece in step.pieces.iter().skip(w).step_by(t) {
                 for sp in 0..s.run_count() {
-                    merge_pair(*piece, s.piece(sp), &mut sink, &mut scope);
+                    merge_pair(*piece, s.piece(sp), &mut sink, scope);
                 }
             }
-            (sink.finish(), scope.finish())
+            sink.finish()
         });
-        let (step_partials, c_step): (Vec<_>, Vec<_>) = phase.into_iter().unzip();
-        for (acc, d) in d4.iter_mut().zip(&d_step) {
-            *acc += *d;
-        }
-        cx.record(Phase::Four, c_step);
         let combined = S::combine_all(step_partials);
         produced_rows += S::result_len(&combined).unwrap_or(0);
         partials.push(combined);
@@ -321,7 +309,6 @@ pub fn merge_sides<S: JoinSink>(
             break;
         }
     }
-    stats.record_phase(Phase::Four, &d4);
 
     // Steps consume the base runs front to back, so `merged_base` alone
     // says how far each run got: fully merged ranges first, at most one
@@ -374,6 +361,7 @@ pub fn merge_run_sets_anytime<S: JoinSink>(
 mod tests {
     use std::collections::HashSet;
     use std::thread::ThreadId;
+    use std::time::Duration;
 
     use super::super::runs::{build_run_set, merge_run_sets_in};
     use super::*;
@@ -840,7 +828,6 @@ mod tests {
     fn token_constructors_behave() {
         assert!(!AnytimeToken::never().expired());
         assert!(AnytimeToken::at(Instant::now() - Duration::from_millis(1)).expired());
-        assert!(!AnytimeToken::deadline_in(Duration::from_secs(3600)).expired());
         let b = AnytimeToken::budget(2);
         assert!(!b.expired());
         assert!(!b.expired());

@@ -117,8 +117,7 @@ impl BMpsmJoin {
         // The audit records each kernel call's actual scan extents:
         // forward-only cursors, so every remote read here is sequential
         // (commandment C2 — pinned by the accounting proptests).
-        let (phase3, d3) = cx.pool().run_timed(|w| {
-            let mut scope = cx.scope(w);
+        let partials = cx.run_phase(Phase::Three, &mut stats, |w, scope| {
             let mut sink = S::default();
             let run = &private.runs()[w];
             let my_home = run.home();
@@ -137,11 +136,8 @@ impl BMpsmJoin {
                     }
                 }
             }
-            (sink.finish(), scope.finish())
+            sink.finish()
         });
-        let (partials, c3): (Vec<_>, Vec<_>) = phase3.into_iter().unzip();
-        stats.record_phase(Phase::Three, &d3);
-        cx.record(Phase::Three, c3);
 
         stats.wall = wall.elapsed();
         (S::combine_all(partials), stats)

@@ -143,8 +143,7 @@ impl DMpsmJoin {
         B: DiskBackend,
         S: JoinSink,
     {
-        let workers = cx.pool();
-        let t = workers.threads();
+        let t = cx.threads();
         let (r, s, _swapped) = self.config.join.assign_roles(r, s);
         let wall = Instant::now();
         let mut stats = JoinStats::new(t);
@@ -155,26 +154,16 @@ impl DMpsmJoin {
         // node-local per commandment C1; spooling to "disk" is I/O, not
         // NUMA memory traffic, and is reported via `DMpsmReport`). ----
         let s_ranges = chunk_ranges(s.len(), t);
-        let (phase1, d1) = workers.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let run = cx.sorted_run(w, &s[s_ranges[w].clone()], &mut scope);
-            (store.store_run(&run), scope.finish())
+        let s_metas = cx.run_phase(Phase::One, &mut stats, |w, scope| {
+            store.store_run(&cx.sorted_run(w, &s[s_ranges[w].clone()], scope))
         });
-        let (s_metas, c1): (Vec<_>, Vec<_>) = phase1.into_iter().unzip();
-        stats.record_phase(Phase::One, &d1);
-        cx.record(Phase::One, c1);
         let s_metas: Vec<RunMeta> = s_metas.into_iter().collect::<Result<_>>()?;
 
         // ---- Phase 2: sort and spool private runs. ----
         let r_ranges = chunk_ranges(r.len(), t);
-        let (phase2, d2) = workers.run_timed(|w| {
-            let mut scope = cx.scope(w);
-            let run = cx.sorted_run(w, &r[r_ranges[w].clone()], &mut scope);
-            (store.store_run(&run), scope.finish())
+        let r_metas = cx.run_phase(Phase::Two, &mut stats, |w, scope| {
+            store.store_run(&cx.sorted_run(w, &r[r_ranges[w].clone()], scope))
         });
-        let (r_metas, c2): (Vec<_>, Vec<_>) = phase2.into_iter().unzip();
-        stats.record_phase(Phase::Two, &d2);
-        cx.record(Phase::Two, c2);
         let r_metas: Vec<RunMeta> = r_metas.into_iter().collect::<Result<_>>()?;
 
         // ---- Join phase: the stepped merge over both sides' pages. ----
@@ -216,21 +205,9 @@ impl DMpsmJoin {
                 // when it starts and no prefetch lands after a release.
                 let _ = loaded.recv();
                 window.extend_from_slice(step.pages);
-                let (phase4, d4) = workers.run_timed(|w| {
-                    let mut scope = cx.scope(w);
-                    let result = step.merge::<B, S>(
-                        pool,
-                        &window,
-                        r_metas[w].id,
-                        &public,
-                        variant,
-                        &mut scope,
-                    );
-                    (result, scope.finish())
+                let results = cx.run_phase(Phase::Four, &mut stats, |w, scope| {
+                    step.merge::<B, S>(pool, &window, r_metas[w].id, &public, variant, scope)
                 });
-                let (results, c4): (Vec<_>, Vec<_>) = phase4.into_iter().unzip();
-                stats.record_phase(Phase::Four, &d4);
-                cx.record(Phase::Four, c4);
                 residency_trace.push((start.elapsed().as_secs_f64() * 1e3, pool.resident_pages()));
                 // Figure 4's green pages: no later interval reads them.
                 let (passed, carry): (Vec<_>, Vec<_>) =

@@ -140,14 +140,8 @@ pub fn chunked_run_set(
     stats: &mut JoinStats,
 ) -> RunSet {
     let ranges = chunk_ranges(tuples.len(), cx.threads());
-    let (sorted, durations) = cx.pool().run_timed(|w| {
-        let mut scope = cx.scope(w);
-        let run = cx.sorted_run(w, &tuples[ranges[w].clone()], &mut scope);
-        (run, scope.finish())
-    });
-    let (runs, counters): (Vec<_>, Vec<_>) = sorted.into_iter().unzip();
-    stats.record_phase(phase, &durations);
-    cx.record(phase, counters);
+    let runs =
+        cx.run_phase(phase, stats, |w, scope| cx.sorted_run(w, &tuples[ranges[w].clone()], scope));
     RunSet::built_in(cx, runs)
 }
 
@@ -174,18 +168,14 @@ pub fn cut_run_set(
             at => sorted.partition_point(|tuple| tuple.key <= sorted[at - 1].key),
         })
         .collect();
-    let (copied, durations) = cx.pool().run_timed(|w| {
+    let runs = cx.run_phase(phase, stats, |w, scope| {
         let slice = &sorted[cuts[w]..cuts[w + 1]];
-        let mut scope = cx.scope(w);
         let mut run = cx.alloc(w, slice.len());
         run.copy_from_slice(slice);
         scope.touch_interleaved(true, slice.len() as u64);
         scope.touch(run.home(), true, slice.len() as u64);
-        (run, scope.finish())
+        run
     });
-    let (runs, counters): (Vec<_>, Vec<_>) = copied.into_iter().unzip();
-    stats.record_phase(phase, &durations);
-    cx.record(phase, counters);
     RunSet::built_in(cx, runs)
 }
 
@@ -213,11 +203,10 @@ pub fn sort_in_place(cx: &ExecContext, tuples: &mut [Tuple], radix_bits: u32) {
 /// [`Phase::Two`] but nothing in the access audit.
 pub fn run_set_cdf(cx: &ExecContext, set: &RunSet, fan: usize, stats: &mut JoinStats) -> Cdf {
     let t = cx.threads();
-    let (locals, durations) = cx.pool().run_timed(|w| {
+    let locals = cx.run_phase(Phase::Two, stats, |w, _| {
         let runs = set.runs().iter().skip(w).step_by(t);
         runs.map(|run| (equi_height_bounds(run, fan), run.len())).collect::<Vec<_>>()
     });
-    stats.record_phase(Phase::Two, &durations);
     Cdf::from_local_bounds(&locals.concat())
 }
 
@@ -245,13 +234,11 @@ pub fn build_run_set(
 /// histogram, `Some` balances the §4.3 cost against the public side's
 /// distribution.
 ///
-/// Phase attribution: scan/histogram/scatter wall time is recorded
-/// under `partition_phase`, the sort under `sort_phase` (a cached public
-/// side records both under `Phase::One`, a private side under
-/// `Phase::Two`/`Phase::Three`, mirroring P-MPSM's numbering). The
-/// scatter books its access counters under
-/// `Phase::Two` regardless — the scatter is phase-2 work in the
-/// paper's audit taxonomy no matter which side triggers it.
+/// Phase attribution: the scan, histogram and scatter sections book
+/// each worker's time and access counters under `partition_phase`, the
+/// sort under `sort_phase` (a public side books both under
+/// `Phase::One`, a private side under `Phase::Two`/`Phase::Three`,
+/// mirroring P-MPSM's numbering).
 pub fn build_run_set_with(
     cx: &ExecContext,
     tuples: &[Tuple],
@@ -262,19 +249,14 @@ pub fn build_run_set_with(
     stats: &mut JoinStats,
 ) -> RunSet {
     let t = cx.threads();
-    let pool = cx.pool();
     let ranges = chunk_ranges(tuples.len(), t);
     let chunks: Vec<&[Tuple]> = ranges.iter().map(|rng| &tuples[rng.clone()]).collect();
 
     // Key domain: parallel min/max scan.
-    let (scan_out, d_scan) = pool.run_timed(|w| {
-        let mut scope = cx.scope(w);
+    let key_ranges = cx.run_phase(partition_phase, stats, |w, scope| {
         scope.touch_interleaved(true, chunks[w].len() as u64);
-        (key_range(chunks[w]), scope.finish())
+        key_range(chunks[w])
     });
-    let (key_ranges, c_scan): (Vec<_>, Vec<_>) = scan_out.into_iter().unzip();
-    stats.record_phase(partition_phase, &d_scan);
-    cx.record(partition_phase, c_scan);
     let (min, max) = key_ranges
         .into_iter()
         .flatten()
@@ -285,17 +267,22 @@ pub fn build_run_set_with(
         RadixDomain::from_range(0, 0, radix_bits)
     };
 
-    let (histograms, d_hist) = local_histograms(cx, &chunks, &domain, partition_phase);
-    stats.record_phase(partition_phase, &d_hist);
+    let histograms = local_histograms(cx, &chunks, &domain, partition_phase, stats);
     let histogram = combine_histograms(&histograms);
     let splitters = match public_cdf {
         Some(cdf) => compute_splitters(&histogram, &domain, cdf, t),
         None => equi_height_splitters(&histogram, t),
     };
 
-    let scatter_start = std::time::Instant::now();
-    let partitions = range_partition_histogrammed(cx, &chunks, &domain, &splitters, &histograms);
-    stats.record_phase(partition_phase, &vec![scatter_start.elapsed(); t]);
+    let partitions = range_partition_histogrammed(
+        cx,
+        &chunks,
+        &domain,
+        &splitters,
+        &histograms,
+        partition_phase,
+        stats,
+    );
 
     // The scatter wrote every partition's top radix level. When each
     // fine bucket holds a single key value (domain shift 0, or one key
@@ -306,8 +293,7 @@ pub fn build_run_set_with(
     // Local sort of each partition on its home node, one fine bucket
     // at a time.
     let slots = OwnedSlots::new(partitions);
-    let (sorted, d_sort) = pool.run_timed(|w| {
-        let mut scope = cx.scope(w);
+    let runs = cx.run_phase(sort_phase, stats, |w, scope| {
         let mut part = slots.take(w);
         let buckets = splitters.bucket_range(w);
         let bounds: Vec<usize> = std::iter::once(0)
@@ -316,13 +302,9 @@ pub fn build_run_set_with(
                 Some(*end)
             }))
             .collect();
-        cx.sort_partition(w, &mut part, &bounds, buckets.start, &domain, &mut scope);
-        (part, scope.finish())
+        cx.sort_partition(w, &mut part, &bounds, buckets.start, &domain, scope);
+        part
     });
-    let (runs, c_sort): (Vec<_>, Vec<_>) = sorted.into_iter().unzip();
-    stats.record_phase(sort_phase, &d_sort);
-    cx.record(sort_phase, c_sort);
-
     RunSet::built_in(cx, runs)
 }
 

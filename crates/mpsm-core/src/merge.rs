@@ -16,7 +16,7 @@
 //! ## One cut, then one linear loop
 //!
 //! Before its loop the kernel cuts both runs by binary search to the
-//! key span they share ([`KeySpan`]): `r` to `[s.first, s.last]`, and
+//! key span they share (`KeySpan`): `r` to `[s.first, s.last]`, and
 //! `s` from the cut `r`'s first key on. No tuple outside that span can
 //! match, so a private run that lies wholly below or above a public run
 //! costs a few binary searches instead of a walk. Inside the span the
@@ -25,7 +25,7 @@
 //! so the loop itself stays small. Equal singleton keys (the dominant
 //! case on FK joins) take a branch-reduced fast path that emits the
 //! pair without the general group scan. The cut never re-bases an
-//! index: the private indices a [`Matches`] consumer sees and the
+//! index: the private indices a `Matches` consumer sees and the
 //! [`MergeScan`] positions are those of the uncut runs.
 //!
 //! The seed's kernel is retained as [`merge_join_linear`] — the
@@ -51,7 +51,7 @@ fn advance(run: &[Tuple], mut idx: usize, key: u64) -> usize {
 }
 
 /// Extent of one merge-join call: the cursor positions at exit, i.e.
-/// how far the kernel got through each run. Tuples the [`KeySpan`] cut
+/// how far the kernel got through each run. Tuples the `KeySpan` cut
 /// skipped count as passed, so a private run cut short at its upper
 /// end reports `r.len()`. The join phases feed these into the
 /// [`crate::context::ExecContext`] access audit — the quantities are

@@ -44,37 +44,32 @@
 //! the staging copy cannot pay for itself. Commandment C1 leaves
 //! sequential remote writes to the hardware's write-combining too.
 
-use std::time::Duration;
-
 use mpsm_numa::NumaBuf;
 
 use crate::context::ExecContext;
 use crate::histogram::{compute_histogram, fold_histogram, RadixDomain};
 use crate::splitter::Splitters;
-use crate::stats::Phase;
+use crate::stats::{JoinStats, Phase};
 use crate::tuple::Tuple;
 use crate::worker::OwnedSlots;
 
 /// Every worker's `2^B`-bucket histogram of its chunk (one interleaved
-/// read of every chunk), with the per-worker times. Access counters
-/// book under `phase`.
+/// read of every chunk), as one section whose per-worker times and
+/// access counters book under `phase`.
 pub(crate) fn local_histograms(
     cx: &ExecContext,
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
     phase: Phase,
-) -> (Vec<Vec<usize>>, Vec<Duration>) {
+    stats: &mut JoinStats,
+) -> Vec<Vec<usize>> {
     if chunks.is_empty() {
-        return Default::default();
+        return Vec::new();
     }
-    let (outcomes, durations) = cx.pool().run_timed(|w| {
-        let mut scope = cx.scope(w);
+    cx.run_phase(phase, stats, |w, scope| {
         scope.touch_interleaved(true, chunks[w].len() as u64);
-        (compute_histogram(chunks[w], domain), scope.finish())
-    });
-    let (histograms, counters): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
-    cx.record(phase, counters);
-    (histograms, durations)
+        compute_histogram(chunks[w], domain)
+    })
 }
 
 /// Carve the target runs into per-worker, per-bucket disjoint windows:
@@ -128,9 +123,10 @@ fn scatter_per_tuple(chunk: &[Tuple], row: &mut [&mut [Tuple]], domain: &RadixDo
 /// [`crate::context::AllocPolicy::WorkerLocal`], partition `p` lives on
 /// the node of the worker that will sort and join it — the paper's
 /// layout). The histogram and scatter sections run as two phases on the
-/// context's pool, and the context's `Phase::Two` counters record, per
-/// worker, the interleaved chunk reads plus one sequential write per
-/// tuple against the *target* partition's home — sequential writes into
+/// context's pool, booking their time into a [`JoinStats`] of their own
+/// that is dropped on return, and the context's `Phase::Two` counters
+/// record, per worker, the interleaved chunk reads plus one sequential
+/// write per tuple against the *target* partition's home — sequential writes into
 /// disjoint windows are exactly the cross-node traffic commandment C1
 /// permits, and the per-(worker, partition) write volumes are the
 /// already-computed histogram counts, so the audit adds nothing to the
@@ -160,20 +156,25 @@ pub fn range_partition_ctx(
     domain: &RadixDomain,
     splitters: &Splitters,
 ) -> Vec<NumaBuf<Tuple>> {
-    let (histograms, _) = local_histograms(cx, chunks, domain, Phase::Two);
-    range_partition_histogrammed(cx, chunks, domain, splitters, &histograms)
+    let mut stats = JoinStats::new(cx.threads());
+    let histograms = local_histograms(cx, chunks, domain, Phase::Two, &mut stats);
+    range_partition_histogrammed(cx, chunks, domain, splitters, &histograms, Phase::Two, &mut stats)
 }
 
 /// [`range_partition_ctx`] over the per-worker bucket histograms the
 /// caller already computed ([`local_histograms`] of the same chunks
 /// and domain), so the chunks are read once by the scatter alone. The
 /// one skeleton: prefix sums over (bucket, worker) → windows → scatter.
+/// The scatter is one section whose per-worker times and access
+/// counters book under `phase` — the caller's partition phase.
 pub(crate) fn range_partition_histogrammed(
     cx: &ExecContext,
     chunks: &[&[Tuple]],
     domain: &RadixDomain,
     splitters: &Splitters,
     histograms: &[Vec<usize>],
+    phase: Phase,
+    stats: &mut JoinStats,
 ) -> Vec<NumaBuf<Tuple>> {
     let workers = chunks.len();
     assert_eq!(cx.threads(), workers.max(1), "one context worker per chunk");
@@ -203,17 +204,14 @@ pub(crate) fn range_partition_histogrammed(
     // commandments C1 + C3). Window rows are handed to their worker
     // through take-once slots so the pool's `Fn` closure can move them.
     let slots = OwnedSlots::new(windows);
-    let counters = cx.pool().run(|w| {
-        let mut scope = cx.scope(w);
+    cx.run_phase(phase, stats, |w, scope| {
         scope.touch_interleaved(true, chunks[w].len() as u64);
         for (p, &home) in homes.iter().enumerate() {
             scope.touch(home, true, volumes[w][p] as u64);
         }
         let mut row = slots.take(w);
         scatter_per_tuple(chunks[w], &mut row, domain);
-        scope.finish()
     });
-    cx.record(Phase::Two, counters);
 
     partitions
 }
@@ -353,7 +351,8 @@ mod tests {
         let c = tuples(&[1, 2, 3, 40]);
         let mut hist = compute_histogram(&c, &domain);
         hist[0] -= 1;
-        range_partition_histogrammed(&cx, &[&c], &domain, &sp, &[hist]);
+        let mut stats = JoinStats::new(1);
+        range_partition_histogrammed(&cx, &[&c], &domain, &sp, &[hist], Phase::Two, &mut stats);
     }
 
     #[test]

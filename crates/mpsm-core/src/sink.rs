@@ -196,44 +196,6 @@ impl JoinSink for SortedRunsSink {
     }
 }
 
-/// Order-independent checksum over matches; used by benchmarks to force
-/// the join to materialize every pair without allocating.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ChecksumSink {
-    sum: u64,
-    count: u64,
-}
-
-impl JoinSink for ChecksumSink {
-    type Result = (u64, u64);
-
-    #[inline]
-    fn on_private(&mut self, private: Tuple) {
-        self.sum = self.sum.wrapping_add(private.key.rotate_left(31) ^ private.payload);
-        self.count += 1;
-    }
-
-    #[inline]
-    fn on_match(&mut self, private: Tuple, public: Tuple) {
-        self.sum = self.sum.wrapping_add(
-            private
-                .key
-                .rotate_left(17)
-                .wrapping_add(private.payload)
-                .wrapping_mul(public.payload | 1),
-        );
-        self.count += 1;
-    }
-
-    fn finish(self) -> (u64, u64) {
-        (self.sum, self.count)
-    }
-
-    fn combine(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-        (a.0.wrapping_add(b.0), a.1 + b.1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,22 +235,6 @@ mod tests {
         assert_eq!(rows, vec![(7, 1, 2)]);
         let combined = CollectSink::combine(rows, vec![(8, 0, 0)]);
         assert_eq!(combined.len(), 2);
-    }
-
-    #[test]
-    fn checksum_is_order_independent_across_workers() {
-        let mut a = ChecksumSink::default();
-        a.on_match(t(1, 2), t(1, 3));
-        a.on_match(t(4, 5), t(4, 6));
-        let mut b1 = ChecksumSink::default();
-        b1.on_match(t(4, 5), t(4, 6));
-        let mut b2 = ChecksumSink::default();
-        b2.on_match(t(1, 2), t(1, 3));
-        assert_eq!(
-            a.finish(),
-            ChecksumSink::combine(b1.finish(), b2.finish()),
-            "worker split must not change the checksum"
-        );
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! | 2     | sort private `R`  | range-partition `R`  | sort + spool `R`      |
 //! | 3     | join              | sort private `R_i`   | (unused)              |
 //! | 4     | (unused)          | join                 | windowed join         |
+//!
+//! Parallel sections book here through
+//! [`ExecContext::run_phase`](crate::context::ExecContext::run_phase),
+//! which times each worker's own share of the section and books it
+//! together with the section's access counters under one phase. The
+//! only direct [`JoinStats::record_phase`] callers are work that runs
+//! outside the pool (a coordinator-thread copy, a sequential merge)
+//! and wall-clock spans a caller cannot split by worker.
 
 use std::time::Duration;
 
@@ -47,7 +55,8 @@ impl JoinStats {
         JoinStats { per_worker: vec![[Duration::ZERO; 4]; workers], wall: Duration::ZERO }
     }
 
-    /// Record phase durations measured for one parallel section.
+    /// Add one duration per worker to `phase` (what
+    /// [`crate::context::ExecContext::run_phase`] does for each section).
     pub fn record_phase(&mut self, phase: Phase, durations: &[Duration]) {
         assert_eq!(durations.len(), self.per_worker.len(), "one duration per worker");
         for (w, d) in durations.iter().enumerate() {

@@ -7,7 +7,10 @@
 //! before the join phase; we realize phase boundaries structurally).
 //!
 //! There is one execution primitive: [`SharedWorkerPool::run`] — "run
-//! `f(w)` on `T` workers, barrier". Each worker thread is spawned
+//! `f(w)` on `T` workers, barrier" — and it is the pool's only entry.
+//! Timing a section per worker and auditing its memory traffic is the
+//! caller's layer: [`crate::context::ExecContext::run_phase`] wraps
+//! `run` once per phase and books both. Each worker thread is spawned
 //! **once** and parked on a condvar between phases, so a join creates
 //! no thread however many phases it executes, and workers synchronize
 //! only at phase boundaries, never inside one (commandment C3). The
@@ -24,7 +27,6 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use mpsm_numa::{CoreId, NodeId, Topology};
 
@@ -75,19 +77,6 @@ impl WorkerPlacement {
         let per_node = (topology.total_contexts() / topology.nodes).max(1);
         let cores =
             (0..threads as u32).map(|w| CoreId(node.0 + (w % per_node) * topology.nodes)).collect();
-        WorkerPlacement { topology, cores }
-    }
-
-    /// Build from an explicit worker → core map.
-    ///
-    /// # Panics
-    /// Panics if `cores` is empty or names a context outside the
-    /// topology.
-    pub fn from_cores(topology: Topology, cores: Vec<CoreId>) -> Self {
-        assert!(!cores.is_empty(), "need at least one worker");
-        for &c in &cores {
-            assert!(c.0 < topology.total_contexts(), "core {c} outside topology");
-        }
         WorkerPlacement { topology, cores }
     }
 
@@ -355,21 +344,6 @@ impl SharedWorkerPool {
         results.into_values().unwrap_or_else(|| panic!("worker thread panicked"))
     }
 
-    /// Like [`SharedWorkerPool::run`], additionally timing each worker
-    /// (one turnstile admission for the whole phase).
-    pub fn run_timed<R, F>(&self, f: F) -> (Vec<R>, Vec<Duration>)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let pairs = self.run(|w| {
-            let start = Instant::now();
-            let r = f(w);
-            (r, start.elapsed())
-        });
-        pairs.into_iter().unzip()
-    }
-
     /// Phases fully served so far.
     pub fn phases_served(&self) -> u64 {
         self.core.turnstile.turn.lock().expect("turnstile poisoned").1
@@ -549,15 +523,6 @@ mod tests {
         let here = std::thread::current().id();
         let ids = pool.run(|_| std::thread::current().id());
         assert_eq!(ids, vec![here]);
-    }
-
-    #[test]
-    fn pool_timed_reports_durations() {
-        let pool = SharedWorkerPool::new(4);
-        let (out, times) = pool.run_timed(|w| w);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(times.len(), 4);
-        assert_eq!(pool.phases_served(), 1, "one admission for the whole timed phase");
     }
 
     #[test]
@@ -784,14 +749,5 @@ mod tests {
     #[should_panic(expected = "outside topology")]
     fn on_node_rejects_unknown_node() {
         let _ = WorkerPlacement::on_node(Topology::flat(4), NodeId(1), 2);
-    }
-
-    #[test]
-    fn explicit_core_map_is_respected() {
-        let topo = Topology::paper_machine();
-        let p = WorkerPlacement::from_cores(topo, vec![CoreId(5), CoreId(1)]);
-        assert_eq!(p.node_of(0), NodeId(1), "context 5 sits on socket 1");
-        assert_eq!(p.node_of(1), NodeId(1));
-        assert_eq!(p.single_node(), Some(NodeId(1)));
     }
 }

@@ -135,19 +135,6 @@ impl CostModel {
     pub fn total_ms(&self, counters: &AccessCounters) -> f64 {
         self.total_ns(counters) / 1e6
     }
-
-    /// Blended per-access cost for memory spread uniformly over all nodes
-    /// (`remote_fraction` of touches land remote), used when pricing
-    /// globally interleaved allocations.
-    pub fn blended_ns(&self, sequential: bool, remote_fraction: f64) -> f64 {
-        let (local, remote) = if sequential {
-            (AccessKind::LocalSeq, AccessKind::RemoteSeq)
-        } else {
-            (AccessKind::LocalRand, AccessKind::RemoteRand)
-        };
-        self.ns_per_access[local.index()] * (1.0 - remote_fraction)
-            + self.ns_per_access[remote.index()] * remote_fraction
-    }
 }
 
 impl Default for CostModel {
@@ -195,17 +182,6 @@ mod tests {
             / m.ns_per_access[AccessKind::LocalRand.index()];
         assert!(seq_penalty < 1.5);
         assert!(rand_penalty > 3.0);
-    }
-
-    #[test]
-    fn blended_cost_interpolates() {
-        let m = CostModel::paper_calibrated();
-        let all_local = m.blended_ns(false, 0.0);
-        let all_remote = m.blended_ns(false, 1.0);
-        let mixed = m.blended_ns(false, 0.5);
-        assert_eq!(all_local, m.ns_per_access[AccessKind::LocalRand.index()]);
-        assert_eq!(all_remote, m.ns_per_access[AccessKind::RemoteRand.index()]);
-        assert!((mixed - (all_local + all_remote) / 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -107,14 +107,6 @@ impl ExperimentResult {
     pub fn modeled_ratio(&self) -> f64 {
         self.agnostic.modeled_ms / self.affine.modeled_ms
     }
-
-    /// Measured slowdown, if both variants were measured.
-    pub fn measured_ratio(&self) -> Option<f64> {
-        match (self.agnostic.measured_ms, self.affine.measured_ms) {
-            (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-            _ => None,
-        }
-    }
 }
 
 fn gen_chunk(n: usize, seed: u64) -> Vec<Rec> {
@@ -453,8 +445,7 @@ mod tests {
         // Both variants run for real; at this tiny test scale the
         // measured numbers are noise (contention needs volume), so only
         // their presence is asserted here — `fig01_numa` runs at scale.
-        let measured = r.measured_ratio().expect("both variants measured");
-        assert!(measured.is_finite() && measured > 0.0);
+        assert!(r.affine.measured_ms.is_some() && r.agnostic.measured_ms.is_some());
         // Modeled ratio reproduces the paper's 22 756 / 7 440 ≈ 3.06
         // by construction of the anchored base + derived sync price.
         assert!((2.9..3.2).contains(&r.modeled_ratio()), "ratio {}", r.modeled_ratio());

@@ -88,11 +88,6 @@ impl Topology {
         self.node_of(core) == home
     }
 
-    /// Iterator over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes).map(NodeId)
-    }
-
     /// Fraction of uniformly spread memory that is remote to any single
     /// worker; `3/4` on the paper machine. Used by the cost model when
     /// pricing accesses to globally interleaved allocations.
@@ -151,12 +146,5 @@ mod tests {
         let t = Topology::host();
         assert_eq!(t.nodes, 1);
         assert!(t.total_cores() >= 1);
-    }
-
-    #[test]
-    fn node_ids_enumerates_all() {
-        let t = Topology::paper_machine();
-        let ids: Vec<_> = t.node_ids().collect();
-        assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 }

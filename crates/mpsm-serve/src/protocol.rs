@@ -549,45 +549,55 @@ mod tests {
         }
     }
 
+    /// One frame of every variant (two of `QueryResult`: with and
+    /// without a maximum and rows).
+    fn every_frame() -> Vec<Frame> {
+        vec![
+            Frame::Ping,
+            Frame::Register { name: "R".to_string(), tuples: vec![(1, 2), (3, 4)] },
+            Frame::Query(sample_query()),
+            Frame::Explain(sample_query()),
+            Frame::Write { name: "S".to_string(), tuples: vec![] },
+            Frame::Metrics,
+            Frame::Pong,
+            Frame::Registered { rows: 100, version: 3 },
+            Frame::QueryResult(QueryResultBody {
+                max_payload_sum: Some(42),
+                r_selected: 7,
+                s_selected: 9,
+                complete: false,
+                coverage: 0.625,
+                rows: vec![(1, 2, 3), (4, 5, 6)],
+                range_coverage: vec![(0, 99, 1.0), (100, 199, 0.25)],
+            }),
+            Frame::QueryResult(QueryResultBody {
+                max_payload_sum: None,
+                r_selected: 0,
+                s_selected: 0,
+                complete: true,
+                coverage: 1.0,
+                rows: vec![],
+                range_coverage: vec![],
+            }),
+            Frame::Explained { text: "Queue [wait = 0.1 ms]\n".to_string() },
+            Frame::Written { delta_len: 12 },
+            Frame::MetricsReport(MetricsBody {
+                submitted: 1,
+                completed: 2,
+                rejected: 3,
+                deadline_missed: 4,
+                partial_answers: 5,
+                degraded: 6,
+            }),
+            Frame::Error { code: code::MALFORMED, message: "nope".to_string() },
+        ]
+    }
+
     #[test]
     fn every_frame_type_roundtrips() {
-        roundtrip(Frame::Ping);
-        roundtrip(Frame::Register { name: "R".to_string(), tuples: vec![(1, 2), (3, 4)] });
-        roundtrip(Frame::Query(sample_query()));
-        roundtrip(Frame::Explain(sample_query()));
-        roundtrip(Frame::Write { name: "S".to_string(), tuples: vec![] });
-        roundtrip(Frame::Metrics);
-        roundtrip(Frame::Pong);
-        roundtrip(Frame::Registered { rows: 100, version: 3 });
-        roundtrip(Frame::QueryResult(QueryResultBody {
-            max_payload_sum: Some(42),
-            r_selected: 7,
-            s_selected: 9,
-            complete: false,
-            coverage: 0.625,
-            rows: vec![(1, 2, 3), (4, 5, 6)],
-            range_coverage: vec![(0, 99, 1.0), (100, 199, 0.25)],
-        }));
-        roundtrip(Frame::QueryResult(QueryResultBody {
-            max_payload_sum: None,
-            r_selected: 0,
-            s_selected: 0,
-            complete: true,
-            coverage: 1.0,
-            rows: vec![],
-            range_coverage: vec![],
-        }));
-        roundtrip(Frame::Explained { text: "Queue [wait = 0.1 ms]\n".to_string() });
-        roundtrip(Frame::Written { delta_len: 12 });
-        roundtrip(Frame::MetricsReport(MetricsBody {
-            submitted: 1,
-            completed: 2,
-            rejected: 3,
-            deadline_missed: 4,
-            partial_answers: 5,
-            degraded: 6,
-        }));
-        roundtrip(Frame::Error { code: code::MALFORMED, message: "nope".to_string() });
+        for frame in every_frame() {
+            roundtrip(frame);
+        }
     }
 
     #[test]
@@ -648,5 +658,121 @@ mod tests {
         assert!(!Frame::Query(sample_query()).is_server_frame());
         assert!(Frame::Pong.is_server_frame());
         assert!(Frame::Error { code: 1, message: String::new() }.is_server_frame());
+    }
+
+    /// The decoder's oracle: a body decodes to a frame whose encoding
+    /// decodes back to the same bytes, or fails with a [`DecodeError`].
+    /// A panic fails the caller with the input that caused it.
+    fn decode_or_typed_error(body: &[u8]) {
+        let outcome = std::panic::catch_unwind(|| match Frame::decode(body) {
+            Ok(frame) => {
+                let canonical = frame.encode();
+                let again = Frame::decode(&canonical).expect("a decoded frame re-encodes validly");
+                assert_eq!(again.encode(), canonical, "re-encoding is stable");
+            }
+            Err(_typed) => {}
+        });
+        assert!(outcome.is_ok(), "decoding panicked on body {body:02x?}");
+    }
+
+    /// The framing layer's oracle over a byte stream: read frames until
+    /// a clean close or a transport error, decoding each body; only the
+    /// two documented error kinds may come back, and nothing panics.
+    fn read_stream_or_typed_error(stream: &[u8]) {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut cursor = io::Cursor::new(stream);
+            loop {
+                match read_raw(&mut cursor) {
+                    Ok(Some(body)) => decode_or_typed_error(&body),
+                    Ok(None) => break,
+                    Err(e) => {
+                        let kind = e.kind();
+                        assert!(
+                            matches!(
+                                kind,
+                                io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
+                            ),
+                            "unexpected transport error {kind:?}"
+                        );
+                        break;
+                    }
+                }
+            }
+        });
+        assert!(outcome.is_ok(), "reading panicked on stream {stream:02x?}");
+    }
+
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut stream = (body.len() as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(body);
+        stream
+    }
+
+    #[test]
+    fn mutated_frames_decode_or_fail_typed_never_panic() {
+        let seeds: Vec<Vec<u8>> = every_frame().iter().map(Frame::encode).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound.max(1) as u64) as usize
+        };
+        let mut cases = 0usize;
+        let mut check = |body: &[u8]| {
+            decode_or_typed_error(body);
+            read_stream_or_typed_error(&framed(body));
+            cases += 1;
+        };
+
+        for seed in &seeds {
+            // Every truncation.
+            for len in 0..seed.len() {
+                check(&seed[..len]);
+            }
+            // Length-field lies: a count overwritten at every offset
+            // past the tag, so each `u32` count in the body is hit.
+            for at in 1..seed.len().saturating_sub(3) {
+                for lie in [0, 1, 0x7F, seed.len() as u32, MAX_FRAME, u32::MAX] {
+                    let mut body = seed.clone();
+                    body[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                    check(&body);
+                }
+            }
+        }
+        for _ in 0..1500 {
+            // One to four bit flips in a random seed.
+            let mut body = seeds[next(seeds.len())].clone();
+            for _ in 0..=next(4) {
+                let bit = next(body.len() * 8);
+                body[bit / 8] ^= 1 << (bit % 8);
+            }
+            check(&body);
+            // A splice: a prefix of one seed, then a suffix of another.
+            let (a, b) = (&seeds[next(seeds.len())], &seeds[next(seeds.len())]);
+            let mut spliced = a[..next(a.len() + 1)].to_vec();
+            spliced.extend_from_slice(&b[next(b.len() + 1)..]);
+            check(&spliced);
+        }
+        assert!(cases > 3000, "{cases} mutated bodies checked");
+
+        // Whole streams: two valid frames back to back, with the length
+        // prefixes themselves lied about or bits flipped anywhere.
+        for _ in 0..500 {
+            let mut stream = framed(&seeds[next(seeds.len())]);
+            stream.extend_from_slice(&framed(&seeds[next(seeds.len())]));
+            match next(3) {
+                0 => {
+                    let lie = [0, 1, stream.len() as u32, MAX_FRAME + 1, u32::MAX][next(5)];
+                    stream[..4].copy_from_slice(&lie.to_le_bytes());
+                }
+                1 => {
+                    let bit = next(stream.len() * 8);
+                    stream[bit / 8] ^= 1 << (bit % 8);
+                }
+                _ => stream.truncate(next(stream.len())),
+            }
+            read_stream_or_typed_error(&stream);
+        }
     }
 }

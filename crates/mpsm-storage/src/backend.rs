@@ -53,11 +53,6 @@ pub struct SimDiskProfile {
 }
 
 impl SimDiskProfile {
-    /// A single commodity HDD: 5 ms seek-equivalent, 150 MB/s.
-    pub fn single_hdd() -> Self {
-        SimDiskProfile { latency_ns: 5_000_000, bandwidth_bytes_per_sec: 150_000_000 }
-    }
-
     /// A striped array as the paper requires for multi-core D-MPSM
     /// ("a very large number of disks"): 0.1 ms, 4 GB/s.
     pub fn disk_array() -> Self {
@@ -329,14 +324,6 @@ mod tests {
         assert_eq!(b.simulated_io_ns(), 1100);
         b.read_page(RunId(0), 0).unwrap();
         assert_eq!(b.simulated_io_ns(), 2200);
-    }
-
-    #[test]
-    fn single_hdd_is_slower_than_array() {
-        assert!(
-            SimDiskProfile::single_hdd().io_ns(1 << 20)
-                > SimDiskProfile::disk_array().io_ns(1 << 20)
-        );
     }
 
     #[test]
