@@ -15,7 +15,9 @@
 //! keeps the classic join behind MPSM — the paper's argument holds
 //! against the strong strawman too.
 
-use mpsm_core::worker::{OwnedSlots, SharedWorkerPool};
+use mpsm_core::context::ExecContext;
+use mpsm_core::stats::{JoinStats, Phase};
+use mpsm_core::worker::OwnedSlots;
 use mpsm_core::Tuple;
 
 /// Per-run split positions for one output rank boundary: positions
@@ -88,10 +90,15 @@ fn merge_segment(runs: &[Vec<Tuple>], from: &[usize], to: &[usize], out: &mut [T
     debug_assert_eq!(w, out.len());
 }
 
-/// Merge sorted runs into one globally sorted vector on `pool`, one
-/// disjoint rank range per pool worker.
-pub fn parallel_kway_merge(pool: &SharedWorkerPool, runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
-    let threads = pool.threads();
+/// Merge sorted runs into one globally sorted vector in one
+/// [`ExecContext::run_phase`] booked under [`Phase::Two`] (the classic
+/// join's merge phase), one disjoint rank range per pool worker.
+pub fn parallel_kway_merge(
+    cx: &ExecContext,
+    stats: &mut JoinStats,
+    runs: Vec<Vec<Tuple>>,
+) -> Vec<Tuple> {
+    let threads = cx.threads();
     let total: usize = runs.iter().map(|r| r.len()).sum();
     if total == 0 {
         return Vec::new();
@@ -114,7 +121,9 @@ pub fn parallel_kway_merge(pool: &SharedWorkerPool, runs: Vec<Vec<Tuple>>) -> Ve
             rest = tail;
         }
         let slots = OwnedSlots::new(windows);
-        pool.run(|t| merge_segment(&runs, &bounds[t], &bounds[t + 1], slots.take(t)));
+        cx.run_phase(Phase::Two, stats, |t, _| {
+            merge_segment(&runs, &bounds[t], &bounds[t + 1], slots.take(t))
+        });
     }
     out
 }
@@ -134,6 +143,10 @@ pub fn sequential_kway_merge(runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
 mod tests {
     use super::*;
     use mpsm_core::tuple::is_key_sorted;
+
+    fn merge_on(cx: &ExecContext, runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+        parallel_kway_merge(cx, &mut JoinStats::new(cx.threads()), runs)
+    }
 
     fn sorted_run(keys: &[u64]) -> Vec<Tuple> {
         let mut v: Vec<Tuple> =
@@ -164,7 +177,7 @@ mod tests {
         let runs = random_runs(7, 1000, 3);
         let seq = sequential_kway_merge(runs.clone());
         for threads in [1usize, 2, 3, 8] {
-            let par = parallel_kway_merge(&SharedWorkerPool::new(threads), runs.clone());
+            let par = merge_on(&ExecContext::flat(threads), runs.clone());
             assert!(is_key_sorted(&par));
             assert_eq!(
                 par.iter().map(|t| t.key).collect::<Vec<_>>(),
@@ -179,7 +192,7 @@ mod tests {
         let runs = random_runs(4, 500, 7);
         let mut expected: Vec<(u64, u64)> =
             runs.iter().flatten().map(|t| (t.key, t.payload)).collect();
-        let merged = parallel_kway_merge(&SharedWorkerPool::new(4), runs);
+        let merged = merge_on(&ExecContext::flat(4), runs);
         let mut got: Vec<(u64, u64)> = merged.iter().map(|t| (t.key, t.payload)).collect();
         expected.sort_unstable();
         got.sort_unstable();
@@ -192,7 +205,7 @@ mod tests {
         // group and must still partition exactly.
         let runs: Vec<Vec<Tuple>> =
             (0..4).map(|r| (0..256).map(|i| Tuple::new(9, r * 256 + i)).collect()).collect();
-        let merged = parallel_kway_merge(&SharedWorkerPool::new(8), runs);
+        let merged = merge_on(&ExecContext::flat(8), runs);
         assert_eq!(merged.len(), 1024);
         assert!(merged.iter().all(|t| t.key == 9));
     }
@@ -205,7 +218,7 @@ mod tests {
             sorted_run(&[1]),
             sorted_run(&[2, 3, 4, 7, 8, 9, 10]),
         ];
-        let merged = parallel_kway_merge(&SharedWorkerPool::new(3), runs);
+        let merged = merge_on(&ExecContext::flat(3), runs);
         let keys: Vec<u64> = merged.iter().map(|t| t.key).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
     }
@@ -231,7 +244,7 @@ mod tests {
     #[test]
     fn more_threads_than_elements() {
         let runs = vec![sorted_run(&[1, 2])];
-        let merged = parallel_kway_merge(&SharedWorkerPool::new(16), runs);
+        let merged = merge_on(&ExecContext::flat(16), runs);
         assert_eq!(merged.len(), 2);
         assert!(is_key_sorted(&merged));
     }
@@ -240,10 +253,14 @@ mod tests {
     fn pooled_merge_matches_standalone() {
         let runs = random_runs(5, 800, 13);
         let seq = sequential_kway_merge(runs.clone());
-        let pool = SharedWorkerPool::new(4);
-        // Two merges on the same pool — the classic SMJ's usage pattern.
+        let cx = ExecContext::flat(4);
+        let mut stats = JoinStats::new(4);
+        // Two merges on the same context — the classic SMJ's usage
+        // pattern — each one pool admission.
         for _ in 0..2 {
-            let merged = parallel_kway_merge(&pool, runs.clone());
+            let served = cx.pool().phases_served();
+            let merged = parallel_kway_merge(&cx, &mut stats, runs.clone());
+            assert_eq!(cx.pool().phases_served(), served + 1);
             assert_eq!(
                 merged.iter().map(|t| (t.key, t.payload)).collect::<Vec<_>>(),
                 seq.iter().map(|t| (t.key, t.payload)).collect::<Vec<_>>()

@@ -21,11 +21,12 @@
 //! Phase mapping in [`JoinStats`]: phase 1 = sort runs, phase 2 = global
 //! merges, phase 3 = merge join.
 
+use std::time::{Duration, Instant};
+
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::merge::merge_join;
 use mpsm_core::sink::JoinSink;
-use mpsm_core::sort::three_phase_sort;
 use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::worker::chunk_ranges;
 use mpsm_core::Tuple;
@@ -73,57 +74,48 @@ impl JoinAlgorithm for ClassicSortMergeJoin {
         s: &[Tuple],
     ) -> (S::Result, JoinStats) {
         let t = cx.threads();
-        let pool = cx.pool();
         let (r, s, _swapped) = self.config.assign_roles(r, s);
-        let wall = std::time::Instant::now();
+        let wall = Instant::now();
         let mut stats = JoinStats::new(t);
 
-        // Phase 1: parallel run generation for both inputs.
-        let r_ranges = chunk_ranges(r.len(), t);
-        let r_runs = cx.run_phase(Phase::One, &mut stats, |w, _| {
-            let mut run = r[r_ranges[w].clone()].to_vec();
-            three_phase_sort(&mut run);
-            run
-        });
-        let s_ranges = chunk_ranges(s.len(), t);
-        let s_runs = cx.run_phase(Phase::One, &mut stats, |w, _| {
-            let mut run = s[s_ranges[w].clone()].to_vec();
-            three_phase_sort(&mut run);
-            run
-        });
+        // Phase 1: parallel run generation for both inputs, through the
+        // run-generation prologue MPSM uses (and books) too.
+        let sorted_chunks = |input: &[Tuple], stats: &mut JoinStats| {
+            let ranges = chunk_ranges(input.len(), t);
+            cx.run_phase(Phase::One, stats, |w, scope| {
+                cx.sorted_run(w, &input[ranges[w].clone()], scope).into_inner()
+            })
+        };
+        let r_runs = sorted_chunks(r, &mut stats);
+        let s_runs = sorted_chunks(s, &mut stats);
 
         // Phase 2: the global merges — the bottleneck. Sequential by
         // default (the traditional algorithm); rank-partitioned parallel
         // when steel-manning.
-        let merge_start = std::time::Instant::now();
         let (r_sorted, s_sorted) = if self.parallel_merge && t > 1 {
             (
-                crate::parallel_merge::parallel_kway_merge(pool, r_runs),
-                crate::parallel_merge::parallel_kway_merge(pool, s_runs),
+                crate::parallel_merge::parallel_kway_merge(cx, &mut stats, r_runs),
+                crate::parallel_merge::parallel_kway_merge(cx, &mut stats, s_runs),
             )
         } else {
-            (
+            let merge_start = Instant::now();
+            let sorted = (
                 crate::parallel_merge::sequential_kway_merge(r_runs),
                 crate::parallel_merge::sequential_kway_merge(s_runs),
-            )
+            );
+            // Only worker 0 is busy; attributing it there makes the
+            // imbalance visible in the stats.
+            let mut merge_durations = vec![Duration::ZERO; t];
+            merge_durations[0] = merge_start.elapsed();
+            stats.record_phase(Phase::Two, &merge_durations);
+            sorted
         };
-        let merge_time = merge_start.elapsed();
-        let mut merge_durations = vec![std::time::Duration::ZERO; t];
-        if self.parallel_merge {
-            // All workers busy for the merge wall time.
-            merge_durations = vec![merge_time; t];
-        } else {
-            // Sequential: only worker 0 is busy; attributing it there
-            // makes the imbalance visible in the stats.
-            merge_durations[0] = merge_time;
-        }
-        stats.record_phase(Phase::Two, &merge_durations);
 
         // Phase 3: one sequential merge join over the sorted arrays.
-        let join_start = std::time::Instant::now();
+        let join_start = Instant::now();
         let mut sink = S::default();
         merge_join(&r_sorted, &s_sorted, &mut sink);
-        let mut join_durations = vec![std::time::Duration::ZERO; t];
+        let mut join_durations = vec![Duration::ZERO; t];
         join_durations[0] = join_start.elapsed();
         stats.record_phase(Phase::Three, &join_durations);
 

@@ -360,6 +360,8 @@ pub fn merge_run_sets_anytime<S: JoinSink>(
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::AtomicUsize;
     use std::thread::ThreadId;
     use std::time::Duration;
 
@@ -822,6 +824,123 @@ mod tests {
         );
         assert!(!out.complete, "one step of many");
         assert_eq!(out.result.len(), 2, "both workers merged part of the step");
+    }
+
+    /// An interruptible merge costs one pool admission per step it runs,
+    /// so a competitor is admitted between two steps; a token expired
+    /// before step 0 costs none.
+    #[test]
+    fn an_interruptible_merge_dispatches_once_per_step_it_runs() {
+        let cx = ExecContext::flat(3);
+        let (r_runs, s_runs) = sets(&random(30_000, 9_000, 79), &random(30_000, 9_000, 83), &cx);
+        let (r_side, s_side) = (DeltaSide::base_only(&r_runs), DeltaSide::base_only(&s_runs));
+        let dispatches = |token: AnytimeToken, rows_cap: Option<usize>| {
+            let served = cx.pool().phases_served();
+            let mut stats = JoinStats::new(3);
+            let out = merge_sides::<CollectSink>(&cx, r_side, s_side, &token, rows_cap, &mut stats);
+            (cx.pool().phases_served() - served, out)
+        };
+        assert_eq!(dispatches(AnytimeToken::budget(0), None).0, 0);
+        let mut budget_tuples = vec![0];
+        for budget in 1..=6 {
+            let (n, out) = dispatches(AnytimeToken::budget(budget), None);
+            assert_eq!(n, budget, "budget {budget}");
+            assert!(!out.complete, "budget {budget} stops early");
+            budget_tuples.push(out.merged_tuples);
+        }
+        let (n, out) = dispatches(AnytimeToken::never(), Some(100));
+        assert!(out.capped && !out.complete);
+        assert_eq!(out.merged_tuples, budget_tuples[n as usize], "{n} steps ran");
+        let (all_steps, full) = dispatches(AnytimeToken::budget(u64::MAX), None);
+        assert!(full.complete);
+        let live = AnytimeToken::at(Instant::now() + Duration::from_secs(3600));
+        let (n, out) = dispatches(live, None);
+        assert_eq!(n, all_steps);
+        assert!(out.complete, "a deadline an hour away lets every step run");
+    }
+
+    #[test]
+    fn repeated_interrupted_merges_are_identical() {
+        let cx = ExecContext::flat(3);
+        let (r_runs, s_runs) = sets(&random(30_000, 9_000, 89), &random(30_000, 9_000, 97), &cx);
+        let (r_side, s_side) = (DeltaSide::base_only(&r_runs), DeltaSide::base_only(&s_runs));
+        for (budget, rows_cap) in [(3, None), (u64::MAX, Some(500))] {
+            let run = || {
+                let mut stats = JoinStats::new(3);
+                let token = AnytimeToken::budget(budget);
+                merge_sides::<CollectSink>(&cx, r_side, s_side, &token, rows_cap, &mut stats)
+            };
+            let first = run();
+            assert!(first.merged_tuples < first.total_tuples, "{budget}/{rows_cap:?} stops early");
+            for _ in 0..20 {
+                let again = run();
+                assert_eq!(again.result, first.result, "rows, in order");
+                assert_eq!(again.merged_tuples, first.merged_tuples);
+                assert_eq!(again.ranges, first.ranges);
+                assert_eq!(again.capped, first.capped);
+            }
+        }
+    }
+
+    /// Matches seen by every [`PanickingSink`] so far, and the match on
+    /// which one panics.
+    static MATCHES_SEEN: AtomicUsize = AtomicUsize::new(0);
+    static PANIC_AT_MATCH: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+    #[derive(Default)]
+    struct PanickingSink;
+
+    impl JoinSink for PanickingSink {
+        type Result = ();
+
+        fn on_match(&mut self, _private: Tuple, _public: Tuple) {
+            if MATCHES_SEEN.fetch_add(1, Ordering::Relaxed) + 1
+                == PANIC_AT_MATCH.load(Ordering::Relaxed)
+            {
+                panic!("sink failed");
+            }
+        }
+
+        fn finish(self) {}
+
+        fn combine((): (), (): ()) {}
+    }
+
+    #[test]
+    fn a_panic_in_a_later_step_reaches_the_caller_and_frees_the_pool() {
+        let cx = Arc::new(ExecContext::flat(3));
+        let (r, s) = (random(30_000, 9_000, 101), random(30_000, 9_000, 103));
+        let (r_runs, s_runs) = sets(&r, &s, &cx);
+        // Panic on the first match past the first two steps.
+        let mut stats = JoinStats::new(3);
+        let two_steps = merge_run_sets_anytime::<CountSink>(
+            &cx,
+            &r_runs,
+            &s_runs,
+            &AnytimeToken::budget(2),
+            &mut stats,
+        );
+        assert!(!two_steps.complete);
+        PANIC_AT_MATCH.store(two_steps.result as usize + 1, Ordering::Relaxed);
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let merge_cx = Arc::clone(&cx);
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut stats = JoinStats::new(3);
+                let token = AnytimeToken::budget(100);
+                merge_run_sets_anytime::<PanickingSink>(
+                    &merge_cx, &r_runs, &s_runs, &token, &mut stats,
+                )
+            }));
+            let _ = done_tx.send(outcome.map(drop));
+        });
+        let payload = done
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the merge must not hang")
+            .expect_err("the sink's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker thread panicked"));
+        assert!(MATCHES_SEEN.load(Ordering::Relaxed) > two_steps.result as usize);
+        assert_eq!(cx.pool().run(|w| w), vec![0, 1, 2]);
     }
 
     #[test]

@@ -16,8 +16,9 @@ use mpsm::core::sink::{CollectSink, CountSink, JoinSink, SortedRunsSink};
 use mpsm::core::sort::network::network_sort_exact;
 use mpsm::core::sort::NETWORK_BLOCK;
 use mpsm::core::splitter::equi_height_splitters;
+use mpsm::core::stats::JoinStats;
 use mpsm::core::tuple::is_key_sorted;
-use mpsm::core::worker::{chunk_ranges, SharedWorkerPool};
+use mpsm::core::worker::chunk_ranges;
 use mpsm::core::Tuple;
 use mpsm::exec::{sorted_group_by, CountAgg};
 use mpsm::storage::{MemBackend, Record, RunStore};
@@ -99,7 +100,8 @@ proptest! {
             })
             .collect();
         let seq = sequential_kway_merge(runs.clone());
-        let par = parallel_kway_merge(&SharedWorkerPool::new(threads), runs);
+        let cx = ExecContext::flat(threads);
+        let par = parallel_kway_merge(&cx, &mut JoinStats::new(threads), runs);
         prop_assert!(is_key_sorted(&par));
         prop_assert_eq!(
             par.iter().map(|t| t.key).collect::<Vec<_>>(),
