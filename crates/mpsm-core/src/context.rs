@@ -420,21 +420,6 @@ impl ExecContext {
         run
     }
 
-    /// Copy `chunk`, already sorted, into a run homed per policy for
-    /// worker `w`, booking the interleaved chunk read and the home-side
-    /// write as [`ExecContext::sorted_run`] does.
-    pub fn copied_run(
-        &self,
-        worker: usize,
-        chunk: &[Tuple],
-        scope: &mut CounterScope,
-    ) -> NumaBuf<Tuple> {
-        scope.touch_interleaved(true, chunk.len() as u64);
-        let run = self.adopt(worker, chunk.to_vec());
-        scope.touch(run.home(), true, chunk.len() as u64);
-        run
-    }
-
     /// Sort a range-partitioned run in place through worker `w`'s
     /// reusable scratch. The bucket-major scatter
     /// ([`crate::partition::range_partition_ctx`]) left fine bucket
@@ -792,7 +777,7 @@ mod tests {
             let held = cx.scratch_held(w);
             assert!(held > 0, "worker {w} sorted through its scratch");
             assert!(held <= widest, "worker {w} holds {held} tuples, widest bucket {widest}");
-            assert!(held * 100 < set.runs()[w].len(), "the scratch is no partition-sized buffer");
+            assert!(held * 100 < set.run(w).len(), "the scratch is no partition-sized buffer");
         }
     }
 

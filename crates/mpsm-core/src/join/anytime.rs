@@ -611,7 +611,7 @@ mod tests {
         let from_hist: f64 = part
             .ranges
             .iter()
-            .zip(r_runs.runs().iter().filter(|run| !run.is_empty()))
+            .zip(r_runs.runs().filter(|run| !run.is_empty()))
             .map(|(kr, run)| kr.fraction * run.len() as f64)
             .sum::<f64>()
             / r.len() as f64;

@@ -119,17 +119,17 @@ impl BMpsmJoin {
         // (commandment C2 — pinned by the accounting proptests).
         let partials = cx.run_phase(Phase::Three, &mut stats, |w, scope| {
             let mut sink = S::default();
-            let run = &private.runs()[w];
+            let run = &private.buffers()[w];
             let my_home = run.home();
             match kernel {
                 Kernel::Variant(variant) => {
-                    join_variant(variant, run, public.runs(), &mut sink, |s_run, scan| {
+                    join_variant(variant, run, public.buffers(), &mut sink, |s_run, scan| {
                         scope.touch(my_home, true, scan.r_scanned as u64);
                         scope.touch(s_run.home(), true, scan.s_scanned as u64);
                     });
                 }
                 Kernel::Band(delta) => {
-                    for s_run in public.runs() {
+                    for s_run in public.buffers() {
                         band_merge_join(run, s_run, delta, &mut sink);
                         scope.touch(my_home, true, run.len() as u64);
                         scope.touch(s_run.home(), true, s_run.len() as u64);

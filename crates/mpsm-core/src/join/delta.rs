@@ -3,8 +3,8 @@
 //!
 //! The paper's §7 treats sorted runs as a durable by-product; this
 //! module makes relations *mutable* without giving that up. A relation
-//! becomes an immutable sorted **base** (the runs the executor's cache
-//! keeps) plus a small unsorted **delta** of [`DeltaOp`]s. Readers fold
+//! becomes an immutable sorted **base** (the version the executor's
+//! catalog stores) plus a small unsorted **delta** of [`DeltaOp`]s. Readers fold
 //! the delta prefix they captured into a [`DeltaOverlay`] — a set of
 //! added tuples and a set of *masked* keys (deleted or overwritten in
 //! the base) — and the merge phase joins base runs and the sorted delta
@@ -259,8 +259,8 @@ fn masked_tuples(run: &[Tuple], mask: &[u64]) -> usize {
     dead
 }
 
-/// One join input of a run-set merge: the immutable base runs (served
-/// from the run cache or built fresh), the sorted delta run of added
+/// One join input of a run-set merge: the immutable base runs (a view
+/// of a stored version, or built fresh), the sorted delta run of added
 /// tuples, and the mask of dead base keys. `delta: None, mask: []` is
 /// exactly a plain [`RunSet`] side.
 #[derive(Debug, Clone, Copy)]
@@ -285,14 +285,16 @@ impl<'a> DeltaSide<'a> {
     }
 
     /// Run `idx` as a merge input: base runs carry the shared base
-    /// mask, the delta run (the last index) carries none.
+    /// mask, the delta run (the last index) carries none. A base run is
+    /// either a built run on its home node or a range of a stored
+    /// version read in place ([`RunSet::run_at`] tells which).
     pub(crate) fn piece(&self, idx: usize) -> Piece<'a> {
-        match self.base.runs().get(idx) {
-            Some(run) => Piece { tuples: run, home: run.home(), mask: self.mask },
-            None => {
-                let run = self.delta.expect("index beyond base implies a delta run");
-                Piece { tuples: run, home: run.home(), mask: &[] }
-            }
+        if idx < self.base.parts() {
+            let (tuples, home) = self.base.run_at(idx);
+            Piece { tuples, home, mask: self.mask }
+        } else {
+            let run = self.delta.expect("index beyond base implies a delta run");
+            Piece { tuples: run, home: Home::Node(run.home()), mask: &[] }
         }
     }
 
@@ -300,18 +302,36 @@ impl<'a> DeltaSide<'a> {
     /// plus the delta run. Each run counts only the masked keys inside
     /// its own key span.
     pub fn logical_tuples(&self) -> usize {
-        let dead: usize = self.base.runs().iter().map(|run| masked_tuples(run, self.mask)).sum();
+        let dead: usize = self.base.runs().map(|run| masked_tuples(run, self.mask)).sum();
         self.base.total_tuples() - dead + self.delta.map_or(0, |d| d.len())
     }
 }
 
+/// Where a run's tuples live: on one node (a built run), or interleaved
+/// across every node (a stored version a view reads in place).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Home {
+    Node(NodeId),
+    Interleaved,
+}
+
+impl Home {
+    /// Book `count` reads of memory living here.
+    fn touch(self, scope: &mut CounterScope, sequential: bool, count: u64) {
+        match self {
+            Home::Node(node) => scope.touch(node, sequential, count),
+            Home::Interleaved => scope.touch_interleaved(sequential, count),
+        }
+    }
+}
+
 /// One key-sorted stretch of a side — a whole run or a key-aligned
-/// block of one — with its home node and the dead-key mask that
+/// block of one — with where it lives and the dead-key mask that
 /// applies to it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Piece<'a> {
     pub(crate) tuples: &'a [Tuple],
-    pub(crate) home: NodeId,
+    pub(crate) home: Home,
     pub(crate) mask: &'a [u64],
 }
 
@@ -331,7 +351,7 @@ pub(crate) fn merge_pair<S: JoinSink>(
         return;
     }
     let entry = interpolation_lower_bound(s.tuples, first.key);
-    scope.touch(s.home, false, (s.tuples.len() as u64).ilog2() as u64 + 1);
+    s.home.touch(scope, false, (s.tuples.len() as u64).ilog2() as u64 + 1);
     let span = |mask: &[u64]| {
         let lo = mask.partition_point(|&k| k < first.key);
         let hi = mask.partition_point(|&k| k <= last.key);
@@ -339,8 +359,8 @@ pub(crate) fn merge_pair<S: JoinSink>(
     };
     let (r_mask, s_mask) = (&r.mask[span(r.mask)], &s.mask[span(s.mask)]);
     let scan = merge_join_masked(r.tuples, &s.tuples[entry..], r_mask, s_mask, sink);
-    scope.touch(r.home, true, scan.r_scanned as u64);
-    scope.touch(s.home, true, scan.s_scanned as u64);
+    r.home.touch(scope, true, scan.r_scanned as u64);
+    s.home.touch(scope, true, scan.s_scanned as u64);
 }
 
 /// Phase 4 over two snapshot sides, run to completion:
@@ -577,8 +597,8 @@ mod tests {
         let mut entered = CollectSink::default();
         let mut scope = cx.scope(0);
         merge_pair(
-            Piece { tuples: &r_run, home: r_run.home(), mask: &r_mask },
-            Piece { tuples: &s_run, home: s_run.home(), mask: &s_mask },
+            Piece { tuples: &r_run, home: Home::Node(r_run.home()), mask: &r_mask },
+            Piece { tuples: &s_run, home: Home::Node(s_run.home()), mask: &s_mask },
             &mut entered,
             &mut scope,
         );
@@ -597,8 +617,8 @@ mod tests {
         crate::merge::merge_join(&r_run, &s_run[entry..], &mut plain);
         let mut unmasked = CountSink::default();
         merge_pair(
-            Piece { tuples: &r_run, home: r_run.home(), mask: &[5, 900] },
-            Piece { tuples: &s_run, home: s_run.home(), mask: &[100, 950] },
+            Piece { tuples: &r_run, home: Home::Node(r_run.home()), mask: &[5, 900] },
+            Piece { tuples: &s_run, home: Home::Node(s_run.home()), mask: &[100, 950] },
             &mut unmasked,
             &mut cx.scope(0),
         );

@@ -1,7 +1,6 @@
 //! Sorted-run production and consumption — the parts every MPSM join
-//! and the executor's cross-query run cache are composed of (§7's
-//! observation that MPSM's sorted runs are a free by-product of the
-//! join).
+//! is composed of (§7's observation that MPSM's sorted runs are a free
+//! by-product of the join).
 //!
 //! A [`RunSet`] comes in two shapes:
 //!
@@ -20,10 +19,9 @@
 //!   the splitters are P-MPSM's cost-balanced ones (§4.3).
 //!   [`cut_run_set`] makes one from input that is already key-sorted —
 //!   a registered relation version, which the executor's catalog stores
-//!   sorted ([`sort_in_place`]) — by copying `T` equal-count slices of
-//!   it: nothing is scanned, histogrammed, scattered or sorted. Its
-//!   layout depends only on the relation's bytes and the worker count,
-//!   which is what makes it shareable across queries.
+//!   sorted ([`sort_in_place`]) — without touching it: `T` equal-count
+//!   ranges of the shared tuples, read in place. Nothing is scanned,
+//!   histogrammed, scattered, sorted, copied or allocated.
 //!
 //! [`merge_sides`] joins every private run against every public run
 //! from an interpolation-searched entry point — P-MPSM's phase 4. It is
@@ -31,8 +29,9 @@
 //! side, aligned or not, because a matching pair `(r, s)` lives in
 //! exactly one `(R_i, S_j)` combination. So P-MPSM is a chunked public
 //! set, a cost-balanced private set and `merge_sides`, and a query over
-//! cached runs is the same merge over sets built once.
+//! stored versions is the same merge over two cuts.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use mpsm_numa::NumaBuf;
@@ -41,7 +40,7 @@ use crate::cdf::{equi_height_bounds, Cdf};
 use crate::context::{ExecContext, SpareRuns};
 use crate::histogram::{combine_histograms, RadixDomain};
 use crate::join::anytime::{merge_sides, AnytimeToken};
-use crate::join::delta::DeltaSide;
+use crate::join::delta::{DeltaSide, Home};
 use crate::partition::{local_histograms, range_partition_histogrammed};
 use crate::sink::JoinSink;
 use crate::splitter::{compute_splitters, equi_height_splitters};
@@ -49,46 +48,83 @@ use crate::stats::{JoinStats, Phase};
 use crate::tuple::{key_range, Tuple};
 use crate::worker::{chunk_ranges, OwnedSlots};
 
-/// A relation's sorted, node-homed runs — the output of phases 1–3 and
-/// the unit the executor's run cache stores.
+/// A relation's sorted runs — the output of phases 1–3 and the input
+/// of phase 4 — held one of two ways:
 ///
-/// Runs keep their [`NumaBuf`] homes, so a cached set re-used by a
-/// query pinned elsewhere is read remotely (sequentially — still C2);
-/// nothing is copied out of the arena on either publish or reuse. A set
-/// built by a context hands its buffers back to that context's machine
-/// when it drops (see [`crate::context`]), so the next build on the
-/// machine reuses them.
+/// * **built** — node-homed arena runs the set owns, from the
+///   ad-hoc builds ([`chunked_run_set`], [`build_run_set`]; P-, B- and
+///   D-MPSM). A set built by a context hands its buffers back to that
+///   context's machine when it drops (see [`crate::context`]), so the
+///   next build on the machine reuses them;
+/// * **view** — `T` ranges of a key-sorted version shared through an
+///   [`Arc`] ([`cut_run_set`]): the stored order read in place. The
+///   version lives interleaved across the nodes, so a view's runs are
+///   read remotely, sequentially — still C2.
 #[derive(Debug)]
 pub struct RunSet {
-    runs: Vec<NumaBuf<Tuple>>,
+    runs: Runs,
     total: usize,
-    spares: Option<Arc<SpareRuns>>,
+}
+
+#[derive(Debug)]
+enum Runs {
+    Built { runs: Vec<NumaBuf<Tuple>>, spares: Option<Arc<SpareRuns>> },
+    View { tuples: Arc<Vec<Tuple>>, ranges: Vec<Range<usize>> },
 }
 
 impl RunSet {
     /// Wrap already-sorted runs; their buffers are freed on drop.
     pub fn new(runs: Vec<NumaBuf<Tuple>>) -> Self {
         let total = runs.iter().map(|r| r.len()).sum();
-        RunSet { runs, total, spares: None }
+        RunSet { runs: Runs::Built { runs, spares: None }, total }
     }
 
     /// Wrap runs `cx` built, to go back to its machine's spares on
     /// drop.
     pub(crate) fn built_in(cx: &ExecContext, runs: Vec<NumaBuf<Tuple>>) -> Self {
         let total = runs.iter().map(|r| r.len()).sum();
-        RunSet { runs, total, spares: cx.spares().cloned() }
+        RunSet { runs: Runs::Built { runs, spares: cx.spares().cloned() }, total }
+    }
+
+    /// Run `i`, key-sorted, and where its tuples live: a built run's
+    /// home node, or the interleaved stored version a view reads.
+    pub(crate) fn run_at(&self, i: usize) -> (&[Tuple], Home) {
+        match &self.runs {
+            Runs::Built { runs, .. } => (&runs[i], Home::Node(runs[i].home())),
+            Runs::View { tuples, ranges } => (&tuples[ranges[i].clone()], Home::Interleaved),
+        }
+    }
+
+    /// Run `i`, key-sorted.
+    pub(crate) fn run(&self, i: usize) -> &[Tuple] {
+        self.run_at(i).0
     }
 
     /// The runs, each key-sorted: in partition order (ascending disjoint
-    /// key ranges) for a set from [`build_run_set`], in chunk order
-    /// (overlapping key ranges) for one from [`chunked_run_set`].
-    pub fn runs(&self) -> &[NumaBuf<Tuple>] {
-        &self.runs
+    /// key ranges) for a set from [`build_run_set`] or [`cut_run_set`],
+    /// in chunk order (overlapping key ranges) for one from
+    /// [`chunked_run_set`].
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = &[Tuple]> + '_ {
+        (0..self.parts()).map(|i| self.run(i))
+    }
+
+    /// The node-homed buffers of a built set.
+    ///
+    /// # Panics
+    /// Panics on a view, which owns no buffers.
+    pub(crate) fn buffers(&self) -> &[NumaBuf<Tuple>] {
+        match &self.runs {
+            Runs::Built { runs, .. } => runs,
+            Runs::View { .. } => panic!("a view of a stored version owns no run buffers"),
+        }
     }
 
     /// Number of runs (the worker count the set was built with).
     pub fn parts(&self) -> usize {
-        self.runs.len()
+        match &self.runs {
+            Runs::Built { runs, .. } => runs.len(),
+            Runs::View { ranges, .. } => ranges.len(),
+        }
     }
 
     /// Total tuples across all runs.
@@ -96,7 +132,7 @@ impl RunSet {
         self.total
     }
 
-    /// Payload bytes held by the set (what cache budgets meter).
+    /// Payload bytes the runs address.
     pub fn bytes(&self) -> usize {
         self.total * std::mem::size_of::<Tuple>()
     }
@@ -105,26 +141,23 @@ impl RunSet {
     /// — one comparison per run boundary.
     pub(crate) fn is_range_partitioned(&self) -> bool {
         let mut below: Option<u64> = None;
-        self.runs.iter().filter_map(|run| Some((run.first()?.key, run.last()?.key))).all(
-            |(lo, hi)| {
-                let ascends = below.is_none_or(|prev| prev < lo);
-                below = Some(hi);
-                ascends
-            },
-        )
+        self.runs().filter_map(|run| Some((run.first()?.key, run.last()?.key))).all(|(lo, hi)| {
+            let ascends = below.is_none_or(|prev| prev < lo);
+            below = Some(hi);
+            ascends
+        })
     }
 }
 
 impl Drop for RunSet {
     fn drop(&mut self) {
-        if let Some(spares) = self.spares.take() {
-            spares.put(std::mem::take(&mut self.runs));
+        if let Runs::Built { runs, spares: Some(spares) } = &mut self.runs {
+            spares.put(std::mem::take(runs));
         }
     }
 }
 
-/// A [`RunSet`] shared between a cache and any number of concurrent
-/// readers.
+/// A [`RunSet`] shared between any number of concurrent readers.
 pub type SharedRunSet = Arc<RunSet>;
 
 /// Chunk `tuples` into `T` contiguous pieces and sort each into a run
@@ -145,38 +178,24 @@ pub fn chunked_run_set(
     RunSet::built_in(cx, runs)
 }
 
-/// Cut `sorted`, which must be key-sorted, into `T` range-partitioned
-/// runs without sorting it: `T` equal-count cuts, each moved forward
-/// past the end of the duplicate-key group it falls in (a binary
-/// search), so the runs cover ascending, disjoint key ranges. Worker
-/// `w` copies slice `w` into a buffer from [`ExecContext::alloc`] — a
-/// spare when one fits — homed on its node, booking the interleaved
-/// read and the home-side write as [`ExecContext::copied_run`] does.
-/// Time and counters book under `phase`: the side's partition phase,
-/// since the cut is all the partitioning a sorted relation needs.
-pub fn cut_run_set(
-    cx: &ExecContext,
-    sorted: &[Tuple],
-    phase: Phase,
-    stats: &mut JoinStats,
-) -> RunSet {
-    debug_assert!(crate::tuple::is_key_sorted(sorted), "only a key-sorted slice can be cut");
-    let t = cx.threads();
-    let cuts: Vec<usize> = (0..=t)
-        .map(|i| match i * sorted.len() / t {
+/// Cut `sorted`, which must be key-sorted, into `parts`
+/// range-partitioned runs read in place: `parts` equal-count cuts, each
+/// moved forward past the end of the duplicate-key group it falls in (a
+/// binary search), so the runs cover ascending, disjoint key ranges.
+/// The set shares `sorted` and copies, allocates and books nothing:
+/// the cut is all the partitioning a sorted relation needs, and the
+/// merge books its reads of the view as interleaved.
+pub fn cut_run_set(sorted: Arc<Vec<Tuple>>, parts: usize) -> RunSet {
+    debug_assert!(crate::tuple::is_key_sorted(&sorted), "only a key-sorted slice can be cut");
+    let parts = parts.max(1);
+    let cuts: Vec<usize> = (0..=parts)
+        .map(|i| match i * sorted.len() / parts {
             0 => 0,
             at => sorted.partition_point(|tuple| tuple.key <= sorted[at - 1].key),
         })
         .collect();
-    let runs = cx.run_phase(phase, stats, |w, scope| {
-        let slice = &sorted[cuts[w]..cuts[w + 1]];
-        let mut run = cx.alloc(w, slice.len());
-        run.copy_from_slice(slice);
-        scope.touch_interleaved(true, slice.len() as u64);
-        scope.touch(run.home(), true, slice.len() as u64);
-        run
-    });
-    RunSet::built_in(cx, runs)
+    let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+    RunSet { total: sorted.len(), runs: Runs::View { tuples: sorted, ranges } }
 }
 
 /// Key-sort `tuples` in place on `cx`'s pool: the equi-height
@@ -204,7 +223,7 @@ pub fn sort_in_place(cx: &ExecContext, tuples: &mut [Tuple], radix_bits: u32) {
 pub fn run_set_cdf(cx: &ExecContext, set: &RunSet, fan: usize, stats: &mut JoinStats) -> Cdf {
     let t = cx.threads();
     let locals = cx.run_phase(Phase::Two, stats, |w, _| {
-        let runs = set.runs().iter().skip(w).step_by(t);
+        let runs = set.runs().skip(w).step_by(t);
         runs.map(|run| (equi_height_bounds(run, fan), run.len())).collect::<Vec<_>>()
     });
     Cdf::from_local_bounds(&locals.concat())
@@ -309,8 +328,8 @@ pub fn build_run_set_with(
 }
 
 /// Phase 4 over two plain run sets, run to completion: [`merge_sides`]
-/// with no delta under a token that never expires. A cached set built
-/// at a different width than the current context still joins correctly
+/// with no delta under a token that never expires. A set built at a
+/// different width than the current context still joins correctly
 /// (workers pick up private runs round-robin).
 pub fn merge_run_sets_in<S: JoinSink>(
     cx: &ExecContext,
@@ -407,15 +426,19 @@ mod tests {
         heavy.sort_unstable_by_key(|t| t.key);
         let one_key: Vec<Tuple> = (0..500).map(|i| Tuple::new(7, i)).collect();
         for threads in [1, 2, 3, 5, 8] {
-            let cx = ExecContext::flat(threads);
             for sorted in [&heavy, &one_key, &Vec::new()] {
-                let mut stats = JoinStats::new(threads);
-                let set = cut_run_set(&cx, sorted, Phase::Two, &mut stats);
+                let shared = Arc::new(sorted.clone());
+                let set = cut_run_set(Arc::clone(&shared), threads);
                 assert_eq!(set.parts(), threads);
                 assert!(set.is_range_partitioned(), "T = {threads}");
-                let laid: Vec<Tuple> = set.runs().iter().flat_map(|run| run.to_vec()).collect();
+                let laid: Vec<Tuple> = set.runs().flat_map(|run| run.to_vec()).collect();
                 assert_eq!(&laid, sorted, "the runs laid end to end are the input");
-                assert_eq!(stats.phase_ms(Phase::Three), 0.0, "a cut sorts nothing");
+                // Every run addresses the shared tuples themselves.
+                let stored = shared.as_ptr_range();
+                for run in set.runs().filter(|run| !run.is_empty()) {
+                    let run = run.as_ptr_range();
+                    assert!(stored.start <= run.start && run.end <= stored.end, "T = {threads}");
+                }
             }
         }
     }
@@ -521,7 +544,7 @@ mod tests {
         let set = chunked_run_set(&cx, &tuples, Phase::One, &mut stats);
         assert_eq!(set.parts(), 4);
         assert_eq!(set.total_tuples(), tuples.len());
-        assert!(set.runs().iter().all(|run| is_key_sorted(run)));
+        assert!(set.runs().all(is_key_sorted));
         assert!(!set.is_range_partitioned(), "chunks of random keys overlap");
         assert!(stats.phase_ms(Phase::One) > 0.0, "the sort books under the given phase");
     }
@@ -544,7 +567,7 @@ mod tests {
         let histogram = compute_histogram(&r, &domain);
         let splitters = compute_splitters(&histogram, &domain, &cdf, t);
         let implied = crate::histogram::fold_histogram(&histogram, splitters.assignment(), t);
-        let sizes = |set: &RunSet| set.runs().iter().map(|run| run.len()).collect::<Vec<_>>();
+        let sizes = |set: &RunSet| set.runs().map(|run| run.len()).collect::<Vec<_>>();
         assert_eq!(sizes(&balanced), implied);
         assert_ne!(sizes(&balanced), sizes(&equi), "S's skew must move the cut");
         assert!(balanced.is_range_partitioned() && equi.is_range_partitioned());
@@ -577,7 +600,7 @@ mod tests {
             pairs.sort_unstable();
             pairs
         };
-        for (p, run) in set.runs().iter().enumerate() {
+        for (p, run) in set.runs().enumerate() {
             let mut reference: Vec<Tuple> = tuples
                 .iter()
                 .filter(|tu| splitters.partition_of_bucket(domain.bucket_of(tu.key)) == p)

@@ -42,42 +42,43 @@
 //! each side to sorted runs — S first, then R — and merges them through
 //! the one run-set merge driver,
 //! [`mpsm_core::join::anytime::merge_sides`]. Every registered version
-//! is stored key-sorted, so a registered side — cached or not, clean,
-//! dirty or filtered — is a cut of that order
+//! is stored key-sorted, so a registered side — clean, dirty or
+//! filtered — is a cut of that order
 //! ([`mpsm_core::join::runs::cut_run_set`]), never a sort. Only a raw,
 //! unregistered handle is sorted, by one equi-height
 //! [`mpsm_core::join::runs::build_run_set`]. The three sections below
-//! describe what the route does for cached, mutable and SLA-bound
+//! describe what the route does for registered, mutable and SLA-bound
 //! queries.
 //! [`query::paper_query_in`] (and its thread-count twin
 //! [`query::paper_query`]) runs the same pipeline over any
 //! [`mpsm_core::join::JoinAlgorithm`] — the entry for contenders,
 //! examples and tests, not a served route.
 //!
-//! ## Sorted-run caching
+//! ## Registered sides are views
 //!
 //! A registered relation's runs depend only on the relation version
-//! and the run layout — not on the query. The [`run_cache`] module
-//! caches those runs keyed by `(relation id, version, splitter
-//! fingerprint)`; a [`session::Session`] always owns one, so repeated
-//! joins over registered relations skip even the cut and go straight
-//! to merge-join. EXPLAIN grows a `RunCache [R=hit, S=miss]` line,
-//! and re-registering a relation bumps its catalog version, which
-//! invalidates every run set built from older versions.
+//! and the worker count — not on the query — and the stored order
+//! already is them: an unfiltered registered side is `T` ranges of the
+//! stored version read in place, so a query allocates, copies and books
+//! nothing before phase 4 and goes straight to merge-join. A filtered
+//! side cuts its selection the same way. EXPLAIN grows a
+//! `Source [R=stored, S=selected]` line (`stored`, `selected` or
+//! `built` per side). The [`run_cache`] module has no served-path
+//! caller; its types stay for the benchmark's links.
 //!
 //! ## Mutable relations and consistent snapshots
 //!
 //! Registered relations accept writes — [`session::Session::append`],
 //! [`session::Session::update`], [`session::Session::delete`] — which
 //! land in a per-relation append-only delta log ([`snapshot::DeltaLog`])
-//! without disturbing the immutable sorted base the run cache serves.
+//! without disturbing the immutable sorted base queries cut.
 //! Each submitted query captures a [`snapshot::Snapshot`] per side at
 //! admission: base version plus delta watermark. The join merges the
-//! visible delta in on the fly (one extra sorted run, with superseded
-//! base keys masked), so writers never block readers and a running join
-//! never tears. A background compactor owned by the [`sched::Scheduler`]
-//! folds deltas into new base versions — cache invalidation falls out of
-//! the ordinary version bump. EXPLAIN grows
+//! visible delta in on the fly (one extra sorted run, shared by every
+//! snapshot at the same watermark, with superseded base keys masked),
+//! so writers never block readers and a running join never tears. A
+//! background compactor owned by the [`sched::Scheduler`] folds deltas
+//! into new key-sorted base versions. EXPLAIN grows
 //! `Snapshot [R: base=vN, delta=K tuples]` rows.
 //!
 //! ## Deadlines, row caps and degraded admission
@@ -104,7 +105,7 @@ pub mod snapshot;
 pub use groupby::{sorted_group_by, CountAgg, KeyAggregate, MaxAgg, SumAgg};
 pub use ops::Select;
 pub use plan::{
-    AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo, RunCacheOutcome, SnapshotInfo,
+    AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, SideSource, SnapshotInfo, SourceInfo,
 };
 pub use query::{paper_query, paper_query_in, paper_query_runs, PaperQueryResult};
 pub use run_cache::{
@@ -116,4 +117,4 @@ pub use sched::{
     Scheduler, SchedulerConfig, SchedulerMetrics, SubmitError,
 };
 pub use session::{Predicate, QuerySpec, Session, WriteError};
-pub use snapshot::{DeltaLog, RelationState, Snapshot};
+pub use snapshot::{DeltaLog, Fold, RelationState, Snapshot};

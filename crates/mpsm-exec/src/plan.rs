@@ -63,7 +63,8 @@ pub struct PlacementInfo {
     /// Fresh run/partition bytes the query's context drew from its NUMA
     /// arena per node (index = node id), sampled at plan-assembly time:
     /// lifetime volume, not live memory, and buffers reused from the
-    /// machine's spares are not counted — a warm cache miss reports 0.
+    /// machine's spares are not counted — a query over stored versions,
+    /// which cuts them in place, reports 0.
     /// Empty when the execution path did not sample the arena; the
     /// label then omits the `arena=` field.
     pub arena_bytes: Vec<u64>,
@@ -94,7 +95,7 @@ impl PlacementInfo {
 
 /// The consistent snapshot one join input was executed against,
 /// rendered as a `Snapshot` EXPLAIN node: the base version the side's
-/// cached runs key on, and how many delta ops the snapshot merged in on
+/// runs are cut from, and how many delta ops the snapshot merged in on
 /// the fly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
@@ -174,43 +175,44 @@ impl AnytimeInfo {
     }
 }
 
-/// What the run cache did for one join input.
+/// Where one join input's runs came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunCacheOutcome {
-    /// Sorted runs were served from the cache; the side skipped the
-    /// cut.
-    Hit,
-    /// Runs were cut by this query and published.
-    Miss,
-    /// The side was not cacheable (filtered, unregistered, or no cache
-    /// attached to the spec).
-    Bypass,
+pub enum SideSource {
+    /// Cut from the registered version's stored key order and read in
+    /// place: nothing copied, allocated or sorted (clean or dirty — a
+    /// dirty side adds the fold's sorted adds run and its mask).
+    Stored,
+    /// A filtered registered side: the selection pass over the stored
+    /// order (or over its fold with the visible delta), cut in place.
+    Selected,
+    /// A raw, unregistered handle: one equi-height range-partitioned
+    /// build.
+    Built,
 }
 
-impl RunCacheOutcome {
+impl SideSource {
     fn as_str(self) -> &'static str {
         match self {
-            RunCacheOutcome::Hit => "hit",
-            RunCacheOutcome::Miss => "miss",
-            RunCacheOutcome::Bypass => "bypass",
+            SideSource::Stored => "stored",
+            SideSource::Selected => "selected",
+            SideSource::Built => "built",
         }
     }
 }
 
-/// Per-query run-cache report, rendered as the `RunCache` EXPLAIN
-/// node: what the cache did for each input of this query. The cache's
-/// lifetime totals are [`crate::run_cache::RunCache::stats`]' business.
+/// Per-query source report, rendered as the `Source` EXPLAIN node:
+/// where each input's runs came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunCacheInfo {
-    /// Outcome for the private input `R`.
-    pub r: RunCacheOutcome,
-    /// Outcome for the public input `S`.
-    pub s: RunCacheOutcome,
+pub struct SourceInfo {
+    /// Source of the private input `R`.
+    pub r: SideSource,
+    /// Source of the public input `S`.
+    pub s: SideSource,
 }
 
-impl RunCacheInfo {
+impl SourceInfo {
     fn label(&self) -> String {
-        format!("RunCache [R={}, S={}]", self.r.as_str(), self.s.as_str())
+        format!("Source [R={}, S={}]", self.r.as_str(), self.s.as_str())
     }
 }
 
@@ -244,9 +246,9 @@ pub struct QueryPlan {
     /// NUMA placement and locality of the join, when it executed
     /// inside an [`mpsm_core::context::ExecContext`].
     pub placement: Option<PlacementInfo>,
-    /// Run-cache outcomes, when the query ran through a cache-aware
-    /// session.
-    pub run_cache: Option<RunCacheInfo>,
+    /// Where each input's runs came from, for queries on the served
+    /// route ([`crate::query::paper_query_runs`]).
+    pub sources: Option<SourceInfo>,
     /// The consistent snapshots the query's inputs were pinned to, one
     /// entry per catalog-resolved side (empty for inputs outside any
     /// session catalog).
@@ -319,8 +321,8 @@ impl QueryPlan {
         for snapshot in &self.snapshots {
             join = join.child(Node::new(snapshot.label()));
         }
-        if let Some(cache) = &self.run_cache {
-            join = join.child(Node::new(cache.label()));
+        if let Some(sources) = &self.sources {
+            join = join.child(Node::new(sources.label()));
         }
         if let Some(p) = self.phases_ms {
             join = join.child(Node::new(format!(
@@ -390,7 +392,7 @@ mod tests {
             phases_ms: None,
             phase_tuples: None,
             placement: None,
-            run_cache: None,
+            sources: None,
             snapshots: vec![],
         }
     }
@@ -712,13 +714,13 @@ Aggregate [max(R.payload + S.payload)]
     }
 
     #[test]
-    fn run_cache_node_renders_exactly() {
+    fn source_node_renders_exactly() {
         let mut p = sample();
-        p.run_cache = Some(RunCacheInfo { r: RunCacheOutcome::Hit, s: RunCacheOutcome::Miss });
+        p.sources = Some(SourceInfo { r: SideSource::Stored, s: SideSource::Selected });
         let expected = "\
 Aggregate [max(R.payload + S.payload)]
 └─ Join [P-MPSM; T = 8; out = 2000 rows]
-   ├─ RunCache [R=hit, S=miss]
+   ├─ Source [R=stored, S=selected]
    ├─ private (R):
    │  └─ Select [out = 500 rows]
    │     └─ Scan orders [1000 rows]
@@ -727,8 +729,8 @@ Aggregate [max(R.payload + S.payload)]
          └─ Scan lineitem [4000 rows]
 ";
         assert_eq!(p.explain(), expected);
-        p.run_cache.as_mut().expect("set above").s = RunCacheOutcome::Bypass;
-        assert!(p.explain().contains("RunCache [R=hit, S=bypass]"), "{}", p.explain());
+        p.sources.as_mut().expect("set above").s = SideSource::Built;
+        assert!(p.explain().contains("Source [R=stored, S=built]"), "{}", p.explain());
     }
 
     #[test]

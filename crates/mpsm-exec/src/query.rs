@@ -11,23 +11,22 @@
 //! could be exploited").
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::anytime::{merge_sides, AnytimeOutcome, AnytimeToken};
-use mpsm_core::join::delta::{DeltaOverlay, DeltaSide};
-use mpsm_core::join::runs::{build_run_set, cut_run_set, SharedRunSet};
+use mpsm_core::join::delta::DeltaSide;
+use mpsm_core::join::runs::{build_run_set, cut_run_set, RunSet};
 use mpsm_core::join::{JoinAlgorithm, JoinConfig};
 use mpsm_core::sink::{CollectSink, MaxAggSink};
 use mpsm_core::stats::{JoinStats, Phase};
 use mpsm_core::Tuple;
-use mpsm_numa::NumaBuf;
 
 use crate::ops::Select;
-use crate::plan::{AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, RunCacheInfo, RunCacheOutcome};
-use crate::run_cache::cached_runs;
+use crate::plan::{AnytimeInfo, PlacementInfo, PlanStep, QueryPlan, SideSource, SourceInfo};
 use crate::scan::Relation;
 use crate::session::QuerySpec;
+use crate::snapshot::Fold;
 
 /// The plan name of the engine every scheduled query runs: P-MPSM's
 /// phases as run-set builds feeding [`merge_sides`].
@@ -129,15 +128,16 @@ fn placement_of(cx: &ExecContext) -> PlacementInfo {
 }
 
 /// The run-oriented paper query — the one execution path of every
-/// scheduled query: cached, filtered, unregistered, dirty (a snapshot
+/// scheduled query: clean, filtered, unregistered, dirty (a snapshot
 /// with a live delta, or one compaction moved past the handle),
 /// deadlined, row-capped and degraded queries alike.
 ///
 /// Each side resolves to a [`DeltaSide`] (see `resolve_side`): base
-/// runs — cut from the stored key order, through the run cache when
-/// the side is unfiltered; sorted from scratch only for a raw,
-/// unregistered handle — plus the sorted run of the delta's added
-/// tuples and the mask of dead base keys.
+/// runs — cuts of the stored key order read in place; the selection's
+/// output cut in place when the side is filtered; sorted from scratch
+/// only for a raw, unregistered handle — plus the visible delta's
+/// sorted adds run and the mask of dead base keys, both from the
+/// snapshot's shared fold.
 /// [`merge_sides`] joins them under `token`: with
 /// [`AnytimeToken::Never`] and no row cap that is the plain
 /// single-dispatch merge; otherwise the merge advances through
@@ -146,7 +146,7 @@ fn placement_of(cx: &ExecContext) -> PlacementInfo {
 /// failing.
 ///
 /// The plan's `Anytime` row is rendered for deadline, row-cap and
-/// live-token queries only. With
+/// live-token queries only; its `Source` row always. With
 /// [`QuerySpec::collect_rows`](crate::session::QuerySpec::collect_rows)
 /// set, the joined rows come back sorted by `(key, r_payload,
 /// s_payload)` and truncated to the cap; a partial answer's rows are a
@@ -199,48 +199,49 @@ pub fn paper_query_runs(
     let mut result = executed_in(cx, assembled);
     result.rows = rows;
     result.plan.anytime = spec.interruptible_by(token).then_some(anytime);
-    if spec.cache.is_some() {
-        result.plan.run_cache = Some(RunCacheInfo { r: r.outcome, s: s.outcome });
-    }
+    result.plan.sources = Some(SourceInfo { r: r.source, s: s.source });
     result
 }
 
-/// One join input resolved to merge inputs: base runs, the sorted delta
-/// run, the shared overlay whose mask the side borrows, and what the
-/// plan's `RunCache` row says.
+/// One join input resolved to merge inputs: base runs, the snapshot's
+/// shared fold whose adds run and mask the side borrows, and what the
+/// plan's `Source` row says.
 struct ResolvedSide {
-    base: SharedRunSet,
-    delta: Option<NumaBuf<Tuple>>,
-    overlay: Option<Arc<DeltaOverlay>>,
-    outcome: RunCacheOutcome,
+    base: RunSet,
+    fold: Option<Arc<Fold>>,
+    source: SideSource,
 }
 
 impl ResolvedSide {
     fn side(&self) -> DeltaSide<'_> {
-        let mask = self.overlay.as_ref().map_or(&[][..], |overlay| &overlay.masked);
-        DeltaSide { base: &self.base, delta: self.delta.as_ref(), mask }
+        match &self.fold {
+            None => DeltaSide::base_only(&self.base),
+            Some(fold) => DeltaSide {
+                base: &self.base,
+                delta: (!fold.adds.is_empty()).then(|| fold.adds_run()),
+                mask: &fold.masked,
+            },
+        }
     }
 }
 
 /// Resolve one side of `spec` to sorted runs: R — the private side —
 /// when `private`, S otherwise. The tuple source is the captured
 /// snapshot's base, or the handle itself when no snapshot was captured.
-/// Three routes, reported on the plan's `RunCache` row:
+/// Three routes, reported on the plan's `Source` row:
 ///
-/// * **unregistered** — a raw handle (`version() == 0`) carries no
-///   order and no identity: its tuples, selected when the side is
-///   filtered, get one equi-height [`build_run_set`] (*bypass*).
-/// * **filtered** — the rows are query-specific: select from the base,
+/// * **built** — a raw handle (`version() == 0`) carries no order: its
+///   tuples, selected when the side is filtered, get one equi-height
+///   [`build_run_set`], booked under the side's partition and sort
+///   phases.
+/// * **selected** — a filtered registered side: select from the base,
 ///   or from the base with the snapshot's visible delta folded in by the
 ///   overlay, and cut the selection — a selection over key-sorted
-///   tuples is key-sorted — into runs that never touch the cache
-///   (*bypass*).
-/// * **registered** — [`cached_runs`] under `(id, base version,
-///   splitter fingerprint)`, so writes never poison a key: a *hit*
-///   reuses the runs; a *miss* cuts the key-sorted base into `T` runs
-///   ([`cut_run_set`]: a copy, booked under the side's partition
-///   phase, with nothing sorted) and publishes them. The visible
-///   delta's adds become one extra sorted run and its
+///   tuples is key-sorted — in place ([`cut_run_set`]).
+/// * **stored** — an unfiltered registered side, clean or dirty:
+///   [`cut_run_set`] of the stored version itself, so the side
+///   allocates, copies and books nothing before phase 4. The visible
+///   delta's sorted adds (the fold's run) become one extra run and its
 ///   deleted/overwritten keys the mask.
 fn resolve_side(
     cx: &ExecContext,
@@ -255,45 +256,28 @@ fn resolve_side(
     };
     let source: &Relation = snapshot.map_or(rel, |snapshot| snapshot.base());
     // A clean snapshot never touches (or locks) its delta log.
-    let overlay = snapshot.filter(|s| s.delta_len() > 0).map(|s| s.overlay());
-    let registered = source.version() > 0;
+    let fold = snapshot.filter(|s| s.delta_len() > 0).map(|s| s.overlay());
 
-    if filtered || !registered {
-        let selected = filtered.then(|| match overlay {
-            None => Select::new(source, |t| pred(t)).execute_in(cx),
-            Some(overlay) => {
-                overlay.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect()
-            }
-        });
-        let tuples = selected.as_deref().unwrap_or(source.tuples());
-        let base = if registered {
-            cut_run_set(cx, tuples, partition_phase, stats)
-        } else {
-            let bits = JoinConfig::with_threads(cx.threads()).radix_bits;
-            build_run_set(cx, tuples, bits, partition_phase, sort_phase, stats)
-        };
-        let outcome = RunCacheOutcome::Bypass;
-        return ResolvedSide { base: Arc::new(base), delta: None, overlay: None, outcome };
-    }
-
-    let (base, outcome) = cached_runs(cx, spec.cache.as_ref(), source, partition_phase, stats);
-
-    // The delta's adds — already key-sorted by the fold — become one
-    // extra run: one worker copies them into the arena, and the copy
-    // books under the side's sort phase.
-    let adds = overlay.as_ref().map_or(&[][..], |overlay| &overlay.adds);
-    let delta = (!adds.is_empty()).then(|| {
-        debug_assert!(mpsm_core::tuple::is_key_sorted(adds), "the fold emits sorted adds");
-        let copy_start = Instant::now();
-        let mut scope = cx.scope(0);
-        let run = cx.copied_run(0, adds, &mut scope);
-        let mut durations = vec![Duration::ZERO; cx.threads()];
-        durations[0] = copy_start.elapsed();
-        stats.record_phase(sort_phase, &durations);
-        cx.record(sort_phase, [scope.finish()]);
-        run
+    let selected = filtered.then(|| match &fold {
+        None => Select::new(source, |t| pred(t)).execute_in(cx),
+        Some(fold) => fold.apply(source.tuples()).into_iter().filter(|t| pred(t)).collect(),
     });
-    ResolvedSide { base, delta, overlay, outcome }
+    if source.version() == 0 {
+        let tuples = selected.as_deref().unwrap_or(source.tuples());
+        let bits = JoinConfig::with_threads(cx.threads()).radix_bits;
+        let base = build_run_set(cx, tuples, bits, partition_phase, sort_phase, stats);
+        return ResolvedSide { base, fold: None, source: SideSource::Built };
+    }
+    match selected {
+        Some(selected) => {
+            let base = cut_run_set(Arc::new(selected), cx.threads());
+            ResolvedSide { base, fold: None, source: SideSource::Selected }
+        }
+        None => {
+            let base = cut_run_set(Arc::clone(source.shared_tuples()), cx.threads());
+            ResolvedSide { base, fold, source: SideSource::Stored }
+        }
+    }
 }
 
 /// The result of an anytime query whose deadline had already passed
@@ -345,7 +329,7 @@ fn assemble(
         phases_ms: None,
         phase_tuples: None,
         placement: None,
-        run_cache: None,
+        sources: None,
         snapshots: vec![],
     };
     PaperQueryResult { max_payload_sum: max, r_selected, s_selected, stats, plan, rows: None }
@@ -354,6 +338,7 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SideSource;
     use mpsm_core::join::b_mpsm::BMpsmJoin;
     use mpsm_core::join::p_mpsm::PMpsmJoin;
     use mpsm_core::join::JoinConfig;
@@ -445,5 +430,62 @@ mod tests {
         let out_p = paper_query(&r, &s, |_| true, |_| true, &p, 4);
         let out_b = paper_query(&r, &s, |_| true, |_| true, &b, 4);
         assert_eq!(out_p.max_payload_sum, out_b.max_payload_sum);
+    }
+
+    /// A registered side — clean or dirty, on the first query of its
+    /// version or a later one — is a view of the stored version: the
+    /// query draws no arena bytes, spends no time and books no access in
+    /// phases 1–3, and every run addresses the stored tuples themselves.
+    #[test]
+    fn registered_sides_are_views_of_the_stored_version() {
+        use crate::sched::{CompactionConfig, SchedulerConfig};
+        use crate::session::Session;
+        use crate::RunCacheConfig;
+
+        let config = SchedulerConfig::new(2);
+        let session =
+            Session::with_compaction(config, RunCacheConfig::default(), CompactionConfig::manual());
+        // Scattered, duplicate-heavy keys, so registering sorts them.
+        let scattered = |name: &str, salt: u64| {
+            let key = |i: u64| i.wrapping_add(salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52;
+            Relation::new(name, (0..4096u64).map(|i| Tuple::new(key(i), i)).collect())
+        };
+        let r = session.register(scattered("R", 1));
+        let s = session.register(scattered("S", 2));
+        let check = |what: &str| {
+            let spec = session.pin(QuerySpec::join(&r, &s));
+            let cx = session.scheduler().context().per_query();
+            for (private, snapshot) in [(false, &spec.s_snapshot), (true, &spec.r_snapshot)] {
+                let mut stats = JoinStats::new(cx.threads());
+                let side = resolve_side(&cx, &spec, private, &mut stats);
+                assert_eq!(side.source, SideSource::Stored, "{what}");
+                let stored = snapshot.as_ref().expect("registered").base().tuples().as_ptr_range();
+                for run in side.base.runs().filter(|run| !run.is_empty()) {
+                    let run = run.as_ptr_range();
+                    assert!(stored.start <= run.start && run.end <= stored.end, "{what}: a copy");
+                }
+            }
+            let direct = paper_query_runs(&cx, &spec, &AnytimeToken::Never);
+            let scheduled = session.query(QuerySpec::join(&r, &s)).expect("query").result;
+            assert_eq!(direct.max_payload_sum, scheduled.max_payload_sum, "{what}");
+            for out in [&direct, &scheduled] {
+                let placement = out.plan.placement.as_ref().expect("placement");
+                assert_eq!(placement.arena_bytes.iter().sum::<u64>(), 0, "{what}: arena bytes");
+                for phase in [Phase::One, Phase::Two, Phase::Three] {
+                    assert_eq!(out.stats.phase_ms(phase), 0.0, "{what}: {phase:?} time");
+                }
+            }
+            for phase in [Phase::One, Phase::Two, Phase::Three] {
+                let accesses = cx.phase_counters(phase).total_accesses();
+                assert_eq!(accesses, 0, "{what}: {phase:?} accesses");
+            }
+        };
+        check("clean, first query on v1");
+        check("clean, a later query");
+        session.append("R", [Tuple::new(7, 1 << 40), Tuple::new(1 << 20, 1)]).expect("R");
+        session.delete("S", s.tuples()[100].key).expect("S");
+        check("dirty, first query at its watermark");
+        assert!(session.compact("R"));
+        check("first query on the compacted version");
     }
 }

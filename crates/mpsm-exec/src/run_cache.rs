@@ -1,58 +1,54 @@
-//! The run cache: cross-query reuse of a registered relation's runs.
+//! A cross-query cache of sorted run sets, with no served-path caller.
 //!
 //! The paper's §7 observes that the sorted runs an MPSM join produces
 //! are a free by-product. The session's catalog keeps them as the table
-//! itself — every registered version is stored key-sorted — so a
-//! version's runs are a cut of the stored order
-//! ([`mpsm_core::join::runs::cut_run_set`]): a copy into `T` node-homed
-//! buffers, with nothing partitioned or sorted. A [`RunCache`] maps
-//! `(relation id, version, splitter fingerprint)` to the shared
-//! [`SharedRunSet`] a previous query cut, so a hit skips that copy and
-//! goes straight to the merge phase.
+//! itself — every registered version is stored key-sorted — and a
+//! query's registered side is a view of that order
+//! ([`mpsm_core::join::runs::cut_run_set`]): `T` ranges of the stored
+//! tuples read in place, with nothing copied. With no copy left to
+//! skip, nothing on the served path looks this cache up:
+//! [`crate::session::Session::run_cache`] returns `None`, and the
+//! scheduler's `cache_*` metrics read 0.
+//!
+//! The types stay because the repository's benchmark links them by
+//! name ([`RunCache`], [`RunCacheConfig`], [`RunKey`], [`Lookup`],
+//! [`splitter_fingerprint`], [`RunCacheStats`]); they go when the
+//! benchmark re-links. What follows describes the cache as a
+//! standalone structure.
 //!
 //! ## Key derivation
 //!
 //! [`RunKey`] combines the catalog identity of a relation — stable
-//! `id` plus monotonic `version`, both stamped by
-//! [`crate::session::Session::register`] — with a
-//! [`splitter_fingerprint`]: an FNV-1a hash of the run-layout inputs
-//! (worker count, radix bits, layout version). Two queries share runs
-//! only if the same bytes would be partitioned the same way.
+//! `id` plus monotonic `version` — with a [`splitter_fingerprint`]: an
+//! FNV-1a hash of the run-layout inputs (worker count, radix bits,
+//! layout version). Two lookups share runs only if the same bytes would
+//! be partitioned the same way.
 //!
 //! ## Invalidation
 //!
 //! Two mechanisms, both cheap; no entry ever goes stale, so nothing
 //! expires by age:
-//! * **version keying** — re-registering a name (or compacting it)
-//!   bumps the version, so superseded entries simply stop being
-//!   addressable; [`RunCache::invalidate_relation`] additionally drops
-//!   them eagerly.
+//! * **version keying** — a new version is a new key, so superseded
+//!   entries simply stop being addressable;
+//!   [`RunCache::invalidate_relation`] additionally drops them eagerly.
 //! * **byte budget** — publishing evicts least-recently-used entries
-//!   until the cache fits [`RunCacheConfig::byte_budget`] (the storage
-//!   layer's bounded-frame idiom, upgraded FIFO → LRU).
+//!   until the cache fits [`RunCacheConfig::byte_budget`].
 //!
 //! ## No coordination
 //!
-//! A miss costs one copy, so concurrent misses on the same key each cut
-//! their own runs rather than wait for one builder: every miss gets a
-//! [`BuildPermit`], and a publish to a key that is already resident
-//! keeps the resident set (the late copy drops after the cache lock)
-//! and counts no insert.
+//! Every miss gets a [`BuildPermit`], and a publish to a key that is
+//! already resident keeps the resident set (the late set drops after
+//! the cache lock) and counts no insert.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mpsm_core::context::ExecContext;
-use mpsm_core::join::runs::{cut_run_set, SharedRunSet};
-use mpsm_core::join::JoinConfig;
-use mpsm_core::stats::{JoinStats, Phase};
+use mpsm_core::join::runs::SharedRunSet;
 
-use crate::plan::RunCacheOutcome;
-use crate::scan::Relation;
-
-/// Tuning for a [`RunCache`].
+/// Tuning for a [`RunCache`]. A [`crate::session::Session`]
+/// constructor that takes one ignores it.
 #[derive(Debug, Clone)]
 pub struct RunCacheConfig {
     /// Total bytes of run storage the cache may retain.
@@ -65,9 +61,9 @@ impl Default for RunCacheConfig {
     }
 }
 
-/// Bump when the run layout of a cached relation version changes
-/// incompatibly. Version 2 is the equal-count cut of the key-sorted
-/// version ([`mpsm_core::join::runs::cut_run_set`]).
+/// Bump when the run layout a key describes changes incompatibly.
+/// Version 2 is the equal-count cut of the key-sorted version
+/// ([`mpsm_core::join::runs::cut_run_set`]).
 const RUN_LAYOUT_VERSION: u64 = 2;
 
 /// FNV-1a over the inputs that determine a relation's run layout.
@@ -174,9 +170,9 @@ impl RunCache {
     }
 
     /// Eagerly drop every entry of `relation` older than
-    /// `keep_version` (called by `register` on a version bump).
-    /// The dropped sets are released after the cache lock: freeing one
-    /// hands its buffers to the spares of the machine that built it.
+    /// `keep_version`. The dropped sets are released after the cache
+    /// lock: freeing one hands its buffers to the spares of the machine
+    /// that built it.
     pub fn invalidate_relation(&self, relation: u64, keep_version: u64) {
         let _victims = {
             let mut inner = self.inner.lock().expect("run cache poisoned");
@@ -263,46 +259,6 @@ impl BuildPermit {
     pub fn key(&self) -> RunKey {
         self.key
     }
-}
-
-/// The cache key of `relation`'s runs as `cx`'s workers cut them.
-fn run_key(cx: &ExecContext, relation: &Relation) -> RunKey {
-    let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
-    let fingerprint = splitter_fingerprint(cx.threads(), radix_bits);
-    RunKey { relation: relation.id(), version: relation.version(), fingerprint }
-}
-
-/// A registered relation version's runs, through `cache` when one is
-/// attached: a hit shares the resident set; a miss (or no cache) cuts
-/// the version's key-sorted tuples ([`cut_run_set`], booked under
-/// `phase`) and publishes the copy.
-pub(crate) fn cached_runs(
-    cx: &ExecContext,
-    cache: Option<&Arc<RunCache>>,
-    relation: &Relation,
-    phase: Phase,
-    stats: &mut JoinStats,
-) -> (SharedRunSet, RunCacheOutcome) {
-    let cut = |stats: &mut JoinStats| Arc::new(cut_run_set(cx, relation.tuples(), phase, stats));
-    let Some(cache) = cache else { return (cut(stats), RunCacheOutcome::Bypass) };
-    match cache.lookup(run_key(cx, relation)) {
-        Lookup::Hit(runs) => (runs, RunCacheOutcome::Hit),
-        Lookup::Miss(permit) => {
-            let runs = cut(stats);
-            permit.publish(Arc::clone(&runs));
-            (runs, RunCacheOutcome::Miss)
-        }
-    }
-}
-
-/// Cut a just-bumped version's runs and publish them with no lookup —
-/// the compactor's re-warm. Nothing can be resident under a version
-/// that was stamped a moment ago, so a lookup would only count a miss
-/// that no query took.
-pub(crate) fn warm_runs(cx: &ExecContext, cache: &RunCache, relation: &Relation) {
-    let mut stats = JoinStats::new(cx.threads());
-    let runs = Arc::new(cut_run_set(cx, relation.tuples(), Phase::One, &mut stats));
-    cache.publish_inner(run_key(cx, relation), runs);
 }
 
 impl std::fmt::Debug for BuildPermit {

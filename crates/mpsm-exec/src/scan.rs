@@ -1,5 +1,7 @@
 //! Base relations.
 
+use std::sync::Arc;
+
 use mpsm_core::context::ExecContext;
 use mpsm_core::join::runs::sort_in_place;
 use mpsm_core::join::JoinConfig;
@@ -10,17 +12,18 @@ use mpsm_core::Tuple;
 ///
 /// Registered relations additionally carry a catalog identity: a
 /// stable `id` shared by every version of the same name, and a
-/// monotonic `version` bumped on each re-registration. The pair is
-/// what cache keys and invalidation hang off — an unregistered
-/// relation reports `(0, 0)` and is never cached.
+/// monotonic `version` bumped on each re-registration; an unregistered
+/// relation reports `(0, 0)`.
 ///
 /// A relation's tuples never change after construction — a write
 /// makes a new version — and every version a session's catalog holds
-/// is key-sorted, so a query cuts its runs out of the stored order.
+/// is key-sorted, so a query's runs are cuts of the stored order, read
+/// in place. The tuples sit behind an [`Arc`]: a clone of the relation,
+/// and every query reading it, shares them.
 #[derive(Debug, Clone)]
 pub struct Relation {
     name: String,
-    tuples: Vec<Tuple>,
+    tuples: Arc<Vec<Tuple>>,
     id: u64,
     version: u64,
 }
@@ -28,7 +31,7 @@ pub struct Relation {
 impl Relation {
     /// Create a relation from tuples (unregistered: no identity yet).
     pub fn new(name: impl Into<String>, tuples: Vec<Tuple>) -> Self {
-        Relation { name: name.into(), tuples, id: 0, version: 0 }
+        Relation { name: name.into(), tuples: Arc::new(tuples), id: 0, version: 0 }
     }
 
     /// The relation's name (for plan display).
@@ -57,11 +60,12 @@ impl Relation {
 
     /// This relation with its tuples in key order, sorted on `cx`'s pool
     /// ([`sort_in_place`]) unless they already are — what
-    /// [`crate::session::Session::register`] stores.
+    /// [`crate::session::Session::register`] stores. The sort is in
+    /// place unless a clone of this relation shares the tuples.
     pub(crate) fn key_sorted(mut self, cx: &ExecContext) -> Self {
         if !is_key_sorted(&self.tuples) {
             let radix_bits = JoinConfig::with_threads(cx.threads()).radix_bits;
-            sort_in_place(cx, &mut self.tuples, radix_bits);
+            sort_in_place(cx, Arc::make_mut(&mut self.tuples).as_mut_slice(), radix_bits);
         }
         self
     }
@@ -70,6 +74,12 @@ impl Relation {
     /// sorts them and compaction keeps the order), as constructed
     /// otherwise.
     pub fn tuples(&self) -> &[Tuple] {
+        &self.tuples
+    }
+
+    /// The stored tuples as the shared allocation a view cuts
+    /// ([`mpsm_core::join::runs::cut_run_set`]).
+    pub(crate) fn shared_tuples(&self) -> &Arc<Vec<Tuple>> {
         &self.tuples
     }
 

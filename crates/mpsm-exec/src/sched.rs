@@ -76,7 +76,6 @@ use mpsm_core::join::anytime::AnytimeToken;
 use mpsm_core::worker::SharedWorkerPool;
 use mpsm_numa::{NodeId, Topology};
 
-use crate::run_cache::RunCache;
 use crate::session::QuerySpec;
 
 mod admission;
@@ -200,13 +199,14 @@ pub struct SchedulerMetrics {
     /// Total time admitted queries spent queued, in microseconds
     /// (divide by `completed + panicked` for the mean queue latency).
     pub queue_wait_micros: u64,
-    /// Sorted-run cache hits (query sides served from cached runs);
-    /// 0 when the scheduler has no attached cache.
+    /// Run-cache hits. Always 0: a served side is a view of the stored
+    /// order, and nothing looks a run cache up (see
+    /// [`crate::run_cache`]).
     pub cache_hits: u64,
-    /// Sorted-run cache misses (sides whose runs had to be cut from
-    /// the stored order).
+    /// Run-cache misses. Always 0, like [`SchedulerMetrics::cache_hits`].
     pub cache_misses: u64,
-    /// Cached run sets dropped by invalidation or the byte budget.
+    /// Run-cache evictions. Always 0, like
+    /// [`SchedulerMetrics::cache_hits`].
     pub cache_evictions: u64,
     /// Delta compactions performed (background sweeps and explicit
     /// [`crate::session::Session::compact`] calls alike).
@@ -300,9 +300,6 @@ pub struct Scheduler {
     /// Disconnects once every coordinator has exited: each holds a sender
     /// it never sends on. The mutex only makes the scheduler `Sync`.
     drained: Mutex<Receiver<()>>,
-    /// Sorted-run cache whose counters [`Scheduler::metrics`] reports;
-    /// `None` reports zeros.
-    run_cache: Option<Arc<RunCache>>,
     /// Background compactor thread plus its wake/shutdown control,
     /// when [`Scheduler::start_compactor`] attached one.
     compactor: Option<CompactorHandle>,
@@ -339,16 +336,7 @@ impl Scheduler {
             })
             .collect();
         let drained = Mutex::new(drained);
-        Scheduler { core, cx, coordinators, drained, run_cache: None, compactor: None }
-    }
-
-    /// Report `cache`'s hit/miss/eviction counters in
-    /// [`Scheduler::metrics`]. The queries consult the cache their spec
-    /// carries ([`crate::session::Session::pin`] attaches the session's),
-    /// not this one.
-    pub fn with_run_cache(mut self, cache: Arc<RunCache>) -> Self {
-        self.run_cache = Some(cache);
-        self
+        Scheduler { core, cx, coordinators, drained, compactor: None }
     }
 
     /// Submit a query. Returns a ticket immediately; the admission
@@ -411,20 +399,19 @@ impl Scheduler {
         &self.cx
     }
 
-    /// Snapshot of the lifetime counters (cache counters are zero when
-    /// no run cache is attached).
+    /// Snapshot of the lifetime counters (the `cache_*` ones always
+    /// read 0).
     pub fn metrics(&self) -> SchedulerMetrics {
         let m = &self.core.metrics;
-        let cache = self.run_cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         SchedulerMetrics {
             submitted: m.submitted.load(Ordering::Relaxed),
             completed: m.completed.load(Ordering::Relaxed),
             rejected: m.rejected.load(Ordering::Relaxed),
             panicked: m.panicked.load(Ordering::Relaxed),
             queue_wait_micros: m.queue_wait_micros.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evictions: 0,
             compactions: m.compactions.load(Ordering::Relaxed),
             compactions_failed: m.compactions_failed.load(Ordering::Relaxed),
             deadline_missed: m.deadline_missed.load(Ordering::Relaxed),
@@ -1178,7 +1165,7 @@ mod tests {
     }
 
     impl CompactionTask for PanicsOnce {
-        fn compact_pending(&self, _: &ExecContext, _: &CompactionConfig) -> usize {
+        fn compact_pending(&self, _: &CompactionConfig) -> usize {
             if self.sweeps.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("first sweep gone wrong");
             }
@@ -1208,7 +1195,7 @@ mod tests {
     }
 
     impl CompactionTask for BlocksFirstSweep {
-        fn compact_pending(&self, _: &ExecContext, _: &CompactionConfig) -> usize {
+        fn compact_pending(&self, _: &CompactionConfig) -> usize {
             if self.sweeps.fetch_add(1, Ordering::SeqCst) == 0 {
                 let _ = self.release.lock().expect("release poisoned").recv();
             }

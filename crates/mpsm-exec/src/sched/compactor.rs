@@ -7,15 +7,12 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpsm_core::context::ExecContext;
-
 use super::{SchedCore, Scheduler};
 
 /// Sizing of the background delta compactor a [`Scheduler`] may run
 /// (see [`Scheduler::start_compactor`]). Compaction folds a relation's
 /// delta log into a new sorted base version off the query path, at
-/// most four relations per sweep, and warms the run cache with each
-/// new version's runs; the knobs bound how eagerly.
+/// most four relations per sweep; the knobs bound how eagerly.
 #[derive(Debug, Clone)]
 pub struct CompactionConfig {
     /// Delta ops that make a relation *eligible* for a background
@@ -63,7 +60,7 @@ pub trait CompactionTask: Send + Sync {
     /// Fold eligible deltas per `config`; returns how many relations
     /// were compacted (folded into the scheduler's `compactions`
     /// metric).
-    fn compact_pending(&self, cx: &ExecContext, config: &CompactionConfig) -> usize;
+    fn compact_pending(&self, config: &CompactionConfig) -> usize;
 }
 
 /// The running compactor: its thread and the wake channel's sender.
@@ -87,11 +84,7 @@ impl Scheduler {
         let (wake, woken) = mpsc::sync_channel(1);
         let thread = {
             let core = Arc::clone(&self.core);
-            // The compactor gets its own derived context so its
-            // build/sort audits never leak into per-query placement
-            // reports; it shares the machine's scratch and spares.
-            let cx = self.cx.per_query();
-            std::thread::spawn(move || compactor_loop(&woken, &core, &cx, &*task, &config))
+            std::thread::spawn(move || compactor_loop(&woken, &core, &*task, &config))
         };
         self.compactor = Some(CompactorHandle { wake, thread });
     }
@@ -116,7 +109,6 @@ impl Scheduler {
 fn compactor_loop(
     woken: &Receiver<()>,
     core: &SchedCore,
-    cx: &ExecContext,
     task: &dyn CompactionTask,
     config: &CompactionConfig,
 ) {
@@ -132,7 +124,7 @@ fn compactor_loop(
         // A panicking sweep (e.g. a pool phase re-panicking inside a
         // fold) fails only itself and is counted: the next nudge or
         // tick sweeps again.
-        match catch_unwind(AssertUnwindSafe(|| task.compact_pending(cx, config))) {
+        match catch_unwind(AssertUnwindSafe(|| task.compact_pending(config))) {
             Ok(folded) => {
                 core.metrics.compactions.fetch_add(folded as u64, Ordering::Relaxed);
             }

@@ -48,8 +48,8 @@
 //! [`Snapshot`] of each side at submit time — the delta prefix visible
 //! then is merged into the join on the fly; later writes are invisible.
 //! A background compactor (or an explicit [`Session::compact`]) folds
-//! the delta into a new base version, which re-keys the run cache
-//! through the ordinary version-bump machinery.
+//! the delta into a new key-sorted base version, which the next query
+//! cuts in place like any other.
 //!
 //! ```
 //! use mpsm_exec::session::{QuerySpec, Session};
@@ -86,7 +86,7 @@ use mpsm_core::Tuple;
 
 use crate::plan::SnapshotInfo;
 use crate::query::{expired_in_queue_result, paper_query_runs, PaperQueryResult};
-use crate::run_cache::{warm_runs, RunCache, RunCacheConfig};
+use crate::run_cache::{RunCache, RunCacheConfig};
 use crate::scan::Relation;
 use crate::sched::{
     CompactionConfig, CompactionTask, Priority, QueryError, QueryOutput, QueryTicket, Scheduler,
@@ -125,13 +125,12 @@ pub struct QuerySpec {
     pub(crate) s: Arc<Relation>,
     pub(crate) r_pred: Predicate,
     pub(crate) s_pred: Predicate,
-    /// Whether `filter_r` was called — filtered sides bypass the run
-    /// cache (their sorted runs are query-specific).
+    /// Whether `filter_r` was called — a filtered side runs its
+    /// selection pass and cuts the selection instead of the stored
+    /// version.
     pub(crate) r_filtered: bool,
     /// Whether `filter_s` was called.
     pub(crate) s_filtered: bool,
-    /// The session's run cache, attached by [`Session::pin`].
-    pub(crate) cache: Option<Arc<RunCache>>,
     /// Consistent snapshot of `r`, captured at submit time when the
     /// handle resolves in the session catalog.
     pub(crate) r_snapshot: Option<Snapshot>,
@@ -157,7 +156,6 @@ impl QuerySpec {
             s_pred: Arc::new(|_| true),
             r_filtered: false,
             s_filtered: false,
-            cache: None,
             r_snapshot: None,
             s_snapshot: None,
             deadline: None,
@@ -349,16 +347,14 @@ impl MutableEntry {
 const COMPACTIONS_PER_SWEEP: usize = 4;
 
 /// The session state shared with the scheduler's background compactor:
-/// the catalog, the id allocator, the run cache, and the compaction
-/// knobs. Kept apart from [`Session`] (which owns the [`Scheduler`])
-/// so the compactor thread holding an `Arc` of this creates no
-/// ownership cycle.
+/// the catalog, the id allocator and the compaction knobs. Kept apart
+/// from [`Session`] (which owns the [`Scheduler`]) so the compactor
+/// thread holding an `Arc` of this creates no ownership cycle.
 struct SessionShared {
     catalog: Mutex<HashMap<String, MutableEntry>>,
     /// Monotonic catalog-id allocator (ids start at 1; 0 means
     /// "unregistered" on a [`Relation`]).
     next_id: AtomicU64,
-    run_cache: Arc<RunCache>,
     compaction: CompactionConfig,
 }
 
@@ -378,11 +374,10 @@ impl SessionShared {
 
     /// Fold one relation's pending delta into a new base version — the
     /// sorted base merged with the delta's sorted adds, so the new
-    /// version is key-sorted too — and warm the run cache with its
-    /// runs. Returns `false` when there was nothing to fold or a
-    /// concurrent re-register won the race (its version bump supersedes
-    /// ours).
-    fn compact_relation(&self, cx: &ExecContext, name: &str) -> bool {
+    /// version is key-sorted too. Returns `false` when there was nothing
+    /// to fold or a concurrent re-register won the race (its version
+    /// bump supersedes ours).
+    fn compact_relation(&self, name: &str) -> bool {
         // Capture the epoch and watermark to fold; the merge itself
         // runs outside the catalog lock (writers keep writing — their
         // ops land past the watermark and survive in the tail).
@@ -415,24 +410,19 @@ impl SessionShared {
                 .lineages
                 .last_mut()
                 .expect("an entry always holds at least one lineage")
-                .push(Arc::new(RelationState::with_delta(Arc::clone(&new_base), tail)));
+                .push(Arc::new(RelationState::with_delta(new_base, tail)));
             // Release our own pin on the superseded epoch before
             // collecting — with it held that epoch would always look
             // snapshot-pinned and survive one sweep too many.
             drop(state);
             entry.gc();
         }
-        // The version bump retires every older cached run set …
-        self.run_cache.invalidate_relation(id, new_version);
-        // … and the new version's runs are cut now, so the next analytic
-        // query opens on a hit.
-        warm_runs(cx, &self.run_cache, &new_base);
         true
     }
 }
 
 impl CompactionTask for SessionShared {
-    fn compact_pending(&self, cx: &ExecContext, config: &CompactionConfig) -> usize {
+    fn compact_pending(&self, config: &CompactionConfig) -> usize {
         let eligible: Vec<String> = {
             let catalog = self.catalog.lock().expect("catalog poisoned");
             let mut names: Vec<String> = catalog
@@ -444,47 +434,47 @@ impl CompactionTask for SessionShared {
             names.truncate(COMPACTIONS_PER_SWEEP);
             names
         };
-        eligible.iter().filter(|name| self.compact_relation(cx, name)).count()
+        eligible.iter().filter(|name| self.compact_relation(name)).count()
     }
 }
 
-/// A client session: one scheduler (one shared pool), a versioned
-/// catalog of **mutable** relations, and a sorted-run cache shared by
-/// every query on the session. See the module docs for a walkthrough of
-/// both the read and the write path.
+/// A client session: one scheduler (one shared pool) and a versioned
+/// catalog of **mutable**, key-sorted relations. A query's registered
+/// side is a view of the stored order, so the session keeps no second
+/// copy of any version. See the module docs for a walkthrough of both
+/// the read and the write path.
 pub struct Session {
     scheduler: Scheduler,
     shared: Arc<SessionShared>,
 }
 
 impl Session {
-    /// Open a session with its own scheduler, a default-configured run
-    /// cache, and a default background compactor. Every registered
-    /// version is stored key-sorted, so an unfiltered side's runs are a
-    /// cut of that order, cached per version.
+    /// Open a session with its own scheduler and a default background
+    /// compactor. Every registered version is stored key-sorted, so an
+    /// unfiltered side's runs are a cut of that order, read in place.
     pub fn new(config: SchedulerConfig) -> Self {
-        Session::with_run_cache(config, RunCacheConfig::default())
+        Session::with_compaction(config, RunCacheConfig::default(), CompactionConfig::default())
     }
 
-    /// Open a session with an explicitly configured run cache.
-    pub fn with_run_cache(config: SchedulerConfig, cache: RunCacheConfig) -> Self {
-        Session::with_compaction(config, cache, CompactionConfig::default())
+    /// [`Session::new`]. The [`RunCacheConfig`] is inert: no run cache
+    /// is on the served path (see [`crate::run_cache`]).
+    pub fn with_run_cache(config: SchedulerConfig, _cache: RunCacheConfig) -> Self {
+        Session::new(config)
     }
 
-    /// Open a session with explicit run-cache *and* compaction
-    /// configuration (pass [`CompactionConfig::manual`] to keep the
-    /// background sweep from ever firing on its own).
+    /// Open a session with explicit compaction configuration (pass
+    /// [`CompactionConfig::manual`] to keep the background sweep from
+    /// ever firing on its own). The [`RunCacheConfig`] is inert, as in
+    /// [`Session::with_run_cache`].
     pub fn with_compaction(
         config: SchedulerConfig,
-        cache: RunCacheConfig,
+        _cache: RunCacheConfig,
         compaction: CompactionConfig,
     ) -> Self {
-        let run_cache = Arc::new(RunCache::new(cache));
-        let mut scheduler = Scheduler::new(config).with_run_cache(Arc::clone(&run_cache));
+        let mut scheduler = Scheduler::new(config);
         let shared = Arc::new(SessionShared {
             catalog: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            run_cache,
             compaction,
         });
         scheduler.start_compactor(
@@ -503,9 +493,8 @@ impl Session {
     /// [`Relation::tuples`] come back in key order).
     ///
     /// First registration of a name allocates a fresh stable id and
-    /// stamps version 1. Re-registering the name keeps the id and
-    /// bumps the version — which invalidates every cached run set
-    /// built from older versions and starts a fresh, empty delta log.
+    /// stamps version 1. Re-registering the name keeps the id, bumps
+    /// the version and starts a fresh, empty delta log.
     /// Already-submitted queries keep the `Arc` (and therefore the
     /// exact version and snapshot) they captured.
     pub fn register(&self, relation: Relation) -> Arc<Relation> {
@@ -522,8 +511,6 @@ impl Session {
         let entry = catalog.entry(handle.name().to_string()).or_default();
         entry.lineages.push(Lineage::root(Arc::new(RelationState::new(Arc::clone(&handle)))));
         entry.gc();
-        drop(catalog);
-        self.shared.run_cache.invalidate_relation(id, version);
         handle
     }
 
@@ -597,32 +584,31 @@ impl Session {
 
     /// Fold a relation's pending delta into a new base version right
     /// now, on the caller's thread (deterministic alternative to the
-    /// background sweep; tests and benchmarks use this). Like the
-    /// background compactor, the fold runs in a context of its own, so
-    /// its audit and arena never accumulate in the scheduler's base
-    /// context. Returns whether a fold happened.
+    /// background sweep; tests and benchmarks use this). The fold is a
+    /// plain merge of the stored order with the delta's sorted adds, so
+    /// it touches neither the scheduler's context's audit nor its arena.
+    /// Returns whether a fold happened.
     pub fn compact(&self, name: &str) -> bool {
-        let folded = self.shared.compact_relation(&self.scheduler.context().per_query(), name);
+        let folded = self.shared.compact_relation(name);
         if folded {
             self.scheduler.note_compactions(1);
         }
         folded
     }
 
-    /// The session's sorted-run cache (always present; the `Option`
-    /// keeps the signature callers match on).
+    /// Always `None`: no run cache is on the served path, because a
+    /// registered side is a view of the stored order (see
+    /// [`crate::run_cache`]).
     pub fn run_cache(&self) -> Option<&Arc<RunCache>> {
-        Some(&self.shared.run_cache)
+        None
     }
 
-    /// Pin `spec` to the session's state as of now: attach the run
-    /// cache and capture a snapshot — epoch plus delta watermark — of
-    /// each side that resolves in the catalog. [`Session::submit`] does
-    /// this before queueing; callers that execute a spec themselves
-    /// ([`crate::query::paper_query_runs`] under a token of their own)
-    /// pin it first.
+    /// Pin `spec` to the session's state as of now: capture a snapshot
+    /// — epoch plus delta watermark — of each side that resolves in the
+    /// catalog. [`Session::submit`] does this before queueing; callers
+    /// that execute a spec themselves ([`crate::query::paper_query_runs`]
+    /// under a token of their own) pin it first.
     pub fn pin(&self, mut spec: QuerySpec) -> QuerySpec {
-        spec.cache = Some(Arc::clone(&self.shared.run_cache));
         spec.r_snapshot = self.shared.snapshot_for(&spec.r);
         spec.s_snapshot = self.shared.snapshot_for(&spec.s);
         spec
@@ -658,7 +644,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_cache::{splitter_fingerprint, Lookup, RunKey};
+    use crate::plan::SideSource;
     use mpsm_core::join::JoinConfig;
     use mpsm_core::stats::Phase;
 
@@ -715,30 +701,24 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_cache_and_agree_with_uncached() {
-        let cached = Session::new(SchedulerConfig::new(2));
+    fn repeated_queries_read_the_stored_order_and_agree_with_p_mpsm() {
+        let session = Session::new(SchedulerConfig::new(2));
         let (r_data, s_data): (Vec<_>, Vec<_>) = (
             (0..400u64).map(|k| Tuple::new(k, k)).collect(),
             (0..1600u64).map(|i| Tuple::new(i % 400, i)).collect(),
         );
         let expect = p_mpsm_max(&r_data, &s_data);
-        let r = cached.register(Relation::new("R", r_data));
-        let s = cached.register(Relation::new("S", s_data));
+        let r = session.register(Relation::new("R", r_data));
+        let s = session.register(Relation::new("S", s_data));
         for round in 0..3 {
-            let out = cached.query(QuerySpec::join(&r, &s)).expect("cached").result;
+            let out = session.query(QuerySpec::join(&r, &s)).expect("query").result;
             assert_eq!(out.max_payload_sum, expect, "round {round}");
-            let info = out.plan.run_cache.expect("cached sessions report RunCache");
-            if round > 0 {
-                use crate::plan::RunCacheOutcome;
-                assert_eq!(info.r, RunCacheOutcome::Hit, "round {round}");
-                assert_eq!(info.s, RunCacheOutcome::Hit, "round {round}");
-            }
+            let sources = out.plan.sources.expect("served queries report their sources");
+            assert_eq!((sources.r, sources.s), (SideSource::Stored, SideSource::Stored));
         }
-        let stats = cached.run_cache().expect("caching on by default").stats();
-        assert_eq!(stats.misses, 2, "first round misses both sides");
-        assert_eq!(stats.hits, 4, "two later rounds hit both sides");
-        let metrics = cached.scheduler().metrics();
-        assert_eq!((metrics.cache_hits, metrics.cache_misses), (4, 2));
+        assert!(session.run_cache().is_none(), "nothing on the served path caches runs");
+        let metrics = session.scheduler().metrics();
+        assert_eq!((metrics.cache_hits, metrics.cache_misses, metrics.cache_evictions), (0, 0, 0));
     }
 
     /// `n` tuples over scattered keys, so registering them sorts.
@@ -748,105 +728,26 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_scheduled_miss_allocates_no_fresh_bytes() {
-        let n = 4096u64;
-        let budget = n as usize * std::mem::size_of::<Tuple>(); // one relation's runs
+    fn growing_versions_leave_no_dead_spares() {
         let session = Session::with_compaction(
             SchedulerConfig::new(2),
-            RunCacheConfig { byte_budget: budget },
-            CompactionConfig::manual(),
-        );
-        let a = session.register(scattered("A", n, 1));
-        let b = session.register(scattered("B", n, 2));
-        let mut fresh = Vec::new();
-        for rel in [&a, &b, &a] {
-            let out = session.query(QuerySpec::join(rel, rel)).expect("query").result;
-            let info = out.plan.run_cache.expect("cached session");
-            use crate::plan::RunCacheOutcome;
-            assert_eq!((info.s, info.r), (RunCacheOutcome::Miss, RunCacheOutcome::Hit));
-            let placement = out.plan.placement.expect("scheduled plans report placement");
-            fresh.push(placement.arena_bytes.iter().sum::<u64>());
-        }
-        assert_eq!(session.run_cache().expect("cached").stats().evictions, 2);
-        // A and B each built fresh, B's publish evicted A into the
-        // machine's spares, and A's rebuild took every buffer from them.
-        assert_eq!(fresh[..2], [budget as u64; 2]);
-        assert_eq!(fresh[2], 0, "the warm miss reuses the evicted runs' buffers");
-        assert_eq!(session.scheduler().context().arena().total_bytes(), 0, "per-query arenas");
-    }
-
-    #[test]
-    fn growing_versions_leave_no_dead_spares() {
-        let threads = 2;
-        let session = Session::with_compaction(
-            SchedulerConfig::new(threads),
             RunCacheConfig::default(),
             CompactionConfig::manual(),
         );
         let cx = session.scheduler().context();
-        let cache = session.run_cache().expect("cached");
-        let mut previous: Vec<usize> = Vec::new();
         let mut n = 1000u64;
         for round in 0..6 {
             let rel = session.register(scattered("grows", n, round));
-            // The version bump dropped the previous version's runs: they
-            // wait in the spares for the next build.
-            let mut spares: Vec<usize> = cx.spare_buffers().iter().map(|&(_, cap)| cap).collect();
-            spares.sort_unstable();
-            assert_eq!(spares, previous, "round {round}: the old version's buffers are spares");
-
             let out = session.query(QuerySpec::join(&rel, &rel)).expect("query").result;
             assert_eq!(out.max_payload_sum, Some(2 * (n - 1)), "round {round}");
-            let key = RunKey {
-                relation: rel.id(),
-                version: rel.version(),
-                fingerprint: splitter_fingerprint(
-                    threads,
-                    JoinConfig::with_threads(threads).radix_bits,
-                ),
-            };
-            let Lookup::Hit(runs) = cache.lookup(key) else { panic!("round {round}: published") };
-            // Each partition was allocated on node 0 in order, so the
-            // node's last request was the last run.
-            let last_request = runs.runs().last().expect("T runs").len();
-            let spares = cx.spare_buffers();
-            assert!(spares.len() <= 2 * threads, "round {round}: {spares:?}");
-            assert!(
-                spares.iter().all(|&(_, cap)| cap >= last_request),
-                "round {round}: {spares:?} holds a buffer smaller than {last_request}"
-            );
-            previous = runs.runs().iter().map(|run| run.capacity()).collect();
-            previous.sort_unstable();
+            session.append("grows", [Tuple::new(0, 1)]).expect("registered");
+            assert!(session.compact("grows"), "round {round} folds");
+            session.query(QuerySpec::join(&rel, &rel)).expect("query after the fold");
+            // Views of the stored versions own no buffers, so no version
+            // leaves any behind in the machine's spares.
+            assert!(cx.spare_buffers().is_empty(), "round {round}: {:?}", cx.spare_buffers());
             n = n * 3 / 2;
         }
-    }
-
-    #[test]
-    fn a_miss_on_an_evicted_version_sorts_nothing() {
-        use crate::plan::RunCacheOutcome;
-        let n = 4096u64;
-        let budget = n as usize * std::mem::size_of::<Tuple>(); // one relation's runs
-        let session = Session::with_compaction(
-            SchedulerConfig::new(2),
-            RunCacheConfig { byte_budget: budget },
-            CompactionConfig::manual(),
-        );
-        let a = session.register(scattered("A", n, 1));
-        let b = session.register(scattered("B", n, 2));
-        // A's runs are cached, then evicted into the spares by B's.
-        for rel in [&a, &b] {
-            session.query(QuerySpec::join(rel, rel)).expect("query");
-        }
-        // B is public and hits; A is private and misses on its
-        // evicted version.
-        let out = session.query(QuerySpec::join(&a, &b)).expect("query").result;
-        let info = out.plan.run_cache.expect("cached session");
-        assert_eq!((info.r, info.s), (RunCacheOutcome::Miss, RunCacheOutcome::Hit));
-        let expected = p_mpsm_max(scattered("A", n, 1).tuples(), scattered("B", n, 2).tuples());
-        assert_eq!(out.max_payload_sum, expected);
-        assert_eq!(out.stats.phase_ms(Phase::Three), 0.0, "the private miss sorts nothing");
-        let placement = out.plan.placement.expect("scheduled plans report placement");
-        assert_eq!(placement.arena_bytes.iter().sum::<u64>(), 0, "the cut reuses the spares");
     }
 
     #[test]
@@ -889,8 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sides_bypass_the_cache() {
-        use crate::plan::RunCacheOutcome;
+    fn filtered_sides_select_and_cut_the_stored_order() {
         let session = Session::with_compaction(
             SchedulerConfig::new(2),
             RunCacheConfig::default(),
@@ -903,9 +803,9 @@ mod tests {
             .expect("query failed")
             .result;
         assert_eq!(out.max_payload_sum, Some(49 + 49));
-        let info = out.plan.run_cache.expect("RunCache node present");
-        assert_eq!(info.r, RunCacheOutcome::Bypass, "filtered side never cached");
-        assert_eq!(info.s, RunCacheOutcome::Miss, "unfiltered side populates");
+        let sources = out.plan.sources.expect("Source row present");
+        assert_eq!(sources.r, SideSource::Selected, "the filtered side cuts its selection");
+        assert_eq!(sources.s, SideSource::Stored, "the unfiltered side cuts the stored version");
 
         // Scattered, duplicate-heavy keys: a filtered private side of a
         // registered relation is cut from the stored order, so it sorts
@@ -934,7 +834,7 @@ mod tests {
             let selected: Vec<Tuple> = r_raw.iter().copied().filter(keep).collect();
             assert_eq!(out.max_payload_sum, p_mpsm_max(&selected, &s_raw), "dirty = {dirty}");
             assert_eq!(out.r_selected, selected.len(), "dirty = {dirty}");
-            assert_eq!(out.plan.run_cache.expect("RunCache row").r, RunCacheOutcome::Bypass);
+            assert_eq!(out.plan.sources.expect("Source row").r, SideSource::Selected);
             assert_eq!(out.stats.phase_ms(Phase::Three), 0.0, "dirty = {dirty}: R sorts nothing");
         }
     }
@@ -948,7 +848,7 @@ mod tests {
         );
         let r = session.register(scattered("R", 4096, 1));
         let s = session.register(scattered("S", 4096, 2));
-        session.query(QuerySpec::join(&r, &s)).expect("cached query");
+        session.query(QuerySpec::join(&r, &s)).expect("query");
         for round in 0..3u64 {
             session.append("R", [Tuple::new(round, round)]).expect("registered");
             assert!(session.compact("R"), "round {round} folds");
@@ -1054,8 +954,7 @@ mod tests {
         // The write crossed the threshold and nudged the compactor;
         // wait (bounded) for the background fold to land. The compactor
         // counts a compaction only after it has published the new
-        // version and re-warmed the cache, so the count is the last
-        // thing to move.
+        // version, so the count is the last thing to move.
         let mut folded = false;
         for _ in 0..2000 {
             if session.scheduler().metrics().compactions >= 1 {

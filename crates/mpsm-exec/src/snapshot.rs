@@ -1,8 +1,8 @@
 //! Consistent snapshots over mutable relations.
 //!
 //! A registered relation lives as a [`RelationState`]: an immutable
-//! base [`Relation`] (whose sorted runs the run cache keeps, keyed by
-//! `(id, base version, fingerprint)`) plus an append-only [`DeltaLog`]
+//! key-sorted base [`Relation`] (whose order a query's runs are cut
+//! from) plus an append-only [`DeltaLog`]
 //! of [`DeltaOp`]s. Writers only ever push onto the log; readers
 //! capture a [`Snapshot`] — the state `Arc` plus the log length at
 //! admission — and everything after that watermark is invisible to
@@ -13,26 +13,65 @@
 //! duration of a push or a pointer clone.
 //!
 //! Reads fold each op once. The log keeps its newest fold as an
-//! `Arc<DeltaOverlay>`; a dirty snapshot extends it by the ops between
-//! that fold and its own watermark (copying only that slice under the
-//! log's mutex) and shares the result with every later snapshot at the
-//! same watermark. An older watermark still resolves exactly — it
-//! folds its own prefix from scratch, without holding the fold's lock,
-//! and leaves the newer fold in place.
+//! `Arc<`[`Fold`]`>` — the overlay, and its adds laid out as the run a
+//! merge reads; a dirty snapshot extends it by the ops between that
+//! fold and its own watermark (copying only that slice under the log's
+//! mutex) and shares the result with every later snapshot at the same
+//! watermark, so no query copies the adds. An older watermark still
+//! resolves exactly — it folds its own prefix from scratch, without
+//! holding the fold's lock, and leaves the newer fold in place.
 //!
 //! Compaction folds a delta prefix into a new base (bumping the
-//! catalog version, which invalidates older cached run sets through
-//! the existing `RunKey` machinery) and starts a fresh state whose log
-//! carries the un-compacted tail. In-flight snapshots keep their old
+//! catalog version) and starts a fresh state whose log carries the
+//! un-compacted tail. In-flight snapshots keep their old
 //! state `Arc` — they stay consistent, pinned to the world they
 //! admitted under.
 
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 use mpsm_core::join::delta::{materialize, DeltaOp, DeltaOverlay};
 use mpsm_core::Tuple;
+use mpsm_numa::{NodeId, NumaBuf};
 
 use crate::scan::Relation;
+
+/// A delta prefix folded once and shared by every snapshot that reads
+/// it: the [`DeltaOverlay`] (which it derefs to), and the overlay's
+/// sorted adds laid out as the one extra run a merge reads. The run is
+/// made with the fold, so a query over a dirty snapshot copies nothing.
+/// Snapshots pinned to any node share it; its home is nominally node 0.
+#[derive(Debug)]
+pub struct Fold {
+    overlay: DeltaOverlay,
+    run: NumaBuf<Tuple>,
+}
+
+impl Fold {
+    fn new(overlay: DeltaOverlay) -> Self {
+        let run = NumaBuf::from_vec(NodeId(0), overlay.adds.clone());
+        Fold { overlay, run }
+    }
+
+    /// The overlay's adds as one key-sorted run.
+    pub fn adds_run(&self) -> &NumaBuf<Tuple> {
+        &self.run
+    }
+}
+
+impl Default for Fold {
+    fn default() -> Self {
+        Fold::new(DeltaOverlay::default())
+    }
+}
+
+impl Deref for Fold {
+    type Target = DeltaOverlay;
+
+    fn deref(&self) -> &DeltaOverlay {
+        &self.overlay
+    }
+}
 
 /// An append-only log of writes against one relation version. The log
 /// is the write side of snapshot isolation: pushes go under a mutex
@@ -42,10 +81,9 @@ use crate::scan::Relation;
 #[derive(Debug, Default)]
 pub struct DeltaLog {
     ops: Mutex<Vec<DeltaOp>>,
-    /// The newest fold: a watermark and the overlay of the ops below
-    /// it. Its lock makes extensions single-flight; writers never take
-    /// it.
-    folded: Mutex<(usize, Arc<DeltaOverlay>)>,
+    /// The newest fold: a watermark and the fold of the ops below it.
+    /// Its lock makes extensions single-flight; writers never take it.
+    folded: Mutex<(usize, Arc<Fold>)>,
 }
 
 impl DeltaLog {
@@ -105,11 +143,11 @@ impl DeltaLog {
     /// lock (single-flight) and replaced by the result; an older
     /// watermark folds its own prefix with the lock released, since no
     /// other reader can reuse that fold.
-    pub fn overlay_at(&self, watermark: usize) -> Arc<DeltaOverlay> {
+    pub fn overlay_at(&self, watermark: usize) -> Arc<Fold> {
         let mut folded = self.folded.lock().expect("delta fold poisoned");
         if folded.0 > watermark {
             drop(folded);
-            return Arc::new(DeltaOverlay::from_ops(&self.ops_prefix(watermark)));
+            return Arc::new(Fold::new(DeltaOverlay::from_ops(&self.ops_prefix(watermark))));
         }
         let tail = {
             let ops = self.ops.lock().expect("delta log poisoned");
@@ -117,14 +155,14 @@ impl DeltaLog {
         };
         if !tail.is_empty() {
             let end = folded.0 + tail.len();
-            *folded = (end, Arc::new(folded.1.extend(&tail)));
+            *folded = (end, Arc::new(Fold::new(folded.1.extend(&tail))));
         }
         Arc::clone(&folded.1)
     }
 }
 
-/// One version epoch of a mutable relation: the immutable sorted-base
-/// side (what the run cache serves) and the hot delta log. The catalog
+/// One version epoch of a mutable relation: the immutable sorted base
+/// (what a query's runs are cut from) and the hot delta log. The catalog
 /// points at the current state; snapshots and compaction pin older
 /// ones for as long as they need them.
 #[derive(Debug, Clone)]
@@ -202,7 +240,7 @@ impl Snapshot {
     /// The visible delta prefix folded into an overlay (adds + masked
     /// base keys), shared with every snapshot at the same watermark
     /// through the log's newest fold ([`DeltaLog::overlay_at`]).
-    pub fn overlay(&self) -> Arc<DeltaOverlay> {
+    pub fn overlay(&self) -> Arc<Fold> {
         self.state.delta.overlay_at(self.watermark)
     }
 
@@ -271,7 +309,8 @@ mod tests {
         state.delta().append(DeltaOp::Update { key: 4, payload: 44 });
         let newer = state.snapshot().overlay();
         assert!(!Arc::ptr_eq(&overlay, &newer));
-        assert_eq!(*newer, DeltaOverlay::from_ops(&state.delta().ops_prefix(3)));
+        assert_eq!(**newer, DeltaOverlay::from_ops(&state.delta().ops_prefix(3)));
+        assert_eq!(&newer.adds_run()[..], &newer.adds[..], "the run is the adds");
         assert_eq!(folded_at(state.delta()), 3);
     }
 
@@ -299,9 +338,9 @@ mod tests {
         let log = DeltaLog::with_ops(ops.clone());
         assert_eq!(folded_at(&log), 0);
         assert!(log.folded.lock().unwrap().1.is_empty());
-        assert_eq!(*log.overlay_at(2), DeltaOverlay::from_ops(&ops));
+        assert_eq!(**log.overlay_at(2), DeltaOverlay::from_ops(&ops));
         assert_eq!(folded_at(&log), 2);
-        assert_eq!(*log.overlay_at(99), DeltaOverlay::from_ops(&ops), "the watermark saturates");
+        assert_eq!(**log.overlay_at(99), DeltaOverlay::from_ops(&ops), "the watermark saturates");
     }
 
     #[test]

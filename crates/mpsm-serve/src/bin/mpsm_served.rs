@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use mpsm_exec::{RunCacheConfig, SchedulerConfig, Session};
+use mpsm_exec::{SchedulerConfig, Session};
 use mpsm_serve::{Server, ServerConfig};
 
 struct Args {
@@ -82,7 +82,7 @@ fn main() {
         .queue_capacity(args.queue)
         .min_feasible_deadline(Duration::from_micros(args.min_deadline_micros))
         .drain_timeout(Duration::from_millis(args.drain_timeout_ms));
-    let session = Session::with_run_cache(config, RunCacheConfig::default());
+    let session = Session::new(config);
     let server_config = ServerConfig::default()
         .workers(args.workers)
         .idle_timeout(Duration::from_millis(args.idle_timeout_ms))

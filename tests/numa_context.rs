@@ -16,6 +16,7 @@
 
 use mpsm::baselines::nested_loop::oracle_count;
 use mpsm::core::context::{AllocPolicy, ExecContext};
+use mpsm::core::join::anytime::AnytimeToken;
 use mpsm::core::join::b_mpsm::BMpsmJoin;
 use mpsm::core::join::d_mpsm::{DMpsmConfig, DMpsmJoin};
 use mpsm::core::join::p_mpsm::PMpsmJoin;
@@ -24,6 +25,7 @@ use mpsm::core::sink::CountSink;
 use mpsm::core::tuple::key_range;
 use mpsm::core::worker::WorkerPlacement;
 use mpsm::core::{Phase, Tuple};
+use mpsm::exec::{paper_query_runs, QuerySpec, Relation, SchedulerConfig, Session};
 use mpsm::numa::{AccessCounters, AccessKind, NodeId, Topology};
 use mpsm::workload::fk_uniform;
 use proptest::prelude::*;
@@ -247,4 +249,43 @@ fn paper_topology_joins_obey_the_commandments() {
     assert_eq!(audited(&BMpsmJoin::new(config.clone()), &w.r, &w.s).1, b);
     assert_eq!(audited(&PMpsmJoin::new(config), &w.r, &w.s).1, p);
     assert_eq!(audited(&d_join, &w.r, &w.s).1, d);
+}
+
+/// The served path on the paper machine: a clean registered query cuts
+/// both stored versions in place, so phases 1–3 book nothing, and every
+/// phase-4 read of a view is booked interleaved — split 3 : 1 remote to
+/// local on four nodes, rounded per touch. R and S hold keys `0..2^14`
+/// once each, so each of the 32 workers' cuts holds 512 tuples and only
+/// the pairs `(R_i, S_i)` share keys:
+/// * 32 × 32 entry probes of `ilog2(512) + 1 = 10` random reads each,
+///   7.5 of them remote, rounded to 8: 8 192 remote, 2 048 local;
+/// * 32 matching pairs scan 512 + 512 tuples, each side 384 remote and
+///   128 local: 24 576 remote and 8 192 local sequential reads;
+/// * the 496 pairs whose public cut lies wholly above the private one
+///   book the private cut as passed (`KeySpan::scan`), 512 reads each:
+///   190 464 remote and 63 488 local sequential reads more.
+#[test]
+fn a_served_clean_query_reads_the_stored_views_interleaved() {
+    let n = 1u64 << 14;
+    let session = Session::new(SchedulerConfig::new(2));
+    let r = session.register(Relation::new("R", (0..n).map(|k| Tuple::new(k, k)).collect()));
+    let s = session.register(Relation::new("S", (0..n).map(|k| Tuple::new(k, 2 * k)).collect()));
+    let cx = ExecContext::paper_machine();
+    assert_eq!(cx.threads(), 32);
+    let spec = session.pin(QuerySpec::join(&r, &s));
+    let out = paper_query_runs(&cx, &spec, &AnytimeToken::Never);
+    assert_eq!(out.max_payload_sum, Some(3 * (n - 1)));
+    let placement = out.plan.placement.as_ref().expect("placement");
+    assert_eq!(placement.arena_bytes.iter().sum::<u64>(), 0, "a view allocates nothing");
+
+    for phase in [Phase::One, Phase::Two, Phase::Three] {
+        assert_eq!(cx.phase_counters(phase).total_accesses(), 0, "{phase:?}");
+    }
+    let p4 = cx.phase_counters(Phase::Four);
+    assert_eq!(p4.accesses(AccessKind::RemoteRand), 8_192);
+    assert_eq!(p4.accesses(AccessKind::LocalRand), 2_048);
+    assert_eq!(p4.accesses(AccessKind::RemoteSeq), 24_576 + 190_464);
+    assert_eq!(p4.accesses(AccessKind::LocalSeq), 8_192 + 63_488);
+    assert_eq!(p4.syncs(), 0, "C3: no synchronization inside the merge");
+    assert_eq!(cx.counters().total_accesses(), p4.total_accesses());
 }

@@ -1,8 +1,8 @@
 //! One differential oracle for every query route.
 //!
 //! A query reaches the executor in one of nine input states —
-//! unregistered relations, a run-cache miss, a run-cache hit, a
-//! snapshot made dirty by appends / updates / deletes, a filtered
+//! unregistered relations, the first query on a clean version, a
+//! repeated one, a snapshot made dirty by appends / updates / deletes, a filtered
 //! private side over a dirty snapshot, a filtered public side against a
 //! dirty private one, and a handle compaction has moved past — and in
 //! one of four modes: no token, a deterministic block budget, a row
@@ -21,7 +21,7 @@ use mpsm::core::join::delta::{materialize, DeltaOp};
 use mpsm::core::Tuple;
 use mpsm::exec::{
     paper_query_runs, CompactionConfig, PaperQueryResult, QuerySpec, Relation, RunCacheConfig,
-    RunCacheOutcome, SchedulerConfig, Session,
+    SchedulerConfig, Session, SideSource,
 };
 
 const R_TUPLES: usize = 9_000;
@@ -31,8 +31,8 @@ const DOMAIN: u64 = 3_000;
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     Unregistered,
-    CacheMiss,
-    CacheHit,
+    Clean,
+    CleanRepeated,
     Appended,
     Updated,
     Deleted,
@@ -43,8 +43,8 @@ enum State {
 
 const STATES: [State; 9] = [
     State::Unregistered,
-    State::CacheMiss,
-    State::CacheHit,
+    State::Clean,
+    State::CleanRepeated,
     State::Appended,
     State::Updated,
     State::Deleted,
@@ -130,8 +130,8 @@ fn case(state: State, threads: usize) -> Case {
     let (mut r_ops, mut s_ops) = (Vec::new(), Vec::new());
     let mut spec = QuerySpec::join(&r, &s);
     match state {
-        State::Unregistered | State::CacheMiss => {}
-        State::CacheHit => {
+        State::Unregistered | State::Clean => {}
+        State::CleanRepeated => {
             session.query(spec.clone()).expect("warm-up");
         }
         State::Appended => {
@@ -151,8 +151,8 @@ fn case(state: State, threads: usize) -> Case {
             spec = spec.filter_r(r_keeps);
         }
         State::FilteredPublic => {
-            // A chunked bypass public side against a cached private
-            // side that carries a delta.
+            // A selected public side against a stored private side
+            // that carries a delta.
             r_ops = writes(300, 53, true, true, true);
             spec = spec.filter_s(s_keeps);
         }
@@ -220,32 +220,25 @@ fn plain_queries_equal_the_oracle_on_every_route() {
             assert!(out.plan.anytime.is_none(), "{what}: nothing could interrupt this query");
             assert!(out.rows.is_none(), "{what}: no rows were asked for");
             // The routes this matrix means to hit are the ones it hits.
-            let cache = out.plan.run_cache.as_ref().map(|info| (info.r, info.s));
-            let (hit, miss, bypass) =
-                (RunCacheOutcome::Hit, RunCacheOutcome::Miss, RunCacheOutcome::Bypass);
-            let expected_cache = match state {
-                State::Unregistered => Some((bypass, bypass)),
-                State::CacheMiss => Some((miss, miss)),
-                State::CacheHit => Some((hit, hit)),
-                State::Appended | State::Updated | State::Deleted => Some((miss, miss)),
-                State::FilteredDirty => Some((bypass, miss)),
-                State::FilteredPublic => Some((miss, bypass)),
-                // The compactor warmed R's new base version.
-                State::CompactedPastTheHandle => Some((hit, miss)),
+            let sources = out.plan.sources.as_ref().map(|info| (info.r, info.s));
+            let (stored, selected, built) =
+                (SideSource::Stored, SideSource::Selected, SideSource::Built);
+            let expected_sources = match state {
+                State::Unregistered => Some((built, built)),
+                State::Clean | State::CleanRepeated => Some((stored, stored)),
+                State::Appended | State::Updated | State::Deleted => Some((stored, stored)),
+                State::FilteredDirty => Some((selected, stored)),
+                State::FilteredPublic => Some((stored, selected)),
+                // R's handle resolves to the compacted version.
+                State::CompactedPastTheHandle => Some((stored, stored)),
             };
-            assert_eq!(cache, expected_cache, "{what}: RunCache row");
-            // A second look at the same state is served from the cache
-            // wherever an unfiltered side has a base version to key on.
+            assert_eq!(sources, expected_sources, "{what}: Source row");
+            // A second look at the same state takes the same routes.
             if state != State::Unregistered {
                 let again = case.session.query(case.spec.clone()).expect("query").result;
                 assert_eq!(again.max_payload_sum, out.max_payload_sum, "{what}: second run");
-                let info = again.plan.run_cache.expect("RunCache row");
-                if state != State::FilteredPublic {
-                    assert_eq!(info.s, hit, "{what}: S is cached now");
-                }
-                if state != State::FilteredDirty {
-                    assert_eq!(info.r, hit, "{what}: R is cached now");
-                }
+                let info = again.plan.sources.expect("Source row");
+                assert_eq!(Some((info.r, info.s)), expected_sources, "{what}: second run");
             }
         }
     }
@@ -263,7 +256,7 @@ fn budgeted_queries_return_growing_key_order_prefixes_on_every_route() {
             for budget in 0..16u64 {
                 let what = format!("{state:?}, T = {threads}, budget {budget}");
                 // Pin per run: a fresh snapshot of the same (quiescent)
-                // state, against a cache earlier budgets have warmed.
+                // state.
                 let spec = case.session.pin(case.spec.clone().collect_rows(all_rows));
                 let out = paper_query_runs(cx, &spec, &AnytimeToken::budget(budget));
                 check_cardinalities(&out, &case, &what);

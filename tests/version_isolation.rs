@@ -1,9 +1,8 @@
-//! Concurrency and invalidation suite for the sorted-run cache:
-//! clients racing on one key must agree with P-MPSM over the raw tuples
-//! while the cache keeps exactly one run set per side (a racing publish
-//! keeps the resident set), and
-//! re-registering a relation mid-stream must never serve stale runs —
-//! every handle joins exactly the version it captured.
+//! Answer oracles for served queries over registered versions: clients
+//! racing on one version must agree with P-MPSM over the raw tuples,
+//! and re-registering, writing to and compacting a relation mid-stream
+//! must never serve a stale version — every handle joins exactly the
+//! version (and delta prefix) it captured.
 
 use std::sync::Arc;
 
@@ -11,7 +10,9 @@ use mpsm::core::join::p_mpsm::PMpsmJoin;
 use mpsm::core::join::{JoinAlgorithm, JoinConfig};
 use mpsm::core::sink::MaxAggSink;
 use mpsm::core::{ExecContext, Tuple};
-use mpsm::exec::{CompactionConfig, QuerySpec, Relation, RunCacheConfig, SchedulerConfig, Session};
+use mpsm::exec::{
+    CompactionConfig, QuerySpec, Relation, RunCacheConfig, SchedulerConfig, Session, SideSource,
+};
 use proptest::prelude::*;
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -38,7 +39,7 @@ fn expected_max(n: u64, version: u64) -> Option<u64> {
 }
 
 #[test]
-fn racing_clients_on_one_key_agree_with_uncached_execution() {
+fn racing_clients_agree_with_p_mpsm_over_the_raw_tuples() {
     let mut next = lcg(2012);
     let r_data: Vec<Tuple> = (0..3000).map(|i| Tuple::new(next() % 700, i)).collect();
     let s_data: Vec<Tuple> = (0..9000).map(|i| Tuple::new(next() % 700, i)).collect();
@@ -47,53 +48,47 @@ fn racing_clients_on_one_key_agree_with_uncached_execution() {
     let join = PMpsmJoin::new(JoinConfig::with_threads(2));
     let (expect, _) = join.join_in::<MaxAggSink>(&ExecContext::flat(2), &r_data, &s_data);
 
-    let cached = Session::new(SchedulerConfig::new(2).max_in_flight(4).queue_capacity(64));
-    let r = cached.register(Relation::new("R", r_data));
-    let s = cached.register(Relation::new("S", s_data));
+    let session = Session::new(SchedulerConfig::new(2).max_in_flight(4).queue_capacity(64));
+    let r = session.register(Relation::new("R", r_data));
+    let s = session.register(Relation::new("S", s_data));
 
-    // 8 client threads × 4 queries, all on the same cache key. The
-    // first misses race: each cuts its own runs without waiting, and
-    // only the first publish per side becomes resident.
+    // 8 client threads × 4 queries, all on the same versions: each
+    // query cuts its own view of the shared stored order.
     std::thread::scope(|scope| {
         for client in 0..8 {
-            let (cached, r, s) = (&cached, &r, &s);
+            let (session, r, s) = (&session, &r, &s);
             let expect = &expect;
             scope.spawn(move || {
                 for round in 0..4 {
-                    let out = cached
+                    let out = session
                         .query(QuerySpec::join(r, s))
                         .unwrap_or_else(|e| panic!("client {client} round {round}: {e}"));
                     assert_eq!(
                         out.result.max_payload_sum, *expect,
                         "client {client} round {round}"
                     );
+                    let sources = out.result.plan.sources.expect("Source row");
+                    assert_eq!((sources.r, sources.s), (SideSource::Stored, SideSource::Stored));
                 }
             });
         }
     });
-
-    let stats = cached.run_cache().expect("cached session").stats();
-    assert_eq!(stats.inserts, 2, "a racing publish keeps the resident set");
-    assert_eq!(stats.entries, 2, "both run sets resident");
-    assert_eq!(stats.hits + stats.misses, 64, "32 queries × 2 sides all consulted the cache");
-    assert!(stats.hits >= 2, "later rounds must hit; got {stats:?}");
-    assert_eq!(stats.evictions, 0, "nothing invalidated or over budget");
+    assert_eq!(session.scheduler().metrics().completed, 32);
 }
 
 #[test]
-fn old_handles_recompute_after_invalidation() {
+fn old_handles_answer_for_the_version_they_captured() {
     let n = 512;
     let session = Session::new(SchedulerConfig::new(2));
     let s = session.register(plain_s(n));
     let v1 = session.register(versioned_r(n, 1));
-    // Populate the cache for version 1, then bump the relation.
+    // Query version 1, then bump the relation.
     assert_eq!(
         session.query(QuerySpec::join(&v1, &s)).expect("v1 query").result.max_payload_sum,
         expected_max(n, 1)
     );
     let v2 = session.register(versioned_r(n, 2));
-    // The bump invalidated version 1's cached runs; both handles still
-    // answer for exactly the data they captured.
+    // Both handles answer for exactly the data they captured.
     assert_eq!(
         session.query(QuerySpec::join(&v2, &s)).expect("v2 query").result.max_payload_sum,
         expected_max(n, 2)
@@ -102,67 +97,18 @@ fn old_handles_recompute_after_invalidation() {
         session.query(QuerySpec::join(&v1, &s)).expect("stale-handle query").result.max_payload_sum,
         expected_max(n, 1)
     );
-    let stats = session.run_cache().expect("cached").stats();
-    assert!(stats.evictions >= 1, "the re-registration evicted v1's runs: {stats:?}");
-}
-
-/// Compaction folds the delta, bumps the version, and — with cache
-/// warming on — publishes **exactly one** cache entry per new version,
-/// which the very next query hits on both sides.
-#[test]
-fn compaction_warms_exactly_one_cache_entry_per_version() {
-    let n = 256;
-    let session = Session::with_compaction(
-        SchedulerConfig::new(2),
-        RunCacheConfig::default(),
-        CompactionConfig::manual(),
-    );
-    let s = session.register(plain_s(n));
-    let r = session.register(versioned_r(n, 1));
-    assert_eq!(
-        session.query(QuerySpec::join(&r, &s)).expect("populate").result.max_payload_sum,
-        expected_max(n, 1)
-    );
-    let base_inserts = session.run_cache().expect("cached").stats().inserts;
-    assert_eq!(base_inserts, 2, "first query built both sides into the cache");
-
-    for round in 1..=4u64 {
-        // One dominating append on key 0 (plain S has payload 0 there),
-        // so every round's answer proves which writes the join saw.
-        session.append("R", [Tuple::new(0, 9_000_000 + round)]).expect("registered");
-        let misses = session.run_cache().expect("cached").stats().misses;
-        assert!(session.compact("R"), "round {round}: delta folds");
-        let stats = session.run_cache().expect("cached").stats();
-        assert_eq!(stats.misses, misses, "round {round}: the re-warm is not a query-side miss");
-        assert_eq!(
-            stats.inserts,
-            base_inserts + round,
-            "round {round}: compaction publishes exactly one entry for the new version"
-        );
-        let before = stats;
-        let out = session.query(QuerySpec::join(&r, &s)).expect("post-compaction").result;
-        assert_eq!(out.max_payload_sum, Some(9_000_000 + round), "round {round}");
-        let after = session.run_cache().expect("cached").stats();
-        assert_eq!(after.hits, before.hits + 2, "round {round}: warmed runs hit on both sides");
-        assert_eq!(after.inserts, before.inserts, "round {round}: the query built nothing");
-        assert_eq!(
-            session.relation("R").expect("resolves").version(),
-            1 + round,
-            "round {round}: each fold bumps the version"
-        );
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Write storm vs. the cache: random appends, deletes, compactions,
+    /// Write storm: random appends, deletes, compactions,
     /// re-registrations and queries, with every answer checked against
-    /// a replayed model of the handle's own lineage. A stale hit —
-    /// cached runs served for contents they no longer describe — shows
-    /// up as a wrong `max` immediately.
+    /// a replayed model of the handle's own lineage. A stale version —
+    /// runs cut from contents the handle no longer describes — shows up
+    /// as a wrong `max` immediately.
     #[test]
-    fn write_storms_never_serve_stale_hits(
+    fn write_storms_never_serve_a_stale_version(
         ops in proptest::collection::vec(any::<u64>(), 4..40),
     ) {
         let n = 192u64;
@@ -250,8 +196,8 @@ proptest! {
     ) {
         // A random interleaving of re-registrations and queries —
         // queries target a random previously captured handle, so both
-        // the newest version and arbitrarily stale handles are joined
-        // while the cache churns underneath. Every answer must carry
+        // the newest version and arbitrarily stale handles are joined.
+        // Every answer must carry
         // the payload stamp of the handle's own version.
         let n = 256;
         let session = Session::new(SchedulerConfig::new(2));
